@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -419,30 +420,44 @@ func BenchmarkReplayTrafficVsTraceSize(b *testing.B) {
 	b.ReportMetric(mergeExternal/replayExternal, "reduction_x")
 }
 
+// metatraceExperiment runs MetaTrace on the VIOLA testbed (32 ranks,
+// seed 42) at the given instrumentation detail and returns the measured
+// experiment, its v2 archive in memory.
+func metatraceExperiment(tb testing.TB, detail int) *metascope.Experiment {
+	tb.Helper()
+	topo := metascope.VIOLA()
+	e := metascope.NewExperiment("bench", topo, metascope.ViolaExperiment1Placement(topo), 42)
+	if err := e.Build(); err != nil {
+		tb.Fatal(err)
+	}
+	p := metatrace.Default(16)
+	p.Detail = detail
+	params, err := metatrace.Setup(e.World(), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 // BenchmarkStreamingIngest measures the live ingest path on a prepared
 // MetaTrace archive: encoded trace bytes fed through a live session —
 // chunk decode, incremental replay, window scheduling — to a final
 // result, either as one chunk per rank ("oneshot") or as interleaved
 // 64 KiB chunks ("chunked"), against BenchmarkParallelReplay as the
-// post-mortem baseline, for both wire encodings. Reported metric:
-// severity windows closed per second of wall time.
+// post-mortem baseline, for both wire encodings. Reported metrics:
+// severity windows closed per second of wall time, and bytes and
+// allocations per ingested event.
 func BenchmarkStreamingIngest(b *testing.B) {
-	topo := metascope.VIOLA()
-	place := metascope.ViolaExperiment1Placement(topo)
-	e := metascope.NewExperiment("bench", topo, place, 42)
-	if err := e.Build(); err != nil {
-		b.Fatal(err)
-	}
-	params, err := metatrace.Setup(e.World(), metatrace.Default(16))
+	traces, err := metatraceExperiment(b, 1).Traces()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
-		b.Fatal(err)
-	}
-	traces, err := e.Traces()
-	if err != nil {
-		b.Fatal(err)
+	events := 0
+	for _, tr := range traces {
+		events += len(tr.Events)
 	}
 	encodeAll := func(f trace.Format) (blobs [][]byte, total int64) {
 		blobs = make([][]byte, len(traces))
@@ -459,6 +474,8 @@ func BenchmarkStreamingIngest(b *testing.B) {
 	run := func(b *testing.B, blobs [][]byte, total int64, chunk int) {
 		b.SetBytes(total)
 		var windows int64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
 			var w int64
 			l, err := replay.NewLive(replay.LiveConfig{
@@ -506,7 +523,10 @@ func BenchmarkStreamingIngest(b *testing.B) {
 			}
 			windows += w
 		}
+		runtime.ReadMemStats(&after)
 		b.ReportMetric(float64(windows)/b.Elapsed().Seconds(), "windows/s")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*events), "B/event")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*events), "allocs/event")
 	}
 	for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
 		f := f

@@ -8,26 +8,31 @@ import (
 	"metascope/internal/trace"
 )
 
-// liveLogStride is the events-per-block granularity of an appending
-// (live-session) rank log. Each block is one allocation, so releasing
-// the swept prefix actually returns memory; 4096 events keeps the
-// bookkeeping to one block handoff per few hundred KiB of trace.
+// liveLogStride is the events-per-block granularity of a live rank log
+// fed by a v1 stream, which has no blocks of its own (a v2 stream
+// brings its stride in its header). Each block is one allocation, so
+// releasing the swept prefix actually returns memory; 4096 events keeps
+// the bookkeeping to one block handoff per few hundred KiB of trace.
 const liveLogStride = 1 << 12
 
 // rankLog is the append-only event log one analysis process sweeps.
 // Post-mortem analysis wraps the fully loaded trace in a closed log; a
-// live session appends events as upload chunks decode and closes the
-// log when the rank's stream finishes; a lazy log decodes v2 event
-// blocks on demand, straight out of the archive's backing byte image.
-// The sweep never sees a difference beyond *when* events become
+// live session's chunk decoder writes each event once, straight into a
+// block the log owns, and the log publishes the block once it validated
+// and closes when the rank's stream finishes; a lazy log decodes v2
+// event blocks on demand, straight out of the archive's backing byte
+// image. The sweep never sees a difference beyond *when* events become
 // visible, which is the whole trick behind byte-identical streaming
 // results: the worker's event order, and therefore every accumulator's
 // addition order, is the trace order either way.
 //
-// Appending and lazy logs store events in fixed-stride blocks, each its
-// own allocation, so releaseBefore can free the already-swept prefix —
-// the bounded-memory window that lets an archive larger than RAM
-// stream through one analysis.
+// Live and lazy logs store events in fixed-stride blocks, each its own
+// allocation, so releaseBefore can free the already-swept prefix — the
+// bounded-memory window that lets an archive larger than RAM stream
+// through one analysis. Both take the stride from the stream's
+// block-size header, so a decoded v2 block is a log block as it stands;
+// both therefore require every block but the last to be full, which the
+// encoder guarantees.
 type rankLog struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -111,40 +116,66 @@ func newLazyRankLog(r *trace.BlockReader) (*rankLog, error) {
 	return lg, nil
 }
 
-// append publishes more events and wakes the sweeping worker. Events
-// are copied into fixed-stride blocks so the swept prefix can be
-// released block by block.
-func (lg *rankLog) append(events []trace.Event) {
-	if len(events) == 0 {
-		return
+// reserve returns room for up to max more events at the tail of a live
+// log: what is left of a part-filled tail block (a v1 stream fills its
+// blocks a few events at a time), else a fresh block. The ingesting
+// goroutine writes events into the room and hands the filled prefix to
+// publish; until then the sweep cannot see them.
+func (lg *rankLog) reserve(max int) []trace.Event {
+	lg.mu.Lock()
+	var room []trace.Event
+	if off := lg.n % lg.stride; off != 0 {
+		tail := lg.blocks[lg.n/lg.stride]
+		room = tail[off:cap(tail)]
+	}
+	lg.mu.Unlock()
+	if len(room) == 0 {
+		return make([]trace.Event, min(max, lg.stride))
+	}
+	return room[:min(max, len(room))]
+}
+
+// publish makes the events the ingesting goroutine wrote into the room
+// reserve last returned visible to the sweep, without copying them, and
+// wakes the sweeping worker. Fixed-stride indexing needs every block
+// before the one being filled to be full; a stream that starts another
+// block after a short one is rejected as the lazy log rejects it.
+func (lg *rankLog) publish(blk []trace.Event) error {
+	if len(blk) == 0 {
+		return nil
 	}
 	lg.mu.Lock()
+	k, off := lg.n/lg.stride, lg.n%lg.stride
+	switch {
+	case off == 0:
+		lg.blocks = append(lg.blocks, blk)
+	case cap(lg.blocks[k])-off >= len(blk) && &lg.blocks[k][:off+1][off] == &blk[0]:
+		lg.blocks[k] = lg.blocks[k][:off+len(blk)]
+	default:
+		lg.mu.Unlock()
+		return fmt.Errorf("block %d holds %d events, want %d", k, off, lg.stride)
+	}
 	if !lg.haveTime {
 		lg.haveTime = true
-		lg.firstTime = events[0].Time
+		lg.firstTime = blk[0].Time
 	}
-	lg.lastTime = events[len(events)-1].Time
-	for len(events) > 0 {
-		k := lg.n / lg.stride
-		off := lg.n % lg.stride
-		if k == len(lg.blocks) {
-			lg.blocks = append(lg.blocks, make([]trace.Event, 0, lg.stride))
-		}
-		blk := lg.blocks[k]
-		take := lg.stride - off
-		if take > len(events) {
-			take = len(events)
-		}
-		lg.blocks[k] = append(blk, events[:take]...)
-		events = events[take:]
-		lg.n += take
-		lg.resident += take
-	}
+	lg.lastTime = blk[len(blk)-1].Time
+	lg.n += len(blk)
+	lg.resident += len(blk)
 	if lg.resident > lg.maxResident {
 		lg.maxResident = lg.resident
 	}
 	lg.mu.Unlock()
 	lg.cond.Broadcast()
+	return nil
+}
+
+// drop frees the blocks still held once nothing will sweep the log
+// again. The residency counters keep their last values.
+func (lg *rankLog) drop() {
+	lg.mu.Lock()
+	lg.blocks = nil
+	lg.mu.Unlock()
 }
 
 // close marks the log complete: no more events will arrive.

@@ -143,7 +143,9 @@ type SummaryEvent struct {
 
 // liveRank is the per-rank ingest state of a live session.
 type liveRank struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// dec is nil once Finalize released the engine. By then the rank is
+	// finished or the session has failed, and both are checked first.
 	dec      *trace.ChunkDecoder
 	log      *rankLog
 	corr     vclock.LinearMap
@@ -237,10 +239,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	for i := range l.ranks {
 		l.ranks[i] = &liveRank{dec: trace.NewChunkDecoder(l.intern), log: newRankLog()}
-		// The rank log holds the only copy of the events the sweep still
-		// needs; accumulating a second, never-released copy on the
-		// decoder's Trace would defeat the bounded window.
-		l.ranks[i].dec.DiscardEvents = true
 	}
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "open"}})
 	return l, nil
@@ -277,8 +275,11 @@ func (l *Live) sessionErr() error {
 
 // FeedChunk appends bytes to one rank's trace stream. Chunks of one
 // rank must arrive in order (the serve layer's sequence numbers
-// guarantee it); different ranks may feed concurrently. Decoded events
-// enter the replay immediately once the analysis is running.
+// guarantee it); different ranks may feed concurrently. The caller may
+// reuse data once FeedChunk returns. Each event is decoded once,
+// straight into the rank log, and every block enters the replay as soon
+// as it is complete and valid — a corrupt chunk fails here, on the call
+// that carried it.
 func (l *Live) FeedChunk(rank int, data []byte) error {
 	if rank < 0 || rank >= len(l.ranks) {
 		return fmt.Errorf("replay: chunk for rank %d outside world of %d", rank, len(l.ranks))
@@ -292,8 +293,23 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 	if lr.finished {
 		return fmt.Errorf("replay: rank %d stream already finished", rank)
 	}
-	hadHeader := lr.dec.Header() != nil
-	evs, err := lr.dec.Feed(data)
+	err := lr.dec.Append(data)
+	if h := lr.dec.Header(); err == nil && h != nil && !lr.haveCorr {
+		err = l.registerHeader(rank, lr, h)
+	}
+	for err == nil {
+		var blk []trace.Event
+		if blk, err = lr.dec.NextBlock(lr.log.reserve); len(blk) == 0 {
+			break
+		}
+		lr.events.Add(int64(len(blk)))
+		l.m.events.Add(float64(len(blk)))
+		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(blk[len(blk)-1].Time)))
+		lr.haveIngest.Store(true)
+		if err = lr.log.publish(blk); err != nil {
+			err = fmt.Errorf("trace %v: %w", lr.dec.Header().Loc, err)
+		}
+	}
 	if err != nil {
 		l.fail(err)
 		return err
@@ -301,19 +317,6 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 	lr.bytes.Add(int64(len(data)))
 	l.m.chunks.Inc()
 	l.m.bytes.Add(float64(len(data)))
-	if !hadHeader && lr.dec.Header() != nil {
-		if err := l.registerHeader(rank, lr, lr.dec.Header()); err != nil {
-			l.fail(err)
-			return err
-		}
-	}
-	if len(evs) > 0 {
-		lr.events.Add(int64(len(evs)))
-		l.m.events.Add(float64(len(evs)))
-		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(evs[len(evs)-1].Time)))
-		lr.haveIngest.Store(true)
-		lr.log.append(evs)
-	}
 	return nil
 }
 
@@ -335,6 +338,9 @@ func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
 	}
 	lr.corr = corr
 	lr.haveCorr = true
+	if bs := lr.dec.BlockSize(); bs > 0 {
+		lr.log.stride = bs // no block is published, and no sweep started, before this
+	}
 	l.traces[rank] = t
 	l.headers++
 	if l.headers == len(l.ranks) {
@@ -433,14 +439,12 @@ func (l *Live) RankLocation(rank int) (trace.Location, bool) {
 	if rank < 0 || rank >= len(l.ranks) {
 		return trace.Location{}, false
 	}
-	lr := l.ranks[rank]
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	h := lr.dec.Header()
-	if h == nil {
-		return trace.Location{}, false
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if t := l.traces[rank]; t != nil {
+		return t.Loc, true
 	}
-	return h.Loc, true
+	return trace.Location{}, false
 }
 
 // Abort cancels the session with the given cause (session timeout,
@@ -458,6 +462,7 @@ func (l *Live) Abort(cause error) {
 // must be called exactly once; ctx bounds the wait (expiry aborts the
 // session).
 func (l *Live) Finalize(ctx context.Context) (*Result, error) {
+	defer l.release()
 	var ferr error
 	for rank := range l.ranks {
 		if err := l.FinishRank(rank); err != nil && ferr == nil {
@@ -527,6 +532,23 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	l.mu.Unlock()
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "done"}})
 	return res, nil
+}
+
+// release drops what only a running analysis needs — the analyzer with
+// its per-rank sample logs, call-path maps and post-pass records, every
+// rank's remaining event blocks and every decoder's byte buffer — so a
+// finished session costs its owner the counters and header locations
+// Status, Resident and RankLocation report, not the engine.
+func (l *Live) release() {
+	l.mu.Lock()
+	l.a = nil
+	l.mu.Unlock()
+	for _, lr := range l.ranks {
+		lr.mu.Lock()
+		lr.dec = nil
+		lr.mu.Unlock()
+		lr.log.drop()
+	}
 }
 
 // scheduler periodically drains the sink and publishes window and

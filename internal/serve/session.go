@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -284,6 +285,49 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.status(true))
 }
 
+// chunkAck is the reply to a chunk PUT: whether these bytes were applied
+// (false for a replayed sequence number) and where the rank's upload
+// stands.
+type chunkAck struct {
+	Applied  bool  `json:"applied"`
+	Bytes    int64 `json:"bytes"`
+	Finished bool  `json:"finished"`
+	NextSeq  int64 `json:"next_seq"`
+	Rank     int   `json:"rank"`
+}
+
+// chunkBufs recycles chunk bodies across PUTs. A buffer that held more
+// than chunkBufKeep is left to the collector: one oversized chunk must
+// not pin its size in the pool.
+var chunkBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const chunkBufKeep = 1 << 20
+
+// readChunk reads one chunk body into buf. A body that declares its
+// length is read in one piece — sized up front, but by no more than
+// chunkBufKeep before the bytes have actually arrived — and must be
+// exactly that long; chunked transfer encoding, and a declared length
+// the limit reader is going to refuse anyway, read to EOF.
+func (s *Server) readChunk(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	n := r.ContentLength
+	if n < 0 || n > s.opts.MaxUploadBytes {
+		return io.ReadAll(body)
+	}
+	buf.Reset()
+	// ReadFrom wants MinRead spare bytes to see EOF without growing.
+	buf.Grow(int(min(n, chunkBufKeep)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(io.LimitReader(body, n+1)); err != nil {
+		return nil, err
+	}
+	if got := int64(buf.Len()); got > n {
+		return nil, fmt.Errorf("body is longer than its declared Content-Length %d", n)
+	} else if got < n {
+		return nil, fmt.Errorf("body ended after %d of %d declared bytes: %w", got, n, io.ErrUnexpectedEOF)
+	}
+	return buf.Bytes(), nil
+}
+
 // handleChunk applies one uploaded chunk:
 // PUT /v1/sessions/{id}/ranks/{mh}/{rank}?seq=N[&last=1]
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
@@ -307,7 +351,15 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	last := r.URL.Query().Get("last") == "1" || r.URL.Query().Get("last") == "true"
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
+	// The engine copies what it keeps of a chunk, so the buffer goes back
+	// to the pool when the handler returns.
+	buf := chunkBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Len() <= chunkBufKeep {
+			chunkBufs.Put(buf)
+		}
+	}()
+	body, err := s.readChunk(w, r, buf)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "reading chunk: %v", err)
 		return
@@ -325,9 +377,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack := func(applied bool) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"rank": rank, "applied": applied, "next_seq": sr.nextSeq,
-			"bytes": sr.bytes, "finished": sr.finished,
+		writeJSON(w, http.StatusOK, chunkAck{
+			Applied: applied, Bytes: sr.bytes, Finished: sr.finished,
+			NextSeq: sr.nextSeq, Rank: rank,
 		})
 	}
 	switch {

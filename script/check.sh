@@ -76,6 +76,15 @@ if ! echo "$out" | grep 'BenchmarkV2BlockDecode' | grep -q '\b0 allocs/op'; then
 	exit 1
 fi
 
+# Streaming ingest decodes each event once, straight into the block the
+# sweep reads. Gate the consequence: feeding an archive through a live
+# session in 64 KiB chunks allocates at most 1.5x what the lazy
+# post-mortem analysis of the same bytes allocates (ROADMAP: "streaming
+# ingest within 2x of lazy load"). Run without -race, like the two
+# zero-alloc gates above: the budget is about the program's own bytes.
+echo "== live ingest allocation budget"
+go test -count=1 -run 'TestLiveIngestAllocBudget$' .
+
 # The parallel wait-state post-pass must be a pure reordering of the
 # sequential reference: same scenario analyzed both ways must render
 # byte-identical artifacts. Pinned by name so a merge-order or
