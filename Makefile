@@ -36,14 +36,5 @@ race:
 vet:
 	go vet ./...
 
-bench: ## replay + ingestion + flight-recorder + per-phase severity benchmarks; BENCH_replay.json plus delta vs the committed baseline
-	@if [ -f BENCH_replay.json ]; then cp BENCH_replay.json BENCH_replay.prev.json; fi
-	go test -run '^$$' -bench 'BenchmarkParallelReplay|BenchmarkArchiveLoad|BenchmarkScalabilityAnalysis|BenchmarkServeThroughput|BenchmarkFlight|BenchmarkStreamingIngest|BenchmarkPhaseAnalysis' \
-		-benchmem -json . ./internal/obs/flight > BENCH_replay.json
-	@if [ -f BENCH_replay.prev.json ]; then \
-		go run ./script/benchdelta -base BENCH_replay.prev.json BENCH_replay.json; \
-		rm -f BENCH_replay.prev.json; \
-	else \
-		go run ./script/benchdelta BENCH_replay.json; \
-	fi
-	@echo "bench results written to BENCH_replay.json"
+bench: ## the repo benchmark (bench/README.md): four end-to-end workloads; `go run ./bench -trace 1` adds the per-layer rungs
+	go run ./bench

@@ -14,12 +14,7 @@ package metascope_test
 // values appear in the comments and in EXPERIMENTS.md.
 
 import (
-	"bytes"
-	"context"
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"metascope"
 	"metascope/internal/apps/clockbench"
@@ -28,9 +23,7 @@ import (
 	"metascope/internal/experiments"
 	"metascope/internal/measure"
 	"metascope/internal/pattern"
-	"metascope/internal/phase"
 	"metascope/internal/replay"
-	"metascope/internal/scenario"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
@@ -256,114 +249,6 @@ func BenchmarkSimulationMetaTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelReplay measures the analyzer alone on a prepared
-// MetaTrace archive: the per-analysis cost an interactive user pays
-// when switching synchronization schemes.
-func BenchmarkParallelReplay(b *testing.B) {
-	topo := metascope.VIOLA()
-	place := metascope.ViolaExperiment1Placement(topo)
-	e := metascope.NewExperiment("bench", topo, place, 42)
-	if err := e.Build(); err != nil {
-		b.Fatal(err)
-	}
-	params, err := metatrace.Setup(e.World(), metatrace.Default(16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
-		b.Fatal(err)
-	}
-	traces, err := e.Traces()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := 0
-	for _, t := range traces {
-		events += len(t.Events)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := replay.Analyze(traces, replay.Config{Scheme: vclock.Hierarchical}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(events), "events")
-}
-
-// BenchmarkArchiveLoad measures the ingestion path alone: listing the
-// per-metahost archives and decoding every rank's trace file into
-// memory — the fixed cost every analysis, timeline export, or profile
-// pays before replay can start. b.SetBytes reports decode throughput
-// over the total encoded archive size. Sub-benchmarks compare the v1
-// row encoding, the columnar v2 encoding fully materialized, and the
-// v2 header-only lazy open (decode deferred into the replay sweep) —
-// the default load path since the v2 push.
-func BenchmarkArchiveLoad(b *testing.B) {
-	archiveOf := func(b *testing.B, f trace.Format) (*metascope.Experiment, int64) {
-		b.Helper()
-		topo := metascope.VIOLA()
-		place := metascope.ViolaExperiment1Placement(topo)
-		e := metascope.NewExperiment("bench", topo, place, 42)
-		e.TraceFormat = f
-		if err := e.Build(); err != nil {
-			b.Fatal(err)
-		}
-		params, err := metatrace.Setup(e.World(), metatrace.Default(16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
-			b.Fatal(err)
-		}
-		traces, err := e.Traces()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sizes, err := replay.TraceSizesFormat(traces, f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var total int64
-		for _, s := range sizes {
-			total += s
-		}
-		return e, total
-	}
-	b.Run("v1", func(b *testing.B) {
-		e, total := archiveOf(b, trace.FormatV1)
-		mounts, metahosts := e.Mounts(), e.Place.MetahostsUsed()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := replay.LoadArchive(mounts, metahosts, e.ArchiveDir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		e, total := archiveOf(b, trace.FormatV2)
-		mounts, metahosts := e.Mounts(), e.Place.MetahostsUsed()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := replay.LoadArchive(mounts, metahosts, e.ArchiveDir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2-lazy", func(b *testing.B) {
-		e, total := archiveOf(b, trace.FormatV2)
-		mounts, metahosts := e.Mounts(), e.Place.MetahostsUsed()
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := replay.LoadArchiveLazy(mounts, metahosts, e.ArchiveDir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkReplayTrafficVsTraceSize quantifies §4's argument for
 // replay-based parallel analysis: "the amount of data transferred per
 // process is significantly smaller than the entire trace file
@@ -418,188 +303,4 @@ func BenchmarkReplayTrafficVsTraceSize(b *testing.B) {
 	b.ReportMetric(mergeExternal/1024, "merge_ext_KiB")
 	b.ReportMetric(replayExternal/1024, "replay_ext_KiB")
 	b.ReportMetric(mergeExternal/replayExternal, "reduction_x")
-}
-
-// metatraceExperiment runs MetaTrace on the VIOLA testbed (32 ranks,
-// seed 42) at the given instrumentation detail and returns the measured
-// experiment, its v2 archive in memory.
-func metatraceExperiment(tb testing.TB, detail int) *metascope.Experiment {
-	tb.Helper()
-	topo := metascope.VIOLA()
-	e := metascope.NewExperiment("bench", topo, metascope.ViolaExperiment1Placement(topo), 42)
-	if err := e.Build(); err != nil {
-		tb.Fatal(err)
-	}
-	p := metatrace.Default(16)
-	p.Detail = detail
-	params, err := metatrace.Setup(e.World(), p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
-		tb.Fatal(err)
-	}
-	return e
-}
-
-// BenchmarkStreamingIngest measures the live ingest path on a prepared
-// MetaTrace archive: encoded trace bytes fed through a live session —
-// chunk decode, incremental replay, window scheduling — to a final
-// result, either as one chunk per rank ("oneshot") or as interleaved
-// 64 KiB chunks ("chunked"), against BenchmarkParallelReplay as the
-// post-mortem baseline, for both wire encodings. Reported metrics:
-// severity windows closed per second of wall time, and bytes and
-// allocations per ingested event.
-func BenchmarkStreamingIngest(b *testing.B) {
-	traces, err := metatraceExperiment(b, 1).Traces()
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := 0
-	for _, tr := range traces {
-		events += len(tr.Events)
-	}
-	encodeAll := func(f trace.Format) (blobs [][]byte, total int64) {
-		blobs = make([][]byte, len(traces))
-		for i, tr := range traces {
-			var buf bytes.Buffer
-			if err := tr.EncodeFormat(&buf, f); err != nil {
-				b.Fatal(err)
-			}
-			blobs[i] = buf.Bytes()
-			total += int64(buf.Len())
-		}
-		return blobs, total
-	}
-	run := func(b *testing.B, blobs [][]byte, total int64, chunk int) {
-		b.SetBytes(total)
-		var windows int64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < b.N; i++ {
-			var w int64
-			l, err := replay.NewLive(replay.LiveConfig{
-				Config:    replay.Config{Scheme: vclock.Hierarchical},
-				Ranks:     len(blobs),
-				WindowSec: 0.5,
-				EmitEvery: time.Millisecond,
-				OnEvent: func(ev replay.StreamEvent) {
-					if ev.Summary != nil {
-						w = ev.Summary.WindowsClosed
-					}
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if chunk <= 0 {
-				for r, blob := range blobs {
-					if err := l.FeedChunk(r, blob); err != nil {
-						b.Fatal(err)
-					}
-				}
-			} else {
-				offs := make([]int, len(blobs))
-				for progressed := true; progressed; {
-					progressed = false
-					for r, blob := range blobs {
-						if offs[r] >= len(blob) {
-							continue
-						}
-						end := offs[r] + chunk
-						if end > len(blob) {
-							end = len(blob)
-						}
-						if err := l.FeedChunk(r, blob[offs[r]:end]); err != nil {
-							b.Fatal(err)
-						}
-						offs[r] = end
-						progressed = true
-					}
-				}
-			}
-			if _, err := l.Finalize(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			windows += w
-		}
-		runtime.ReadMemStats(&after)
-		b.ReportMetric(float64(windows)/b.Elapsed().Seconds(), "windows/s")
-		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*events), "B/event")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*events), "allocs/event")
-	}
-	for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-		f := f
-		blobs, total := encodeAll(f)
-		b.Run(f.String()+"-oneshot", func(b *testing.B) { run(b, blobs, total, 0) })
-		b.Run(f.String()+"-chunked-64KiB", func(b *testing.B) { run(b, blobs, total, 64<<10) })
-	}
-}
-
-// BenchmarkTraceEncodeDecode measures the trace format's throughput.
-func BenchmarkTraceEncodeDecode(b *testing.B) {
-	tr := &trace.Trace{
-		Loc:     trace.Location{MetahostName: "bench"},
-		Regions: []trace.Region{{ID: 0, Name: "f", Kind: trace.RegionUser}},
-	}
-	now := 0.0
-	for i := 0; i < 50000; i++ {
-		now += 1e-4
-		tr.Events = append(tr.Events, trace.Event{Kind: trace.KindEnter, Time: now, Region: 0})
-		now += 1e-4
-		tr.Events = append(tr.Events, trace.Event{Kind: trace.KindExit, Time: now, Region: 0})
-	}
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := tr.Encode(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := trace.Decode(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
-// BenchmarkPhaseAnalysis runs the straggler kernel through the full
-// pipeline — simulate, measure, archive, replay with phase detection —
-// and reports every phase's wait-at-NxN severity as a benchmark
-// metric ("sev:p<phase>:wait_nxn"). These are exact simulation
-// outputs, not timings: script/benchdelta renders them as a per-phase
-// table, so `make bench` tracks per-iteration analysis severities
-// across changes and a regression confined to one phase shows up as
-// that phase's row moving.
-func BenchmarkPhaseAnalysis(b *testing.B) {
-	var pp *phase.Profile
-	for i := 0; i < b.N; i++ {
-		prog, err := scenario.LoadLibrary("straggler")
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := prog.Run("bench-phases", 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		traces, err := e.Traces()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := replay.Analyze(traces, replay.Config{Scheme: vclock.Hierarchical, Title: "bench-phases"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pp = res.Phases
-	}
-	b.ReportMetric(float64(len(pp.Phases)), "phases")
-	for i := range pp.Phases {
-		total := 0.0
-		for _, r := range pp.Phases[i].Rows {
-			if phase.FamilyOf(r.Family) == pattern.KeyWaitNxN {
-				total += r.Severity
-			}
-		}
-		b.ReportMetric(total, fmt.Sprintf("sev:p%d:wait_nxn", i))
-	}
 }

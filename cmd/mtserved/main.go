@@ -15,8 +15,7 @@
 // while it is still running (POST /v1/sessions, chunked PUTs, explicit
 // finalize); the analysis replays incrementally and publishes
 // wait-state windows over SSE on GET /v1/experiments/{id}/stream —
-// watch them with mtwatch or the built-in HTML view at
-// /v1/experiments/{id}/live.
+// watch them with mtwatch.
 //
 // The service sheds load instead of buffering it: a full queue answers
 // 429 with a Retry-After estimate. SIGINT/SIGTERM starts a graceful

@@ -5,14 +5,11 @@
 // accumulate window by window.
 //
 //	mtwatch -server http://localhost:8921 exp-1
-//	mtwatch -poll -interval 1s exp-1          # long-poll fallback
 //
 // The client resumes after a dropped connection with the SSE
 // Last-Event-ID header, so a flaky network never loses or duplicates a
-// window event — the same guarantee browsers get from the built-in
-// /v1/experiments/{id}/live view. -plain disables the screen-clearing
-// redraw and appends one dashboard frame per update instead, which
-// suits logs and pipes.
+// window event. -plain disables the screen-clearing redraw and appends
+// one dashboard frame per update instead, which suits logs and pipes.
 package main
 
 import (
@@ -163,7 +160,6 @@ func render(st *watchState) string {
 // global flag set.
 type options struct {
 	server   string
-	poll     bool
 	interval time.Duration
 	plain    bool
 }
@@ -269,48 +265,9 @@ func (w *watcher) handleFrame(typ string, data []byte) {
 	w.draw(stateChanged)
 }
 
-// pollLoop is the long-poll fallback: repeated
-// GET /events?after=N&wait=… batches until the stream reports done.
-func (w *watcher) pollLoop(ctx context.Context) error {
-	type batch struct {
-		Events []replay.StreamEvent `json:"events"`
-		Next   uint64               `json:"next"`
-		Done   bool                 `json:"done"`
-	}
-	for {
-		u := fmt.Sprintf("%s?after=%d&wait=5s", w.url("/events"), w.st.lastSeq)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := w.client.Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			return fmt.Errorf("GET %s: %s: %s", u, resp.Status, bytes.TrimSpace(body))
-		}
-		var b batch
-		err = json.NewDecoder(resp.Body).Decode(&b)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		for _, ev := range b.Events {
-			w.st.apply(ev)
-		}
-		w.draw(len(b.Events) > 0 && b.Done)
-		if b.Done && w.st.lastSeq >= b.Next {
-			return nil
-		}
-	}
-}
-
 func run(rec *obs.Recorder, o options, args []string, out io.Writer) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: mtwatch [-server URL] [-poll] experiment-id")
+		return fmt.Errorf("usage: mtwatch [-server URL] experiment-id")
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -325,24 +282,20 @@ func run(rec *obs.Recorder, o options, args []string, out io.Writer) error {
 		interval: o.interval,
 	}
 	var err error
-	if o.poll {
-		err = w.pollLoop(ctx)
-	} else {
-		for {
-			var done bool
-			done, err = w.streamOnce(ctx)
-			if done || err != nil || ctx.Err() != nil {
-				break
-			}
-			// Dropped mid-stream: resume from lastSeq after a beat, the
-			// same dance an EventSource does on its retry timer.
-			w.st.reconnects++
-			obs.OrDefault(rec).Log.Info("mtwatch: stream dropped, resuming",
-				"after", w.st.lastSeq, "reconnects", w.st.reconnects)
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Second):
-			}
+	for {
+		var done bool
+		done, err = w.streamOnce(ctx)
+		if done || err != nil || ctx.Err() != nil {
+			break
+		}
+		// Dropped mid-stream: resume from lastSeq after a beat, the
+		// same dance an EventSource does on its retry timer.
+		w.st.reconnects++
+		obs.OrDefault(rec).Log.Info("mtwatch: stream dropped, resuming",
+			"after", w.st.lastSeq, "reconnects", w.st.reconnects)
+		select {
+		case <-ctx.Done():
+		case <-time.After(time.Second):
 		}
 	}
 	if ctx.Err() != nil && err == nil {
@@ -360,13 +313,12 @@ func run(rec *obs.Recorder, o options, args []string, out io.Writer) error {
 func main() {
 	cli := obs.RegisterCLIFlags("mtwatch", flag.CommandLine, nil)
 	server := flag.String("server", "http://localhost:8921", "mtserved base URL")
-	poll := flag.Bool("poll", false, "use the long-poll /events endpoint instead of SSE")
 	interval := flag.Duration("interval", 500*time.Millisecond, "minimum time between dashboard redraws")
 	plain := flag.Bool("plain", false, "append frames instead of redrawing the screen (for logs and pipes)")
 	flag.Parse()
 	cli.Start()
 
-	o := options{server: *server, poll: *poll, interval: *interval, plain: *plain}
+	o := options{server: *server, interval: *interval, plain: *plain}
 	err := run(cli.Recorder(), o, flag.Args(), os.Stdout)
 	if ferr := cli.Flush(); err == nil {
 		err = ferr

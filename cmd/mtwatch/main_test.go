@@ -169,44 +169,6 @@ func TestWatchSSEResume(t *testing.T) {
 	}
 }
 
-// TestWatchPollFallback drives the same stream through the long-poll
-// endpoint.
-func TestWatchPollFallback(t *testing.T) {
-	evs := cannedEvents()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/experiments/exp-1/events", func(w http.ResponseWriter, r *http.Request) {
-		after := uint64(0)
-		fmt.Sscanf(r.URL.Query().Get("after"), "%d", &after)
-		type batch struct {
-			Events []replay.StreamEvent `json:"events"`
-			Next   uint64               `json:"next"`
-			Done   bool                 `json:"done"`
-		}
-		b := batch{Next: after, Done: true}
-		// Two events per poll round-trip.
-		for _, ev := range evs {
-			if ev.Seq > after && len(b.Events) < 2 {
-				b.Events = append(b.Events, ev)
-				b.Next = ev.Seq
-			}
-		}
-		b.Done = b.Next >= evs[len(evs)-1].Seq
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(b)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	var out bytes.Buffer
-	o := options{server: srv.URL, poll: true, interval: time.Millisecond, plain: true}
-	if err := run(obs.OrDefault(nil), o, []string{"exp-1"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out.String(), "mtwatch exp-1 — done") {
-		t.Fatalf("final frame not done:\n%s", out.String())
-	}
-}
-
 // TestWatchFailedSession checks a failed session becomes a non-zero
 // exit.
 func TestWatchFailedSession(t *testing.T) {

@@ -5,10 +5,51 @@ import (
 	"runtime"
 	"testing"
 
+	"metascope"
+	"metascope/internal/apps/metatrace"
 	"metascope/internal/archive"
+	"metascope/internal/measure"
 	"metascope/internal/replay"
+	"metascope/internal/scenario"
+	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
+
+// metatraceExperiment runs MetaTrace on the VIOLA testbed (32 ranks,
+// seed 42) at the given instrumentation detail and returns the measured
+// experiment, its v2 archive in memory.
+func metatraceExperiment(t *testing.T, detail int) *metascope.Experiment {
+	t.Helper()
+	topo := metascope.VIOLA()
+	e := metascope.NewExperiment("bench", topo, metascope.ViolaExperiment1Placement(topo), 42)
+	if err := e.Build(); err != nil {
+		t.Fatal(err)
+	}
+	p := metatrace.Default(16)
+	p.Detail = detail
+	params, err := metatrace.Setup(e.World(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// allocated runs one analysis and returns the bytes it allocated.
+func allocated(t *testing.T, run func() (*replay.Result, error)) (uint64, *replay.Result) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc, res
+}
 
 // TestLiveIngestAllocBudget enforces ROADMAP's "streaming ingest within
 // 2x of lazy load" where it is cheapest to hold: in bytes allocated.
@@ -31,25 +72,14 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 		}
 	}
 
-	allocated := func(run func() (*replay.Result, error)) (uint64, *replay.Result) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := run()
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return after.TotalAlloc - before.TotalAlloc, res
-	}
-	lazyBytes, lazy := allocated(func() (*replay.Result, error) {
+	lazyBytes, lazy := allocated(t, func() (*replay.Result, error) {
 		ar, err := e.TracesLazy()
 		if err != nil {
 			return nil, err
 		}
 		return replay.AnalyzeLazy(ar, cfg)
 	})
-	liveBytes, live := allocated(func() (*replay.Result, error) {
+	liveBytes, live := allocated(t, func() (*replay.Result, error) {
 		l, err := replay.NewLive(replay.LiveConfig{Config: cfg, Ranks: len(blobs)})
 		if err != nil {
 			return nil, err
@@ -75,5 +105,47 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 	t.Logf("live ingest allocated %d bytes, lazy analysis %d: %.2fx", liveBytes, lazyBytes, ratio)
 	if ratio > 1.5 {
 		t.Errorf("live ingest allocates %.2fx what the lazy analysis of the same archive does, budget 1.5x", ratio)
+	}
+}
+
+// TestLazyShortRanksAllocBudget: a lazy analysis sizes each block's
+// buffer by the events the rank still owes, not by the stride, so an
+// archive of many ranks far shorter than one 4096-event block — a
+// 12-rank halo2d run, a few hundred events per rank — costs it at most
+// 1.25x what loading and analyzing the same bytes eagerly allocates. A
+// stride-sized buffer per rank alone is several times the eager total.
+func TestLazyShortRanksAllocBudget(t *testing.T) {
+	prog, err := scenario.Load([]byte(`{"name": "short-ranks", "kernel": "halo2d", "ranks": 12,
+		"iterations": 8, "params": {"px": 4, "py": 3}, "topology": {"preset": "conformance", "count": 4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Spec.Format = trace.FormatV2
+	e, err := prog.Run("short-ranks", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "short-ranks"}
+	eagerBytes, eager := allocated(t, func() (*replay.Result, error) {
+		traces, err := e.Traces()
+		if err != nil {
+			return nil, err
+		}
+		return replay.Analyze(traces, cfg)
+	})
+	lazyBytes, lazy := allocated(t, func() (*replay.Result, error) {
+		ar, err := e.TracesLazy()
+		if err != nil {
+			return nil, err
+		}
+		return replay.AnalyzeLazy(ar, cfg)
+	})
+	if lazy.Messages != eager.Messages || lazy.Messages == 0 {
+		t.Fatalf("lazy replayed %d messages, eager %d", lazy.Messages, eager.Messages)
+	}
+	ratio := float64(lazyBytes) / float64(eagerBytes)
+	t.Logf("lazy analysis allocated %d bytes, eager %d: %.2fx", lazyBytes, eagerBytes, ratio)
+	if ratio > 1.25 {
+		t.Errorf("lazy analysis allocates %.2fx what the eager analysis of the same archive does, budget 1.25x", ratio)
 	}
 }

@@ -111,36 +111,3 @@ func TestLazyArtifactEquality(t *testing.T) {
 		t.Errorf("lazy analysis fails the oracle: %v", mm)
 	}
 }
-
-// TestPostPassDeterminism: the parallel wait-state post-pass must be a
-// pure reordering of the sequential one — byte-identical report and
-// profile artifacts. Referenced by script/check.sh as the determinism
-// gate.
-func TestPostPassDeterminism(t *testing.T) {
-	t.Parallel()
-	for _, s := range []Scenario{
-		oracleScenarios()[1], // late-sender grid (GridLateSender + LateSender deposits)
-		oracleScenarios()[0], // late-sender intra
-	} {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			t.Parallel()
-			seq := replay.Config{Scheme: vclock.Hierarchical, Title: "pp-" + s.Name, SequentialPostPass: true}
-			par := replay.Config{Scheme: vclock.Hierarchical, Title: "pp-" + s.Name}
-			rSeq, pSeq, hSeq := runArtifacts(t, s, trace.FormatDefault, seq)
-			rPar, pPar, hPar := runArtifacts(t, s, trace.FormatDefault, par)
-			if !bytes.Equal(rSeq, rPar) {
-				t.Errorf("report bytes differ between sequential and parallel post-pass (%d vs %d)",
-					len(rSeq), len(rPar))
-			}
-			if !bytes.Equal(pSeq, pPar) {
-				t.Errorf("profile bytes differ between sequential and parallel post-pass (%d vs %d)",
-					len(pSeq), len(pPar))
-			}
-			if !bytes.Equal(hSeq, hPar) {
-				t.Errorf("phase profile bytes differ between sequential and parallel post-pass (%d vs %d)",
-					len(hSeq), len(hPar))
-			}
-		})
-	}
-}

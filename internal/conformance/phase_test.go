@@ -113,9 +113,10 @@ func kernelPhases(t *testing.T, name string, f trace.Format, seed int64, cfg rep
 
 // TestPhaseDeterminism pins the phase profile as a deterministic
 // artifact: the same scenario and seed must render byte-identical
-// phase JSON under GOMAXPROCS=1 and the test default, from a v1 and a
-// v2 archive, and with the sequential and parallel wait-state
-// post-pass. Referenced by script/check.sh as a race-mode gate.
+// phase JSON under GOMAXPROCS=1 and the test default, and from a v1
+// and a v2 archive (internal/replay's TestPostPassDeterminism covers the
+// sequential reference post-pass). Referenced by script/check.sh as a
+// race-mode gate.
 func TestPhaseDeterminism(t *testing.T) {
 	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "phase-det"}
 	old := runtime.GOMAXPROCS(1)
@@ -128,13 +129,6 @@ func TestPhaseDeterminism(t *testing.T) {
 	v1 := kernelPhases(t, "halo2d", trace.FormatV1, 5, cfg)
 	if !bytes.Equal(v1, want) {
 		t.Errorf("phase profile bytes differ between v1 and v2 archives (%d vs %d)", len(v1), len(want))
-	}
-	seqCfg := cfg
-	seqCfg.SequentialPostPass = true
-	seq := kernelPhases(t, "halo2d", trace.FormatV2, 5, seqCfg)
-	if !bytes.Equal(seq, want) {
-		t.Errorf("phase profile bytes differ between sequential and parallel post-pass (%d vs %d)",
-			len(seq), len(want))
 	}
 }
 

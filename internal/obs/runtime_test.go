@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -41,34 +42,39 @@ func TestRuntimeSamplerNilStop(t *testing.T) {
 	s.Stop() // must not panic
 }
 
+// samplerGoroutines counts the live goroutines StartRuntimeSampler
+// started, by their creator frame in a dump of all stacks. A global
+// runtime.NumGoroutine() delta would also count whatever goroutines
+// earlier tests of a shuffled run are still winding down.
+func samplerGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by metascope/internal/obs.StartRuntimeSampler")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestRecorderCloseStopsSampler is the sampler-shutdown leak check
 // (the analogue of the replay package's goroutine-leak tests): a
 // sampler started through the recorder must not outlive Close.
 func TestRecorderCloseStopsSampler(t *testing.T) {
-	before := runtime.NumGoroutine()
 	rec := NewRecorder()
 	for i := 0; i < 3; i++ {
 		rec.StartRuntimeSampler(time.Millisecond)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if running := runtime.NumGoroutine(); running < before+3 {
-		t.Fatalf("samplers not running: %d goroutines, had %d before", running, before)
+	if running := samplerGoroutines(); running != 3 {
+		t.Fatalf("%d sampler goroutines running, want 3", running)
 	}
 	rec.Close()
 	rec.Close() // idempotent
-	// Stop() waits on the sampler's done channel, so the goroutines are
-	// gone when Close returns; poll briefly anyway to absorb unrelated
-	// runtime goroutines winding down.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
+	// Stop() waits on the sampler's done channel, which the goroutine
+	// closes as its last act; poll briefly to let it leave the scheduler.
+	for deadline := time.Now().Add(2 * time.Second); samplerGoroutines() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("sampler goroutines leaked after Close: %d goroutines, had %d before",
-				runtime.NumGoroutine(), before)
+			t.Fatalf("%d sampler goroutines leaked after Close", samplerGoroutines())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

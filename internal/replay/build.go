@@ -90,9 +90,9 @@ func (a *analyzer) result() (*Result, error) {
 	// accumulators merged in rank order reproduce the sequential
 	// addition sequence bit-for-bit (Merge folds whole series onto
 	// fresh, zero-valued destinations; 0+x is exact). The sequential
-	// loop is kept behind Config.SequentialPostPass as the reference
-	// the determinism tests compare against.
-	if a.cfg.SequentialPostPass || len(a.results) <= 1 {
+	// loop is the single-rank path and the reference the determinism
+	// tests compare against.
+	if a.cfg.sequentialPostPass || len(a.results) <= 1 {
 		if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
 			pw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
 			defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)

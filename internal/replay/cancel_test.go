@@ -162,7 +162,7 @@ func TestLoadArchiveCtxCancelled(t *testing.T) {
 	mounts, _, dir := loadFixture(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := LoadArchiveCtx(ctx, mounts, []int{0}, dir, nil)
+	_, err := load(ctx, mounts, []int{0}, dir, nil, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled load: err = %v, want context.Canceled", err)
 	}

@@ -69,18 +69,14 @@ func TestLazyRankLogBoundedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := newLazyRankLog(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lg := newPulledRankLog(r)
 	sc := newSweepCursor(lg)
 	for i := 0; i < len(tr.Events); i++ {
-		sc.release(i)
-		ev := sc.ev(i)
-		if ev == nil {
+		if !sc.at(i) {
 			t.Fatalf("event %d: %v", i, sc.err)
 		}
-		if *ev != tr.Events[i] {
+		sc.release(i)
+		if ev := sc.ev(i); *ev != tr.Events[i] {
 			t.Fatalf("event %d decoded as %+v, want %+v", i, *ev, tr.Events[i])
 		}
 	}

@@ -201,15 +201,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("replay: live session needs a positive rank count, got %d", cfg.Ranks)
 	}
-	if cfg.EagerLimit <= 0 {
-		cfg.EagerLimit = 64 << 10
-	}
-	if cfg.Title == "" {
-		// Match AnalyzeContext's default so the report artifact of a
-		// default-titled live session is byte-identical to the
-		// post-mortem one.
-		cfg.Title = fmt.Sprintf("experiment (%d processes, %v)", cfg.Ranks, cfg.Scheme)
-	}
+	cfg.Config = cfg.Config.withDefaults(cfg.Ranks)
 	if cfg.WindowSec <= 0 {
 		cfg.WindowSec = 1
 	}
@@ -356,22 +348,17 @@ func (l *Live) startLocked() error {
 	if err != nil {
 		return err
 	}
-	vclock.ObserveCorrections(l.rec, l.cfg.Scheme, corrs)
-	comms, err := mergeComms(l.traces)
+	logs := make([]*rankLog, len(l.ranks))
+	for i, lr := range l.ranks {
+		logs[i] = lr.log
+	}
+	a, err := newAnalyzer(l.traces, logs, corrs, l.cfg.Config)
 	if err != nil {
 		return err
 	}
-	if err := checkCommCoverage(comms, len(l.traces)); err != nil {
-		return err
-	}
-	a := newAnalyzer(l.traces, corrs, comms, l.cfg.Config)
-	// Swap the closed post-mortem logs for the session's open ones and
-	// attach the live plumbing: the window sink and the progress
+	// Attach the live plumbing: the window sink and the progress
 	// frontier (initialized to -Inf — a rank that has not yet swept any
 	// event holds every window open).
-	for i, lr := range l.ranks {
-		a.logs[i] = lr.log
-	}
 	a.sink = l.sink
 	a.progress = make([]atomic.Uint64, len(l.ranks))
 	for i := range a.progress {
@@ -502,7 +489,7 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	close(l.schedStop)
 	<-l.schedDone
 
-	res, err := l.a.result()
+	res, err := l.a.finish()
 	if err != nil {
 		l.fail(err)
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"metascope/internal/obs"
 	"metascope/internal/pattern"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
@@ -186,6 +187,47 @@ func TestLiveMatchesPostMortem(t *testing.T) {
 					post.Messages, post.Collectives, post.Violations)
 			}
 		})
+	}
+}
+
+// TestLiveReportsReplayCounters: a finalized live session reports what
+// it replayed exactly as the post-mortem analysis of the same archive
+// does — the same amounts on the five replay counters and one
+// observation per rank on the traffic histograms — so a server that only
+// serves sessions does not show zero replay traffic.
+func TestLiveReportsReplayCounters(t *testing.T) {
+	blobs := encodeTraces(t, liveTraces())
+	postRec, liveRec := obs.NewRecorder(), obs.NewRecorder()
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "live counters", Repair: true}
+	cfg.Obs = postRec
+	if _, err := Analyze(liveTraces(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs = liveRec
+	runLive(t, cfg, len(blobs), chunkPlan(blobs, 29))
+
+	post, live := newReplayMetrics(postRec), newReplayMetrics(liveRec)
+	for _, c := range []struct {
+		name       string
+		post, live *obs.Series
+		nonZero    bool
+	}{
+		{"events", post.events, live.events, true},
+		{"messages", post.messages, live.messages, true},
+		{"collectives", post.collectives, live.collectives, true},
+		{"violations", post.violations, live.violations, false},
+		{"repairs", post.repairs, live.repairs, false},
+	} {
+		if c.live.Value() != c.post.Value() || (c.nonZero && c.live.Value() == 0) {
+			t.Errorf("metascope_replay_%s_total: live session added %g, post-mortem analysis %g",
+				c.name, c.live.Value(), c.post.Value())
+		}
+	}
+	if got, want := live.rankBytes.Count(), post.rankBytes.Count(); got != want || got != uint64(len(blobs)) {
+		t.Errorf("rank-bytes histogram: live observed %d ranks, post-mortem %d, want %d", got, want, len(blobs))
+	}
+	if got, want := live.rankExternal.Count(), post.rankExternal.Count(); got != want {
+		t.Errorf("external-bytes histogram: live observed %d ranks, post-mortem %d", got, want)
 	}
 }
 

@@ -83,12 +83,26 @@ type Config struct {
 	// 0 derives it from the run span so the whole run fits without
 	// bucket folding.
 	ProfileWidth float64
-	// SequentialPostPass forces the wrong-order post-pass to run as
-	// one sequential sweep over the ranks instead of per-rank in
-	// parallel. The two produce byte-identical artifacts (the
-	// determinism tests assert it); the sequential path exists as that
-	// test's reference and as a fallback while debugging.
-	SequentialPostPass bool
+
+	// sequentialPostPass runs the wrong-order post-pass as one
+	// sequential sweep over the ranks instead of per-rank in parallel —
+	// the reference the determinism tests compare the parallel pass
+	// against (they set it through export_test.go).
+	sequentialPostPass bool
+}
+
+// withDefaults fills the options an analysis of n processes derives when
+// they are left zero. Post-mortem and live analysis share it, so a
+// default-titled live session's report is byte-identical to the
+// post-mortem one.
+func (cfg Config) withDefaults(n int) Config {
+	if cfg.EagerLimit <= 0 {
+		cfg.EagerLimit = 64 << 10
+	}
+	if cfg.Title == "" {
+		cfg.Title = fmt.Sprintf("experiment (%d processes, %v)", n, cfg.Scheme)
+	}
+	return cfg
 }
 
 // Result is the outcome of one analysis.
@@ -143,14 +157,7 @@ type Result struct {
 // complete: a missing or duplicate rank is an error. Ingestion metrics
 // go to obs.Default; use LoadArchiveObs to direct them elsewhere.
 func LoadArchive(mounts *archive.Mounts, metahosts []int, dir string) ([]*trace.Trace, error) {
-	return LoadArchiveCtx(context.Background(), mounts, metahosts, dir, nil)
-}
-
-// loadItem is one trace file scheduled for decoding.
-type loadItem struct {
-	fs   archive.FS
-	name string
-	rank int
+	return LoadArchiveObs(mounts, metahosts, dir, nil)
 }
 
 // LoadArchiveObs is LoadArchive reporting ingestion telemetry into rec
@@ -158,29 +165,12 @@ type loadItem struct {
 // width as metrics, and the load wall time as the "ingest" phase span
 // (a wall-time gauge would break the metric-snapshot determinism the
 // pipeline guarantees).
-//
-// Loading is a two-phase fast path: every distinct file system is
-// listed exactly once and the rank set is validated up front (dense,
-// no duplicates), then a bounded worker pool decodes all trace files
-// concurrently. Each file is read into a single size-hinted buffer and
-// decoded in place; region and metahost names are interned across the
-// pool, so an N-rank archive holds one copy of each repeated string.
-// The first decode error cancels the remaining work: items after the
-// failed one are skipped, items before it still decode, so the
-// reported error is the lexically-first failure regardless of worker
-// scheduling. Assembly is rank-ordered and deterministic.
 func LoadArchiveObs(mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder) ([]*trace.Trace, error) {
-	return LoadArchiveCtx(context.Background(), mounts, metahosts, dir, rec)
-}
-
-// LoadArchiveCtx is LoadArchiveObs honoring ctx: the decode pool stops
-// picking up new trace files once the context is cancelled and the
-// load returns the context's error (a decode failure that already won
-// the first-error race still takes precedence, keeping the reported
-// error deterministic).
-func LoadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder) ([]*trace.Trace, error) {
-	out, _, err := loadArchiveCtx(ctx, mounts, metahosts, dir, rec, false)
-	return out, err
+	ar, err := load(context.Background(), mounts, metahosts, dir, rec, false)
+	if err != nil {
+		return nil, err
+	}
+	return ar.Traces, nil
 }
 
 // LazyArchive is an archive loaded header-only: every v2 trace file's
@@ -195,7 +185,7 @@ type LazyArchive struct {
 	// live in the backing image until the sweep reaches them.
 	Traces []*trace.Trace
 
-	readers []*trace.BlockReader // per rank; nil = v1, fully decoded
+	readers []*trace.BlockReader // per rank; nil = fully decoded
 }
 
 // LoadArchiveLazy reads an experiment's trace files but defers v2
@@ -206,20 +196,37 @@ type LazyArchive struct {
 // swept blocks are released, so an archive larger than RAM streams
 // through.
 func LoadArchiveLazy(mounts *archive.Mounts, metahosts []int, dir string) (*LazyArchive, error) {
-	return LoadArchiveLazyCtx(context.Background(), mounts, metahosts, dir, nil)
+	return load(context.Background(), mounts, metahosts, dir, nil, true)
 }
 
 // LoadArchiveLazyCtx is LoadArchiveLazy honoring ctx and reporting
 // ingestion telemetry into rec (nil selects obs.Default).
 func LoadArchiveLazyCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder) (*LazyArchive, error) {
-	out, readers, err := loadArchiveCtx(ctx, mounts, metahosts, dir, rec, true)
-	if err != nil {
-		return nil, err
-	}
-	return &LazyArchive{Traces: out, readers: readers}, nil
+	return load(ctx, mounts, metahosts, dir, rec, true)
 }
 
-func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder, lazy bool) ([]*trace.Trace, []*trace.BlockReader, error) {
+// loadItem is one trace file scheduled for decoding.
+type loadItem struct {
+	fs   archive.FS
+	name string
+	rank int
+}
+
+// load is the one archive loader. Every distinct file system is listed
+// exactly once and the rank set is validated up front (dense, no
+// duplicates), then a bounded worker pool decodes all trace files
+// concurrently. Each file is read into a single size-hinted buffer and
+// decoded in place — with lazy set, a v2 file only as far as its header
+// — and region and metahost names are interned across the pool, so an
+// N-rank archive holds one copy of each repeated string. The first
+// decode error cancels the remaining work: items after the failed one
+// are skipped, items before it still decode, so the reported error is
+// the lexically-first failure regardless of worker scheduling. The pool
+// also stops picking up files once ctx is cancelled and the load returns
+// the context's error (a decode failure that already won the first-error
+// race still takes precedence, keeping the reported error
+// deterministic). Assembly is rank-ordered and deterministic.
+func load(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, rec *obs.Recorder, lazy bool) (*LazyArchive, error) {
 	rec = obs.OrDefault(rec)
 	m := newIngestMetrics(rec)
 	span := rec.Phases.Start("ingest")
@@ -239,7 +246,7 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 		seen[fs] = true
 		names, err := fs.List(dir)
 		if err != nil {
-			return nil, nil, fmt.Errorf("replay: listing archive %q: %w", dir, err)
+			return nil, fmt.Errorf("replay: listing archive %q: %w", dir, err)
 		}
 		for _, name := range names {
 			rank, ok := traceRank(name)
@@ -247,19 +254,19 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 				continue
 			}
 			if ranks[rank] {
-				return nil, nil, fmt.Errorf("replay: duplicate trace for rank %d", rank)
+				return nil, fmt.Errorf("replay: duplicate trace for rank %d", rank)
 			}
 			ranks[rank] = true
 			items = append(items, loadItem{fs: fs, name: name, rank: rank})
 		}
 	}
 	if len(items) == 0 {
-		return nil, nil, fmt.Errorf("replay: archive %q contains no trace files", dir)
+		return nil, fmt.Errorf("replay: archive %q contains no trace files", dir)
 	}
 	for rank := range ranks {
 		// No duplicates and every rank inside 0..n-1 imply density.
 		if rank < 0 || rank >= len(items) {
-			return nil, nil, fmt.Errorf("replay: rank %d outside dense range 0..%d (missing trace)",
+			return nil, fmt.Errorf("replay: rank %d outside dense range 0..%d (missing trace)",
 				rank, len(items)-1)
 		}
 	}
@@ -357,15 +364,15 @@ func loadArchiveCtx(ctx context.Context, mounts *archive.Mounts, metahosts []int
 	m.traces.Add(float64(decoded.Load()))
 	m.bytes.Add(float64(bytesRead.Load()))
 	if idx := minErr.Load(); idx < int64(len(items)) {
-		return nil, nil, errs[idx]
+		return nil, errs[idx]
 	}
 	if ctxCancelled.Load() {
-		return nil, nil, fmt.Errorf("replay: archive load aborted: %w", context.Cause(ctx))
+		return nil, fmt.Errorf("replay: archive load aborted: %w", context.Cause(ctx))
 	}
 	rec.Log.Debug("archive loaded", "dir", dir, "traces", len(items),
 		"bytes", bytesRead.Load(), "pool_width", width, "lazy", lazy,
 		"seconds", fmt.Sprintf("%.3f", time.Since(start).Seconds()))
-	return out, readers, nil
+	return &LazyArchive{Traces: out, readers: readers}, nil
 }
 
 // ingestMetrics pre-registers the archive-ingestion metric families so
@@ -495,7 +502,7 @@ func Analyze(traces []*trace.Trace, cfg Config) (*Result, error) {
 // error (errors.Is-compatible with context.Canceled and
 // context.DeadlineExceeded).
 func AnalyzeContext(ctx context.Context, traces []*trace.Trace, cfg Config) (*Result, error) {
-	return analyzeCtx(ctx, traces, nil, cfg)
+	return analyzeCtx(ctx, &LazyArchive{Traces: traces}, cfg)
 }
 
 // AnalyzeLazy analyzes a lazily loaded archive: v2 ranks decode their
@@ -505,16 +512,14 @@ func AnalyzeContext(ctx context.Context, traces []*trace.Trace, cfg Config) (*Re
 // byte-identical to Analyze over the fully materialized traces — lazy
 // block validation applies the same checks at the same events.
 func AnalyzeLazy(ar *LazyArchive, cfg Config) (*Result, error) {
-	return AnalyzeLazyContext(context.Background(), ar, cfg)
+	return analyzeCtx(context.Background(), ar, cfg)
 }
 
-// AnalyzeLazyContext is AnalyzeLazy honoring ctx, with AnalyzeContext's
-// cancellation behavior.
-func AnalyzeLazyContext(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, error) {
-	return analyzeCtx(ctx, ar.Traces, ar.readers, cfg)
-}
-
-func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.BlockReader, cfg Config) (*Result, error) {
+// analyzeCtx is the one post-mortem entry point: a rank with a block
+// reader is swept through a pulled log, every other rank through a
+// preloaded one.
+func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, error) {
+	traces := ar.Traces
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("replay: no traces")
 	}
@@ -523,14 +528,8 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 			return nil, err
 		}
 	}
-	if cfg.EagerLimit <= 0 {
-		cfg.EagerLimit = 64 << 10
-	}
-	if cfg.Title == "" {
-		cfg.Title = fmt.Sprintf("experiment (%d processes, %v)", len(traces), cfg.Scheme)
-	}
+	cfg = cfg.withDefaults(len(traces))
 	rec := obs.OrDefault(cfg.Obs)
-	m := newReplayMetrics(rec)
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("replay: analysis aborted before synchronization: %w", err)
@@ -541,35 +540,17 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 	if err != nil {
 		return nil, err
 	}
-	vclock.ObserveCorrections(rec, cfg.Scheme, corr)
-
-	comms, err := mergeComms(traces)
+	logs := make([]*rankLog, len(traces))
+	for i, t := range traces {
+		if i < len(ar.readers) && ar.readers[i] != nil {
+			logs[i] = newPulledRankLog(ar.readers[i])
+		} else {
+			logs[i] = newPreloadedRankLog(t.Events)
+		}
+	}
+	a, err := newAnalyzer(traces, logs, corr, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if err := checkCommCoverage(comms, len(traces)); err != nil {
-		return nil, err
-	}
-	a := newAnalyzer(traces, corr, comms, cfg)
-	a.metrics = m
-	for i, r := range readers {
-		if r == nil {
-			continue // v1 rank: fully materialized, flat log already set
-		}
-		lg, err := newLazyRankLog(r)
-		if err != nil {
-			return nil, err
-		}
-		a.logs[i] = lg
-	}
-
-	events := 0
-	for i, t := range traces {
-		if i < len(readers) && readers[i] != nil {
-			events += readers[i].Total()
-		} else {
-			events += len(t.Events)
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("replay: analysis aborted before replay: %w", err)
@@ -590,21 +571,32 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 	}
 	replaySpan := rec.Phases.Start("replay")
 	a.run()
-	replayDur := replaySpan.End()
+	replaySpan.End()
 	close(watchDone)
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("replay: analysis aborted before pattern search: %w", err)
 	}
 	patternSpan := rec.Phases.Start("pattern-search")
-	res, rerr := a.result()
-	patternSpan.End()
-	if rerr != nil {
-		return nil, rerr
-	}
+	defer patternSpan.End()
+	return a.finish()
+}
 
+// finish is the one engine epilogue, shared by post-mortem, lazy and
+// live analysis: it assembles the result and reports what the replay did
+// into the replay counters, the per-rank traffic histograms and the log.
+func (a *analyzer) finish() (*Result, error) {
+	res, err := a.result()
+	if err != nil {
+		return nil, err
+	}
+	events := 0
+	for _, lg := range a.logs {
+		events += lg.published()
+	}
+	m := a.metrics
 	m.events.Add(float64(events))
-	if s := replayDur.Seconds(); s > 0 {
+	if s := a.replayDur.Seconds(); s > 0 {
 		m.eventsPerSec.Set(float64(events) / s)
 	}
 	m.messages.Add(float64(res.Messages))
@@ -615,10 +607,10 @@ func analyzeCtx(ctx context.Context, traces []*trace.Trace, readers []*trace.Blo
 		m.rankBytes.Observe(float64(res.ReplayBytes[i]))
 		m.rankExternal.Observe(float64(res.ReplayExternalBytes[i]))
 	}
-	rec.Log.Debug("replay analysis complete",
-		"processes", len(traces), "events", events, "messages", res.Messages,
+	obs.OrDefault(a.cfg.Obs).Log.Debug("replay analysis complete",
+		"processes", len(a.traces), "events", events, "messages", res.Messages,
 		"collectives", res.Collectives, "violations", res.Violations,
-		"repairs", res.Repairs, "replay_seconds", replayDur.Seconds())
+		"repairs", res.Repairs, "replay_seconds", a.replayDur.Seconds())
 	return res, nil
 }
 
@@ -708,12 +700,12 @@ func AnalyzeArchive(mounts *archive.Mounts, metahosts []int, dir string, cfg Con
 // to bound a job's lifetime and to free its workers on cancellation.
 func AnalyzeArchiveContext(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, cfg Config) (*Result, error) {
 	span := obs.OrDefault(cfg.Obs).Phases.Start("archive")
-	traces, err := LoadArchiveCtx(ctx, mounts, metahosts, dir, cfg.Obs)
+	ar, err := load(ctx, mounts, metahosts, dir, cfg.Obs, false)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	return AnalyzeContext(ctx, traces, cfg)
+	return analyzeCtx(ctx, ar, cfg)
 }
 
 // CommVolume is one cell of the metahost communication matrix.

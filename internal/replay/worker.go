@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"metascope/internal/obs"
 	"metascope/internal/obs/flight"
@@ -323,9 +324,8 @@ type analyzer struct {
 	comms  map[int32][]int32
 	cfg    Config
 
-	// logs hold the per-rank event streams the workers sweep. Post-
-	// mortem they are closed over the loaded traces before run();
-	// a live session swaps in open logs that fill as chunks land.
+	// logs hold the per-rank event streams the workers sweep, handed to
+	// newAnalyzer by whoever feeds them.
 	logs []*rankLog
 	// sink, when non-nil, receives every scored severity as a windowed
 	// delta for the live stream (nil post-mortem: one branch per score).
@@ -345,8 +345,10 @@ type analyzer struct {
 	corrs   []vclock.Correction
 
 	// metrics is the pre-registered replay metric set; worker progress
-	// gauges are updated live while the replay runs.
-	metrics *replayMetrics
+	// gauges are updated live while the replay runs, the counters by
+	// finish. replayDur is the wall time run took.
+	metrics   *replayMetrics
+	replayDur time.Duration
 	// fl is the flight recorder replay workers write their event-level
 	// timeline into (blocked takes, puts, gather waits); flJob is the
 	// job id the events carry and fn the pre-registered event names.
@@ -367,19 +369,35 @@ type analyzer struct {
 	cause     error
 }
 
-func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, comms map[int32][]int32, cfg Config) *analyzer {
+// newAnalyzer is the one engine set-up, shared by post-mortem, lazy and
+// live analysis: it reports the corrections, merges and checks the
+// communicator definitions of the rank headers, and builds the analyzer
+// over the rank logs the caller's feeders fill. cfg carries its defaults
+// already (Config.withDefaults).
+func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correction, cfg Config) (*analyzer, error) {
+	rec := obs.OrDefault(cfg.Obs)
+	vclock.ObserveCorrections(rec, cfg.Scheme, corr)
+	comms, err := mergeComms(traces)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCommCoverage(comms, len(traces)); err != nil {
+		return nil, err
+	}
 	a := &analyzer{
 		traces:    traces,
 		corr:      make([]vclock.LinearMap, len(traces)),
 		comms:     comms,
 		cfg:       cfg,
+		logs:      logs,
 		mailboxes: make([]*mailbox, len(traces)),
 		colls:     make(map[int32]*collDomain, len(comms)),
 		results:   make([]*rankResult, len(traces)),
 		corrs:     corr,
+		metrics:   newReplayMetrics(rec),
 		abortCh:   make(chan struct{}),
 	}
-	a.fl = obs.OrDefault(cfg.Obs).Flight
+	a.fl = rec.Flight
 	a.flJob = cfg.FlightJob
 	if a.flJob <= 0 {
 		a.flJob = -1
@@ -390,17 +408,13 @@ func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, comms map[int3
 	for _, c := range corr {
 		a.corr[c.Rank] = c.Map
 	}
-	a.logs = make([]*rankLog, len(traces))
-	for i, t := range traces {
-		a.logs[i] = newClosedRankLog(t.Events)
-	}
 	for i := range a.mailboxes {
 		a.mailboxes[i] = newMailbox()
 	}
 	for id := range comms {
 		a.colls[id] = &collDomain{gathers: make(map[int]*collGather)}
 	}
-	return a
+	return a, nil
 }
 
 // run executes the replay with one goroutine per rank — the parallel
@@ -412,9 +426,7 @@ func newAnalyzer(traces []*trace.Trace, corr []vclock.Correction, comms map[int3
 // profile taken through -pprof attributes samples to the analysis
 // process that burned them.
 func (a *analyzer) run() {
-	if a.metrics == nil {
-		a.metrics = newReplayMetrics(obs.OrDefault(a.cfg.Obs))
-	}
+	start := time.Now()
 	a.metrics.ranksDone.Set(0)
 	var wg sync.WaitGroup
 	for rank := range a.traces {
@@ -431,6 +443,7 @@ func (a *analyzer) run() {
 		}(rank)
 	}
 	wg.Wait()
+	a.replayDur = time.Since(start)
 }
 
 // abortWith cancels the replay: every mailbox waiter and collective
@@ -526,16 +539,16 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	collSeq := make(map[int32]int)
 
 	// The sweep reads its events through a cursor so the same code
-	// serves both modes: post-mortem the log is closed up front and
-	// at() never blocks; live it blocks until the next chunk lands.
+	// serves every feeder: over a preloaded log at() never blocks, over
+	// a pulled one it decodes the next block, and in a live session it
+	// blocks until the next chunk lands.
 	sc := newSweepCursor(a.logs[rank])
 
 	// One receive-log entry is appended per Recv event; when the whole
-	// log is already present as one slice (post-mortem), sizing it
-	// exactly up front avoids the doubling reallocations that dominated
-	// the analyzer's allocation profile. Lazy and live logs skip this —
-	// counting would force the entire log resident.
-	if nrecv, ok := a.logs[rank].recvCountIfFlat(); ok {
+	// log is already resident (post-mortem), sizing it exactly up front
+	// avoids the doubling reallocations that dominated the analyzer's
+	// allocation profile.
+	if nrecv, ok := a.logs[rank].recvCountIfResident(); ok {
 		rr.recvLog = make([]recvInfo, 0, nrecv)
 	}
 
@@ -567,8 +580,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	var stack []stackEntry
 	for i := 0; ; i++ {
 		if !sc.at(i) {
-			if sc.aborted {
-				rr.err = a.cancelErr(rank)
+			if a.sweepEnded(rr, sc) {
 				return rr
 			}
 			break // log closed: the sweep is complete
@@ -585,14 +597,6 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 		// releasing them is what bounds a lazy or live sweep's memory.
 		sc.release(i)
 		ev := sc.ev(i)
-		if ev == nil {
-			// A lazy block failed to decode or validate. The fault is
-			// this rank's alone, but peers blocked on our sends must
-			// unwind too.
-			rr.err = sc.err
-			a.abortWith(sc.err)
-			return rr
-		}
 		ct := corr.Apply(ev.Time) + delta
 		if a.progress != nil {
 			a.progress[rank].Store(math.Float64bits(ct))
@@ -635,13 +639,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			top := stack[len(stack)-1]
 			exitT, ok := regionExitTime(sc, i, corr, delta)
 			if !ok {
-				switch {
-				case sc.err != nil:
-					rr.err = sc.err
-					a.abortWith(sc.err)
-				case sc.aborted:
-					rr.err = a.cancelErr(rank)
-				default:
+				if !a.sweepEnded(rr, sc) {
 					rr.err = fmt.Errorf("replay: rank %d: unterminated MPI region at event %d", rank, i)
 				}
 				return rr
@@ -816,6 +814,23 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	return rr
 }
 
+// sweepEnded reports whether the cursor's log ended by failure or abort
+// rather than by completing, and records the cause as the rank's error.
+// A block that failed to decode or validate is this rank's fault alone,
+// but peers blocked on our sends must unwind too.
+func (a *analyzer) sweepEnded(rr *rankResult, sc *sweepCursor) bool {
+	switch {
+	case sc.err != nil:
+		rr.err = sc.err
+		a.abortWith(sc.err)
+	case sc.aborted:
+		rr.err = a.cancelErr(rr.rank)
+	default:
+		return false
+	}
+	return true
+}
+
 // regionExitTime finds the corrected exit time of the region enclosing
 // the event at index i (the first Exit that returns to the current
 // nesting depth). Under timestamp repair the current shift is used;
@@ -825,15 +840,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 // enclosing MPI call's Exit has been ingested (MPI calls are leaf
 // regions spanning a handful of events, so the wait is one chunk at
 // most). ok=false means the log ended first — closed without the Exit
-// (an unterminated region) or aborted; the caller distinguishes via
-// sc.aborted.
+// (an unterminated region), failed or aborted; sweepEnded tells which.
 func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64) (float64, bool) {
 	depth := 0
 	for j := i + 1; sc.at(j); j++ {
 		e := sc.ev(j)
-		if e == nil {
-			return 0, false // decode failed; the cause is in sc.err
-		}
 		switch e.Kind {
 		case trace.KindEnter:
 			depth++

@@ -202,8 +202,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("PUT /v1/sessions/{id}/ranks/{mh}/{rank}", s.handleChunk)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/finalize", s.handleFinalize)
 	s.mux.HandleFunc("GET /v1/experiments/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/experiments/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/experiments/{id}/live", s.handleLiveView)
 	s.mux.HandleFunc("GET /v1/experiments/{id}/result", s.handleExperimentResult)
 	s.mux.HandleFunc("GET /v1/experiments/{id}/profile", s.handleExperimentProfile)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

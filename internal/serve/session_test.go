@@ -257,12 +257,6 @@ func TestSessionLifecycle(t *testing.T) {
 	if health.Sessions["done"] != 1 || health.LiveSessions != 0 {
 		t.Errorf("healthz census %v live %d, want done:1 live:0", health.Sessions, health.LiveSessions)
 	}
-
-	// The live HTML view exists even after completion.
-	code, page := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/live")
-	if code != http.StatusOK || !strings.Contains(string(page), "EventSource") {
-		t.Errorf("live view HTTP %d", code)
-	}
 }
 
 func TestSessionChunkProtocol(t *testing.T) {
@@ -512,45 +506,6 @@ func TestSessionSSEResume(t *testing.T) {
 			t.Fatalf("goroutines %d (baseline %d): abandoned streams leaked", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-func TestSessionLongPollFallback(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, StreamTick: 2 * time.Millisecond})
-	traces := sessionTraces()
-	blobs := encodeAll(t, traces)
-	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
-	uploadSession(t, ts.URL, st.ID, traces, blobs, 1<<20)
-	if final := finalizeSession(t, ts.URL, st.ID); final.State != "done" {
-		t.Fatalf("state %q (err %q)", final.State, final.Error)
-	}
-
-	var all []json.RawMessage
-	after := uint64(0)
-	for {
-		code, b := getBody(t, fmt.Sprintf("%s/v1/experiments/%s/events?after=%d&wait=2s", ts.URL, st.ID, after))
-		if code != http.StatusOK {
-			t.Fatalf("events: HTTP %d", code)
-		}
-		var batch eventBatch
-		if err := json.Unmarshal(b, &batch); err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, batch.Events...)
-		after = batch.Next
-		if batch.Done && len(batch.Events) == 0 {
-			break
-		}
-	}
-	if len(all) == 0 {
-		t.Fatal("long poll returned no events")
-	}
-	var last replay.StreamEvent
-	if err := json.Unmarshal(all[len(all)-1], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Type != "state" || last.State == nil || last.State.State != "done" {
-		t.Fatalf("last long-poll event %+v, want done state", last)
 	}
 }
 

@@ -105,9 +105,7 @@ func resumePoint(r *http.Request) uint64 {
 
 // handleStream serves a session's event stream as Server-Sent Events:
 // one frame per engine event with the sequence number as the event id,
-// resuming after Last-Event-ID. A client that cannot stream (the
-// ResponseWriter is not flushable) gets the long-poll JSON answer
-// instead, so the endpoint degrades rather than hangs.
+// resuming after Last-Event-ID.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -115,7 +113,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.pollEvents(w, r, sess)
+		s.fail(w, http.StatusInternalServerError, "connection cannot stream")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -154,140 +152,3 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
-
-// eventBatch is the long-poll JSON answer: the events after the
-// client's position, the position to pass next, and whether the stream
-// has ended.
-type eventBatch struct {
-	Events []json.RawMessage `json:"events"`
-	Next   uint64            `json:"next"`
-	Done   bool              `json:"done"`
-}
-
-// handleEvents is the long-poll fallback for clients without SSE:
-// GET /v1/experiments/{id}/events?after=N&wait=5s returns the events
-// after position N, blocking up to `wait` when there are none yet.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	s.pollEvents(w, r, sess)
-}
-
-func (s *Server) pollEvents(w http.ResponseWriter, r *http.Request, sess *session) {
-	after := resumePoint(r)
-	deadline := time.Time{}
-	if v := r.URL.Query().Get("wait"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			deadline = time.Now().Add(d)
-		}
-	}
-	for {
-		evs, done, changed := sess.log.after(after)
-		if len(evs) > 0 || done || deadline.IsZero() || !time.Now().Before(deadline) {
-			batch := eventBatch{Events: make([]json.RawMessage, 0, len(evs)), Next: after, Done: done}
-			for _, ev := range evs {
-				batch.Events = append(batch.Events, ev.data)
-				batch.Next = ev.seq
-			}
-			writeJSON(w, http.StatusOK, batch)
-			return
-		}
-		wait := time.NewTimer(time.Until(deadline))
-		select {
-		case <-r.Context().Done():
-			wait.Stop()
-			return
-		case <-changed:
-			wait.Stop()
-		case <-wait.C:
-		}
-	}
-}
-
-// handleLiveView serves the self-contained HTML live dashboard: an
-// EventSource consumer of the session's stream rendering state,
-// frontier, per-rank ingest lag, and a per-metahost severity table
-// accumulated from window deltas. No external assets.
-func (s *Server) handleLiveView(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, liveViewHTML, sess.id, sess.id)
-}
-
-// liveViewHTML takes two %s verbs: the session id for the title and
-// for the stream URL.
-const liveViewHTML = `<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>metascope live — %s</title>
-<style>
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem; color: #1a2733; }
-h1 { font-size: 1.2rem; } code { background: #eef2f5; padding: 0 .3em; }
-table { border-collapse: collapse; margin: 1rem 0; }
-th, td { border: 1px solid #cfd8df; padding: .25rem .6rem; text-align: right; }
-th { background: #eef2f5; } td.l, th.l { text-align: left; }
-#state { font-weight: 600; }
-#state.running { color: #0a7a2f; } #state.failed { color: #b00020; }
-.bar { height: .5rem; background: #0a7a2f; min-width: 1px; }
-</style></head><body>
-<h1>metascope live session <code id="sid"></code> — <span id="state">connecting</span></h1>
-<p>frontier: <span id="frontier">–</span> s &middot; closed through window <span id="closed">–</span>
- &middot; events <span id="nev">0</span></p>
-<h2>Ranks</h2><table id="ranks"><tr><th class="l">rank</th><th class="l">metahost</th>
-<th>events</th><th>bytes</th><th>ingested&nbsp;(s)</th><th class="l">done</th></tr></table>
-<h2>Severity by metric &times; metahost (cumulative seconds)</h2>
-<table id="sev"><tr><th class="l">metric</th><th class="l">metahost</th><th>total</th></tr></table>
-<script>
-document.getElementById("sid").textContent = %q;
-const sums = new Map(), state = document.getElementById("state");
-let nev = 0;
-const es = new EventSource("stream");
-es.addEventListener("state", e => {
-  const d = JSON.parse(e.data).state;
-  state.textContent = d.state + (d.error ? ": " + d.error : "");
-  state.className = d.state;
-  if (d.state === "done" || d.state === "failed") es.close();
-});
-es.addEventListener("frontier", e => {
-  const f = JSON.parse(e.data).frontier;
-  document.getElementById("frontier").textContent = f.progress_valid ? f.progress.toFixed(3) : "–";
-  document.getElementById("closed").textContent =
-    f.closed_through > -9e18 ? f.closed_through : "–";
-  const t = document.getElementById("ranks");
-  while (t.rows.length > 1) t.deleteRow(1);
-  for (const rk of f.ranks || []) {
-    const row = t.insertRow();
-    row.insertCell().textContent = rk.rank; row.cells[0].className = "l";
-    row.insertCell().textContent = rk.metahost || ""; row.cells[1].className = "l";
-    row.insertCell().textContent = rk.events;
-    row.insertCell().textContent = rk.bytes;
-    row.insertCell().textContent = rk.has_time ? rk.ingested.toFixed(3) : "–";
-    row.insertCell().textContent = rk.finished ? "yes" : ""; row.cells[5].className = "l";
-  }
-});
-es.addEventListener("window", e => {
-  for (const d of JSON.parse(e.data).window.deltas) {
-    const k = d.metric + "|" + d.metahost;
-    sums.set(k, (sums.get(k) || 0) + d.value);
-  }
-  const t = document.getElementById("sev");
-  while (t.rows.length > 1) t.deleteRow(1);
-  for (const k of [...sums.keys()].sort()) {
-    const [metric, mh] = k.split("|"), row = t.insertRow();
-    row.insertCell().textContent = metric; row.cells[0].className = "l";
-    row.insertCell().textContent = mh; row.cells[1].className = "l";
-    row.insertCell().textContent = sums.get(k).toFixed(6);
-  }
-});
-es.onmessage = () => {};
-es.addEventListener("summary", () => {});
-es.onerror = () => { if (state.textContent === "connecting") state.textContent = "disconnected"; };
-new MutationObserver(() => { nev++; document.getElementById("nev").textContent = nev; });
-setInterval(() => { document.getElementById("nev").textContent = nev; }, 500);
-es.onopen = () => { if (state.textContent === "connecting") state.textContent = "open"; };
-for (const t of ["state","frontier","window","summary"]) es.addEventListener(t, () => nev++);
-</script></body></html>
-`

@@ -23,6 +23,24 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# internal/replay keeps nine exported ways in — the names bench/ and the
+# CLIs call — all of them shims over one loader and one analysis. A
+# tenth is a mode creeping back: fold it into the existing ones.
+echo "== replay entry-point allowlist"
+allowed=" Analyze AnalyzeArchive AnalyzeArchiveContext AnalyzeContext AnalyzeLazy LoadArchive LoadArchiveLazy LoadArchiveLazyCtx LoadArchiveObs "
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	for name in $(sed -n -E 's/^func ((LoadArchive|Analyze)[A-Za-z0-9_]*)\(.*/\1/p' "$f"); do
+		case "$allowed" in
+		*" $name "*) ;;
+		*)
+			echo "check: internal/replay exports $name, which is not on the entry-point allowlist" >&2
+			exit 1
+			;;
+		esac
+	done
+done
+
 # Every internal package must carry tests: the conformance harness can
 # only vouch for code the suite actually reaches.
 echo "== test coverage presence (internal/...)"
@@ -80,17 +98,19 @@ fi
 # sweep reads. Gate the consequence: feeding an archive through a live
 # session in 64 KiB chunks allocates at most 1.5x what the lazy
 # post-mortem analysis of the same bytes allocates (ROADMAP: "streaming
-# ingest within 2x of lazy load"). Run without -race, like the two
-# zero-alloc gates above: the budget is about the program's own bytes.
-echo "== live ingest allocation budget"
-go test -count=1 -run 'TestLiveIngestAllocBudget$' .
+# ingest within 2x of lazy load"), and the lazy analysis of an archive
+# of many short ranks at most 1.25x the eager one. Run without -race,
+# like the two zero-alloc gates above: the budgets are about the
+# program's own bytes.
+echo "== live ingest and lazy analysis allocation budgets"
+go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyShortRanksAllocBudget$' .
 
 # The parallel wait-state post-pass must be a pure reordering of the
 # sequential reference: same scenario analyzed both ways must render
 # byte-identical artifacts. Pinned by name so a merge-order or
 # accumulator regression fails the gate with an unambiguous label.
 echo "== post-pass determinism smoke"
-go test -race -count=1 -run 'TestPostPassDeterminism' ./internal/conformance
+go test -race -count=1 -run 'TestPostPassDeterminism' ./internal/replay
 
 # Streaming determinism smoke: one conformance scenario fed chunk by
 # chunk through a live session must produce byte-identical cube and
@@ -112,10 +132,10 @@ echo "== scenario pipeline smoke"
 go test -race -count=1 -run 'TestScenarioPipelineSmoke' ./internal/scenario
 
 # The phase profile is a deterministic artifact: the same scenario and
-# seed must render byte-identical phase JSON across GOMAXPROCS, trace
-# formats, and the sequential/parallel post-pass. Pinned by name so a
-# fold-order regression in the phase accumulator fails the gate with
-# an unambiguous label.
+# seed must render byte-identical phase JSON across GOMAXPROCS and
+# trace formats (the post-pass smoke above covers the sequential
+# reference). Pinned by name so a fold-order regression in the phase
+# accumulator fails the gate with an unambiguous label.
 echo "== phase profile determinism"
 go test -race -count=1 -run 'TestPhaseDeterminism' ./internal/conformance
 
