@@ -6,7 +6,7 @@
 //	mtgen -list                            # shipped scenario library
 //	mtgen -library halo2d -describe        # compiled plan, no run
 //	mtgen -library masterworker -out ./run # archives on disk
-//	mtgen scenario.yaml -format v1 -seed 7 # scenario file, v1 archive
+//	mtgen scenario.json -format v1 -seed 7 # scenario file, v1 archive
 //	mtgen -library amr -serve http://host:8080 -chunk 4096
 //
 // Every scenario compiles to a closed-form expectation of the wait
@@ -153,7 +153,7 @@ func loadProgram(o options, args []string) (*scenario.Program, string, error) {
 		}
 		return p, args[0], nil
 	default:
-		return nil, "", fmt.Errorf("usage: mtgen [-library NAME | scenario.yaml] [flags] (see -list)")
+		return nil, "", fmt.Errorf("usage: mtgen [-library NAME | scenario.json] [flags] (see -list)")
 	}
 }
 

@@ -96,8 +96,8 @@ func TestGoldenRunDigest(t *testing.T) {
 func TestRunScenarioFile(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	src := "kernel: halo1d\nname: filecase\nranks: 4\niterations: 2\n"
-	file := filepath.Join(dir, "s.yaml")
+	src := `{"kernel": "halo1d", "name": "filecase", "ranks": 4, "iterations": 2}`
+	file := filepath.Join(dir, "s.json")
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run(options{}, nil, io.Discard); err == nil {
 		t.Error("no scenario source accepted")
 	}
-	if err := run(options{library: "halo1d"}, []string{"also.yaml"}, io.Discard); err == nil {
+	if err := run(options{library: "halo1d"}, []string{"also.json"}, io.Discard); err == nil {
 		t.Error("library plus file argument accepted")
 	}
 	if err := run(options{library: "nope"}, nil, io.Discard); err == nil {

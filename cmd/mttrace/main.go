@@ -66,12 +66,11 @@ func run(cli *obs.CLIConfig, dump bool, n int, sync bool, doConvert bool, format
 			}
 			continue
 		}
-		f, err := os.Open(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		tr, err := trace.Decode(f)
-		f.Close()
+		tr, err := trace.DecodeBytes(data)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

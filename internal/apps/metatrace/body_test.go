@@ -43,12 +43,11 @@ func runSmall(t *testing.T, p Params) []*trace.Trace {
 	var traces []*trace.Trace
 	for rank := 0; rank < 8; rank++ {
 		fs := mounts.For(place.Loc(rank).Metahost)
-		f, err := fs.Open(archive.TraceFile("epik_mt", rank))
+		data, err := archive.ReadFile(fs, archive.TraceFile("epik_mt", rank))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := trace.Decode(f)
-		f.Close()
+		tr, err := trace.DecodeBytes(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,12 +72,11 @@ func (r *rig) config() Config {
 func (r *rig) loadTrace(t *testing.T, rank int) *trace.Trace {
 	t.Helper()
 	mh := r.place.Loc(rank).Metahost
-	f, err := r.mounts.For(mh).Open(archive.TraceFile("epik_test", rank))
+	data, err := archive.ReadFile(r.mounts.For(mh), archive.TraceFile("epik_test", rank))
 	if err != nil {
-		t.Fatalf("opening trace %d: %v", rank, err)
+		t.Fatalf("reading trace %d: %v", rank, err)
 	}
-	defer f.Close()
-	tr, err := trace.Decode(f)
+	tr, err := trace.DecodeBytes(data)
 	if err != nil {
 		t.Fatalf("decoding trace %d: %v", rank, err)
 	}

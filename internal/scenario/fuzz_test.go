@@ -21,16 +21,18 @@ func FuzzScenarioParse(f *testing.F) {
 	}
 	for _, hostile := range []string{
 		"",
-		"kernel: halo1d",
-		"kernel: halo1d\nranks: 0\n",
-		"kernel: halo2d\nranks: 7\nparams: {px: 2, py: 2}\n",
-		"kernel: halo1d\nranks: 4\ntopology:\n  metahosts:\n    - name: A\n      nodes: 4\n      internal: {latency_us: -1, bandwidth_gbps: 8}\n",
-		"kernel: halo1d\nranks: 4\ntopology:\n  metahosts:\n    - name: A\n      nodes: 4\n      internal: {latency_us: 20, bandwidth_gbps: 8}\n      clock: {max_drift_ppm: NaN}\n",
-		"kernel: halo1d\nranks: 4\nfaults:\n  truncate:\n    - {rank: 1, keep: -3}\n",
-		"{\"kernel\": \"halo1d\", \"ranks\": 1e99}",
-		"kernel: halo1d\nkernel: halo1d\nranks: 4\n",
+		`{"kernel": "halo1d"}`,
+		`{"kernel": "halo1d", "ranks": 0}`,
+		`{"kernel": "halo2d", "ranks": 7, "params": {"px": 2, "py": 2}}`,
+		`{"kernel": "halo1d", "ranks": 4, "topology": {"metahosts": [{"name": "A", "nodes": 4, "internal": {"latency_us": -1, "bandwidth_gbps": 8}}]}}`,
+		`{"kernel": "halo1d", "ranks": 4, "topology": {"metahosts": [{"name": "A", "nodes": 4, "internal": {"latency_us": 20, "bandwidth_gbps": 8}, "clock": {"max_drift_ppm": NaN}}]}}`,
+		`{"kernel": "halo1d", "ranks": 4, "faults": {"truncate": [{"rank": 1, "keep": -3}]}}`,
+		`{"kernel": "halo1d", "ranks": 1e99}`,
+		// A document in the indentation-based form Parse read before
+		// scenario documents became JSON: must be rejected, not guessed at.
+		"kernel: halo1d\nranks: 4\ntopology:\n  preset: conformance\nplacement:\n  - {metahost: 0, nodes: 4}\n",
 		"\xff\xfe\x00bogus",
-		"a:\n - - - - [{,}]\n",
+		`{"a": [[[[[{,}]]]]]}`,
 	} {
 		f.Add([]byte(hostile))
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-//go:embed library/*.yaml
+//go:embed library/*.json
 var libraryFS embed.FS
 
 // LibraryNames lists the shipped scenario names in sorted order.
@@ -17,7 +17,7 @@ func LibraryNames() []string {
 	}
 	names := make([]string, 0, len(ents))
 	for _, e := range ents {
-		names = append(names, strings.TrimSuffix(e.Name(), ".yaml"))
+		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
 	}
 	sort.Strings(names)
 	return names
@@ -25,7 +25,7 @@ func LibraryNames() []string {
 
 // LibrarySource returns the raw document of a shipped scenario.
 func LibrarySource(name string) ([]byte, error) {
-	src, err := libraryFS.ReadFile("library/" + name + ".yaml")
+	src, err := libraryFS.ReadFile("library/" + name + ".json")
 	if err != nil {
 		return nil, errAt(0, "", "no library scenario %q (have %s)", name, strings.Join(LibraryNames(), ", "))
 	}

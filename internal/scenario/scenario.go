@@ -1,10 +1,10 @@
 // Package scenario is the declarative workload front-end of the
-// toolchain: a small scenario language (an indentation-based YAML
-// subset, or JSON) describing a metacomputer — metahosts, link
-// latencies and bandwidths, clock models — together with an
-// application kernel, its parameters, and fault injection (stragglers,
-// bursty WAN cross-traffic windows, trace truncation). A compiler
-// lowers a scenario onto internal/sim + internal/mmpi +
+// toolchain: a scenario document — one JSON object, decoded by
+// encoding/json straight into Spec — describing a metacomputer
+// (metahosts, link latencies and bandwidths, clock models) together
+// with an application kernel, its parameters, and fault injection
+// (stragglers, bursty WAN cross-traffic windows, trace truncation). A
+// compiler lowers a scenario onto internal/sim + internal/mmpi +
 // internal/topology, producing a measured trace archive through the
 // normal pipeline, and derives a closed-form expectation of every
 // wait-state severity the analyzer must recover, so the conformance
@@ -32,7 +32,11 @@ import (
 // what went wrong. Parsing and validation return *Error values and
 // never panic, whatever the input.
 type Error struct {
-	Line int    // 1-based source line; 0 when unknown (e.g. JSON input)
+	// Line is the 1-based document line of a syntax error or a
+	// wrong-typed value. It is 0 when the decoder reports no position:
+	// unknown keys, anything inside a list element, and every range or
+	// consistency error from Validate and Compile.
+	Line int
 	Path string // dotted field path, e.g. "topology.metahosts[1].clock"
 	Msg  string
 }
@@ -68,111 +72,116 @@ func Kernels() []string {
 	return []string{KernelHalo1D, KernelHalo2D, KernelMasterWorker, KernelAMR, KernelStraggler}
 }
 
-// Spec is a fully decoded scenario document. Zero values stand for
-// "not set"; Parse fills defaults and Validate enforces ranges, so a
-// Spec obtained from Parse is always internally consistent.
+// Spec is a fully decoded scenario document. The json tags are the
+// document's keys, so json.Marshal of a Spec is a document Parse
+// accepts — as long as Format is left at its default, which is
+// omitted: a set Format marshals as a number, not the "v1"/"v2" string
+// a document carries. Zero values stand for "not set"; Parse fills
+// defaults and Validate enforces ranges, so a Spec obtained from Parse
+// is always internally consistent.
 type Spec struct {
-	Name       string
-	Kernel     string
-	Seed       int64
-	Format     trace.Format
-	Ranks      int
-	Iterations int
-	Bytes      int // p2p payload; must stay under the eager limit
+	Name       string       `json:"name"`
+	Kernel     string       `json:"kernel"`
+	Seed       int64        `json:"seed"`
+	Format     trace.Format `json:"format,omitempty"`
+	Ranks      int          `json:"ranks"`
+	Iterations int          `json:"iterations"`
+	Bytes      int          `json:"bytes"` // p2p payload; must stay under the eager limit
 
-	Topology  TopoSpec
-	Placement []PlaceSpec
-	Schedule  ScheduleSpec
-	Work      WorkSpec
-	Params    ParamSpec
-	Faults    FaultSpec
+	Topology  TopoSpec     `json:"topology"`
+	Placement []PlaceSpec  `json:"placement"`
+	Schedule  ScheduleSpec `json:"schedule"`
+	Work      WorkSpec     `json:"work"`
+	Params    ParamSpec    `json:"params"`
+	Faults    FaultSpec    `json:"faults"`
 }
 
 // TopoSpec selects either a named preset or a custom metahost list.
 type TopoSpec struct {
-	Preset    string // "conformance" (default when Metahosts is empty)
-	Count     int    // metahost count for the preset
-	Metahosts []MetahostSpec
-	External  *LinkSpec // override for inter-metahost links
-	Asymmetry bool      // enable per-route latency asymmetry (breaks exactness)
+	Preset    string         `json:"preset"` // "conformance" (default when Metahosts is empty)
+	Count     int            `json:"count"`  // metahost count for the preset
+	Metahosts []MetahostSpec `json:"metahosts"`
+	External  *LinkSpec      `json:"external"`  // override for inter-metahost links
+	Asymmetry bool           `json:"asymmetry"` // enable per-route latency asymmetry (breaks exactness)
 }
 
 // MetahostSpec describes one custom metahost.
 type MetahostSpec struct {
-	Name      string
-	Nodes     int
-	CPUs      int
-	Speed     float64 // relative execution speed (work units per second)
-	Internal  LinkSpec
-	NodeLocal *LinkSpec
-	Clock     ClockSpec
+	Name      string    `json:"name"`
+	Nodes     int       `json:"nodes"`
+	CPUs      int       `json:"cpus"`
+	Speed     float64   `json:"speed"` // relative execution speed (work units per second)
+	Internal  LinkSpec  `json:"internal"`
+	NodeLocal *LinkSpec `json:"node_local"`
+	Clock     ClockSpec `json:"clock"`
 }
 
 // LinkSpec describes one network segment in human units.
 type LinkSpec struct {
-	LatencyUS     float64 // one-way latency mean, microseconds
-	JitterUS      float64 // latency standard deviation, microseconds
-	BandwidthGbps float64
-	Dedicated     *bool // nil = true (no cross-traffic spikes)
+	LatencyUS     float64 `json:"latency_us"` // one-way latency mean, microseconds
+	JitterUS      float64 `json:"jitter_us"`  // latency standard deviation, microseconds
+	BandwidthGbps float64 `json:"bandwidth_gbps"`
+	Dedicated     *bool   `json:"dedicated"` // nil = true (no cross-traffic spikes)
 }
 
 // ClockSpec describes a metahost's node clocks in human units.
 type ClockSpec struct {
-	MaxOffsetMS   float64
-	MaxDriftPPM   float64
-	GranularityUS float64
-	Synchronized  bool
+	MaxOffsetMS   float64 `json:"max_offset_ms"`
+	MaxDriftPPM   float64 `json:"max_drift_ppm"`
+	GranularityUS float64 `json:"granularity_us"`
+	Synchronized  bool    `json:"synchronized"`
 }
 
 // PlaceSpec places a block of ranks: nodes × per_node processes on the
 // given metahost starting at first_node.
 type PlaceSpec struct {
-	Metahost  int
-	FirstNode int
-	Nodes     int
-	PerNode   int
+	Metahost  int `json:"metahost"`
+	FirstNode int `json:"first_node"`
+	Nodes     int `json:"nodes"`
+	PerNode   int `json:"per_node"`
 }
 
 // ScheduleSpec tunes the aligned-step schedule.
 type ScheduleSpec struct {
-	Align float64 // absolute start of the first step (after init sync)
-	Slack float64 // per-step headroom beyond the worst-case work
+	Align float64 `json:"align"` // absolute start of the first step (after init sync)
+	Slack float64 `json:"slack"` // per-step headroom beyond the worst-case work
 }
 
 // WorkSpec is the base per-rank work model in work units (seconds on a
 // speed-1.0 machine): base plus a uniform [0, spread) draw from the
 // scenario PRNG per rank and step.
 type WorkSpec struct {
-	Base   float64
-	Spread float64
+	Base   float64 `json:"base"`
+	Spread float64 `json:"spread"`
 }
 
 // ParamSpec holds kernel-specific parameters; unused fields are
 // ignored by kernels that do not consume them.
 type ParamSpec struct {
-	PX, PY        int     // halo2d process grid
-	Prep          float64 // masterworker: mean per-task handout cost
-	PrepSpread    float64
-	Collect       float64 // masterworker: mean per-result collect cost
-	CollectSpread float64
-	Window        int     // amr: refinement window width (ranks)
-	Amp           float64 // amr: extra work inside the window
+	PX            int     `json:"px"` // halo2d process grid
+	PY            int     `json:"py"`
+	Prep          float64 `json:"prep"` // masterworker: mean per-task handout cost
+	PrepSpread    float64 `json:"prep_spread"`
+	Collect       float64 `json:"collect"` // masterworker: mean per-result collect cost
+	CollectSpread float64 `json:"collect_spread"`
+	Window        int     `json:"window"` // amr: refinement window width (ranks)
+	Amp           float64 `json:"amp"`    // amr: extra work inside the window
 }
 
 // FaultSpec is the injected-fault section.
 type FaultSpec struct {
-	Stragglers   []StragglerSpec
-	CrossTraffic []BurstSpec
-	Truncate     []TruncateSpec
+	Stragglers   []StragglerSpec `json:"stragglers"`
+	CrossTraffic []BurstSpec     `json:"cross_traffic"`
+	Truncate     []TruncateSpec  `json:"truncate"`
 }
 
 // StragglerSpec multiplies one rank's work by Factor over the
 // iteration range [From, To] (inclusive, 0-based).
 type StragglerSpec struct {
-	Rank   int
-	Factor float64
-	From   int
-	To     int
+	Rank   int     `json:"rank"`
+	Factor float64 `json:"factor"`
+	From   int     `json:"from"`
+	To     int     `json:"to"`
 }
 
 // BurstSpec adds ExtraMS milliseconds of one-way latency to every
@@ -180,18 +189,18 @@ type StragglerSpec struct {
 // window [From, To). Class is "external", "internal", "same-node", or
 // "any".
 type BurstSpec struct {
-	From    float64
-	To      float64
-	ExtraMS float64
-	Class   string
+	From    float64 `json:"from"`
+	To      float64 `json:"to"`
+	ExtraMS float64 `json:"extra_ms"`
+	Class   string  `json:"class"`
 }
 
 // TruncateSpec cuts one rank's trace file to the given fraction of its
 // bytes after measurement — a rank-failure model. Analysis of the
 // archive is then expected to fail with a structured decode error.
 type TruncateSpec struct {
-	Rank int
-	Keep float64 // fraction of bytes kept, in (0, 1)
+	Rank int     `json:"rank"`
+	Keep float64 `json:"keep"` // fraction of bytes kept, in (0, 1)
 }
 
 // rng is a splitmix64 generator: the scenario's own deterministic

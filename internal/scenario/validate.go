@@ -154,6 +154,9 @@ func (sp *Spec) validatePlacement() error {
 	if len(sp.Placement) == 0 {
 		return nil // Compile derives an even block split
 	}
+	if err := checkListLen("placement", len(sp.Placement)); err != nil {
+		return err
+	}
 	total := 0
 	for i, p := range sp.Placement {
 		path := fmt.Sprintf("placement[%d]", i)
@@ -235,7 +238,19 @@ func (sp *Spec) validateKernel() error {
 	return nil
 }
 
+// checkListLen bounds a list however the Spec was built: decoded from
+// a document or assembled in Go.
+func checkListLen(path string, n int) error {
+	if n > maxListLen {
+		return errAt(0, path, "list has %d entries (limit %d)", n, maxListLen)
+	}
+	return nil
+}
+
 func (sp *Spec) validateFaults() error {
+	if err := checkListLen("faults.stragglers", len(sp.Faults.Stragglers)); err != nil {
+		return err
+	}
 	for i, s := range sp.Faults.Stragglers {
 		path := fmt.Sprintf("faults.stragglers[%d]", i)
 		if s.Rank < 0 || s.Rank >= sp.Ranks {
@@ -248,6 +263,9 @@ func (sp *Spec) validateFaults() error {
 			return errAt(0, path, "want 0 <= from <= to, got from=%d to=%d", s.From, s.To)
 		}
 	}
+	if err := checkListLen("faults.cross_traffic", len(sp.Faults.CrossTraffic)); err != nil {
+		return err
+	}
 	for i, b := range sp.Faults.CrossTraffic {
 		path := fmt.Sprintf("faults.cross_traffic[%d]", i)
 		if b.From < 0 || b.To <= b.From || b.To > 1e6 {
@@ -259,6 +277,9 @@ func (sp *Spec) validateFaults() error {
 		if !burstClasses[b.Class] {
 			return errAt(0, path+".class", "unknown link class %q (want external | internal | same-node | any)", b.Class)
 		}
+	}
+	if err := checkListLen("faults.truncate", len(sp.Faults.Truncate)); err != nil {
+		return err
 	}
 	for i, tr := range sp.Faults.Truncate {
 		path := fmt.Sprintf("faults.truncate[%d]", i)

@@ -339,19 +339,9 @@ func (t *Trace) Encode(w io.Writer) error {
 	return e.w.Flush()
 }
 
-// Decode reads one trace from r. It fails with ErrBadMagic on foreign
-// input and with a descriptive error on truncation or corruption. The
-// stream is read fully into memory and decoded with DecodeBytes; when
-// the data is already in memory, call DecodeBytes directly.
-func Decode(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading stream: %w", err)
-	}
-	return DecodeBytes(data)
-}
-
-// DecodeBytes decodes one trace from an in-memory MSCP image.
+// DecodeBytes decodes one trace from an in-memory MSCP image. It fails
+// with ErrBadMagic on foreign input and with a descriptive error on
+// truncation or corruption.
 func DecodeBytes(data []byte) (*Trace, error) { return DecodeBytesInterned(data, nil) }
 
 // DecodeBytesInterned is DecodeBytes with the trace's strings (region

@@ -98,6 +98,13 @@ func ParseFormat(s string) (Format, error) {
 	return 0, fmt.Errorf("trace: unknown format %q (want v1 or v2)", s)
 }
 
+// UnmarshalText is ParseFormat for documents that carry a format by
+// name (encoding.TextUnmarshaler).
+func (f *Format) UnmarshalText(text []byte) (err error) {
+	*f, err = ParseFormat(string(text))
+	return err
+}
+
 // FormatOf sniffs the format of an encoded trace image from its magic
 // and version byte. It fails with ErrBadMagic on foreign input.
 func FormatOf(data []byte) (Format, error) {

@@ -59,7 +59,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := orig.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsForeignData(t *testing.T) {
-	_, err := Decode(strings.NewReader("not a trace at all, sorry"))
+	_, err := DecodeBytes([]byte("not a trace at all, sorry"))
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
@@ -83,7 +83,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	full := buf.Bytes()
 	// Every strict prefix must fail loudly, never crash or succeed.
 	for cut := 1; cut < len(full); cut += 7 {
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := DecodeBytes(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(full))
 		}
 	}
@@ -96,7 +96,7 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[4] = 99 // version byte follows the 4-byte magic
-	if _, err := Decode(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := DecodeBytes(b); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong version accepted: %v", err)
 	}
 }
@@ -164,7 +164,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := tr.Encode(&buf); err != nil {
 			return false
 		}
-		got, err := Decode(&buf)
+		got, err := DecodeBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -307,7 +307,7 @@ func TestLargeTraceEncodeSize(t *testing.T) {
 	if perEvent > 16 {
 		t.Errorf("encoding too fat: %.1f bytes/event", perEvent)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,11 @@ fi
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# Every step from here on runs something the full run above does not.
+# A step that re-runs one of its tests by name only adds wall time: it
+# does not guard a rename either, because `go test -run NAME` exits 0
+# when nothing matches.
+
 # A short soak of the analysis service: a couple of seconds of mixed
 # concurrent traffic (good archives, hostile uploads, cancellations)
 # with oracle-exact verification and a goroutine-leak check at the
@@ -104,54 +109,5 @@ fi
 # program's own bytes.
 echo "== live ingest and lazy analysis allocation budgets"
 go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyShortRanksAllocBudget$' .
-
-# The parallel wait-state post-pass must be a pure reordering of the
-# sequential reference: same scenario analyzed both ways must render
-# byte-identical artifacts. Pinned by name so a merge-order or
-# accumulator regression fails the gate with an unambiguous label.
-echo "== post-pass determinism smoke"
-go test -race -count=1 -run 'TestPostPassDeterminism' ./internal/replay
-
-# Streaming determinism smoke: one conformance scenario fed chunk by
-# chunk through a live session must produce byte-identical cube and
-# profile artifacts to the post-mortem analysis of the same trace
-# bytes. The full adversarial-chunking matrix runs as
-# TestStreamingOracle in the regular suite; this pins the
-# streaming-vs-postmortem contract by name so a determinism regression
-# fails the gate with an unambiguous label.
-echo "== streaming-vs-postmortem determinism smoke"
-go test -race -count=1 -run 'TestStreamingDeterminismSmoke' ./internal/conformance
-
-# Scenario fleet smoke: one generated kernel driven through compile,
-# simulate, archive, synchronize, replay under -race, with the analysis
-# checked against the scenario's compiled closed-form expectation. The
-# full kernel-oracle matrix runs as TestKernelOracle in the regular
-# suite (and wider via `make scenarios`); this pins the generator
-# pipeline by name.
-echo "== scenario pipeline smoke"
-go test -race -count=1 -run 'TestScenarioPipelineSmoke' ./internal/scenario
-
-# The phase profile is a deterministic artifact: the same scenario and
-# seed must render byte-identical phase JSON across GOMAXPROCS and
-# trace formats (the post-pass smoke above covers the sequential
-# reference). Pinned by name so a fold-order regression in the phase
-# accumulator fails the gate with an unambiguous label.
-echo "== phase profile determinism"
-go test -race -count=1 -run 'TestPhaseDeterminism' ./internal/conformance
-
-# Phase pipeline smoke: detection on generated kernels must recover
-# the schedule's step count with per-iteration severities matching the
-# closed forms, and the phase-aligned diff must pinpoint a planted
-# single-iteration regression the whole-archive totals average away.
-# The full matrix runs as TestPhaseOracle in the regular suite.
-echo "== phase pipeline smoke"
-go test -race -count=1 -run 'TestPhaseDiffPinpointsRegression|TestPhaseOracleMutation' ./internal/conformance
-
-# The dogfood loop: analyze an experiment with the recorder on, export
-# the recording as a trace archive, and analyze THAT with the same
-# pipeline. Proves the self-instrumentation stays a valid input to the
-# analyzer end to end.
-echo "== flight self-trace round trip"
-go test -race -count=1 -run 'TestFlightSelfAnalysisRoundTrip' .
 
 echo "check: all green"
