@@ -7,10 +7,6 @@
 // The -in directory holds one subdirectory per metahost file system;
 // each analysis process reads only the local trace files of its ranks,
 // exactly as on a metacomputer without a shared file system.
-//
-// With -metrics-out=FILE.json it also writes BENCH_pipeline.json next
-// to the snapshot: phase durations, replay communication volumes, and
-// violation counts for benchmarking across runs.
 package main
 
 import (
@@ -96,28 +92,6 @@ func run(cli *obs.CLIConfig, in, dir, schemeFlag, out, profileOut, phasesOut str
 		}
 		fmt.Printf("phase profile (%d phases, period %d) written to %s (compare with mtdiff -phases)\n",
 			len(res.Phases.Phases), res.Phases.Period, phasesOut)
-	}
-
-	var replayBytes, extBytes int64
-	for _, b := range res.ReplayBytes {
-		replayBytes += b
-	}
-	for _, b := range res.ReplayExternalBytes {
-		extBytes += b
-	}
-	path, err := cli.WritePipelineSummary(obs.PipelineSummary{
-		ReplayBytes:         replayBytes,
-		ReplayExternalBytes: extBytes,
-		Messages:            res.Messages,
-		Collectives:         res.Collectives,
-		Violations:          res.Violations,
-		Repairs:             res.Repairs,
-	})
-	if err != nil {
-		return err
-	}
-	if path != "" {
-		rec.Log.Info("pipeline summary written", "path", path)
 	}
 	return nil
 }

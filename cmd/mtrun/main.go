@@ -5,9 +5,7 @@
 //	mtrun -workload metatrace -config exp1 -seed 42 -out ./run1
 //	mtrun -workload clockbench -rounds 300 -out ./run2
 //
-// Analyze the result with mtanalyze. With -metrics-out=FILE.json mtrun
-// also writes BENCH_pipeline.json (phase durations) next to the
-// snapshot.
+// Analyze the result with mtanalyze.
 package main
 
 import (
@@ -88,14 +86,6 @@ func run(cli *obs.CLIConfig, workload, config string, seed int64, out string, ro
 		workload, topo.Name, place.N(), e.Engine().Now())
 	fmt.Printf("archives written under %s (dir %s)\n", out, e.ArchiveDir)
 	fmt.Printf("analyze with: mtanalyze -in %s -archive %s -n %d\n", out, e.ArchiveDir, place.N())
-
-	path, err := cli.WritePipelineSummary(obs.PipelineSummary{})
-	if err != nil {
-		return err
-	}
-	if path != "" {
-		rec.Log.Info("pipeline summary written", "path", path)
-	}
 	return nil
 }
 

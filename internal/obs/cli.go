@@ -8,7 +8,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on the default mux
 	"os"
-	"path/filepath"
 	"strings"
 
 	"metascope/internal/obs/flight"
@@ -175,46 +174,4 @@ func WriteDebugJSON(w io.Writer, r *Recorder) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// PipelineSummary is the machine-readable run summary mtrun and
-// mtanalyze emit as BENCH_pipeline.json — the bench trajectory seed
-// for future performance work.
-type PipelineSummary struct {
-	Tool string `json:"tool"`
-	// PhaseSeconds maps '/'-joined phase paths to wall seconds.
-	PhaseSeconds        map[string]float64 `json:"phase_seconds"`
-	ReplayBytes         int64              `json:"replay_bytes,omitempty"`
-	ReplayExternalBytes int64              `json:"replay_external_bytes,omitempty"`
-	Messages            int                `json:"messages,omitempty"`
-	Collectives         int                `json:"collectives,omitempty"`
-	Violations          int                `json:"violations"`
-	Repairs             int                `json:"repairs,omitempty"`
-}
-
-// WritePipelineSummary writes BENCH_pipeline.json next to the
-// -metrics-out file, filling Tool and PhaseSeconds from the recorder.
-// It only fires when -metrics-out ends in .json (the machine-readable
-// mode); otherwise it returns an empty path and no error.
-func (c *CLIConfig) WritePipelineSummary(s PipelineSummary) (string, error) {
-	if !strings.HasSuffix(c.MetricsOut, ".json") {
-		return "", nil
-	}
-	s.Tool = c.Tool
-	if s.PhaseSeconds == nil {
-		s.PhaseSeconds = make(map[string]float64)
-	}
-	for _, ph := range c.rec.Phases.Snapshot() {
-		s.PhaseSeconds[ph.Path] = ph.Seconds
-	}
-	path := filepath.Join(filepath.Dir(c.MetricsOut), "BENCH_pipeline.json")
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return "", fmt.Errorf("obs: writing pipeline summary: %w", err)
-	}
-	return path, nil
 }

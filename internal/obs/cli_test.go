@@ -74,45 +74,3 @@ func TestVerboseRaisesLevel(t *testing.T) {
 		t.Errorf("level after -v = %v, want debug", got)
 	}
 }
-
-func TestWritePipelineSummary(t *testing.T) {
-	dir := t.TempDir()
-	cli := newTestCLI(t, "-metrics-out", filepath.Join(dir, "m.json"))
-	rec := cli.Recorder()
-	rec.Phases.Record(2*time.Second, "measure")
-	rec.Phases.Record(time.Second, "measure", "sync")
-
-	path, err := cli.WritePipelineSummary(PipelineSummary{
-		ReplayBytes: 1234,
-		Violations:  3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := filepath.Join(dir, "BENCH_pipeline.json"); path != want {
-		t.Errorf("path = %q, want %q", path, want)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s PipelineSummary
-	if err := json.Unmarshal(data, &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Tool != "testtool" || s.ReplayBytes != 1234 || s.Violations != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.PhaseSeconds["measure"] != 2 || s.PhaseSeconds["measure/sync"] != 1 {
-		t.Errorf("phase seconds = %+v", s.PhaseSeconds)
-	}
-}
-
-// Without a .json metrics path the pipeline summary must not fire.
-func TestWritePipelineSummarySkipsTextMode(t *testing.T) {
-	cli := newTestCLI(t, "-metrics-out", filepath.Join(t.TempDir(), "m.prom"))
-	path, err := cli.WritePipelineSummary(PipelineSummary{})
-	if err != nil || path != "" {
-		t.Errorf("got (%q, %v), want no-op", path, err)
-	}
-}

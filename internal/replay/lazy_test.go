@@ -154,7 +154,7 @@ func TestAnalyzeLazyCorruptBlockSurfacesError(t *testing.T) {
 }
 
 // TestLiveBoundedResident: a feeder that throttles on Resident() against
-// WindowBudget must complete with a peak resident window far below the
+// its own budget must complete with a peak resident window far below the
 // full event count — the out-of-core guarantee for archives larger than
 // RAM.
 func TestLiveBoundedResident(t *testing.T) {
@@ -165,12 +165,11 @@ func TestLiveBoundedResident(t *testing.T) {
 	}
 	const budget = 6000 // events per rank; each rank holds ~12k
 	l, err := NewLive(LiveConfig{
-		Config:       Config{Scheme: vclock.FlatSingle, Title: "live-bounded"},
-		Ranks:        len(traces),
-		WindowSec:    5,
-		EmitEvery:    time.Millisecond,
-		WindowBudget: budget,
-		OnEvent:      func(StreamEvent) {},
+		Config:    Config{Scheme: vclock.FlatSingle, Title: "live-bounded"},
+		Ranks:     len(traces),
+		WindowSec: 5,
+		EmitEvery: time.Millisecond,
+		OnEvent:   func(StreamEvent) {},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,15 +51,6 @@ type LiveConfig struct {
 	// engine's goroutines. The callback must be fast and must not call
 	// back into the Live session.
 	OnEvent func(StreamEvent)
-	// WindowBudget is an advisory per-rank resident-event target for
-	// flow control. The engine always releases swept event blocks (its
-	// memory is bounded by the gap between ingest and sweep, not the
-	// archive size), but it never blocks FeedChunk — a hard limit could
-	// deadlock when a message match needs events further ahead than the
-	// budget allows. Feeders that want a pinned ceiling throttle
-	// themselves by polling Resident against this budget. Zero means
-	// unreported.
-	WindowBudget int
 }
 
 // StreamEvent is one event of a live session's output stream. Exactly
@@ -402,10 +393,11 @@ func (l *Live) FinishRank(rank int) error {
 }
 
 // fail records the first fatal session error and aborts the running
-// analysis so every worker unwinds.
+// analysis so every worker unwinds. A session that is done stays done:
+// its stream has ended and is not reopened by a late abort.
 func (l *Live) fail(err error) {
 	l.mu.Lock()
-	first := l.abortErr == nil
+	first := l.abortErr == nil && l.state != "done"
 	if first {
 		l.abortErr = err
 		l.state = "failed"
@@ -490,6 +482,15 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	<-l.schedDone
 
 	res, err := l.a.finish()
+	if err == nil {
+		// Done or aborted, decided once: an abort that lost this race is
+		// ignored by fail, one that won it is the session's error.
+		l.mu.Lock()
+		if err = l.abortErr; err == nil {
+			l.state = "done"
+		}
+		l.mu.Unlock()
+	}
 	if err != nil {
 		l.fail(err)
 		return nil, err
@@ -514,9 +515,6 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 		return sum.Totals[i].Metahost < sum.Totals[j].Metahost
 	})
 	l.emit(StreamEvent{Type: "summary", Summary: sum})
-	l.mu.Lock()
-	l.state = "done"
-	l.mu.Unlock()
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "done"}})
 	return res, nil
 }
@@ -676,8 +674,10 @@ func (l *Live) emit(ev StreamEvent) {
 
 // Resident reports one rank's bounded-memory window: the events
 // currently held in its log (ingested but not yet swept past and
-// released) and the session-lifetime peak. Feeders running ahead of
-// the sweep use it to throttle against LiveConfig.WindowBudget.
+// released) and the session-lifetime peak. The engine always releases
+// swept blocks but never blocks FeedChunk — a hard limit could deadlock
+// when a message match needs events further ahead than it allows — so a
+// feeder that wants a pinned ceiling throttles itself on this.
 func (l *Live) Resident(rank int) (resident, peak int) {
 	if rank < 0 || rank >= len(l.ranks) {
 		return 0, 0

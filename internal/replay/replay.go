@@ -62,9 +62,6 @@ type Config struct {
 	// before order at the cost of locally stretched intervals.
 	// Violations are still counted (they equal the number of repairs).
 	Repair bool
-	// RepairMu is the minimal message latency enforced by a repair
-	// (the µ of the controlled logical clock). Zero selects 1 ns.
-	RepairMu float64
 	// Obs selects the observability recorder the analysis reports its
 	// own runtime behavior into (phase spans, replay-traffic
 	// histograms, progress gauges, and — when its flight recorder is
@@ -79,10 +76,6 @@ type Config struct {
 	// ProfileBuckets is the fixed bucket count of the time-resolved
 	// severity profile (0 selects profile.DefaultBuckets).
 	ProfileBuckets int
-	// ProfileWidth is the profile's bucket width in corrected seconds;
-	// 0 derives it from the run span so the whole run fits without
-	// bucket folding.
-	ProfileWidth float64
 
 	// sequentialPostPass runs the wrong-order post-pass as one
 	// sequential sweep over the ranks instead of per-rank in parallel —
@@ -623,7 +616,7 @@ func (a *analyzer) finish() (*Result, error) {
 // depends only on the events and corrections, and two analyses of the
 // same archive profile onto identical intervals regardless of mode.
 func profileConfig(logs []*rankLog, corr []vclock.LinearMap, cfg Config) profile.Config {
-	pc := profile.Config{Buckets: cfg.ProfileBuckets, Width: cfg.ProfileWidth}
+	pc := profile.Config{Buckets: cfg.ProfileBuckets}
 	if pc.Buckets <= 0 {
 		pc.Buckets = profile.DefaultBuckets
 	}
@@ -645,10 +638,8 @@ func profileConfig(logs []*rankLog, corr []vclock.LinearMap, cfg Config) profile
 		return pc
 	}
 	pc.Origin = first
-	if pc.Width <= 0 {
-		if span := last - first; span > 0 {
-			pc.Width = span * 1.0625 / float64(pc.Buckets)
-		}
+	if span := last - first; span > 0 {
+		pc.Width = span * 1.0625 / float64(pc.Buckets)
 	}
 	return pc
 }

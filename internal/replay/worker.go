@@ -463,6 +463,10 @@ func (a *analyzer) abortWith(cause error) {
 	})
 }
 
+// repairMu is the minimal message latency a timestamp repair enforces:
+// the µ of the controlled logical clock, 1 ns.
+const repairMu = 1e-9
+
 // cancelErr is the per-rank error a worker reports when it unwound
 // because of an abort; it wraps the context's error so callers can
 // errors.Is against context.Canceled / DeadlineExceeded.
@@ -572,10 +576,6 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	// clock): non-decreasing, applied to every event from the moment a
 	// violation was repaired.
 	delta := 0.0
-	mu := a.cfg.RepairMu
-	if mu <= 0 {
-		mu = 1e-9
-	}
 
 	var stack []stackEntry
 	for i := 0; ; i++ {
@@ -716,7 +716,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 					// Advance this process's logical clock just past
 					// the send; the shift persists for all later
 					// events, restoring causal order.
-					delta += rec.sendEvent + mu - ct
+					delta += rec.sendEvent + repairMu - ct
 					ct = corr.Apply(ev.Time) + delta
 					rr.repairs++
 				}

@@ -25,19 +25,31 @@ func TestFlightTraceEndpoint(t *testing.T) {
 		t.Fatalf("job ended %s (%s)", st.State, st.Error)
 	}
 
-	tr, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+	names := traceEventNames(t, ts.URL, st.ID)
+	for _, want := range []string{"replay-worker", "mailbox-take", "job-state"} {
+		if names[want] == 0 {
+			t.Errorf("job trace holds no %q events; got %v", want, names)
+		}
+	}
+}
+
+// traceEventNames fetches an analysis's Chrome trace and counts its
+// events by name.
+func traceEventNames(t testing.TB, base, id string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Body.Close()
-	if tr.StatusCode != http.StatusOK {
-		t.Fatalf("trace: status %d", tr.StatusCode)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of %s: status %d", id, resp.StatusCode)
 	}
-	if ct := tr.Header.Get("Content-Type"); ct != "application/json" {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("trace Content-Type %q", ct)
 	}
 	var events []map[string]any
-	if err := json.NewDecoder(tr.Body).Decode(&events); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
 		t.Fatalf("trace is not a JSON array: %v", err)
 	}
 	names := make(map[string]int)
@@ -46,9 +58,23 @@ func TestFlightTraceEndpoint(t *testing.T) {
 			names[n]++
 		}
 	}
-	for _, want := range []string{"replay-worker", "mailbox-take", "job-state"} {
+	return names
+}
+
+// TestFlightTraceSession: a session's replay is recorded under its
+// serial like a job's, and the trace route takes any analysis id.
+func TestFlightTraceSession(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, Flight: true})
+	traces := sessionTraces()
+	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
+	uploadSession(t, ts.URL, st.ID, traces, encodeAll(t, traces), 101)
+	if fin := finalizeSession(t, ts.URL, st.ID); fin.State != "done" {
+		t.Fatalf("session ended %s (%s)", fin.State, fin.Error)
+	}
+	names := traceEventNames(t, ts.URL, st.ID)
+	for _, want := range []string{"replay-worker", "job-state"} {
 		if names[want] == 0 {
-			t.Errorf("job trace holds no %q events; got %v", want, names)
+			t.Errorf("session trace holds no %q events; got %v", want, names)
 		}
 	}
 }

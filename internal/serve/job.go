@@ -2,69 +2,31 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"metascope/internal/archive"
 	"metascope/internal/obs/flight"
 	"metascope/internal/replay"
-	"metascope/internal/vclock"
 )
 
-// State is a job's lifecycle position. Transitions are monotone:
-// queued → running → {done, failed}; queued/running → cancelled.
-type State string
-
-const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
-)
-
-// terminal reports whether a job has reached a final state.
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// Sentinel cancellation causes, distinguishable from an analysis error
-// through context.Cause.
-var (
-	errJobCancelled = errors.New("serve: job cancelled by request")
-	errJobTimeout   = errors.New("serve: job exceeded its time budget")
-	errDrainAborted = errors.New("serve: server drain deadline expired")
-	errJobPanicked  = errors.New("serve: analysis panicked")
-)
-
-// job is one submitted analysis. Mutable fields are guarded by the
-// server's mutex; done is closed exactly once when the job reaches a
-// terminal state, so waiters never poll.
+// job is one submitted archive on its way through the worker pool: the
+// analysis record plus what only this feeder needs. Mutable fields are
+// guarded by the server's mutex.
 type job struct {
-	id        string
-	serial    int32  // numeric id; the job's flight-recorder attribution
+	analysis
 	source    string // "upload" or "path"
 	digest    string
 	cacheKey  string
-	scheme    vclock.Scheme
-	mounts    *archive.Mounts
+	mounts    *archive.Mounts // nil once settled
 	metahosts []int
 	dir       string
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-	done   chan struct{}
 
-	state      State
-	cached     bool
-	err        string
-	failStatus int // HTTP status the result endpoint reports for a failure
-	submitted  time.Time
-	started    time.Time
-	finished   time.Time
-	result     *replay.Result
+	cached  bool
+	started time.Time
 }
 
 // JobStatus is the JSON view of a job.
@@ -100,11 +62,11 @@ func (j *job) statusLocked(now time.Time) JobStatus {
 	}
 	switch {
 	case j.state == StateQueued:
-		st.WaitSeconds = now.Sub(j.submitted).Seconds()
+		st.WaitSeconds = now.Sub(j.created).Seconds()
 	case j.started.IsZero(): // cancelled while queued, or served from cache
-		st.WaitSeconds = j.finished.Sub(j.submitted).Seconds()
+		st.WaitSeconds = j.finished.Sub(j.created).Seconds()
 	default:
-		st.WaitSeconds = j.started.Sub(j.submitted).Seconds()
+		st.WaitSeconds = j.started.Sub(j.created).Seconds()
 		if j.state == StateRunning {
 			st.RunSeconds = now.Sub(j.started).Seconds()
 		} else {
@@ -140,7 +102,7 @@ func (s *Server) runOne(j *job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	s.m.waitSeconds.Observe(j.started.Sub(j.submitted).Seconds())
+	s.m.waitSeconds.Observe(j.started.Sub(j.created).Seconds())
 	qlen := len(s.queue)
 	s.mu.Unlock()
 	s.fw.Emit(flight.Dequeue, j.serial, s.fn.queue, int64(qlen), 0)
@@ -149,12 +111,8 @@ func (s *Server) runOne(j *job) {
 	s.m.workersBusy.Add(1)
 	defer s.m.workersBusy.Add(-1)
 
-	ctx := j.ctx
-	if s.opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, s.opts.JobTimeout, errJobTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.budget(j.ctx)
+	defer cancel()
 	res, err := s.execute(ctx, j)
 	s.finish(j, res, err)
 }
@@ -182,55 +140,29 @@ func (s *Server) analyze(ctx context.Context, j *job) (*replay.Result, error) {
 	})
 }
 
-// finish moves a job to its terminal state and classifies the outcome
-// for metrics and for the result endpoint's HTTP status.
+// finish settles a job the pool ran and feeds what its run time and
+// result are for: the Retry-After estimator, the latency histogram and
+// the result cache.
 func (s *Server) finish(j *job, res *replay.Result, err error) {
-	outcome := "done"
 	s.mu.Lock()
-	j.finished = time.Now()
+	s.settle(j, res, err, context.Cause(j.ctx))
 	dur := j.finished.Sub(j.started).Seconds()
-	// Feed the Retry-After estimator: a light exponential smoothing so
-	// one outlier job does not dominate the queue-drain estimate.
+	// A light exponential smoothing, so one outlier job does not dominate
+	// the queue-drain estimate.
 	const ewmaAlpha = 0.3
 	if s.ewmaSec == 0 {
 		s.ewmaSec = dur
 	} else {
 		s.ewmaSec = ewmaAlpha*dur + (1-ewmaAlpha)*s.ewmaSec
 	}
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = res
-	case context.Cause(j.ctx) == errJobCancelled || context.Cause(j.ctx) == errDrainAborted:
-		j.state = StateCancelled
-		j.err = err.Error()
-		outcome = "cancelled"
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errJobTimeout):
-		j.state = StateFailed
-		j.err = fmt.Sprintf("job exceeded its %v time budget: %v", s.opts.JobTimeout, err)
-		j.failStatus = http.StatusGatewayTimeout
-		outcome = "timeout"
-	case errors.Is(err, errJobPanicked):
-		j.state = StateFailed
-		j.err = err.Error()
-		j.failStatus = http.StatusInternalServerError
-		outcome = "panic"
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
-		j.failStatus = http.StatusUnprocessableEntity
-		outcome = "failed"
-	}
-	close(j.done)
+	state, errMsg := j.state, j.err
 	s.mu.Unlock()
-	s.emitJobState(j.serial, j.state)
 
-	if j.state == StateDone && j.cacheKey != "" {
+	if state == StateDone {
 		s.cache.Put(j.cacheKey, res)
 		s.m.cacheEntries.Set(float64(s.cache.Len()))
 	}
 	s.m.jobSeconds.Observe(dur)
-	s.m.outcomes.With(outcome).Inc()
-	s.rec.Log.Debug("job finished", "id", j.id, "state", string(j.state),
-		"seconds", fmt.Sprintf("%.3f", dur), "err", j.err)
+	s.rec.Log.Debug("job finished", "id", j.id, "state", string(state),
+		"seconds", fmt.Sprintf("%.3f", dur), "err", errMsg)
 }

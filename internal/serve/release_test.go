@@ -54,6 +54,15 @@ func pairTraces(ranks, rounds int) []*trace.Trace {
 	return traces
 }
 
+// settledHeap is the live heap after a full collection.
+func settledHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestFinishedSessionsReleaseEngine: a finished session stays listed —
 // its result, status and event log remain fetchable — but it must not
 // keep the analysis engine: rank logs, decoder buffers, the analyzer's
@@ -109,22 +118,54 @@ func TestFinishedSessionsReleaseEngine(t *testing.T) {
 			t.Fatalf("status changed across the release:\nbefore %+v\nafter  %+v", before, after)
 		}
 	}
-	heap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	round() // connections, pools and lazily built tables settle
 	const rounds = 4
-	base := heap()
+	base := settledHeap()
 	for i := 0; i < rounds; i++ {
 		round()
 	}
-	perRound := (heap() - base) / rounds
+	perRound := (settledHeap() - base) / rounds
 	t.Logf("post-GC heap grows %d KiB per finished session (%d events, %d KiB of trace)", perRound>>10, events, size>>10)
 	if perRound > 2<<20 {
 		t.Errorf("every finished session keeps %d KiB on the heap, want < 2 MiB: the engine was not released", perRound>>10)
+	}
+}
+
+// TestFinishedJobReleasesArchive: a finished job stays listed with its
+// result, but not with the decoded upload it was computed from. Rounds
+// of submit → done may grow the post-GC heap by the result only — which
+// for this archive (one detected phase per round) is about two thirds
+// of the upload, so growth of a whole upload per job means result plus
+// archive.
+func TestFinishedJobReleasesArchive(t *testing.T) {
+	traces, blobs := pairArchive(t, 16, 2500)
+	bundle := pairBundle(t, traces, blobs)
+	var upload int64
+	for _, b := range blobs {
+		upload += int64(len(b))
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, CacheEntries: -1})
+	round := func() {
+		st, _ := submitZip(t, ts.URL, bundle, "?scheme=flat1")
+		if fin := awaitJob(t, ts.URL, st.ID); fin.State != StateDone {
+			t.Fatalf("job ended %s: %s", fin.State, fin.Error)
+		}
+		s.mu.Lock()
+		held := s.analyses[st.ID].(*job).mounts
+		s.mu.Unlock()
+		if held != nil {
+			t.Fatalf("finished job %s still holds its mounts", st.ID)
+		}
+	}
+	round() // connections, pools and lazily built tables settle
+	const rounds = 4
+	base := settledHeap()
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	perRound := (settledHeap() - base) / rounds
+	t.Logf("post-GC heap grows %d KiB per finished job (%d KiB of decoded upload)", perRound>>10, upload>>10)
+	if perRound > upload {
+		t.Errorf("every finished job keeps %d KiB on the heap against a %d KiB upload: the archive was not released", perRound>>10, upload>>10)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"metascope/internal/archive"
 	"metascope/internal/conformance"
+	"metascope/internal/cube"
 	"metascope/internal/obs"
 	"metascope/internal/replay"
 	"metascope/internal/trace"
@@ -41,8 +42,8 @@ func blockedServer(t testing.TB, opts Options) (*Server, *stdhttptest.Server) {
 	// drain waits on the pool.
 	t.Cleanup(func() {
 		s.mu.Lock()
-		for _, j := range s.jobs {
-			j.cancel(errJobCancelled)
+		for _, f := range s.order {
+			s.stop(f, errCancelled)
 		}
 		s.mu.Unlock()
 	})
@@ -221,7 +222,7 @@ func TestRobustFaultCorpus(t *testing.T) {
 	checkJobOracle(t, ts.URL, awaitJob(t, ts.URL, st.ID), b)
 }
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -585,4 +586,265 @@ func TestRobustJobList(t *testing.T) {
 	for _, id := range ids {
 		awaitJob(t, ts.URL, id)
 	}
+}
+
+// pairArchive encodes pairTraces as the per-rank chunk streams a session
+// takes; pairBundle zips such streams into the upload a job takes.
+func pairArchive(t testing.TB, ranks, rounds int) (traces []*trace.Trace, blobs [][]byte) {
+	t.Helper()
+	traces = pairTraces(ranks, rounds)
+	for _, tr := range traces {
+		var buf bytes.Buffer
+		must(t, tr.EncodeV2(&buf))
+		blobs = append(blobs, buf.Bytes())
+	}
+	return traces, blobs
+}
+
+func pairBundle(t testing.TB, traces []*trace.Trace, blobs [][]byte) []byte {
+	t.Helper()
+	entries := make(map[string][]byte)
+	for r, b := range blobs {
+		entries[fmt.Sprintf("mh%d/%s", traces[r].Loc.Metahost, archive.TraceFile("epik_pair", r))] = b
+	}
+	return newZipWith(t, new(bytes.Buffer), entries)
+}
+
+// deleteID issues DELETE on a job or session path.
+func deleteID(t testing.TB, url string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, url, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+}
+
+// TestRobustEndings is the one table of how an analysis can end, for
+// both feeders: whichever way it goes, the record reaches the terminal
+// state, the result endpoint answers the classified status, a failure
+// carries a message, and exactly one outcome label of the feeder's own
+// counter family moves, once. done is closed by the same transition —
+// a second close would panic the server under test.
+func TestRobustEndings(t *testing.T) {
+	traces, blobs := pairArchive(t, 8, 2000)
+	bundle := pairBundle(t, traces, blobs)
+	managed := func(t *testing.T, opts Options) (*Server, string) {
+		s, ts := newTestServer(t, opts)
+		return s, ts.URL
+	}
+	blocked := func(t *testing.T, opts Options) (*Server, string) {
+		s, ts := blockedServer(t, opts)
+		return s, ts.URL
+	}
+	// drained builds a server the case drains itself.
+	drained := func(t *testing.T, opts Options) (*Server, string) {
+		opts.Obs = testRecorder()
+		s := New(opts)
+		return s, httptestStart(t, s).URL
+	}
+	submit := func(t *testing.T, url string, zip []byte) string {
+		st, resp := submitZip(t, url, zip, "")
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		return st.ID
+	}
+	open := func(t *testing.T, url string) string {
+		return openSession(t, url, fmt.Sprintf("?ranks=%d&scheme=hier", len(blobs))).ID
+	}
+	// backlog uploads every rank whole, rank 0 — and with it the last
+	// header the replay waits for — last: the analysis starts with the
+	// archive's full length still to sweep, tens of milliseconds that a
+	// finalize requested next is certainly still inside.
+	backlog := func(t *testing.T, url, id string) {
+		for r := len(blobs) - 1; r >= 0; r-- {
+			if code, body := putChunk(t, url, id, traces[r].Loc.Metahost, r, 0, blobs[r], true); code != http.StatusOK {
+				t.Fatalf("rank %d: HTTP %d %v", r, code, body)
+			}
+		}
+	}
+	finalize := func(t *testing.T, url, id string) {
+		resp, err := http.Post(url+"/v1/sessions/"+id+"/finalize", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cases := []struct {
+		name    string
+		feeder  string // "job" or "session"
+		start   func(*testing.T, Options) (*Server, string)
+		opts    Options
+		drive   func(t *testing.T, s *Server, url string) string // returns the id of the analysis under test
+		state   State
+		status  int
+		outcome string
+	}{
+		{"done", "job", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			return submit(t, url, bundle)
+		}, StateDone, http.StatusOK, "done"},
+		{"done", "session", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			id := open(t, url)
+			uploadSession(t, url, id, traces, blobs, 64<<10)
+			finalize(t, url, id)
+			return id
+		}, StateDone, http.StatusOK, "done"},
+
+		{"cancelled before running", "job", blocked, Options{Workers: 1}, func(t *testing.T, s *Server, url string) string {
+			waitState(t, s, submit(t, url, bundle), StateRunning)
+			id := submit(t, url, bundle)
+			deleteID(t, url+"/v1/jobs/"+id)
+			return id
+		}, StateCancelled, http.StatusConflict, "cancelled_queued"},
+		{"cancelled while open", "session", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			id := open(t, url)
+			deleteID(t, url+"/v1/sessions/"+id)
+			return id
+		}, StateCancelled, http.StatusConflict, "cancelled"},
+
+		{"cancelled while running", "job", blocked, Options{}, func(t *testing.T, s *Server, url string) string {
+			id := submit(t, url, bundle)
+			waitState(t, s, id, StateRunning)
+			deleteID(t, url+"/v1/jobs/"+id)
+			return id
+		}, StateCancelled, http.StatusConflict, "cancelled"},
+		{"cancelled while finalizing", "session", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			id := open(t, url)
+			backlog(t, url, id)
+			finalize(t, url, id)
+			deleteID(t, url+"/v1/sessions/"+id)
+			return id
+		}, StateCancelled, http.StatusConflict, "cancelled"},
+
+		{"time budget", "job", blocked, Options{JobTimeout: 20 * time.Millisecond}, func(t *testing.T, s *Server, url string) string {
+			return submit(t, url, bundle)
+		}, StateFailed, http.StatusGatewayTimeout, "timeout"},
+		{"time budget", "session", managed, Options{JobTimeout: time.Millisecond}, func(t *testing.T, s *Server, url string) string {
+			id := open(t, url)
+			backlog(t, url, id)
+			finalize(t, url, id)
+			return id
+		}, StateFailed, http.StatusGatewayTimeout, "timeout"},
+		{"idle timeout", "session", managed, Options{SessionIdleTimeout: 20 * time.Millisecond}, func(t *testing.T, s *Server, url string) string {
+			return open(t, url)
+		}, StateFailed, http.StatusGatewayTimeout, "timeout"},
+
+		{"corrupt input", "job", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			torn := append([][]byte{blobs[0][:len(blobs[0])/2]}, blobs[1:]...)
+			return submit(t, url, pairBundle(t, traces, torn))
+		}, StateFailed, http.StatusUnprocessableEntity, "failed"},
+		{"corrupt input", "session", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			id := open(t, url)
+			if code, _ := putChunk(t, url, id, 0, 0, 0, []byte("mscp?this is not a trace"), false); code != http.StatusUnprocessableEntity {
+				t.Fatalf("garbage chunk: HTTP %d, want 422", code)
+			}
+			return id
+		}, StateFailed, http.StatusUnprocessableEntity, "failed"},
+		{"panic", "job", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			s.runJob = func(context.Context, *job) (*replay.Result, error) { panic("analyzer tripped over the archive") }
+			return submit(t, url, bundle)
+		}, StateFailed, http.StatusInternalServerError, "panic"},
+
+		{"drain deadline", "job", drained, Options{}, func(t *testing.T, s *Server, url string) string {
+			s.runJob = func(ctx context.Context, j *job) (*replay.Result, error) {
+				<-ctx.Done()
+				return nil, context.Cause(ctx)
+			}
+			id := submit(t, url, bundle)
+			waitState(t, s, id, StateRunning)
+			if err := s.Drain(expired); err != context.Canceled {
+				t.Fatalf("drain past its deadline returned %v", err)
+			}
+			return id
+		}, StateCancelled, http.StatusConflict, "cancelled"},
+		{"drain deadline", "session", drained, Options{}, func(t *testing.T, s *Server, url string) string {
+			id := open(t, url)
+			backlog(t, url, id)
+			finalize(t, url, id)
+			if err := s.Drain(expired); err != context.Canceled {
+				t.Fatalf("drain past its deadline returned %v", err)
+			}
+			return id
+		}, StateCancelled, http.StatusConflict, "cancelled"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.feeder+"/"+tc.name, func(t *testing.T) {
+			tc.opts.CacheEntries = -1
+			s, url := tc.start(t, tc.opts)
+			id := tc.drive(t, s, url)
+			select {
+			case <-s.lookup(id).record().done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s never settled", id)
+			}
+
+			path := map[string]string{"job": "/v1/jobs/", "session": "/v1/sessions/"}[tc.feeder]
+			_, body := getBody(t, url+path+id)
+			var st struct {
+				State State  `json:"state"`
+				Error string `json:"error"`
+			}
+			must(t, json.Unmarshal(body, &st))
+			if st.State != tc.state {
+				t.Errorf("state %q (%s), want %q", st.State, st.Error, tc.state)
+			}
+			if (st.Error == "") != (tc.state == StateDone) {
+				t.Errorf("state %s with error %q", st.State, st.Error)
+			}
+			// Both result routes are one handler over one store.
+			for _, route := range []string{"/v1/jobs/", "/v1/experiments/"} {
+				if code, body := getBody(t, url+route+id+"/result"); code != tc.status {
+					t.Errorf("GET %s%s/result: HTTP %d (%s), want %d", route, id, code, body, tc.status)
+				}
+			}
+			moved := map[string]float64{}
+			for _, fam := range s.rec.Reg.Snapshot() {
+				if fam.Name == "metascope_serve_jobs_total" || fam.Name == "metascope_serve_sessions_total" {
+					for _, ser := range fam.Series {
+						if ser.Value != 0 {
+							moved[fam.Name+"/"+ser.Labels["outcome"]] = ser.Value
+						}
+					}
+				}
+			}
+			want := map[string]string{"job": "metascope_serve_jobs_total/", "session": "metascope_serve_sessions_total/"}[tc.feeder] + tc.outcome
+			if len(moved) != 1 || moved[want] != 1 {
+				t.Errorf("outcome counters moved %v, want exactly %s once", moved, want)
+			}
+		})
+	}
+
+	// The same archive through both feeders is the same analysis: the
+	// diff of a job against a session is zero in every cell.
+	t.Run("job and session agree", func(t *testing.T) {
+		_, url := managed(t, Options{})
+		jobID := submit(t, url, bundle)
+		sessID := open(t, url)
+		uploadSession(t, url, sessID, traces, blobs, 64<<10)
+		if fin := finalizeSession(t, url, sessID); fin.State != "done" {
+			t.Fatalf("session ended %s: %s", fin.State, fin.Error)
+		}
+		awaitJob(t, url, jobID)
+		code, body := getBody(t, fmt.Sprintf("%s/v1/diff?a=%s&b=%s", url, jobID, sessID))
+		if code != http.StatusOK {
+			t.Fatalf("diff: HTTP %d %s", code, body)
+		}
+		diff, err := cube.Read(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("diff cube does not parse: %v", err)
+		}
+		if len(diff.Metrics) == 0 {
+			t.Fatal("diff carries no metrics")
+		}
+		for m := range diff.Metrics {
+			if v := diff.MetricTotal(m); v != 0 {
+				t.Errorf("%s: job and session differ by %g", diff.Metrics[m].Key, v)
+			}
+		}
+	})
 }

@@ -5,6 +5,10 @@
 // pool behind a FIFO queue, and serving results from an LRU cache
 // keyed by archive content digest.
 //
+// Live sessions (session.go) feed the same pipeline incrementally; a job
+// and a session are one kind of record, an analysis (analysis.go): one
+// store, one lock, one terminal transition, one set of result handlers.
+//
 // Robustness is first-class:
 //
 //   - queue backpressure: a full queue rejects with 429 and a
@@ -41,7 +45,6 @@ import (
 	"time"
 
 	"metascope/internal/archive"
-	"metascope/internal/cube"
 	"metascope/internal/obs"
 	"metascope/internal/obs/flight"
 	"metascope/internal/replay"
@@ -119,15 +122,15 @@ type Server struct {
 	fw *flight.Writer
 	fn serveFlightNames
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string // submission order, for the list endpoint
-	sessions  map[string]*session
-	sessOrder []string // creation order, for the session list endpoint
-	nextID    int64
-	queue     chan *job
-	draining  bool
-	ewmaSec   float64 // exponentially weighted job duration, for Retry-After
+	// mu guards the store, every analysis record in it, and the fields
+	// below; no analysis carries a lock of its own.
+	mu       sync.Mutex
+	analyses map[string]feeder
+	order    []feeder // registration order, for the list endpoints
+	nextID   int64
+	queue    chan *job
+	draining bool
+	ewmaSec  float64 // exponentially weighted job duration, for Retry-After
 
 	wg sync.WaitGroup
 
@@ -172,8 +175,7 @@ func New(opts Options) *Server {
 		opts:     opts,
 		rec:      obs.OrDefault(opts.Obs),
 		cache:    NewLRU(opts.CacheEntries),
-		jobs:     make(map[string]*job),
-		sessions: make(map[string]*session),
+		analyses: make(map[string]feeder),
 		queue:    make(chan *job, opts.QueueDepth),
 		start:    time.Now(),
 	}
@@ -202,8 +204,8 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("PUT /v1/sessions/{id}/ranks/{mh}/{rank}", s.handleChunk)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/finalize", s.handleFinalize)
 	s.mux.HandleFunc("GET /v1/experiments/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/experiments/{id}/result", s.handleExperimentResult)
-	s.mux.HandleFunc("GET /v1/experiments/{id}/profile", s.handleExperimentProfile)
+	s.mux.HandleFunc("GET /v1/experiments/{id}/result", s.handleResult)
+	s.mux.HandleFunc("GET /v1/experiments/{id}/profile", s.handleProfile)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /debug/obs", s.handleDebugObs)
@@ -232,12 +234,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.draining = true
 	close(s.queue)
+	// Open sessions cannot finish on their own (they wait for uploads
+	// that will never come once intake is closed), so end them now; their
+	// reapers join s.wg and are waited for below.
+	for _, f := range s.order {
+		if sess, ok := f.(*session); ok && sess.state == stateOpen {
+			s.stop(sess, errDrainAborted)
+		}
+	}
 	s.mu.Unlock()
 	s.rec.Log.Info("draining: intake closed, waiting for accepted jobs")
-	// Live sessions cannot finish on their own (they wait for uploads
-	// that will never come once intake is closed), so abort them now;
-	// their reapers join s.wg and are waited for below.
-	s.drainSessions()
 
 	done := make(chan struct{})
 	go func() {
@@ -249,20 +255,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		for _, j := range s.jobs {
-			if !j.state.terminal() {
-				if j.state == StateQueued {
-					j.state = StateCancelled
-					j.err = errDrainAborted.Error()
-					j.finished = time.Now()
-					close(j.done)
-					s.m.outcomes.With("cancelled_queued").Inc()
-				}
-				j.cancel(errDrainAborted)
-			}
+		for _, f := range s.order {
+			s.stop(f, errDrainAborted)
 		}
 		s.mu.Unlock()
-		<-done // workers unwind promptly: the replay honors cancellation
+		<-done // analyses unwind promptly: the replay honors cancellation
 		return ctx.Err()
 	}
 }
@@ -291,26 +288,10 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 // directory name for path submissions). A content-digest cache hit
 // completes the job immediately without occupying a queue slot.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		s.m.rejected.With("draining").Inc()
-		s.fail(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
+	scheme, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-
-	scheme := s.opts.Scheme
-	if v := r.URL.Query().Get("scheme"); v != "" {
-		parsed, err := vclock.ParseScheme(v)
-		if err != nil {
-			s.m.rejected.With("bad_request").Inc()
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		scheme = parsed
-	}
-
 	var (
 		mounts    *archive.Mounts
 		metahosts []int
@@ -336,15 +317,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var digest string
 		digest, err = Digest(mounts, metahosts, dir)
 		if err == nil {
-			s.submit(w, r, &job{
-				source: source, digest: digest, scheme: scheme,
+			s.submit(w, scheme, &job{
+				source: source, digest: digest,
 				mounts: mounts, metahosts: metahosts, dir: dir,
 			})
 			return
 		}
 	}
-	s.m.rejected.With("bad_request").Inc()
-	s.fail(w, http.StatusBadRequest, "%v", err)
+	s.reject(w, "bad_request", http.StatusBadRequest, "%v", err)
 }
 
 // mountPath resolves a server-side path submission strictly under the
@@ -363,10 +343,8 @@ func (s *Server) mountPath(p, dirOverride string) (*archive.Mounts, []int, strin
 // submit registers the job and either serves it from the result cache
 // or enqueues it; a full queue rejects with 429 and a Retry-After
 // estimate derived from observed job latency.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
-	j.cacheKey = j.digest + "|" + j.scheme.String()
-	j.submitted = time.Now()
-	j.done = make(chan struct{})
+func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) {
+	j.cacheKey = j.digest + "|" + scheme.String()
 	j.ctx, j.cancel = context.WithCancelCause(context.Background())
 
 	cached, hit := s.cache.Get(j.cacheKey)
@@ -380,54 +358,39 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.m.rejected.With("draining").Inc()
-		s.fail(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
+		s.rejectDraining(w)
 		return
 	}
-	s.nextID++
-	j.id = "job-" + strconv.FormatInt(s.nextID, 10)
-	j.serial = int32(s.nextID)
-	if hit {
-		j.state = StateDone
-		j.cached = true
-		j.result = cached.(*replay.Result)
-		j.finished = j.submitted
-		close(j.done)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		st := j.statusLocked(time.Now())
+	// Only submit sends on the queue, and only under the lock: a queue
+	// with room here still has it at the send below.
+	if !hit && len(s.queue) == cap(s.queue) {
+		retry := s.retryAfterLocked()
 		s.mu.Unlock()
-		s.fw.Emit(flight.CacheHit, j.serial, s.fn.cache, 0, 0)
-		s.emitJobState(j.serial, StateDone)
-		s.m.submitted.With(j.source).Inc()
-		s.m.outcomes.With("cache").Inc()
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusOK, st)
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		s.reject(w, "queue_full", http.StatusTooManyRequests,
+			"analysis queue is full (%d waiting); retry in ~%ds", s.opts.QueueDepth, retry)
 		return
 	}
-	select {
-	case s.queue <- j:
-		j.state = StateQueued
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+	s.register(j, "job", scheme, StateQueued)
+	status := http.StatusAccepted
+	if hit {
+		status = http.StatusOK
+		j.cached = true
+		s.fw.Emit(flight.CacheHit, j.serial, s.fn.cache, 0, 0)
+		s.settle(j, cached.(*replay.Result), nil, nil)
+	} else {
+		s.queue <- j
 		qlen := len(s.queue)
 		s.m.queueDepth.Set(float64(qlen))
-		st := j.statusLocked(time.Now())
-		s.mu.Unlock()
 		s.fw.Emit(flight.CacheMiss, j.serial, s.fn.cache, 0, 0)
 		s.fw.Emit(flight.Enqueue, j.serial, s.fn.queue, int64(qlen), 0)
 		s.emitJobState(j.serial, StateQueued)
-		s.m.submitted.With(j.source).Inc()
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, st)
-	default:
-		retry := s.retryAfterLocked()
-		s.mu.Unlock()
-		s.m.rejected.With("queue_full").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.fail(w, http.StatusTooManyRequests,
-			"analysis queue is full (%d waiting); retry in ~%ds", s.opts.QueueDepth, retry)
 	}
+	st := j.statusLocked(time.Now())
+	s.mu.Unlock()
+	s.m.submitted.With(j.source).Inc()
+	w.Header().Set("Location", "/v1/jobs/"+j.id)
+	writeJSON(w, status, st)
 }
 
 // retryAfterLocked estimates (in whole seconds, at least 1) how long
@@ -449,39 +412,23 @@ func (s *Server) retryAfterLocked() int {
 	return retry
 }
 
-// lookup fetches a job by the request's {id} path value.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+// lookupJob fetches a job by the request's {id} path value.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
+	j, ok := s.lookup(id).(*job)
+	if !ok {
 		s.fail(w, http.StatusNotFound, "no such job %q", id)
-		return nil
 	}
 	return j
 }
 
-// handleStatus reports one job. ?wait=DUR (or wait=1 for "until the
-// request context ends") blocks until the job reaches a terminal
-// state, turning the status poll into a long poll.
+// handleStatus reports one job; ?wait= turns the poll into a long poll.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
+	j := s.lookupJob(w, r)
 	if j == nil {
 		return
 	}
-	if v := r.URL.Query().Get("wait"); v != "" {
-		waitCtx := r.Context()
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			var cancel context.CancelFunc
-			waitCtx, cancel = context.WithTimeout(waitCtx, d)
-			defer cancel()
-		}
-		select {
-		case <-j.done:
-		case <-waitCtx.Done():
-		}
-	}
+	await(r, &j.analysis)
 	s.mu.Lock()
 	st := j.statusLocked(time.Now())
 	s.mu.Unlock()
@@ -491,10 +438,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleList reports every job in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
+	out := []JobStatus{}
 	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].statusLocked(now))
+	for _, f := range s.order {
+		if j, ok := f.(*job); ok {
+			out = append(out, j.statusLocked(now))
+		}
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -505,105 +454,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // replay unblocks) and frees the worker slot. Terminal jobs are left
 // untouched and reported as-is, so cancellation is idempotent.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
+	j := s.lookupJob(w, r)
 	if j == nil {
 		return
 	}
 	s.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		// The job never started: the worker drops it at dequeue. The
-		// distinct outcome label separates free cancellations (no work
-		// lost) from interrupted analyses.
-		j.state = StateCancelled
-		j.err = errJobCancelled.Error()
-		j.finished = time.Now()
-		close(j.done)
-		s.m.outcomes.With("cancelled_queued").Inc()
-	case StateRunning:
-		// finish() classifies the unwound analysis as cancelled via the
-		// context cause.
-	}
-	j.cancel(errJobCancelled)
+	s.stop(j, errCancelled)
 	st := j.statusLocked(time.Now())
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleResult serves a finished job's cube report in the mscpcube
-// text format (parse it with internal/cube.Read or render it with
-// mtprint). Unfinished jobs answer 409; failed jobs answer with the
-// failure's classified status and a JSON error.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	s.mu.Lock()
-	state, errMsg, failStatus, res := j.state, j.err, j.failStatus, j.result
-	s.mu.Unlock()
-	switch {
-	case !state.terminal():
-		s.fail(w, http.StatusConflict, "job %s is %s; retry after it finishes", j.id, state)
-	case state == StateCancelled:
-		s.fail(w, http.StatusConflict, "job %s was cancelled", j.id)
-	case state == StateFailed:
-		s.fail(w, failStatus, "job %s failed: %s", j.id, errMsg)
-	default:
-		w.Header().Set("Content-Type", "text/x-mscpcube; charset=utf-8")
-		res.Report.Write(w)
-	}
-}
-
-// handleProfile serves a finished job's time-resolved wait-state
-// profile as JSON.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	s.mu.Lock()
-	state, res := j.state, j.result
-	s.mu.Unlock()
-	if state != StateDone {
-		s.fail(w, http.StatusConflict, "job %s is %s; the profile exists once it is done", j.id, state)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	res.Profile.WriteJSON(w)
-}
-
-// handleDiff serves the mtdiff-style comparison (cube algebra
-// difference b − a) of two finished jobs: GET /v1/diff?a=ID&b=ID.
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	get := func(key string) (*replay.Result, bool) {
-		id := r.URL.Query().Get(key)
-		s.mu.Lock()
-		j := s.jobs[id]
-		s.mu.Unlock()
-		if j == nil {
-			s.fail(w, http.StatusNotFound, "parameter %q: no such job %q", key, id)
-			return nil, false
-		}
-		s.mu.Lock()
-		state, res := j.state, j.result
-		s.mu.Unlock()
-		if state != StateDone {
-			s.fail(w, http.StatusConflict, "parameter %q: job %s is %s", key, id, state)
-			return nil, false
-		}
-		return res, true
-	}
-	ra, ok := get("a")
-	if !ok {
-		return
-	}
-	rb, ok := get("b")
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "text/x-mscpcube; charset=utf-8")
-	cube.Diff(ra.Report, rb.Report).Write(w)
 }
 
 // handleMetrics exposes the recorder's registry in Prometheus text
@@ -613,26 +472,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.rec.Reg.WritePrometheus(w)
-}
-
-// handleTrace serves one job's flight recording as Chrome trace JSON
-// (load it in Perfetto / chrome://tracing): the job's replay-worker
-// lanes plus the service actor's queue and cache events.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	if !s.rec.Flight.Enabled() {
-		s.fail(w, http.StatusConflict,
-			"flight recorder is disabled; start the server with flight recording on")
-		return
-	}
-	s.mu.Lock()
-	serial := j.serial
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	flight.WriteChrome(w, s.rec.Flight.Snapshot().FilterJob(serial))
 }
 
 // handleDebugObs serves the recorder's debug snapshot: phase spans,
@@ -682,16 +521,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueCapacity:  s.opts.QueueDepth,
 		CacheEntries:   s.cache.Len(),
 		Jobs:           make(map[State]int),
+		Sessions:       make(map[string]int),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: ms.HeapAlloc,
 		Flight:         s.rec.Flight.Stats(),
 	}
-	h.Sessions, h.LiveSessions, h.OldestSessionSeconds = s.sessionCensus()
+	now := time.Now()
 	s.mu.Lock()
 	h.QueueDepth = len(s.queue)
-	for _, j := range s.jobs {
-		h.Jobs[j.state]++
+	for _, f := range s.order {
+		a := f.record()
+		if _, ok := f.(*job); ok {
+			h.Jobs[a.state]++
+			continue
+		}
+		h.Sessions[string(a.state)]++
+		if !a.state.terminal() {
+			h.LiveSessions++
+			h.OldestSessionSeconds = max(h.OldestSessionSeconds, now.Sub(a.created).Seconds())
+		}
 	}
 	h.EWMAJobSeconds = s.ewmaSec
 	draining := s.draining
@@ -719,7 +568,8 @@ func newServeFlightNames(fl *flight.Recorder) serveFlightNames {
 	}
 }
 
-// Job state codes carried in the A argument of JobState flight events.
+// State codes carried in the A argument of JobState flight events; a
+// session records only its terminal state.
 var flightStateCode = map[State]int64{
 	StateQueued:    0,
 	StateRunning:   1,
@@ -728,7 +578,7 @@ var flightStateCode = map[State]int64{
 	StateCancelled: 4,
 }
 
-// emitJobState records a job lifecycle transition on the service
+// emitJobState records a lifecycle transition on the service
 // actor's shard. No-op while the recorder is disabled.
 func (s *Server) emitJobState(serial int32, st State) {
 	s.fw.Emit(flight.JobState, serial, s.fn.state, flightStateCode[st], 0)

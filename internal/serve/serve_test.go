@@ -150,10 +150,9 @@ func waitState(t testing.TB, s *Server, id string, want State) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		s.mu.Lock()
-		j := s.jobs[id]
 		var got State
-		if j != nil {
-			got = j.state
+		if f := s.analyses[id]; f != nil {
+			got = f.record().state
 		}
 		s.mu.Unlock()
 		if got == want {

@@ -3,16 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"metascope/internal/replay"
-	"metascope/internal/vclock"
 )
 
 // Live analysis sessions: instead of uploading a finished archive as
@@ -34,35 +33,20 @@ import (
 // misplaced rank would silently corrupt the metahost attribution of
 // every grid pattern.
 
-var (
-	errSessionIdle    = errors.New("session idle timeout expired")
-	errSessionDeleted = errors.New("session deleted by client")
-)
-
-// session is one live analysis session.
+// session is one live analysis session: the analysis record plus the
+// engine that feeds it, the stream it publishes and the chunk-protocol
+// table, which alone carries locks of its own.
 type session struct {
-	id      string
-	serial  int32
-	scheme  vclock.Scheme
-	window  float64
-	created time.Time
+	analysis
+	window float64
 
-	live *replay.Live
-	log  *eventLog
+	live  *replay.Live
+	log   *eventLog
+	ranks []sessRank
 
-	ranks []*sessRank
-
-	mu        sync.Mutex
-	state     string // open | finalizing | done | failed | cancelled
-	errMsg    string
-	cancelled bool
-	timedOut  bool
-	result    *replay.Result
-	finished  time.Time
-	idle      *time.Timer
-
-	reap sync.Once     // guards the single Finalize call
-	done chan struct{} // closed when the session reaches a terminal state
+	cause error // why the session was stopped; nil while it runs its course
+	idle  *time.Timer
+	reap  sync.Once // guards the single Finalize call
 }
 
 // sessRank is the per-rank upload state. Its mutex serializes the
@@ -74,14 +58,6 @@ type sessRank struct {
 	bytes     int64
 	finished  bool
 	mhChecked bool
-}
-
-func (sess *session) terminal() bool {
-	switch sess.state {
-	case "done", "failed", "cancelled":
-		return true
-	}
-	return false
 }
 
 // SessionStatus is the session JSON document.
@@ -112,22 +88,23 @@ type RankUploadStatus struct {
 	Finished bool  `json:"finished"`
 }
 
-// status renders the session document. detail=true includes the
+// sessionStatus renders the session document. detail=true includes the
 // per-rank upload table (single-session GET; the list stays compact).
-func (sess *session) status(detail bool) SessionStatus {
+func (s *Server) sessionStatus(sess *session, detail bool) SessionStatus {
 	ls := sess.live.Status()
-	sess.mu.Lock()
 	st := SessionStatus{
-		ID: sess.id, State: sess.state, Error: sess.errMsg,
-		Scheme: sess.scheme.String(), Ranks: ls.Ranks, WindowSec: sess.window,
+		ID: sess.id, Scheme: sess.scheme.String(), Ranks: ls.Ranks, WindowSec: sess.window,
 		AgeSeconds:      time.Since(sess.created).Seconds(),
 		HeadersComplete: ls.Headers, RanksFinished: ls.RanksFinished,
 		BytesIngested: ls.BytesIngested, EventsIngested: ls.EventsIngested,
 		Events: sess.log.len(),
 	}
-	sess.mu.Unlock()
+	s.mu.Lock()
+	st.State, st.Error = string(sess.state), sess.err
+	s.mu.Unlock()
 	if detail {
-		for i, sr := range sess.ranks {
+		for i := range sess.ranks {
+			sr := &sess.ranks[i]
 			sr.mu.Lock()
 			st.RankDetail = append(st.RankDetail, RankUploadStatus{
 				Rank: i, NextSeq: sr.nextSeq, Chunks: sr.chunks,
@@ -142,82 +119,54 @@ func (sess *session) status(detail bool) SessionStatus {
 // handleSessionCreate opens a session:
 // POST /v1/sessions?ranks=N[&scheme=...][&window=DUR][&title=...]
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	open := 0
-	for _, sess := range s.sessions {
-		sess.mu.Lock()
-		if !sess.terminal() {
-			open++
-		}
-		sess.mu.Unlock()
-	}
-	s.mu.Unlock()
-	if draining {
-		s.m.rejected.With("draining").Inc()
-		s.fail(w, http.StatusServiceUnavailable, "server is draining; not accepting sessions")
+	scheme, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	if open >= s.opts.MaxSessions {
-		s.m.rejected.With("sessions_full").Inc()
-		s.fail(w, http.StatusTooManyRequests, "%d live sessions already open (limit %d)", open, s.opts.MaxSessions)
-		return
-	}
-
 	ranks, err := strconv.Atoi(r.URL.Query().Get("ranks"))
 	if err != nil || ranks <= 0 {
-		s.m.rejected.With("bad_request").Inc()
-		s.fail(w, http.StatusBadRequest, "pass ?ranks=N (positive world size), got %q", r.URL.Query().Get("ranks"))
+		s.reject(w, "bad_request", http.StatusBadRequest,
+			"pass ?ranks=N (positive world size), got %q", r.URL.Query().Get("ranks"))
 		return
-	}
-	scheme := s.opts.Scheme
-	if v := r.URL.Query().Get("scheme"); v != "" {
-		parsed, perr := vclock.ParseScheme(v)
-		if perr != nil {
-			s.m.rejected.With("bad_request").Inc()
-			s.fail(w, http.StatusBadRequest, "%v", perr)
-			return
-		}
-		scheme = parsed
 	}
 	window := s.opts.WindowSec
 	if v := r.URL.Query().Get("window"); v != "" {
 		d, derr := time.ParseDuration(v)
 		if derr != nil || d <= 0 {
-			s.m.rejected.With("bad_request").Inc()
-			s.fail(w, http.StatusBadRequest, "bad ?window=%q: want a positive duration", v)
+			s.reject(w, "bad_request", http.StatusBadRequest, "bad ?window=%q: want a positive duration", v)
 			return
 		}
 		window = d.Seconds()
 	}
+	sess := &session{window: window, log: newEventLog(), ranks: make([]sessRank, ranks)}
 
+	// Counting the open sessions and registering the new one is one
+	// critical section: MaxSessions holds under concurrent creates.
 	s.mu.Lock()
-	if s.draining {
+	open := 0
+	for _, f := range s.order {
+		if _, ok := f.(*session); ok && !f.record().state.terminal() {
+			open++
+		}
+	}
+	switch {
+	case s.draining:
 		s.mu.Unlock()
-		s.m.rejected.With("draining").Inc()
-		s.fail(w, http.StatusServiceUnavailable, "server is draining; not accepting sessions")
+		s.rejectDraining(w)
+		return
+	case open >= s.opts.MaxSessions:
+		s.mu.Unlock()
+		s.reject(w, "sessions_full", http.StatusTooManyRequests,
+			"%d live sessions already open (limit %d)", open, s.opts.MaxSessions)
 		return
 	}
-	s.nextID++
-	sess := &session{
-		id:      "exp-" + strconv.FormatInt(s.nextID, 10),
-		serial:  int32(s.nextID),
-		scheme:  scheme,
-		window:  window,
-		created: time.Now(),
-		state:   "open",
-		log:     newEventLog(),
-		ranks:   make([]*sessRank, ranks),
-		done:    make(chan struct{}),
-	}
-	for i := range sess.ranks {
-		sess.ranks[i] = &sessRank{}
-	}
+	s.register(sess, "exp", scheme, stateOpen)
 	title := r.URL.Query().Get("title")
 	if title == "" {
 		title = fmt.Sprintf("%s (%d processes, %v)", sess.id, ranks, scheme)
 	}
-	live, err := replay.NewLive(replay.LiveConfig{
+	// NewLive refuses only a non-positive world size, checked above.
+	sess.live, _ = replay.NewLive(replay.LiveConfig{
 		Config: replay.Config{
 			Scheme: scheme, Title: title,
 			Obs: s.rec, FlightJob: sess.serial,
@@ -227,35 +176,23 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		EmitEvery: s.opts.StreamTick,
 		OnEvent:   sess.log.append,
 	})
-	if err != nil {
-		s.mu.Unlock()
-		s.m.rejected.With("bad_request").Inc()
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sess.live = live
 	if s.opts.SessionIdleTimeout > 0 {
-		sess.idle = time.AfterFunc(s.opts.SessionIdleTimeout, func() { s.expireSession(sess) })
+		sess.idle = time.AfterFunc(s.opts.SessionIdleTimeout, func() { s.expire(sess) })
 	}
-	s.sessions[sess.id] = sess
-	s.sessOrder = append(s.sessOrder, sess.id)
-	s.mu.Unlock()
 	s.m.sessionsOpen.Add(1)
+	s.mu.Unlock()
 	s.rec.Log.Info("live session opened", "id", sess.id, "ranks", ranks,
 		"scheme", scheme.String(), "window_sec", window)
 	w.Header().Set("Location", "/v1/sessions/"+sess.id)
-	writeJSON(w, http.StatusCreated, sess.status(true))
+	writeJSON(w, http.StatusCreated, s.sessionStatus(sess, true))
 }
 
 // lookupSession fetches a session by the request's {id} path value.
 func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	sess := s.sessions[id]
-	s.mu.Unlock()
-	if sess == nil {
+	sess, ok := s.lookup(id).(*session)
+	if !ok {
 		s.fail(w, http.StatusNotFound, "no such session %q", id)
-		return nil
 	}
 	return sess
 }
@@ -263,26 +200,22 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session 
 // handleSessionList reports every session in creation order.
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	order := append([]string(nil), s.sessOrder...)
-	sessions := make([]*session, 0, len(order))
-	for _, id := range order {
-		sessions = append(sessions, s.sessions[id])
-	}
+	all := slices.Clone(s.order)
 	s.mu.Unlock()
-	out := make([]SessionStatus, 0, len(sessions))
-	for _, sess := range sessions {
-		out = append(out, sess.status(false))
+	out := []SessionStatus{}
+	for _, f := range all {
+		if sess, ok := f.(*session); ok {
+			out = append(out, s.sessionStatus(sess, false))
+		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 // handleSessionStatus reports one session with per-rank upload detail.
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
+	if sess := s.lookupSession(w, r); sess != nil {
+		writeJSON(w, http.StatusOK, s.sessionStatus(sess, true))
 	}
-	writeJSON(w, http.StatusOK, sess.status(true))
 }
 
 // chunkAck is the reply to a chunk PUT: whether these bytes were applied
@@ -365,16 +298,28 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sr := sess.ranks[rank]
+	sr := &sess.ranks[rank]
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 
-	sess.mu.Lock()
+	// A chunk arriving is the sign of life the idle watchdog waits for.
+	s.mu.Lock()
 	state := sess.state
-	sess.mu.Unlock()
-	if state != "open" {
+	if state == stateOpen && sess.idle != nil {
+		sess.idle.Reset(s.opts.SessionIdleTimeout)
+	}
+	s.mu.Unlock()
+	if state != stateOpen {
 		s.fail(w, http.StatusConflict, "session %s is %s; chunks are only accepted while open", sess.id, state)
 		return
+	}
+	// An ingest failure ends the whole session: the engine has aborted
+	// (or is about to be), and the reaper tears the replay down.
+	ingestFailed := func(err error) {
+		s.mu.Lock()
+		s.stop(sess, err)
+		s.mu.Unlock()
+		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 	}
 	ack := func(applied bool) {
 		writeJSON(w, http.StatusOK, chunkAck{
@@ -398,8 +343,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := sess.live.FeedChunk(rank, body); err != nil {
-		s.failSession(sess, err)
-		s.fail(w, http.StatusUnprocessableEntity, "rank %d chunk rejected: %v", rank, err)
+		ingestFailed(fmt.Errorf("rank %d chunk rejected: %w", rank, err))
 		return
 	}
 	sr.nextSeq++
@@ -409,33 +353,20 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		if loc, ok := sess.live.RankLocation(rank); ok {
 			sr.mhChecked = true
 			if loc.Metahost != mh {
-				err := fmt.Errorf("rank %d uploaded under metahost %d but its trace header says metahost %d (%s)",
-					rank, mh, loc.Metahost, loc.MetahostName)
-				s.failSession(sess, err)
-				s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+				ingestFailed(fmt.Errorf("rank %d uploaded under metahost %d but its trace header says metahost %d (%s)",
+					rank, mh, loc.Metahost, loc.MetahostName))
 				return
 			}
 		}
 	}
 	if last {
 		if err := sess.live.FinishRank(rank); err != nil {
-			s.failSession(sess, err)
-			s.fail(w, http.StatusUnprocessableEntity, "rank %d stream invalid at close: %v", rank, err)
+			ingestFailed(fmt.Errorf("rank %d stream invalid at close: %w", rank, err))
 			return
 		}
 		sr.finished = true
 	}
-	sess.touch(s.opts.SessionIdleTimeout)
 	ack(true)
-}
-
-// touch resets the idle watchdog.
-func (sess *session) touch(d time.Duration) {
-	sess.mu.Lock()
-	if sess.idle != nil && !sess.terminal() {
-		sess.idle.Reset(d)
-	}
-	sess.mu.Unlock()
 }
 
 // handleFinalize closes every rank stream and runs the analysis to
@@ -446,234 +377,75 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	sess.mu.Lock()
-	switch sess.state {
-	case "open":
-		sess.state = "finalizing"
-		if sess.idle != nil {
-			sess.idle.Stop()
-		}
-		sess.mu.Unlock()
+	s.mu.Lock()
+	if sess.state == stateOpen {
+		sess.state = stateFinalizing
 		s.reapSession(sess)
-	case "finalizing":
-		sess.mu.Unlock() // idempotent: the first finalize is running
-	default:
-		state := sess.state
-		sess.mu.Unlock()
+	}
+	state := sess.state
+	s.mu.Unlock()
+	if state.terminal() { // finalizing already is fine: the request is idempotent
 		s.fail(w, http.StatusConflict, "session %s is already %s", sess.id, state)
 		return
 	}
-	if v := r.URL.Query().Get("wait"); v != "" {
-		waitCtx := r.Context()
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			var cancel context.CancelFunc
-			waitCtx, cancel = context.WithTimeout(waitCtx, d)
-			defer cancel()
-		}
-		select {
-		case <-sess.done:
-		case <-waitCtx.Done():
-		}
-	}
-	writeJSON(w, http.StatusAccepted, sess.status(true))
+	await(r, &sess.analysis)
+	writeJSON(w, http.StatusAccepted, s.sessionStatus(sess, true))
 }
 
 // handleSessionDelete cancels a session. Terminal sessions are
-// reported as-is, so deletion is idempotent.
+// reported as-is — result, stream and state untouched — so deletion is
+// idempotent.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
 		return
 	}
-	sess.mu.Lock()
-	if !sess.terminal() {
-		sess.cancelled = true
-		if sess.idle != nil {
-			sess.idle.Stop()
-		}
-	}
-	sess.mu.Unlock()
-	sess.live.Abort(errSessionDeleted)
-	s.reapSession(sess)
+	s.mu.Lock()
+	s.stop(sess, errCancelled)
+	s.mu.Unlock()
 	select {
 	case <-sess.done:
 	case <-r.Context().Done():
 	}
-	writeJSON(w, http.StatusOK, sess.status(true))
+	writeJSON(w, http.StatusOK, s.sessionStatus(sess, true))
 }
 
-// expireSession is the idle watchdog: a session nobody has touched for
-// the idle timeout is aborted so abandoned uploads cannot pin worker
-// goroutines and rank logs forever.
-func (s *Server) expireSession(sess *session) {
-	sess.mu.Lock()
-	if sess.terminal() || sess.state == "finalizing" {
-		sess.mu.Unlock()
-		return
+// expire is the idle watchdog: a session still waiting for chunks that
+// nobody has touched for the idle timeout is ended, so abandoned
+// uploads cannot pin worker goroutines and rank logs forever.
+func (s *Server) expire(sess *session) {
+	s.mu.Lock()
+	idle := sess.state == stateOpen
+	if idle {
+		s.stop(sess, errSessionIdle)
 	}
-	sess.timedOut = true
-	sess.mu.Unlock()
-	s.rec.Log.Warn("live session idle timeout", "id", sess.id)
-	sess.live.Abort(errSessionIdle)
-	s.reapSession(sess)
-}
-
-// failSession marks the session failed after an ingest error. The
-// engine has already aborted; the reaper tears the replay down.
-func (s *Server) failSession(sess *session, err error) {
-	sess.mu.Lock()
-	if !sess.terminal() && sess.state != "finalizing" {
-		sess.state = "failed"
-		sess.errMsg = err.Error()
+	s.mu.Unlock()
+	if idle {
+		s.rec.Log.Warn("live session idle timeout", "id", sess.id)
 	}
-	sess.mu.Unlock()
-	s.reapSession(sess)
 }
 
 // reapSession runs the session's single Finalize call in the
-// background and records the terminal state. Every path that ends a
-// session (explicit finalize, delete, idle timeout, ingest failure,
-// drain) funnels through here; sync.Once makes them race-safe.
+// background and settles it with the cause it was stopped for, if any.
+// Finalize and every stop land here; sync.Once makes them race-safe.
 func (s *Server) reapSession(sess *session) {
 	sess.reap.Do(func() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			ctx := context.Background()
-			var cancel context.CancelFunc
-			if s.opts.JobTimeout > 0 {
-				ctx, cancel = context.WithTimeoutCause(ctx, s.opts.JobTimeout, errJobTimeout)
-				defer cancel()
-			}
+			ctx, cancel := s.budget(context.Background())
+			defer cancel()
 			res, err := sess.live.Finalize(ctx)
-			sess.mu.Lock()
-			sess.finished = time.Now()
-			if sess.idle != nil {
-				sess.idle.Stop()
-			}
-			outcome := "done"
-			switch {
-			case sess.cancelled:
-				sess.state = "cancelled"
-				if sess.errMsg == "" && err != nil {
-					sess.errMsg = err.Error()
-				}
-				outcome = "cancelled"
-			case sess.timedOut:
-				sess.state = "failed"
-				if sess.errMsg == "" && err != nil {
-					sess.errMsg = err.Error()
-				}
-				outcome = "timeout"
-			case err != nil:
-				sess.state = "failed"
-				if sess.errMsg == "" {
-					sess.errMsg = err.Error()
-				}
-				outcome = "failed"
-			default:
-				sess.state = "done"
-				sess.result = res
-			}
-			id, state, errMsg := sess.id, sess.state, sess.errMsg
-			close(sess.done)
-			sess.mu.Unlock()
+			s.mu.Lock()
+			s.settle(sess, res, err, sess.cause)
+			state, errMsg := sess.state, sess.err
+			s.mu.Unlock()
 			sess.log.markDone()
-			s.m.sessionOutcomes.With(outcome).Inc()
-			s.m.sessionsOpen.Add(-1)
-			if state == "done" {
-				s.rec.Log.Info("live session done", "id", id)
+			if state == StateDone {
+				s.rec.Log.Info("live session done", "id", sess.id)
 			} else {
-				s.rec.Log.Warn("live session ended", "id", id, "state", state, "error", errMsg)
+				s.rec.Log.Warn("live session ended", "id", sess.id, "state", string(state), "error", errMsg)
 			}
 		}()
 	})
-}
-
-// sessionResult fetches a done session's result or writes the
-// appropriate error.
-func (s *Server) sessionResult(w http.ResponseWriter, r *http.Request) (*session, *replay.Result) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return nil, nil
-	}
-	sess.mu.Lock()
-	state, errMsg, res := sess.state, sess.errMsg, sess.result
-	sess.mu.Unlock()
-	switch {
-	case state == "done":
-		return sess, res
-	case state == "failed" || state == "cancelled":
-		s.fail(w, http.StatusConflict, "session %s %s: %s", sess.id, state, errMsg)
-	default:
-		s.fail(w, http.StatusConflict, "session %s is %s; finalize it and retry", sess.id, state)
-	}
-	return nil, nil
-}
-
-// handleExperimentResult serves the finalized cube report.
-func (s *Server) handleExperimentResult(w http.ResponseWriter, r *http.Request) {
-	_, res := s.sessionResult(w, r)
-	if res == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "text/x-mscpcube; charset=utf-8")
-	res.Report.Write(w)
-}
-
-// handleExperimentProfile serves the finalized wait-state profile.
-func (s *Server) handleExperimentProfile(w http.ResponseWriter, r *http.Request) {
-	_, res := s.sessionResult(w, r)
-	if res == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	res.Profile.WriteJSON(w)
-}
-
-// drainSessions aborts every live session during server drain.
-func (s *Server) drainSessions() {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		open := !sess.terminal() && sess.state != "finalizing"
-		if open {
-			sess.cancelled = true
-		}
-		sess.mu.Unlock()
-		if open {
-			sess.live.Abort(errDrainAborted)
-			s.reapSession(sess)
-		}
-	}
-}
-
-// sessionCensus summarizes sessions for healthz: counts by state and
-// the age of the oldest non-terminal session.
-func (s *Server) sessionCensus() (byState map[string]int, live int, oldest float64) {
-	byState = make(map[string]int)
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	now := time.Now()
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		byState[sess.state]++
-		if !sess.terminal() {
-			live++
-			if age := now.Sub(sess.created).Seconds(); age > oldest {
-				oldest = age
-			}
-		}
-		sess.mu.Unlock()
-	}
-	return byState, live, oldest
 }

@@ -344,9 +344,10 @@ func TestSessionMetahostMismatch(t *testing.T) {
 	if code, _ := putChunk(t, ts.URL, st.ID, 1, 2, 0, blobs[2], false); code != http.StatusConflict {
 		t.Fatalf("chunk into failed session: HTTP %d, want 409", code)
 	}
-	// And the result endpoint reports the failure.
-	if code, _ := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result"); code != http.StatusConflict {
-		t.Fatalf("result of failed session: HTTP %d, want 409", code)
+	// And the result endpoint reports the failure, classified like a
+	// job's: bad input is 422.
+	if code, _ := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("result of failed session: HTTP %d, want 422", code)
 	}
 }
 
@@ -549,6 +550,96 @@ func TestSessionDeleteAndLimits(t *testing.T) {
 	}
 	// With the slot free, a new session opens.
 	openSession(t, ts.URL, "?ranks=2")
+}
+
+// TestSessionLimitConcurrentCreates: MaxSessions is enforced, not
+// advisory — creates racing for the last slot get it exactly once,
+// because counting the open sessions and registering the new one is one
+// critical section.
+func TestSessionLimitConcurrentCreates(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, MaxSessions: 1})
+	const creates, rounds = 16, 64
+	for round := 1; round <= rounds; round++ {
+		type reply struct {
+			code int
+			loc  string
+		}
+		replies := make(chan reply, creates)
+		start := make(chan struct{})
+		for i := 0; i < creates; i++ {
+			go func() {
+				<-start
+				resp, err := http.Post(ts.URL+"/v1/sessions?ranks=2", "", nil)
+				if err != nil {
+					replies <- reply{}
+					return
+				}
+				resp.Body.Close()
+				replies <- reply{resp.StatusCode, resp.Header.Get("Location")}
+			}()
+		}
+		close(start)
+		got := map[int]int{}
+		var opened []string
+		for i := 0; i < creates; i++ {
+			r := <-replies
+			got[r.code]++
+			if r.loc != "" {
+				opened = append(opened, r.loc)
+			}
+		}
+		for _, loc := range opened { // free the slot for the next round
+			deleteID(t, ts.URL+loc)
+		}
+		if got[http.StatusCreated] != 1 || got[http.StatusTooManyRequests] != creates-1 {
+			t.Fatalf("round %d: %d concurrent creates against MaxSessions=1 answered %v, want one 201 and %d 429",
+				round, creates, got, creates-1)
+		}
+		if v := s.m.rejected.With("sessions_full").Value(); v != float64(round*(creates-1)) {
+			t.Fatalf("round %d: rejected{reason=sessions_full} = %v, want %d", round, v, round*(creates-1))
+		}
+	}
+}
+
+// TestSessionDeleteAfterDone: a finished session is immutable. DELETE
+// reports it as-is; the state, the event count and the replayed stream
+// are what they were — no failed event appended after done.
+func TestSessionDeleteAfterDone(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, StreamTick: 2 * time.Millisecond})
+	traces := sessionTraces()
+	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
+	uploadSession(t, ts.URL, st.ID, traces, encodeAll(t, traces), 101)
+	before := finalizeSession(t, ts.URL, st.ID)
+	if before.State != "done" {
+		t.Fatalf("state %q (err %q)", before.State, before.Error)
+	}
+	// The replay of a finished stream ends with its last event; reading
+	// stops there rather than waiting out the keepalive period.
+	streamURL := ts.URL + "/v1/experiments/" + st.ID + "/stream"
+	streamBefore, _ := readSSE(context.Background(), t, streamURL, 0, int(before.Events))
+
+	deleteID(t, ts.URL+"/v1/sessions/"+st.ID)
+
+	_, body := getBody(t, ts.URL+"/v1/sessions/"+st.ID)
+	var after SessionStatus
+	if err := json.Unmarshal(body, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.State != "done" || after.Error != "" || after.Events != before.Events {
+		t.Errorf("DELETE after done left state %q, error %q, %d events; want done, none, %d",
+			after.State, after.Error, after.Events, before.Events)
+	}
+	// One more event than before would arrive at once if there were one.
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	streamAfter, _ := readSSE(ctx, t, streamURL, 0, len(streamBefore)+1)
+	if len(streamAfter) != len(streamBefore) || streamAfter[len(streamAfter)-1].typ != "state" ||
+		!bytes.Equal(streamAfter[len(streamAfter)-1].data, streamBefore[len(streamBefore)-1].data) {
+		t.Errorf("stream replay changed across the DELETE: %d events before, %d after", len(streamBefore), len(streamAfter))
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result"); code != http.StatusOK {
+		t.Errorf("result after DELETE: HTTP %d", code)
+	}
 }
 
 func TestSessionIdleTimeout(t *testing.T) {

@@ -285,40 +285,11 @@ func (t *Trace) RegionByID(id RegionID) *Region {
 // resolve. The analyzer calls this before replay; a violation points
 // at a corrupted or truncated trace file.
 func (t *Trace) Validate() error {
-	known := make(map[RegionID]bool, len(t.Regions))
-	for _, r := range t.Regions {
-		known[r.ID] = true
-	}
-	depth := 0
-	last := 0.0
+	v := NewStreamValidator(t)
 	for i := range t.Events {
-		ev := &t.Events[i]
-		if i > 0 && ev.Time < last {
-			return fmt.Errorf("trace %v: event %d time %g before predecessor %g",
-				t.Loc, i, ev.Time, last)
-		}
-		last = ev.Time
-		switch ev.Kind {
-		case KindEnter:
-			if !known[ev.Region] {
-				return fmt.Errorf("trace %v: event %d enters unknown region %d", t.Loc, i, ev.Region)
-			}
-			depth++
-		case KindExit:
-			depth--
-			if depth < 0 {
-				return fmt.Errorf("trace %v: event %d exit without matching enter", t.Loc, i)
-			}
-		case KindSend, KindRecv, KindCollExit:
-			if depth == 0 {
-				return fmt.Errorf("trace %v: event %d %v outside any region", t.Loc, i, ev.Kind)
-			}
-		default:
-			return fmt.Errorf("trace %v: event %d has invalid kind %d", t.Loc, i, ev.Kind)
+		if err := v.Event(&t.Events[i]); err != nil {
+			return err
 		}
 	}
-	if depth != 0 {
-		return fmt.Errorf("trace %v: %d unclosed region(s) at end of trace", t.Loc, depth)
-	}
-	return nil
+	return v.Close()
 }

@@ -2,11 +2,11 @@ package trace
 
 import "fmt"
 
-// StreamValidator applies (*Trace).Validate's per-event checks
-// incrementally, with identical messages, so a fault caught
-// post-mortem is caught at the same event when a trace is decoded as
-// a stream of chunks or blocks. ChunkDecoder and the replay layer's
-// lazy block logs share this one implementation.
+// StreamValidator applies the structural per-event checks
+// incrementally, so a fault caught post-mortem is caught at the same
+// event, with the same message, when a trace is decoded as a stream of
+// chunks or blocks. (*Trace).Validate, ChunkDecoder and the replay
+// layer's lazy block logs share this one implementation.
 type StreamValidator struct {
 	loc      Location
 	known    map[RegionID]bool

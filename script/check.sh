@@ -41,6 +41,16 @@ for f in internal/replay/*.go; do
 	done
 done
 
+# The service answers 20 routes over one store of analyses, whichever
+# feeder — job or live session — produced them. A 21st is a mode
+# creeping back: serve it from a handler that already resolves by id.
+echo "== serve route cap"
+routes=$(grep -c 's\.mux\.HandleFunc(' internal/serve/serve.go)
+if [ "$routes" -gt 20 ]; then
+	echo "check: internal/serve/serve.go registers $routes routes, over the cap of 20" >&2
+	exit 1
+fi
+
 # Every internal package must carry tests: the conformance harness can
 # only vouch for code the suite actually reaches.
 echo "== test coverage presence (internal/...)"
