@@ -9,6 +9,11 @@
 //	mtgen scenario.json -format v1 -seed 7 # scenario file, v1 archive
 //	mtgen -library amr -serve http://host:8080 -chunk 4096
 //
+// A live session takes format v2 only, so -serve refuses -format v1
+// before it runs anything; v1 archives are analysed post-mortem
+// (mtanalyze reads both formats) or converted with mttrace -convert
+// -format v2.
+//
 // Every scenario compiles to a closed-form expectation of the wait
 // states the analyzer must find; the archive digest printed on every
 // run is deterministic in (scenario, seed, format).
@@ -70,6 +75,9 @@ func run(o options, args []string, out io.Writer) error {
 	}
 	if format == trace.FormatDefault {
 		format = trace.FormatV2
+	}
+	if o.serve != "" && format != trace.FormatV2 {
+		return fmt.Errorf("mtgen: -serve cannot upload a %v archive: %w", format, trace.ErrV1Stream)
 	}
 	p.Spec.Format = format
 	title := o.title
@@ -296,7 +304,7 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "write archives under this directory (one subdirectory per metahost)")
 	flag.StringVar(&o.format, "format", "", "trace file format: v1 | v2 (default: v2)")
 	flag.Int64Var(&o.seed, "seed", 1, "experiment seed (placement noise, clock phases)")
-	flag.StringVar(&o.serve, "serve", "", "submit the archive to this mtserved base URL as a live session")
+	flag.StringVar(&o.serve, "serve", "", "submit the archive to this mtserved base URL as a live session (format v2 only; mttrace -convert -format v2 converts a v1 archive)")
 	flag.IntVar(&o.chunk, "chunk", 4096, "chunk size in bytes for -serve uploads")
 	flag.StringVar(&o.scheme, "scheme", "hier", "sync scheme for -serve sessions: flat1 | flat2 | hier")
 	flag.StringVar(&o.title, "title", "", "experiment title (default: scenario name)")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
 	"metascope/internal/serve"
+	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
 
@@ -128,6 +131,17 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if err := run(options{library: "halo1d", format: "v9"}, nil, io.Discard); err == nil {
 		t.Error("unknown format accepted")
+	}
+	// A live session takes v2 only: refused before anything runs or any
+	// session is opened (nothing listens on the URL), with the hint the
+	// server's 422 carries.
+	var out bytes.Buffer
+	err := run(options{library: "halo1d", format: "v1", serve: "http://127.0.0.1:1"}, nil, &out)
+	if !errors.Is(err, trace.ErrV1Stream) || !strings.Contains(err.Error(), "mttrace -convert -format v2") {
+		t.Errorf("-serve -format v1: err = %v, want the live-streams-are-v2 refusal", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-serve -format v1 ran before refusing: %q", out.String())
 	}
 }
 

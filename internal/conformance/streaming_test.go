@@ -20,14 +20,14 @@ type feedStep struct {
 	chunk []byte
 }
 
-// encodeRanks renders each trace to its wire bytes in the given format
-// — what a measured process would upload to a live session.
-func encodeRanks(t *testing.T, traces []*trace.Trace, f trace.Format) [][]byte {
+// encodeRanks renders each trace to its wire bytes — what a measured
+// process would upload to a live session, which takes v2 only.
+func encodeRanks(t *testing.T, traces []*trace.Trace) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(traces))
 	for i, tr := range traces {
 		var buf bytes.Buffer
-		if err := tr.EncodeFormat(&buf, f); err != nil {
+		if err := tr.EncodeV2(&buf); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = buf.Bytes()
@@ -183,10 +183,7 @@ func TestStreamingOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The adversarial chunking matrix streams the default (v2)
-			// encoding; one extra plan re-streams the same events as v1
-			// to prove the two wire formats replay identically.
-			blobs := encodeRanks(t, traces, trace.FormatV2)
+			blobs := encodeRanks(t, traces)
 			cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "stream-" + s.Name}
 			postTraces, err := e.Traces() // fresh copy: analysis must not see shared state
 			if err != nil {
@@ -213,7 +210,6 @@ func TestStreamingOracle(t *testing.T) {
 			}
 
 			plans := chunkPlans(blobs)
-			plans["v1-round-robin-small"] = chunkPlans(encodeRanks(t, traces, trace.FormatV1))["round-robin-small"]
 			for name, plan := range plans {
 				name, plan := name, plan
 				t.Run(name, func(t *testing.T) {
@@ -313,7 +309,7 @@ func TestStreamingKernelOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blobs := encodeRanks(t, traces, trace.FormatV2)
+			blobs := encodeRanks(t, traces)
 			cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "stream-kern-" + name}
 			postTraces, err := e.Traces()
 			if err != nil {
@@ -329,7 +325,6 @@ func TestStreamingKernelOracle(t *testing.T) {
 			}
 
 			plans := chunkPlans(blobs)
-			plans["v1-round-robin-small"] = chunkPlans(encodeRanks(t, traces, trace.FormatV1))["round-robin-small"]
 			for planName, plan := range plans {
 				planName, plan := planName, plan
 				t.Run(planName, func(t *testing.T) {
@@ -373,7 +368,7 @@ func TestStreamingDeterminismSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := encodeRanks(t, traces, trace.FormatDefault)
+	blobs := encodeRanks(t, traces)
 	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "stream-smoke"}
 	postTraces, err := e.Traces()
 	if err != nil {

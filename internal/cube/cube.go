@@ -249,15 +249,6 @@ func (r *Report) callSubtree(c int) []int {
 	return out
 }
 
-// InclusiveMetric sums metric m's subtree at one (call, loc) cell.
-func (r *Report) InclusiveMetric(m, call, loc int) float64 {
-	total := 0.0
-	for _, mm := range r.metricSubtree(m) {
-		total += r.Value(mm, call, loc)
-	}
-	return total
-}
-
 // MetricCallValue sums metric m's subtree over one call node (all
 // locations) — the number shown next to a call-tree entry when metric
 // m is selected.

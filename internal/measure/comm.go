@@ -29,10 +29,6 @@ func (cc *Comm) GlobalRank(r int) int { return cc.c.GlobalRank(r) }
 // SpansMetahosts reports whether members live on several metahosts.
 func (cc *Comm) SpansMetahosts() bool { return cc.c.SpansMetahosts() }
 
-// Raw returns the uninstrumented communicator (escape hatch for
-// runtime-internal traffic).
-func (cc *Comm) Raw() *mmpi.Comm { return cc.c }
-
 // Request pairs an outstanding operation with what Wait must record.
 type Request struct {
 	r      *mmpi.Request

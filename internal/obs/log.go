@@ -64,13 +64,6 @@ func (l *Logger) SetLevel(lv Level) { l.level.Store(int32(lv)) }
 // Level returns the current threshold.
 func (l *Logger) Level() Level { return Level(l.level.Load()) }
 
-// SetOutput redirects the logger.
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
 // SetExit replaces the process-exit function Fatal uses; tests install
 // a recorder to assert the exit code without dying.
 func (l *Logger) SetExit(fn func(int)) {

@@ -9,7 +9,7 @@
 //   - a concurrency-safe metrics Registry (counters, gauges,
 //     fixed-bucket histograms; labeled families; Prometheus text
 //     exposition and a stable JSON snapshot),
-//   - lightweight phase spans (StartSpan → Span.End) that nest and
+//   - lightweight phase spans (Phases.Start → Span.End) that nest and
 //     aggregate into a per-run phase breakdown (build, measure, sync,
 //     archive, replay, pattern-search, render),
 //   - a leveled structured (key=value) Logger replacing ad-hoc log/fmt
@@ -93,11 +93,6 @@ func OrDefault(r *Recorder) *Recorder {
 	}
 	return r
 }
-
-// StartSpan opens a phase span on the Default recorder. Spans nest:
-// a span started while another is open becomes its child in the
-// per-run phase breakdown.
-func StartSpan(name string) *Span { return Default.Phases.Start(name) }
 
 // Package-level logging helpers on the Default recorder's logger.
 

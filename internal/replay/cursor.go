@@ -2,55 +2,52 @@ package replay
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"metascope/internal/trace"
 )
 
-// liveLogStride is the events-per-block granularity of a rank log fed
-// by a v1 stream, which has no blocks of its own (a v2 stream brings
-// its stride in its header). Each block is one allocation, so releasing
-// the swept prefix actually returns memory; 4096 events keeps the
-// bookkeeping to one block handoff per few hundred KiB of trace.
-const liveLogStride = 1 << 12
-
 // rankLog is the append-only event log one analysis process sweeps: a
 // store of published blocks with one way for events to become visible,
 // publish, and three feeders. A preloaded log (Analyze over loaded
 // traces) publishes the rank's whole event slice as a single block and
-// closes. A pulled log (AnalyzeLazy) decodes the next v2 block out of
-// the archive's byte image whenever the sweep runs out of published
-// events. A pushed log (a live session) is fed by Live.FeedChunk as the
-// rank's bytes arrive and closes when its stream finishes. The sweep
-// never sees a difference beyond *when* events become visible, which is
-// the whole trick behind byte-identical results: the worker's event
-// order, and therefore every accumulator's addition order, is the trace
-// order whoever feeds.
+// closes. The other two hold a block reader over the rank's v2 byte
+// image and take the one ingest step, pull, which decodes, validates and
+// publishes the image's next block: a pulled log (AnalyzeLazy) has the
+// whole image and the sweeping worker pulls, through wait, whenever it
+// runs out of published events; a pushed log (a live session) has an
+// image that is still being uploaded and Live.FeedChunk pulls whenever
+// bytes arrive. The sweep never sees a difference beyond *when* events
+// become visible, which is the whole trick behind byte-identical
+// results: the worker's event order, and therefore every accumulator's
+// addition order, is the trace order whoever feeds.
 //
 // Events are stored in fixed-stride blocks, each its own allocation, so
 // releaseBefore can free the already-swept prefix — the bounded-memory
 // window that lets an archive larger than RAM stream through one
-// analysis. Pulled and pushed logs take the stride from the stream's
-// block-size header, so a decoded v2 block is a log block as it stands;
-// every block but the last must therefore be full, which the encoder
-// guarantees. A preloaded log's stride is its length: one block, which
-// the sweep never passes and so never releases.
+// analysis. The stride is the image's block-size header, so a decoded v2
+// block is a log block as it stands; every block but the last must
+// therefore be full, which the encoder guarantees. A preloaded log's
+// stride is its length: one block, which the sweep never passes and so
+// never releases.
 type rankLog struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	closed  bool
 	aborted bool
-	err     error // pulled decode/validation failure, sticky; set with closed
+	err     error // why a pulled log ended early, sticky; set with closed
 
 	blocks [][]trace.Event
 	stride int
 	n      int // events published
 
-	// Pulled feeder: wait decodes the next block from src when the sweep
-	// has used up what is published. Nil for preloaded and pushed logs.
-	src *trace.BlockReader
-	val *trace.StreamValidator
+	// The image pull reads and the validator its events pass through,
+	// set by attach; nil for a preloaded log. Only the pulling goroutine
+	// touches what they point to: the sweeping worker, or — pushed set —
+	// the rank's feeder.
+	src    *trace.BlockReader
+	val    *trace.StreamValidator
+	pushed bool
 
 	// Memory accounting (events, not bytes: one Event is a fixed-size
 	// struct). resident counts events currently held in block storage;
@@ -65,9 +62,9 @@ type rankLog struct {
 	firstTime, lastTime float64
 }
 
-// newRankLog returns an open, empty log for a pushed feeder.
+// newRankLog returns an open, empty log.
 func newRankLog() *rankLog {
-	lg := &rankLog{stride: liveLogStride}
+	lg := &rankLog{}
 	lg.cond.L = &lg.mu
 	return lg
 }
@@ -83,57 +80,39 @@ func newPreloadedRankLog(events []trace.Event) *rankLog {
 }
 
 // newPulledRankLog returns a log that decodes r's blocks as the sweep
-// reaches them and frees them behind it. Events are validated as they
-// decode, with exactly the checks (*Trace).Validate applies to a
-// materialized trace.
+// reaches them and frees them behind it.
 func newPulledRankLog(r *trace.BlockReader) *rankLog {
 	lg := newRankLog()
-	lg.stride = r.BlockSize()
-	lg.src = r
-	lg.val = trace.NewStreamValidator(r.Trace())
 	r.Reset()
+	lg.attach(r)
 	return lg
 }
 
-// reserve returns room for up to max more events at the tail of the
-// log: what is left of a part-filled tail block (a v1 stream fills its
-// blocks a few events at a time), else a fresh block. The feeding
-// goroutine writes events into the room and hands the filled prefix to
-// publish; until then the sweep cannot see them.
-func (lg *rankLog) reserve(max int) []trace.Event {
+// attach gives the log the image its events come from, once the image's
+// header is known. Events are validated as they decode, with exactly the
+// checks (*Trace).Validate applies to a materialized trace.
+func (lg *rankLog) attach(r *trace.BlockReader) {
 	lg.mu.Lock()
-	var room []trace.Event
-	if off := lg.n % lg.stride; off != 0 {
-		tail := lg.blocks[lg.n/lg.stride]
-		room = tail[off:cap(tail)]
-	}
+	lg.stride = r.BlockSize()
+	lg.src = r
+	lg.val = trace.NewStreamValidator(r.Trace())
 	lg.mu.Unlock()
-	if len(room) == 0 {
-		return make([]trace.Event, min(max, lg.stride))
-	}
-	return room[:min(max, len(room))]
 }
 
-// publish makes the events the feeding goroutine wrote into the room
-// reserve last returned visible to the sweep, without copying them, and
-// wakes the sweeping worker. Fixed-stride indexing needs every block
-// before the one being filled to be full; a stream that starts another
-// block after a short one is rejected.
+// publish makes a decoded block visible to the sweep, without copying
+// it, and wakes the sweeping worker. Fixed-stride indexing needs every
+// block before the last to be full; a stream that starts another block
+// after a short one is rejected.
 func (lg *rankLog) publish(blk []trace.Event) error {
 	if len(blk) == 0 {
 		return nil
 	}
 	lg.mu.Lock()
-	k, off := lg.n/lg.stride, lg.n%lg.stride
-	switch {
-	case off == 0:
-		lg.blocks = append(lg.blocks, blk)
-	case cap(lg.blocks[k])-off >= len(blk) && &lg.blocks[k][:off+1][off] == &blk[0]:
-		lg.blocks[k] = lg.blocks[k][:off+len(blk)]
-	default:
+	if off := lg.n % lg.stride; off != 0 {
 		lg.mu.Unlock()
-		return fmt.Errorf("block %d holds %d events, want %d", k, off, lg.stride)
+		return fmt.Errorf("block %d holds %d events, want %d", lg.n/lg.stride, off, lg.stride)
 	}
+	lg.blocks = append(lg.blocks, blk)
 	if !lg.haveTime {
 		lg.haveTime = true
 		lg.firstTime = blk[0].Time
@@ -149,58 +128,50 @@ func (lg *rankLog) publish(blk []trace.Event) error {
 	return nil
 }
 
-// pull is the pulled feeder: it decodes the block after the have events
-// published so far into reserved room, validates it in stream order and
-// publishes it. Reaching the declared event count also checks the
-// end-of-trace invariants (balanced regions, no trailing bytes) that a
-// one-shot decode enforces eagerly, and closes the log. Only the
-// sweeping worker calls it, through wait.
-func (lg *rankLog) pull(have int) error {
-	r, total := lg.src, lg.src.Total()
-	var blk []trace.Event
-	if have < total {
-		room := lg.reserve(total - have)
-		n, err := r.Next(room)
-		if err == io.EOF {
-			err = fmt.Errorf("trace %v: blocks ended after %d of %d declared events: %w",
-				r.Trace().Loc, have, total, io.ErrUnexpectedEOF)
-		}
-		if err != nil {
-			return err
-		}
-		// The capacity is clipped so that a short block leaves no room
-		// behind it: whatever follows is refused by publish.
-		blk = room[:n:n]
-		for i := range blk {
-			if err := lg.val.Event(&blk[i]); err != nil {
-				return err
-			}
+// newBlock is the room pull decodes into: every block is one fresh
+// allocation of exactly its own event count.
+func newBlock(n int) []trace.Event { return make([]trace.Event, n) }
+
+// pull is the one ingest step, whoever calls it: decode the image's next
+// block, validate it in stream order, publish it, and return how many
+// events that made visible — zero when the image has no further whole
+// block, because it is complete or because the rest has not arrived.
+// Reaching the declared event count also checks the end-of-trace
+// invariant a one-shot decode enforces eagerly (balanced regions; the
+// reader itself refuses trailing bytes and, once the image is complete,
+// a block cut short) and closes the log.
+func (lg *rankLog) pull() (int, error) {
+	r := lg.src
+	blk, err := r.NextInto(newBlock)
+	if err != nil {
+		return 0, err
+	}
+	for i := range blk {
+		if err := lg.val.Event(&blk[i]); err != nil {
+			return 0, err
 		}
 	}
-	last := have+len(blk) == total
+	last := r.Decoded() == r.Total()
 	if last {
 		if err := lg.val.Close(); err != nil {
-			return err
-		}
-		if t := r.Trailing(); t > 0 {
-			return fmt.Errorf("trace %v: %d trailing byte(s) after %d declared events",
-				r.Trace().Loc, t, total)
+			return 0, err
 		}
 	}
 	if err := lg.publish(blk); err != nil {
-		return fmt.Errorf("trace %v: %w", r.Trace().Loc, err)
+		return 0, fmt.Errorf("trace %v: %w", r.Trace().Loc, err)
 	}
 	if last {
 		lg.close()
 	}
-	return nil
+	return len(blk), nil
 }
 
-// drop frees the blocks still held once nothing will sweep the log
-// again. The residency counters keep their last values.
+// drop frees the blocks still held, and the image with its buffer, once
+// nothing will feed or sweep the log again. The counters keep their last
+// values.
 func (lg *rankLog) drop() {
 	lg.mu.Lock()
-	lg.blocks = nil
+	lg.blocks, lg.src, lg.val = nil, nil, nil
 	lg.mu.Unlock()
 }
 
@@ -222,17 +193,18 @@ func (lg *rankLog) abort() {
 
 // wait returns once the log holds more than have events, is closed, or
 // is aborted, with the published count and flags. Until then it pulls
-// the next block when the log has a pull source and blocks for the
-// feeder otherwise. A failed pull closes the log; err is its cause.
+// the next block when the log's image is complete and blocks for the
+// feeder when it is pushed. A failed pull closes the log; err is its
+// cause.
 func (lg *rankLog) wait(have int) (n int, closed, aborted bool, err error) {
 	lg.mu.Lock()
 	for lg.n == have && !lg.closed && !lg.aborted {
-		if lg.src == nil {
+		if lg.pushed {
 			lg.cond.Wait()
 			continue
 		}
 		lg.mu.Unlock()
-		perr := lg.pull(have)
+		_, perr := lg.pull()
 		lg.mu.Lock()
 		if perr != nil {
 			lg.err, lg.closed = perr, true
@@ -291,8 +263,7 @@ func (lg *rankLog) residentEvents() (resident, peak int) {
 }
 
 // window returns the block containing published event i plus the global
-// index of its first element. The returned slice is stable: extending a
-// tail block in place does not move published elements.
+// index of its first element.
 func (lg *rankLog) window(i int) ([]trace.Event, int) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()

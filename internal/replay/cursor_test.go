@@ -2,14 +2,19 @@ package replay
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"metascope/internal/archive"
+	"metascope/internal/obs"
 	"metascope/internal/trace"
+	"metascope/internal/vclock"
 )
 
 // logEvents returns n (even) distinguishable events in time order that
@@ -86,29 +91,56 @@ func pulledLog(t *testing.T, img []byte) *rankLog {
 	return newPulledRankLog(r)
 }
 
-// publishRun writes the next k events into room the log reserved for up
-// to max and publishes them, the way Live.FeedChunk does with the chunk
-// decoder in between.
-func publishRun(t *testing.T, lg *rankLog, want []trace.Event, at, max, k int) {
+// pushedLog returns a pushed rank log over an empty chunk decoder and the
+// step that uploads img to it a few bytes at a time, the way
+// Live.FeedChunk does: append, attach the reader once the header is in,
+// pull what is whole. step returns once a pull published something; the
+// last step closes the stream.
+func pushedLog(t *testing.T, img []byte) (*rankLog, func()) {
 	t.Helper()
-	room := lg.reserve(max)
-	if len(room) < k {
-		t.Fatalf("at event %d: reserved room for %d events, need %d", at, len(room), k)
-	}
-	copy(room, want[at:at+k])
-	if err := lg.publish(room[:k]); err != nil {
-		t.Fatalf("at event %d: publish: %v", at, err)
+	lg := newRankLog()
+	lg.pushed = true
+	dec := trace.NewChunkDecoder(nil)
+	rng := rand.New(rand.NewSource(5))
+	off := 0
+	return lg, func() {
+		for published := 0; published == 0; {
+			k := min(1+rng.Intn(3000), len(img)-off)
+			if err := dec.Append(img[off : off+k]); err != nil {
+				t.Fatalf("Append at byte %d: %v", off, err)
+			}
+			if off += k; off == len(img) {
+				if err := dec.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if lg.src == nil {
+				if dec.Reader() == nil {
+					continue
+				}
+				lg.attach(dec.Reader())
+			}
+			for {
+				n, err := lg.pull()
+				if err != nil {
+					t.Fatalf("pull at byte %d: %v", off, err)
+				}
+				if n == 0 {
+					break
+				}
+				published += n
+			}
+		}
 	}
 }
 
 // TestRankLogBlockHandoff drives all three feeders over the same events:
-// pushed whole blocks (a v2 stream: full blocks, then a short last one),
-// pushed a few events at a time into the tail block (a v1 stream),
-// preloaded, and pulled out of a v2 image. Whoever feeds, the sweep sees
-// the same event sequence and time bounds, no published event ever
-// moves, every block comes back once the sweep has passed it, and — all
-// but the preloaded log, which is one block — at most one block beyond
-// the sweep's own is ever resident.
+// pushed (a v2 image uploaded in pieces: full blocks, then a short last
+// one), preloaded, and pulled out of the complete image. Whoever feeds,
+// the sweep sees the same event sequence and time bounds, no published
+// event ever moves, every block comes back once the sweep has passed it,
+// and — all but the preloaded log, which is one block — little more than
+// the sweep's own block is ever resident.
 func TestRankLogBlockHandoff(t *testing.T) {
 	for _, stride := range []int{1, 7, 4095, 4096, 5000} {
 		n := 2*stride + stride/2 + 1 // two full blocks and a short one
@@ -117,38 +149,19 @@ func TestRankLogBlockHandoff(t *testing.T) {
 		}
 		n += n % 2
 		want := logEvents(n)
-		for _, mode := range []string{"whole-blocks", "tail-extended-in-place", "preloaded", "pulled"} {
+		img := v2Image(t, want, stride, blockCounts(n, stride)...)
+		for _, mode := range []string{"whole-blocks", "preloaded", "pulled"} {
 			t.Run(fmt.Sprintf("%s/stride=%d", mode, stride), func(t *testing.T) {
-				// open returns a fresh log and, for the pushed modes, the
-				// step that publishes the next run and closes the log after
-				// the last.
+				// open returns a fresh log and, for the pushed mode, the
+				// step that uploads more of the image.
 				open := func() (*rankLog, func()) {
 					switch mode {
 					case "preloaded":
 						return newPreloadedRankLog(want), nil
 					case "pulled":
-						return pulledLog(t, v2Image(t, want, stride, blockCounts(n, stride)...)), nil
+						return pulledLog(t, img), nil
 					}
-					lg := newRankLog()
-					lg.stride = stride
-					rng := rand.New(rand.NewSource(5))
-					at := 0
-					return lg, func() {
-						owed := n - at
-						k := min(stride, owed) // v2: the block's own event count
-						max := k
-						if mode == "tail-extended-in-place" {
-							// v1: the stream owes `owed` events and this chunk
-							// holds a few of them.
-							max = owed
-							k = 1 + rng.Intn(min(owed, stride/3+1))
-							k = min(k, stride-at%stride)
-						}
-						publishRun(t, lg, want, at, max, k)
-						if at += k; at == n {
-							lg.close()
-						}
-					}
+					return pushedLog(t, img)
 				}
 				// sweep reads the log to its end, stepping a pushed feeder
 				// whenever the cursor has used up what is published.
@@ -158,6 +171,9 @@ func TestRankLogBlockHandoff(t *testing.T) {
 					for i := 0; ; i++ {
 						if step != nil && i < n && lg.published() == i {
 							step()
+							if i == 0 {
+								sc = newSweepCursor(lg) // the stride came with the header
+							}
 						}
 						if !sc.at(i) {
 							if sc.err != nil || sc.aborted {
@@ -205,12 +221,14 @@ func TestRankLogBlockHandoff(t *testing.T) {
 					t.Fatalf("%d events resident after the sweep released everything", res)
 				}
 
-				// A sweep that releases behind itself bounds the window.
+				// A sweep that releases behind itself bounds the window: the
+				// block it reads and the one ahead of it, plus — pushed, at
+				// the smaller strides — what one 3000-byte chunk completes.
 				lg, step = open()
 				if got := len(sweep(lg, step, true)); got != n {
 					t.Fatalf("releasing sweep saw %d events, want %d", got, n)
 				}
-				if _, peak := lg.residentEvents(); mode != "preloaded" && peak > 2*stride {
+				if _, peak := lg.residentEvents(); mode != "preloaded" && peak > 2*stride+3000/6 {
 					t.Fatalf("peak residency %d events, want at most two blocks of %d", peak, stride)
 				}
 			})
@@ -225,11 +243,12 @@ func TestRankLogRejectsShortInnerBlock(t *testing.T) {
 	want := logEvents(20)
 	lg := newRankLog()
 	lg.stride = 8
-	publishRun(t, lg, want, 0, 8, 8)
-	publishRun(t, lg, want, 8, 5, 5) // a whole v2 block of five: no room left in it
-	room := lg.reserve(7)
-	copy(room, want[13:])
-	err := lg.publish(room)
+	for _, run := range [][]trace.Event{want[:8], want[8:13]} { // a whole block of five: nothing may follow it
+		if err := lg.publish(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := lg.publish(want[13:])
 	if err == nil || !strings.Contains(err.Error(), "block 1 holds 5 events, want 8") {
 		t.Fatalf("err = %v, want the short-block error", err)
 	}
@@ -276,4 +295,305 @@ func TestPulledRankLogRejectsCorruptImages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exchangeTraces repeats the three-rank exchange of liveTraces the given
+// number of times inside one main region, so that every rank's image
+// spans several small blocks.
+func exchangeTraces(rounds int) []*trace.Trace {
+	traces := liveTraces()
+	for _, tr := range traces {
+		one := tr.Events[1 : len(tr.Events)-1]
+		evs := []trace.Event{tr.Events[0]}
+		for i := 0; i < rounds; i++ {
+			for _, ev := range one {
+				ev.Time += 12 * float64(i)
+				evs = append(evs, ev)
+			}
+		}
+		last := tr.Events[len(tr.Events)-1]
+		last.Time += 12 * float64(rounds-1)
+		tr.Events = append(evs, last)
+	}
+	return traces
+}
+
+// v2Blocks renders tr as a v2 image that declares block size bs and
+// holds blocks of the given event counts (each at most the encoder's own
+// block size): the single blocks the encoder writes for each run of
+// events, spliced under one header.
+func v2Blocks(t testing.TB, tr *trace.Trace, bs int, counts ...int) []byte {
+	t.Helper()
+	encode := func(events []trace.Event) []byte {
+		one := *tr
+		one.Events = events
+		var buf bytes.Buffer
+		if err := one.EncodeV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// An empty image ends with its event count (0, one byte) and the
+	// encoder's block size (4096, two bytes).
+	empty := encode(nil)
+	prefix := len(empty) - 3
+	img := binary.AppendUvarint(empty[:prefix:prefix], uint64(len(tr.Events)))
+	img = binary.AppendUvarint(img, uint64(bs))
+	events := tr.Events
+	for _, n := range counts {
+		one := encode(events[:n])
+		img = append(img, one[prefix+len(binary.AppendUvarint(nil, uint64(n)))+2:]...)
+		events = events[n:]
+	}
+	return img
+}
+
+// v2HeaderLen is the offset of the first block in v2Blocks(t, tr, bs, …).
+func v2HeaderLen(t testing.TB, tr *trace.Trace, bs int) int {
+	none := *tr
+	none.Events = nil
+	return len(v2Blocks(t, &none, bs)) - 1 + len(binary.AppendUvarint(nil, uint64(len(tr.Events))))
+}
+
+// feedOutcome is what an analysis of one set of rank images came to: the
+// rendered artifacts, or the error.
+type feedOutcome struct {
+	report, prof, phases []byte
+	err                  error
+}
+
+func outcomeOf(res *Result, err error) feedOutcome {
+	if err != nil {
+		return feedOutcome{err: err}
+	}
+	var rb, pb, hb bytes.Buffer
+	for _, werr := range []error{res.Report.Write(&rb), res.Profile.WriteJSON(&pb), res.Phases.WriteJSON(&hb)} {
+		if werr != nil {
+			return feedOutcome{err: werr}
+		}
+	}
+	return feedOutcome{report: rb.Bytes(), prof: pb.Bytes(), phases: hb.Bytes()}
+}
+
+// pulledOutcome writes the images into an archive and analyses it
+// lazily. loaded reports whether the loader took the archive — a fault
+// the loader refuses is named in its own words, with the file.
+func pulledOutcome(t testing.TB, ctx context.Context, cfg Config, images [][]byte) (out feedOutcome, loaded bool) {
+	t.Helper()
+	fs := archive.NewMemFS("feeders")
+	mounts := archive.NewMounts()
+	mounts.Mount(0, fs)
+	const dir = "epik_feeders"
+	if err := fs.Mkdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for r, img := range images {
+		w, err := fs.Create(archive.TraceFile(dir, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(img)
+		w.Close()
+	}
+	ar, err := LoadArchiveLazyCtx(ctx, mounts, []int{0}, dir, obs.NewRecorder())
+	if err != nil {
+		return feedOutcome{err: err}, false
+	}
+	return outcomeOf(analyzeCtx(ctx, ar, cfg)), true
+}
+
+// pushedOutcome uploads the images to a live session, rank 0 cut at the
+// given offsets and the other ranks whole, and finalizes it.
+func pushedOutcome(t testing.TB, ctx context.Context, cfg LiveConfig, images [][]byte, cuts ...int) feedOutcome {
+	t.Helper()
+	cfg.Ranks = len(images)
+	l, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ferr error
+	feed := func(rank int, chunk []byte) {
+		if ferr == nil {
+			ferr = l.FeedChunk(rank, chunk)
+		}
+	}
+	prev := 0
+	for _, cut := range append(cuts, len(images[0])) {
+		if cut = min(cut, len(images[0])); cut > prev {
+			feed(0, images[0][prev:cut])
+			prev = cut
+		}
+	}
+	for r := 1; r < len(images); r++ {
+		feed(r, images[r])
+	}
+	res, err := l.Finalize(ctx)
+	if ferr != nil {
+		return feedOutcome{err: ferr} // the PUT that carried the fault said so first
+	}
+	return outcomeOf(res, err)
+}
+
+// everyN returns the offsets that cut n bytes into size-byte chunks.
+func everyN(n, size int) []int {
+	var cuts []int
+	for off := size; off < n; off += size {
+		cuts = append(cuts, off)
+	}
+	return cuts
+}
+
+// TestFeedersAgree: same bytes, same outcome, whoever feeds. For every
+// fault a v2 image can carry past its header, a lazy analysis of the
+// archive and a live session fed the same images — whole, byte by byte,
+// in 64 KiB chunks, or cut inside the first block's length prefix — fail
+// with the identical message; on clean images all of them render
+// byte-identical artifacts.
+func TestFeedersAgree(t *testing.T) {
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "feeders", Obs: obs.NewRecorder()}
+	const bs = 32
+	image := func(tr *trace.Trace, counts ...int) []byte { return v2Blocks(t, tr, bs, counts...) }
+	traces := exchangeTraces(8)
+	clean := make([][]byte, len(traces))
+	for r, tr := range traces {
+		clean[r] = image(tr, blockCounts(len(tr.Events), bs)...)
+	}
+	t0 := traces[0]
+	n0 := len(t0.Events) // 32 + 32 + 10
+	first := v2HeaderLen(t, t0, bs)
+	if n, w := binary.Uvarint(clean[0][first:]); w != 2 || first+w+int(n) >= len(clean[0]) {
+		t.Fatalf("test setup: first block's length prefix is %d byte(s)", w)
+	}
+	patch := func(img []byte, off int, b byte) []byte {
+		out := append([]byte(nil), img...)
+		out[off] = b
+		return out
+	}
+	edit := func(fn func(evs []trace.Event) []trace.Event) *trace.Trace {
+		tr := *t0
+		tr.Events = fn(append([]trace.Event(nil), t0.Events...))
+		return &tr
+	}
+	faults := []struct {
+		name string
+		img  []byte // rank 0's image
+		// differ: the two feeders both refuse, each in its own words.
+		differ string
+	}{
+		{name: "clean", img: clean[0]},
+		{name: "truncated mid-block", img: clean[0][:len(clean[0])-3]},
+		{name: "truncated at a block boundary", img: image(t0, 32, 32)},
+		{name: "trailing byte", img: append(clean[0][:len(clean[0]):len(clean[0])], 0)},
+		{name: "block count 0", img: patch(clean[0], first+2, 0)},
+		{name: "block count over the block size", img: patch(clean[0], first+2, bs+1)},
+		{name: "block count over the events owed", img: func() []byte {
+			// The last block holds 10 events and says 11.
+			img := image(t0, 32, 32, 10)
+			tail := image(edit(func(evs []trace.Event) []trace.Event { return evs[64:] }), 10)
+			return patch(img, len(img)-(len(tail)-first)+1, 11)
+		}()},
+		// A block of one event that says 30.
+		{name: "block count over what the payload can hold", img: patch(image(t0, 1, 32, 32, 9), first+1, 30)},
+		{name: "short inner block", img: image(t0, 32, 10, 32)},
+		{name: "non-monotone time", img: func() []byte {
+			tr := edit(func(evs []trace.Event) []trace.Event {
+				evs[40].Time = evs[39].Time - 1
+				return evs
+			})
+			return image(tr, blockCounts(n0, bs)...)
+		}()},
+		{name: "unbalanced exit", img: func() []byte {
+			tr := edit(func(evs []trace.Event) []trace.Event { return evs[:len(evs)-1] })
+			return image(tr, blockCounts(n0-1, bs)...)
+		}()},
+		{name: "rank mismatch", img: clean[1], differ: "trace of rank 1"},
+	}
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			images := [][]byte{f.img, clean[1], clean[2]}
+			want, _ := pulledOutcome(t, ctx, cfg, images)
+			if (want.err == nil) != (f.name == "clean") {
+				t.Fatalf("lazy analysis: err = %v", want.err)
+			}
+			for name, cuts := range map[string][]int{
+				"whole":                nil,
+				"1-byte":               everyN(len(f.img), 1),
+				"64 KiB":               everyN(len(f.img), 64<<10),
+				"inside length prefix": {first + 1},
+			} {
+				got := pushedOutcome(t, ctx, LiveConfig{Config: cfg}, images, cuts...)
+				switch {
+				case want.err == nil:
+					if got.err != nil {
+						t.Fatalf("%s: live session failed: %v", name, got.err)
+					}
+					if !bytes.Equal(got.report, want.report) || !bytes.Equal(got.prof, want.prof) || !bytes.Equal(got.phases, want.phases) {
+						t.Errorf("%s: live artifacts differ from the lazy analysis of the same bytes", name)
+					}
+				case got.err == nil:
+					t.Errorf("%s: live session accepted what the lazy analysis refuses: %v", name, want.err)
+				case f.differ != "":
+					if !strings.Contains(got.err.Error(), f.differ) || !strings.Contains(want.err.Error(), f.differ) {
+						t.Errorf("%s: live %q, lazy %q; want both to name %q", name, got.err, want.err, f.differ)
+					}
+				case got.err.Error() != want.err.Error() || !strings.HasPrefix(got.err.Error(), "trace"):
+					t.Errorf("%s: live session says %q, lazy analysis says %q", name, got.err, want.err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzLiveFeed: whatever a byte patch does to rank 0's image and
+// wherever its upload is cut, a live session neither panics nor outlives
+// its context, and it comes to what the lazy analysis of the same bytes
+// comes to — the same artifacts, or a refusal; in the same words when
+// the patch lies past the header, where both feeders take the same step
+// over the same bytes.
+func FuzzLiveFeed(f *testing.F) {
+	traces := exchangeTraces(4)
+	images := make([][]byte, len(traces))
+	for r, tr := range traces {
+		images[r] = v2Blocks(f, tr, 8, blockCounts(len(tr.Events), 8)...)
+	}
+	n := len(images[0])
+	header := v2HeaderLen(f, traces[0], 8)
+	f.Add(uint16(0), uint16(0), uint16(0), byte(0))             // clean, whole
+	f.Add(uint16(1), uint16(n-1), uint16(n-1), byte(0x80))      // last byte
+	f.Add(uint16(n/2), uint16(n/2+1), uint16(n/2), byte(0xff))  // mid-block
+	f.Add(uint16(5), uint16(60), uint16(4), byte(0x03))         // version byte 2 → 1
+	f.Add(uint16(n/3), uint16(2*n/3), uint16(n-40), byte(0x01)) // a count or a column length
+	f.Add(uint16(161), uint16(533), uint16(338), byte('!'))     // an unknown communicator: peers must unwind
+	f.Add(uint16(44), uint16(819), uint16(520), byte('\v'))     // a negative peer
+	f.Add(uint16(22), uint16(767), uint16(437), byte(0x03))     // a collective root outside its communicator
+	f.Add(uint16(230), uint16(488), uint16(661), byte(')'))     // a time stamp 1e13 s out
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "fuzz", Obs: obs.NewRecorder()}
+	// One severity window: a patched time stamp can lie 1e300 s out, and
+	// the window sink keeps an entry for every window a wait spans.
+	live := LiveConfig{Config: cfg, WindowSec: math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, cut1, cut2, at uint16, xor byte) {
+		img := append([]byte(nil), images[0]...)
+		img[int(at)%n] ^= xor
+		fed := [][]byte{img, images[1], images[2]}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		want, loaded := pulledOutcome(t, ctx, cfg, fed)
+		lo, hi := int(cut1)%(n+1), int(cut2)%(n+1)
+		got := pushedOutcome(t, ctx, live, fed, min(lo, hi), max(lo, hi))
+		switch {
+		case (want.err == nil) != (got.err == nil):
+			t.Fatalf("lazy analysis: %v; live session: %v", want.err, got.err)
+		case want.err == nil:
+			if !bytes.Equal(got.report, want.report) || !bytes.Equal(got.prof, want.prof) || !bytes.Equal(got.phases, want.phases) {
+				t.Fatal("live artifacts differ from the lazy analysis of the same bytes")
+			}
+		case ctx.Err() != nil:
+			// A receive the patch left without its send: only the context
+			// ends such a replay, and it ended both.
+		case loaded && int(at)%n >= header && got.err.Error() != want.err.Error():
+			t.Fatalf("lazy analysis says %q, live session says %q", want.err, got.err)
+		}
+	})
 }

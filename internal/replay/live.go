@@ -140,7 +140,7 @@ type liveRank struct {
 	dec      *trace.ChunkDecoder
 	log      *rankLog
 	corr     vclock.LinearMap
-	haveCorr bool
+	haveCorr bool // header registered: corr is set and log has dec's reader
 	finished bool
 
 	bytes      atomic.Int64
@@ -169,7 +169,6 @@ type Live struct {
 	mu       sync.Mutex
 	state    string
 	traces   []*trace.Trace
-	builder  *vclock.Builder
 	headers  int
 	started  bool
 	abortErr error
@@ -208,7 +207,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		intern:        trace.NewInterner(),
 		state:         "open",
 		traces:        make([]*trace.Trace, cfg.Ranks),
-		builder:       vclock.NewBuilder(cfg.Scheme, cfg.Ranks),
 		sink:          newStreamSink(0, cfg.WindowSec),
 		runDone:       make(chan struct{}),
 		schedStop:     make(chan struct{}),
@@ -222,6 +220,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	for i := range l.ranks {
 		l.ranks[i] = &liveRank{dec: trace.NewChunkDecoder(l.intern), log: newRankLog()}
+		l.ranks[i].log.pushed = true
 	}
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "open"}})
 	return l, nil
@@ -259,10 +258,11 @@ func (l *Live) sessionErr() error {
 // FeedChunk appends bytes to one rank's trace stream. Chunks of one
 // rank must arrive in order (the serve layer's sequence numbers
 // guarantee it); different ranks may feed concurrently. The caller may
-// reuse data once FeedChunk returns. Each event is decoded once,
-// straight into the rank log, and every block enters the replay as soon
-// as it is complete and valid — a corrupt chunk fails here, on the call
-// that carried it.
+// reuse data once FeedChunk returns. The bytes extend the image the
+// rank's log pulls from, and every block they complete is decoded,
+// validated and published on the spot — the step a lazy analysis takes
+// when its sweep reaches the block — so a corrupt chunk fails here, on
+// the call that carried it.
 func (l *Live) FeedChunk(rank int, data []byte) error {
 	if rank < 0 || rank >= len(l.ranks) {
 		return fmt.Errorf("replay: chunk for rank %d outside world of %d", rank, len(l.ranks))
@@ -277,21 +277,11 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 		return fmt.Errorf("replay: rank %d stream already finished", rank)
 	}
 	err := lr.dec.Append(data)
-	if h := lr.dec.Header(); err == nil && h != nil && !lr.haveCorr {
-		err = l.registerHeader(rank, lr, h)
+	if r := lr.dec.Reader(); err == nil && r != nil && !lr.haveCorr {
+		err = l.registerHeader(rank, lr, r)
 	}
-	for err == nil {
-		var blk []trace.Event
-		if blk, err = lr.dec.NextBlock(lr.log.reserve); len(blk) == 0 {
-			break
-		}
-		lr.events.Add(int64(len(blk)))
-		l.m.events.Add(float64(len(blk)))
-		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(blk[len(blk)-1].Time)))
-		lr.haveIngest.Store(true)
-		if err = lr.log.publish(blk); err != nil {
-			err = fmt.Errorf("trace %v: %w", lr.dec.Header().Loc, err)
-		}
+	if err == nil && lr.haveCorr {
+		err = l.ingest(lr)
 	}
 	if err != nil {
 		l.fail(err)
@@ -303,10 +293,36 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 	return nil
 }
 
-// registerHeader installs a rank's completed header: its correction
-// map enters the incremental sync builder, and when the last header
-// lands the analyzer starts sweeping.
-func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
+// ingest pulls every block the rank's image holds whole by now into its
+// log and moves the ingest counters.
+func (l *Live) ingest(lr *liveRank) error {
+	total := 0
+	for {
+		n, err := lr.log.pull()
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			break
+		}
+		total += n
+	}
+	if total > 0 {
+		lr.events.Add(int64(total))
+		l.m.events.Add(float64(total))
+		_, last, _ := lr.log.bounds()
+		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(last)))
+		lr.haveIngest.Store(true)
+	}
+	return nil
+}
+
+// registerHeader installs a rank's completed header: its correction map
+// is derived, its log gets the reader to pull from — what the lazy
+// loader does for a rank of an archive — and when the last header lands
+// the analyzer starts sweeping. It runs once per rank.
+func (l *Live) registerHeader(rank int, lr *liveRank, r *trace.BlockReader) error {
+	t := r.Trace()
 	if t.Loc.Rank != rank {
 		return fmt.Errorf("replay: stream for rank %d carries trace of rank %d", rank, t.Loc.Rank)
 	}
@@ -316,14 +332,9 @@ func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.builder.Set(rank, corr); err != nil {
-		return err
-	}
 	lr.corr = corr
 	lr.haveCorr = true
-	if bs := lr.dec.BlockSize(); bs > 0 {
-		lr.log.stride = bs // no block is published, and no sweep started, before this
-	}
+	lr.log.attach(r) // no sweep has started before this
 	l.traces[rank] = t
 	l.headers++
 	if l.headers == len(l.ranks) {
@@ -335,12 +346,10 @@ func (l *Live) registerHeader(rank int, lr *liveRank, t *trace.Trace) error {
 // startLocked launches the parallel replay once every header is in.
 // Called with l.mu held.
 func (l *Live) startLocked() error {
-	corrs, err := l.builder.Corrections()
-	if err != nil {
-		return err
-	}
+	corrs := make([]vclock.Correction, len(l.ranks))
 	logs := make([]*rankLog, len(l.ranks))
 	for i, lr := range l.ranks {
+		corrs[i] = vclock.Correction{Rank: i, Map: lr.corr}
 		logs[i] = lr.log
 	}
 	a, err := newAnalyzer(l.traces, logs, corrs, l.cfg.Config)
@@ -383,12 +392,16 @@ func (l *Live) FinishRank(rank int) error {
 	if err := l.sessionErr(); err != nil {
 		return err
 	}
-	if _, err := lr.dec.Finish(); err != nil {
+	// The image is complete now: what pull still finds must be whole.
+	err := lr.dec.Close()
+	if err == nil {
+		err = l.ingest(lr)
+	}
+	if err != nil {
 		l.fail(err)
 		return err
 	}
-	lr.finished = true
-	lr.log.close()
+	lr.finished = true // and the log is closed: pull closed it at the declared count
 	return nil
 }
 
@@ -482,15 +495,17 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	<-l.schedDone
 
 	res, err := l.a.finish()
-	if err == nil {
-		// Done or aborted, decided once: an abort that lost this race is
-		// ignored by fail, one that won it is the session's error.
-		l.mu.Lock()
-		if err = l.abortErr; err == nil {
-			l.state = "done"
-		}
-		l.mu.Unlock()
+	// Done or aborted, decided once: an abort that lost this race is
+	// ignored by fail, one that won it is the session's error — in its
+	// own words, not as the echo "analysis aborted: …" of the worker it
+	// unwound.
+	l.mu.Lock()
+	if l.abortErr != nil {
+		err = l.abortErr
+	} else if err == nil {
+		l.state = "done"
 	}
+	l.mu.Unlock()
 	if err != nil {
 		l.fail(err)
 		return nil, err
@@ -531,8 +546,8 @@ func (l *Live) release() {
 	for _, lr := range l.ranks {
 		lr.mu.Lock()
 		lr.dec = nil
-		lr.mu.Unlock()
 		lr.log.drop()
+		lr.mu.Unlock()
 	}
 }
 

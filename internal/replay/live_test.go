@@ -50,7 +50,7 @@ func encodeTraces(t *testing.T, traces []*trace.Trace) [][]byte {
 	out := make([][]byte, len(traces))
 	for i, tr := range traces {
 		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
+		if err := tr.EncodeV2(&buf); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = buf.Bytes()

@@ -402,33 +402,20 @@ func traceRank(name string) (int, bool) {
 }
 
 // BuildCorrections derives the per-rank time correction maps for a
-// scheme from the measurements stored in the traces.
+// scheme from the measurements stored in the traces. Every scheme
+// derives a rank's map from that rank's own sync block alone
+// (rankCorrection), which is why a live session can build them one
+// header at a time.
 func BuildCorrections(traces []*trace.Trace, scheme vclock.Scheme) ([]vclock.Correction, error) {
-	switch scheme {
-	case vclock.FlatSingle, vclock.FlatInterp:
-		start := make([]vclock.Measurement, len(traces))
-		end := make([]vclock.Measurement, len(traces))
-		for r, t := range traces {
-			start[r] = t.Sync.FlatStart
-			end[r] = t.Sync.FlatEnd
+	out := make([]vclock.Correction, len(traces))
+	for r, t := range traces {
+		m, err := rankCorrection(t, scheme)
+		if err != nil {
+			return nil, err
 		}
-		return vclock.BuildFlat(scheme, start, end)
-	case vclock.Hierarchical:
-		inputs := make([]vclock.HierarchicalInput, len(traces))
-		for r, t := range traces {
-			inputs[r] = vclock.HierarchicalInput{
-				Rank:            r,
-				SlaveStart:      t.Sync.LocalStart,
-				SlaveEnd:        t.Sync.LocalEnd,
-				MasterStart:     t.Sync.MasterStart,
-				MasterEnd:       t.Sync.MasterEnd,
-				SharedNodeClock: t.Sync.SharedNodeClock,
-			}
-		}
-		return vclock.BuildHierarchical(inputs), nil
-	default:
-		return nil, fmt.Errorf("replay: unknown synchronization scheme %v", scheme)
+		out[r] = vclock.Correction{Rank: r, Map: m}
 	}
+	return out, nil
 }
 
 // mergeComms combines the communicator definitions of all traces,

@@ -436,7 +436,13 @@ func (a *analyzer) run() {
 			labels := pprof.Labels("rank", strconv.Itoa(rank), "phase", "replay")
 			pprof.Do(context.Background(), labels, func(context.Context) {
 				a.metrics.workersActive.Add(1)
-				a.results[rank] = a.replayRank(rank)
+				rr := a.replayRank(rank)
+				if rr.err != nil {
+					// This rank's fault alone, but peers blocked on its
+					// sends and collectives must unwind too.
+					a.abortWith(rr.err)
+				}
+				a.results[rank] = rr
 				a.metrics.workersActive.Add(-1)
 				a.metrics.ranksDone.Add(1)
 			})
@@ -645,7 +651,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 				return rr
 			}
 			def := a.comms[ev.Comm]
-			if int(ev.Peer) >= len(def) {
+			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
 				rr.err = fmt.Errorf("replay: rank %d: send to rank %d of %d-member communicator %d",
 					rank, ev.Peer, len(def), ev.Comm)
 				return rr
@@ -691,7 +697,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			}
 			top := stack[len(stack)-1]
 			def := a.comms[ev.Comm]
-			if int(ev.Peer) >= len(def) {
+			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
 				rr.err = fmt.Errorf("replay: rank %d: recv from rank %d of %d-member communicator %d",
 					rank, ev.Peer, len(def), ev.Comm)
 				return rr
@@ -781,6 +787,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 				rr.err = fmt.Errorf("replay: rank %d: collexit on foreign communicator %d", rank, ev.Comm)
 				return rr
 			}
+			if (ev.Coll.IsNToOne() || ev.Coll.IsOneToN()) && (ev.Root < 0 || int(ev.Root) >= len(def)) {
+				rr.err = fmt.Errorf("replay: rank %d: collective rooted at rank %d of %d-member communicator %d",
+					rank, ev.Root, len(def), ev.Comm)
+				return rr
+			}
 			rr.acc[top.cp].bytesSent += float64(ev.Bytes)
 			seq := collSeq[ev.Comm]
 			collSeq[ev.Comm] = seq + 1
@@ -816,13 +827,10 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 
 // sweepEnded reports whether the cursor's log ended by failure or abort
 // rather than by completing, and records the cause as the rank's error.
-// A block that failed to decode or validate is this rank's fault alone,
-// but peers blocked on our sends must unwind too.
 func (a *analyzer) sweepEnded(rr *rankResult, sc *sweepCursor) bool {
 	switch {
 	case sc.err != nil:
 		rr.err = sc.err
-		a.abortWith(sc.err)
 	case sc.aborted:
 		rr.err = a.cancelErr(rr.rank)
 	default:

@@ -12,9 +12,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"metascope/internal/obs"
 	"metascope/internal/replay"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
@@ -95,7 +97,7 @@ func encodeAll(t testing.TB, traces []*trace.Trace) [][]byte {
 	out := make([][]byte, len(traces))
 	for i, tr := range traces {
 		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
+		if err := tr.EncodeV2(&buf); err != nil {
 			t.Fatal(err)
 		}
 		out[i] = buf.Bytes()
@@ -349,6 +351,70 @@ func TestSessionMetahostMismatch(t *testing.T) {
 	if code, _ := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result"); code != http.StatusUnprocessableEntity {
 		t.Fatalf("result of failed session: HTTP %d, want 422", code)
 	}
+}
+
+// TestSessionRefusesV1Stream: a live session takes format v2 only. The
+// PUT that carries a v1 version byte is answered 422 with what to do
+// instead, the session fails, and the operator's log says why in one
+// line.
+func TestSessionRefusesV1Stream(t *testing.T) {
+	rec := obs.NewRecorder()
+	logged := &logLines{}
+	rec.Log = obs.NewLogger(logged)
+	s, ts := newTestServer(t, Options{Workers: 1, Obs: rec})
+	var v1 bytes.Buffer
+	if err := sessionTraces()[0].Encode(&v1); err != nil {
+		t.Fatal(err)
+	}
+	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
+	const want = "rank 0 chunk rejected: trace: live streams are format v2; convert the archive with mttrace -convert -format v2 (post-mortem analysis reads v1)"
+	// Five bytes are enough: magic and version.
+	code, body := putChunk(t, ts.URL, st.ID, 0, 0, 0, v1.Bytes()[:5], false)
+	if code != http.StatusUnprocessableEntity || body["error"] != want {
+		t.Fatalf("v1 chunk: HTTP %d %v, want 422 %q", code, body, want)
+	}
+	waitState(t, s, st.ID, StateFailed)
+	var fin SessionStatus
+	if _, b := getBody(t, ts.URL+"/v1/sessions/"+st.ID); json.Unmarshal(b, &fin) != nil || fin.Error != trace.ErrV1Stream.Error() {
+		t.Fatalf("failed session reports %q, want %q", fin.Error, trace.ErrV1Stream)
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("result of the refused session: HTTP %d, want 422", code)
+	}
+	// The reaper logs after it settled the session.
+	var lines []string
+	for deadline := time.Now().Add(10 * time.Second); len(lines) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		lines = logged.matching("live streams are format v2")
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "level=warn") || !strings.Contains(lines[0], "id="+st.ID) {
+		t.Fatalf("refusal logged as %q, want one warning naming the session", lines)
+	}
+}
+
+// logLines collects a logger's output; the logger makes one Write per
+// line.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	l.lines = append(l.lines, string(p))
+	l.mu.Unlock()
+	return len(p), nil
+}
+
+func (l *logLines) matching(substr string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			out = append(out, line)
+		}
+	}
+	return out
 }
 
 // sseEvent is one parsed SSE frame.

@@ -127,9 +127,6 @@ func (m *Metahost) SpeedFor(kernel string) float64 {
 	return 1.0
 }
 
-// TotalCPUs returns Nodes × CPUs.
-func (m *Metahost) TotalCPUs() int { return m.Nodes * m.CPUs }
-
 // pairKey orders a metahost-id pair canonically for map lookup.
 type pairKey struct{ a, b int }
 

@@ -9,14 +9,11 @@ import (
 	"testing"
 )
 
-// encodeSample returns the sample trace's full MSCP encoding.
+// encodeSample returns the sample trace's full MSCP encoding, in three
+// blocks.
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sampleTrace().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeV2Bytes(t, sampleTrace(), 4)
 }
 
 // feedAll pushes data through a ChunkDecoder in the given chunk sizes
@@ -63,12 +60,9 @@ func TestChunkDecoderMatchesOneShot(t *testing.T) {
 		if !reflect.DeepEqual(got, want.Events) {
 			t.Fatalf("sizes %v: Feed-returned events differ from one-shot decode", sizes)
 		}
-		if c.Decoded() != uint64(len(want.Events)) || c.Declared() != c.Decoded() {
+		if r := c.Reader(); r.Decoded() != len(want.Events) || r.Total() != r.Decoded() {
 			t.Fatalf("sizes %v: decoded %d declared %d, want %d",
-				sizes, c.Decoded(), c.Declared(), len(want.Events))
-		}
-		if c.BytesFed() != int64(len(data)) {
-			t.Fatalf("sizes %v: BytesFed = %d, want %d", sizes, c.BytesFed(), len(data))
+				sizes, r.Decoded(), r.Total(), len(want.Events))
 		}
 	}
 }
@@ -178,17 +172,14 @@ func TestChunkDecoderRejectsCorruption(t *testing.T) {
 	t.Run("non-monotone time", func(t *testing.T) {
 		tr := sampleTrace()
 		tr.Events[5].Time = 0.5 // before its predecessor
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
+		data := encodeV2Bytes(t, tr, 4)
 		c := NewChunkDecoder(nil)
-		_, err := c.Feed(buf.Bytes())
+		_, err := c.Feed(data)
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("before predecessor")) {
 			t.Fatalf("err = %v, want monotone-time violation", err)
 		}
 		// Same fault post-mortem: Validate on the one-shot decode.
-		got, derr := DecodeBytes(buf.Bytes())
+		got, derr := DecodeBytes(data)
 		if derr != nil {
 			t.Fatal(derr)
 		}
@@ -200,12 +191,8 @@ func TestChunkDecoderRejectsCorruption(t *testing.T) {
 	t.Run("unknown region", func(t *testing.T) {
 		tr := sampleTrace()
 		tr.Events[0].Region = 99
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
 		c := NewChunkDecoder(nil)
-		if _, err := c.Feed(buf.Bytes()); err == nil {
+		if _, err := c.Feed(encodeV2Bytes(t, tr, 4)); err == nil {
 			t.Fatal("unknown region accepted")
 		}
 	})
@@ -213,12 +200,8 @@ func TestChunkDecoderRejectsCorruption(t *testing.T) {
 	t.Run("unbalanced exit", func(t *testing.T) {
 		tr := sampleTrace()
 		tr.Events = tr.Events[:len(tr.Events)-1] // drop final Exit
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
 		c := NewChunkDecoder(nil)
-		if _, err := c.Feed(buf.Bytes()); err != nil {
+		if _, err := c.Feed(encodeV2Bytes(t, tr, 4)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Finish(); err == nil ||
@@ -346,7 +329,6 @@ func TestChunkDecoderDiscardEvents(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"v1", encodeSample(t)},
 		{"v2", encodeV2Bytes(t, validTrace(300), 32)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -378,8 +360,8 @@ func TestChunkDecoderDiscardEvents(t *testing.T) {
 			if !reflect.DeepEqual(got, want.Events) {
 				t.Fatal("Feed-returned events differ from one-shot decode")
 			}
-			if c.Decoded() != uint64(len(want.Events)) {
-				t.Fatalf("Decoded = %d, want %d", c.Decoded(), len(want.Events))
+			if got := c.Reader().Decoded(); got != len(want.Events) {
+				t.Fatalf("Decoded = %d, want %d", got, len(want.Events))
 			}
 			if tr.Loc != want.Loc || len(tr.Regions) != len(want.Regions) {
 				t.Fatal("discarding events mutated the header")

@@ -123,12 +123,12 @@ type decoder struct {
 	// caller can dispatch between the v1 row stream and the v2 block
 	// stream that follow the (identical) header.
 	version byte
-	// streaming marks a chunked decode (ChunkDecoder): a declared count
-	// that exceeds the bytes buffered so far is not corruption — the
-	// missing bytes may simply not have arrived yet — so the bound check
-	// reports an io.ErrUnexpectedEOF-wrapped error the chunk decoder
-	// treats as "feed me more". The absolute caps still reject absurd
-	// headers outright.
+	// streaming marks the header decode of an image that is still growing
+	// (ChunkDecoder): a declared count that exceeds the bytes buffered so
+	// far is not corruption — the missing bytes may simply not have
+	// arrived yet — so the bound check reports an
+	// io.ErrUnexpectedEOF-wrapped error the chunk decoder treats as "feed
+	// me more". The absolute caps still reject absurd headers outright.
 	streaming bool
 }
 
@@ -349,16 +349,13 @@ func DecodeBytes(data []byte) (*Trace, error) { return DecodeBytesInterned(data,
 // a shared interner share one copy of each repeated name. A nil
 // interner disables interning.
 func DecodeBytesInterned(data []byte, in *Interner) (*Trace, error) {
+	if f, _ := FormatOf(data); f == FormatV2 {
+		return decodeV2(data, in)
+	}
 	d := &decoder{data: data, intern: in}
 	t, ne, err := decodeHeader(d)
 	if err != nil {
 		return nil, err
-	}
-	if d.version == formatVersion2 {
-		if err := decodeV2Events(d, t, ne); err != nil {
-			return nil, err
-		}
-		return t, nil
 	}
 	if !d.checkCount("event", ne, minEventBytes, maxEventCount) {
 		return nil, d.err
@@ -393,10 +390,32 @@ const (
 	maxEventCount  = 1 << 28
 )
 
+// decodeV2 is the one-shot decode of a v2 image: a BlockReader drained
+// into one slice. Bytes after the last block are ignored, as the v1 row
+// decoder ignores them.
+func decodeV2(data []byte, in *Interner) (*Trace, error) {
+	r, err := NewBlockReader(data, in)
+	if err != nil {
+		return nil, err
+	}
+	t := r.Trace()
+	if r.Total() > 0 {
+		t.Events = make([]Event, r.Total())
+	}
+	for idx := 0; idx < len(t.Events); {
+		n, err := r.Next(t.Events[idx:])
+		if err != nil {
+			return nil, err
+		}
+		idx += n
+	}
+	return t, nil
+}
+
 // decodeHeader decodes everything before the event stream — magic,
 // version, location, sync block, region table, communicator
-// definitions — plus the declared event count. Shared by the one-shot
-// decode above and by the resumable ChunkDecoder.
+// definitions — plus the declared event count. Shared by the v1
+// one-shot decode above and by BlockReader.
 func decodeHeader(d *decoder) (*Trace, uint64, error) {
 	data := d.data
 	if len(data) < len(magic) {

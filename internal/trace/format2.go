@@ -324,10 +324,9 @@ func decodeV2BlockSize(d *decoder) (int, error) {
 }
 
 // decodeV2Block decodes the next length-prefixed block into dst and
-// returns the number of events it held. In streaming mode an
-// incomplete block reports an io.ErrUnexpectedEOF-wrapped error the
-// chunk decoder treats as "feed me more"; once the whole payload is
-// present every failure inside it is hard corruption.
+// returns the number of events it held. Every failure is hard
+// corruption: a caller whose input may still be growing peeks at the
+// length prefix first (BlockReader.NextInto).
 //
 // This is the hottest loop of archive ingestion (the zero-alloc gate
 // in script/check.sh sits on top of it): the column directory is
@@ -340,9 +339,6 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 		return 0, d.err
 	}
 	if plen > uint64(d.remaining()) {
-		if d.streaming {
-			return 0, fmt.Errorf("trace: event block incomplete: %w", io.ErrUnexpectedEOF)
-		}
 		return 0, fmt.Errorf("trace: block payload length %d exceeds remaining input (%d bytes)",
 			plen, d.remaining())
 	}
@@ -536,36 +532,14 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 	return n, nil
 }
 
-// decodeV2Events decodes the v2 block stream following the header into
-// t.Events. Shared by DecodeBytesInterned for one-shot decodes; the
-// resumable path lives in ChunkDecoder and the block-at-a-time path in
-// BlockReader.
-func decodeV2Events(d *decoder, t *Trace, ne uint64) error {
-	if !d.checkCount("event", ne, minEventBytesV2, maxEventCount) {
-		return d.err
-	}
-	bs, err := decodeV2BlockSize(d)
-	if err != nil {
-		return err
-	}
-	if ne > 0 {
-		t.Events = make([]Event, ne)
-	}
-	for idx := 0; idx < len(t.Events); {
-		n, err := decodeV2Block(d, t.Events[idx:], bs)
-		if err != nil {
-			return err
-		}
-		idx += n
-	}
-	return nil
-}
-
 // BlockReader decodes a v2 trace image block by block: the header is
-// decoded eagerly, then each Next call materializes one block of
-// events into a caller-owned buffer. Next performs no allocations —
-// the replay hot path and the zero-alloc gate in script/check.sh
-// depend on that.
+// decoded eagerly, then each call materializes one block of events.
+// Next decodes into a caller-owned buffer and performs no allocations —
+// the zero-alloc gate in script/check.sh depends on that. NextInto is
+// the block hand-over the replay's rank logs are fed by: it asks the
+// consumer for room only once a whole plausible block is present, so it
+// also serves an image that is still growing (a live upload, see
+// ChunkDecoder), where "not here yet" is not corruption.
 type BlockReader struct {
 	d       decoder
 	t       *Trace
@@ -573,6 +547,10 @@ type BlockReader struct {
 	bs      int
 	start   int // byte offset of the first block, for Reset
 	decoded int
+	// open marks an image that is still growing: d.data is re-pointed as
+	// bytes arrive and a block that is not whole yet is waited for rather
+	// than refused. ChunkDecoder sets and clears it.
+	open bool
 }
 
 // NewBlockReader decodes the header of a v2 trace image and returns a
@@ -581,28 +559,45 @@ type BlockReader struct {
 // no block structure to iterate (use DecodeBytesInterned instead).
 func NewBlockReader(data []byte, in *Interner) (*BlockReader, error) {
 	r := &BlockReader{d: decoder{data: data, intern: in}}
-	t, ne, err := decodeHeader(&r.d)
-	if err != nil {
+	if err := r.readHeader(); err != nil {
 		return nil, err
 	}
+	return r, nil
+}
+
+// readHeader decodes the image's header from its first byte and leaves
+// the reader at the first event block. A growing image cannot bound the
+// declared event count by the bytes present, only by the absolute cap.
+func (r *BlockReader) readHeader() error {
+	r.d.streaming = r.open
+	t, ne, err := decodeHeader(&r.d)
+	if err != nil {
+		return err
+	}
 	if r.d.version != formatVersion2 {
-		return nil, fmt.Errorf("trace: BlockReader wants format v%d, image is v%d",
+		return fmt.Errorf("trace: BlockReader wants format v%d, image is v%d",
 			formatVersion2, r.d.version)
 	}
-	if !r.d.checkCount("event", ne, minEventBytesV2, maxEventCount) {
-		return nil, r.d.err
+	minBytes := minEventBytesV2
+	if r.open {
+		minBytes = 0
+	}
+	if !r.d.checkCount("event", ne, minBytes, maxEventCount) {
+		return r.d.err
 	}
 	bs, err := decodeV2BlockSize(&r.d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.t, r.total, r.bs = t, int(ne), bs
 	r.start = r.d.pos
-	return r, nil
+	return nil
 }
 
 // Reset rewinds the reader to the first event block without
 // reallocating, so one reader can iterate the same image repeatedly.
+// Only a complete image can be rewound: a growing one drops the bytes
+// it has decoded, so there is no first block to go back to.
 func (r *BlockReader) Reset() {
 	r.d.pos = r.start
 	r.d.err = nil
@@ -616,16 +611,12 @@ func (r *BlockReader) Trace() *Trace { return r.t }
 // Total returns the declared event count of the stream.
 func (r *BlockReader) Total() int { return r.total }
 
+// Decoded returns the number of events decoded so far.
+func (r *BlockReader) Decoded() int { return r.decoded }
+
 // BlockSize returns the encoder's events-per-block choice; a buffer of
 // this length accommodates any block Next produces.
 func (r *BlockReader) BlockSize() int { return r.bs }
-
-// Trailing returns the number of unconsumed bytes past the reader's
-// position. Once Next has returned io.EOF, a non-zero result means the
-// image carries trailing garbage after its last block — the fault the
-// one-shot decoder rejects eagerly and a lazy consumer must check at
-// end of iteration.
-func (r *BlockReader) Trailing() int { return len(r.d.data) - r.d.pos }
 
 // Next decodes the next block into dst and returns the number of
 // events written, or io.EOF once every declared event was decoded.
@@ -637,9 +628,92 @@ func (r *BlockReader) Next(dst []Event) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.decoded += n
-	if r.decoded > r.total {
-		return 0, fmt.Errorf("trace: blocks hold more events than the declared count %d", r.total)
+	if n > r.total-r.decoded {
+		return 0, r.overDeclared()
 	}
+	r.decoded += n
 	return n, nil
+}
+
+func (r *BlockReader) overDeclared() error {
+	return fmt.Errorf("trace %v: blocks hold more events than the declared count %d", r.t.Loc, r.total)
+}
+
+// trailing rejects bytes after the last declared event.
+func (r *BlockReader) trailing() error {
+	if rest := r.d.remaining(); rest > 0 {
+		return fmt.Errorf("trace %v: %d trailing byte(s) after %d declared events", r.t.Loc, rest, r.total)
+	}
+	return nil
+}
+
+// NextInto decodes the next block into room obtained from reserve and
+// returns it; the block belongs to the caller, the reader keeps no
+// reference to it. A nil block with a nil error means every declared
+// event has been decoded or, on a growing image, that the next block
+// has not fully arrived.
+//
+// reserve(n) must return room for exactly n events. It is called at
+// most once, and only when the whole payload is present and its event
+// count n fits the block size, the events the stream still owes and the
+// payload's bytes — so what a consumer allocates is bounded by what was
+// actually uploaded, whatever the header declares. Bytes after the last
+// declared event are an error, as is — on a complete image — a block
+// that is cut short.
+func (r *BlockReader) NextInto(reserve func(n int) []Event) ([]Event, error) {
+	if r.decoded == r.total {
+		return nil, r.trailing()
+	}
+	owed := uint64(r.total - r.decoded)
+	n, length, ok := peekV2Block(r.d.data[r.d.pos:])
+	if !ok && r.open {
+		return nil, nil
+	}
+	var dst []Event
+	switch {
+	case !ok, n < 1, n > uint64(r.bs):
+		// decodeV2Block rejects the framing or the count before it looks
+		// at dst.
+	case n > owed || n > uint64(length/minEventBytesV2):
+		// The block cannot be valid. Decode it into scratch, bounded by
+		// the largest legal block, only to report what the decoder always
+		// reported for these bytes.
+		dst = make([]Event, n)
+	default:
+		dst = reserve(int(n))
+	}
+	got, err := decodeV2Block(&r.d, dst, r.bs)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(got) > owed {
+		return nil, r.overDeclared()
+	}
+	if r.decoded += got; r.decoded == r.total {
+		if err := r.trailing(); err != nil {
+			return nil, err
+		}
+	}
+	return dst[:got], nil
+}
+
+// peekV2Block reads the length prefix and the event count of the v2
+// block at the head of p without consuming anything. ok is false while
+// the block is incomplete; length is its encoded size, prefix included.
+// A malformed prefix or count reports ok with n = 0, which
+// decodeV2Block then rejects with its own message.
+func peekV2Block(p []byte) (n uint64, length int, ok bool) {
+	plen, pos := readUvarintSlow(p, 0, len(p))
+	if pos == posInvalid {
+		// Ten bytes always settle a varint; fewer may just be short.
+		return 0, 0, len(p) >= binary.MaxVarintLen64
+	}
+	if plen > uint64(len(p)-pos) {
+		return 0, 0, false
+	}
+	length = pos + int(plen)
+	if n, pos = readUvarintSlow(p, pos, length); pos == posInvalid {
+		n = 0
+	}
+	return n, length, true
 }

@@ -12,27 +12,15 @@ import (
 	"testing"
 )
 
-// blockSink takes NextBlock's blocks the way a live rank log does:
-// every block is its own allocation of at most stride events, and a
-// part-filled tail block (a v1 stream fills blocks a few events at a
-// time) hands out the rest of itself before a new block starts.
+// blockSink takes NextInto's blocks the way a rank log does: every
+// block is its own allocation of exactly the block's event count.
 type blockSink struct {
-	stride int
 	blocks [][]Event
 	want   []Event // expected events, checked as they are handed over
 	n      int
 	// scribble overwrites every block right after it was checked: the
-	// decoder must not read a handed-off block again.
+	// reader must not read a handed-off block again.
 	scribble bool
-}
-
-func (s *blockSink) reserve(max int) []Event {
-	if k := len(s.blocks) - 1; k >= 0 && len(s.blocks[k]) < cap(s.blocks[k]) {
-		tail := s.blocks[k]
-		room := tail[len(tail):cap(tail)]
-		return room[:min(max, len(room))]
-	}
-	return make([]Event, min(max, s.stride))
 }
 
 func (s *blockSink) take(t *testing.T, blk []Event) {
@@ -41,15 +29,7 @@ func (s *blockSink) take(t *testing.T, blk []Event) {
 		t.Fatalf("block at event %d (%d events) differs from the one-shot decode", s.n, len(blk))
 	}
 	s.n += len(blk)
-	if k := len(s.blocks) - 1; k >= 0 && len(s.blocks[k]) < cap(s.blocks[k]) {
-		tail := s.blocks[k]
-		if &tail[:len(tail)+1][len(tail)] != &blk[0] {
-			t.Fatalf("block at event %d does not extend the part-filled tail it was reserved from", s.n)
-		}
-		s.blocks[k] = tail[:len(tail)+len(blk)]
-	} else {
-		s.blocks = append(s.blocks, blk)
-	}
+	s.blocks = append(s.blocks, blk)
 	if s.scribble {
 		for i := range blk {
 			blk[i] = Event{Kind: KindRecv, Time: -1, Bytes: -1}
@@ -57,7 +37,8 @@ func (s *blockSink) take(t *testing.T, blk []Event) {
 	}
 }
 
-// feedBlocks pushes data through Append/NextBlock in the given chunks.
+// feedBlocks pushes data through Append and the reader's NextInto in the
+// given chunks.
 func feedBlocks(t *testing.T, chunks [][]byte, s *blockSink) *ChunkDecoder {
 	t.Helper()
 	c := NewChunkDecoder(nil)
@@ -65,10 +46,10 @@ func feedBlocks(t *testing.T, chunks [][]byte, s *blockSink) *ChunkDecoder {
 		if err := c.Append(chunk); err != nil {
 			t.Fatalf("Append chunk %d: %v", i, err)
 		}
-		for {
-			blk, err := c.NextBlock(s.reserve)
+		for r := c.Reader(); r != nil; {
+			blk, err := r.NextInto(func(n int) []Event { return make([]Event, n) })
 			if err != nil {
-				t.Fatalf("NextBlock in chunk %d: %v", i, err)
+				t.Fatalf("NextInto in chunk %d: %v", i, err)
 			}
 			if blk == nil {
 				break
@@ -76,8 +57,11 @@ func feedBlocks(t *testing.T, chunks [][]byte, s *blockSink) *ChunkDecoder {
 			s.take(t, blk)
 		}
 	}
-	if _, err := c.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if blk, err := c.Reader().NextInto(nil); blk != nil || err != nil {
+		t.Fatalf("NextInto after the last block = (%d events, %v)", len(blk), err)
 	}
 	if s.n != len(s.want) {
 		t.Fatalf("handed off %d events, want %d", s.n, len(s.want))
@@ -106,52 +90,36 @@ func randomSplit(rng *rand.Rand, data []byte, maxChunk int) [][]byte {
 	return chunks
 }
 
-// handoffImages returns the trace encoded as v1 and as v2 with the
-// given block size.
-func handoffImages(t *testing.T, tr *Trace, bs int) []handoffImage {
-	t.Helper()
-	var v1 bytes.Buffer
-	if err := tr.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	return []handoffImage{{"v1", v1.Bytes()}, {"v2", encodeV2Bytes(t, tr, bs)}}
-}
-
-type handoffImage struct {
-	format string
-	data   []byte
-}
-
 var handoffBlockSizes = []int{1, 7, 4095, 4096, 5000}
 
-// TestChunkDecoderBlockHandoff: whatever the block size, format and
-// chunk boundaries, the blocks NextBlock hands over concatenate to the
+// TestChunkDecoderBlockHandoff: whatever the block size and chunk
+// boundaries, the blocks the reader hands over concatenate to the
 // one-shot decode, each lives in its own allocation, and Feed returns
 // the same events over the same loop.
 func TestChunkDecoderBlockHandoff(t *testing.T) {
 	small, large := validTrace(40), validTrace(11000)
 	rng := rand.New(rand.NewSource(13))
 	for _, bs := range handoffBlockSizes {
-		for _, img := range handoffImages(t, small, bs) {
-			data := img.data
-			t.Run(fmt.Sprintf("small/%s/bs=%d", img.format, bs), func(t *testing.T) {
+		{
+			data := encodeV2Bytes(t, small, bs)
+			t.Run(fmt.Sprintf("small/v2/bs=%d", bs), func(t *testing.T) {
 				want, err := DecodeBytes(data)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Every byte boundary, as a two-chunk split.
 				for cut := 0; cut <= len(data); cut++ {
-					feedBlocks(t, splitAt(data, cut), &blockSink{stride: bs, want: want.Events, scribble: cut%2 == 1})
+					feedBlocks(t, splitAt(data, cut), &blockSink{want: want.Events, scribble: cut%2 == 1})
 				}
 				// Every byte its own chunk.
 				var single [][]byte
 				for i := range data {
 					single = append(single, data[i:i+1])
 				}
-				s := &blockSink{stride: bs, want: want.Events}
+				s := &blockSink{want: want.Events}
 				c := feedBlocks(t, single, s)
 				if c.Header().Events != nil {
-					t.Fatal("NextBlock accumulated events on the decoder's trace")
+					t.Fatal("NextInto accumulated events on the decoder's trace")
 				}
 				for k, blk := range s.blocks {
 					if k < len(s.blocks)-1 && len(blk) != bs {
@@ -160,16 +128,16 @@ func TestChunkDecoderBlockHandoff(t *testing.T) {
 				}
 			})
 		}
-		for _, img := range handoffImages(t, large, bs) {
-			format, data := img.format, img.data
-			t.Run(fmt.Sprintf("large/%s/bs=%d", format, bs), func(t *testing.T) {
+		{
+			data := encodeV2Bytes(t, large, bs)
+			t.Run(fmt.Sprintf("large/v2/bs=%d", bs), func(t *testing.T) {
 				want, err := DecodeBytes(data)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for trial := 0; trial < 3; trial++ {
 					chunks := randomSplit(rng, data, []int{40, 70000, 1 << 20}[trial])
-					s := &blockSink{stride: bs, want: want.Events, scribble: trial == 1}
+					s := &blockSink{want: want.Events, scribble: trial == 1}
 					feedBlocks(t, chunks, s)
 					if !s.scribble {
 						checkBlocksDisjoint(t, s.blocks)
@@ -182,8 +150,8 @@ func TestChunkDecoderBlockHandoff(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if cap(evs) != len(evs) && format == "v2" {
-							t.Fatalf("Feed returned %d events in room for %d: v2 results are sized exactly", len(evs), cap(evs))
+						if cap(evs) != len(evs) {
+							t.Fatalf("Feed returned %d events in room for %d: results are sized exactly", len(evs), cap(evs))
 						}
 						got = append(got, evs...)
 					}
@@ -258,8 +226,8 @@ func TestChunkDecoderAllocBoundedByUpload(t *testing.T) {
 	if ferr == nil {
 		t.Fatal("Finish accepted a stream a million events short")
 	}
-	if c.BlockSize() != maxBlockSize || c.Declared() != 1_000_000 {
-		t.Fatalf("header decoded as block size %d, %d events", c.BlockSize(), c.Declared())
+	if r := c.Reader(); r.BlockSize() != maxBlockSize || r.Total() != 1_000_000 {
+		t.Fatalf("header decoded as block size %d, %d events", r.BlockSize(), r.Total())
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 		t.Errorf("%d-byte stream made the decoder allocate %d bytes, want < 64 KiB", len(data), got)

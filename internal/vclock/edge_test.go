@@ -167,3 +167,9 @@ func TestClockGranularityQuantizes(t *testing.T) {
 		t.Errorf("granularity-free read = %.15g, want %.15g", got, want)
 	}
 }
+
+func TestFlatCorrectionRejectsHierarchical(t *testing.T) {
+	if _, err := FlatCorrection(Hierarchical, Measurement{}, Measurement{}); err == nil {
+		t.Fatal("FlatCorrection accepted Hierarchical")
+	}
+}

@@ -158,6 +158,25 @@ type Correction struct {
 	Map  LinearMap
 }
 
+// FlatCorrection builds the correction map for one rank under a flat
+// scheme from its own measurements against the global master: the
+// single start offset for FlatSingle, the start/end interpolation for
+// FlatInterp. It is the per-rank core of BuildFlat, exposed so a live
+// session can construct each rank's correction the moment that rank's
+// sync block arrives, without waiting for the rest of the archive: every
+// scheme derives a rank's map from that rank's own sync block alone, so
+// a correction never changes once built.
+func FlatCorrection(scheme Scheme, start, end Measurement) (LinearMap, error) {
+	switch scheme {
+	case FlatSingle:
+		return SingleOffsetMap(start.Offset), nil
+	case FlatInterp:
+		return InterpMap(start.Local, start.Offset, end.Local, end.Offset), nil
+	default:
+		return LinearMap{}, errors.New("vclock: FlatCorrection cannot build hierarchical corrections; use HierarchicalCorrection")
+	}
+}
+
 // BuildFlat constructs per-rank corrections from direct measurements
 // against the global master. start holds the measurement taken at
 // program start for every rank; end (ignored for FlatSingle) the one
@@ -202,6 +221,22 @@ type HierarchicalInput struct {
 	// SharedNodeClock indicates the metahost provides hardware
 	// synchronization across nodes; the slave step is then omitted (§4).
 	SharedNodeClock bool
+}
+
+// HierarchicalCorrection composes one rank's slave→local-master
+// interpolation with its local master's →metamaster interpolation —
+// the per-rank core of BuildHierarchical. Like FlatCorrection, every
+// input is rank-local, so the map is available as soon as that rank's
+// header has been ingested.
+func HierarchicalCorrection(in HierarchicalInput) LinearMap {
+	toLocal := Identity()
+	if !in.SharedNodeClock {
+		toLocal = InterpMap(in.SlaveStart.Local, in.SlaveStart.Offset,
+			in.SlaveEnd.Local, in.SlaveEnd.Offset)
+	}
+	toMeta := InterpMap(in.MasterStart.Local, in.MasterStart.Offset,
+		in.MasterEnd.Local, in.MasterEnd.Offset)
+	return toMeta.Compose(toLocal)
 }
 
 // BuildHierarchical composes, for every process, the slave→local-master

@@ -41,6 +41,22 @@ for f in internal/replay/*.go; do
 	done
 done
 
+# A rank log is fed by one block step, rankLog.pull in cursor.go, whether
+# the image is complete (lazy analysis) or still uploading (live
+# session), and a live stream is v2 blocks only.
+echo "== one block step"
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go | internal/replay/cursor.go) continue ;; esac
+	if grep -n -E '\.NextInto\(|BlockReader\.Next\(' "$f"; then
+		echo "check: $f decodes blocks itself: a second block step is a feeder mode creeping back (call rankLog.pull)" >&2
+		exit 1
+	fi
+done
+if grep -n 'decodeEvent(' internal/trace/chunk.go; then
+	echo "check: internal/trace/chunk.go decodes v1 rows: the streaming path is v2 blocks only" >&2
+	exit 1
+fi
+
 # The service answers 20 routes over one store of analyses, whichever
 # feeder — job or live session — produced them. A 21st is a mode
 # creeping back: serve it from a handler that already resolves by id.
