@@ -114,9 +114,7 @@ func kernelPhases(t *testing.T, name string, f trace.Format, seed int64, cfg rep
 // TestPhaseDeterminism pins the phase profile as a deterministic
 // artifact: the same scenario and seed must render byte-identical
 // phase JSON under GOMAXPROCS=1 and the test default, and from a v1
-// and a v2 archive (internal/replay's TestPostPassDeterminism covers the
-// sequential reference post-pass). Referenced by script/check.sh as a
-// race-mode gate.
+// and a v2 archive.
 func TestPhaseDeterminism(t *testing.T) {
 	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "phase-det"}
 	old := runtime.GOMAXPROCS(1)

@@ -16,17 +16,13 @@
 // bucket contents depend only on the sample set and the final width —
 // not on arrival order — which keeps profiles byte-identical across
 // runs of the same deterministic experiment as long as samples are
-// *added in a deterministic order within each accumulator* (floating-
-// point addition is not associative). The replay analyzer therefore
-// keeps one accumulator per analysis process and merges them in rank
-// order.
+// *added in a deterministic order* (floating-point addition is not
+// associative). The replay analyzer therefore defers its samples to
+// per-process logs and feeds one accumulator from them in rank order,
+// on one goroutine.
 package profile
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // DefaultBuckets is the bucket count used when Config.Buckets is zero.
 const DefaultBuckets = 64
@@ -154,15 +150,12 @@ func (s *series) add(origin, start, dur, value float64) {
 	}
 }
 
-// Accumulator collects severity samples into per-key series. All
-// methods are safe for concurrent use, but concurrent Add calls to the
-// *same* series make the floating-point bucket sums order-dependent;
-// the analyzer avoids that by giving each analysis process its own
-// accumulator and merging them in rank order.
+// Accumulator collects severity samples into per-key series. It is not
+// safe for concurrent use: the bucket sums depend on the order of the
+// Add calls, so the order is the caller's to fix.
 type Accumulator struct {
 	cfg Config
 
-	mu     sync.Mutex
 	series map[Key]*series
 	// names resolves metahost ids to display names in snapshots.
 	names map[int]string
@@ -186,85 +179,26 @@ func NewAccumulator(cfg Config) *Accumulator {
 	}
 }
 
-// Config returns the normalized configuration.
-func (a *Accumulator) Config() Config { return a.cfg }
-
 // SetMetahostName records a display name for a metahost id.
-func (a *Accumulator) SetMetahostName(id int, name string) {
-	a.mu.Lock()
-	a.names[id] = name
-	a.mu.Unlock()
-}
+func (a *Accumulator) SetMetahostName(id int, name string) { a.names[id] = name }
 
 // SetMeta records display name and unit for a metric key.
-func (a *Accumulator) SetMeta(metric string, m SeriesMeta) {
-	a.mu.Lock()
-	a.meta[metric] = m
-	a.mu.Unlock()
-}
-
-func (a *Accumulator) seriesLocked(k Key) *series {
-	s, ok := a.series[k]
-	if !ok {
-		s = &series{width: a.cfg.Width, sums: make([]float64, a.cfg.Buckets)}
-		a.series[k] = s
-	}
-	return s
-}
+func (a *Accumulator) SetMeta(metric string, m SeriesMeta) { a.meta[metric] = m }
 
 // Add spreads value over the interval [start, start+dur) of series k.
 // Times are corrected (synchronized) seconds, like every severity the
 // analyzer computes.
 func (a *Accumulator) Add(k Key, start, dur, value float64) {
-	a.mu.Lock()
-	a.seriesLocked(k).add(a.cfg.Origin, start, dur, value)
-	a.mu.Unlock()
+	s, ok := a.series[k]
+	if !ok {
+		s = &series{width: a.cfg.Width, sums: make([]float64, a.cfg.Buckets)}
+		a.series[k] = s
+	}
+	s.add(a.cfg.Origin, start, dur, value)
 }
 
 // AddPoint deposits value at time t of series k.
 func (a *Accumulator) AddPoint(k Key, t, value float64) { a.Add(k, t, 0, value) }
-
-// Merge folds every series of b into a, preserving per-series sums
-// exactly. Both accumulators must share Origin, Buckets, and base
-// width; b is left untouched. Call in a deterministic order (rank
-// order) so floating-point accumulation is reproducible.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if a.cfg.Buckets != b.cfg.Buckets || a.cfg.Origin != b.cfg.Origin || a.cfg.Width != b.cfg.Width {
-		panic(fmt.Sprintf("profile: merging incompatible accumulators (%+v vs %+v)", a.cfg, b.cfg))
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for id, name := range b.names {
-		a.names[id] = name
-	}
-	for m, meta := range b.meta {
-		a.meta[m] = meta
-	}
-	// Deterministic iteration: sorted keys.
-	keys := make([]Key, 0, len(b.series))
-	for k := range b.series {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	for _, k := range keys {
-		src := b.series[k]
-		dst := a.seriesLocked(k)
-		// Equalize widths by folding the finer one.
-		for dst.width < src.width {
-			dst.fold(1)
-		}
-		cp := series{width: src.width, sums: append([]float64(nil), src.sums...), count: src.count}
-		for cp.width < dst.width {
-			cp.fold(1)
-		}
-		for i := range dst.sums {
-			dst.sums[i] += cp.sums[i]
-		}
-		dst.count += cp.count
-	}
-}
 
 func sortKeys(keys []Key) {
 	sort.Slice(keys, func(i, j int) bool {
@@ -282,8 +216,6 @@ func sortKeys(keys []Key) {
 // series folded to one common bucket width, sorted by (metric,
 // metahost, rank).
 func (a *Accumulator) Snapshot(title string) *Profile {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	p := &Profile{
 		Title:       title,
 		Origin:      a.cfg.Origin,

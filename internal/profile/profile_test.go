@@ -79,28 +79,6 @@ func TestOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestMergePreservesSumsAndFolds(t *testing.T) {
-	cfg := Config{Buckets: 4, Width: 1}
-	a := NewAccumulator(cfg)
-	b := NewAccumulator(cfg)
-	k := Key{Metric: "m"}
-	a.Add(k, 0, 2, 2)
-	b.AddPoint(k, 10, 3) // b's series is wider (width 4)
-	b.SetMetahostName(0, "FZJ")
-	a.Merge(b)
-	p := a.Snapshot("t")
-	if p.BucketWidth != 4 {
-		t.Fatalf("width %g, want 4", p.BucketWidth)
-	}
-	vals := p.Series[0].Values
-	if !approx(vals[0], 2) || !approx(vals[2], 3) {
-		t.Errorf("merged values %v", vals)
-	}
-	if p.Series[0].MetahostName != "FZJ" {
-		t.Errorf("metahost name lost: %+v", p.Series[0])
-	}
-}
-
 func TestSnapshotDeterministicJSON(t *testing.T) {
 	mk := func() *bytes.Buffer {
 		a := NewAccumulator(Config{Buckets: 8, Width: 0.25, Origin: 1})

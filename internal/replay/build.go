@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"metascope/internal/cube"
 	"metascope/internal/obs/flight"
@@ -14,9 +13,10 @@ import (
 	"metascope/internal/trace"
 )
 
-// result finalizes the per-rank results into the analysis report:
-// the deterministic wrong-order post-pass, application of remote
-// (sender-side) contributions, and assembly of the severity cube.
+// result finalizes the per-rank results into the analysis report: the
+// one read of the severity ledger (sweep samples, then the wrong-order
+// post-pass), application of remote (sender-side) contributions, and
+// assembly of the severity cube.
 func (a *analyzer) result() (*Result, error) {
 	res := &Result{
 		Corrections:         a.corrs,
@@ -46,32 +46,43 @@ func (a *analyzer) result() (*Result, error) {
 		}
 	}
 
-	// The combined time-resolved profile. The interval axis is derived
-	// here, not before the replay: a live session only knows the
-	// corrected run span once every rank's stream has finished, and
-	// deriving it at the same point in both modes is what keeps the
-	// artifacts byte-identical. Each rank's deferred sample log is
-	// replayed into a per-rank accumulator (reproducing the exact Add
-	// sequence the worker performed) and merged in rank order, then the
-	// post-passes below feed the remaining point-to-point wait series —
-	// so the bucket sums are reproducible bit-for-bit regardless of
-	// goroutine scheduling or chunking.
-	profCfg := profileConfig(a.logs, a.corr, a.cfg)
-	prof := profile.NewAccumulator(profCfg)
-	for _, t := range a.traces {
-		prof.SetMetahostName(t.Loc.Metahost, t.Loc.MetahostName)
-	}
+	// One severity ledger, read once. Workers defer every scored sample
+	// to their rank's profLog, and a Late Sender instance only gets its
+	// pattern identity in the post-pass below; deposit hands each sample
+	// to both of its readings — the bucketed time-resolved profile and
+	// the per-phase fold — on this goroutine, in one fixed order: sweep
+	// samples rank-major, then post-pass samples rank-major. That order,
+	// not goroutine scheduling or chunking, fixes every floating-point
+	// sum, so the artifacts are byte-identical across post-mortem, lazy
+	// and streamed analysis and any GOMAXPROCS.
+	//
+	// The profile's interval axis is derived here, not before the replay:
+	// a live session only knows the corrected run span once every rank's
+	// stream has finished. Phase detection reads only the per-rank op
+	// logs (pure functions of the corrected traces).
+	prof := profile.NewAccumulator(profileConfig(a.logs, a.corr, a.cfg))
 	for p := pattern.ID(0); p < pattern.NumPatterns; p++ {
 		prof.SetMeta(p.MetricKey(), profile.SeriesMeta{Name: p.String(), Unit: "sec"})
 	}
 	prof.SetMeta(profile.KeyBytesIntra, profile.SeriesMeta{Name: "Intra-metahost message volume", Unit: "bytes"})
 	prof.SetMeta(profile.KeyBytesWide, profile.SeriesMeta{Name: "Wide-area message volume", Unit: "bytes"})
+	opLogs := make([][]phase.Op, len(a.results))
+	for i, rr := range a.results {
+		opLogs[i] = rr.opLog
+	}
+	pacc := phase.NewAccumulator(phase.Detect(opLogs), len(a.results))
+	for mh, name := range res.MetahostNames {
+		prof.SetMetahostName(mh, name)
+		pacc.SetMetahostName(mh, name)
+	}
+	deposit := func(key profile.Key, start, dur, val float64) {
+		prof.Add(key, start, dur, val)
+		pacc.Add(key.Metric, key.Metahost, start, val)
+	}
 	for _, rr := range a.results {
-		rp := profile.NewAccumulator(profCfg)
 		for _, s := range rr.profLog {
-			rp.Add(s.key, s.start, s.dur, s.val)
+			deposit(s.key, s.start, s.dur, s.val)
 		}
-		prof.Merge(rp)
 	}
 
 	// Wrong-order post-pass: a Late Sender instance is reclassified as
@@ -80,60 +91,27 @@ func (a *analyzer) result() (*Result, error) {
 	// was posted — receiving in send order would have shortened the
 	// wait. A suffix-minimum over the per-receiver log decides this in
 	// linear time and independently of goroutine scheduling. The final
-	// classification is also when the late-sender family's profile
-	// series are fed: only here is the pattern identity of an instance
-	// known.
-	//
-	// The pass runs per rank in parallel: each rank's receive log only
-	// touches that rank's own call-path accumulators, and the profile
-	// deposits target keys that carry the rank — so per-rank profile
-	// accumulators merged in rank order reproduce the sequential
-	// addition sequence bit-for-bit (Merge folds whole series onto
-	// fresh, zero-valued destinations; 0+x is exact). The sequential
-	// loop is the single-rank path and the reference the determinism
-	// tests compare against.
-	if a.cfg.sequentialPostPass || len(a.results) <= 1 {
-		if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
-			pw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
-			defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
-		}
-		for _, rr := range a.results {
-			a.postPassRank(rr, prof)
-		}
-	} else {
-		rankProfs := make([]*profile.Accumulator, len(a.results))
-		var wg sync.WaitGroup
-		for idx, rr := range a.results {
-			wg.Add(1)
-			go func(idx int, rr *rankResult) {
-				defer wg.Done()
-				if fw := a.fl.Writer(int32(rr.rank)); fw != nil {
-					fw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
-					defer fw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
-				}
-				rp := profile.NewAccumulator(profCfg)
-				a.postPassRank(rr, rp)
-				rankProfs[idx] = rp
-			}(idx, rr)
-		}
-		wg.Wait()
-		if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
-			pw.Emit(flight.SpanBegin, a.flJob, a.fn.postmerge, 0, 0)
-			defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postmerge, 0, 0)
-		}
-		for _, rp := range rankProfs {
-			prof.Merge(rp)
-		}
+	// classification is also when the late-sender family's samples are
+	// deposited: only here is the pattern identity of an instance known.
+	if pw := a.fl.Writer(flight.PostPassActor); pw != nil {
+		pw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
+		defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
+	}
+	for _, rr := range a.results {
+		a.postPassRank(rr, deposit)
 	}
 
-	// Sender-side severities detected remotely (Late Receiver). The
-	// slice was appended by racing workers, so its order depends on
-	// scheduling — and in a live session also on chunk arrival. Sorting
-	// before the floating-point accumulation below makes the addition
-	// order, and therefore the cube bytes, a pure function of the trace
-	// contents.
-	sort.SliceStable(a.remote, func(i, j int) bool {
-		x, y := a.remote[i], a.remote[j]
+	// Sender-side severities detected remotely (Late Receiver), each
+	// recorded by the rank that detected it. Concatenated rank-major they
+	// are already a function of the trace contents; the sort fixes the
+	// order of the floating-point accumulation below, and therefore the
+	// cube bytes.
+	var remote []remoteContribution
+	for _, rr := range a.results {
+		remote = append(remote, rr.remote...)
+	}
+	sort.SliceStable(remote, func(i, j int) bool {
+		x, y := remote[i], remote[j]
 		if x.rank != y.rank {
 			return x.rank < y.rank
 		}
@@ -151,7 +129,7 @@ func (a *analyzer) result() (*Result, error) {
 		}
 		return x.val < y.val
 	})
-	for _, rc := range a.remote {
+	for _, rc := range remote {
 		acc := &a.results[rc.rank].acc[rc.cp]
 		acc.waits[rc.pat] += rc.val
 		if rc.isGrid {
@@ -160,34 +138,6 @@ func (a *analyzer) result() (*Result, error) {
 	}
 
 	res.Profile = prof.Snapshot(a.cfg.Title)
-
-	// Phase detection and the per-phase severity fold. Detection reads
-	// the per-rank op logs (pure functions of the corrected traces);
-	// the fold then replays every rank's deferred sample logs — sweep
-	// deposits first, post-pass deposits second, each rank-major —
-	// strictly sequentially. Unlike the bucketed profile above there is
-	// no per-rank merge step: the fold is cheap (one map update per
-	// sample), and a single fixed addition order makes the artifact
-	// byte-identical across post-mortem, lazy, and streamed analysis
-	// and any GOMAXPROCS.
-	opLogs := make([][]phase.Op, len(a.results))
-	for i, rr := range a.results {
-		opLogs[i] = rr.opLog
-	}
-	pacc := phase.NewAccumulator(phase.Detect(opLogs), len(a.results))
-	for mh, name := range res.MetahostNames {
-		pacc.SetMetahostName(mh, name)
-	}
-	for _, rr := range a.results {
-		for _, s := range rr.profLog {
-			pacc.Add(s.key.Metric, s.key.Metahost, s.start, s.val)
-		}
-	}
-	for _, rr := range a.results {
-		for _, s := range rr.postLog {
-			pacc.Add(s.key.Metric, s.key.Metahost, s.start, s.val)
-		}
-	}
 	res.Phases = pacc.Snapshot(a.cfg.Title)
 
 	res.Report = a.buildReport()
@@ -200,11 +150,8 @@ func (a *analyzer) result() (*Result, error) {
 
 // postPassRank classifies one rank's receive log — the suffix-minimum
 // wrong-order test — updating the rank's own call-path accumulators
-// and depositing the late-sender-family profile samples into dst. The
-// deposits are in receive order and every key carries this rank, so
-// running ranks concurrently into per-rank accumulators and merging in
-// rank order equals the sequential interleave exactly.
-func (a *analyzer) postPassRank(rr *rankResult, dst *profile.Accumulator) {
+// and depositing the late-sender-family samples, in receive order.
+func (a *analyzer) postPassRank(rr *rankResult, deposit func(key profile.Key, start, dur, val float64)) {
 	myMH := a.traces[rr.rank].Loc.Metahost
 	n := len(rr.recvLog)
 	minFuture := make([]float64, n+1)
@@ -225,14 +172,8 @@ func (a *analyzer) postPassRank(rr *rankResult, dst *profile.Accumulator) {
 			pat = pattern.WrongOrder
 		}
 		rr.acc[ri.cp].waits[pat] += ri.lsWait
-		s := profSample{
-			key:   profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank},
-			start: ri.recvEnter, dur: ri.lsWait, val: ri.lsWait,
-		}
-		dst.Add(s.key, s.start, s.dur, s.val)
-		// Deferred for the per-phase fold: only here is the instance's
-		// final pattern identity known.
-		rr.postLog = append(rr.postLog, s)
+		deposit(profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank},
+			ri.recvEnter, ri.lsWait, ri.lsWait)
 	}
 }
 

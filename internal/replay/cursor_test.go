@@ -447,8 +447,8 @@ func everyN(n, size int) []int {
 // fault a v2 image can carry past its header, a lazy analysis of the
 // archive and a live session fed the same images — whole, byte by byte,
 // in 64 KiB chunks, or cut inside the first block's length prefix — fail
-// with the identical message; on clean images all of them render
-// byte-identical artifacts.
+// with the identical message; on clean images all of them, and the
+// analysis of the preloaded traces, render byte-identical artifacts.
 func TestFeedersAgree(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "feeders", Obs: obs.NewRecorder()}
 	const bs = 32
@@ -474,13 +474,22 @@ func TestFeedersAgree(t *testing.T) {
 		tr.Events = fn(append([]trace.Event(nil), t0.Events...))
 		return &tr
 	}
+	fan := fanoutTraces()
+	fanImages := make([][]byte, len(fan))
+	for r, tr := range fan {
+		fanImages[r] = image(tr, blockCounts(len(tr.Events), bs)...)
+	}
 	faults := []struct {
 		name string
 		img  []byte // rank 0's image
 		// differ: the two feeders both refuse, each in its own words.
 		differ string
+		// clean: the traces behind the images, all of them sound.
+		clean []*trace.Trace
+		rest  [][]byte // the other ranks' images, clean[1:] if nil
 	}{
-		{name: "clean", img: clean[0]},
+		{name: "clean", img: clean[0], clean: traces},
+		{name: "clean multi-receiver", img: fanImages[0], clean: fan, rest: fanImages[1:]},
 		{name: "truncated mid-block", img: clean[0][:len(clean[0])-3]},
 		{name: "truncated at a block boundary", img: image(t0, 32, 32)},
 		{name: "trailing byte", img: append(clean[0][:len(clean[0]):len(clean[0])], 0)},
@@ -512,16 +521,30 @@ func TestFeedersAgree(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			images := [][]byte{f.img, clean[1], clean[2]}
+			if f.rest == nil {
+				f.rest = clean[1:]
+			}
+			images := append([][]byte{f.img}, f.rest...)
 			want, _ := pulledOutcome(t, ctx, cfg, images)
-			if (want.err == nil) != (f.name == "clean") {
+			if (want.err == nil) != (f.clean != nil) {
 				t.Fatalf("lazy analysis: err = %v", want.err)
+			}
+			hdr := first // every faulty image keeps t0's header
+			if f.clean != nil {
+				hdr = v2HeaderLen(t, f.clean[0], bs)
+				got := outcomeOf(Analyze(f.clean, cfg))
+				if got.err != nil {
+					t.Fatalf("preloaded analysis failed: %v", got.err)
+				}
+				if !bytes.Equal(got.report, want.report) || !bytes.Equal(got.prof, want.prof) || !bytes.Equal(got.phases, want.phases) {
+					t.Error("preloaded artifacts differ from the lazy analysis of the same events")
+				}
 			}
 			for name, cuts := range map[string][]int{
 				"whole":                nil,
 				"1-byte":               everyN(len(f.img), 1),
 				"64 KiB":               everyN(len(f.img), 64<<10),
-				"inside length prefix": {first + 1},
+				"inside length prefix": {hdr + 1},
 			} {
 				got := pushedOutcome(t, ctx, LiveConfig{Config: cfg}, images, cuts...)
 				switch {
@@ -570,9 +593,7 @@ func FuzzLiveFeed(f *testing.F) {
 	f.Add(uint16(22), uint16(767), uint16(437), byte(0x03))     // a collective root outside its communicator
 	f.Add(uint16(230), uint16(488), uint16(661), byte(')'))     // a time stamp 1e13 s out
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "fuzz", Obs: obs.NewRecorder()}
-	// One severity window: a patched time stamp can lie 1e300 s out, and
-	// the window sink keeps an entry for every window a wait spans.
-	live := LiveConfig{Config: cfg, WindowSec: math.MaxFloat64}
+	live := LiveConfig{Config: cfg}
 	f.Fuzz(func(t *testing.T, cut1, cut2, at uint16, xor byte) {
 		img := append([]byte(nil), images[0]...)
 		img[int(at)%n] ^= xor
@@ -583,6 +604,9 @@ func FuzzLiveFeed(f *testing.F) {
 		lo, hi := int(cut1)%(n+1), int(cut2)%(n+1)
 		got := pushedOutcome(t, ctx, live, fed, min(lo, hi), max(lo, hi))
 		switch {
+		case want.err == nil && got.err != nil && strings.Contains(got.err.Error(), "stream windows"):
+			// A patched time stamp stretched a wait over more windows than
+			// one deposit may touch: only a session has windows to refuse.
 		case (want.err == nil) != (got.err == nil):
 			t.Fatalf("lazy analysis: %v; live session: %v", want.err, got.err)
 		case want.err == nil:

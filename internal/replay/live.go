@@ -207,13 +207,13 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		intern:        trace.NewInterner(),
 		state:         "open",
 		traces:        make([]*trace.Trace, cfg.Ranks),
-		sink:          newStreamSink(0, cfg.WindowSec),
 		runDone:       make(chan struct{}),
 		schedStop:     make(chan struct{}),
 		schedDone:     make(chan struct{}),
 		closedThrough: math.MinInt64,
 		closedSet:     make(map[int64]bool),
 	}
+	l.sink = newStreamSink(0, cfg.WindowSec, l.fail)
 	l.fw = rec.Flight.Writer(flight.WindowActor)
 	if l.fw != nil {
 		l.fn = rec.Flight.Name("window-drain")
@@ -535,7 +535,7 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 }
 
 // release drops what only a running analysis needs — the analyzer with
-// its per-rank sample logs, call-path maps and post-pass records, every
+// its per-rank sample and receive logs and call-path maps, every
 // rank's remaining event blocks and every decoder's byte buffer — so a
 // finished session costs its owner the counters and header locations
 // Status, Resident and RankLocation report, not the engine.

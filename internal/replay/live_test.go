@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +44,43 @@ func liveTraces() []*trace.Trace {
 		exit(12, 0),
 	}, world)
 	return []*trace.Trace{t0, t1, t2}
+}
+
+// fanoutTraces builds the one input where a profile series is fed from
+// several ranks' sample logs, the place the ledger's read order shows:
+// rank 0 on metahost A sends a rendezvous message (over the eager limit)
+// to rank 1 on A and to ranks 2 and 3 on B in every round, and each
+// receiver posts its receive late by a different, drifting amount. The
+// sender's late_receiver series is fed from rank 1's log and its
+// late_receiver.grid series from the logs of ranks 2 and 3. The long
+// idle tail widens the profile's buckets until each holds the waits of
+// several rounds — reading the logs in another rank order changes the
+// profile's bytes.
+func fanoutTraces() []*trace.Trace {
+	world := trace.CommDef{ID: 0, Ranks: []int32{0, 1, 2, 3}}
+	const big = 1 << 20
+	evs := make([][]trace.Event, 4)
+	for r := range evs {
+		evs[r] = []trace.Event{enter(0, 0)}
+	}
+	end := 0.0
+	for i := 0; i < 12; i++ {
+		t := 1 + 5.7*float64(i)
+		for k, late := range []float64{0.3, 0.7, 1.1} {
+			peer := int32(k + 1)
+			posted := t + late + 0.0371*float64(i*(k+1))
+			done := posted + 0.1
+			evs[0] = append(evs[0], enter(t, 1), send(t, peer, 5, big), exit(done, 1))
+			evs[peer] = append(evs[peer], enter(posted, 2), recv(done, 0, 5, big), exit(done, 2))
+			t = done + 0.1
+		}
+		end = t
+	}
+	traces := make([]*trace.Trace, 4)
+	for r := range traces {
+		traces[r] = synth(r, r/2, append(evs[r], exit(16*end, 0)), world)
+	}
+	return traces
 }
 
 func encodeTraces(t *testing.T, traces []*trace.Trace) [][]byte {
@@ -133,19 +171,30 @@ func chunkPlan(blobs [][]byte, size int) []feedStep {
 }
 
 func TestLiveMatchesPostMortem(t *testing.T) {
+	liveMatchesPostMortem(t, liveTraces)
+	t.Run("fanout", func(t *testing.T) { liveMatchesPostMortem(t, fanoutTraces) })
+}
+
+func liveMatchesPostMortem(t *testing.T, mk func() []*trace.Trace) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "live determinism"}
-	traces := liveTraces()
-	blobs := encodeTraces(t, traces)
-	post, err := Analyze(liveTraces(), cfg)
+	blobs := encodeTraces(t, mk())
+	post, err := Analyze(mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantReport, wantProf := artifacts(t, post)
+	// The sender-side family is scored by the receivers and streamed
+	// under the base pattern, whichever variant the ledger records.
+	lr := pattern.LateReceiver.MetricKey()
+	wantLR := 0.0
+	for rank := range blobs {
+		wantLR += post.Report.RankMetricTotal(lr, rank)
+	}
 
-	plans := map[string][]feedStep{
-		"round-robin-small": chunkPlan(blobs, 17),
-		"whole-files":       {{0, blobs[0]}, {1, blobs[1]}, {2, blobs[2]}},
-		"reverse-ranks":     {{2, blobs[2]}, {1, blobs[1]}, {0, blobs[0]}},
+	plans := map[string][]feedStep{"round-robin-small": chunkPlan(blobs, 17)}
+	for r, b := range blobs {
+		plans["whole-files"] = append(plans["whole-files"], feedStep{r, b})
+		plans["reverse-ranks"] = append([]feedStep{{r, b}}, plans["reverse-ranks"]...)
 	}
 	// Seeded random chunk sizes with random rank interleaving.
 	rng := rand.New(rand.NewSource(11))
@@ -173,7 +222,7 @@ func TestLiveMatchesPostMortem(t *testing.T) {
 
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			res, _ := runLive(t, cfg, len(blobs), plan)
+			res, events := runLive(t, cfg, len(blobs), plan)
 			gotReport, gotProf := artifacts(t, res)
 			if !bytes.Equal(gotReport, wantReport) {
 				t.Errorf("report bytes differ from post-mortem (%d vs %d bytes)", len(gotReport), len(wantReport))
@@ -185,6 +234,20 @@ func TestLiveMatchesPostMortem(t *testing.T) {
 				t.Errorf("counts differ: live %d/%d/%d post %d/%d/%d",
 					res.Messages, res.Collectives, res.Violations,
 					post.Messages, post.Collectives, post.Violations)
+			}
+			gotLR := 0.0
+			for _, ev := range events {
+				if ev.Window == nil {
+					continue
+				}
+				for _, d := range ev.Window.Deltas {
+					if d.Metric == lr {
+						gotLR += d.Value
+					}
+				}
+			}
+			if wantLR <= 0 || math.Abs(gotLR-wantLR) > 1e-9*wantLR {
+				t.Errorf("streamed Late Receiver mass %g, cube family total %g", gotLR, wantLR)
 			}
 		})
 	}
@@ -403,5 +466,49 @@ func TestLiveAbort(t *testing.T) {
 	}
 	if st := l.Status(); st.State != "failed" {
 		t.Fatalf("state %q, want failed", st.State)
+	}
+}
+
+// TestLiveDepositWindowCap: a wait interval that would touch more than
+// maxDepositWindows windows is refused instead of costing a map per
+// window — a nanosecond window under ordinary wait states here — and
+// the refusal ends the session like any other fatal stream error. The
+// post-mortem analysis of the same bytes has no windows and succeeds.
+func TestLiveDepositWindowCap(t *testing.T) {
+	cfg := Config{Scheme: vclock.FlatSingle}
+	blobs := encodeTraces(t, liveTraces())
+	var failed []string
+	l, err := NewLive(LiveConfig{Config: cfg, Ranks: 3, WindowSec: 1e-9, OnEvent: func(ev StreamEvent) {
+		if ev.State != nil && ev.State.State == "failed" {
+			failed = append(failed, ev.State.Error)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, b := range blobs {
+		// The replay may refuse the session while later ranks upload.
+		if err := l.FeedChunk(r, b); err != nil && !strings.Contains(err.Error(), "stream windows") {
+			t.Fatal(err)
+		}
+	}
+	_, err = l.Finalize(context.Background())
+	// Whichever worker scores its first wait first: rank 1's Late Sender
+	// [1, 4) or the Late Receiver rank 0 detects for rank 2, [2, 6).
+	want := regexp.MustCompile(`^replay: rank [01]: wait interval \[[12], [46]\) spans [34]00000000\d stream windows of 1e-09 s \(limit 65536\)$`)
+	if err == nil || !want.MatchString(err.Error()) {
+		t.Fatalf("finalize: err = %v\nwant %v", err, want)
+	}
+	if st := l.Status(); st.State != "failed" {
+		t.Errorf("state %q, want failed", st.State)
+	}
+	if len(failed) != 1 || failed[0] != err.Error() {
+		t.Errorf("failed state events %q, want one carrying %q", failed, err)
+	}
+	if n := len(l.sink.drain()); n > 3*maxDepositWindows {
+		t.Errorf("sink holds %d windows after the refusal", n)
+	}
+	if _, err := Analyze(liveTraces(), cfg); err != nil {
+		t.Errorf("post-mortem analysis of the same traces: %v", err)
 	}
 }

@@ -76,12 +76,6 @@ type Config struct {
 	// ProfileBuckets is the fixed bucket count of the time-resolved
 	// severity profile (0 selects profile.DefaultBuckets).
 	ProfileBuckets int
-
-	// sequentialPostPass runs the wrong-order post-pass as one
-	// sequential sweep over the ranks instead of per-rank in parallel —
-	// the reference the determinism tests compare the parallel pass
-	// against (they set it through export_test.go).
-	sequentialPostPass bool
 }
 
 // withDefaults fills the options an analysis of n processes derives when

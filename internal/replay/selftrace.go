@@ -23,17 +23,16 @@ import (
 // interning takes the recorder lock, so it happens once per analysis
 // in newAnalyzer, never on the hot path.
 type flightNames struct {
-	worker, take, put, gather, postpass, postmerge flight.NameID
+	worker, take, put, gather, postpass flight.NameID
 }
 
 func newFlightNames(fl *flight.Recorder) flightNames {
 	return flightNames{
-		worker:    fl.Name("replay-worker"),
-		take:      fl.Name("mailbox-take"),
-		put:       fl.Name("mailbox-put"),
-		gather:    fl.Name("collective-gather"),
-		postpass:  fl.Name("pattern-post-pass"),
-		postmerge: fl.Name("pattern-post-merge"),
+		worker:   fl.Name("replay-worker"),
+		take:     fl.Name("mailbox-take"),
+		put:      fl.Name("mailbox-put"),
+		gather:   fl.Name("collective-gather"),
+		postpass: fl.Name("pattern-post-pass"),
 	}
 }
 

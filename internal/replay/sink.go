@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"fmt"
 	"math"
 	"sync"
 )
@@ -29,9 +30,17 @@ type streamSink struct {
 	width  float64 // window width in corrected seconds
 	cur    map[int64]map[deltaKey]float64
 	total  map[deltaKey]float64
+	// fail ends the session when a deposit is refused (Live.fail).
+	fail func(error)
 }
 
-func newStreamSink(origin, width float64) *streamSink {
+// maxDepositWindows caps the windows one deposit may span. Every window
+// a deposit touches costs a map, so without the cap one hostile time
+// stamp, or a legal nanosecond window under an ordinary wait state,
+// would allocate without bound.
+const maxDepositWindows = 1 << 16
+
+func newStreamSink(origin, width float64, fail func(error)) *streamSink {
 	if width <= 0 {
 		width = 1
 	}
@@ -40,6 +49,7 @@ func newStreamSink(origin, width float64) *streamSink {
 		width:  width,
 		cur:    make(map[int64]map[deltaKey]float64),
 		total:  make(map[deltaKey]float64),
+		fail:   fail,
 	}
 }
 
@@ -48,11 +58,23 @@ func (s *streamSink) windowOf(t float64) int64 {
 	return int64(math.Floor((t - s.origin) / s.width))
 }
 
-// add deposits value over the corrected interval [start, start+dur).
-// A non-positive duration deposits at start's window.
-func (s *streamSink) add(k deltaKey, start, dur, value float64) {
+// add deposits value, scored by rank's worker, over the corrected
+// interval [start, start+dur). A non-positive duration deposits at
+// start's window. An interval spanning more than maxDepositWindows
+// windows is not deposited: it fails the session.
+func (s *streamSink) add(rank int, k deltaKey, start, dur, value float64) {
 	if value == 0 {
 		return
+	}
+	if dur > 0 {
+		// Counted in floating point: a hostile time stamp over a narrow
+		// window overflows the int64 window index.
+		n := math.Floor((start+dur-s.origin)/s.width) - math.Floor((start-s.origin)/s.width) + 1
+		if !(n <= maxDepositWindows) { // NaN is refused too
+			s.fail(fmt.Errorf("replay: rank %d: wait interval [%g, %g) spans %.0f stream windows of %g s (limit %d)",
+				rank, start, start+dur, n, s.width, maxDepositWindows))
+			return
+		}
 	}
 	s.mu.Lock()
 	s.total[k] += value

@@ -265,28 +265,23 @@ type rankResult struct {
 	replayBytes    int64
 	replayExternal int64
 	commMatrix     map[[2]int]CommVolume // outgoing traffic by (myMH, dstMH)
-	// profLog is this analysis process's slice of the time-resolved
-	// severity profile, recorded as raw samples in sweep order. The
-	// profile's interval axis (origin, bucket width) is only known once
-	// every trace is complete — post-mortem that is before the replay
-	// starts, in a live session only at finalize — so workers defer the
-	// samples and result() replays each rank's log into a per-rank
-	// accumulator and merges them in rank order, reproducible
-	// bit-for-bit in both modes.
+	// profLog is this analysis process's slice of the severity ledger:
+	// every severity its sweep scored, as raw samples in sweep order. The
+	// profile's interval axis (origin, bucket width) and the phase
+	// boundaries are only known once every trace is complete — post-mortem
+	// that is before the replay starts, in a live session only at
+	// finalize — so workers defer the samples and result() reads the logs
+	// once, in rank order, into the one profile and the one phase fold.
 	profLog []profSample
 	// opLog records one entry per completed non-user region instance
 	// (corrected enter/exit plus the region-name signature) — the raw
 	// material of automatic phase detection. Like profLog it is written
 	// only by this rank's own sweep, so appends need no lock.
 	opLog []phase.Op
-	// postLog holds the post-pass severity deposits of this rank
-	// (late-sender family reclassifications), appended by postPassRank
-	// alongside the profile accumulator. The per-phase fold replays
-	// profLog then postLog rank-major, purely sequentially, which keeps
-	// the phase artifact byte-identical whether the post-pass itself ran
-	// sequentially or on one goroutine per rank.
-	postLog []profSample
-	err     error
+	// remote holds the sender-side severities this rank detected for
+	// other ranks' call paths (Late Receiver); result() applies them.
+	remote []remoteContribution
+	err    error
 }
 
 // profSample is one deferred profile deposit: Add(key, start, dur,
@@ -298,8 +293,16 @@ type profSample struct {
 	val   float64
 }
 
-func (rr *rankResult) addProf(k profile.Key, start, dur, val float64) {
-	rr.profLog = append(rr.profLog, profSample{key: k, start: start, dur: dur, val: val})
+// score records one scored severity: deferred to the rank's sample log
+// for result()'s read of the ledger and, in a live session, deposited
+// into the window sink under its pattern family — grid and wrong-order
+// variants are children of their base pattern in the metric tree, so the
+// family's inclusive cube total matches the stream.
+func (a *analyzer) score(rr *rankResult, key profile.Key, start, dur, val float64) {
+	rr.profLog = append(rr.profLog, profSample{key: key, start: start, dur: dur, val: val})
+	if a.sink != nil {
+		a.sink.add(rr.rank, deltaKey{Metric: phase.FamilyOf(key.Metric), Metahost: key.Metahost}, start, dur, val)
+	}
 }
 
 func (rr *rankResult) cpID(parent int, region trace.RegionID, name string, kind trace.RegionKind) int {
@@ -329,6 +332,9 @@ type analyzer struct {
 	logs []*rankLog
 	// sink, when non-nil, receives every scored severity as a windowed
 	// delta for the live stream (nil post-mortem: one branch per score).
+	// Besides the mailboxes and the collective gathers it is the only
+	// shared state a worker writes; everything else goes to its own
+	// rankResult.
 	sink *streamSink
 	// progress, when non-nil, tracks each worker's corrected sweep time
 	// (float64 bits; +Inf once the rank is done) — the live engine's
@@ -337,9 +343,6 @@ type analyzer struct {
 
 	mailboxes []*mailbox
 	colls     map[int32]*collDomain
-
-	remoteMu sync.Mutex
-	remote   []remoteContribution
 
 	results []*rankResult
 	corrs   []vclock.Correction
@@ -519,13 +522,6 @@ func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit f
 	}
 }
 
-// addRemote records a severity for another rank's call path.
-func (a *analyzer) addRemote(rc remoteContribution) {
-	a.remoteMu.Lock()
-	a.remote = append(a.remote, rc)
-	a.remoteMu.Unlock()
-}
-
 // stackEntry tracks an open region during the forward sweep.
 type stackEntry struct {
 	cp        int
@@ -671,10 +667,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			if dstMH != myMH {
 				volKey = profile.KeyBytesWide
 			}
-			rr.addProf(profile.Key{Metric: volKey, Metahost: myMH, Rank: rank}, ct, 0, float64(ev.Bytes))
-			if a.sink != nil {
-				a.sink.add(deltaKey{Metric: volKey, Metahost: myMH}, ct, 0, float64(ev.Bytes))
-			}
+			a.score(rr, profile.Key{Metric: volKey, Metahost: myMH, Rank: rank}, ct, 0, float64(ev.Bytes))
 			if fw != nil {
 				fw.Emit(flight.Send, a.flJob, a.fn.put, int64(dst), flightSig(ev.Comm, ev.Tag))
 			}
@@ -730,11 +723,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			grid := rec.srcMetahost != myMH
 			ls := pattern.LateSenderWait(rec.sendEnter, top.enter, ct)
 			if a.sink != nil && ls > 0 {
-				// Streamed at family granularity: the post-pass may
-				// reclassify the instance as wrong-order or grid, both
-				// children of Late Sender in the metric tree, so the
-				// family's inclusive cube total matches the stream.
-				a.sink.add(deltaKey{Metric: pattern.LateSender.MetricKey(), Metahost: myMH},
+				// Sink only, at family granularity: whether the instance
+				// is plain, wrong-order or grid — all in the Late Sender
+				// family — is decided in the post-pass, which deposits
+				// the ledger sample.
+				a.sink.add(rank, deltaKey{Metric: pattern.LateSender.MetricKey(), Metahost: myMH},
 					top.enter, ls, ls)
 			}
 			rr.recvLog = append(rr.recvLog, recvInfo{
@@ -752,7 +745,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 					if grid {
 						pat = pattern.GridLateReceiver
 					}
-					a.addRemote(remoteContribution{
+					rr.remote = append(rr.remote, remoteContribution{
 						rank: int(rec.srcWorld), cp: rec.srcCP, pat: pat, val: lr,
 						mhA: rec.srcMetahost, mhB: myMH, isGrid: grid,
 					})
@@ -760,12 +753,8 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 					// elapsed; the detecting (receiving) process records
 					// the interval into its own sample log, keyed to
 					// the suffering sender.
-					rr.addProf(profile.Key{Metric: pat.MetricKey(), Metahost: rec.srcMetahost, Rank: int(rec.srcWorld)},
+					a.score(rr, profile.Key{Metric: pat.MetricKey(), Metahost: rec.srcMetahost, Rank: int(rec.srcWorld)},
 						rec.sendEnter, lr, lr)
-					if a.sink != nil {
-						a.sink.add(deltaKey{Metric: pattern.LateReceiver.MetricKey(), Metahost: rec.srcMetahost},
-							rec.sendEnter, lr, lr)
-					}
 				}
 			}
 
@@ -898,11 +887,6 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 		if v <= 0 {
 			return
 		}
-		if a.sink != nil {
-			// Streamed under the base pattern: the grid variant is its
-			// child in the metric tree, so the family total matches.
-			a.sink.add(deltaKey{Metric: pat.MetricKey(), Metahost: myMH}, myEnter, v, v)
-		}
 		if spans {
 			pat = pat.Gridded()
 			rr.acc[cp].addPair(pat, myMH, causeMH, v)
@@ -910,7 +894,7 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 		rr.acc[cp].waits[pat] += v
 		// Waiting starts when this process enters the operation and
 		// lasts until the cause arrives.
-		rr.addProf(profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank}, myEnter, v, v)
+		a.score(rr, profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank}, myEnter, v, v)
 	}
 	// Completion waits sit at the *end* of the operation: from the last
 	// participant's enter to this process's exit.
@@ -919,10 +903,7 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 			return
 		}
 		rr.acc[cp].waits[pat] += v
-		rr.addProf(profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank}, myDone-v, v, v)
-		if a.sink != nil {
-			a.sink.add(deltaKey{Metric: pat.MetricKey(), Metahost: myMH}, myDone-v, v, v)
-		}
+		a.score(rr, profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank}, myDone-v, v, v)
 	}
 	switch {
 	case ev.Coll == trace.CollBarrier:

@@ -391,6 +391,61 @@ func TestSessionRefusesV1Stream(t *testing.T) {
 	}
 }
 
+// TestSessionNanosecondWindow: ?window=1ns is a legal request, and an
+// ordinary wait state spans billions of such windows. The engine refuses
+// the deposit instead of keeping a map per window: the session fails,
+// its result answers 422, the failed outcome moves once and the
+// operator's log says why in one line.
+func TestSessionNanosecondWindow(t *testing.T) {
+	rec := obs.NewRecorder()
+	logged := &logLines{}
+	rec.Log = obs.NewLogger(logged)
+	s, ts := newTestServer(t, Options{Workers: 1, Obs: rec})
+	traces := sessionTraces()
+	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1&window=1ns")
+	refused := false
+	for r, b := range encodeAll(t, traces) {
+		// The replay starts with the last header and may refuse the
+		// session while the later ranks still upload.
+		code, body := putChunk(t, ts.URL, st.ID, traces[r].Loc.Metahost, r, 0, b, true)
+		if refused = code == http.StatusUnprocessableEntity; refused {
+			break
+		}
+		if code != http.StatusOK {
+			t.Fatalf("chunk rank %d: HTTP %d %v", r, code, body)
+		}
+	}
+	if !refused {
+		finalizeSession(t, ts.URL, st.ID)
+	}
+	waitState(t, s, st.ID, StateFailed)
+	var fin SessionStatus
+	if _, b := getBody(t, ts.URL+"/v1/sessions/"+st.ID); json.Unmarshal(b, &fin) != nil ||
+		!strings.Contains(fin.Error, "stream windows of 1e-09 s (limit 65536)") {
+		t.Fatalf("failed session reports %q, want the window limit", fin.Error)
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/experiments/"+st.ID+"/result"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("result of the refused session: HTTP %d, want 422", code)
+	}
+	var lines []string
+	for deadline := time.Now().Add(10 * time.Second); len(lines) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		lines = logged.matching("live session ended")
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "level=warn") || !strings.Contains(lines[0], "stream windows") {
+		t.Fatalf("refusal logged as %q, want one warning carrying the window limit", lines)
+	}
+	for _, fam := range rec.Reg.Snapshot() {
+		if fam.Name != "metascope_serve_sessions_total" {
+			continue
+		}
+		for _, ser := range fam.Series {
+			if want := map[string]float64{"failed": 1}[ser.Labels["outcome"]]; ser.Value != want {
+				t.Errorf("sessions_total{outcome=%q} = %g, want %g", ser.Labels["outcome"], ser.Value, want)
+			}
+		}
+	}
+}
+
 // logLines collects a logger's output; the logger makes one Write per
 // line.
 type logLines struct {

@@ -1,102 +1,13 @@
-// Package stats provides small statistical helpers used throughout the
-// metascope toolset: running moments, quantiles, and fixed-width
-// histograms. All helpers are deterministic and allocation-conscious so
-// they can be used inside the simulator's hot paths.
+// Package stats holds the three sample statistics the toolset uses: the
+// mean and the unbiased standard deviation of a sample (the ping-pong
+// latency measurement) and an interpolated quantile (the benchmark
+// harness's medians and quartiles). All are deterministic.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary holds the running first and second moments of a sample
-// stream together with its extremes. The zero value is ready to use.
-type Summary struct {
-	n        int
-	mean     float64
-	m2       float64 // sum of squared deviations (Welford)
-	min, max float64
-}
-
-// Add incorporates one observation using Welford's online algorithm,
-// which is numerically stable for long streams.
-func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// AddAll incorporates every observation in xs.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance (n-1 denominator), or 0 when
-// fewer than two observations have been added.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
-
-// Merge combines another summary into s as if all of o's observations
-// had been added to s (Chan et al. parallel variance combination).
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	delta := o.mean - s.mean
-	total := s.n + o.n
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(total)
-	s.mean += delta * float64(o.n) / float64(total)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = total
-}
-
-// String renders the summary as "n=… mean=… sd=… min=… max=…" using %g.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%g sd=%g min=%g max=%g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -135,25 +46,6 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return sortedQuantile(sorted, q)
-}
-
-// Quantiles returns several quantiles of xs at once, sorting only once.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		out[i] = sortedQuantile(sorted, q)
-	}
-	return out
-}
-
-func sortedQuantile(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}
@@ -168,56 +60,4 @@ func sortedQuantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi) with out-of-range
-// observations counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram creates a histogram with n equally wide bins spanning
-// [lo, hi). It panics if n < 1 or hi <= lo, which indicates a
-// programming error rather than a data problem.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i == len(h.Bins) { // guard against FP rounding at the edge
-			i--
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 {
-	return (h.Hi - h.Lo) / float64(len(h.Bins))
 }

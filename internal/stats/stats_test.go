@@ -8,102 +8,6 @@ import (
 
 func close(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
-		t.Fatalf("zero summary not neutral: %v", s.String())
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d, want 8", s.N())
-	}
-	if !close(s.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %g, want 5", s.Mean())
-	}
-	// Sample (n-1) stddev of this classic data set is sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7.0); !close(s.StdDev(), want, 1e-12) {
-		t.Errorf("stddev = %g, want %g", s.StdDev(), want)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %g/%g, want 2/9", s.Min(), s.Max())
-	}
-}
-
-func TestSummarySingleObservation(t *testing.T) {
-	var s Summary
-	s.Add(3.5)
-	if s.Var() != 0 || s.StdDev() != 0 {
-		t.Errorf("variance of single observation must be 0, got %g", s.Var())
-	}
-	if s.Min() != 3.5 || s.Max() != 3.5 {
-		t.Errorf("min/max = %g/%g", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1, 2.5, -3, 8, 0.25, 14, -2, 6.5, 3, 3}
-	var whole Summary
-	whole.AddAll(xs)
-	var a, b Summary
-	a.AddAll(xs[:4])
-	b.AddAll(xs[4:])
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !close(a.Mean(), whole.Mean(), 1e-12) {
-		t.Errorf("merged mean = %g, want %g", a.Mean(), whole.Mean())
-	}
-	if !close(a.Var(), whole.Var(), 1e-9) {
-		t.Errorf("merged var = %g, want %g", a.Var(), whole.Var())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merged extremes differ")
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Fatalf("N = %d after merging empty", a.N())
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Fatalf("empty.Merge broken: %s", b.String())
-	}
-}
-
-// Property: Merge is equivalent to AddAll regardless of the split point.
-func TestSummaryMergeProperty(t *testing.T) {
-	f := func(xs []float64, splitRaw uint8) bool {
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		split := int(splitRaw) % (len(clean) + 1)
-		var whole, a, b Summary
-		whole.AddAll(clean)
-		a.AddAll(clean[:split])
-		b.AddAll(clean[split:])
-		a.Merge(b)
-		return a.N() == whole.N() &&
-			close(a.Mean(), whole.Mean(), 1e-6) &&
-			close(a.Var(), whole.Var(), 1e-4*(1+whole.Var()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Errorf("Mean(nil) = %g", Mean(nil))
@@ -143,21 +47,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestQuantilesMatchesQuantile(t *testing.T) {
-	xs := []float64{9, 1, 7, 3, 5, 2}
-	qs := []float64{0, 0.1, 0.5, 0.9, 1}
-	got := Quantiles(xs, qs...)
-	for i, q := range qs {
-		if want := Quantile(xs, q); !close(got[i], want, 1e-12) {
-			t.Errorf("Quantiles[%d] = %g, want %g", i, got[i], want)
-		}
-	}
-	if len(Quantiles(nil, 0.5)) != 1 {
-		t.Errorf("Quantiles(nil) must return one zero entry")
-	}
-}
-
-// Property: quantile is monotone in q and bounded by min/max.
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(xs []float64, q1, q2 float64) bool {
 		clean := xs[:0:0]
@@ -180,56 +69,5 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, b := range h.Bins {
-		if b != want[i] {
-			t.Errorf("bin %d = %d, want %d (bins %v)", i, b, want[i], h.Bins)
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if !close(h.BinWidth(), 2, 1e-12) {
-		t.Errorf("BinWidth = %g, want 2", h.BinWidth())
-	}
-}
-
-func TestHistogramEdgeRounding(t *testing.T) {
-	// A value infinitesimally below Hi must land in the last bin, not
-	// panic on an out-of-range index.
-	h := NewHistogram(0, 0.3, 3)
-	h.Add(math.Nextafter(0.3, 0))
-	if h.Bins[2] != 1 || h.Over != 0 {
-		t.Errorf("edge value misplaced: bins=%v over=%d", h.Bins, h.Over)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 1, 0}, {1, 1, 3}, {2, 1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%g,%g,%d) did not panic", c.lo, c.hi, c.n)
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.n)
-		}()
 	}
 }

@@ -57,6 +57,36 @@ if grep -n 'decodeEvent(' internal/trace/chunk.go; then
 	exit 1
 fi
 
+# The severity ledger — every rank's deferred sample log, then the
+# wrong-order post-pass — is read once, by result() in build.go, on one
+# goroutine, into one profile accumulator and one phase accumulator. A
+# second accumulator, a merge or a goroutine there is a second reader of
+# the ledger: a mode creeping back.
+echo "== one ledger fold"
+profs=0
+phases=0
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	profs=$((profs + $(grep -c -F 'profile.NewAccumulator(' "$f" || true)))
+	phases=$((phases + $(grep -c -F 'phase.NewAccumulator(' "$f" || true)))
+	if grep -n -F '.Merge(' "$f"; then
+		echo "check: $f merges accumulators: per-rank accumulators are a second reader of the ledger creeping back" >&2
+		exit 1
+	fi
+done
+if [ "$profs" -gt 1 ] || [ "$phases" -gt 1 ]; then
+	echo "check: internal/replay builds $profs profile and $phases phase accumulators: the ledger has one reader (result in build.go)" >&2
+	exit 1
+fi
+if grep -n -F 'Merge(' internal/profile/profile.go; then
+	echo "check: profile.Accumulator can be merged again: the analyzer feeds one accumulator, in one order" >&2
+	exit 1
+fi
+if grep -n 'go func' internal/replay/build.go; then
+	echo "check: internal/replay/build.go starts a goroutine: a second reader of the ledger is a mode creeping back" >&2
+	exit 1
+fi
+
 # The service answers 20 routes over one store of analyses, whichever
 # feeder — job or live session — produced them. A 21st is a mode
 # creeping back: serve it from a handler that already resolves by id.
