@@ -108,6 +108,39 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 	}
 }
 
+// TestLazyAllocPerEventBudget pins what a lazy analysis allocates per
+// event: the sweep decodes into the blocks it has just released and phase
+// detection searches its candidates in place, so neither a block per
+// block decoded nor a phase sequence per candidate partition is on the
+// bill. On this archive (MetaTrace at detail 4, 208 224 events) the
+// analysis allocates 20.3 MB, 97.6 B/event; with a fresh block per decode
+// and a sequence copy per candidate it was 34.8 MB, 167.0 B/event. The
+// budget is 1.25x the former. Pinned by name in script/check.sh.
+func TestLazyAllocPerEventBudget(t *testing.T) {
+	e := metatraceExperiment(t, 4)
+	traces, err := e.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for _, tr := range traces {
+		events += len(tr.Events)
+	}
+	lazyBytes, _ := allocated(t, func() (*replay.Result, error) {
+		ar, err := e.TracesLazy()
+		if err != nil {
+			return nil, err
+		}
+		return replay.AnalyzeLazy(ar, replay.Config{Scheme: vclock.Hierarchical, Title: "alloc-budget"})
+	})
+	const measured = 97.6 // B/event
+	perEvent := float64(lazyBytes) / float64(events)
+	t.Logf("lazy analysis allocated %d bytes for %d events: %.1f B/event", lazyBytes, events, perEvent)
+	if perEvent > 1.25*measured {
+		t.Errorf("lazy analysis allocates %.1f B/event, budget 1.25 x %.1f", perEvent, measured)
+	}
+}
+
 // TestLazyShortRanksAllocBudget: a lazy analysis sizes each block's
 // buffer by the events the rank still owes, not by the stride, so an
 // archive of many ranks far shorter than one 4096-event block — a

@@ -27,7 +27,11 @@
 // different speeds segment identically.
 package phase
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Op is one completed non-user region instance observed by the replay
 // sweep of one rank, in corrected time.
@@ -120,19 +124,129 @@ var trimOrder = [][2]int{
 // interval is one covered span of the time axis.
 type interval struct{ a, b float64 }
 
-// rankAtom is one rank's multiset summary of one atom.
+// rankAtom is a multiset summary of one rank's ops: over one atom, over
+// one phase, or — in search.prefix — over every atom before a given one.
 type rankAtom struct {
 	sum uint64
 	cnt int
+}
+
+// search is what one Detect call evaluates its candidate partitions in.
+// Each active rank's atom summaries are kept as running sums (uint64
+// addition wraps, and wraps back on subtraction), so the phase tuple of
+// any candidate is the difference of two prefix entries: a candidate
+// costs O(phases) per rank it looks at, not O(atoms), and is evaluated
+// in the three buffers below, which every candidate reuses. Detect's
+// allocation is therefore O(ops + ranks·atoms) however many thresholds
+// it tries.
+type search struct {
+	nAtoms int
+	ranks  int // ranks that have ops
+	// prefix holds one row of nAtoms+1 entries per such rank: row[a]
+	// summarizes the rank's ops in atoms [0, a).
+	prefix []rankAtom
+	cuts   []int      // the candidate: cut after these atom indices
+	seq    []rankAtom // one rank's phase tuples under cuts
+	fail   []int      // KMP failure table over seq
+}
+
+// cutAt makes the candidate that cuts at every gap of at least
+// threshold.
+func (s *search) cutAt(gaps []float64, threshold float64) {
+	s.cuts = s.cuts[:0]
+	for i, g := range gaps {
+		if g >= threshold {
+			s.cuts = append(s.cuts, i)
+		}
+	}
+}
+
+// row returns the prefix row of the r-th rank that has ops.
+func (s *search) row(r int) []rankAtom {
+	return s.prefix[r*(s.nAtoms+1) : (r+1)*(s.nAtoms+1)]
+}
+
+// minus is the summary of the ops counted in a and not in its prefix b.
+func (a rankAtom) minus(b rankAtom) rankAtom {
+	return rankAtom{a.sum - b.sum, a.cnt - b.cnt}
+}
+
+// phases folds the r-th row into the rank's per-phase tuples under the
+// candidate.
+func (s *search) phases(r int) []rankAtom {
+	row, seq := s.row(r), s.seq[:0]
+	lo := 0
+	for _, c := range s.cuts {
+		seq = append(seq, row[c+1].minus(row[lo]))
+		lo = c + 1
+	}
+	s.seq = append(seq, row[s.nAtoms].minus(row[lo]))
+	return s.seq
+}
+
+// period returns the minimal shift-period of seq via the KMP failure
+// function: p is the smallest value with seq[i] == seq[i-p] for all
+// i ≥ p.
+func (s *search) period(seq []rankAtom) int {
+	n := len(seq)
+	if n == 0 {
+		return 1
+	}
+	fail := append(s.fail[:0], -1, 0)
+	k := 0
+	for i := 1; i < n; i++ {
+		for k >= 0 && seq[i] != seq[k] {
+			k = fail[k]
+		}
+		k++
+		fail = append(fail, k)
+	}
+	s.fail = fail
+	return n - fail[n]
+}
+
+// accept reports whether the candidate is a periodic partition: after
+// one global trim, every rank's phase-tuple sequence repeats at least
+// twice. Ranks are evaluated one at a time against the set of trims no
+// earlier rank has refuted, until none is left; the answer is the first
+// surviving trim in trimOrder.
+func (s *search) accept() (pre, post int, ok bool) {
+	k := len(s.cuts) + 1
+	alive := 0
+	for t, tr := range trimOrder {
+		if k-tr[0]-tr[1] >= 2 {
+			alive |= 1 << t
+		}
+	}
+	for r := 0; r < s.ranks && alive != 0; r++ {
+		seq := s.phases(r)
+		for t, tr := range trimOrder {
+			if alive&(1<<t) == 0 {
+				continue
+			}
+			if core := seq[tr[0] : k-tr[1]]; 2*s.period(core) > len(core) {
+				alive &^= 1 << t
+			}
+		}
+	}
+	for t, tr := range trimOrder {
+		if alive&(1<<t) != 0 {
+			return tr[0], tr[1], true
+		}
+	}
+	return 0, 0, false
 }
 
 // Detect segments the run described by the per-rank op logs. It never
 // fails: runs with no detectable repetition fall back to the finest
 // silence partition, and an empty input yields one empty phase.
 func Detect(ops [][]Op) *Segmentation {
-	total := 0
+	total, active := 0, 0
 	for _, ol := range ops {
 		total += len(ol)
+		if len(ol) > 0 {
+			active++
+		}
 	}
 	if total == 0 {
 		return &Segmentation{
@@ -155,11 +269,11 @@ func Detect(ops [][]Op) *Segmentation {
 			ivs = append(ivs, interval{op.Enter, b})
 		}
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].a != ivs[j].a {
-			return ivs[i].a < ivs[j].a
+	slices.SortFunc(ivs, func(x, y interval) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
 		}
-		return ivs[i].b < ivs[j].b
+		return cmp.Compare(x.b, y.b)
 	})
 	segs := make([]interval, 0, 64)
 	cur := ivs[0]
@@ -209,19 +323,28 @@ func Detect(ops [][]Op) *Segmentation {
 		return i
 	}
 
-	// Per-rank per-atom multiset sums, plus the global distinct-name
-	// sets feeding the rank-agnostic structural signatures.
-	perRank := make([][]rankAtom, len(ops))
+	// Per-rank running multiset sums over the atoms, plus the global
+	// distinct-name sets feeding the rank-agnostic structural signatures.
+	s := &search{
+		nAtoms: nAtoms,
+		ranks:  active,
+		prefix: make([]rankAtom, active*(nAtoms+1)),
+		cuts:   make([]int, 0, nAtoms),
+		seq:    make([]rankAtom, 0, nAtoms),
+		fail:   make([]int, 0, nAtoms+1),
+	}
 	kindSets := make([]map[uint64]struct{}, nAtoms)
-	for r, ol := range ops {
+	r := 0
+	for _, ol := range ops {
 		if len(ol) == 0 {
 			continue
 		}
-		row := make([]rankAtom, nAtoms)
+		row := s.row(r)
+		r++
 		for _, op := range ol {
 			at := atomOf(op.Enter)
-			row[at].sum += mix64(op.Sig)
-			row[at].cnt++
+			row[at+1].sum += mix64(op.Sig)
+			row[at+1].cnt++
 			ks := kindSets[at]
 			if ks == nil {
 				ks = make(map[uint64]struct{}, 4)
@@ -229,7 +352,10 @@ func Detect(ops [][]Op) *Segmentation {
 			}
 			ks[op.Sig] = struct{}{}
 		}
-		perRank[r] = row
+		for a := 1; a <= nAtoms; a++ {
+			row[a].sum += row[a-1].sum
+			row[a].cnt += row[a-1].cnt
+		}
 	}
 
 	gaps := make([]float64, nAtoms-1)
@@ -245,110 +371,27 @@ func Detect(ops [][]Op) *Segmentation {
 		}
 	}
 
-	cutAt := func(threshold float64) []int {
-		var cuts []int
-		for i, g := range gaps {
-			if g >= threshold {
-				cuts = append(cuts, i)
-			}
-		}
-		return cuts
-	}
-
 	for _, th := range distinct {
-		cuts := cutAt(th)
-		if len(cuts) == 0 {
+		s.cutAt(gaps, th)
+		if len(s.cuts) == 0 {
 			break // coarser thresholds only remove more cuts
 		}
-		if pre, post, ok := validate(perRank, nAtoms, cuts); ok {
-			return build(segs, cuts, perRank, kindSets, pre, post)
+		if pre, post, ok := s.accept(); ok {
+			return s.build(segs, kindSets, pre, post)
 		}
 	}
 	// No periodic partition: fall back to the finest silence partition
 	// so the artifact still resolves the run's covered spans.
-	return build(segs, cutAt(0), perRank, kindSets, 0, 0)
+	s.cutAt(gaps, 0)
+	return s.build(segs, kindSets, 0, 0)
 }
 
-// phaseSeq folds a rank's atom summaries into per-phase tuples for the
-// partition cutting after the given atom indices.
-func phaseSeq(row []rankAtom, nAtoms int, cuts []int, out []rankAtom) []rankAtom {
-	out = out[:0]
-	acc := rankAtom{}
-	next := 0
-	for a := 0; a < nAtoms; a++ {
-		acc.sum += row[a].sum
-		acc.cnt += row[a].cnt
-		if next < len(cuts) && cuts[next] == a {
-			out = append(out, acc)
-			acc = rankAtom{}
-			next++
-		}
-	}
-	return append(out, acc)
-}
-
-// minPeriod returns the minimal shift-period of seq via the KMP
-// failure function: p is the smallest value with seq[i] == seq[i-p]
-// for all i ≥ p.
-func minPeriod(seq []rankAtom) int {
-	n := len(seq)
-	if n == 0 {
-		return 1
-	}
-	fail := make([]int, n+1)
-	fail[0], fail[1] = -1, 0
-	k := 0
-	for i := 1; i < n; i++ {
-		for k >= 0 && seq[i] != seq[k] {
-			k = fail[k]
-		}
-		k++
-		fail[i+1] = k
-	}
-	return n - fail[n]
-}
-
-// validate accepts a partition when, after one global trim, every
-// rank's phase-tuple sequence repeats at least twice.
-func validate(perRank [][]rankAtom, nAtoms int, cuts []int) (pre, post int, ok bool) {
+// build assembles the Segmentation for the candidate, accepted with the
+// given trim.
+func (s *search) build(segs []interval, kindSets []map[uint64]struct{}, pre, post int) *Segmentation {
+	cuts := s.cuts
 	k := len(cuts) + 1
-	if k < 2 {
-		return 0, 0, false
-	}
-	seqs := make([][]rankAtom, 0, len(perRank))
-	var buf []rankAtom
-	for _, row := range perRank {
-		if row == nil {
-			continue
-		}
-		buf = phaseSeq(row, nAtoms, cuts, buf)
-		seqs = append(seqs, append([]rankAtom(nil), buf...))
-	}
-	for _, tr := range trimOrder {
-		pre, post = tr[0], tr[1]
-		l := k - pre - post
-		if l < 2 {
-			continue
-		}
-		allOK := true
-		for _, seq := range seqs {
-			p := minPeriod(seq[pre : k-post])
-			if 2*p > l {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			return pre, post, true
-		}
-	}
-	return 0, 0, false
-}
-
-// build assembles the Segmentation for an accepted partition.
-func build(segs []interval, cuts []int, perRank [][]rankAtom, kindSets []map[uint64]struct{}, pre, post int) *Segmentation {
-	k := len(cuts) + 1
-	s := &Segmentation{
+	sg := &Segmentation{
 		Bounds: make([]float64, 0, k+1),
 		Sigs:   make([]uint64, k),
 		Kinds:  make([]uint64, k),
@@ -356,22 +399,16 @@ func build(segs []interval, cuts []int, perRank [][]rankAtom, kindSets []map[uin
 		Pre:    pre,
 		Post:   post,
 	}
-	s.Bounds = append(s.Bounds, segs[0].a)
+	sg.Bounds = append(sg.Bounds, segs[0].a)
 	for _, c := range cuts {
-		s.Bounds = append(s.Bounds, (segs[c].b+segs[c+1].a)/2)
+		sg.Bounds = append(sg.Bounds, (segs[c].b+segs[c+1].a)/2)
 	}
-	s.Bounds = append(s.Bounds, segs[len(segs)-1].b)
+	sg.Bounds = append(sg.Bounds, segs[len(segs)-1].b)
 
-	nAtoms := len(segs)
-	var buf []rankAtom
-	for _, row := range perRank {
-		if row == nil {
-			continue
-		}
-		buf = phaseSeq(row, nAtoms, cuts, buf)
-		for i, t := range buf {
-			s.Sigs[i] += t.sum
-			s.Counts[i] += t.cnt
+	for r := 0; r < s.ranks; r++ {
+		for i, t := range s.phases(r) {
+			sg.Sigs[i] += t.sum
+			sg.Counts[i] += t.cnt
 		}
 	}
 	// Structural signatures: XOR over the distinct region-name hashes
@@ -383,13 +420,13 @@ func build(segs []interval, cuts []int, perRank [][]rankAtom, kindSets []map[uin
 		for sig := range kinds {
 			h ^= mix64(sig)
 		}
-		s.Kinds[phase] = h
+		sg.Kinds[phase] = h
 		phase++
 		for sig := range kinds {
 			delete(kinds, sig)
 		}
 	}
-	for a := 0; a < nAtoms; a++ {
+	for a := 0; a < s.nAtoms; a++ {
 		for sig := range kindSets[a] {
 			kinds[sig] = struct{}{}
 		}
@@ -400,10 +437,10 @@ func build(segs []interval, cuts []int, perRank [][]rankAtom, kindSets []map[uin
 	}
 	flush()
 
-	core := make([]rankAtom, 0, k)
+	core := s.seq[:0]
 	for i := pre; i < k-post; i++ {
-		core = append(core, rankAtom{sum: s.Sigs[i], cnt: s.Counts[i]})
+		core = append(core, rankAtom{sum: sg.Sigs[i], cnt: sg.Counts[i]})
 	}
-	s.Period = minPeriod(core)
-	return s
+	sg.Period = s.period(core)
+	return sg
 }

@@ -1,8 +1,11 @@
 package phase
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -220,4 +223,452 @@ func TestDetectManyGapsStaysBounded(t *testing.T) {
 	if total != n {
 		t.Fatalf("counts sum to %d, want %d", total, n)
 	}
+}
+
+// randomRun draws one run for the differential test: a periodic body of
+// steps with jittered gaps (so the finest partitions are usually
+// aperiodic and several thresholds are tried), ragged ranks that join
+// only every other iteration, ranks with empty logs, 0–2 one-off
+// prologue and epilogue regions, or no repetition at all; op order
+// within a rank is shuffled.
+func randomRun(rng *rand.Rand) [][]Op {
+	sigs := []uint64{sigA, sigB, sigC, sigInit, SigOf("MPI_Allreduce")}
+	ranks := 1 + rng.Intn(6)
+	ops := make([][]Op, ranks)
+	empty := make([]bool, ranks)
+	for r := 1; r < ranks; r++ { // rank 0 always has ops
+		empty[r] = rng.Intn(5) == 0
+	}
+	add := func(r int, enter, dur float64, sig uint64) {
+		if !empty[r] {
+			ops[r] = append(ops[r], op(enter, enter+dur, sig))
+		}
+	}
+	// Times are multiples of 1/8 so equal gaps — one threshold for many
+	// cuts — occur next to distinct ones.
+	q := func(x float64) float64 { return float64(int(x*8)) / 8 }
+	now := 0.0
+	oneOff := func(n int) {
+		for i := 0; i < n; i++ {
+			for r := 0; r < ranks; r++ {
+				add(r, now, 1, SigOf(fmt.Sprint("setup", rng.Intn(3))))
+			}
+			now += 3 + q(rng.Float64()*4)
+		}
+	}
+	if rng.Intn(4) == 0 { // aperiodic: the fallback
+		for i, n := 0, 2+rng.Intn(30); i < n; i++ {
+			add(rng.Intn(ranks), now, q(rng.Float64()*2), sigs[rng.Intn(len(sigs))])
+			now += q(rng.Float64() * 4)
+		}
+		ops[0] = append(ops[0], op(now, now+1, sigA))
+	} else {
+		oneOff(rng.Intn(4) % 3)
+		steps := 1 + rng.Intn(4)
+		stepSig := make([]uint64, steps)
+		for s := range stepSig {
+			stepSig[s] = sigs[rng.Intn(len(sigs))]
+		}
+		every := make([]int, ranks) // ragged: rank r joins iteration i when i%every[r] == 0
+		for r := range every {
+			every[r] = 1 + rng.Intn(2)
+		}
+		for i, iters := 0, 2+rng.Intn(12); i < iters; i++ {
+			for s := 0; s < steps; s++ {
+				for r := 0; r < ranks; r++ {
+					if i%every[r] == 0 {
+						add(r, now+q(rng.Float64()/2), 1, stepSig[s])
+					}
+				}
+				now += 2 + q(rng.Float64()) // within an iteration: short, varying silences
+			}
+			now += 6 + q(rng.Float64()*2)
+		}
+		oneOff(rng.Intn(4) % 3)
+	}
+	for r := range ops {
+		rng.Shuffle(len(ops[r]), func(i, j int) { ops[r][i], ops[r][j] = ops[r][j], ops[r][i] })
+	}
+	return ops
+}
+
+// TestDetectMatchesReference holds the in-place candidate search to
+// Detect's definition on a few thousand drawn runs, and on one with more
+// silences than maxCuts.
+func TestDetectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	accepted, fallback, trimmed := 0, 0, 0
+	for i := 0; i < 3000; i++ {
+		ops := randomRun(rng)
+		got, want := Detect(ops), referenceDetect(ops)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: Detect differs from its definition:\n got %+v\nwant %+v\n ops %v", i, got, want, ops)
+		}
+		switch {
+		case 2*got.Period > got.Phases()-got.Pre-got.Post:
+			fallback++
+		case got.Pre+got.Post > 0:
+			trimmed++
+		default:
+			accepted++
+		}
+	}
+	if accepted < 300 || fallback < 300 || trimmed < 300 {
+		t.Errorf("the draw is lopsided: %d clean acceptances, %d trimmed, %d fallbacks", accepted, trimmed, fallback)
+	}
+
+	// More gaps than maxCuts, over three ranks of which one is ragged.
+	ops := make([][]Op, 4) // rank 3 stays empty
+	now := 0.0
+	for i := 0; i < maxCuts+300; i++ {
+		ops[0] = append(ops[0], op(now, now+1, sigA))
+		ops[1] = append(ops[1], op(now+0.25, now+1, sigB))
+		if i%2 == 0 {
+			ops[2] = append(ops[2], op(now, now+0.5, sigC))
+		}
+		now += 2 + float64(rng.Intn(64))/64
+	}
+	if got, want := Detect(ops), referenceDetect(ops); !reflect.DeepEqual(got, want) {
+		t.Fatalf("over maxCuts gaps: Detect differs from its definition:\n got %d phases pre %d post %d period %d\nwant %d phases pre %d post %d period %d",
+			got.Phases(), got.Pre, got.Post, got.Period, want.Phases(), want.Pre, want.Post, want.Period)
+	}
+}
+
+// allocatedBytes returns the bytes one call of f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDetectAllocsIndependentOfCandidates: what Detect allocates depends
+// on the ops, ranks and atoms it is given, not on how many candidate
+// partitions it tries before one is accepted. Two runs of 16 ranks × 400
+// ops on the same 400 atoms: in the first every op is the same region,
+// so the finest partition is accepted; in the second each pair of atoms
+// holds the same two regions in a drawn order, so only the 201st
+// threshold — the one that merges every pair — yields a periodic
+// partition.
+func TestDetectAllocsIndependentOfCandidates(t *testing.T) {
+	const ranks, pairs = 16, 200
+	rng := rand.New(rand.NewSource(7))
+	inner := rng.Perm(pairs) // distinct silences inside the pairs, the longest one mid-run
+	for i, g := range inner {
+		if g == pairs-1 {
+			inner[i], inner[pairs/2] = inner[pairs/2], inner[i]
+		}
+	}
+	first, late := make([][]Op, ranks), make([][]Op, ranks)
+	now := 0.0
+	for i := 0; i < pairs; i++ {
+		a, b := sigA, sigB
+		if rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+		second := now + 2 + float64(inner[i])/pairs
+		for r := 0; r < ranks; r++ {
+			first[r] = append(first[r], op(now, now+1, sigA), op(second, second+1, sigA))
+			late[r] = append(late[r], op(now, now+1, a), op(second, second+1, b))
+		}
+		now = second + 10
+	}
+	if s := Detect(first); s.Phases() != 2*pairs || s.Period != 1 {
+		t.Fatalf("uniform run: %d phases, period %d; want the finest partition, %d phases", s.Phases(), s.Period, 2*pairs)
+	}
+	if s := Detect(late); s.Phases() != pairs || s.Period != 1 {
+		t.Fatalf("paired run: %d phases, period %d; want the pairs merged, %d phases", s.Phases(), s.Period, pairs)
+	}
+	one := allocatedBytes(func() { Detect(first) })
+	many := allocatedBytes(func() { Detect(late) })
+	t.Logf("accepted at threshold 1: %d bytes; at threshold %d: %d bytes", one, pairs+1, many)
+	if ratio := float64(many) / float64(one); ratio > 1.05 || ratio < 1/1.05 {
+		t.Errorf("Detect allocated %d bytes accepting its first candidate and %d accepting its %dth: the search is not allocation-flat",
+			one, many, pairs+1)
+	}
+}
+
+// referenceDetect is Detect's definition written the straightforward
+// way — each candidate partition materializes every rank's phase
+// sequence (phaseSeq) and validate runs one KMP per rank per trim
+// (minPeriod), trim-major. The differential tests hold Detect to it.
+func referenceDetect(ops [][]Op) *Segmentation {
+	total := 0
+	for _, ol := range ops {
+		total += len(ol)
+	}
+	if total == 0 {
+		return &Segmentation{
+			Bounds: []float64{0, 0},
+			Sigs:   []uint64{0},
+			Kinds:  []uint64{0},
+			Counts: []int{0},
+			Period: 1,
+		}
+	}
+
+	// Coverage union across all ranks.
+	ivs := make([]interval, 0, total)
+	for _, ol := range ops {
+		for _, op := range ol {
+			b := op.Exit
+			if b < op.Enter {
+				b = op.Enter
+			}
+			ivs = append(ivs, interval{op.Enter, b})
+		}
+	}
+	sort.Slice(ivs, func(i, j int) bool {
+		if ivs[i].a != ivs[j].a {
+			return ivs[i].a < ivs[j].a
+		}
+		return ivs[i].b < ivs[j].b
+	})
+	segs := make([]interval, 0, 64)
+	cur := ivs[0]
+	for _, iv := range ivs[1:] {
+		if iv.a <= cur.b {
+			if iv.b > cur.b {
+				cur.b = iv.b
+			}
+			continue
+		}
+		segs = append(segs, cur)
+		cur = iv
+	}
+	segs = append(segs, cur)
+
+	// On inputs with more silences than maxCuts, pre-merge across the
+	// shortest ones so only the longest maxCuts gaps stay cuttable.
+	if len(segs) > maxCuts+1 {
+		lens := make([]float64, 0, len(segs)-1)
+		for i := 0; i+1 < len(segs); i++ {
+			lens = append(lens, segs[i+1].a-segs[i].b)
+		}
+		sort.Float64s(lens)
+		floor := lens[len(lens)-maxCuts]
+		merged := segs[:1]
+		for _, sg := range segs[1:] {
+			last := &merged[len(merged)-1]
+			if sg.a-last.b < floor {
+				last.b = sg.b
+				continue
+			}
+			merged = append(merged, sg)
+		}
+		segs = merged
+	}
+
+	nAtoms := len(segs)
+	starts := make([]float64, nAtoms)
+	for i, sg := range segs {
+		starts[i] = sg.a
+	}
+	atomOf := func(enter float64) int {
+		i := sort.SearchFloat64s(starts, enter)
+		if i == nAtoms || starts[i] > enter {
+			i--
+		}
+		return i
+	}
+
+	// Per-rank per-atom multiset sums, plus the global distinct-name
+	// sets feeding the rank-agnostic structural signatures.
+	perRank := make([][]rankAtom, len(ops))
+	kindSets := make([]map[uint64]struct{}, nAtoms)
+	for r, ol := range ops {
+		if len(ol) == 0 {
+			continue
+		}
+		row := make([]rankAtom, nAtoms)
+		for _, op := range ol {
+			at := atomOf(op.Enter)
+			row[at].sum += mix64(op.Sig)
+			row[at].cnt++
+			ks := kindSets[at]
+			if ks == nil {
+				ks = make(map[uint64]struct{}, 4)
+				kindSets[at] = ks
+			}
+			ks[op.Sig] = struct{}{}
+		}
+		perRank[r] = row
+	}
+
+	gaps := make([]float64, nAtoms-1)
+	for i := range gaps {
+		gaps[i] = segs[i+1].a - segs[i].b
+	}
+	thresholds := append([]float64(nil), gaps...)
+	sort.Float64s(thresholds)
+	distinct := thresholds[:0]
+	for i, t := range thresholds {
+		if i == 0 || t != thresholds[i-1] {
+			distinct = append(distinct, t)
+		}
+	}
+
+	cutAt := func(threshold float64) []int {
+		var cuts []int
+		for i, g := range gaps {
+			if g >= threshold {
+				cuts = append(cuts, i)
+			}
+		}
+		return cuts
+	}
+
+	for _, th := range distinct {
+		cuts := cutAt(th)
+		if len(cuts) == 0 {
+			break // coarser thresholds only remove more cuts
+		}
+		if pre, post, ok := validate(perRank, nAtoms, cuts); ok {
+			return referenceBuild(segs, cuts, perRank, kindSets, pre, post)
+		}
+	}
+	// No periodic partition: fall back to the finest silence partition
+	// so the artifact still resolves the run's covered spans.
+	return referenceBuild(segs, cutAt(0), perRank, kindSets, 0, 0)
+}
+
+// phaseSeq folds a rank's atom summaries into per-phase tuples for the
+// partition cutting after the given atom indices.
+func phaseSeq(row []rankAtom, nAtoms int, cuts []int, out []rankAtom) []rankAtom {
+	out = out[:0]
+	acc := rankAtom{}
+	next := 0
+	for a := 0; a < nAtoms; a++ {
+		acc.sum += row[a].sum
+		acc.cnt += row[a].cnt
+		if next < len(cuts) && cuts[next] == a {
+			out = append(out, acc)
+			acc = rankAtom{}
+			next++
+		}
+	}
+	return append(out, acc)
+}
+
+// minPeriod returns the minimal shift-period of seq via the KMP
+// failure function: p is the smallest value with seq[i] == seq[i-p]
+// for all i ≥ p.
+func minPeriod(seq []rankAtom) int {
+	n := len(seq)
+	if n == 0 {
+		return 1
+	}
+	fail := make([]int, n+1)
+	fail[0], fail[1] = -1, 0
+	k := 0
+	for i := 1; i < n; i++ {
+		for k >= 0 && seq[i] != seq[k] {
+			k = fail[k]
+		}
+		k++
+		fail[i+1] = k
+	}
+	return n - fail[n]
+}
+
+// validate accepts a partition when, after one global trim, every
+// rank's phase-tuple sequence repeats at least twice.
+func validate(perRank [][]rankAtom, nAtoms int, cuts []int) (pre, post int, ok bool) {
+	k := len(cuts) + 1
+	if k < 2 {
+		return 0, 0, false
+	}
+	seqs := make([][]rankAtom, 0, len(perRank))
+	var buf []rankAtom
+	for _, row := range perRank {
+		if row == nil {
+			continue
+		}
+		buf = phaseSeq(row, nAtoms, cuts, buf)
+		seqs = append(seqs, append([]rankAtom(nil), buf...))
+	}
+	for _, tr := range trimOrder {
+		pre, post = tr[0], tr[1]
+		l := k - pre - post
+		if l < 2 {
+			continue
+		}
+		allOK := true
+		for _, seq := range seqs {
+			p := minPeriod(seq[pre : k-post])
+			if 2*p > l {
+				allOK = false
+				break
+			}
+		}
+		if allOK {
+			return pre, post, true
+		}
+	}
+	return 0, 0, false
+}
+
+// referenceBuild assembles the Segmentation for an accepted partition.
+func referenceBuild(segs []interval, cuts []int, perRank [][]rankAtom, kindSets []map[uint64]struct{}, pre, post int) *Segmentation {
+	k := len(cuts) + 1
+	s := &Segmentation{
+		Bounds: make([]float64, 0, k+1),
+		Sigs:   make([]uint64, k),
+		Kinds:  make([]uint64, k),
+		Counts: make([]int, k),
+		Pre:    pre,
+		Post:   post,
+	}
+	s.Bounds = append(s.Bounds, segs[0].a)
+	for _, c := range cuts {
+		s.Bounds = append(s.Bounds, (segs[c].b+segs[c+1].a)/2)
+	}
+	s.Bounds = append(s.Bounds, segs[len(segs)-1].b)
+
+	nAtoms := len(segs)
+	var buf []rankAtom
+	for _, row := range perRank {
+		if row == nil {
+			continue
+		}
+		buf = phaseSeq(row, nAtoms, cuts, buf)
+		for i, t := range buf {
+			s.Sigs[i] += t.sum
+			s.Counts[i] += t.cnt
+		}
+	}
+	// Structural signatures: XOR over the distinct region-name hashes
+	// of each phase (set semantics — merging atoms unions the sets).
+	next, phase := 0, 0
+	kinds := make(map[uint64]struct{}, 8)
+	flush := func() {
+		var h uint64
+		for sig := range kinds {
+			h ^= mix64(sig)
+		}
+		s.Kinds[phase] = h
+		phase++
+		for sig := range kinds {
+			delete(kinds, sig)
+		}
+	}
+	for a := 0; a < nAtoms; a++ {
+		for sig := range kindSets[a] {
+			kinds[sig] = struct{}{}
+		}
+		if next < len(cuts) && cuts[next] == a {
+			flush()
+			next++
+		}
+	}
+	flush()
+
+	core := make([]rankAtom, 0, k)
+	for i := pre; i < k-post; i++ {
+		core = append(core, rankAtom{sum: s.Sigs[i], cnt: s.Counts[i]})
+	}
+	s.Period = minPeriod(core)
+	return s
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"metascope/internal/cube"
+	"metascope/internal/obs"
 	"metascope/internal/obs/flight"
 	"metascope/internal/pattern"
 	"metascope/internal/phase"
@@ -70,7 +72,12 @@ func (a *analyzer) result() (*Result, error) {
 	for i, rr := range a.results {
 		opLogs[i] = rr.opLog
 	}
-	pacc := phase.NewAccumulator(phase.Detect(opLogs), len(a.results))
+	// Phase detection searches many candidate partitions; it is timed as
+	// its own child of the pattern search.
+	detectStart := time.Now()
+	seg := phase.Detect(opLogs)
+	obs.OrDefault(a.cfg.Obs).Phases.Record(time.Since(detectStart), "pattern-search", "phase-detect")
+	pacc := phase.NewAccumulator(seg, len(a.results))
 	for mh, name := range res.MetahostNames {
 		prof.SetMetahostName(mh, name)
 		pacc.SetMetahostName(mh, name)

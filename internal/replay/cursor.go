@@ -22,14 +22,24 @@ import (
 // results: the worker's event order, and therefore every accumulator's
 // addition order, is the trace order whoever feeds.
 //
-// Events are stored in fixed-stride blocks, each its own allocation, so
-// releaseBefore can free the already-swept prefix — the bounded-memory
-// window that lets an archive larger than RAM stream through one
-// analysis. The stride is the image's block-size header, so a decoded v2
-// block is a log block as it stands; every block but the last must
-// therefore be full, which the encoder guarantees. A preloaded log's
-// stride is its length: one block, which the sweep never passes and so
-// never releases.
+// Events are stored in fixed-stride blocks, so releaseBefore can let go
+// of the already-swept prefix — the bounded-memory window that lets an
+// archive larger than RAM stream through one analysis. The stride is the
+// image's block-size header, so a decoded v2 block is a log block as it
+// stands; every block but the last must therefore be full, which the
+// encoder guarantees. A preloaded log's stride is its length: one block,
+// which the sweep never passes and so never releases.
+//
+// A block the sweep releases while the image still owes blocks is the
+// room the next decode needs, of exactly that size: it is parked on the
+// log's free list and room hands it back to pull, so a sweep allocates
+// the few blocks of its window once instead of one per block decoded.
+// The list is per log, under the log's lock, and holds only blocks that
+// were resident a moment ago; once the log is closed nothing is parked
+// and released blocks go to the garbage collector. It is not a
+// sync.Pool: a pool is emptied by every GC cycle, so what it saves
+// depends on when the collector runs, and a per-log list is bounded by
+// the window the log held anyway.
 type rankLog struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -37,9 +47,11 @@ type rankLog struct {
 	aborted bool
 	err     error // why a pulled log ended early, sticky; set with closed
 
-	blocks [][]trace.Event
-	stride int
-	n      int // events published
+	blocks   [][]trace.Event
+	stride   int
+	n        int             // events published
+	released int             // blocks[:released] are released (nil)
+	free     [][]trace.Event // released blocks awaiting reuse by room
 
 	// The image pull reads and the validator its events pass through,
 	// set by attach; nil for a preloaded log. Only the pulling goroutine
@@ -128,9 +140,25 @@ func (lg *rankLog) publish(blk []trace.Event) error {
 	return nil
 }
 
-// newBlock is the room pull decodes into: every block is one fresh
-// allocation of exactly its own event count.
+// newBlock is the one place block storage is allocated.
 func newBlock(n int) []trace.Event { return make([]trace.Event, n) }
+
+// room is what pull decodes its next block of n events into: a block the
+// sweep has released, when one is parked, else a fresh one. The decoder
+// stores every field of every event, so a reused block needs no
+// clearing.
+func (lg *rankLog) room(n int) []trace.Event {
+	var blk []trace.Event
+	lg.mu.Lock()
+	if k := len(lg.free) - 1; k >= 0 && cap(lg.free[k]) >= n {
+		blk, lg.free[k], lg.free = lg.free[k][:n], nil, lg.free[:k]
+	}
+	lg.mu.Unlock()
+	if blk == nil {
+		blk = newBlock(n)
+	}
+	return blk
+}
 
 // pull is the one ingest step, whoever calls it: decode the image's next
 // block, validate it in stream order, publish it, and return how many
@@ -142,7 +170,7 @@ func newBlock(n int) []trace.Event { return make([]trace.Event, n) }
 // a block cut short) and closes the log.
 func (lg *rankLog) pull() (int, error) {
 	r := lg.src
-	blk, err := r.NextInto(newBlock)
+	blk, err := r.NextInto(lg.room)
 	if err != nil {
 		return 0, err
 	}
@@ -171,14 +199,15 @@ func (lg *rankLog) pull() (int, error) {
 // values.
 func (lg *rankLog) drop() {
 	lg.mu.Lock()
-	lg.blocks, lg.src, lg.val = nil, nil, nil
+	lg.blocks, lg.free, lg.src, lg.val = nil, nil, nil, nil
 	lg.mu.Unlock()
 }
 
-// close marks the log complete: no more events will arrive.
+// close marks the log complete: no more events will arrive, so no parked
+// block will be asked for.
 func (lg *rankLog) close() {
 	lg.mu.Lock()
-	lg.closed = true
+	lg.closed, lg.free = true, nil
 	lg.mu.Unlock()
 	lg.cond.Broadcast()
 }
@@ -207,7 +236,7 @@ func (lg *rankLog) wait(have int) (n int, closed, aborted bool, err error) {
 		_, perr := lg.pull()
 		lg.mu.Lock()
 		if perr != nil {
-			lg.err, lg.closed = perr, true
+			lg.err, lg.closed, lg.free = perr, true, nil
 		}
 	}
 	n, closed, aborted, err = lg.n, lg.closed, lg.aborted, lg.err
@@ -277,17 +306,20 @@ func (lg *rankLog) window(i int) ([]trace.Event, int) {
 	return blk, k * lg.stride
 }
 
-// releaseBefore frees every block that lies entirely below event index
-// i. Only the sweeping worker calls it, and only with its own frontier,
-// so no released block can still be referenced.
+// releaseBefore lets go of every block that lies entirely below event
+// index i, parking it for room while the log's image still owes blocks.
+// Only the sweeping worker calls it, and only with its own frontier, so
+// no released block can still be referenced.
 func (lg *rankLog) releaseBefore(i int) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	limit := min(i/lg.stride, len(lg.blocks))
-	for k := 0; k < limit; k++ {
-		if lg.blocks[k] != nil {
-			lg.resident -= len(lg.blocks[k])
-			lg.blocks[k] = nil
+	park := lg.src != nil && !lg.closed
+	for limit := min(i/lg.stride, len(lg.blocks)); lg.released < limit; lg.released++ {
+		blk := lg.blocks[lg.released]
+		lg.blocks[lg.released] = nil
+		lg.resident -= len(blk)
+		if park {
+			lg.free = append(lg.free, blk)
 		}
 	}
 }
@@ -330,7 +362,10 @@ func (sc *sweepCursor) at(i int) bool {
 	return true
 }
 
-// ev returns event i, which at(i) must have admitted.
+// ev returns event i, which at(i) must have admitted. The pointer is
+// into the log's block storage, and a block below the sweep frontier may
+// be decoded into again at any moment: the sweep may hold event pointers
+// only into blocks at or above the frontier it last passed to release.
 func (sc *sweepCursor) ev(i int) *trace.Event {
 	if off := i - sc.base; off >= 0 && off < len(sc.blk) {
 		return &sc.blk[off]

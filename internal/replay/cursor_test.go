@@ -231,8 +231,68 @@ func TestRankLogBlockHandoff(t *testing.T) {
 				if _, peak := lg.residentEvents(); mode != "preloaded" && peak > 2*stride+3000/6 {
 					t.Fatalf("peak residency %d events, want at most two blocks of %d", peak, stride)
 				}
+				if len(lg.free) != 0 {
+					t.Fatalf("%d blocks still parked after the log closed", len(lg.free))
+				}
 			})
 		}
+	}
+}
+
+// TestRankLogParksOnlyWhileOpen: a released block is kept for the next
+// decode only while there is one to come. A pushed log whose upload
+// finished before the sweep began is closed already: the sweep's
+// releases park nothing, and residency falls block by block exactly as
+// it does without a free list.
+func TestRankLogParksOnlyWhileOpen(t *testing.T) {
+	const stride, n = 8, 80
+	lg, step := pushedLog(t, v2Image(t, logEvents(n), stride, blockCounts(n, stride)...))
+	for lg.published() < n {
+		step()
+	}
+	if res, _ := lg.residentEvents(); !lg.closed || res != n {
+		t.Fatalf("closed = %v with %d of %d events resident after the upload", lg.closed, res, n)
+	}
+	sc := newSweepCursor(lg)
+	for i := 0; sc.at(i); i++ {
+		sc.release(i)
+		sc.ev(i)
+		if len(lg.free) != 0 {
+			t.Fatalf("event %d: a closed log parked %d blocks", i, len(lg.free))
+		}
+		if res, _ := lg.residentEvents(); res != n-i/stride*stride {
+			t.Fatalf("event %d: %d events resident, want %d", i, res, n-i/stride*stride)
+		}
+	}
+}
+
+// TestReleaseBeforeIsLinear: the sweep calls releaseBefore once per block
+// boundary, and each call starts where the last one stopped. Rescanning
+// the released prefix every time is quadratic in a rank's blocks — ten
+// billion steps on this log — on the one path meant for archives larger
+// than memory.
+func TestReleaseBeforeIsLinear(t *testing.T) {
+	const n = 200_000
+	events := logEvents(n)
+	lg := newRankLog()
+	lg.stride = 1
+	for i := range events {
+		if err := lg.publish(events[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	for i := 1; i <= n; i++ {
+		lg.releaseBefore(i)
+		if lg.released != i {
+			t.Fatalf("released %d blocks below event %d", lg.released, i)
+		}
+	}
+	if res, _ := lg.residentEvents(); res != 0 {
+		t.Fatalf("%d events resident after every block was released", res)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("releasing %d one-event blocks took %v", n, d)
 	}
 }
 
@@ -448,7 +508,12 @@ func everyN(n, size int) []int {
 // archive and a live session fed the same images — whole, byte by byte,
 // in 64 KiB chunks, or cut inside the first block's length prefix — fail
 // with the identical message; on clean images all of them, and the
-// analysis of the preloaded traces, render byte-identical artifacts.
+// analysis of the preloaded traces, render byte-identical artifacts —
+// also in blocks of one, two and three events, where the look-ahead for
+// a Send's region exit crosses a block boundary every time and a
+// collective's event is held across its gather while the next block
+// lands in one the sweep released: an event pointer that outlived its
+// block is then a differing artifact.
 func TestFeedersAgree(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "feeders", Obs: obs.NewRecorder()}
 	const bs = 32
@@ -479,7 +544,7 @@ func TestFeedersAgree(t *testing.T) {
 	for r, tr := range fan {
 		fanImages[r] = image(tr, blockCounts(len(tr.Events), bs)...)
 	}
-	faults := []struct {
+	type fault struct {
 		name string
 		img  []byte // rank 0's image
 		// differ: the two feeders both refuse, each in its own words.
@@ -487,7 +552,8 @@ func TestFeedersAgree(t *testing.T) {
 		// clean: the traces behind the images, all of them sound.
 		clean []*trace.Trace
 		rest  [][]byte // the other ranks' images, clean[1:] if nil
-	}{
+	}
+	faults := []fault{
 		{name: "clean", img: clean[0], clean: traces},
 		{name: "clean multi-receiver", img: fanImages[0], clean: fan, rest: fanImages[1:]},
 		{name: "truncated mid-block", img: clean[0][:len(clean[0])-3]},
@@ -516,6 +582,15 @@ func TestFeedersAgree(t *testing.T) {
 			return image(tr, blockCounts(n0-1, bs)...)
 		}()},
 		{name: "rank mismatch", img: clean[1], differ: "trace of rank 1"},
+	}
+	for _, small := range []int{1, 2, 3} { // one-byte block sizes like bs: the header length is the same
+		for name, trs := range map[string][]*trace.Trace{"clean": traces, "clean multi-receiver": fan} {
+			imgs := make([][]byte, len(trs))
+			for r, tr := range trs {
+				imgs[r] = v2Blocks(t, tr, small, blockCounts(len(tr.Events), small)...)
+			}
+			faults = append(faults, fault{name: fmt.Sprintf("%s, %d-event blocks", name, small), img: imgs[0], clean: trs, rest: imgs[1:]})
+		}
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {

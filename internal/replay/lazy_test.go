@@ -39,16 +39,21 @@ func encodeV2Bytes(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// lazyArchiveOf re-encodes the traces as v2 images and opens them
-// header-only, the way LoadArchiveLazy does from disk.
-func lazyArchiveOf(t *testing.T, traces []*trace.Trace) *LazyArchive {
+// lazyArchiveOf re-encodes the traces as v2 images — in blocks of bs
+// events, or the encoder's own when bs is 0 — and opens them header-only,
+// the way LoadArchiveLazy does from disk.
+func lazyArchiveOf(t *testing.T, traces []*trace.Trace, bs int) *LazyArchive {
 	t.Helper()
 	ar := &LazyArchive{
 		Traces:  make([]*trace.Trace, len(traces)),
 		readers: make([]*trace.BlockReader, len(traces)),
 	}
 	for i, tr := range traces {
-		r, err := trace.NewBlockReader(encodeV2Bytes(t, tr), nil)
+		img := encodeV2Bytes(t, tr)
+		if bs > 0 {
+			img = v2Blocks(t, tr, bs, blockCounts(len(tr.Events), bs)...)
+		}
+		r, err := trace.NewBlockReader(img, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +67,9 @@ func lazyArchiveOf(t *testing.T, traces []*trace.Trace) *LazyArchive {
 // multi-block rank log with frontier releases and checks that (a) every
 // event decodes identically to the materialized trace, (b) the peak
 // resident window stays far below the trace size, and (c) swept blocks
-// are actually freed.
+// are actually freed — to the next decode while the image owes blocks, so
+// that the whole sweep runs in the two or three block allocations of its
+// window, and to the collector once the log has closed.
 func TestLazyRankLogBoundedSweep(t *testing.T) {
 	tr := bigPingPong(4000)[1] // 4000*3+2 events, several 4096-event blocks
 	r, err := trace.NewBlockReader(encodeV2Bytes(t, tr), nil)
@@ -71,14 +78,29 @@ func TestLazyRankLogBoundedSweep(t *testing.T) {
 	}
 	lg := newPulledRankLog(r)
 	sc := newSweepCursor(lg)
+	// One pointer into each backing array the sweep has read from: held,
+	// it keeps the array alive, so a fresh allocation cannot pass for a
+	// reused one by landing on a collected block's address.
+	arrays := make(map[*trace.Event]bool)
 	for i := 0; i < len(tr.Events); i++ {
 		if !sc.at(i) {
 			t.Fatalf("event %d: %v", i, sc.err)
 		}
 		sc.release(i)
-		if ev := sc.ev(i); *ev != tr.Events[i] {
+		ev := sc.ev(i)
+		if *ev != tr.Events[i] {
 			t.Fatalf("event %d decoded as %+v, want %+v", i, *ev, tr.Events[i])
 		}
+		if i%lg.stride == 0 {
+			arrays[ev] = true
+		}
+	}
+	if nblocks := (len(tr.Events) + lg.stride - 1) / lg.stride; nblocks < 3 || len(arrays) > 3 {
+		t.Errorf("the sweep read %d blocks out of %d backing arrays, want at most 3: released blocks are not reused",
+			nblocks, len(arrays))
+	}
+	if !lg.closed || len(lg.free) != 0 {
+		t.Errorf("closed = %v with %d blocks parked: a closed log has no decode left to park blocks for", lg.closed, len(lg.free))
 	}
 	resident, peak := lg.residentEvents()
 	if n := len(tr.Events); peak >= n {
@@ -103,30 +125,34 @@ func TestLazyRankLogBoundedSweep(t *testing.T) {
 
 // TestAnalyzeLazyMatchesMaterialized: a full analysis through the lazy
 // block cursor must render byte-identical artifacts to the materialized
-// path on a many-block workload.
+// path on a many-block workload — also, on a shorter one, in blocks of
+// one, two and three events, where every Send's look-ahead for its region's exit pulls the
+// next block into one the sweep has just released while the Send itself
+// is still being read: an event pointer that outlived its block shows as
+// a differing artifact.
 func TestAnalyzeLazyMatchesMaterialized(t *testing.T) {
-	traces := bigPingPong(3000)
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "lazy-big"}
-	want, err := Analyze(traces, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AnalyzeLazy(lazyArchiveOf(t, traces), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wb, gb bytes.Buffer
-	if err := want.Report.Write(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Report.Write(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-		t.Error("lazy analysis report differs from materialized")
-	}
-	if want.Messages != got.Messages {
-		t.Errorf("messages %d vs %d", got.Messages, want.Messages)
+	for _, c := range []struct{ nmsg, bs int }{{3000, 0}, {300, 1}, {300, 2}, {300, 3}} {
+		traces := bigPingPong(c.nmsg)
+		wantRes, err := Analyze(traces, cfg)
+		want := outcomeOf(wantRes, err)
+		if want.err != nil {
+			t.Fatal(want.err)
+		}
+		gotRes, err := AnalyzeLazy(lazyArchiveOf(t, traces, c.bs), cfg)
+		got := outcomeOf(gotRes, err)
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if !bytes.Equal(want.report, got.report) {
+			t.Errorf("block size %d: lazy analysis report differs from materialized", c.bs)
+		}
+		if wantRes.Messages != gotRes.Messages {
+			t.Errorf("block size %d: messages %d vs %d", c.bs, gotRes.Messages, wantRes.Messages)
+		}
+		if !bytes.Equal(want.prof, got.prof) || !bytes.Equal(want.phases, got.phases) {
+			t.Errorf("block size %d: lazy profile or phase artifact differs from materialized", c.bs)
+		}
 	}
 }
 
@@ -141,7 +167,7 @@ func TestAnalyzeLazyCorruptBlockSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("header-only open should succeed on a torn tail: %v", err)
 	}
-	ar := lazyArchiveOf(t, traces)
+	ar := lazyArchiveOf(t, traces, 0)
 	ar.Traces[1] = r.Trace()
 	ar.readers[1] = r
 	if _, err := AnalyzeLazy(ar, Config{Scheme: vclock.FlatSingle, Title: "lazy-corrupt"}); err == nil {

@@ -227,9 +227,13 @@ type cpInfo struct {
 	sig    uint64 // phase.SigOf(name), hashed once per call path
 }
 
-type cpKey struct {
-	parent int
-	region trace.RegionID
+// cpKey identifies a call path by its parent path (-1 for a root) and
+// its region, packed into one word so the per-Enter lookup hashes eight
+// bytes instead of a struct.
+type cpKey uint64
+
+func makeCPKey(parent int, region trace.RegionID) cpKey {
+	return cpKey(uint32(parent+1))<<32 | cpKey(region)
 }
 
 // recvInfo is kept per receive for the deterministic wrong-order
@@ -305,16 +309,20 @@ func (a *analyzer) score(rr *rankResult, key profile.Key, start, dur, val float6
 	}
 }
 
-func (rr *rankResult) cpID(parent int, region trace.RegionID, name string, kind trace.RegionKind) int {
-	k := cpKey{parent, region}
+// cpID returns the id of the call path that enters region under parent,
+// creating it — the only time the region's definition is looked up — on
+// its first visit.
+func (rr *rankResult) cpID(parent int, region trace.RegionID, regions map[trace.RegionID]*trace.Region) int {
+	k := makeCPKey(parent, region)
 	if id, ok := rr.byKey[k]; ok {
 		return id
 	}
+	reg := regions[region]
 	id := len(rr.paths)
 	rr.byKey[k] = id
 	rr.paths = append(rr.paths, cpInfo{
-		parent: parent, region: region, name: name, kind: kind,
-		sig: phase.SigOf(name),
+		parent: parent, region: region, name: reg.Name, kind: reg.Kind,
+		sig: phase.SigOf(reg.Name),
 	})
 	rr.acc = append(rr.acc, cpAcc{})
 	return id
@@ -605,12 +613,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 		}
 		switch ev.Kind {
 		case trace.KindEnter:
-			reg := regions[ev.Region]
 			parent := -1
 			if len(stack) > 0 {
 				parent = stack[len(stack)-1].cp
 			}
-			cp := rr.cpID(parent, ev.Region, reg.Name, reg.Kind)
+			cp := rr.cpID(parent, ev.Region, regions)
 			stack = append(stack, stackEntry{cp: cp, enter: ct})
 
 		case trace.KindExit:

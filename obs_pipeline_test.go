@@ -73,7 +73,8 @@ func TestObservabilityPipelineSnapshot(t *testing.T) {
 	}
 	for _, path := range []string{
 		"build", "measure", "measure/archive-protocol", "measure/sync",
-		"measure/trace-write", "archive", "sync", "replay", "pattern-search", "render",
+		"measure/trace-write", "archive", "sync", "replay", "pattern-search",
+		"pattern-search/phase-detect", "render",
 	} {
 		p, ok := phases[path]
 		if !ok {

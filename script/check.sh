@@ -56,6 +56,16 @@ if grep -n 'decodeEvent(' internal/trace/chunk.go; then
 	echo "check: internal/trace/chunk.go decodes v1 rows: the streaming path is v2 blocks only" >&2
 	exit 1
 fi
+# Block storage is allocated in one place, newBlock, behind rankLog.room,
+# which first looks for a block the sweep has released. (selftrace.go
+# builds the analyzer's own trace, not a log block.)
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go | internal/replay/selftrace.go) continue ;; esac
+	if grep -n -F 'make([]trace.Event' "$f" | grep -v 'func newBlock('; then
+		echo "check: $f allocates event storage outside newBlock: a second block allocation site bypasses the free list" >&2
+		exit 1
+	fi
+done
 
 # The severity ledger — every rank's deferred sample log, then the
 # wrong-order post-pass — is read once, by result() in build.go, on one
@@ -159,11 +169,13 @@ fi
 # sweep reads. Gate the consequence: feeding an archive through a live
 # session in 64 KiB chunks allocates at most 1.5x what the lazy
 # post-mortem analysis of the same bytes allocates (ROADMAP: "streaming
-# ingest within 2x of lazy load"), and the lazy analysis of an archive
-# of many short ranks at most 1.25x the eager one. Run without -race,
-# like the two zero-alloc gates above: the budgets are about the
-# program's own bytes.
+# ingest within 2x of lazy load"), the lazy analysis itself at most 1.25x
+# the bytes per event it is known to need (the sweep decodes into the
+# blocks it releases; phase detection copies nothing per candidate), and
+# the lazy analysis of an archive of many short ranks at most 1.25x the
+# eager one. Run without -race, like the two zero-alloc gates above: the
+# budgets are about the program's own bytes.
 echo "== live ingest and lazy analysis allocation budgets"
-go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyShortRanksAllocBudget$' .
+go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|TestLazyShortRanksAllocBudget$' .
 
 echo "check: all green"
