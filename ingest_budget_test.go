@@ -1,6 +1,7 @@
 package metascope_test
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
@@ -112,10 +113,13 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 // event: the sweep decodes into the blocks it has just released and phase
 // detection searches its candidates in place, so neither a block per
 // block decoded nor a phase sequence per candidate partition is on the
-// bill. On this archive (MetaTrace at detail 4, 208 224 events) the
-// analysis allocates 20.3 MB, 97.6 B/event; with a fresh block per decode
-// and a sequence copy per candidate it was 34.8 MB, 167.0 B/event. The
-// budget is 1.25x the former. Pinned by name in script/check.sh.
+// bill, and the loader borrows each file's bytes from the in-memory file
+// system instead of copying them. On this archive (MetaTrace at detail 4,
+// 208 224 events) the analysis allocates 13.9 MB, 66.9 B/event; with a
+// copy of every file and 48-byte events it was 20.3 MB, 97.6 B/event, and
+// with a fresh block per decode and a sequence copy per candidate before
+// that 34.8 MB, 167.0 B/event. The budget is 1.25x the first. Pinned by
+// name in script/check.sh.
 func TestLazyAllocPerEventBudget(t *testing.T) {
 	e := metatraceExperiment(t, 4)
 	traces, err := e.Traces()
@@ -133,11 +137,76 @@ func TestLazyAllocPerEventBudget(t *testing.T) {
 		}
 		return replay.AnalyzeLazy(ar, replay.Config{Scheme: vclock.Hierarchical, Title: "alloc-budget"})
 	})
-	const measured = 97.6 // B/event
+	const measured = 66.9 // B/event
 	perEvent := float64(lazyBytes) / float64(events)
 	t.Logf("lazy analysis allocated %d bytes for %d events: %.1f B/event", lazyBytes, events, perEvent)
 	if perEvent > 1.25*measured {
 		t.Errorf("lazy analysis allocates %.1f B/event, budget 1.25 x %.1f", perEvent, measured)
+	}
+}
+
+// TestEagerAllocPerEventBudget pins what the post-mortem path allocates
+// per event on a communication-bound archive — a 48-rank halo2d run, one
+// message per four events: the eager load (the trace files borrowed from
+// the in-memory file system, events in 40-byte records), the analysis
+// (ledger logs sized by one counting pass, the coverage union merged
+// rank by rank, one suffix-minimum buffer) and the cube, profile and
+// phase artifacts written into reused buffers, as a CLI rewrites its
+// output files. On this archive (21 088 events) that is 108.3 B/event;
+// with a copy of every file, 48-byte events, logs grown by doubling, a
+// sorted list of every op span and reflective JSON renders it was
+// 256.4 B/event. The budget is 1.25x the former. Pinned by name in
+// script/check.sh.
+func TestEagerAllocPerEventBudget(t *testing.T) {
+	prog, err := scenario.Load([]byte(`{"name": "eager-budget", "kernel": "halo2d", "ranks": 48,
+		"iterations": 32, "params": {"px": 8, "py": 6}, "topology": {"preset": "conformance", "count": 4},
+		"schedule": {"align": 6, "slack": 4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Spec.Format = trace.FormatV2
+	e, err := prog.Run("eager-budget", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "eager-budget"}
+	var report, prof, phases bytes.Buffer
+	events := 0
+	op := func() (*replay.Result, error) {
+		traces, err := e.Traces()
+		if err != nil {
+			return nil, err
+		}
+		events = 0
+		for _, tr := range traces {
+			events += len(tr.Events)
+		}
+		res, err := replay.Analyze(traces, cfg)
+		if err != nil {
+			return nil, err
+		}
+		report.Reset()
+		prof.Reset()
+		phases.Reset()
+		for _, werr := range []error{res.Report.Write(&report), res.Profile.WriteJSON(&prof), res.Phases.WriteJSON(&phases)} {
+			if werr != nil {
+				return nil, werr
+			}
+		}
+		return res, nil
+	}
+	if _, err := op(); err != nil { // sizes the three output buffers
+		t.Fatal(err)
+	}
+	eagerBytes, res := allocated(t, op)
+	if res.Messages == 0 {
+		t.Fatal("the archive holds no messages")
+	}
+	const measured = 108.3 // B/event
+	perEvent := float64(eagerBytes) / float64(events)
+	t.Logf("eager load, analysis and artifact writes allocated %d bytes for %d events: %.1f B/event", eagerBytes, events, perEvent)
+	if perEvent > 1.25*measured {
+		t.Errorf("the post-mortem path allocates %.1f B/event, budget 1.25 x %.1f", perEvent, measured)
 	}
 }
 

@@ -60,9 +60,25 @@ type Sizer interface {
 	Size(p string) int
 }
 
-// ReadFile reads a whole file from fs into memory. When fs implements
-// Sizer, the destination buffer is allocated once at the file's exact
-// size; otherwise it grows geometrically like io.ReadAll.
+// Viewer is an optional capability of an FS whose files already sit in
+// memory: lend a closed file's stored bytes instead of copying them. The
+// slice is the file system's own storage and stays valid and unchanged
+// for as long as the borrower holds it (a later Create of the same path
+// stores a new slice; it never writes into the old one) — on the
+// condition that the borrower only reads: a write through the view
+// would change the file for every later reader. The archive loader,
+// whose decoders never write to their input, is the one borrower;
+// anything that edits the bytes it gets calls ReadFile. MemFS
+// implements it; DirFS, whose bytes live on disk, does not.
+type Viewer interface {
+	View(p string) ([]byte, error)
+}
+
+// ReadFile reads a whole file from fs into memory. The result is a
+// fresh copy the caller owns and may modify (the fault corpus and the
+// scenario post-processor edit it in place and write it back). When fs
+// implements Sizer, the destination buffer is allocated once at the
+// file's exact size; otherwise it grows geometrically like io.ReadAll.
 func ReadFile(fs FS, p string) ([]byte, error) {
 	f, err := fs.Open(p)
 	if err != nil {
@@ -189,12 +205,9 @@ func (m *MemFS) Create(p string) (io.WriteCloser, error) {
 
 // Open implements FS.
 func (m *MemFS) Open(p string) (io.ReadCloser, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p = clean(p)
-	data, ok := m.files[p]
-	if !ok {
-		return nil, fmt.Errorf("open %s on %s: %w", p, m.name, ErrNotExist)
+	data, err := m.View(p)
+	if err != nil {
+		return nil, err
 	}
 	return io.NopCloser(bytes.NewReader(data)), nil
 }
@@ -250,6 +263,19 @@ func (m *MemFS) Remove(p string) error {
 	}
 	delete(m.files, p)
 	return nil
+}
+
+// View implements Viewer: the stored bytes themselves, read-only to the
+// caller.
+func (m *MemFS) View(p string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p = clean(p)
+	data, ok := m.files[p]
+	if !ok {
+		return nil, fmt.Errorf("open %s on %s: %w", p, m.name, ErrNotExist)
+	}
+	return data, nil
 }
 
 // Size returns the stored size of a file in bytes, or -1 if absent.

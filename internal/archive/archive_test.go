@@ -115,6 +115,51 @@ func TestMemFSOverwrite(t *testing.T) {
 	}
 }
 
+// TestViewLendsAndReadFileCopies pins the two ownership contracts: View
+// hands out the file system's own bytes, which a later Create of the same
+// path replaces and never rewrites; ReadFile hands out a copy the caller
+// may edit.
+func TestViewLendsAndReadFileCopies(t *testing.T) {
+	fs := NewMemFS("m")
+	fs.Mkdir("d")
+	write := func(s string) {
+		w, _ := fs.Create("d/f")
+		io.WriteString(w, s)
+		w.Close()
+	}
+	write("version 0")
+	lent, err := fs.View("d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := fs.View("d/f")
+	if string(lent) != "version 0" || &lent[0] != &again[0] {
+		t.Fatalf("View returned %q, a copy = %v; want the stored bytes themselves", lent, &lent[0] != &again[0])
+	}
+	owned, err := ReadFile(fs, "d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &owned[0] == &lent[0] {
+		t.Fatal("ReadFile returned the file system's own bytes")
+	}
+	owned[0] = 'X' // the caller's to edit
+	write("another one")
+	if string(lent) != "version 0" {
+		t.Fatalf("a borrowed view changed under its holder: %q", lent)
+	}
+	if now, _ := fs.View("d/f"); string(now) != "another one" {
+		t.Fatalf("View after overwrite = %q", now)
+	}
+	if _, err := fs.View("d/missing"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("View of a missing file: %v", err)
+	}
+	var _ Viewer = fs
+	if _, ok := FS(&DirFS{}).(Viewer); ok {
+		t.Fatal("DirFS lends bytes it does not hold")
+	}
+}
+
 func TestMemFSConcurrentAccess(t *testing.T) {
 	fs := NewMemFS("m")
 	fs.Mkdir("d")

@@ -1,6 +1,9 @@
 package conformance
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -164,6 +167,79 @@ func TestFaultCorpus(t *testing.T) {
 			defer noPanic(t, "LoadArchive")
 			_, err = f.Load()
 			wantErr(t, err, c.wantErr)
+		})
+	}
+}
+
+// TestFaultNonFiniteTime: both trace formats carry raw float64 bits, and
+// a NaN passes every order comparison while an infinity is in order
+// after anything — so a non-finite time stamp is refused by name, at the
+// event that carries it, with the same words whoever reads the trace: the
+// eager load of a v1 or a v2 file, the lazy sweep, a live session's PUT.
+func TestFaultNonFiniteTime(t *testing.T) {
+	t.Parallel()
+	for name, bad := range map[string]float64{"nan-time": math.NaN(), "inf-time": math.Inf(1)} {
+		t.Run(name, func(t *testing.T) {
+			f, err := NewFixture(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last two events, so the stamps before them stay ordered.
+			var want string
+			mutateTrace(t, f, 0, func(tr *trace.Trace) {
+				n := len(tr.Events)
+				tr.Events[n-2].Time, tr.Events[n-1].Time = bad, bad
+				want = fmt.Sprintf("trace %v: event %d has non-finite time %g", tr.Loc, n-2, bad)
+			})
+			defer noPanic(t, name)
+			refused := func(feeder string, err error) {
+				t.Helper()
+				if err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("%s: err = %v, want it to end in %q", feeder, err, want)
+				}
+			}
+			_, err = f.Analyze() // MutateTrace writes v1
+			refused("eager v1", err)
+
+			blobs := make([][]byte, f.Exp.Place.N())
+			for r := range blobs {
+				raw, err := f.ReadRaw(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := trace.DecodeBytes(raw) // decoding does not validate
+				if err != nil {
+					t.Fatal(err)
+				}
+				blobs[r] = encodeRanks(t, []*trace.Trace{tr})[0]
+				if err := f.WriteRaw(r, blobs[r]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = f.Analyze()
+			refused("eager v2", err)
+
+			cfg := replay.Config{Scheme: vclock.Hierarchical}
+			ar, err := f.Exp.TracesLazy()
+			if err != nil {
+				t.Fatalf("the lazy loader reads headers only: %v", err)
+			}
+			_, err = replay.AnalyzeLazy(ar, cfg)
+			refused("lazy", err)
+
+			l, err := replay.NewLive(replay.LiveConfig{Config: cfg, Ranks: len(blobs)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ferr error
+			for r, b := range blobs {
+				if err := l.FeedChunk(r, b); err != nil && ferr == nil {
+					ferr = err
+				}
+			}
+			_, err = l.Finalize(context.Background())
+			refused("live PUT", ferr)
+			refused("live finalize", err)
 		})
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"metascope/internal/jsonw"
 )
 
 // FamilyOf folds a profile metric key to its pattern family: the grid
@@ -89,11 +91,20 @@ func (p *Profile) FamilyTotal(family string) float64 {
 // sigString renders a signature in the artifact's fixed-width hex.
 func sigString(v uint64) string { return fmt.Sprintf("%016x", v) }
 
-// cellKey addresses one accumulator cell.
-type cellKey struct {
-	phase    int
+// rowKey addresses one accumulator row.
+type rowKey struct {
 	family   string
 	metahost int
+}
+
+// Row is the handle of one (family, metahost) severity row: a dense cell
+// per phase, plus which cells have been deposited into — a cell exists in
+// the artifact once touched, whatever its sum.
+type Row struct {
+	acc     *Accumulator
+	key     rowKey
+	sums    []float64
+	touched []bool
 }
 
 // Accumulator folds severity deposits into per-(phase, family,
@@ -104,8 +115,12 @@ type cellKey struct {
 type Accumulator struct {
 	seg   *Segmentation
 	ranks int
-	cells map[cellKey]float64
+	rows  map[rowKey]*Row
 	names map[int]string
+	// cur is the phase of the last deposit. Deposits arrive in a rank's
+	// time order, so the next one is most often in the same phase and
+	// needs no search.
+	cur int
 }
 
 // NewAccumulator prepares an accumulator over the detected
@@ -114,7 +129,7 @@ func NewAccumulator(seg *Segmentation, ranks int) *Accumulator {
 	return &Accumulator{
 		seg:   seg,
 		ranks: ranks,
-		cells: make(map[cellKey]float64, 64),
+		rows:  make(map[rowKey]*Row, 16),
 		names: make(map[int]string, 4),
 	}
 }
@@ -122,32 +137,54 @@ func NewAccumulator(seg *Segmentation, ranks int) *Accumulator {
 // SetMetahostName registers a metahost's display name.
 func (a *Accumulator) SetMetahostName(mh int, name string) { a.names[mh] = name }
 
+// Row returns the handle of the row a metric's deposits on one metahost
+// go to — the metric folded to its family — creating it on first use. A
+// caller that deposits many samples of one (metric, metahost) resolves
+// the row once.
+func (a *Accumulator) Row(metric string, metahost int) *Row {
+	k := rowKey{family: FamilyOf(metric), metahost: metahost}
+	r := a.rows[k]
+	if r == nil {
+		n := a.seg.Phases()
+		r = &Row{acc: a, key: k, sums: make([]float64, n), touched: make([]bool, n)}
+		a.rows[k] = r
+	}
+	return r
+}
+
 // Add deposits one severity (or volume) sample: the whole value is
-// attributed to the phase containing its start time, folded to the
-// metric's family.
-func (a *Accumulator) Add(metric string, metahost int, start, val float64) {
+// attributed to the phase containing its start time.
+func (r *Row) Add(start, val float64) {
 	if val == 0 {
 		return
 	}
-	k := cellKey{phase: a.seg.IndexOf(start), family: FamilyOf(metric), metahost: metahost}
-	a.cells[k] += val
+	a := r.acc
+	// Strictly inside the current phase IndexOf has one answer however
+	// the bounds repeat; on an edge or outside, ask it.
+	if b := a.seg.Bounds; !(b[a.cur] < start && start < b[a.cur+1]) {
+		a.cur = a.seg.IndexOf(start)
+	}
+	r.sums[a.cur] += val
+	r.touched[a.cur] = true
+}
+
+// Add deposits one sample into the row of (metric's family, metahost).
+func (a *Accumulator) Add(metric string, metahost int, start, val float64) {
+	a.Row(metric, metahost).Add(start, val)
 }
 
 // Snapshot renders the accumulated cells as the artifact, rows sorted
 // by (phase, family, metahost).
 func (a *Accumulator) Snapshot(title string) *Profile {
-	keys := make([]cellKey, 0, len(a.cells))
-	for k := range a.cells {
-		keys = append(keys, k)
+	rows := make([]*Row, 0, len(a.rows))
+	for _, r := range a.rows {
+		rows = append(rows, r)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].phase != keys[j].phase {
-			return keys[i].phase < keys[j].phase
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].key.family != rows[j].key.family {
+			return rows[i].key.family < rows[j].key.family
 		}
-		if keys[i].family != keys[j].family {
-			return keys[i].family < keys[j].family
-		}
-		return keys[i].metahost < keys[j].metahost
+		return rows[i].key.metahost < rows[j].key.metahost
 	})
 	p := &Profile{
 		Title:  title,
@@ -157,7 +194,28 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 		Post:   a.seg.Post,
 		Phases: make([]PhaseRow, a.seg.Phases()),
 	}
+	cells := 0
+	for _, r := range rows {
+		for _, t := range r.touched {
+			if t {
+				cells++
+			}
+		}
+	}
+	// One backing array for every phase's rows, cut phase by phase.
+	sev := make([]SevRow, 0, cells)
 	for i := range p.Phases {
+		first := len(sev)
+		for _, r := range rows {
+			if r.touched[i] {
+				sev = append(sev, SevRow{
+					Family:       r.key.family,
+					Metahost:     r.key.metahost,
+					MetahostName: a.names[r.key.metahost],
+					Severity:     r.sums[i],
+				})
+			}
+		}
 		p.Phases[i] = PhaseRow{
 			Index: i,
 			Start: a.seg.Bounds[i],
@@ -166,29 +224,102 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 			Kinds: sigString(a.seg.Kinds[i]),
 			Ops:   a.seg.Counts[i],
 		}
-	}
-	for _, k := range keys {
-		p.Phases[k.phase].Rows = append(p.Phases[k.phase].Rows, SevRow{
-			Family:       k.family,
-			Metahost:     k.metahost,
-			MetahostName: a.names[k.metahost],
-			Severity:     a.cells[k],
-		})
+		if len(sev) > first {
+			p.Phases[i].Rows = sev[first:len(sev):len(sev)]
+		}
 	}
 	return p
 }
 
 // WriteJSON writes the artifact as indented JSON. Row order is fixed
-// by Snapshot and encoding/json formats floats canonically, so equal
-// profiles serialize byte-identically.
+// by Snapshot and floats print canonically, so equal profiles serialize
+// byte-identically. The bytes are those json.MarshalIndent(p, "", "  ")
+// plus a newline would produce (the struct tags above are the contract
+// and Read decodes with encoding/json), appended field by field. A NaN
+// or infinite value is an *json.UnsupportedValueError, and nothing is
+// written.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
+	for i := range p.Phases {
+		ph := &p.Phases[i]
+		for _, f := range []float64{ph.Start, ph.End} {
+			if err := jsonw.Unsupported(f); err != nil {
+				return err
+			}
+		}
+		for _, r := range ph.Rows {
+			if err := jsonw.Unsupported(r.Severity); err != nil {
+				return err
+			}
+		}
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	j := jsonw.New(w)
+	j.Open('{')
+	if p.Title != "" {
+		j.Key("title")
+		j.String(p.Title)
+	}
+	j.Key("ranks")
+	j.Int(int64(p.Ranks))
+	j.Key("period")
+	j.Int(int64(p.Period))
+	if p.Pre != 0 {
+		j.Key("pre")
+		j.Int(int64(p.Pre))
+	}
+	if p.Post != 0 {
+		j.Key("post")
+		j.Int(int64(p.Post))
+	}
+	j.Key("phases")
+	if p.Phases == nil {
+		j.Null()
+	} else {
+		j.Open('[')
+		for i := range p.Phases {
+			j.Elem()
+			p.Phases[i].writeJSON(j)
+		}
+		j.Close(']')
+	}
+	j.Close('}')
+	return j.End()
+}
+
+func (ph *PhaseRow) writeJSON(j *jsonw.Writer) {
+	j.Open('{')
+	j.Key("index")
+	j.Int(int64(ph.Index))
+	j.Key("start")
+	j.Float(ph.Start)
+	j.Key("end")
+	j.Float(ph.End)
+	j.Key("sig")
+	j.String(ph.Sig)
+	j.Key("kinds")
+	j.String(ph.Kinds)
+	j.Key("ops")
+	j.Int(int64(ph.Ops))
+	if len(ph.Rows) != 0 {
+		j.Key("rows")
+		j.Open('[')
+		for _, r := range ph.Rows {
+			j.Elem()
+			j.Open('{')
+			j.Key("family")
+			j.String(r.Family)
+			j.Key("metahost")
+			j.Int(int64(r.Metahost))
+			if r.MetahostName != "" {
+				j.Key("metahost_name")
+				j.String(r.MetahostName)
+			}
+			j.Key("severity")
+			j.Float(r.Severity)
+			j.Close('}')
+		}
+		j.Close(']')
+	}
+	j.Close('}')
 }
 
 // WriteCSV writes the artifact in long CSV form: one line per

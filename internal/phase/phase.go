@@ -237,6 +237,68 @@ func (s *search) accept() (pre, post int, ok bool) {
 	return 0, 0, false
 }
 
+// span is the closed interval of the time axis an op covers; an op whose
+// exit precedes its enter covers its enter alone.
+func (op Op) span() interval {
+	if op.Exit < op.Enter {
+		return interval{op.Enter, op.Enter}
+	}
+	return interval{op.Enter, op.Exit}
+}
+
+// coverage returns the union of every op's span as disjoint intervals in
+// time order, touching spans merged. The sweep appends a rank's ops in
+// exit order, which for leaf regions is enter order, so the union is
+// built without collecting or sorting the spans: each rank's log is
+// merged, coalescing as it goes, into the union of the ranks before it,
+// between two buffers that grow to the size of the union. A log that is
+// not in enter order (nested non-user regions) is sorted into a scratch
+// copy first. Union of closed intervals is associative and takes only
+// comparisons, so the result is, bit for bit, the one sorting all spans
+// together gives; it costs O(ops + ranks × intervals in the union).
+func coverage(ops [][]Op) []interval {
+	byEnter := func(x, y Op) int { return cmp.Compare(x.Enter, y.Enter) }
+	var acc, next []interval
+	var sorted []Op
+	for _, ol := range ops {
+		if len(ol) == 0 {
+			continue
+		}
+		if !slices.IsSortedFunc(ol, byEnter) {
+			sorted = append(sorted[:0], ol...)
+			slices.SortFunc(sorted, byEnter)
+			ol = sorted
+		}
+		acc, next = mergeSpans(next[:0], acc, ol), acc
+	}
+	return acc
+}
+
+// mergeSpans appends to dst the union of acc — disjoint intervals in time
+// order — and the spans of ol, which is in enter order.
+func mergeSpans(dst, acc []interval, ol []Op) []interval {
+	i, j := 0, 0
+	take := func() interval {
+		if j == len(ol) || (i < len(acc) && acc[i].a <= ol[j].Enter) {
+			i++
+			return acc[i-1]
+		}
+		j++
+		return ol[j-1].span()
+	}
+	cur := take()
+	for i < len(acc) || j < len(ol) {
+		iv := take()
+		if iv.a > cur.b {
+			dst = append(dst, cur)
+			cur = iv
+		} else if iv.b > cur.b {
+			cur.b = iv.b
+		}
+	}
+	return append(dst, cur)
+}
+
 // Detect segments the run described by the per-rank op logs. It never
 // fails: runs with no detectable repetition fall back to the finest
 // silence partition, and an empty input yields one empty phase.
@@ -258,36 +320,7 @@ func Detect(ops [][]Op) *Segmentation {
 		}
 	}
 
-	// Coverage union across all ranks.
-	ivs := make([]interval, 0, total)
-	for _, ol := range ops {
-		for _, op := range ol {
-			b := op.Exit
-			if b < op.Enter {
-				b = op.Enter
-			}
-			ivs = append(ivs, interval{op.Enter, b})
-		}
-	}
-	slices.SortFunc(ivs, func(x, y interval) int {
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.b, y.b)
-	})
-	segs := make([]interval, 0, 64)
-	cur := ivs[0]
-	for _, iv := range ivs[1:] {
-		if iv.a <= cur.b {
-			if iv.b > cur.b {
-				cur.b = iv.b
-			}
-			continue
-		}
-		segs = append(segs, cur)
-		cur = iv
-	}
-	segs = append(segs, cur)
+	segs := coverage(ops)
 
 	// On inputs with more silences than maxCuts, pre-merge across the
 	// shortest ones so only the longest maxCuts gaps stay cuttable.

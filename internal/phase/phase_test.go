@@ -1,10 +1,12 @@
 package phase
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -331,6 +333,140 @@ func TestDetectMatchesReference(t *testing.T) {
 	if got, want := Detect(ops), referenceDetect(ops); !reflect.DeepEqual(got, want) {
 		t.Fatalf("over maxCuts gaps: Detect differs from its definition:\n got %d phases pre %d post %d period %d\nwant %d phases pre %d post %d period %d",
 			got.Phases(), got.Pre, got.Post, got.Period, want.Phases(), want.Pre, want.Post, want.Period)
+	}
+}
+
+// randomLogs draws one run for the coverage-union differential: per rank
+// either an enter-ordered log, as the sweep writes for leaf regions (the
+// merge path), or the same ops in exit order under enclosing non-user
+// regions, or shuffled (the sort-first path). Times are multiples of 1/4
+// and durations 0, 1/4, 1/2, ..., so zero-length ops, spans that exactly
+// touch the next one (enter == the exit before it) within a rank and
+// across ranks, duplicates and containment all occur next to plain gaps.
+func randomLogs(rng *rand.Rand, ranks int) [][]Op {
+	sigs := []uint64{sigA, sigB, sigC, sigInit}
+	ops := make([][]Op, ranks)
+	for r := range ops {
+		if ranks > 1 && rng.Intn(6) == 0 {
+			continue // a rank without ops
+		}
+		now := float64(rng.Intn(8)) / 4
+		var nest []Op // open enclosing regions: they exit, and log, after their children
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			dur := float64(rng.Intn(5)) / 4
+			o := op(now, now+dur, sigs[rng.Intn(len(sigs))])
+			if rng.Intn(8) == 0 {
+				o.Exit = now + dur + 8 // encloses what follows
+				nest = append(nest, o)
+			} else {
+				ops[r] = append(ops[r], o)
+			}
+			switch rng.Intn(4) {
+			case 0:
+				now += dur // the next op touches this one
+			case 1:
+				// the next op starts inside this one, or with it
+				now += float64(rng.Intn(int(dur*4)+1)) / 4
+			default:
+				now += dur + float64(1+rng.Intn(12))/4
+			}
+		}
+		for i := len(nest) - 1; i >= 0; i-- {
+			ops[r] = append(ops[r], nest[i])
+		}
+		if rng.Intn(4) == 0 {
+			rng.Shuffle(len(ops[r]), func(i, j int) { ops[r][i], ops[r][j] = ops[r][j], ops[r][i] })
+		}
+	}
+	if ranks > 0 && len(ops[0]) == 0 {
+		ops[0] = []Op{op(0, 0, sigA)} // rank 0 always has ops, here a zero-length one
+	}
+	return ops
+}
+
+// TestDetectUnionMatchesReference holds the merged coverage union to its
+// definition — collect every span, sort, coalesce — through Detect's whole
+// result, on logs that take the merge path, the sort-first path or both,
+// for one rank, a few, and a thousand.
+func TestDetectUnionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	ordered, unordered := 0, 0
+	for i := 0; i < 3000; i++ {
+		ranks := 1 + rng.Intn(6)
+		switch {
+		case i%10 == 0:
+			ranks = 1
+		case i%500 == 1:
+			ranks = 1000
+		}
+		ops := randomLogs(rng, ranks)
+		for _, ol := range ops {
+			if slices.IsSortedFunc(ol, func(x, y Op) int { return cmp.Compare(x.Enter, y.Enter) }) {
+				ordered++
+			} else {
+				unordered++
+			}
+		}
+		before := fmt.Sprint(ops)
+		got, want := Detect(ops), referenceDetect(ops)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (%d ranks): Detect differs from its definition:\n got %+v\nwant %+v\n ops %v", i, ranks, got, want, ops)
+		}
+		if fmt.Sprint(ops) != before {
+			t.Fatalf("run %d: Detect reordered its input", i)
+		}
+	}
+	if ordered < 3000 || unordered < 1000 {
+		t.Errorf("the draw is lopsided: %d enter-ordered logs, %d not", ordered, unordered)
+	}
+}
+
+// TestCoverageTouchingAndZeroLength pins the closed-interval rule on the
+// smallest cases: a span that starts exactly where the union ends joins
+// it, within a rank and across ranks; a zero-length op is a span.
+func TestCoverageTouchingAndZeroLength(t *testing.T) {
+	got := coverage([][]Op{
+		{op(0, 1, sigA), op(1, 2, sigA), op(5, 5, sigB)},
+		nil,
+		{op(2, 3, sigA), op(4, 3, sigC), op(7, 8, sigA)}, // an exit before its enter covers the enter alone
+		{op(8, 9, sigA)},
+	})
+	want := []interval{{0, 3}, {4, 4}, {5, 5}, {7, 9}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("coverage = %v, want %v", got, want)
+	}
+}
+
+// TestDetectAllocatesNoSpanList: on the shape of the halo2d benchmark —
+// 192 ranks of 237 leaf ops in enter order, 256 iterations' worth of
+// atoms — Detect allocates its prefix table (ranks × (atoms+1)
+// summaries), per-atom buffers and the union, and nothing proportional
+// to the number of ops: no list of every span, no sorted copy.
+func TestDetectAllocatesNoSpanList(t *testing.T) {
+	const ranks, iters = 192, 237
+	ops := make([][]Op, ranks)
+	for r := range ops {
+		for i := 0; i < iters; i++ {
+			t0 := float64(i)*4 + float64(r%7)/16
+			ops[r] = append(ops[r], op(t0, t0+1, sigA))
+		}
+	}
+	seg := Detect(ops)
+	if seg.Phases() != iters {
+		t.Fatalf("%d phases, want %d", seg.Phases(), iters)
+	}
+	got := allocatedBytes(func() { Detect(ops) })
+	const (
+		prefix  = ranks * (iters + 1) * 16 // []rankAtom
+		perAtom = 1024                     // union buffers, starts, gaps, thresholds, cuts, seq, fail, kind sets, result
+		spans   = ranks * iters * 16       // what a list of every span would add
+	)
+	t.Logf("Detect allocated %d bytes: prefix table %d, %d atoms, a span list would be %d", got, prefix, iters, spans)
+	if budget := uint64(prefix + iters*perAtom); got > budget {
+		t.Errorf("Detect allocated %d bytes, budget %d (prefix table %d + %d per atom)", got, budget, prefix, perAtom)
+	}
+	if got > prefix+spans/2 {
+		t.Errorf("Detect allocated %d bytes: that is room for a list of the ops' spans (%d) beside the prefix table (%d)", got, spans, prefix)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"metascope/internal/jsonw"
 )
 
 // Profile is the exportable time-resolved severity artifact: one row
@@ -115,16 +117,88 @@ func (p *Profile) ByMetahost(metric string) []MetahostRow {
 }
 
 // WriteJSON writes the profile as indented JSON. Series order is fixed
-// by Snapshot, and encoding/json formats floats canonically, so equal
-// profiles serialize byte-identically.
+// by Snapshot and floats print canonically, so equal profiles serialize
+// byte-identically. The bytes are those json.MarshalIndent(p, "", "  ")
+// plus a newline would produce (the struct tags above are the contract
+// and Read decodes with encoding/json), appended field by field: at 64
+// buckets times a few hundred series the reflective encoder, its compact
+// intermediate and the indent pass cost more than the analysis' fold. A
+// NaN or infinite value is an *json.UnsupportedValueError, and nothing is
+// written.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
+	for _, f := range []float64{p.Origin, p.BucketWidth} {
+		if err := jsonw.Unsupported(f); err != nil {
+			return err
+		}
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	for i := range p.Series {
+		for _, v := range p.Series[i].Values {
+			if err := jsonw.Unsupported(v); err != nil {
+				return err
+			}
+		}
+	}
+	j := jsonw.New(w)
+	j.Open('{')
+	if p.Title != "" {
+		j.Key("title")
+		j.String(p.Title)
+	}
+	j.Key("origin")
+	j.Float(p.Origin)
+	j.Key("bucket_width")
+	j.Float(p.BucketWidth)
+	j.Key("buckets")
+	j.Int(int64(p.Buckets))
+	j.Key("series")
+	if p.Series == nil {
+		j.Null()
+	} else {
+		j.Open('[')
+		for i := range p.Series {
+			j.Elem()
+			p.Series[i].writeJSON(j)
+		}
+		j.Close(']')
+	}
+	j.Close('}')
+	return j.End()
+}
+
+func (s *Series) writeJSON(j *jsonw.Writer) {
+	j.Open('{')
+	j.Key("metric")
+	j.String(s.Metric)
+	if s.Name != "" {
+		j.Key("name")
+		j.String(s.Name)
+	}
+	if s.Unit != "" {
+		j.Key("unit")
+		j.String(s.Unit)
+	}
+	j.Key("metahost")
+	j.Int(int64(s.Metahost))
+	if s.MetahostName != "" {
+		j.Key("metahost_name")
+		j.String(s.MetahostName)
+	}
+	j.Key("rank")
+	j.Int(int64(s.Rank))
+	j.Key("count")
+	j.Int(s.Count)
+	j.Key("values")
+	if s.Values == nil {
+		j.Null()
+	} else {
+		j.Open('[')
+		for _, v := range s.Values {
+			j.Elem()
+			j.Float(v)
+		}
+		j.Close(']')
+	}
+	j.Close('}')
 }
 
 // WriteCSV writes the profile in wide CSV form: one row per series

@@ -185,16 +185,33 @@ func (a *Accumulator) SetMetahostName(id int, name string) { a.names[id] = name 
 // SetMeta records display name and unit for a metric key.
 func (a *Accumulator) SetMeta(metric string, m SeriesMeta) { a.meta[metric] = m }
 
-// Add spreads value over the interval [start, start+dur) of series k.
-// Times are corrected (synchronized) seconds, like every severity the
-// analyzer computes.
-func (a *Accumulator) Add(k Key, start, dur, value float64) {
+// Handle deposits into one series of an accumulator without looking the
+// series up again.
+type Handle struct {
+	s      *series
+	origin float64
+}
+
+// Series returns the handle of series k, creating the series — which
+// then appears in the snapshot — on first use. A caller that deposits
+// many samples of one key resolves it once, on the first of them.
+func (a *Accumulator) Series(k Key) Handle {
 	s, ok := a.series[k]
 	if !ok {
 		s = &series{width: a.cfg.Width, sums: make([]float64, a.cfg.Buckets)}
 		a.series[k] = s
 	}
-	s.add(a.cfg.Origin, start, dur, value)
+	return Handle{s: s, origin: a.cfg.Origin}
+}
+
+// Add spreads value over the interval [start, start+dur) of the series;
+// dur <= 0 deposits the whole value at start. Times are corrected
+// (synchronized) seconds, like every severity the analyzer computes.
+func (h Handle) Add(start, dur, value float64) { h.s.add(h.origin, start, dur, value) }
+
+// Add spreads value over the interval [start, start+dur) of series k.
+func (a *Accumulator) Add(k Key, start, dur, value float64) {
+	a.Series(k).Add(start, dur, value)
 }
 
 // AddPoint deposits value at time t of series k.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"metascope/internal/cube"
-	"metascope/internal/obs"
 	"metascope/internal/obs/flight"
 	"metascope/internal/pattern"
 	"metascope/internal/phase"
@@ -18,12 +16,15 @@ import (
 // result finalizes the per-rank results into the analysis report: the
 // one read of the severity ledger (sweep samples, then the wrong-order
 // post-pass), application of remote (sender-side) contributions, and
-// assembly of the severity cube.
-func (a *analyzer) result() (*Result, error) {
+// assembly of the severity cube. lap closes a timed stretch of the
+// epilogue (see finish); the report build that ends this function is
+// closed by the caller.
+func (a *analyzer) result(lap func(child string)) (*Result, error) {
+	n := len(a.results)
 	res := &Result{
 		Corrections:         a.corrs,
-		ReplayBytes:         make([]int64, len(a.results)),
-		ReplayExternalBytes: make([]int64, len(a.results)),
+		ReplayBytes:         make([]int64, n),
+		ReplayExternalBytes: make([]int64, n),
 		CommMatrix:          make(map[[2]int]CommVolume),
 		MetahostNames:       make(map[int]string),
 	}
@@ -68,29 +69,47 @@ func (a *analyzer) result() (*Result, error) {
 	}
 	prof.SetMeta(profile.KeyBytesIntra, profile.SeriesMeta{Name: "Intra-metahost message volume", Unit: "bytes"})
 	prof.SetMeta(profile.KeyBytesWide, profile.SeriesMeta{Name: "Wide-area message volume", Unit: "bytes"})
-	opLogs := make([][]phase.Op, len(a.results))
+	opLogs := make([][]phase.Op, n)
 	for i, rr := range a.results {
 		opLogs[i] = rr.opLog
 	}
-	// Phase detection searches many candidate partitions; it is timed as
-	// its own child of the pattern search.
-	detectStart := time.Now()
+	lap("ledger-fold")
+	// Phase detection searches many candidate partitions.
 	seg := phase.Detect(opLogs)
-	obs.OrDefault(a.cfg.Obs).Phases.Record(time.Since(detectStart), "pattern-search", "phase-detect")
-	pacc := phase.NewAccumulator(seg, len(a.results))
+	lap("phase-detect")
+	pacc := phase.NewAccumulator(seg, n)
 	for mh, name := range res.MetahostNames {
 		prof.SetMetahostName(mh, name)
 		pacc.SetMetahostName(mh, name)
 	}
-	deposit := func(key profile.Key, start, dur, val float64) {
-		prof.Add(key, start, dur, val)
-		pacc.Add(key.Metric, key.Metahost, start, val)
+	// A sample names its series by (metric id, rank); the two accumulators
+	// are asked for that series and its phase row once, on its first
+	// sample, so a series exists exactly when something was deposited.
+	type seriesSlot struct {
+		ser profile.Handle
+		row *phase.Row
+	}
+	var slots [numMetrics][]seriesSlot
+	deposit := func(m metricID, rank int32, start, dur, val float64) {
+		if slots[m] == nil {
+			slots[m] = make([]seriesSlot, n)
+		}
+		sl := &slots[m][rank]
+		if sl.row == nil {
+			mh := a.traces[rank].Loc.Metahost
+			sl.ser = prof.Series(profile.Key{Metric: m.key(), Metahost: mh, Rank: int(rank)})
+			sl.row = pacc.Row(m.key(), mh)
+		}
+		sl.ser.Add(start, dur, val)
+		sl.row.Add(start, val)
 	}
 	for _, rr := range a.results {
-		for _, s := range rr.profLog {
-			deposit(s.key, s.start, s.dur, s.val)
+		for i := range rr.profLog {
+			s := &rr.profLog[i]
+			deposit(s.metric, s.rank, s.start, s.dur, s.val)
 		}
 	}
+	lap("ledger-fold")
 
 	// Wrong-order post-pass: a Late Sender instance is reclassified as
 	// Messages in Wrong Order if the receiver later consumes a message
@@ -104,8 +123,9 @@ func (a *analyzer) result() (*Result, error) {
 		pw.Emit(flight.SpanBegin, a.flJob, a.fn.postpass, 0, 0)
 		defer pw.Emit(flight.SpanEnd, a.flJob, a.fn.postpass, 0, 0)
 	}
+	var minFuture []float64 // one buffer, grown to the longest receive log
 	for _, rr := range a.results {
-		a.postPassRank(rr, deposit)
+		minFuture = a.postPassRank(rr, minFuture, deposit)
 	}
 
 	// Sender-side severities detected remotely (Late Receiver), each
@@ -143,6 +163,7 @@ func (a *analyzer) result() (*Result, error) {
 			acc.addPair(rc.pat, rc.mhA, rc.mhB, rc.val)
 		}
 	}
+	lap("post-pass")
 
 	res.Profile = prof.Snapshot(a.cfg.Title)
 	res.Phases = pacc.Snapshot(a.cfg.Title)
@@ -158,30 +179,35 @@ func (a *analyzer) result() (*Result, error) {
 // postPassRank classifies one rank's receive log — the suffix-minimum
 // wrong-order test — updating the rank's own call-path accumulators
 // and depositing the late-sender-family samples, in receive order.
-func (a *analyzer) postPassRank(rr *rankResult, deposit func(key profile.Key, start, dur, val float64)) {
+// minFuture is the suffix-minimum buffer, handed back for the next rank.
+func (a *analyzer) postPassRank(rr *rankResult, minFuture []float64, deposit func(m metricID, rank int32, start, dur, val float64)) []float64 {
 	myMH := a.traces[rr.rank].Loc.Metahost
 	n := len(rr.recvLog)
-	minFuture := make([]float64, n+1)
+	if cap(minFuture) < n+1 {
+		minFuture = make([]float64, n+1)
+	}
+	minFuture = minFuture[:n+1]
 	minFuture[n] = math.Inf(1)
 	for i := n - 1; i >= 0; i-- {
 		minFuture[i] = math.Min(minFuture[i+1], rr.recvLog[i].sendEvent)
 	}
-	for i, ri := range rr.recvLog {
+	for i := range rr.recvLog {
+		ri := &rr.recvLog[i]
 		if ri.lsWait <= 0 {
 			continue
 		}
 		pat := pattern.LateSender
-		switch {
-		case ri.grid:
+		switch srcMH := a.traces[ri.src].Loc.Metahost; {
+		case srcMH != myMH:
 			pat = pattern.GridLateSender
-			rr.acc[ri.cp].addPair(pat, myMH, ri.srcMH, ri.lsWait)
+			rr.acc[ri.cp].addPair(pat, myMH, srcMH, ri.lsWait)
 		case pattern.WrongOrderCandidate(ri.lsWait, ri.sendEvent, minFuture[i+1], ri.recvEnter):
 			pat = pattern.WrongOrder
 		}
 		rr.acc[ri.cp].waits[pat] += ri.lsWait
-		deposit(profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank},
-			ri.recvEnter, ri.lsWait, ri.lsWait)
+		deposit(metricID(pat), int32(rr.rank), ri.recvEnter, ri.lsWait, ri.lsWait)
 	}
+	return minFuture
 }
 
 // metricSlot caches the report indices of all metrics.

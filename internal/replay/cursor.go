@@ -244,27 +244,55 @@ func (lg *rankLog) wait(have int) (n int, closed, aborted bool, err error) {
 	return n, closed, aborted, err
 }
 
-// recvCountIfResident counts the Recv events when the log is complete
-// and holds every event — closed with nothing released: a preloaded
-// log, or a pushed one whose stream finished before the sweep began —
-// which lets the worker pre-size its receive log. Any other log returns
-// ok=false (a pulled log closes only once its last block is decoded):
-// counting would force every block resident, defeating the window.
-func (lg *rankLog) recvCountIfResident() (int, bool) {
+// logCounts is what the sweep of a log will append to the rank's three
+// ledger logs, as far as the events alone tell: one volume sample per
+// Send, one receive record per Recv, one op per Exit of a non-user
+// region.
+type logCounts struct{ sends, recvs, ops int }
+
+// countIfResident counts, in one pass, what sizes the rank's ledger logs
+// when the log is complete and holds every event — closed with nothing
+// released: a preloaded log, or a pushed one whose stream finished
+// before the sweep began. Any other log returns ok=false (a pulled log
+// closes only once its last block is decoded): counting would force
+// every block resident, defeating the window. An Exit is counted by the
+// kind of the region it names, which nothing has validated: a trace
+// whose exits lie gets a wrong capacity, and appends past it.
+func (lg *rankLog) countIfResident(regions []trace.Region) (logCounts, bool) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
+	var c logCounts
 	if !lg.closed || lg.resident != lg.n {
-		return 0, false
+		return c, false
 	}
-	nrecv := 0
+	// A table by region id: ids are small and dense in every trace a
+	// writer of ours produced, and an id past the table's bound counts as
+	// a user region — a smaller hint, nothing else.
+	const maxTable = 1 << 16
+	var nonUser []bool
+	for _, r := range regions {
+		if r.Kind != trace.RegionUser && r.ID < maxTable {
+			for int(r.ID) >= len(nonUser) {
+				nonUser = append(nonUser, false)
+			}
+			nonUser[r.ID] = true
+		}
+	}
 	for _, blk := range lg.blocks {
 		for i := range blk {
-			if blk[i].Kind == trace.KindRecv {
-				nrecv++
+			switch ev := &blk[i]; ev.Kind {
+			case trace.KindSend:
+				c.sends++
+			case trace.KindRecv:
+				c.recvs++
+			case trace.KindExit:
+				if int(ev.Region) < len(nonUser) && nonUser[ev.Region] {
+					c.ops++
+				}
 			}
 		}
 	}
-	return nrecv, true
+	return c, true
 }
 
 // published returns the number of events the log has made visible —

@@ -552,6 +552,9 @@ func TestFeedersAgree(t *testing.T) {
 		// clean: the traces behind the images, all of them sound.
 		clean []*trace.Trace
 		rest  [][]byte // the other ranks' images, clean[1:] if nil
+		// events: the image is a well-formed encoding of unsound events, so
+		// the eager load and analysis refuse it too, in the same words.
+		events bool
 	}
 	faults := []fault{
 		{name: "clean", img: clean[0], clean: traces},
@@ -573,6 +576,23 @@ func TestFeedersAgree(t *testing.T) {
 		{name: "non-monotone time", img: func() []byte {
 			tr := edit(func(evs []trace.Event) []trace.Event {
 				evs[40].Time = evs[39].Time - 1
+				return evs
+			})
+			return image(tr, blockCounts(n0, bs)...)
+		}()},
+		// Both formats carry raw float64 bits. Every comparison with a NaN
+		// is false, so only an explicit check stops one; an infinity is in
+		// order after any time stamp and used to surface at render time.
+		{name: "nan-time", events: true, img: func() []byte {
+			tr := edit(func(evs []trace.Event) []trace.Event {
+				evs[n0-2].Time, evs[n0-1].Time = math.NaN(), math.NaN()
+				return evs
+			})
+			return image(tr, blockCounts(n0, bs)...)
+		}()},
+		{name: "inf-time", events: true, img: func() []byte {
+			tr := edit(func(evs []trace.Event) []trace.Event {
+				evs[n0-2].Time, evs[n0-1].Time = math.Inf(1), math.Inf(1)
 				return evs
 			})
 			return image(tr, blockCounts(n0, bs)...)
@@ -605,6 +625,15 @@ func TestFeedersAgree(t *testing.T) {
 				t.Fatalf("lazy analysis: err = %v", want.err)
 			}
 			hdr := first // every faulty image keeps t0's header
+			if f.events {
+				bad, err := trace.DecodeBytesInterned(f.img, nil)
+				if err == nil {
+					_, err = Analyze(append([]*trace.Trace{bad}, traces[1:]...), cfg)
+				}
+				if err == nil || err.Error() != want.err.Error() {
+					t.Errorf("preloaded analysis says %v, lazy analysis says %q", err, want.err)
+				}
+			}
 			if f.clean != nil {
 				hdr = v2HeaderLen(t, f.clean[0], bs)
 				got := outcomeOf(Analyze(f.clean, cfg))
@@ -644,6 +673,84 @@ func TestFeedersAgree(t *testing.T) {
 	}
 }
 
+// TestLedgerLogsSizedByOneCount: over a resident log one counting pass
+// gives the three ledger logs their capacity — volume samples by Send,
+// receive records by Recv, ops by Exit of a non-user region, none for a
+// user region's exit — so the sweep's appends never regrow them; a pulled
+// log is not counted, because that would decode it whole; and the counts
+// are hints, never answers: exits that name the wrong region change the
+// capacity reserved and not one byte of the result.
+func TestLedgerLogsSizedByOneCount(t *testing.T) {
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "hints", Obs: obs.NewRecorder()}.withDefaults(3)
+	sweep := func(traces []*trace.Trace) *analyzer {
+		t.Helper()
+		corr, err := BuildCorrections(traces, cfg.Scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs := make([]*rankLog, len(traces))
+		for i, tr := range traces {
+			logs[i] = newPreloadedRankLog(tr.Events)
+		}
+		a, err := newAnalyzer(traces, logs, corr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.run()
+		return a
+	}
+	traces := exchangeTraces(8)
+	for r, rr := range sweep(traces).results {
+		if rr.err != nil {
+			t.Fatal(rr.err)
+		}
+		tr := traces[r]
+		mpi := 0
+		for _, ev := range tr.Events {
+			if ev.Kind == trace.KindExit && tr.RegionByID(ev.Region).Kind != trace.RegionUser {
+				mpi++
+			}
+		}
+		if len(rr.opLog) != mpi || cap(rr.opLog) != mpi {
+			t.Errorf("rank %d: op log len %d cap %d, want both %d (one per non-user exit)", r, len(rr.opLog), cap(rr.opLog), mpi)
+		}
+		if n := tr.CountKind(trace.KindRecv); len(rr.recvLog) != n || cap(rr.recvLog) != n {
+			t.Errorf("rank %d: receive log len %d cap %d, want both %d", r, len(rr.recvLog), cap(rr.recvLog), n)
+		}
+		// Wait states add to the volume samples, so the sample log may
+		// outgrow its hint; it never starts below it.
+		if n := tr.CountKind(trace.KindSend); len(rr.profLog) < n || cap(rr.profLog) < n {
+			t.Errorf("rank %d: sample log len %d cap %d for %d sends", r, len(rr.profLog), cap(rr.profLog), n)
+		}
+	}
+
+	img := v2Blocks(t, traces[0], 8, blockCounts(len(traces[0].Events), 8)...)
+	br, err := trace.NewBlockReader(img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := newPulledRankLog(br).countIfResident(traces[0].Regions); ok {
+		t.Error("a pulled log was counted: that decodes every block up front")
+	}
+
+	// Every exit names the user region, then every exit names an MPI one.
+	want := outcomeOf(Analyze(traces, cfg))
+	for _, region := range []trace.RegionID{0, 1} {
+		lying := exchangeTraces(8)
+		for _, tr := range lying {
+			for i := range tr.Events {
+				if tr.Events[i].Kind == trace.KindExit {
+					tr.Events[i].Region = region
+				}
+			}
+		}
+		got := outcomeOf(Analyze(lying, cfg))
+		if got.err != nil || !bytes.Equal(got.report, want.report) || !bytes.Equal(got.prof, want.prof) || !bytes.Equal(got.phases, want.phases) {
+			t.Errorf("exits naming region %d changed the analysis (err %v)", region, got.err)
+		}
+	}
+}
+
 // FuzzLiveFeed: whatever a byte patch does to rank 0's image and
 // wherever its upload is cut, a live session neither panics nor outlives
 // its context, and it comes to what the lazy analysis of the same bytes
@@ -667,6 +774,7 @@ func FuzzLiveFeed(f *testing.F) {
 	f.Add(uint16(44), uint16(819), uint16(520), byte('\v'))     // a negative peer
 	f.Add(uint16(22), uint16(767), uint16(437), byte(0x03))     // a collective root outside its communicator
 	f.Add(uint16(230), uint16(488), uint16(661), byte(')'))     // a time stamp 1e13 s out
+	f.Add(uint16(100), uint16(400), uint16(312), byte(0x01))    // a NaN time stamp
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "fuzz", Obs: obs.NewRecorder()}
 	live := LiveConfig{Config: cfg}
 	f.Fuzz(func(t *testing.T, cut1, cut2, at uint16, xor byte) {

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"testing"
@@ -8,7 +9,9 @@ import (
 	"unsafe"
 
 	"metascope/internal/archive"
+	"metascope/internal/obs"
 	"metascope/internal/trace"
+	"metascope/internal/vclock"
 )
 
 // unsafeStringData exposes a string's backing pointer so tests can
@@ -199,6 +202,74 @@ func TestLoadArchiveInternsSharedNames(t *testing.T) {
 			if len(a) > 0 && unsafeStringData(a) != unsafeStringData(b) {
 				t.Errorf("rank %d region %d name %q not interned", r, i, b)
 			}
+		}
+	}
+}
+
+// copyOnlyFS hides everything of a MemFS but the FS interface, as a file
+// system whose bytes are not in memory would.
+type copyOnlyFS struct{ archive.FS }
+
+// TestLoadBorrowsWithoutWriting: the loader borrows a trace file's bytes
+// from a file system that holds them in memory and reads any other into a
+// buffer; both give the same traces, eager and lazy, and neither the load
+// nor the analyses that read a lazy image write to the borrowed bytes.
+func TestLoadBorrowsWithoutWriting(t *testing.T) {
+	traces := exchangeTraces(8)
+	fs := archive.NewMemFS("borrow")
+	const dir = "epik_borrow"
+	if err := fs.Mkdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(traces))
+	for r, tr := range traces {
+		w, err := fs.Create(archive.TraceFile(dir, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.EncodeV2(w); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if before[r], err = archive.ReadFile(fs, archive.TraceFile(dir, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "borrow", Obs: obs.NewRecorder()}
+	var outcomes []feedOutcome
+	for _, lend := range []bool{true, false} {
+		mounts := archive.NewMounts()
+		if lend {
+			mounts.Mount(0, fs)
+		} else {
+			mounts.Mount(0, copyOnlyFS{fs})
+		}
+		eager, err := LoadArchiveObs(mounts, []int{0}, dir, cfg.Obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes = append(outcomes, outcomeOf(Analyze(eager, cfg)))
+		lazy, err := LoadArchiveLazy(mounts, []int{0}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes = append(outcomes, outcomeOf(AnalyzeLazy(lazy, cfg)), outcomeOf(AnalyzeLazy(lazy, cfg)))
+	}
+	for i, o := range outcomes {
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if !bytes.Equal(o.report, outcomes[0].report) || !bytes.Equal(o.prof, outcomes[0].prof) || !bytes.Equal(o.phases, outcomes[0].phases) {
+			t.Errorf("analysis %d differs from the first", i)
+		}
+	}
+	for r := range traces {
+		now, err := fs.View(archive.TraceFile(dir, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(now, before[r]) {
+			t.Errorf("rank %d: the file's bytes changed under the loader", r)
 		}
 	}
 }

@@ -202,7 +202,8 @@ type loadItem struct {
 // load is the one archive loader. Every distinct file system is listed
 // exactly once and the rank set is validated up front (dense, no
 // duplicates), then a bounded worker pool decodes all trace files
-// concurrently. Each file is read into a single size-hinted buffer and
+// concurrently. Each file is borrowed from a file system that holds it in
+// memory (archive.Viewer), else read into a single size-hinted buffer, and
 // decoded in place — with lazy set, a v2 file only as far as its header
 // — and region and metahost names are interned across the pool, so an
 // N-rank archive holds one copy of each repeated string. The first
@@ -286,7 +287,16 @@ func load(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir stri
 	minErr.Store(int64(len(items)))
 	decodeOne := func(i int) error {
 		it := items[i]
-		data, err := archive.ReadFile(it.fs, dir+"/"+it.name)
+		// Neither decoder writes to its input, and a lazy image is only
+		// ever read, so a file system that holds the file in memory lends
+		// its bytes; any other is read into a buffer.
+		var data []byte
+		var err error
+		if v, ok := it.fs.(archive.Viewer); ok {
+			data, err = v.View(dir + "/" + it.name)
+		} else {
+			data, err = archive.ReadFile(it.fs, dir+"/"+it.name)
+		}
 		if err != nil {
 			return fmt.Errorf("replay: opening %s: %w", it.name, err)
 		}
@@ -559,11 +569,24 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 // finish is the one engine epilogue, shared by post-mortem, lazy and
 // live analysis: it assembles the result and reports what the replay did
 // into the replay counters, the per-rank traffic histograms and the log.
+//
+// The epilogue is timed as four children of the pattern search that tile
+// it: ledger-fold (the result's preamble, the accumulators and the read
+// of the sweep samples), phase-detect, post-pass, and report-build (the
+// snapshots, the cube and the counters below).
 func (a *analyzer) finish() (*Result, error) {
-	res, err := a.result()
+	phases := obs.OrDefault(a.cfg.Obs).Phases
+	mark := time.Now()
+	lap := func(child string) {
+		now := time.Now()
+		phases.Record(now.Sub(mark), "pattern-search", child)
+		mark = now
+	}
+	res, err := a.result(lap)
 	if err != nil {
 		return nil, err
 	}
+
 	events := 0
 	for _, lg := range a.logs {
 		events += lg.published()
@@ -585,6 +608,7 @@ func (a *analyzer) finish() (*Result, error) {
 		"processes", len(a.traces), "events", events, "messages", res.Messages,
 		"collectives", res.Collectives, "violations", res.Violations,
 		"repairs", res.Repairs, "replay_seconds", a.replayDur.Seconds())
+	lap("report-build")
 	return res, nil
 }
 

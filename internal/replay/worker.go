@@ -237,14 +237,15 @@ func makeCPKey(parent int, region trace.RegionID) cpKey {
 }
 
 // recvInfo is kept per receive for the deterministic wrong-order
-// post-pass and the clock-condition count.
+// post-pass and the clock-condition count: 32 bytes. The sender is kept
+// as its world rank; its metahost, and with it whether the instance is a
+// grid one, is read from the sender's trace header in the post-pass.
 type recvInfo struct {
-	cp        int
 	sendEvent float64
 	recvEnter float64
 	lsWait    float64
-	grid      bool
-	srcMH     int // sender's metahost, for the pair classification
+	cp        int32
+	src       int32
 }
 
 // rankResult is everything one analysis process produces.
@@ -288,24 +289,49 @@ type rankResult struct {
 	err    error
 }
 
-// profSample is one deferred profile deposit: Add(key, start, dur,
-// val), with dur==0 standing for AddPoint.
-type profSample struct {
-	key   profile.Key
-	start float64
-	dur   float64
-	val   float64
+// metricID names a ledger sample's metric in one byte: a pattern id, or
+// one of the two message-volume series numbered after the patterns.
+type metricID uint8
+
+const (
+	metricBytesIntra = metricID(pattern.NumPatterns) + iota
+	metricBytesWide
+	numMetrics
+)
+
+// key returns the metric's key in the profile and phase artifacts.
+func (m metricID) key() string {
+	switch m {
+	case metricBytesIntra:
+		return profile.KeyBytesIntra
+	case metricBytesWide:
+		return profile.KeyBytesWide
+	}
+	return pattern.ID(m).MetricKey()
 }
 
-// score records one scored severity: deferred to the rank's sample log
-// for result()'s read of the ledger and, in a live session, deposited
-// into the window sink under its pattern family — grid and wrong-order
-// variants are children of their base pattern in the metric tree, so the
-// family's inclusive cube total matches the stream.
-func (a *analyzer) score(rr *rankResult, key profile.Key, start, dur, val float64) {
-	rr.profLog = append(rr.profLog, profSample{key: key, start: start, dur: dur, val: val})
+// profSample is one deferred deposit into the series (metric, metahost
+// of rank, rank): Add(start, dur, val), with dur==0 standing for a point
+// deposit. 32 bytes; the metahost is not stored because the rank's trace
+// header has it.
+type profSample struct {
+	start  float64
+	dur    float64
+	val    float64
+	rank   int32
+	metric metricID
+}
+
+// score records one scored severity of rank — the scoring process itself
+// or, for Late Receiver, the sender that suffered it: deferred to the
+// scoring rank's sample log for result()'s read of the ledger and, in a
+// live session, deposited into the window sink under its pattern family —
+// grid and wrong-order variants are children of their base pattern in the
+// metric tree, so the family's inclusive cube total matches the stream.
+func (a *analyzer) score(rr *rankResult, m metricID, rank int32, start, dur, val float64) {
+	rr.profLog = append(rr.profLog, profSample{start: start, dur: dur, val: val, rank: rank, metric: m})
 	if a.sink != nil {
-		a.sink.add(rr.rank, deltaKey{Metric: phase.FamilyOf(key.Metric), Metahost: key.Metahost}, start, dur, val)
+		a.sink.add(rr.rank, deltaKey{Metric: phase.FamilyOf(m.key()), Metahost: a.traces[rank].Loc.Metahost}, start, dur, val)
 	}
 }
 
@@ -558,12 +584,16 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	// blocks until the next chunk lands.
 	sc := newSweepCursor(a.logs[rank])
 
-	// One receive-log entry is appended per Recv event; when the whole
-	// log is already resident (post-mortem), sizing it exactly up front
-	// avoids the doubling reallocations that dominated the analyzer's
-	// allocation profile.
-	if nrecv, ok := a.logs[rank].recvCountIfResident(); ok {
-		rr.recvLog = make([]recvInfo, 0, nrecv)
+	// The three per-rank logs grow by one entry per Send event (the
+	// volume sample), per Recv event and per completed non-user region.
+	// When the whole log is already resident (post-mortem), one counting
+	// pass sizes them up front, which avoids the doubling reallocations
+	// that dominated the analyzer's allocation profile. The counts are
+	// capacity hints: every write below is still an append.
+	if c, ok := a.logs[rank].countIfResident(t.Regions); ok {
+		rr.profLog = make([]profSample, 0, c.sends)
+		rr.recvLog = make([]recvInfo, 0, c.recvs)
+		rr.opLog = make([]phase.Op, 0, c.ops)
 	}
 
 	// Publish sweep progress for the live frontier: the last corrected
@@ -670,11 +700,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			cell.Messages++
 			cell.Bytes += ev.Bytes
 			rr.commMatrix[[2]int{myMH, dstMH}] = cell
-			volKey := profile.KeyBytesIntra
+			vol := metricBytesIntra
 			if dstMH != myMH {
-				volKey = profile.KeyBytesWide
+				vol = metricBytesWide
 			}
-			a.score(rr, profile.Key{Metric: volKey, Metahost: myMH, Rank: rank}, ct, 0, float64(ev.Bytes))
+			a.score(rr, vol, int32(rank), ct, 0, float64(ev.Bytes))
 			if fw != nil {
 				fw.Emit(flight.Send, a.flJob, a.fn.put, int64(dst), flightSig(ev.Comm, ev.Tag))
 			}
@@ -738,12 +768,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 					top.enter, ls, ls)
 			}
 			rr.recvLog = append(rr.recvLog, recvInfo{
-				cp:        top.cp,
 				sendEvent: rec.sendEvent,
 				recvEnter: top.enter,
 				lsWait:    ls,
-				grid:      grid,
-				srcMH:     rec.srcMetahost,
+				cp:        int32(top.cp),
+				src:       rec.srcWorld,
 			})
 			if rec.bytes > int64(a.cfg.EagerLimit) {
 				lr := pattern.LateReceiverWait(top.enter, rec.sendEnter, rec.sendExit)
@@ -760,8 +789,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 					// elapsed; the detecting (receiving) process records
 					// the interval into its own sample log, keyed to
 					// the suffering sender.
-					a.score(rr, profile.Key{Metric: pat.MetricKey(), Metahost: rec.srcMetahost, Rank: int(rec.srcWorld)},
-						rec.sendEnter, lr, lr)
+					a.score(rr, metricID(pat), rec.srcWorld, rec.sendEnter, lr, lr)
 				}
 			}
 
@@ -901,7 +929,7 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 		rr.acc[cp].waits[pat] += v
 		// Waiting starts when this process enters the operation and
 		// lasts until the cause arrives.
-		a.score(rr, profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank}, myEnter, v, v)
+		a.score(rr, metricID(pat), int32(rr.rank), myEnter, v, v)
 	}
 	// Completion waits sit at the *end* of the operation: from the last
 	// participant's enter to this process's exit.
@@ -910,7 +938,7 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 			return
 		}
 		rr.acc[cp].waits[pat] += v
-		a.score(rr, profile.Key{Metric: pat.MetricKey(), Metahost: myMH, Rank: rr.rank}, myDone-v, v, v)
+		a.score(rr, metricID(pat), int32(rr.rank), myDone-v, v, v)
 	}
 	switch {
 	case ev.Coll == trace.CollBarrier:

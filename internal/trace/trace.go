@@ -164,16 +164,20 @@ func (c CollOp) IsNToOne() bool { return c == CollReduce || c == CollGather }
 //	Send:       Time, Comm, Peer (destination, comm rank), Tag, Bytes
 //	Recv:       Time, Comm, Peer (matched source, comm rank), Tag, Bytes
 //	CollExit:   Time, Comm, Coll, Root (comm rank; -1 for rootless), Bytes
+//
+// The fields are ordered widest first so the struct packs into 40 bytes
+// (TestEventSize): every resident event array and every lazy or live
+// block is this struct times the event count.
 type Event struct {
-	Kind   EventKind
 	Time   float64 // local clock reading
+	Bytes  int64
 	Region RegionID
 	Comm   int32
 	Peer   int32
 	Tag    int32
-	Bytes  int64
-	Coll   CollOp
 	Root   int32
+	Kind   EventKind
+	Coll   CollOp
 }
 
 // Location identifies where a trace's events happened: the

@@ -3,12 +3,14 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"metascope/internal/vclock"
 )
@@ -50,6 +52,16 @@ func sampleTrace() *Trace {
 			{Kind: KindExit, Time: 3.5, Region: 1},
 			{Kind: KindExit, Time: 4.0, Region: 0},
 		},
+	}
+}
+
+// TestEventSize: every resident event array and every lazy or live block
+// is this struct times the event count, so its size is pinned — the
+// fields are ordered widest first and pack without a hole. A new field,
+// or a reorder that opens padding, is a decision to take here.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(trace.Event{}) = %d, want 40", got)
 	}
 }
 
@@ -188,6 +200,19 @@ func TestValidateCatchesProblems(t *testing.T) {
 	tr.Events[3].Time = 0.5 // goes backwards
 	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "before predecessor") {
 		t.Errorf("backwards time not caught: %v", err)
+	}
+
+	// A NaN is not before anything and an infinity is after everything:
+	// neither trips the order check, at the first event or the last.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, len(base().Events) - 1} {
+			tr = base()
+			tr.Events[at].Time = bad
+			want := fmt.Sprintf("event %d has non-finite time %g", at, bad)
+			if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("time %g at event %d not caught: %v", bad, at, err)
+			}
+		}
 	}
 
 	tr = base()

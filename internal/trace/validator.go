@@ -30,6 +30,12 @@ func NewStreamValidator(t *Trace) *StreamValidator {
 // stream; callers must not continue validating past the first one.
 func (v *StreamValidator) Event(ev *Event) error {
 	i := v.n
+	// Both formats carry raw float64 bits, and every comparison with a NaN
+	// is false: without this check a NaN passes the order test below and
+	// an infinity surfaces only when an artifact is rendered.
+	if ev.Time-ev.Time != 0 {
+		return fmt.Errorf("trace %v: event %d has non-finite time %g", v.loc, i, ev.Time)
+	}
 	if i > 0 && ev.Time < v.lastTime {
 		return fmt.Errorf("trace %v: event %d time %g before predecessor %g",
 			v.loc, i, ev.Time, v.lastTime)

@@ -15,7 +15,10 @@ import (
 	"metascope"
 	"metascope/internal/measure"
 	"metascope/internal/obs"
+	"metascope/internal/replay"
+	"metascope/internal/scenario"
 	"metascope/internal/topology"
+	"metascope/internal/vclock"
 )
 
 func runInstrumentedPipeline(t *testing.T, rec *obs.Recorder) *metascope.Experiment {
@@ -54,6 +57,48 @@ func runInstrumentedPipeline(t *testing.T, rec *obs.Recorder) *metascope.Experim
 	return e
 }
 
+// TestPatternSearchChildrenTileIt: the pattern search reports where its
+// time went — ledger fold, phase detection, post-pass, report build — and
+// those four account for it: on the halo2d library scenario their sum is
+// within 2 % of the pattern-search span, which in a post-mortem analysis
+// starts when the sweep has ended.
+func TestPatternSearchChildrenTileIt(t *testing.T) {
+	prog, err := scenario.LoadLibrary("halo2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := prog.Run("halo2d", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A span's clock can be read around a descheduling; a tiling cannot
+	// be gapped one run in three.
+	var whole, parts float64
+	for attempt := 0; attempt < 3; attempt++ {
+		rec := obs.NewRecorder()
+		if _, err := e.AnalyzeConfig(replay.Config{Scheme: vclock.Hierarchical, Obs: rec}); err != nil {
+			t.Fatal(err)
+		}
+		whole, parts = 0, 0
+		for _, p := range rec.Phases.Snapshot() {
+			switch p.Path {
+			case "pattern-search":
+				whole = p.Seconds
+			case "pattern-search/ledger-fold", "pattern-search/phase-detect",
+				"pattern-search/post-pass", "pattern-search/report-build":
+				if p.Count < 1 {
+					t.Errorf("%s recorded %d times", p.Path, p.Count)
+				}
+				parts += p.Seconds
+			}
+		}
+		if whole > 0 && parts <= whole && parts >= 0.98*whole {
+			return
+		}
+	}
+	t.Errorf("pattern-search took %.6f s, its four children %.6f s (%.1f %%): want within 2 %%", whole, parts, 100*parts/whole)
+}
+
 func TestObservabilityPipelineSnapshot(t *testing.T) {
 	rec := obs.NewRecorder()
 	runInstrumentedPipeline(t, rec)
@@ -74,7 +119,8 @@ func TestObservabilityPipelineSnapshot(t *testing.T) {
 	for _, path := range []string{
 		"build", "measure", "measure/archive-protocol", "measure/sync",
 		"measure/trace-write", "archive", "sync", "replay", "pattern-search",
-		"pattern-search/phase-detect", "render",
+		"pattern-search/ledger-fold", "pattern-search/phase-detect",
+		"pattern-search/post-pass", "pattern-search/report-build", "render",
 	} {
 		p, ok := phases[path]
 		if !ok {

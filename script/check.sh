@@ -97,6 +97,19 @@ if grep -n 'go func' internal/replay/build.go; then
 	exit 1
 fi
 
+# The profile and phase artifacts have one writer each, which appends
+# the JSON field by field (internal/jsonw) and is held to
+# json.MarshalIndent's bytes by a property test. A json.Marshal in either
+# file's non-test code is the reflective render, or a fallback to it,
+# creeping back; Read keeps encoding/json's decoder.
+echo "== one artifact writer"
+for f in internal/profile/artifact.go internal/phase/artifact.go; do
+	if grep -n 'json\.Marshal' "$f" | grep -v '^[0-9]*:[[:space:]]*//'; then
+		echo "check: $f calls json.Marshal: the artifact has one writer, WriteJSON over internal/jsonw" >&2
+		exit 1
+	fi
+done
+
 # The service answers 20 routes over one store of analyses, whichever
 # feeder — job or live session — produced them. A 21st is a mode
 # creeping back: serve it from a handler that already resolves by id.
@@ -173,9 +186,12 @@ fi
 # the bytes per event it is known to need (the sweep decodes into the
 # blocks it releases; phase detection copies nothing per candidate), and
 # the lazy analysis of an archive of many short ranks at most 1.25x the
-# eager one. Run without -race, like the two zero-alloc gates above: the
+# eager one, and the post-mortem path on a communication-bound archive —
+# eager load, analysis, the three artifact writes — at most 1.25x the
+# bytes per event it is known to need (files borrowed, logs sized by one
+# counting pass, no span list, no reflective render). Run without -race, like the two zero-alloc gates above: the
 # budgets are about the program's own bytes.
-echo "== live ingest and lazy analysis allocation budgets"
-go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|TestLazyShortRanksAllocBudget$' .
+echo "== live ingest, lazy and eager analysis allocation budgets"
+go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|TestLazyShortRanksAllocBudget$|TestEagerAllocPerEventBudget$' .
 
 echo "check: all green"
