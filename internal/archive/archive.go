@@ -63,15 +63,26 @@ type Sizer interface {
 // Viewer is an optional capability of an FS whose files already sit in
 // memory: lend a closed file's stored bytes instead of copying them. The
 // slice is the file system's own storage and stays valid and unchanged
-// for as long as the borrower holds it (a later Create of the same path
-// stores a new slice; it never writes into the old one) — on the
-// condition that the borrower only reads: a write through the view
-// would change the file for every later reader. The archive loader,
-// whose decoders never write to their input, is the one borrower;
-// anything that edits the bytes it gets calls ReadFile. MemFS
-// implements it; DirFS, whose bytes live on disk, does not.
+// for as long as the borrower holds it: a later Create or Store of the
+// same path stores a new slice; it never writes into the old one. Callers
+// go through Borrow, which states the one condition. MemFS implements
+// Viewer; DirFS, whose bytes live on disk, does not.
 type Viewer interface {
 	View(p string) ([]byte, error)
+}
+
+// Borrow returns a file's bytes for reading only: the file system's own
+// storage when fs is a Viewer, a buffer read with ReadFile otherwise. The
+// caller must not write to the result — a write through a view would
+// change the file for every later reader. The borrowers are the archive
+// loader, whose decoders never write to their input, and the service's
+// digest and bundle writer, which hash and compress; anything that edits
+// the bytes it gets calls ReadFile.
+func Borrow(fs FS, p string) ([]byte, error) {
+	if v, ok := fs.(Viewer); ok {
+		return v.View(p)
+	}
+	return ReadFile(fs, p)
 }
 
 // ReadFile reads a whole file from fs into memory. The result is a
@@ -184,12 +195,7 @@ type memFile struct {
 
 func (f *memFile) Write(b []byte) (int, error) { return f.buf.Write(b) }
 
-func (f *memFile) Close() error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	f.fs.files[f.p] = f.buf.Bytes()
-	return nil
-}
+func (f *memFile) Close() error { return f.fs.Store(f.p, f.buf.Bytes()) }
 
 // Create implements FS.
 func (m *MemFS) Create(p string) (io.WriteCloser, error) {
@@ -201,6 +207,21 @@ func (m *MemFS) Create(p string) (io.WriteCloser, error) {
 		return nil, fmt.Errorf("create %s on %s: directory: %w", p, m.name, ErrNotExist)
 	}
 	return &memFile{fs: m, p: p}, nil
+}
+
+// Store creates (or replaces) a file whose contents are data itself: the
+// file system adopts the slice instead of copying it through Create, so
+// the caller must not write to it afterwards. The upload decoder hands
+// over each entry it has just inflated this way.
+func (m *MemFS) Store(p string, data []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p = clean(p)
+	if !m.dirs[path.Dir(p)] {
+		return fmt.Errorf("store %s on %s: directory: %w", p, m.name, ErrNotExist)
+	}
+	m.files[p] = data
+	return nil
 }
 
 // Open implements FS.

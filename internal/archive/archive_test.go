@@ -160,6 +160,68 @@ func TestViewLendsAndReadFileCopies(t *testing.T) {
 	}
 }
 
+// TestStoreAdoptsAndViewLends: Store keeps the slice it is given, View
+// and Borrow lend that same slice, ReadFile still copies, Borrow of a
+// file system that is no Viewer reads, and a later Create or Store of
+// the path never writes into a slice that was lent.
+func TestStoreAdoptsAndViewLends(t *testing.T) {
+	fs := NewMemFS("m")
+	fs.Mkdir("d")
+	in := []byte("inflated once")
+	if err := fs.Store("d/f", in); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Store("nodir/f", in); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Store into a missing directory: %v", err)
+	}
+	lent, err := fs.View("d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	borrowed, err := Borrow(fs, "d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &lent[0] != &in[0] || &borrowed[0] != &in[0] || len(lent) != len(in) {
+		t.Fatal("Store copied its argument, or View / Borrow lent a copy: want the same backing array in and out")
+	}
+	owned, err := ReadFile(fs, "d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &owned[0] == &in[0] || string(owned) != string(in) {
+		t.Fatalf("ReadFile returned %q sharing storage = %v; want a distinct copy", owned, &owned[0] == &in[0])
+	}
+
+	// Replacing the file, either way, leaves the lent slice alone.
+	w, _ := fs.Create("d/f")
+	io.WriteString(w, "written over!")
+	w.Close()
+	if string(lent) != "inflated once" {
+		t.Fatalf("Create wrote into a lent slice: %q", lent)
+	}
+	fs.Store("d/f", []byte("stored over!!"))
+	if string(lent) != "inflated once" {
+		t.Fatalf("Store wrote into a lent slice: %q", lent)
+	}
+	if now, _ := Borrow(fs, "d/f"); string(now) != "stored over!!" {
+		t.Fatalf("Borrow after replacement = %q", now)
+	}
+
+	// A file system that holds nothing in memory is read.
+	dfs, err := NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfs.Mkdir("d")
+	dw, _ := dfs.Create("d/f")
+	dw.Write(in)
+	dw.Close()
+	if got, err := Borrow(dfs, "d/f"); err != nil || string(got) != string(in) {
+		t.Fatalf("Borrow from a DirFS = %q, %v", got, err)
+	}
+}
+
 func TestMemFSConcurrentAccess(t *testing.T) {
 	fs := NewMemFS("m")
 	fs.Mkdir("d")

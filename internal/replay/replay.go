@@ -202,8 +202,8 @@ type loadItem struct {
 // load is the one archive loader. Every distinct file system is listed
 // exactly once and the rank set is validated up front (dense, no
 // duplicates), then a bounded worker pool decodes all trace files
-// concurrently. Each file is borrowed from a file system that holds it in
-// memory (archive.Viewer), else read into a single size-hinted buffer, and
+// concurrently. Each file is borrowed (archive.Borrow: lent by a file system
+// that holds it in memory, else read into a single size-hinted buffer) and
 // decoded in place — with lazy set, a v2 file only as far as its header
 // — and region and metahost names are interned across the pool, so an
 // N-rank archive holds one copy of each repeated string. The first
@@ -288,15 +288,8 @@ func load(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir stri
 	decodeOne := func(i int) error {
 		it := items[i]
 		// Neither decoder writes to its input, and a lazy image is only
-		// ever read, so a file system that holds the file in memory lends
-		// its bytes; any other is read into a buffer.
-		var data []byte
-		var err error
-		if v, ok := it.fs.(archive.Viewer); ok {
-			data, err = v.View(dir + "/" + it.name)
-		} else {
-			data, err = archive.ReadFile(it.fs, dir+"/"+it.name)
-		}
+		// ever read, so the file is borrowed, not copied.
+		data, err := archive.Borrow(it.fs, dir+"/"+it.name)
 		if err != nil {
 			return fmt.Errorf("replay: opening %s: %w", it.name, err)
 		}

@@ -172,6 +172,28 @@ func (s *Server) reject(w http.ResponseWriter, reason string, status int, format
 	s.fail(w, status, format, args...)
 }
 
+// tooLarge reports whether err refuses an upload for being over
+// MaxUploadBytes — the body as it arrived, or the bundle by what its
+// directory declares — and if so answers it: 413, counted, and logged
+// with the declared and the allowed bytes.
+func (s *Server) tooLarge(w http.ResponseWriter, r *http.Request, err error) bool {
+	var declared, allowed any
+	var body *http.MaxBytesError
+	var bundle *sizeError
+	switch {
+	case errors.As(err, &body):
+		declared, allowed = r.ContentLength, body.Limit
+	case errors.As(err, &bundle):
+		declared, allowed = bundle.declared, bundle.allowed
+	default:
+		return false
+	}
+	s.rec.Log.Warn("upload over the size limit", "method", r.Method, "path", r.URL.Path,
+		"declared_bytes", declared, "allowed_bytes", allowed)
+	s.reject(w, "too_large", http.StatusRequestEntityTooLarge, "%v", err)
+	return true
+}
+
 // rejectDraining answers a submission that met a draining server, at
 // admit or, when the drain began in between, at registration.
 func (s *Server) rejectDraining(w http.ResponseWriter) {

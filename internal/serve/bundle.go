@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"path"
 	"sort"
 	"strings"
@@ -26,9 +27,14 @@ import (
 //
 // Exactly three path components per entry; anything else — absolute
 // paths, "..", backslashes, loose files — is rejected before a single
-// byte of trace data is decoded, and the total decompressed size is
-// bounded while reading, so a hostile upload cannot traverse paths or
-// balloon in memory.
+// byte of trace data is inflated, and so is a bundle whose directory
+// declares more inflated bytes than the upload limit allows, or more
+// than deflate could produce from the compressed bytes an entry holds.
+// Each entry is then inflated into one buffer of its declared size and
+// read on to EOF, where archive/zip checks size and CRC-32: the
+// directory is the uploader's word, trusted only for how much to
+// allocate, so a hostile upload can neither traverse paths nor balloon
+// in memory.
 
 // maxZipFiles bounds the entry count of one upload; an experiment has
 // one trace per rank, so this allows jobs far beyond anything the
@@ -54,7 +60,7 @@ func EncodeZip(w io.Writer, mounts *archive.Mounts, metahosts []int, dir string)
 			return fmt.Errorf("serve: listing archive %q: %w", dir, err)
 		}
 		for _, name := range names {
-			data, err := archive.ReadFile(fs, dir+"/"+name)
+			data, err := archive.Borrow(fs, dir+"/"+name)
 			if err != nil {
 				return fmt.Errorf("serve: reading %s: %w", name, err)
 			}
@@ -71,56 +77,105 @@ func EncodeZip(w io.Writer, mounts *archive.Mounts, metahosts []int, dir string)
 	return zw.Close()
 }
 
+// upload is a decoded bundle: the in-memory mounts ready for the
+// analysis pipeline, and what the intake reports about them.
+type upload struct {
+	mounts    *archive.Mounts
+	metahosts []int
+	dir       string
+	files     int
+	inflated  int64 // bytes
+}
+
+// sizeError refuses a bundle for the inflated size its directory
+// declares; the submission handler answers it with 413.
+type sizeError struct {
+	entry             string
+	declared, allowed uint64 // the bundle up to and including entry; the limit
+}
+
+func (e *sizeError) Error() string {
+	return fmt.Sprintf("serve: bundle entry %q brings the upload to %d inflated bytes, beyond the %d-byte limit",
+		e.entry, e.declared, e.allowed)
+}
+
+// deflateMaxRatio is the most deflate can expand its input: two bits of
+// symbols standing for a 258-byte match.
+const deflateMaxRatio = 1032
+
 // DecodeZip parses an upload bundle into in-memory mounts ready for
 // the analysis pipeline. maxBytes bounds the total decompressed size.
 // It returns the mounts, the metahost ids (one per top-level
 // directory, in lexical order), and the experiment archive directory
 // (the lexically first epik_* directory when several appear).
 func DecodeZip(data []byte, maxBytes int64) (*archive.Mounts, []int, string, error) {
+	u, err := decodeZip(data, maxBytes)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return u.mounts, u.metahosts, u.dir, nil
+}
+
+func decodeZip(data []byte, maxBytes int64) (*upload, error) {
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("serve: upload is not a zip archive: %w", err)
+		return nil, fmt.Errorf("serve: upload is not a zip archive: %w", err)
 	}
 	if len(zr.File) == 0 {
-		return nil, nil, "", fmt.Errorf("serve: upload bundle is empty")
+		return nil, fmt.Errorf("serve: upload bundle is empty")
 	}
 	if len(zr.File) > maxZipFiles {
-		return nil, nil, "", fmt.Errorf("serve: upload bundle has %d entries (limit %d)", len(zr.File), maxZipFiles)
+		return nil, fmt.Errorf("serve: upload bundle has %d entries (limit %d)", len(zr.File), maxZipFiles)
 	}
 
 	type entry struct {
 		top, dir, name string
 		file           *zip.File
 	}
-	var entries []entry
+	entries := make([]entry, 0, len(zr.File))
 	archiveDir := ""
+	limit := uint64(max(maxBytes, 0))
+	var declared uint64 // inflated bytes the directory promises so far, never over limit
 	for _, f := range zr.File {
 		name := f.Name
 		if f.FileInfo().IsDir() || strings.HasSuffix(name, "/") {
 			continue
 		}
 		if strings.Contains(name, "\\") || path.IsAbs(name) || path.Clean(name) != name {
-			return nil, nil, "", fmt.Errorf("serve: unsafe bundle entry %q", name)
+			return nil, fmt.Errorf("serve: unsafe bundle entry %q", name)
 		}
 		parts := strings.Split(name, "/")
 		if len(parts) != 3 {
-			return nil, nil, "", fmt.Errorf("serve: bundle entry %q: want metahost/archive/file layout", name)
+			return nil, fmt.Errorf("serve: bundle entry %q: want metahost/archive/file layout", name)
 		}
 		for _, p := range parts {
 			if p == "" || p == "." || p == ".." {
-				return nil, nil, "", fmt.Errorf("serve: unsafe bundle entry %q", name)
+				return nil, fmt.Errorf("serve: unsafe bundle entry %q", name)
 			}
 		}
 		if !archive.IsExperimentDir(parts[1]) {
-			return nil, nil, "", fmt.Errorf("serve: bundle entry %q: %q is not an experiment archive directory (epik_*)", name, parts[1])
+			return nil, fmt.Errorf("serve: bundle entry %q: %q is not an experiment archive directory (epik_*)", name, parts[1])
 		}
+		// The declared size is going to size an allocation, so it is held
+		// to what the budget has left and to what the entry's compressed
+		// bytes could possibly inflate to.
+		size := f.UncompressedSize64
+		if size > limit-declared {
+			// Capping the addend keeps the reported sum from wrapping.
+			return nil, &sizeError{entry: name, declared: declared + min(size, math.MaxInt64), allowed: limit}
+		}
+		if f.CompressedSize64 < size/deflateMaxRatio {
+			return nil, fmt.Errorf("serve: bundle entry %q declares %d bytes inflated from %d compressed, more than deflate's %d:1 can yield",
+				name, size, f.CompressedSize64, deflateMaxRatio)
+		}
+		declared += size
 		if archiveDir == "" || parts[1] < archiveDir {
 			archiveDir = parts[1]
 		}
 		entries = append(entries, entry{top: parts[0], dir: parts[1], name: parts[2], file: f})
 	}
 	if len(entries) == 0 {
-		return nil, nil, "", fmt.Errorf("serve: upload bundle holds no files")
+		return nil, fmt.Errorf("serve: upload bundle holds no files")
 	}
 
 	tops := make([]string, 0, 4)
@@ -133,49 +188,52 @@ func DecodeZip(data []byte, maxBytes int64) (*archive.Mounts, []int, string, err
 	}
 	sort.Strings(tops)
 
-	var total int64
+	u := &upload{mounts: archive.NewMounts(), metahosts: make([]int, len(tops)), dir: archiveDir, files: len(entries)}
 	for _, e := range entries {
 		fs := seenTop[e.top]
 		if !fs.Exists(e.dir) {
 			if err := fs.Mkdir(e.dir); err != nil {
-				return nil, nil, "", err
+				return nil, err
 			}
 		}
-		rc, err := e.file.Open()
+		content, err := inflate(e.file)
 		if err != nil {
-			return nil, nil, "", fmt.Errorf("serve: opening bundle entry %q: %w", e.file.Name, err)
+			return nil, fmt.Errorf("serve: reading bundle entry %q: %w", e.file.Name, err)
 		}
-		// +1 so a file that exactly hits the remaining budget is
-		// distinguishable from one that exceeds it.
-		content, err := io.ReadAll(io.LimitReader(rc, maxBytes-total+1))
-		rc.Close()
-		if err != nil {
-			return nil, nil, "", fmt.Errorf("serve: reading bundle entry %q: %w", e.file.Name, err)
+		// The file system adopts the buffer: the bytes are not written again.
+		if err := fs.Store(e.dir+"/"+e.name, content); err != nil {
+			return nil, err
 		}
-		total += int64(len(content))
-		if total > maxBytes {
-			return nil, nil, "", fmt.Errorf("serve: upload decompresses beyond the %d-byte limit", maxBytes)
-		}
-		w, err := fs.Create(e.dir + "/" + e.name)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if _, err := w.Write(content); err != nil {
-			w.Close()
-			return nil, nil, "", err
-		}
-		if err := w.Close(); err != nil {
-			return nil, nil, "", err
-		}
+		u.inflated += int64(len(content))
 	}
-
-	mounts := archive.NewMounts()
-	metahosts := make([]int, len(tops))
 	for i, top := range tops {
-		mounts.Mount(i, seenTop[top])
-		metahosts[i] = i
+		u.mounts.Mount(i, seenTop[top])
+		u.metahosts[i] = i
 	}
-	return mounts, metahosts, archiveDir, nil
+	return u, nil
+}
+
+// inflate reads one entry into a buffer of exactly its declared size,
+// which decodeZip has already held to the budget, and then reads on to
+// EOF, which is where archive/zip compares size and CRC-32 with the
+// directory: an entry that holds fewer bytes than declared, more, or
+// other bytes is an error, never a truncated file.
+func inflate(f *zip.File) ([]byte, error) {
+	rc, err := f.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	content := make([]byte, f.UncompressedSize64)
+	if _, err := io.ReadFull(rc, content); err != nil {
+		return nil, err
+	}
+	if n, err := io.Copy(io.Discard, rc); n > 0 || err == zip.ErrFormat { // archive/zip's own word for a byte too many
+		return nil, fmt.Errorf("inflates past its declared %d bytes", len(content))
+	} else if err != nil {
+		return nil, err
+	}
+	return content, nil
 }
 
 // isTraceFile mirrors the loader's trace.<rank>.mscp naming check.
@@ -220,7 +278,7 @@ func Digest(mounts *archive.Mounts, metahosts []int, dir string) (string, error)
 	h := sha256.New()
 	var sz [8]byte
 	for _, f := range files {
-		data, err := archive.ReadFile(f.fs, dir+"/"+f.name)
+		data, err := archive.Borrow(f.fs, dir+"/"+f.name)
 		if err != nil {
 			return "", fmt.Errorf("serve: reading %s: %w", f.name, err)
 		}

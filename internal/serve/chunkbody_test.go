@@ -64,7 +64,7 @@ func TestChunkBodyRead(t *testing.T) {
 	if code, msg := direct(1, blobs[1][:10], 20); code != http.StatusBadRequest || !strings.Contains(msg, "10 of 20 declared bytes") {
 		t.Fatalf("short body: HTTP %d %s", code, msg)
 	}
-	if code, ack := putChunk(t, ts.URL, st.ID, traces[1].Loc.Metahost, 1, 0, make([]byte, 1<<20+1), false); code != http.StatusBadRequest ||
+	if code, ack := putChunk(t, ts.URL, st.ID, traces[1].Loc.Metahost, 1, 0, make([]byte, 1<<20+1), false); code != http.StatusRequestEntityTooLarge ||
 		!strings.Contains(fmt.Sprint(ack["error"]), "request body too large") {
 		t.Fatalf("body over the upload limit: HTTP %d %v", code, ack)
 	}

@@ -3,13 +3,16 @@ package serve
 import (
 	"archive/zip"
 	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	stdhttptest "net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -83,33 +86,139 @@ func decodeErr(t testing.TB, resp *http.Response) jsonError {
 	return je
 }
 
+// rawEntry is one bundle entry whose directory record says what the
+// test wants it to say: data is deflated as it is, and size and crc are
+// written to the directory unchecked (zip.Writer.CreateRaw).
+type rawEntry struct {
+	name string
+	data []byte
+	size uint64 // declared inflated size
+	crc  uint32 // declared CRC-32
+}
+
+// honest declares what data really is.
+func honest(name string, data []byte) rawEntry {
+	return rawEntry{name: name, data: data, size: uint64(len(data)), crc: crc32.ChecksumIEEE(data)}
+}
+
+// rawZip writes the entries with their directory records as given.
+func rawZip(t testing.TB, entries ...rawEntry) []byte {
+	t.Helper()
+	var buf, deflated bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	fw, err := flate.NewWriter(nil, flate.BestSpeed)
+	must(t, err)
+	for _, e := range entries {
+		deflated.Reset()
+		fw.Reset(&deflated)
+		_, err = fw.Write(e.data)
+		must(t, err)
+		must(t, fw.Close())
+		w, err := zw.CreateRaw(&zip.FileHeader{
+			Name: e.name, Method: zip.Deflate, CRC32: e.crc,
+			CompressedSize64: uint64(deflated.Len()), UncompressedSize64: e.size,
+		})
+		must(t, err)
+		_, err = w.Write(deflated.Bytes())
+		must(t, err)
+	}
+	must(t, zw.Close())
+	return buf.Bytes()
+}
+
+// lyingEntry is the one entry name every lying bundle is built around.
+const lyingEntry = "mh0/epik_lie/trace.1.mscp"
+
+// lyingBundle is an upload whose zip directory lies about lyingEntry;
+// the entry before it is honest.
+type lyingBundle struct {
+	name string
+	body []byte
+	// unallocated: the directory alone gives the lie away, so the decoder
+	// must refuse before it has inflated (or allocated for) any entry.
+	unallocated bool
+}
+
+// lyingBundles are the lies a directory can tell about an entry's size
+// and checksum. The directory sizes the decoder's allocation, so each
+// must end in a refusal that names the entry — before its inflate or at
+// the end of it — and never in a file of the wrong length.
+func lyingBundles(t testing.TB) []lyingBundle {
+	t.Helper()
+	first := honest("mh0/epik_lie/trace.0.mscp", bytes.Repeat([]byte("ab"), 2048))
+	data := bytes.Repeat([]byte("trace bytes "), 1024)
+	lie := func(mutate func(*rawEntry)) []byte {
+		e := honest(lyingEntry, data)
+		mutate(&e)
+		return rawZip(t, first, e)
+	}
+	return []lyingBundle{
+		{name: "declares fewer than it inflates to", body: lie(func(e *rawEntry) { e.size -= 100 })},
+		{name: "declares more than it holds", body: lie(func(e *rawEntry) { e.size += 100 })},
+		{name: "wrong crc", body: lie(func(e *rawEntry) { e.crc ^= 1 })},
+		// 64 MB out of a few dozen compressed bytes: inside the budget, and
+		// more than deflate can yield.
+		{name: "declares beyond deflate's ceiling", body: lie(func(e *rawEntry) { e.size = 64 << 20 }), unallocated: true},
+	}
+}
+
+// allocatedBy returns the bytes f allocated.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestRobustBadUploads drives the submission endpoint with malformed
-// bodies and URLs; every case must be a clean 4xx JSON error.
+// bodies and URLs; every case must be a clean 4xx JSON error, and one
+// about a bundle entry must name it.
 func TestRobustBadUploads(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	traversal := func(entry string) []byte {
 		var buf bytes.Buffer
 		return newZipWith(t, &buf, map[string][]byte{entry: []byte("x")})
 	}
-	cases := []struct {
-		name  string
-		query string
-		body  []byte
-	}{
-		{"empty body", "", nil},
-		{"not a zip", "", []byte("these are not the bytes you are looking for")},
-		{"bad scheme", "?scheme=vibes", validZip(t)},
-		{"path without root", "?path=run1", nil},
-		{"loose file", "", traversal("loose.mscp")},
-		{"two components", "", traversal("mh0/trace.0.mscp")},
-		{"four components", "", traversal("mh0/epik_a/sub/trace.0.mscp")},
-		{"dotdot", "", traversal("mh0/epik_a/../trace.0.mscp")},
-		{"absolute", "", traversal("/mh0/epik_a/trace.0.mscp")},
-		{"backslash", "", traversal(`mh0\epik_a\trace.0.mscp`)},
-		{"not an experiment dir", "", traversal("mh0/results/trace.0.mscp")},
-		{"no trace files", "", traversal("mh0/epik_a/readme.txt")},
+	type badUpload struct {
+		name        string
+		query       string
+		body        []byte
+		status      int    // 0 = 400
+		names       string // what the error must mention
+		unallocated bool   // as lyingBundle's
 	}
+	cases := []badUpload{
+		{name: "empty body"},
+		{name: "not a zip", body: []byte("these are not the bytes you are looking for")},
+		{name: "bad scheme", query: "?scheme=vibes", body: validZip(t)},
+		{name: "path without root", query: "?path=run1"},
+		{name: "loose file", body: traversal("loose.mscp"), names: "loose.mscp"},
+		{name: "two components", body: traversal("mh0/trace.0.mscp")},
+		{name: "four components", body: traversal("mh0/epik_a/sub/trace.0.mscp")},
+		{name: "dotdot", body: traversal("mh0/epik_a/../trace.0.mscp")},
+		{name: "absolute", body: traversal("/mh0/epik_a/trace.0.mscp")},
+		{name: "backslash", body: traversal(`mh0\epik_a\trace.0.mscp`)},
+		{name: "not an experiment dir", body: traversal("mh0/results/trace.0.mscp")},
+		{name: "no trace files", body: traversal("mh0/epik_a/readme.txt")},
+	}
+	for _, lie := range lyingBundles(t) {
+		cases = append(cases, badUpload{name: lie.name, body: lie.body, names: lyingEntry, unallocated: lie.unallocated})
+	}
+	// The declaration alone exceeds what the first entry left of the budget.
+	over := honest(lyingEntry, []byte("short"))
+	over.size = DefaultMaxUploadBytes
+	cases = append(cases, badUpload{name: "declares beyond the remaining budget",
+		body:   rawZip(t, honest("mh0/epik_lie/trace.0.mscp", []byte("x")), over),
+		status: http.StatusRequestEntityTooLarge, names: lyingEntry, unallocated: true})
+	// One entry more than the decoder takes; nothing is inflated.
+	many := make([]rawEntry, maxZipFiles+1)
+	for i := range many {
+		many[i] = honest(fmt.Sprintf("mh0/epik_many/trace.%d.mscp", i), nil)
+	}
+	cases = append(cases, badUpload{name: "65537 entries", body: rawZip(t, many...), names: "65537 entries"})
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/jobs"+tc.query, "application/zip", bytes.NewReader(tc.body))
@@ -117,10 +226,29 @@ func TestRobustBadUploads(t *testing.T) {
 				t.Fatal(err)
 			}
 			je := decodeErr(t, resp)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d (%s), want 400", resp.StatusCode, je.Error)
+			if tc.status == 0 {
+				tc.status = http.StatusBadRequest
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, je.Error, tc.status)
+			}
+			if !strings.Contains(je.Error, tc.names) {
+				t.Errorf("error %q does not mention %q", je.Error, tc.names)
+			}
+			if tc.unallocated {
+				var err error
+				grew := allocatedBy(func() { _, _, _, err = DecodeZip(tc.body, s.opts.MaxUploadBytes) })
+				if err == nil || grew > 64<<10 {
+					t.Errorf("decoder allocated %d bytes (error %v): want a refusal under 64 KB, before any inflate", grew, err)
+				}
 			}
 		})
+	}
+	// Whatever was refused, no analysis was ever registered.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.order); n != 0 {
+		t.Errorf("%d analyses registered by refused uploads", n)
 	}
 }
 
@@ -455,21 +583,58 @@ func extractZipTree(dst string, data []byte) error {
 	return nil
 }
 
-// TestRobustUploadBudget: a bundle whose decompressed size exceeds the
-// configured budget is rejected before analysis.
+// TestRobustUploadBudget: an upload over MaxUploadBytes — the body as it
+// arrives, or the bundle by what its directory declares, on the job route
+// and on the chunk route — is refused with 413 before analysis, counted
+// under reason="too_large", and logged once with the declared and the
+// allowed bytes.
 func TestRobustUploadBudget(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, MaxUploadBytes: 1024})
-	var buf bytes.Buffer
-	newZipWith(t, &buf, map[string][]byte{
-		"mh0/epik_big/trace.0.mscp": bytes.Repeat([]byte("A"), 64<<10),
-	})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/zip", &buf)
-	if err != nil {
-		t.Fatal(err)
+	rec := obs.NewRecorder()
+	logged := &logLines{}
+	rec.Log = obs.NewLogger(logged)
+	s, ts := newTestServer(t, Options{Workers: 1, MaxUploadBytes: 1024, Obs: rec})
+	sess := openSession(t, ts.URL, "?ranks=1")
+
+	big := bytes.Repeat([]byte("A"), 64<<10)
+	var bundle bytes.Buffer
+	newZipWith(t, &bundle, map[string][]byte{"mh0/epik_big/trace.0.mscp": big}) // ~100 bytes deflated
+	post := func(body []byte) (*http.Response, error) {
+		return http.Post(ts.URL+"/v1/jobs", "application/zip", bytes.NewReader(body))
 	}
-	decodeErr(t, resp)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized upload: status %d, want 400", resp.StatusCode)
+	put := func(body []byte) (*http.Response, error) {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/sessions/"+sess.ID+"/ranks/0/0?seq=0", bytes.NewReader(body))
+		must(t, err)
+		return http.DefaultClient.Do(req)
+	}
+	// Each declares the same 64 KB: as Content-Length, or in the directory.
+	want := fmt.Sprintf("declared_bytes=%d allowed_bytes=1024", len(big))
+	for i, tc := range []struct {
+		name string
+		send func([]byte) (*http.Response, error)
+		body []byte
+	}{
+		{"job body", post, big},
+		{"job bundle", post, bundle.Bytes()},
+		{"chunk body", put, big},
+	} {
+		resp, err := tc.send(tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		decodeErr(t, resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", tc.name, resp.StatusCode)
+		}
+		if v := s.m.rejected.With("too_large").Value(); v != float64(i+1) {
+			t.Errorf("%s: rejected_total{reason=\"too_large\"} = %g, want %d", tc.name, v, i+1)
+		}
+		lines := logged.matching("upload over the size limit")
+		if len(lines) != i+1 || !strings.Contains(lines[i], "level=warn") || !strings.Contains(lines[i], want) {
+			t.Errorf("%s: logged %q, want one more warning carrying %q", tc.name, lines, want)
+		}
+	}
+	if v := s.m.rejected.With("bad_request").Value(); v != 0 {
+		t.Errorf("oversized uploads also counted as %g bad requests", v)
 	}
 }
 

@@ -30,11 +30,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -287,44 +287,60 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 // parameters: scheme (flat1|flat2|hier), archive (explicit epik_*
 // directory name for path submissions). A content-digest cache hit
 // completes the job immediately without occupying a queue slot.
+//
+// The handler's wall time is the obs phase serve-intake, and the three
+// steps an upload pays before it is a job its children.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	defer func() { s.rec.Phases.Record(time.Since(start), "serve-intake") }()
+	step := func(name string, f func()) {
+		t0 := time.Now()
+		f()
+		s.rec.Phases.Record(time.Since(t0), "serve-intake", name)
+	}
 	scheme, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	var (
-		mounts    *archive.Mounts
-		metahosts []int
-		dir       string
-		source    string
-		err       error
+		u      *upload
+		source = "upload"
+		body   []byte
+		digest string
+		err    error
 	)
 	if p := r.URL.Query().Get("path"); p != "" {
 		source = "path"
-		mounts, metahosts, dir, err = s.mountPath(p, r.URL.Query().Get("archive"))
+		u = new(upload)
+		u.mounts, u.metahosts, u.dir, err = s.mountPath(p, r.URL.Query().Get("archive"))
 	} else {
-		source = "upload"
-		var body []byte
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
+		// The buffer is the handler's own: decodeZip only inflates out of
+		// it, so it is garbage once the job exists.
+		step("read-body", func() { body, err = s.readBody(w, r, new(bytes.Buffer)) })
 		if err == nil && len(body) == 0 {
 			err = errors.New("empty request body: upload a zip bundle or pass ?path=")
 		}
 		if err == nil {
-			mounts, metahosts, dir, err = DecodeZip(body, s.opts.MaxUploadBytes)
+			step("decode-zip", func() { u, err = decodeZip(body, s.opts.MaxUploadBytes) })
 		}
 	}
 	if err == nil {
-		var digest string
-		digest, err = Digest(mounts, metahosts, dir)
-		if err == nil {
-			s.submit(w, scheme, &job{
-				source: source, digest: digest,
-				mounts: mounts, metahosts: metahosts, dir: dir,
-			})
-			return
-		}
+		step("digest", func() { digest, err = Digest(u.mounts, u.metahosts, u.dir) })
 	}
-	s.reject(w, "bad_request", http.StatusBadRequest, "%v", err)
+	if err != nil {
+		if !s.tooLarge(w, r, err) {
+			s.reject(w, "bad_request", http.StatusBadRequest, "%v", err)
+		}
+		return
+	}
+	j := &job{
+		source: source, digest: digest,
+		mounts: u.mounts, metahosts: u.metahosts, dir: u.dir,
+	}
+	if s.submit(w, scheme, j) {
+		s.rec.Log.Debug("job accepted", "id", j.id, "source", source, "digest", digest,
+			"body_bytes", len(body), "inflated_bytes", u.inflated, "files", u.files)
+	}
 }
 
 // mountPath resolves a server-side path submission strictly under the
@@ -342,8 +358,9 @@ func (s *Server) mountPath(p, dirOverride string) (*archive.Mounts, []int, strin
 
 // submit registers the job and either serves it from the result cache
 // or enqueues it; a full queue rejects with 429 and a Retry-After
-// estimate derived from observed job latency.
-func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) {
+// estimate derived from observed job latency. It reports whether the job
+// was accepted.
+func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) bool {
 	j.cacheKey = j.digest + "|" + scheme.String()
 	j.ctx, j.cancel = context.WithCancelCause(context.Background())
 
@@ -359,7 +376,7 @@ func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) {
 	if s.draining {
 		s.mu.Unlock()
 		s.rejectDraining(w)
-		return
+		return false
 	}
 	// Only submit sends on the queue, and only under the lock: a queue
 	// with room here still has it at the send below.
@@ -369,7 +386,7 @@ func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) {
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		s.reject(w, "queue_full", http.StatusTooManyRequests,
 			"analysis queue is full (%d waiting); retry in ~%ds", s.opts.QueueDepth, retry)
-		return
+		return false
 	}
 	s.register(j, "job", scheme, StateQueued)
 	status := http.StatusAccepted
@@ -391,6 +408,7 @@ func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) {
 	s.m.submitted.With(j.source).Inc()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, status, st)
+	return true
 }
 
 // retryAfterLocked estimates (in whole seconds, at least 1) how long

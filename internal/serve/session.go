@@ -236,18 +236,31 @@ var chunkBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const chunkBufKeep = 1 << 20
 
-// readChunk reads one chunk body into buf. A body that declares its
-// length is read in one piece — sized up front, but by no more than
-// chunkBufKeep before the bytes have actually arrived — and must be
-// exactly that long; chunked transfer encoding, and a declared length
-// the limit reader is going to refuse anyway, read to EOF.
-func (s *Server) readChunk(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+// readBody is the one body reader, of an uploaded bundle and of a chunk
+// alike: it reads the request body into buf, under MaxUploadBytes. A body
+// that declares its length is read in one piece — sized up front, but by
+// no more than chunkBufKeep before the bytes have actually arrived — and
+// must be exactly that long; chunked transfer encoding reads to EOF. A
+// declared length over the limit is refused whatever arrives: the body is
+// drained through the limit reader, so the client reads an answer and not
+// a reset, and no byte of it is kept.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]byte, error) {
+	limit := s.opts.MaxUploadBytes
+	body := http.MaxBytesReader(w, r.Body, limit)
 	n := r.ContentLength
-	if n < 0 || n > s.opts.MaxUploadBytes {
-		return io.ReadAll(body)
-	}
 	buf.Reset()
+	switch {
+	case n > limit:
+		if _, err := io.Copy(io.Discard, body); err != nil {
+			return nil, err
+		}
+		return nil, &http.MaxBytesError{Limit: limit}
+	case n < 0:
+		if _, err := buf.ReadFrom(body); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
 	// ReadFrom wants MinRead spare bytes to see EOF without growing.
 	buf.Grow(int(min(n, chunkBufKeep)) + bytes.MinRead)
 	if _, err := buf.ReadFrom(io.LimitReader(body, n+1)); err != nil {
@@ -292,9 +305,11 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 			chunkBufs.Put(buf)
 		}
 	}()
-	body, err := s.readChunk(w, r, buf)
+	body, err := s.readBody(w, r, buf)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "reading chunk: %v", err)
+		if !s.tooLarge(w, r, err) {
+			s.fail(w, http.StatusBadRequest, "reading chunk: %v", err)
+		}
 		return
 	}
 

@@ -39,7 +39,12 @@ func TestServeSoak(t *testing.T) {
 		t.Skip("soak skipped in -short mode")
 	}
 	bundles := oracleBundles(t)
-	badZip := []byte("not a zip at all")
+	// Hostile uploads: not a zip, and zips whose directory lies about an
+	// entry's size or checksum.
+	hostile := [][]byte{[]byte("not a zip at all")}
+	for _, lie := range lyingBundles(t) {
+		hostile = append(hostile, lie.body)
+	}
 
 	before := runtime.NumGoroutine()
 	// The cache is deliberately smaller than the working set (4 bundles
@@ -73,7 +78,7 @@ func TestServeSoak(t *testing.T) {
 				switch {
 				case i%7 == 3:
 					// Hostile upload: must be a clean 400.
-					_, resp := submitZip(t, ts.URL, badZip, "")
+					_, resp := submitZip(t, ts.URL, hostile[rng.Intn(len(hostile))], "")
 					resp.Body.Close()
 					if resp.StatusCode != http.StatusBadRequest {
 						t.Errorf("bad upload: status %d, want 400", resp.StatusCode)

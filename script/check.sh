@@ -110,6 +110,25 @@ for f in internal/profile/artifact.go internal/phase/artifact.go; do
 	fi
 done
 
+# An uploaded trace byte is written twice — once as it arrives
+# compressed, once as it is inflated into the buffer the in-memory file
+# system adopts — and from then on only lent (archive.Borrow). An
+# io.ReadAll in the bundle decoder is an entry regrown from 512 bytes
+# again; an archive.ReadFile in the service or the loader is a copy of a
+# file that only gets read.
+echo "== one intake copy"
+if grep -n -F 'io.ReadAll(' internal/serve/bundle.go; then
+	echo "check: internal/serve/bundle.go reads an entry with io.ReadAll: inflate it once, at its declared size (inflate)" >&2
+	exit 1
+fi
+for f in internal/serve/*.go internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -n -F 'archive.ReadFile(' "$f"; then
+		echo "check: $f copies a file it only reads: borrow it (archive.Borrow)" >&2
+		exit 1
+	fi
+done
+
 # The service answers 20 routes over one store of analyses, whichever
 # feeder — job or live session — produced them. A 21st is a mode
 # creeping back: serve it from a handler that already resolves by id.
@@ -189,9 +208,16 @@ fi
 # eager one, and the post-mortem path on a communication-bound archive —
 # eager load, analysis, the three artifact writes — at most 1.25x the
 # bytes per event it is known to need (files borrowed, logs sized by one
-# counting pass, no span list, no reflective render). Run without -race, like the two zero-alloc gates above: the
-# budgets are about the program's own bytes.
-echo "== live ingest, lazy and eager analysis allocation budgets"
-go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|TestLazyShortRanksAllocBudget$|TestEagerAllocPerEventBudget$' .
+# counting pass, no span list, no reflective render), and the same
+# archive through the analysis service at most 1.25x that plus the data
+# itself, the bundle and its inflated files, once each. Run without
+# -race, like the two zero-alloc gates above: the budgets are about the
+# program's own bytes.
+echo "== live ingest, lazy, eager and served analysis allocation budgets"
+go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|TestLazyShortRanksAllocBudget$|TestEagerAllocPerEventBudget$|TestServedAllocPerEventBudget$' .
+# The intake's own byte counts — one allocation per inflated entry, none
+# for the digest, at most 1 MB on a declared length alone — skip under
+# the race detector, which drops archive/zip's pooled inflaters at random.
+go test -count=1 -run 'TestDecodeZipAllocatesInflatedSizeOnce$|TestDigestBorrows$|TestSubmitBodyReadOnce$' ./internal/serve
 
 echo "check: all green"
