@@ -58,21 +58,34 @@ func allocated(t *testing.T, run func() (*replay.Result, error)) (uint64, *repla
 	return after.TotalAlloc - before.TotalAlloc, res
 }
 
-// TestLiveIngestAllocBudget enforces ROADMAP's "streaming ingest within
-// 2x of lazy load" where it is cheapest to hold: in bytes allocated.
-// Feeding a generated MetaTrace archive (several event blocks per rank,
-// so block storage and not per-session fixtures decides the total)
-// through a live session in round-robin 64 KiB chunks may allocate at
-// most 1.5x what the lazy post-mortem analysis of the same bytes
-// allocates. The live path decodes each event once, into the block the
-// sweep reads; what it spends over the lazy path is chunk buffering and
-// window bookkeeping. Pinned by name in script/check.sh.
+// TestLiveIngestAllocBudget holds the streaming-ingest cost where it is
+// cheapest to hold, in bytes allocated, and the way BENCHMARK.json
+// defines it: as the difference between the live session and the lazy
+// analysis of the same archive. Feeding a generated MetaTrace archive
+// (several event blocks per rank, so block storage and not per-session
+// fixtures decides the total; 208 224 events) through a live session in
+// round-robin 64 KiB chunks may allocate at most 5.2 MB — 25 B/event —
+// more than the lazy post-mortem analysis of the same bytes: the live
+// path decodes each event once, into the block the sweep reads, and
+// spends over the lazy path chunk buffering and window bookkeeping, 4.8
+// MB here. The live total has its own pin, 1.25x the 71.1 B/event
+// measured, like its three siblings. The budget used to be a ratio, live
+// <= 1.5x lazy; a ratio to a shared denominator tightens whenever the
+// shared part shrinks — the paged ledger took 4 MB off both sides, and
+// 18.6 / 13.9 MB = 1.33x became 14.8 / 10.0 MB = 1.48x while the ingest
+// cost itself moved from 4.7 to 4.8 MB. Pinned by name in
+// script/check.sh.
 func TestLiveIngestAllocBudget(t *testing.T) {
 	e := metatraceExperiment(t, 4)
 	cfg := replay.Config{Scheme: vclock.Hierarchical, Title: "ingest-budget"}
-	blobs := make([][]byte, e.Place.N())
-	for r := range blobs {
-		var err error
+	traces, err := e.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	blobs := make([][]byte, len(traces))
+	for r, tr := range traces {
+		events += len(tr.Events)
 		fsys := e.Mounts().For(e.Place.Loc(r).Metahost)
 		if blobs[r], err = archive.ReadFile(fsys, archive.TraceFile(e.ArchiveDir, r)); err != nil {
 			t.Fatal(err)
@@ -108,10 +121,19 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 	if live.Messages != lazy.Messages || live.Messages == 0 {
 		t.Fatalf("live replayed %d messages, lazy %d", live.Messages, lazy.Messages)
 	}
-	ratio := float64(liveBytes) / float64(lazyBytes)
-	t.Logf("live ingest allocated %d bytes, lazy analysis %d: %.2fx", liveBytes, lazyBytes, ratio)
-	if ratio > 1.5 {
-		t.Errorf("live ingest allocates %.2fx what the lazy analysis of the same archive does, budget 1.5x", ratio)
+	const (
+		ingestBudget = 25.0 // B/event over the lazy analysis
+		measured     = 71.1 // B/event, the live session in all
+	)
+	ingest := (float64(liveBytes) - float64(lazyBytes)) / float64(events)
+	perEvent := float64(liveBytes) / float64(events)
+	t.Logf("live ingest allocated %d bytes, lazy analysis %d, for %d events: %.1f B/event, %.1f of them over the lazy analysis",
+		liveBytes, lazyBytes, events, perEvent, ingest)
+	if ingest > ingestBudget {
+		t.Errorf("live ingest allocates %.1f B/event more than the lazy analysis of the same archive, budget %.1f", ingest, ingestBudget)
+	}
+	if perEvent > 1.25*measured {
+		t.Errorf("the live session allocates %.1f B/event, budget 1.25 x %.1f", perEvent, measured)
 	}
 }
 
@@ -120,12 +142,14 @@ func TestLiveIngestAllocBudget(t *testing.T) {
 // detection searches its candidates in place, so neither a block per
 // block decoded nor a phase sequence per candidate partition is on the
 // bill, and the loader borrows each file's bytes from the in-memory file
-// system instead of copying them. On this archive (MetaTrace at detail 4,
-// 208 224 events) the analysis allocates 13.9 MB, 66.9 B/event; with a
-// copy of every file and 48-byte events it was 20.3 MB, 97.6 B/event, and
-// with a fresh block per decode and a sequence copy per candidate before
-// that 34.8 MB, 167.0 B/event. The budget is 1.25x the first. Pinned by
-// name in script/check.sh.
+// system instead of copying them, and the ledger logs of a pulled rank
+// grow in pages that are written once, not by append. On this archive
+// (MetaTrace at detail 4, 208 224 events) the analysis allocates 10.0 MB,
+// 47.9 B/event; with ledger logs regrown by append it was 13.9 MB, 66.9
+// B/event, with a copy of every file and 48-byte events 20.3 MB, 97.6
+// B/event, and with a fresh block per decode and a sequence copy per
+// candidate before that 34.8 MB, 167.0 B/event. The budget is 1.25x the
+// first. Pinned by name in script/check.sh.
 func TestLazyAllocPerEventBudget(t *testing.T) {
 	e := metatraceExperiment(t, 4)
 	traces, err := e.Traces()
@@ -143,7 +167,7 @@ func TestLazyAllocPerEventBudget(t *testing.T) {
 		}
 		return replay.AnalyzeLazy(ar, replay.Config{Scheme: vclock.Hierarchical, Title: "alloc-budget"})
 	})
-	const measured = 66.9 // B/event
+	const measured = 47.9 // B/event
 	perEvent := float64(lazyBytes) / float64(events)
 	t.Logf("lazy analysis allocated %d bytes for %d events: %.1f B/event", lazyBytes, events, perEvent)
 	if perEvent > 1.25*measured {

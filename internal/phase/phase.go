@@ -41,6 +41,39 @@ type Op struct {
 	Sig   uint64 // SigOf the region name
 }
 
+// Log is one rank's ops in sweep order, in the pages the sweep wrote
+// them into: the concatenation of the pages is the log. Readers walk the
+// pages in place; a page may be empty.
+type Log [][]Op
+
+// len returns the number of ops in the log.
+func (l Log) len() int {
+	n := 0
+	for _, pg := range l {
+		n += len(pg)
+	}
+	return n
+}
+
+// byEnter orders ops by their enter time.
+func byEnter(x, y Op) int { return cmp.Compare(x.Enter, y.Enter) }
+
+// inEnterOrder reports whether the log is sorted by enter time, within
+// its pages and across them.
+func (l Log) inEnterOrder() bool {
+	var last *Op
+	for _, pg := range l {
+		if len(pg) == 0 {
+			continue
+		}
+		if (last != nil && byEnter(pg[0], *last) < 0) || !slices.IsSortedFunc(pg, byEnter) {
+			return false
+		}
+		last = &pg[len(pg)-1]
+	}
+	return true
+}
+
 // SigOf hashes a region name (FNV-1a 64).
 func SigOf(name string) uint64 {
 	const (
@@ -250,24 +283,27 @@ func (op Op) span() interval {
 // time order, touching spans merged. The sweep appends a rank's ops in
 // exit order, which for leaf regions is enter order, so the union is
 // built without collecting or sorting the spans: each rank's log is
-// merged, coalescing as it goes, into the union of the ranks before it,
-// between two buffers that grow to the size of the union. A log that is
-// not in enter order (nested non-user regions) is sorted into a scratch
-// copy first. Union of closed intervals is associative and takes only
-// comparisons, so the result is, bit for bit, the one sorting all spans
-// together gives; it costs O(ops + ranks × intervals in the union).
-func coverage(ops [][]Op) []interval {
-	byEnter := func(x, y Op) int { return cmp.Compare(x.Enter, y.Enter) }
+// merged page by page, coalescing as it goes, into the union of the ranks
+// before it, between two buffers that grow to the size of the union. A
+// log that is not in enter order (nested non-user regions) is sorted into
+// a scratch copy first. Union of closed intervals is associative and
+// takes only comparisons, so the result is, bit for bit, the one sorting
+// all spans together gives; it costs O(ops + ranks × intervals in the
+// union).
+func coverage(logs []Log) []interval {
 	var acc, next []interval
-	var sorted []Op
-	for _, ol := range ops {
-		if len(ol) == 0 {
+	var sorted [1][]Op // the scratch copy, as a log of one page; an array, so making the log allocates nothing
+	for _, ol := range logs {
+		if ol.len() == 0 {
 			continue
 		}
-		if !slices.IsSortedFunc(ol, byEnter) {
-			sorted = append(sorted[:0], ol...)
-			slices.SortFunc(sorted, byEnter)
-			ol = sorted
+		if !ol.inEnterOrder() {
+			sorted[0] = sorted[0][:0]
+			for _, pg := range ol {
+				sorted[0] = append(sorted[0], pg...)
+			}
+			slices.SortFunc(sorted[0], byEnter)
+			ol = sorted[:]
 		}
 		acc, next = mergeSpans(next[:0], acc, ol), acc
 	}
@@ -275,19 +311,30 @@ func coverage(ops [][]Op) []interval {
 }
 
 // mergeSpans appends to dst the union of acc — disjoint intervals in time
-// order — and the spans of ol, which is in enter order.
-func mergeSpans(dst, acc []interval, ol []Op) []interval {
-	i, j := 0, 0
+// order — and the spans of ol, which is in enter order and not empty.
+func mergeSpans(dst, acc []interval, ol Log) []interval {
+	// A two-level cursor over the log: pg is what is left of the page
+	// being read, ol the pages after it; pg is empty only at the log's end.
+	var pg []Op
+	turn := func() {
+		for len(pg) == 0 && len(ol) > 0 {
+			pg, ol = ol[0], ol[1:]
+		}
+	}
+	turn()
+	i := 0
 	take := func() interval {
-		if j == len(ol) || (i < len(acc) && acc[i].a <= ol[j].Enter) {
+		if len(pg) == 0 || (i < len(acc) && acc[i].a <= pg[0].Enter) {
 			i++
 			return acc[i-1]
 		}
-		j++
-		return ol[j-1].span()
+		iv := pg[0].span()
+		pg = pg[1:]
+		turn()
+		return iv
 	}
 	cur := take()
-	for i < len(acc) || j < len(ol) {
+	for i < len(acc) || len(pg) > 0 {
 		iv := take()
 		if iv.a > cur.b {
 			dst = append(dst, cur)
@@ -302,11 +349,11 @@ func mergeSpans(dst, acc []interval, ol []Op) []interval {
 // Detect segments the run described by the per-rank op logs. It never
 // fails: runs with no detectable repetition fall back to the finest
 // silence partition, and an empty input yields one empty phase.
-func Detect(ops [][]Op) *Segmentation {
+func Detect(ops []Log) *Segmentation {
 	total, active := 0, 0
 	for _, ol := range ops {
-		total += len(ol)
-		if len(ol) > 0 {
+		if n := ol.len(); n > 0 {
+			total += n
 			active++
 		}
 	}
@@ -369,21 +416,23 @@ func Detect(ops [][]Op) *Segmentation {
 	kindSets := make([]map[uint64]struct{}, nAtoms)
 	r := 0
 	for _, ol := range ops {
-		if len(ol) == 0 {
+		if ol.len() == 0 {
 			continue
 		}
 		row := s.row(r)
 		r++
-		for _, op := range ol {
-			at := atomOf(op.Enter)
-			row[at+1].sum += mix64(op.Sig)
-			row[at+1].cnt++
-			ks := kindSets[at]
-			if ks == nil {
-				ks = make(map[uint64]struct{}, 4)
-				kindSets[at] = ks
+		for _, pg := range ol {
+			for _, op := range pg {
+				at := atomOf(op.Enter)
+				row[at+1].sum += mix64(op.Sig)
+				row[at+1].cnt++
+				ks := kindSets[at]
+				if ks == nil {
+					ks = make(map[uint64]struct{}, 4)
+					kindSets[at] = ks
+				}
+				ks[op.Sig] = struct{}{}
 			}
-			ks[op.Sig] = struct{}{}
 		}
 		for a := 1; a <= nAtoms; a++ {
 			row[a].sum += row[a-1].sum

@@ -31,7 +31,7 @@ func TestSigOfDistinguishesNames(t *testing.T) {
 }
 
 func TestDetectEmpty(t *testing.T) {
-	for _, in := range [][][]Op{nil, {}, {nil, nil}} {
+	for _, in := range [][]Log{nil, {}, {nil, nil}} {
 		s := Detect(in)
 		if s.Phases() != 1 || s.Period != 1 || s.Counts[0] != 0 {
 			t.Fatalf("empty input: got %d phases period %d counts %v", s.Phases(), s.Period, s.Counts)
@@ -48,7 +48,7 @@ func TestDetectPeriodic(t *testing.T) {
 		r0 = append(r0, op(t0, t0+1, sigA), op(t0+5, t0+6, sigB))
 		r1 = append(r1, op(t0+0.2, t0+1.2, sigA), op(t0+5.2, t0+6.2, sigB))
 	}
-	s := Detect([][]Op{r0, r1})
+	s := Detect(onePage([][]Op{r0, r1}))
 	if s.Phases() != 6 {
 		t.Fatalf("phases = %d, want 6 (bounds %v)", s.Phases(), s.Bounds)
 	}
@@ -82,7 +82,7 @@ func TestDetectPrologueTrim(t *testing.T) {
 			rows[r] = append(rows[r], op(t0, t0+1, sigA), op(t0+5, t0+6, sigB))
 		}
 	}
-	s := Detect(rows)
+	s := Detect(onePage(rows))
 	if s.Phases() != 7 || s.Pre != 1 || s.Post != 0 || s.Period != 2 {
 		t.Fatalf("phases %d pre %d post %d period %d, want 7 1 0 2",
 			s.Phases(), s.Pre, s.Post, s.Period)
@@ -101,7 +101,7 @@ func TestDetectRaggedRanks(t *testing.T) {
 			r1 = append(r1, op(t0, t0+1, sigA))
 		}
 	}
-	s := Detect([][]Op{r0, r1})
+	s := Detect(onePage([][]Op{r0, r1}))
 	if s.Phases() != 6 {
 		t.Fatalf("phases = %d, want 6", s.Phases())
 	}
@@ -129,7 +129,7 @@ func TestDetectSkipsAperiodicFinestCut(t *testing.T) {
 			r0 = append(r0, op(t0, t0+1, sigA), op(t0+1, t0+2, sigB))
 		}
 	}
-	s := Detect([][]Op{r0})
+	s := Detect(onePage([][]Op{r0}))
 	if s.Phases() != 5 || s.Period != 1 {
 		t.Fatalf("phases %d period %d, want 5 1 (bounds %v)", s.Phases(), s.Period, s.Bounds)
 	}
@@ -144,7 +144,7 @@ func TestDetectSkipsAperiodicFinestCut(t *testing.T) {
 // any threshold fall back to the finest silence partition.
 func TestDetectFallback(t *testing.T) {
 	r0 := []Op{op(0, 1, sigA), op(11, 12, sigB), op(23, 24, sigC)}
-	s := Detect([][]Op{r0})
+	s := Detect(onePage([][]Op{r0}))
 	if s.Phases() != 3 || s.Pre != 0 || s.Post != 0 {
 		t.Fatalf("phases %d pre %d post %d, want 3 0 0", s.Phases(), s.Pre, s.Post)
 	}
@@ -185,7 +185,7 @@ func TestDetectOrderInsensitive(t *testing.T) {
 			base[r] = append(base[r], op(t0, t0+1, sigA), op(t0+3, t0+4, sigB))
 		}
 	}
-	want := Detect(base)
+	want := Detect(onePage(base))
 	shuffled := make([][]Op, len(base))
 	for r := range base {
 		shuffled[r] = append([]Op(nil), base[r]...)
@@ -193,7 +193,7 @@ func TestDetectOrderInsensitive(t *testing.T) {
 			shuffled[r][i], shuffled[r][j] = shuffled[r][j], shuffled[r][i]
 		})
 	}
-	got := Detect(shuffled)
+	got := Detect(onePage(shuffled))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("detection depends on op order:\n got %+v\nwant %+v", got, want)
 	}
@@ -211,7 +211,7 @@ func TestDetectManyGapsStaysBounded(t *testing.T) {
 		lastExit = t0 + 1
 		t0 += 2 + float64(i)*1e-3
 	}
-	s := Detect([][]Op{r0})
+	s := Detect(onePage([][]Op{r0}))
 	if s.Phases() > maxCuts+1 {
 		t.Fatalf("phases = %d, want <= %d", s.Phases(), maxCuts+1)
 	}
@@ -302,7 +302,7 @@ func TestDetectMatchesReference(t *testing.T) {
 	accepted, fallback, trimmed := 0, 0, 0
 	for i := 0; i < 3000; i++ {
 		ops := randomRun(rng)
-		got, want := Detect(ops), referenceDetect(ops)
+		got, want := Detect(onePage(ops)), referenceDetect(ops)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d: Detect differs from its definition:\n got %+v\nwant %+v\n ops %v", i, got, want, ops)
 		}
@@ -330,7 +330,7 @@ func TestDetectMatchesReference(t *testing.T) {
 		}
 		now += 2 + float64(rng.Intn(64))/64
 	}
-	if got, want := Detect(ops), referenceDetect(ops); !reflect.DeepEqual(got, want) {
+	if got, want := Detect(onePage(ops)), referenceDetect(ops); !reflect.DeepEqual(got, want) {
 		t.Fatalf("over maxCuts gaps: Detect differs from its definition:\n got %d phases pre %d post %d period %d\nwant %d phases pre %d post %d period %d",
 			got.Phases(), got.Pre, got.Post, got.Period, want.Phases(), want.Pre, want.Post, want.Period)
 	}
@@ -408,7 +408,7 @@ func TestDetectUnionMatchesReference(t *testing.T) {
 			}
 		}
 		before := fmt.Sprint(ops)
-		got, want := Detect(ops), referenceDetect(ops)
+		got, want := Detect(onePage(ops)), referenceDetect(ops)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d (%d ranks): Detect differs from its definition:\n got %+v\nwant %+v\n ops %v", i, ranks, got, want, ops)
 		}
@@ -421,16 +421,78 @@ func TestDetectUnionMatchesReference(t *testing.T) {
 	}
 }
 
+// cutPages cuts each rank's ops into a log of pages at drawn boundaries,
+// empty pages among them; the pages alias rows.
+func cutPages(rng *rand.Rand, rows [][]Op) []Log {
+	logs := make([]Log, len(rows))
+	for r, ops := range rows {
+		for len(ops) > 0 || rng.Intn(4) == 0 {
+			n := rng.Intn(len(ops) + 1)
+			if rng.Intn(3) == 0 {
+				n = min(n, 2) // short pages, so a dozen ops span several
+			}
+			logs[r] = append(logs[r], ops[:n:n])
+			ops = ops[n:]
+		}
+	}
+	return logs
+}
+
+// TestDetectPagedMatchesContiguous: Detect reads each rank's ops in the
+// pages they were written into, and where the pages end changes nothing.
+// The drawn runs of the union differential — enter-ordered, nested,
+// shuffled, touching and zero-length ops; one rank, a few, a thousand —
+// cut at drawn page boundaries give the result of the same ops on one
+// page a rank, and of Detect's definition.
+func TestDetectPagedMatchesContiguous(t *testing.T) {
+	rng, cuts := rand.New(rand.NewSource(22)), rand.New(rand.NewSource(24))
+	pages, split := 0, 0
+	for i := 0; i < 3000; i++ {
+		ranks := 1 + rng.Intn(6)
+		switch {
+		case i%10 == 0:
+			ranks = 1
+		case i%500 == 1:
+			ranks = 1000
+		}
+		rows := randomLogs(rng, ranks)
+		logs := cutPages(cuts, rows)
+		for r, l := range logs {
+			pages += len(l)
+			if len(l) > 1 && l.len() > 0 {
+				split++
+			}
+			if l.len() != len(rows[r]) {
+				t.Fatalf("run %d, rank %d: %d ops on the pages, %d drawn", i, r, l.len(), len(rows[r]))
+			}
+		}
+		before := fmt.Sprint(rows)
+		got := Detect(logs)
+		if want := Detect(onePage(rows)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (%d ranks): paged Detect differs from contiguous:\n got %+v\nwant %+v\n logs %v", i, ranks, got, want, logs)
+		}
+		if want := referenceDetect(rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (%d ranks): paged Detect differs from its definition:\n got %+v\nwant %+v\n logs %v", i, ranks, got, want, logs)
+		}
+		if fmt.Sprint(rows) != before {
+			t.Fatalf("run %d: Detect reordered its input", i)
+		}
+	}
+	if split < 3000 {
+		t.Errorf("the draw is lopsided: %d pages, only %d logs of more than one", pages, split)
+	}
+}
+
 // TestCoverageTouchingAndZeroLength pins the closed-interval rule on the
 // smallest cases: a span that starts exactly where the union ends joins
 // it, within a rank and across ranks; a zero-length op is a span.
 func TestCoverageTouchingAndZeroLength(t *testing.T) {
-	got := coverage([][]Op{
+	got := coverage(onePage([][]Op{
 		{op(0, 1, sigA), op(1, 2, sigA), op(5, 5, sigB)},
 		nil,
 		{op(2, 3, sigA), op(4, 3, sigC), op(7, 8, sigA)}, // an exit before its enter covers the enter alone
 		{op(8, 9, sigA)},
-	})
+	}))
 	want := []interval{{0, 3}, {4, 4}, {5, 5}, {7, 9}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("coverage = %v, want %v", got, want)
@@ -441,21 +503,30 @@ func TestCoverageTouchingAndZeroLength(t *testing.T) {
 // 192 ranks of 237 leaf ops in enter order, 256 iterations' worth of
 // atoms — Detect allocates its prefix table (ranks × (atoms+1)
 // summaries), per-atom buffers and the union, and nothing proportional
-// to the number of ops: no list of every span, no sorted copy.
+// to the number of ops: no list of every span, no sorted copy — and, when
+// a rank's ops come on several pages, no copy that joins them.
 func TestDetectAllocatesNoSpanList(t *testing.T) {
 	const ranks, iters = 192, 237
-	ops := make([][]Op, ranks)
-	for r := range ops {
+	rows := make([][]Op, ranks)
+	for r := range rows {
 		for i := 0; i < iters; i++ {
 			t0 := float64(i)*4 + float64(r%7)/16
-			ops[r] = append(ops[r], op(t0, t0+1, sigA))
+			rows[r] = append(rows[r], op(t0, t0+1, sigA))
 		}
 	}
+	ops := onePage(rows)
 	seg := Detect(ops)
 	if seg.Phases() != iters {
 		t.Fatalf("%d phases, want %d", seg.Phases(), iters)
 	}
-	got := allocatedBytes(func() { Detect(ops) })
+	paged := make([]Log, ranks) // the pages a pulled rank's sweep fills: 32, 64, 128 and a part of 256
+	for r, ol := range rows {
+		paged[r] = Log{ol[:32:32], ol[32:96:96], ol[96:224:224], ol[224:]}
+	}
+	if !reflect.DeepEqual(Detect(paged), seg) {
+		t.Fatal("the same ops on four pages a rank segment differently")
+	}
+	got := max(allocatedBytes(func() { Detect(ops) }), allocatedBytes(func() { Detect(paged) }))
 	const (
 		prefix  = ranks * (iters + 1) * 16 // []rankAtom
 		perAtom = 1024                     // union buffers, starts, gaps, thresholds, cuts, seq, fail, kind sets, result
@@ -468,6 +539,16 @@ func TestDetectAllocatesNoSpanList(t *testing.T) {
 	if got > prefix+spans/2 {
 		t.Errorf("Detect allocated %d bytes: that is room for a list of the ops' spans (%d) beside the prefix table (%d)", got, spans, prefix)
 	}
+}
+
+// onePage hands Detect contiguous per-rank logs: each rank's ops as the
+// one page of its log.
+func onePage(rows [][]Op) []Log {
+	logs := make([]Log, len(rows))
+	for r, ops := range rows {
+		logs[r] = Log{ops}
+	}
+	return logs
 }
 
 // allocatedBytes returns the bytes one call of f allocates.
@@ -497,7 +578,7 @@ func TestDetectAllocsIndependentOfCandidates(t *testing.T) {
 			inner[i], inner[pairs/2] = inner[pairs/2], inner[i]
 		}
 	}
-	first, late := make([][]Op, ranks), make([][]Op, ranks)
+	firstRows, lateRows := make([][]Op, ranks), make([][]Op, ranks)
 	now := 0.0
 	for i := 0; i < pairs; i++ {
 		a, b := sigA, sigB
@@ -506,11 +587,12 @@ func TestDetectAllocsIndependentOfCandidates(t *testing.T) {
 		}
 		second := now + 2 + float64(inner[i])/pairs
 		for r := 0; r < ranks; r++ {
-			first[r] = append(first[r], op(now, now+1, sigA), op(second, second+1, sigA))
-			late[r] = append(late[r], op(now, now+1, a), op(second, second+1, b))
+			firstRows[r] = append(firstRows[r], op(now, now+1, sigA), op(second, second+1, sigA))
+			lateRows[r] = append(lateRows[r], op(now, now+1, a), op(second, second+1, b))
 		}
 		now = second + 10
 	}
+	first, late := onePage(firstRows), onePage(lateRows)
 	if s := Detect(first); s.Phases() != 2*pairs || s.Period != 1 {
 		t.Fatalf("uniform run: %d phases, period %d; want the finest partition, %d phases", s.Phases(), s.Period, 2*pairs)
 	}

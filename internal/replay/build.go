@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"metascope/internal/cube"
+	"metascope/internal/obs"
 	"metascope/internal/obs/flight"
 	"metascope/internal/pattern"
 	"metascope/internal/phase"
@@ -69,12 +70,13 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 	}
 	prof.SetMeta(profile.KeyBytesIntra, profile.SeriesMeta{Name: "Intra-metahost message volume", Unit: "bytes"})
 	prof.SetMeta(profile.KeyBytesWide, profile.SeriesMeta{Name: "Wide-area message volume", Unit: "bytes"})
-	opLogs := make([][]phase.Op, n)
+	opLogs := make([]phase.Log, n)
 	for i, rr := range a.results {
-		opLogs[i] = rr.opLog
+		opLogs[i] = rr.opLog.pages
 	}
 	lap("ledger-fold")
-	// Phase detection searches many candidate partitions.
+	// Phase detection searches many candidate partitions, reading each
+	// rank's ops in the pages the sweep wrote them into.
 	seg := phase.Detect(opLogs)
 	lap("phase-detect")
 	pacc := phase.NewAccumulator(seg, n)
@@ -104,11 +106,14 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 		sl.row.Add(start, val)
 	}
 	for _, rr := range a.results {
-		for i := range rr.profLog {
-			s := &rr.profLog[i]
-			deposit(s.metric, s.rank, s.start, s.dur, s.val)
+		for _, pg := range rr.profLog.pages {
+			for i := range pg {
+				s := &pg[i]
+				deposit(s.metric, s.rank, s.start, s.dur, s.val)
+			}
 		}
 	}
+	a.logLedger()
 	lap("ledger-fold")
 
 	// Wrong-order post-pass: a Late Sender instance is reclassified as
@@ -182,32 +187,56 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 // minFuture is the suffix-minimum buffer, handed back for the next rank.
 func (a *analyzer) postPassRank(rr *rankResult, minFuture []float64, deposit func(m metricID, rank int32, start, dur, val float64)) []float64 {
 	myMH := a.traces[rr.rank].Loc.Metahost
-	n := len(rr.recvLog)
+	pages := rr.recvLog.pages
+	n := rr.recvLog.len()
 	if cap(minFuture) < n+1 {
 		minFuture = make([]float64, n+1)
 	}
 	minFuture = minFuture[:n+1]
 	minFuture[n] = math.Inf(1)
-	for i := n - 1; i >= 0; i-- {
-		minFuture[i] = math.Min(minFuture[i+1], rr.recvLog[i].sendEvent)
+	i := n
+	for p := len(pages) - 1; p >= 0; p-- {
+		for j := len(pages[p]) - 1; j >= 0; j-- {
+			i--
+			minFuture[i] = math.Min(minFuture[i+1], pages[p][j].sendEvent)
+		}
 	}
-	for i := range rr.recvLog {
-		ri := &rr.recvLog[i]
-		if ri.lsWait <= 0 {
-			continue
+	for _, pg := range pages {
+		for j := range pg {
+			ri := &pg[j]
+			i++ // minFuture[i] is the suffix minimum past this receive
+			if ri.lsWait <= 0 {
+				continue
+			}
+			pat := pattern.LateSender
+			switch srcMH := a.traces[ri.src].Loc.Metahost; {
+			case srcMH != myMH:
+				pat = pattern.GridLateSender
+				rr.acc[ri.cp].addPair(pat, myMH, srcMH, ri.lsWait)
+			case pattern.WrongOrderCandidate(ri.lsWait, ri.sendEvent, minFuture[i], ri.recvEnter):
+				pat = pattern.WrongOrder
+			}
+			rr.acc[ri.cp].waits[pat] += ri.lsWait
+			deposit(metricID(pat), int32(rr.rank), ri.recvEnter, ri.lsWait, ri.lsWait)
 		}
-		pat := pattern.LateSender
-		switch srcMH := a.traces[ri.src].Loc.Metahost; {
-		case srcMH != myMH:
-			pat = pattern.GridLateSender
-			rr.acc[ri.cp].addPair(pat, myMH, srcMH, ri.lsWait)
-		case pattern.WrongOrderCandidate(ri.lsWait, ri.sendEvent, minFuture[i+1], ri.recvEnter):
-			pat = pattern.WrongOrder
-		}
-		rr.acc[ri.cp].waits[pat] += ri.lsWait
-		deposit(metricID(pat), int32(rr.rank), ri.recvEnter, ri.lsWait, ri.lsWait)
 	}
 	return minFuture
+}
+
+// logLedger reports, once per analysis and at debug level, what the
+// ledger holds at the end of the sweep: its records by log, the pages
+// they sit in and the bytes of those pages.
+func (a *analyzer) logLedger() {
+	var samples, recvs, ops, pages, size int
+	for _, rr := range a.results {
+		samples += rr.profLog.len()
+		recvs += rr.recvLog.len()
+		ops += rr.opLog.len()
+		pages += len(rr.profLog.pages) + len(rr.recvLog.pages) + len(rr.opLog.pages)
+		size += rr.profLog.bytes() + rr.recvLog.bytes() + rr.opLog.bytes()
+	}
+	obs.OrDefault(a.cfg.Obs).Log.Debug("ledger folded",
+		"samples", samples, "recvs", recvs, "ops", ops, "pages", pages, "ledger_bytes", size)
 }
 
 // metricSlot caches the report indices of all metrics.

@@ -257,7 +257,7 @@ type logCounts struct{ sends, recvs, ops int }
 // closes only once its last block is decoded): counting would force
 // every block resident, defeating the window. An Exit is counted by the
 // kind of the region it names, which nothing has validated: a trace
-// whose exits lie gets a wrong capacity, and appends past it.
+// whose exits lie gets a first page of the wrong size, and nothing else.
 func (lg *rankLog) countIfResident(regions []trace.Region) (logCounts, bool) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()

@@ -674,12 +674,12 @@ func TestFeedersAgree(t *testing.T) {
 }
 
 // TestLedgerLogsSizedByOneCount: over a resident log one counting pass
-// gives the three ledger logs their capacity — volume samples by Send,
+// sizes the first page of the three ledger logs — volume samples by Send,
 // receive records by Recv, ops by Exit of a non-user region, none for a
-// user region's exit — so the sweep's appends never regrow them; a pulled
-// log is not counted, because that would decode it whole; and the counts
-// are hints, never answers: exits that name the wrong region change the
-// capacity reserved and not one byte of the result.
+// user region's exit — so the receive and the op log are one page,
+// exactly full; a pulled log is not counted, because that would decode it
+// whole; and the counts are hints, never answers: exits that name the
+// wrong region change the page reserved and not one byte of the result.
 func TestLedgerLogsSizedByOneCount(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "hints", Obs: obs.NewRecorder()}.withDefaults(3)
 	sweep := func(traces []*trace.Trace) *analyzer {
@@ -711,16 +711,22 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 				mpi++
 			}
 		}
-		if len(rr.opLog) != mpi || cap(rr.opLog) != mpi {
-			t.Errorf("rank %d: op log len %d cap %d, want both %d (one per non-user exit)", r, len(rr.opLog), cap(rr.opLog), mpi)
+		if pages := rr.opLog.pages; len(pages) != 1 || len(pages[0]) != mpi || cap(pages[0]) != mpi {
+			t.Errorf("rank %d: op log in %d pages, %d bytes for %d ops; want one page of exactly %d (one per non-user exit)",
+				r, len(pages), rr.opLog.bytes(), rr.opLog.len(), mpi)
 		}
-		if n := tr.CountKind(trace.KindRecv); len(rr.recvLog) != n || cap(rr.recvLog) != n {
-			t.Errorf("rank %d: receive log len %d cap %d, want both %d", r, len(rr.recvLog), cap(rr.recvLog), n)
+		n := tr.CountKind(trace.KindRecv)
+		if pages := rr.recvLog.pages; n > 0 && (len(pages) != 1 || len(pages[0]) != n || cap(pages[0]) != n) {
+			t.Errorf("rank %d: receive log in %d pages, %d bytes for %d records; want one page of exactly %d",
+				r, len(pages), rr.recvLog.bytes(), rr.recvLog.len(), n)
+		}
+		if n == 0 && len(rr.recvLog.pages) != 0 {
+			t.Errorf("rank %d: %d receive pages for a rank that receives nothing", r, len(rr.recvLog.pages))
 		}
 		// Wait states add to the volume samples, so the sample log may
-		// outgrow its hint; it never starts below it.
-		if n := tr.CountKind(trace.KindSend); len(rr.profLog) < n || cap(rr.profLog) < n {
-			t.Errorf("rank %d: sample log len %d cap %d for %d sends", r, len(rr.profLog), cap(rr.profLog), n)
+		// outgrow its first page; that page is never below the count.
+		if n := tr.CountKind(trace.KindSend); rr.profLog.len() < n || (n > 0 && cap(rr.profLog.pages[0]) != n) {
+			t.Errorf("rank %d: sample log of %d records, first page of %d, for %d sends", r, rr.profLog.len(), cap(rr.profLog.pages[0]), n)
 		}
 	}
 
@@ -733,10 +739,15 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 		t.Error("a pulled log was counted: that decodes every block up front")
 	}
 
-	// Every exit names the user region, then every exit names an MPI one.
-	want := outcomeOf(Analyze(traces, cfg))
+	// Every exit names the user region — no op page is reserved — then
+	// every exit names an MPI one — a page for one op too many is. The
+	// run is long enough for an unreserved log to reach full-size pages.
+	// Either way the analysis is the same, and each log holds at most one
+	// page beyond its records.
+	const rounds = 400
+	want := outcomeOf(Analyze(exchangeTraces(rounds), cfg))
 	for _, region := range []trace.RegionID{0, 1} {
-		lying := exchangeTraces(8)
+		lying := exchangeTraces(rounds)
 		for _, tr := range lying {
 			for i := range tr.Events {
 				if tr.Events[i].Kind == trace.KindExit {
@@ -747,6 +758,24 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 		got := outcomeOf(Analyze(lying, cfg))
 		if got.err != nil || !bytes.Equal(got.report, want.report) || !bytes.Equal(got.prof, want.prof) || !bytes.Equal(got.phases, want.phases) {
 			t.Errorf("exits naming region %d changed the analysis (err %v)", region, got.err)
+		}
+		for r, rr := range sweep(lying).results {
+			ops := rr.opLog.len()
+			if first := cap(rr.opLog.pages[0]); (region == 0) != (first == firstPageRecords) || (region == 1) != (first == ops+1) {
+				t.Errorf("exits naming region %d: rank %d's first op page holds %d for %d ops", region, r, first, ops)
+			}
+			for name, held := range map[string][2]int{
+				"sample":  {rr.profLog.len(), rr.profLog.bytes() / 32},
+				"receive": {rr.recvLog.len(), rr.recvLog.bytes() / 32},
+				"op":      {ops, rr.opLog.bytes() / 24},
+			} {
+				if held[1] > held[0]+maxPageRecords {
+					t.Errorf("exits naming region %d: rank %d's %s log holds %d records in pages for %d", region, r, name, held[0], held[1])
+				}
+			}
+			if last := rr.opLog.pages[len(rr.opLog.pages)-1]; region == 0 && cap(last) != maxPageRecords {
+				t.Errorf("rank %d's op log never reached a full-size page: %d ops", r, ops)
+			}
 		}
 	}
 }

@@ -213,7 +213,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		closedThrough: math.MinInt64,
 		closedSet:     make(map[int64]bool),
 	}
-	l.sink = newStreamSink(0, cfg.WindowSec, l.fail)
 	l.fw = rec.Flight.Writer(flight.WindowActor)
 	if l.fw != nil {
 		l.fn = rec.Flight.Name("window-drain")
@@ -356,9 +355,15 @@ func (l *Live) startLocked() error {
 	if err != nil {
 		return err
 	}
-	// Attach the live plumbing: the window sink and the progress
-	// frontier (initialized to -Inf — a rank that has not yet swept any
-	// event holds every window open).
+	// Attach the live plumbing: the window sink, its columns the
+	// metahosts the headers name, and the progress frontier (initialized
+	// to -Inf — a rank that has not yet swept any event holds every window
+	// open).
+	mhs := make([]int, len(l.traces))
+	for i, t := range l.traces {
+		mhs[i] = t.Loc.Metahost
+	}
+	l.sink = newStreamSink(0, l.cfg.WindowSec, mhs, l.fail)
 	a.sink = l.sink
 	a.progress = make([]atomic.Uint64, len(l.ranks))
 	for i := range a.progress {
@@ -513,36 +518,30 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	// Final drain: every remaining window is closed now (all sweeps
 	// done), then the stream ends with cumulative totals.
 	l.drainAndEmit(true)
-	totals := l.sink.totals()
-	sum := &SummaryEvent{
+	l.emit(StreamEvent{Type: "summary", Summary: &SummaryEvent{
+		Totals:        l.sink.totals(),
 		WindowsClosed: int64(len(l.closedSet)),
 		Messages:      res.Messages,
 		Collectives:   res.Collectives,
 		Violations:    res.Violations,
-	}
-	for k, v := range totals {
-		sum.Totals = append(sum.Totals, WindowDelta{Metric: k.Metric, Metahost: k.Metahost, Value: v})
-	}
-	sort.Slice(sum.Totals, func(i, j int) bool {
-		if sum.Totals[i].Metric != sum.Totals[j].Metric {
-			return sum.Totals[i].Metric < sum.Totals[j].Metric
-		}
-		return sum.Totals[i].Metahost < sum.Totals[j].Metahost
-	})
-	l.emit(StreamEvent{Type: "summary", Summary: sum})
+	}})
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "done"}})
 	return res, nil
 }
 
 // release drops what only a running analysis needs — the analyzer with
-// its per-rank sample and receive logs and call-path maps, every
-// rank's remaining event blocks and every decoder's byte buffer — so a
-// finished session costs its owner the counters and header locations
-// Status, Resident and RankLocation report, not the engine.
+// its per-rank sample and receive logs and call-path maps, the window
+// sink and the set of windows closed (an entry per window the run ever
+// closed), the string interner, every rank's remaining event blocks and
+// every decoder's byte buffer — so a finished session costs its owner
+// the counters and header locations Status, Resident and RankLocation
+// report, not the engine, however it ended and however fine its windows
+// were.
 func (l *Live) release() {
 	l.mu.Lock()
 	l.a = nil
 	l.mu.Unlock()
+	l.sink, l.closedSet, l.intern = nil, nil, nil
 	for _, lr := range l.ranks {
 		lr.mu.Lock()
 		lr.dec = nil
@@ -589,23 +588,14 @@ func (l *Live) drainAndEmit(final bool) {
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	for _, w := range idxs {
-		deltas := drained[w]
 		we := &WindowEvent{
 			Index:   w,
 			Start:   float64(w) * l.cfg.WindowSec,
 			End:     float64(w+1) * l.cfg.WindowSec,
 			Closed:  w <= maxClosed,
 			Amended: l.closedThrough != math.MinInt64 && w <= l.closedThrough,
+			Deltas:  l.sink.deltas(drained[w]),
 		}
-		for k, v := range deltas {
-			we.Deltas = append(we.Deltas, WindowDelta{Metric: k.Metric, Metahost: k.Metahost, Value: v})
-		}
-		sort.Slice(we.Deltas, func(i, j int) bool {
-			if we.Deltas[i].Metric != we.Deltas[j].Metric {
-				return we.Deltas[i].Metric < we.Deltas[j].Metric
-			}
-			return we.Deltas[i].Metahost < we.Deltas[j].Metahost
-		})
 		l.emit(StreamEvent{Type: "window", Window: we})
 		if we.Closed && !l.closedSet[w] {
 			l.closedSet[w] = true

@@ -6,12 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"metascope/internal/obs"
 	"metascope/internal/pattern"
+	"metascope/internal/phase"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
@@ -294,6 +297,12 @@ func TestLiveReportsReplayCounters(t *testing.T) {
 	}
 }
 
+// deltaKey names one streamed series: a metric family on one metahost.
+type deltaKey struct {
+	Metric   string
+	Metahost int
+}
+
 func TestLiveStreamDeltasSumToCube(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "live deltas"}
 	traces := liveTraces()
@@ -469,8 +478,109 @@ func TestLiveAbort(t *testing.T) {
 	}
 }
 
+// TestSinkFamilyTable: the id table the window sink keys its deposits by
+// names, for every ledger metric, the family FamilyOf gives its key.
+func TestSinkFamilyTable(t *testing.T) {
+	for m := metricID(0); m < numMetrics; m++ {
+		if got, want := sinkFamilies[sinkFamily[m]].key(), phase.FamilyOf(m.key()); got != want {
+			t.Errorf("metric %s streams under %s, want %s", m.key(), got, want)
+		}
+	}
+}
+
+// TestFinishedLiveDropsWindowState: a finished session keeps the counters
+// and header locations its status reports, and nothing that grows with
+// the windows its run touched — not the set of windows closed, not the
+// sink's rows and totals, not the interner — whether it ended done,
+// failed on a truncated stream or aborted. The same upload under 1 ms
+// windows (tens of thousands of them) and under 100 s windows leaves the
+// same heap reachable from the finalized Live.
+func TestFinishedLiveDropsWindowState(t *testing.T) {
+	traces := exchangeTraces(8)
+	images := make([][]byte, len(traces))
+	for r, tr := range traces {
+		images[r] = v2Blocks(t, tr, 8, blockCounts(len(tr.Events), 8)...)
+	}
+	settled := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// retained runs one session to its ending and returns the heap only
+	// the finalized Live keeps reachable, and the windows it closed.
+	retained := func(t *testing.T, window float64, ending string) (heap, closed int64) {
+		var windows atomic.Int64
+		var swept atomic.Bool // the frontier has passed most of the run
+		l, err := NewLive(LiveConfig{
+			Config: Config{Scheme: vclock.FlatSingle, Obs: obs.NewRecorder()}, Ranks: len(images),
+			WindowSec: window, EmitEvery: time.Millisecond,
+			OnEvent: func(ev StreamEvent) {
+				if ev.Window != nil && ev.Window.Closed {
+					windows.Add(1)
+				}
+				if f := ev.Frontier; f != nil && f.ProgressValid && f.Progress > 60 {
+					swept.Store(true)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, img := range images {
+			if ending != "done" {
+				img = img[:len(img)-4] // the last block never completes
+			}
+			if err := l.FeedChunk(r, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ending != "done" {
+			// Let the sweep reach the end of what arrived and the scheduler
+			// close the windows behind it.
+			for deadline := time.Now().Add(10 * time.Second); !swept.Load(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the frontier did not pass 60 s of the run in 10 s")
+				}
+			}
+		}
+		if ending == "aborted" {
+			l.Abort(context.Canceled)
+		}
+		_, err = l.Finalize(context.Background())
+		if (err == nil) != (ending == "done") {
+			t.Fatalf("finalize: %v", err)
+		}
+		if st := l.Status(); (st.State == "done") != (ending == "done") || st.Headers != len(images) {
+			t.Fatalf("status after finalize: %+v", st)
+		}
+		if _, ok := l.RankLocation(1); !ok {
+			t.Fatal("the finished session forgot a rank's location")
+		}
+		with := settled()
+		runtime.KeepAlive(l)
+		l = nil
+		return with - settled(), windows.Load()
+	}
+	for _, ending := range []string{"done", "failed", "aborted"} {
+		t.Run(ending, func(t *testing.T) {
+			coarse, few := retained(t, 100, ending)
+			fine, many := retained(t, 1e-3, ending)
+			t.Logf("finalized Live retains %d bytes after %d closed windows, %d bytes after %d", coarse, few, fine, many)
+			if many < 100*max(few, 1) {
+				t.Fatalf("the fine session closed %d windows, the coarse one %d: nothing to compare", many, few)
+			}
+			if fine > coarse+32<<10 {
+				t.Errorf("a finalized session of %d windows retains %d bytes, one of %d windows %d: window state outlives Finalize",
+					many, fine, few, coarse)
+			}
+		})
+	}
+}
+
 // TestLiveDepositWindowCap: a wait interval that would touch more than
-// maxDepositWindows windows is refused instead of costing a map per
+// maxDepositWindows windows is refused instead of costing a row per
 // window — a nanosecond window under ordinary wait states here — and
 // the refusal ends the session like any other fatal stream error. The
 // post-mortem analysis of the same bytes has no windows and succeeds.
@@ -478,9 +588,14 @@ func TestLiveDepositWindowCap(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle}
 	blobs := encodeTraces(t, liveTraces())
 	var failed []string
+	var l *Live
+	held := 0 // windows in the sink when the session failed; Finalize drops the sink
 	l, err := NewLive(LiveConfig{Config: cfg, Ranks: 3, WindowSec: 1e-9, OnEvent: func(ev StreamEvent) {
 		if ev.State != nil && ev.State.State == "failed" {
 			failed = append(failed, ev.State.Error)
+			l.sink.mu.Lock()
+			held = len(l.sink.cur)
+			l.sink.mu.Unlock()
 		}
 	}})
 	if err != nil {
@@ -505,8 +620,8 @@ func TestLiveDepositWindowCap(t *testing.T) {
 	if len(failed) != 1 || failed[0] != err.Error() {
 		t.Errorf("failed state events %q, want one carrying %q", failed, err)
 	}
-	if n := len(l.sink.drain()); n > 3*maxDepositWindows {
-		t.Errorf("sink holds %d windows after the refusal", n)
+	if held > 3*maxDepositWindows {
+		t.Errorf("sink holds %d windows after the refusal", held)
 	}
 	if _, err := Analyze(liveTraces(), cfg); err != nil {
 		t.Errorf("post-mortem analysis of the same traces: %v", err)

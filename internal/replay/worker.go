@@ -262,7 +262,7 @@ type rankResult struct {
 	paths          []cpInfo
 	byKey          map[cpKey]int
 	acc            []cpAcc
-	recvLog        []recvInfo
+	recvLog        pagedLog[recvInfo]
 	violations     int
 	repairs        int
 	messages       int
@@ -277,12 +277,12 @@ type rankResult struct {
 	// that is before the replay starts, in a live session only at
 	// finalize — so workers defer the samples and result() reads the logs
 	// once, in rank order, into the one profile and the one phase fold.
-	profLog []profSample
+	profLog pagedLog[profSample]
 	// opLog records one entry per completed non-user region instance
 	// (corrected enter/exit plus the region-name signature) — the raw
 	// material of automatic phase detection. Like profLog it is written
-	// only by this rank's own sweep, so appends need no lock.
-	opLog []phase.Op
+	// only by this rank's own sweep, so adds need no lock.
+	opLog pagedLog[phase.Op]
 	// remote holds the sender-side severities this rank detected for
 	// other ranks' call paths (Late Receiver); result() applies them.
 	remote []remoteContribution
@@ -329,9 +329,9 @@ type profSample struct {
 // grid and wrong-order variants are children of their base pattern in the
 // metric tree, so the family's inclusive cube total matches the stream.
 func (a *analyzer) score(rr *rankResult, m metricID, rank int32, start, dur, val float64) {
-	rr.profLog = append(rr.profLog, profSample{start: start, dur: dur, val: val, rank: rank, metric: m})
+	rr.profLog.add(profSample{start: start, dur: dur, val: val, rank: rank, metric: m})
 	if a.sink != nil {
-		a.sink.add(rr.rank, deltaKey{Metric: phase.FamilyOf(m.key()), Metahost: a.traces[rank].Loc.Metahost}, start, dur, val)
+		a.sink.add(rr.rank, m, rank, start, dur, val)
 	}
 }
 
@@ -587,13 +587,14 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 	// The three per-rank logs grow by one entry per Send event (the
 	// volume sample), per Recv event and per completed non-user region.
 	// When the whole log is already resident (post-mortem), one counting
-	// pass sizes them up front, which avoids the doubling reallocations
-	// that dominated the analyzer's allocation profile. The counts are
-	// capacity hints: every write below is still an append.
+	// pass sizes each log's first page, so a short rank — 192 of them in a
+	// halo2d run — holds one exact page per log instead of a ladder of
+	// doubling ones. The counts are hints: a log that outgrows its first
+	// page continues in pages like any other.
 	if c, ok := a.logs[rank].countIfResident(t.Regions); ok {
-		rr.profLog = make([]profSample, 0, c.sends)
-		rr.recvLog = make([]recvInfo, 0, c.recvs)
-		rr.opLog = make([]phase.Op, 0, c.ops)
+		rr.profLog.reserve(c.sends)
+		rr.recvLog.reserve(c.recvs)
+		rr.opLog.reserve(c.ops)
 	}
 
 	// Publish sweep progress for the live frontier: the last corrected
@@ -667,7 +668,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			// completed MPI region instance, user regions excluded (they
 			// span whole iterations and would fuse every silence gap).
 			if info := &rr.paths[top.cp]; info.kind != trace.RegionUser {
-				rr.opLog = append(rr.opLog, phase.Op{Enter: top.enter, Exit: ct, Sig: info.sig})
+				rr.opLog.add(phase.Op{Enter: top.enter, Exit: ct, Sig: info.sig})
 			}
 
 		case trace.KindSend:
@@ -764,10 +765,9 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 				// is plain, wrong-order or grid — all in the Late Sender
 				// family — is decided in the post-pass, which deposits
 				// the ledger sample.
-				a.sink.add(rank, deltaKey{Metric: pattern.LateSender.MetricKey(), Metahost: myMH},
-					top.enter, ls, ls)
+				a.sink.add(rank, metricID(pattern.LateSender), int32(rank), top.enter, ls, ls)
 			}
-			rr.recvLog = append(rr.recvLog, recvInfo{
+			rr.recvLog.add(recvInfo{
 				sendEvent: rec.sendEvent,
 				recvEnter: top.enter,
 				lsWait:    ls,

@@ -9,6 +9,7 @@ package metascope_test
 import (
 	"encoding/json"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,7 +102,26 @@ func TestPatternSearchChildrenTileIt(t *testing.T) {
 
 func TestObservabilityPipelineSnapshot(t *testing.T) {
 	rec := obs.NewRecorder()
+	var logged strings.Builder
+	rec.Log = obs.NewLogger(&logged)
+	rec.Log.SetLevel(obs.LevelDebug)
 	runInstrumentedPipeline(t, rec)
+
+	// The ledger fold says once, at debug level, what the ledger held:
+	// 8 ranks x 5 rounds of one send and one receive, the pages they sit
+	// in, and their bytes — at least 32 per sample and receive, 24 per op.
+	ledger := regexp.MustCompile(`(?m)^level=debug msg="ledger folded" samples=(\d+) recvs=40 ops=(\d+) pages=(\d+) ledger_bytes=(\d+)$`).
+		FindAllStringSubmatch(logged.String(), -1)
+	if len(ledger) != 1 {
+		t.Fatalf("want one \"ledger folded\" debug line, got %d in:\n%s", len(ledger), logged.String())
+	}
+	var n [4]int // samples, ops, pages, bytes
+	for i := range n {
+		n[i], _ = strconv.Atoi(ledger[0][i+1])
+	}
+	if n[0] < 40 || n[1] < 80 || n[2] < 3*8 || n[3] < 32*(n[0]+40)+24*n[1] {
+		t.Errorf("ledger line reports %d samples, %d ops, %d pages, %d bytes", n[0], n[1], n[2], n[3])
+	}
 
 	var buf strings.Builder
 	if err := rec.WriteJSON(&buf); err != nil {

@@ -67,6 +67,26 @@ for f in internal/replay/*.go; do
 	fi
 done
 
+# A ledger record is written once, into the page it stays in: the three
+# per-rank logs (profLog, recvLog, opLog) are pagedLogs, filled through
+# add. An append onto one of them is a log that moves — copied at every
+# growth step, four times its final size allocated — creeping back, and
+# pages come from one place, pagedLog.open.
+echo "== ledger never regrows"
+pagesites=0
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -n -E 'append\([A-Za-z.]*\.(profLog|recvLog|opLog)\b|\.(profLog|recvLog|opLog)(\.pages)? *= *(append|make)\(' "$f"; then
+		echo "check: $f appends to or reallocates a ledger log: write records through pagedLog.add" >&2
+		exit 1
+	fi
+	pagesites=$((pagesites + $(grep -c -F 'make([]T, 0, ' "$f" || true)))
+done
+if [ "$pagesites" -ne 1 ]; then
+	echo "check: internal/replay allocates ledger pages in $pagesites places: the one site is pagedLog.open" >&2
+	exit 1
+fi
+
 # The severity ledger — every rank's deferred sample log, then the
 # wrong-order post-pass — is read once, by result() in build.go, on one
 # goroutine, into one profile accumulator and one phase accumulator. A
@@ -199,11 +219,13 @@ fi
 
 # Streaming ingest decodes each event once, straight into the block the
 # sweep reads. Gate the consequence: feeding an archive through a live
-# session in 64 KiB chunks allocates at most 1.5x what the lazy
-# post-mortem analysis of the same bytes allocates (ROADMAP: "streaming
-# ingest within 2x of lazy load"), the lazy analysis itself at most 1.25x
-# the bytes per event it is known to need (the sweep decodes into the
-# blocks it releases; phase detection copies nothing per candidate), and
+# session in 64 KiB chunks allocates at most 25 B/event more than the
+# lazy post-mortem analysis of the same bytes allocates — the
+# streaming-ingest cost as BENCHMARK.json defines it, a difference — and
+# at most 1.25x the bytes per event the session is known to need, the
+# lazy analysis itself at most 1.25x the bytes per event it is known to
+# need (the sweep decodes into the blocks it releases; phase detection
+# copies nothing per candidate; the ledger grows in pages), and
 # the lazy analysis of an archive of many short ranks at most 1.25x the
 # eager one, and the post-mortem path on a communication-bound archive —
 # eager load, analysis, the three artifact writes — at most 1.25x the
