@@ -42,7 +42,12 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 		res.Collectives += rr.colls
 		res.ReplayBytes[i] = rr.replayBytes
 		res.ReplayExternalBytes[i] = rr.replayExternal
-		for k, v := range rr.commMatrix {
+		src := a.metahosts[a.mhCol[i]]
+		for d, v := range rr.commRow {
+			if v.Messages == 0 {
+				continue
+			}
+			k := [2]int{src, a.metahosts[d]}
 			cell := res.CommMatrix[k]
 			cell.Messages += v.Messages
 			cell.Bytes += v.Bytes

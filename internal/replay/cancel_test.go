@@ -12,12 +12,12 @@ import (
 )
 
 // The cancellation contract: AnalyzeContext must return promptly once
-// its context is cancelled, no matter where the replay is stuck — a
+// its context is cancelled, even in the middle of a long event sweep, and
+// the error must wrap the context's error. A replay that is stuck — a
 // receiver waiting for a message that never comes, a collective waiting
-// for a member that never joins, or a long event sweep — and the error
-// must wrap the context's error. These situations cannot arise from a
-// healthy archive (the traced application completed), but a service
-// analyzing untrusted uploads needs a hard abort path.
+// for a member that never joins — cannot arise from a healthy archive
+// (the traced application completed); it needs no context at all, the
+// scheduler reports it as a deadlock the moment it happens.
 
 // cancelDeadline bounds "promptly" generously enough for -race CI.
 const cancelDeadline = 5 * time.Second
@@ -63,33 +63,71 @@ func waitNoLeak(t *testing.T, before int) {
 	}
 }
 
-// TestAnalyzeContextCancelUnblocksReceive plants a receive whose
-// matching send does not exist: rank 1 blocks in the mailbox forever.
-// Cancellation must wake it.
-func TestAnalyzeContextCancelUnblocksReceive(t *testing.T) {
-	t0 := synth(0, 0, []trace.Event{
-		enter(0, 0), exit(10, 0),
-	})
-	t1 := synth(1, 0, []trace.Event{
-		enter(0, 0),
-		enter(1, 2), recv(5, 0, 7, 100), exit(5, 2),
-		exit(10, 0),
-	})
-	analyzeCancelled(t, []*trace.Trace{t0, t1}, 50*time.Millisecond)
-}
-
-// TestAnalyzeContextCancelUnblocksCollective plants a barrier one rank
-// never joins: rank 0 blocks in the gather. Cancellation must wake it.
-func TestAnalyzeContextCancelUnblocksCollective(t *testing.T) {
-	t0 := synth(0, 0, []trace.Event{
-		enter(0, 0),
-		enter(1, 3), collExit(2, trace.CollBarrier, -1), exit(2, 3),
-		exit(10, 0),
-	})
-	t1 := synth(1, 0, []trace.Event{
-		enter(0, 0), exit(10, 0),
-	})
-	analyzeCancelled(t, []*trace.Trace{t0, t1}, 50*time.Millisecond)
+// TestReplayDeadlockNamesBlockedRanks: an archive in which some rank waits
+// for what no other rank will ever provide — a receive whose send does
+// not exist, a barrier one member never joins, two ranks each receiving
+// before they send to the other — cannot come from an application that
+// completed. The scheduler sees it the moment nothing is ready, nothing
+// is being stepped and no rank waits on a log a feeder may still fill:
+// the analysis fails at once, without a context to time it out, with one
+// error that names each blocked rank and what it waits for, and leaves
+// no goroutine behind.
+func TestReplayDeadlockNamesBlockedRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		traces []*trace.Trace
+		want   string
+	}{
+		{"orphan receive", []*trace.Trace{
+			synth(0, 0, []trace.Event{enter(0, 0), exit(10, 0)}),
+			synth(1, 0, []trace.Event{
+				enter(0, 0),
+				enter(1, 2), recv(5, 0, 7, 100), exit(5, 2),
+				exit(10, 0),
+			}),
+		}, "replay: deadlock, no rank can proceed: rank 1 waits for a message from rank 0 (communicator 0, tag 7)"},
+		{"barrier missing a member", []*trace.Trace{
+			synth(0, 0, []trace.Event{
+				enter(0, 0),
+				enter(1, 3), collExit(2, trace.CollBarrier, -1), exit(2, 3),
+				exit(10, 0),
+			}),
+			synth(1, 0, []trace.Event{enter(0, 0), exit(10, 0)}),
+		}, "replay: deadlock, no rank can proceed: rank 0 waits in collective 0 of communicator 0, which 1 of its 2 members have reached"},
+		{"two-rank receive cycle", []*trace.Trace{
+			synth(0, 0, []trace.Event{
+				enter(0, 0),
+				enter(1, 2), recv(2, 1, 3, 8), exit(2, 2),
+				enter(3, 1), send(3, 1, 4, 8), exit(3, 1),
+				exit(10, 0),
+			}),
+			synth(1, 0, []trace.Event{
+				enter(0, 0),
+				enter(1, 2), recv(2, 0, 4, 8), exit(2, 2),
+				enter(3, 1), send(3, 0, 3, 8), exit(3, 1),
+				exit(10, 0),
+			}),
+		}, "replay: deadlock, no rank can proceed: rank 0 waits for a message from rank 1 (communicator 0, tag 3); " +
+			"rank 1 waits for a message from rank 0 (communicator 0, tag 4)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() {
+				_, err := Analyze(tc.traces, Config{Scheme: vclock.FlatSingle, Title: "deadlock"})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("err = %v\nwant %s", err, tc.want)
+				}
+			case <-time.After(cancelDeadline):
+				t.Fatal("deadlocked analysis did not return")
+			}
+			waitNoLeak(t, before)
+		})
+	}
 }
 
 // TestAnalyzeContextPreCancelled: a context cancelled before the call

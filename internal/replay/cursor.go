@@ -14,13 +14,14 @@ import (
 // closes. The other two hold a block reader over the rank's v2 byte
 // image and take the one ingest step, pull, which decodes, validates and
 // publishes the image's next block: a pulled log (AnalyzeLazy) has the
-// whole image and the sweeping worker pulls, through wait, whenever it
-// runs out of published events; a pushed log (a live session) has an
-// image that is still being uploaded and Live.FeedChunk pulls whenever
-// bytes arrive. The sweep never sees a difference beyond *when* events
-// become visible, which is the whole trick behind byte-identical
-// results: the worker's event order, and therefore every accumulator's
-// addition order, is the trace order whoever feeds.
+// whole image and the sweep pulls, through more, whenever it runs out of
+// published events; a pushed log (a live session) has an image that is
+// still being uploaded and Live.FeedChunk pulls whenever bytes arrive —
+// a sweep that runs dry parks on the log, and the next publish or close
+// re-queues it with the scheduler. The sweep never sees a difference
+// beyond *when* events become visible, which is the whole trick behind
+// byte-identical results: the sweep's event order, and therefore every
+// accumulator's addition order, is the trace order whoever feeds.
 //
 // Events are stored in fixed-stride blocks, so releaseBefore can let go
 // of the already-swept prefix — the bounded-memory window that lets an
@@ -42,10 +43,15 @@ import (
 // the window the log held anyway.
 type rankLog struct {
 	mu      sync.Mutex
-	cond    sync.Cond
 	closed  bool
 	aborted bool
 	err     error // why a pulled log ended early, sticky; set with closed
+
+	// parked is set while the rank's sweep waits for this (pushed) log to
+	// grow: the next publish or close wakes rank with sched.
+	parked bool
+	sched  *scheduler
+	rank   int
 
 	blocks   [][]trace.Event
 	stride   int
@@ -55,8 +61,8 @@ type rankLog struct {
 
 	// The image pull reads and the validator its events pass through,
 	// set by attach; nil for a preloaded log. Only the pulling goroutine
-	// touches what they point to: the sweeping worker, or — pushed set —
-	// the rank's feeder.
+	// touches what they point to: the rank's sweep, or — pushed set — the
+	// rank's feeder.
 	src    *trace.BlockReader
 	val    *trace.StreamValidator
 	pushed bool
@@ -75,11 +81,7 @@ type rankLog struct {
 }
 
 // newRankLog returns an open, empty log.
-func newRankLog() *rankLog {
-	lg := &rankLog{}
-	lg.cond.L = &lg.mu
-	return lg
-}
+func newRankLog() *rankLog { return &rankLog{} }
 
 // newPreloadedRankLog publishes an already complete event slice as one
 // block, without copying, and closes the log.
@@ -112,9 +114,9 @@ func (lg *rankLog) attach(r *trace.BlockReader) {
 }
 
 // publish makes a decoded block visible to the sweep, without copying
-// it, and wakes the sweeping worker. Fixed-stride indexing needs every
-// block before the last to be full; a stream that starts another block
-// after a short one is rejected.
+// it, and wakes the sweep if it is parked on the log. Fixed-stride
+// indexing needs every block before the last to be full; a stream that
+// starts another block after a short one is rejected.
 func (lg *rankLog) publish(blk []trace.Event) error {
 	if len(blk) == 0 {
 		return nil
@@ -135,9 +137,27 @@ func (lg *rankLog) publish(blk []trace.Event) error {
 	if lg.resident > lg.maxResident {
 		lg.maxResident = lg.resident
 	}
-	lg.mu.Unlock()
-	lg.cond.Broadcast()
+	lg.unlockWaking()
 	return nil
+}
+
+// wakes names whom a publish or close wakes when the sweep parked on the
+// log: rank, through sched.
+func (lg *rankLog) wakes(s *scheduler, rank int) {
+	lg.mu.Lock()
+	lg.sched, lg.rank = s, rank
+	lg.mu.Unlock()
+}
+
+// unlockWaking releases the log's lock and then, if the sweep was parked
+// on the log, re-queues it — never under the log's lock.
+func (lg *rankLog) unlockWaking() {
+	wake := lg.parked
+	lg.parked = false
+	lg.mu.Unlock()
+	if wake {
+		lg.sched.wake(lg.rank, -1)
+	}
 }
 
 // newBlock is the one place block storage is allocated.
@@ -200,6 +220,7 @@ func (lg *rankLog) pull() (int, error) {
 func (lg *rankLog) drop() {
 	lg.mu.Lock()
 	lg.blocks, lg.free, lg.src, lg.val = nil, nil, nil, nil
+	lg.sched, lg.parked = nil, false
 	lg.mu.Unlock()
 }
 
@@ -208,29 +229,28 @@ func (lg *rankLog) drop() {
 func (lg *rankLog) close() {
 	lg.mu.Lock()
 	lg.closed, lg.free = true, nil
-	lg.mu.Unlock()
-	lg.cond.Broadcast()
+	lg.unlockWaking()
 }
 
-// abort wakes a blocked sweep so a cancelled analysis unwinds.
+// abort marks the log's sweep cancelled: the cursor reports the log
+// ended. (The scheduler re-queues a parked sweep itself.)
 func (lg *rankLog) abort() {
 	lg.mu.Lock()
 	lg.aborted = true
 	lg.mu.Unlock()
-	lg.cond.Broadcast()
 }
 
-// wait returns once the log holds more than have events, is closed, or
+// more returns once the log holds more than have events, is closed, or
 // is aborted, with the published count and flags. Until then it pulls
-// the next block when the log's image is complete and blocks for the
-// feeder when it is pushed. A failed pull closes the log; err is its
-// cause.
-func (lg *rankLog) wait(have int) (n int, closed, aborted bool, err error) {
+// the next block when the log's image is complete; a pushed log whose
+// feeder has not delivered more returns at once, dry, with its sweep
+// marked parked on it. A failed pull closes the log; err is its cause.
+func (lg *rankLog) more(have int) (n int, closed, aborted, dry bool, err error) {
 	lg.mu.Lock()
 	for lg.n == have && !lg.closed && !lg.aborted {
 		if lg.pushed {
-			lg.cond.Wait()
-			continue
+			lg.parked, dry = true, true
+			break
 		}
 		lg.mu.Unlock()
 		_, perr := lg.pull()
@@ -241,7 +261,7 @@ func (lg *rankLog) wait(have int) (n int, closed, aborted bool, err error) {
 	}
 	n, closed, aborted, err = lg.n, lg.closed, lg.aborted, lg.err
 	lg.mu.Unlock()
-	return n, closed, aborted, err
+	return n, closed, aborted, dry, err
 }
 
 // logCounts is what the sweep of a log will append to the rank's three
@@ -336,8 +356,8 @@ func (lg *rankLog) window(i int) ([]trace.Event, int) {
 
 // releaseBefore lets go of every block that lies entirely below event
 // index i, parking it for room while the log's image still owes blocks.
-// Only the sweeping worker calls it, and only with its own frontier, so
-// no released block can still be referenced.
+// Only the rank's sweep calls it, and only with its own frontier, so no
+// released block can still be referenced.
 func (lg *rankLog) releaseBefore(i int) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
@@ -352,10 +372,10 @@ func (lg *rankLog) releaseBefore(i int) {
 	}
 }
 
-// sweepCursor is one worker's forward view of a rankLog. at(i) reports
-// whether event i exists, blocking while it may still arrive; ev(i)
-// returns the event itself, caching one block so the sequential sweep
-// touches the log's lock once per block, not once per event.
+// sweepCursor is one rank's forward view of a rankLog. at(i) reports
+// whether event i exists; ev(i) returns the event itself, caching one
+// block so the sequential sweep touches the log's lock once per block,
+// not once per event.
 type sweepCursor struct {
 	lg      *rankLog
 	blk     []trace.Event
@@ -363,29 +383,33 @@ type sweepCursor struct {
 	n       int // published-event count last observed
 	closed  bool
 	aborted bool
+	dry     bool  // a pushed log had no more when last asked: the sweep parks on it
 	err     error // why a pulled log ended short of its declared events
 
 	stride      int
 	nextRelease int // first event index whose block has blocks below it to release
 }
 
-func newSweepCursor(lg *rankLog) *sweepCursor {
-	sc := &sweepCursor{lg: lg, stride: lg.stride, nextRelease: lg.stride, base: -1}
+func newSweepCursor(lg *rankLog) sweepCursor {
+	sc := sweepCursor{lg: lg, stride: lg.stride, nextRelease: lg.stride, base: -1}
 	lg.mu.Lock()
 	sc.n, sc.closed, sc.aborted = lg.n, lg.closed, lg.aborted
 	lg.mu.Unlock()
 	return sc
 }
 
-// at blocks until event i is published and returns true, or returns
-// false when the log ended first: closed before reaching i (sc.err says
-// why if that was a failure) or aborted.
+// at reports whether event i is published — pulling it first from a
+// complete image — or returns false: when the log ended first, closed
+// before reaching i (sc.err says why if that was a failure) or aborted,
+// or, sc.dry set, when a pushed log has not received it yet.
 func (sc *sweepCursor) at(i int) bool {
 	for i >= sc.n {
 		if sc.closed || sc.aborted {
 			return false
 		}
-		sc.n, sc.closed, sc.aborted, sc.err = sc.lg.wait(sc.n)
+		if sc.n, sc.closed, sc.aborted, sc.dry, sc.err = sc.lg.more(sc.n); sc.dry {
+			return false
+		}
 	}
 	return true
 }

@@ -20,9 +20,9 @@ import (
 // trace archive is still being uploaded rank by rank, chunk by chunk.
 //
 // The design invariant is byte-determinism with the post-mortem path:
-// every worker sweeps its rank's events in trace order through a
-// cursor (blocking while bytes are in flight instead of indexing a
-// complete slice), every accumulator therefore performs the exact
+// every rank's stepper sweeps its events in trace order through a
+// cursor (parking on the rank's log while bytes are in flight instead of
+// indexing a complete slice), every accumulator therefore performs the exact
 // same additions in the exact same order, and the profile axis is
 // derived only at finalize — so feeding the same archive in any chunk
 // sizes and any rank interleaving yields a Result whose cube and
@@ -30,7 +30,7 @@ import (
 // archive. The conformance suite asserts this.
 //
 // While the replay runs, scored severities are additionally deposited
-// into fixed time windows (streamSink); a scheduler goroutine drains
+// into fixed time windows (streamSink); a drain goroutine empties
 // the sink periodically and publishes window deltas, the low-watermark
 // frontier (the minimum corrected sweep time over all ranks — no
 // event before it can still be scored, except for sender-side
@@ -45,7 +45,8 @@ type LiveConfig struct {
 	// WindowSec is the severity-window width in corrected seconds.
 	// Zero selects 1 s.
 	WindowSec float64
-	// EmitEvery is the scheduler's drain period. Zero selects 50 ms.
+	// EmitEvery is the drain period of the window stream. Zero selects
+	// 50 ms.
 	EmitEvery time.Duration
 	// OnEvent receives every stream event, in sequence order, from the
 	// engine's goroutines. The callback must be fast and must not call
@@ -175,12 +176,11 @@ type Live struct {
 	a        *analyzer
 
 	sink      *streamSink
-	runDone   chan struct{}
-	schedStop chan struct{}
-	schedDone chan struct{}
+	drainStop chan struct{}
+	drainDone chan struct{}
 
-	// Scheduler-goroutine-only state (the final drain runs after the
-	// scheduler has stopped, so no lock is needed).
+	// Drain-goroutine-only state (the final drain runs after the drain
+	// goroutine has stopped, so no lock is needed).
 	closedThrough int64
 	closedSet     map[int64]bool
 }
@@ -207,9 +207,8 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		intern:        trace.NewInterner(),
 		state:         "open",
 		traces:        make([]*trace.Trace, cfg.Ranks),
-		runDone:       make(chan struct{}),
-		schedStop:     make(chan struct{}),
-		schedDone:     make(chan struct{}),
+		drainStop:     make(chan struct{}),
+		drainDone:     make(chan struct{}),
 		closedThrough: math.MinInt64,
 		closedSet:     make(map[int64]bool),
 	}
@@ -359,11 +358,7 @@ func (l *Live) startLocked() error {
 	// metahosts the headers name, and the progress frontier (initialized
 	// to -Inf — a rank that has not yet swept any event holds every window
 	// open).
-	mhs := make([]int, len(l.traces))
-	for i, t := range l.traces {
-		mhs[i] = t.Loc.Metahost
-	}
-	l.sink = newStreamSink(0, l.cfg.WindowSec, mhs, l.fail)
+	l.sink = newStreamSink(0, l.cfg.WindowSec, a.metahosts, a.mhCol, l.fail)
 	a.sink = l.sink
 	a.progress = make([]atomic.Uint64, len(l.ranks))
 	for i := range a.progress {
@@ -372,11 +367,11 @@ func (l *Live) startLocked() error {
 	l.a = a
 	l.started = true
 	l.state = "running"
-	go func() {
-		a.run()
-		close(l.runDone)
-	}()
-	go l.scheduler()
+	// The runners are goroutines: this is a feeder's call. A rank whose
+	// stream has not caught up parks on its log, and the feeder's next
+	// publish re-queues it.
+	a.start(false)
+	go l.drainLoop()
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "running"}})
 	return nil
 }
@@ -411,7 +406,7 @@ func (l *Live) FinishRank(rank int) error {
 }
 
 // fail records the first fatal session error and aborts the running
-// analysis so every worker unwinds. A session that is done stays done:
+// analysis so every rank unwinds. A session that is done stays done:
 // its stream has ended and is not reopened by a late abort.
 func (l *Live) fail(err error) {
 	l.mu.Lock()
@@ -487,22 +482,22 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 		return nil, ferr
 	}
 
-	// The workers drain on their own (closed logs), unless the session
+	// The ranks drain on their own (closed logs), unless the session
 	// already failed — then abortWith has woken them. ctx expiry turns
 	// into an abort so a stuck finalize cannot leak the analyzer.
 	select {
-	case <-l.runDone:
+	case <-l.a.sched.done:
 	case <-ctx.Done():
 		l.Abort(context.Cause(ctx))
-		<-l.runDone
+		<-l.a.sched.done
 	}
-	close(l.schedStop)
-	<-l.schedDone
+	close(l.drainStop)
+	<-l.drainDone
 
 	res, err := l.a.finish()
 	// Done or aborted, decided once: an abort that lost this race is
 	// ignored by fail, one that won it is the session's error — in its
-	// own words, not as the echo "analysis aborted: …" of the worker it
+	// own words, not as the echo "analysis aborted: …" of the rank it
 	// unwound.
 	l.mu.Lock()
 	if l.abortErr != nil {
@@ -550,15 +545,15 @@ func (l *Live) release() {
 	}
 }
 
-// scheduler periodically drains the sink and publishes window and
+// drainLoop periodically drains the sink and publishes window and
 // frontier events until Finalize stops it.
-func (l *Live) scheduler() {
-	defer close(l.schedDone)
+func (l *Live) drainLoop() {
+	defer close(l.drainDone)
 	t := time.NewTicker(l.cfg.EmitEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-l.schedStop:
+		case <-l.drainStop:
 			return
 		case <-t.C:
 			l.drainAndEmit(false)

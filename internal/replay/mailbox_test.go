@@ -1,20 +1,27 @@
 package replay
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"metascope/internal/trace"
+	"metascope/internal/vclock"
 )
 
 func rec(comm, src, tag int32, bytes int64) sendRecord {
 	return sendRecord{comm: comm, srcWorld: src, tag: tag, bytes: bytes}
 }
 
-// takeOK is take asserting the mailbox was not aborted — the only mode
-// these matching tests exercise.
+// takeOK is take asserting a record was pending — the only case these
+// matching tests exercise.
 func (mb *mailbox) takeOK(comm, src, tag int32) sendRecord {
 	r, ok := mb.take(comm, src, tag)
 	if !ok {
-		panic("mailbox: take aborted unexpectedly")
+		panic("mailbox: take found no record")
 	}
 	return r
 }
@@ -104,74 +111,121 @@ func TestMailboxTakeReleasesMatchedRecords(t *testing.T) {
 	mb.mu.Unlock()
 }
 
-// TestMailboxBlockingTake checks that a take posted before the
-// matching put blocks and is woken by it — receivers may replay ahead
-// of their senders.
+// TestMailboxBlockingTake checks that a take posted before the matching
+// put finds nothing and parks the receiver on its signature — receivers
+// may replay ahead of their senders — and that the put of exactly that
+// signature, and only that put, reports the wake the scheduler re-queues
+// the receiver on.
 func TestMailboxBlockingTake(t *testing.T) {
 	mb := newMailbox()
-	got := make(chan sendRecord, 1)
-	go func() { got <- mb.takeOK(0, 1, 9) }()
-	mb.put(rec(0, 1, 9, 77))
-	if r := <-got; r.bytes != 77 {
-		t.Fatalf("blocked take = %d, want 77", r.bytes)
+	if _, ok := mb.take(0, 1, 9); ok {
+		t.Fatal("a take from an empty mailbox matched")
+	}
+	if mb.put(rec(0, 1, 8, 66)) {
+		t.Fatal("a put of another tag woke the parked receiver")
+	}
+	if !mb.put(rec(0, 1, 9, 77)) {
+		t.Fatal("the put the receiver parked on did not wake it")
+	}
+	if mb.put(rec(0, 1, 9, 78)) {
+		t.Fatal("a second put woke a receiver that is no longer parked")
+	}
+	if r := mb.takeOK(0, 1, 9); r.bytes != 77 {
+		t.Fatalf("woken take = %d, want 77", r.bytes)
 	}
 }
 
-// TestMailboxConcurrentPairs drives many sender/receiver pairs through
-// one mailbox concurrently; under -race this checks the cell shuffling
-// in put/take against simultaneous access from both sides.
+// TestMailboxConcurrentPairs drives many senders into one receiver's
+// mailbox concurrently while the receiver takes their records in turn,
+// parking whenever the next one has not arrived; under -race this checks
+// the cell shuffling in put/take and the park-and-wake handshake against
+// simultaneous access from both sides — a lost wake hangs the receiver.
 func TestMailboxConcurrentPairs(t *testing.T) {
 	const senders = 8
 	const msgs = 200
 	mb := newMailbox()
+	woken := make(chan struct{}, 1) // the receiver parks on one signature at a time
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(s int32) {
 			defer wg.Done()
 			for i := 0; i < msgs; i++ {
-				mb.put(rec(0, s, s%3, int64(i)))
-			}
-		}(int32(s))
-	}
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int32) {
-			defer wg.Done()
-			for i := 0; i < msgs; i++ {
-				if got := mb.takeOK(0, s, s%3); got.bytes != int64(i) {
-					t.Errorf("src %d take %d: bytes = %d, want %d", s, i, got.bytes, i)
-					return
+				if mb.put(rec(0, s, s%3, int64(i))) {
+					woken <- struct{}{}
 				}
 			}
 		}(int32(s))
+	}
+	for i := 0; i < msgs; i++ {
+		for s := int32(0); s < senders; s++ {
+			got, ok := mb.take(0, s, s%3)
+			if !ok {
+				select {
+				case <-woken:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("src %d take %d: parked receiver never woken", s, i)
+				}
+				got = mb.takeOK(0, s, s%3)
+			}
+			if got.bytes != int64(i) {
+				t.Fatalf("src %d take %d: bytes = %d, want %d", s, i, got.bytes, i)
+			}
+		}
 	}
 	wg.Wait()
 }
 
 // TestMailboxAbortWakesBlockedTake checks the cancellation path: a
-// receiver blocked on a message that will never arrive must be woken
-// by setAbort and told the analysis ended, and any take after the
-// abort must fail immediately instead of blocking.
+// receiver parked on a message that will never arrive, while its sender's
+// stream is still open — so nothing is deadlocked yet — is re-queued by
+// the abort and unwinds with the abort's cause.
 func TestMailboxAbortWakesBlockedTake(t *testing.T) {
-	mb := newMailbox()
-	woken := make(chan bool, 1)
-	go func() {
-		_, ok := mb.take(0, 1, 9)
-		woken <- ok
-	}()
-	mb.setAbort()
-	if ok := <-woken; ok {
-		t.Fatal("aborted take reported ok=true")
+	traces := []*trace.Trace{
+		synth(0, 0, []trace.Event{enter(0, 0), exit(10, 0)}),
+		synth(1, 0, []trace.Event{
+			enter(0, 0),
+			enter(1, 2), recv(5, 0, 7, 100), exit(5, 2),
+			exit(10, 0),
+		}),
 	}
-	if _, ok := mb.take(0, 2, 3); ok {
-		t.Fatal("take after abort reported ok=true")
+	l, err := NewLive(LiveConfig{Config: Config{Scheme: vclock.FlatSingle}, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Records already delivered are still matchable after an abort — the
-	// receiver decides between draining and unwinding.
-	mb.put(rec(0, 1, 7, 5))
-	if r, ok := mb.take(0, 1, 7); !ok || r.bytes != 5 {
-		t.Fatalf("pending record after abort: ok=%v bytes=%d", ok, r.bytes)
+	// Rank 0's header only: its sweep parks on its log. Rank 1 whole: its
+	// sweep parks in the mailbox.
+	img := v2Blocks(t, traces[0], 8, blockCounts(len(traces[0].Events), 8)...)
+	if err := l.FeedChunk(0, img[:v2HeaderLen(t, traces[0], 8)]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.FeedChunk(1, v2Blocks(t, traces[1], 8, blockCounts(len(traces[1].Events), 8)...)); err != nil {
+		t.Fatal(err)
+	}
+	a := l.a
+	for deadline := time.Now().Add(cancelDeadline); ; time.Sleep(time.Millisecond) {
+		sh := a.sched.shardOf(1)
+		sh.mu.Lock()
+		st := a.sched.state[1]
+		sh.mu.Unlock()
+		if st == parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rank 1 never parked in its mailbox")
+		}
+	}
+	l.Abort(context.Canceled)
+	select {
+	case <-a.sched.done:
+	case <-time.After(cancelDeadline):
+		t.Fatal("the abort did not wake the parked receiver")
+	}
+	if err := a.results[1].err; !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("rank 1 unwound with %v, want the abort's cause", err)
+	}
+	if _, err := l.Finalize(context.Background()); err == nil {
+		t.Fatal("finalize of an aborted session succeeded")
 	}
 }
 

@@ -473,9 +473,10 @@ func Analyze(traces []*trace.Trace, cfg Config) (*Result, error) {
 
 // AnalyzeContext is Analyze honoring ctx: cancellation is checked
 // between the sync, replay, and pattern-search phases, and inside the
-// replay it wakes workers blocked on message matching or collective
+// replay it re-queues ranks parked on message matching or collective
 // gathers and trips the periodic sweep poll, so even an analysis of a
-// huge archive stops promptly. The returned error wraps the context's
+// huge archive stops promptly. (A replay in which no rank can proceed
+// needs no context: it fails at once with a deadlock error.) The returned error wraps the context's
 // error (errors.Is-compatible with context.Canceled and
 // context.DeadlineExceeded).
 func AnalyzeContext(ctx context.Context, traces []*trace.Trace, cfg Config) (*Result, error) {
@@ -534,7 +535,7 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 	}
 
 	// The watcher translates a context cancellation into the analyzer's
-	// abort (waking blocked workers); it exits as soon as the replay
+	// abort (re-queueing parked ranks); it exits as soon as the replay
 	// phase finishes so no goroutine outlives the analysis.
 	watchDone := make(chan struct{})
 	if ctx.Done() != nil {
@@ -547,6 +548,7 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 		}()
 	}
 	replaySpan := rec.Phases.Start("replay")
+	a.labelBase = ctx
 	a.run()
 	replaySpan.End()
 	close(watchDone)
@@ -667,7 +669,7 @@ func newReplayMetrics(rec *obs.Recorder) *replayMetrics {
 		eventsPerSec: r.Gauge("metascope_replay_events_per_second",
 			"trace events replayed per wall second, last analysis").With(),
 		workersActive: r.Gauge("metascope_replay_workers_active",
-			"analysis goroutines currently replaying").With(),
+			"replay runners stepping a rank or looking for one, not waiting: at most GOMAXPROCS, whatever the rank count").With(),
 		ranksDone: r.Gauge("metascope_replay_ranks_done",
 			"analysis processes finished, last analysis").With(),
 		rankBytes: r.Histogram("metascope_replay_rank_bytes",

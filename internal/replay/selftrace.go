@@ -13,9 +13,9 @@ import (
 // This file is the flight recorder's dogfood exporter: it renders a
 // flight recording of metascope's *own* replay pipeline as a metascope
 // trace archive, so mtanalyze can analyze an analysis. The mapping
-// follows the obvious isomorphism — replay workers are ranks, a
-// mailbox put is a send, a blocked mailbox take is a receive that
-// waited for it — which means the analyzer's Late Sender pattern,
+// follows the obvious isomorphism — the replay's ranks are ranks, a
+// mailbox put is a send, a mailbox take the rank parked in is a receive
+// that waited for it — which means the analyzer's Late Sender pattern,
 // applied to a flight archive, measures exactly how long the replay's
 // receivers sat blocked on slower senders.
 

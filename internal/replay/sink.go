@@ -3,7 +3,6 @@ package replay
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -40,9 +39,9 @@ type sinkCell struct {
 }
 
 // streamSink collects severity mass into fixed time windows while the
-// replay runs. Workers deposit each detected wait interval (or volume
-// point) as it is scored; the window scheduler periodically drains the
-// sink and publishes the deltas of every touched window. Intervals are
+// replay runs. Steps deposit each detected wait interval (or volume
+// point) as it is scored; the live session's drain goroutine periodically
+// empties the sink and publishes the deltas of every touched window. Intervals are
 // spread across windows proportionally to overlap — the same rule the
 // profile accumulator uses — so the per-window deltas of one series
 // sum exactly to the severity total deposited, which is what lets the
@@ -71,24 +70,19 @@ type streamSink struct {
 // would allocate without bound.
 const maxDepositWindows = 1 << 16
 
-// newStreamSink makes the sink of a world whose ranks sit on the given
-// metahosts.
-func newStreamSink(origin, width float64, rankMetahost []int, fail func(error)) *streamSink {
+// newStreamSink makes the sink of a world over the given metahosts, whose
+// rank r sits on metahosts[col[r]] (analyzer.metahosts and mhCol).
+func newStreamSink(origin, width float64, metahosts, col []int, fail func(error)) *streamSink {
 	if width <= 0 {
 		width = 1
 	}
 	s := &streamSink{
-		origin: origin,
-		width:  width,
-		col:    make([]int, len(rankMetahost)),
-		cur:    make(map[int64][]sinkCell),
-		fail:   fail,
-	}
-	s.metahosts = slices.Clone(rankMetahost)
-	slices.Sort(s.metahosts)
-	s.metahosts = slices.Compact(s.metahosts)
-	for r, mh := range rankMetahost {
-		s.col[r], _ = slices.BinarySearch(s.metahosts, mh)
+		origin:    origin,
+		width:     width,
+		metahosts: metahosts,
+		col:       col,
+		cur:       make(map[int64][]sinkCell),
+		fail:      fail,
 	}
 	s.total = s.newRow()
 	return s
@@ -103,7 +97,7 @@ func (s *streamSink) windowOf(t float64) int64 {
 	return int64(math.Floor((t - s.origin) / s.width))
 }
 
-// add deposits value, scored by scorer's worker as metric m of rank, over
+// add deposits value, scored by rank scorer's step as metric m of rank, over
 // the corrected interval [start, start+dur). A non-positive duration
 // deposits at start's window. An interval spanning more than
 // maxDepositWindows windows is not deposited: it fails the session.

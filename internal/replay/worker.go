@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,16 +38,16 @@ type sendRecord struct {
 // mailbox is the unbounded, order-preserving channel delivering send
 // records to one *receiver's* analysis process. put never blocks (the
 // original application's standard-mode sends were buffered), so replay
-// cannot deadlock if the traced application completed. An aborted
-// analysis (cancelled context) wakes every blocked receiver instead:
-// abort is set under the mailbox lock and broadcast, and take returns
-// ok=false so the worker can unwind.
+// cannot deadlock if the traced application completed. take never
+// blocks either: a take that finds no record notes the signature the
+// receiver parks on, and the put that delivers it reports the wake for
+// its caller to hand to the scheduler.
 //
 // Records are sharded per receiver and, inside a receiver's mailbox,
 // keyed by exact matching signature (comm, src, tag). Matching is
 // therefore O(1) amortized — the receiver pops the head of its
 // signature's FIFO instead of scanning a shared slice — and a put only
-// touches the destination rank's mailbox, so workers replaying
+// touches the destination rank's mailbox, so runners replaying
 // disjoint receivers never contend.
 //
 // The FIFOs are value cells inside the signature map, with the first
@@ -57,10 +58,12 @@ type sendRecord struct {
 // heap objects at all: drained cells are deleted, and the map reuses
 // their buckets.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  sync.Cond // signaled by put and abort; the receiver is the only waiter
-	q     map[sig]cell
-	abort bool // set once when the analysis is cancelled
+	mu sync.Mutex
+	q  map[sig]cell
+	// want is the signature the receiver parked on, while parked is set:
+	// the put of that signature wakes it.
+	want   sig
+	parked bool
 }
 
 // sig is the exact matching signature within one receiver's mailbox.
@@ -83,12 +86,12 @@ type cell struct {
 }
 
 func newMailbox() *mailbox {
-	mb := &mailbox{q: make(map[sig]cell, 8)}
-	mb.cond.L = &mb.mu
-	return mb
+	return &mailbox{q: make(map[sig]cell, 8)}
 }
 
-func (mb *mailbox) put(r sendRecord) {
+// put delivers r and reports whether that wakes the receiver, parked on
+// r's signature; the caller re-queues it once the lock is released.
+func (mb *mailbox) put(r sendRecord) (wake bool) {
 	s := sig{comm: r.comm, src: r.srcWorld, tag: r.tag}
 	mb.mu.Lock()
 	c := mb.q[s]
@@ -99,38 +102,28 @@ func (mb *mailbox) put(r sendRecord) {
 	}
 	c.count++
 	mb.q[s] = c
+	if mb.parked && mb.want == s {
+		mb.parked, wake = false, true
+	}
 	mb.mu.Unlock()
-	mb.cond.Broadcast()
+	return wake
 }
 
-// setAbort wakes a receiver blocked in take; subsequent takes on an
-// empty signature return immediately with ok=false.
-func (mb *mailbox) setAbort() {
-	mb.mu.Lock()
-	mb.abort = true
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-}
-
-// take blocks until a record with the exact signature (comm, source
-// world rank, tag) is available and removes the oldest such record;
-// ok=false means the analysis was aborted while (or before) waiting.
-// Once matched, the record is gone from the mailbox: a drained
-// signature's cell is deleted outright, and a shifted spill slot is
-// zeroed, so the backing storage holds no reference to matched records
-// (the old scan-and-splice left dead records alive in the slice's
-// spare capacity).
+// take removes the oldest record with the exact signature (comm, source
+// world rank, tag); ok=false means none is pending, and the receiver is
+// parked on the signature until a put delivers one. Once matched, the
+// record is gone from the mailbox: a drained signature's cell is deleted
+// outright, and a shifted spill slot is zeroed, so the backing storage
+// holds no reference to matched records (the old scan-and-splice left
+// dead records alive in the slice's spare capacity).
 func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 	s := sig{comm: comm, src: srcWorld, tag: tag}
 	mb.mu.Lock()
 	c := mb.q[s]
-	for c.count == 0 {
-		if mb.abort {
-			mb.mu.Unlock()
-			return sendRecord{}, false
-		}
-		mb.cond.Wait()
-		c = mb.q[s]
+	if c.count == 0 {
+		mb.want, mb.parked = s, true
+		mb.mu.Unlock()
+		return sendRecord{}, false
 	}
 	r := c.first
 	c.count--
@@ -151,22 +144,23 @@ func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 }
 
 // collGather coordinates the members of one collective instance: every
-// participant deposits its corrected enter/exit and blocks until the
+// participant deposits its corrected enter/exit once and parks until the
 // last one arrives, after which each computes its own wait states from
-// the complete vectors.
+// the complete vectors. The parked members form an intrusive list through
+// their steppers (stepper.nextWaiter), so waiting allocates nothing.
 type collGather struct {
 	enters  []float64
 	exits   []float64
 	mhs     []int
 	arrived int
-	done    chan struct{}
+	waiters int32 // first parked member's world rank, -1 for none
 }
 
 // collDomain shards the collective-gather state by communicator: each
 // communicator carries its own lock and its own map of in-flight
 // instances (keyed by per-communicator sequence number), so collectives
 // on disjoint communicators never serialize on a shared mutex. The
-// domain map itself is built before the workers start and is read-only
+// domain map itself is built before the runners start and is read-only
 // during replay.
 type collDomain struct {
 	mu      sync.Mutex
@@ -269,13 +263,16 @@ type rankResult struct {
 	colls          int
 	replayBytes    int64
 	replayExternal int64
-	commMatrix     map[[2]int]CommVolume // outgoing traffic by (myMH, dstMH)
+	// commRow is this rank's row of the metahost communication matrix:
+	// outgoing traffic by destination metahost, indexed like
+	// analyzer.metahosts.
+	commRow []CommVolume
 	// profLog is this analysis process's slice of the severity ledger:
 	// every severity its sweep scored, as raw samples in sweep order. The
 	// profile's interval axis (origin, bucket width) and the phase
 	// boundaries are only known once every trace is complete — post-mortem
 	// that is before the replay starts, in a live session only at
-	// finalize — so workers defer the samples and result() reads the logs
+	// finalize — so steps defer the samples and result() reads the logs
 	// once, in rank order, into the one profile and the one phase fold.
 	profLog pagedLog[profSample]
 	// opLog records one entry per completed non-user region instance
@@ -361,16 +358,22 @@ type analyzer struct {
 	comms  map[int32][]int32
 	cfg    Config
 
-	// logs hold the per-rank event streams the workers sweep, handed to
+	// metahosts lists the world's metahost ids in ascending order and
+	// mhCol gives each rank its metahost's index there — the dense
+	// columns of the communication matrix rows and of the window sink.
+	metahosts []int
+	mhCol     []int
+
+	// logs hold the per-rank event streams the steppers sweep, handed to
 	// newAnalyzer by whoever feeds them.
 	logs []*rankLog
 	// sink, when non-nil, receives every scored severity as a windowed
 	// delta for the live stream (nil post-mortem: one branch per score).
 	// Besides the mailboxes and the collective gathers it is the only
-	// shared state a worker writes; everything else goes to its own
+	// shared state a step writes; everything else goes to its own
 	// rankResult.
 	sink *streamSink
-	// progress, when non-nil, tracks each worker's corrected sweep time
+	// progress, when non-nil, tracks each rank's corrected sweep time
 	// (float64 bits; +Inf once the rank is done) — the live engine's
 	// window-close frontier.
 	progress []atomic.Uint64
@@ -378,29 +381,38 @@ type analyzer struct {
 	mailboxes []*mailbox
 	colls     map[int32]*collDomain
 
+	// steppers are the ranks' analysis processes, sched runs them;
+	// labelBase is the base of every rank's pprof labels — a post-mortem
+	// caller's context, whose labels the calling goroutine, the first
+	// runner, leaves with.
+	steppers  []stepper
+	sched     *scheduler
+	labelBase context.Context
+
 	results []*rankResult
 	corrs   []vclock.Correction
 
-	// metrics is the pre-registered replay metric set; worker progress
-	// gauges are updated live while the replay runs, the counters by
-	// finish. replayDur is the wall time run took.
-	metrics   *replayMetrics
-	replayDur time.Duration
-	// fl is the flight recorder replay workers write their event-level
-	// timeline into (blocked takes, puts, gather waits); flJob is the
-	// job id the events carry and fn the pre-registered event names.
-	// When the recorder is disabled every worker's writer is nil and
-	// each instrumentation point costs one branch.
+	// metrics is the pre-registered replay metric set; progress gauges
+	// are updated live while the replay runs, the counters by finish.
+	// replayDur is the wall time from the start of the replay to the
+	// last runner's return.
+	metrics     *replayMetrics
+	replayStart time.Time
+	replayDur   time.Duration
+	// fl is the flight recorder the steppers write their event-level
+	// timeline into (takes, puts, gather waits); flJob is the job id the
+	// events carry and fn the pre-registered event names. When the
+	// recorder is disabled every stepper's writer is nil and each
+	// instrumentation point costs one branch.
 	fl    *flight.Recorder
 	flJob int32
 	fn    flightNames
 
-	// Cancellation: abortWith trips once, waking every worker blocked in
-	// a mailbox take or a collective gather; replayRank also polls the
-	// flag periodically so a long event sweep unwinds promptly. cause
-	// (the context's error) is published before the atomic flag and the
-	// channel close, so any worker that observes the abort also sees it.
-	abortCh   chan struct{}
+	// Cancellation: abortWith trips once and has the scheduler wake every
+	// parked rank; a step checks the flag when it starts and periodically
+	// while it sweeps, so a long sweep unwinds promptly. cause (the
+	// context's error) is published before the atomic flag, so any step
+	// that observes the abort also sees it.
 	abortOnce sync.Once
 	aborted   atomic.Bool
 	cause     error
@@ -421,18 +433,21 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	if err := checkCommCoverage(comms, len(traces)); err != nil {
 		return nil, err
 	}
+	n := len(traces)
 	a := &analyzer{
 		traces:    traces,
-		corr:      make([]vclock.LinearMap, len(traces)),
+		corr:      make([]vclock.LinearMap, n),
 		comms:     comms,
 		cfg:       cfg,
 		logs:      logs,
-		mailboxes: make([]*mailbox, len(traces)),
+		mailboxes: make([]*mailbox, n),
 		colls:     make(map[int32]*collDomain, len(comms)),
-		results:   make([]*rankResult, len(traces)),
+		steppers:  make([]stepper, n),
+		sched:     newScheduler(n),
+		labelBase: context.Background(),
+		results:   make([]*rankResult, n),
 		corrs:     corr,
 		metrics:   newReplayMetrics(rec),
-		abortCh:   make(chan struct{}),
 	}
 	a.fl = rec.Flight
 	a.flJob = cfg.FlightJob
@@ -445,8 +460,22 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	for _, c := range corr {
 		a.corr[c.Rank] = c.Map
 	}
-	for i := range a.mailboxes {
-		a.mailboxes[i] = newMailbox()
+	a.mhCol = make([]int, n)
+	for r, t := range traces {
+		a.mhCol[r] = t.Loc.Metahost
+	}
+	a.metahosts = slices.Clone(a.mhCol)
+	slices.Sort(a.metahosts)
+	a.metahosts = slices.Compact(a.metahosts)
+	for r, mh := range a.mhCol {
+		a.mhCol[r], _ = slices.BinarySearch(a.metahosts, mh)
+	}
+	for r := range a.steppers {
+		st := &a.steppers[r]
+		st.a, st.rank, st.rr.rank = a, r, r
+		a.results[r] = &st.rr
+		a.mailboxes[r] = newMailbox()
+		logs[r].wakes(a.sched, r)
 	}
 	for id := range comms {
 		a.colls[id] = &collDomain{gathers: make(map[int]*collGather)}
@@ -454,55 +483,17 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	return a, nil
 }
 
-// run executes the replay with one goroutine per rank — the parallel
-// analysis of §4, which on the metacomputer itself would run on the
-// same processors as the application. Worker progress is visible live
-// through the workers-active and ranks-done gauges (scrape them via
-// -pprof's /metrics endpoint during a long analysis), and every worker
-// goroutine carries pprof labels (rank, phase), so a CPU or goroutine
-// profile taken through -pprof attributes samples to the analysis
-// process that burned them.
-func (a *analyzer) run() {
-	start := time.Now()
-	a.metrics.ranksDone.Set(0)
-	var wg sync.WaitGroup
-	for rank := range a.traces {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			labels := pprof.Labels("rank", strconv.Itoa(rank), "phase", "replay")
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				a.metrics.workersActive.Add(1)
-				rr := a.replayRank(rank)
-				if rr.err != nil {
-					// This rank's fault alone, but peers blocked on its
-					// sends and collectives must unwind too.
-					a.abortWith(rr.err)
-				}
-				a.results[rank] = rr
-				a.metrics.workersActive.Add(-1)
-				a.metrics.ranksDone.Add(1)
-			})
-		}(rank)
-	}
-	wg.Wait()
-	a.replayDur = time.Since(start)
-}
-
-// abortWith cancels the replay: every mailbox waiter and collective
-// gather unblocks, and the periodic sweep checks trip. The first cause
-// wins; later calls are no-ops.
+// abortWith cancels the replay: every parked rank is queued again and
+// every step unwinds at its next check. The first cause wins; later calls
+// are no-ops.
 func (a *analyzer) abortWith(cause error) {
 	a.abortOnce.Do(func() {
 		a.cause = cause
 		a.aborted.Store(true)
-		close(a.abortCh)
-		for _, mb := range a.mailboxes {
-			mb.setAbort()
-		}
 		for _, lg := range a.logs {
 			lg.abort()
 		}
+		a.sched.abort()
 	})
 }
 
@@ -510,19 +501,19 @@ func (a *analyzer) abortWith(cause error) {
 // the µ of the controlled logical clock, 1 ns.
 const repairMu = 1e-9
 
-// cancelErr is the per-rank error a worker reports when it unwound
-// because of an abort; it wraps the context's error so callers can
-// errors.Is against context.Canceled / DeadlineExceeded.
+// cancelErr is the per-rank error a step reports when it unwound because
+// of an abort; it wraps the context's error so callers can errors.Is
+// against context.Canceled / DeadlineExceeded.
 func (a *analyzer) cancelErr(rank int) error {
 	return fmt.Errorf("replay: rank %d: analysis aborted: %w", rank, a.cause)
 }
 
-// gatherColl coordinates one collective instance and returns the
-// completed gather, or nil if the analysis was aborted while waiting
-// for the remaining members. Only the instance's own communicator
-// domain is locked, so collectives on other communicators proceed
-// concurrently.
-func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit float64, mh int) *collGather {
+// gatherColl deposits one member's contribution to a collective instance
+// and reports whether that completed it. Completing, it wakes the members
+// parked on it; otherwise rank is parked on it. Only the instance's own
+// communicator domain is locked, so collectives on other communicators
+// proceed concurrently.
+func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit float64, mh, rank int) (*collGather, bool) {
 	d := a.colls[comm]
 	d.mu.Lock()
 	g, ok := d.gathers[seq]
@@ -532,10 +523,10 @@ func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit f
 		// replays its CollExit first.
 		times := make([]float64, 2*size)
 		g = &collGather{
-			enters: times[:size:size],
-			exits:  times[size:],
-			mhs:    make([]int, size),
-			done:   make(chan struct{}),
+			enters:  times[:size:size],
+			exits:   times[size:],
+			mhs:     make([]int, size),
+			waiters: -1,
 		}
 		d.gathers[seq] = g
 	}
@@ -543,17 +534,31 @@ func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit f
 	g.exits[commRank] = exit
 	g.mhs[commRank] = mh
 	g.arrived++
-	if g.arrived == size {
-		delete(d.gathers, seq)
-		close(g.done)
+	if g.arrived < size {
+		a.steppers[rank].nextWaiter, g.waiters = g.waiters, int32(rank)
+		d.mu.Unlock()
+		return g, false
 	}
+	delete(d.gathers, seq)
+	w := g.waiters
+	g.waiters = -1
 	d.mu.Unlock()
-	select {
-	case <-g.done:
-		return g
-	case <-a.abortCh:
-		return nil
+	// A woken member may park on its next gather, and relink, at once:
+	// read each link before waking its owner.
+	for w >= 0 {
+		next := a.steppers[w].nextWaiter
+		a.sched.wake(int(w), rank)
+		w = next
 	}
+	return g, true
+}
+
+// gatherComplete reports whether every member of g has arrived.
+func (a *analyzer) gatherComplete(comm int32, g *collGather) bool {
+	d := a.colls[comm]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return g.arrived == len(g.enters)
 }
 
 // stackEntry tracks an open region during the forward sweep.
@@ -563,26 +568,66 @@ type stackEntry struct {
 	childTime float64
 }
 
-// replayRank performs one analysis process's forward sweep.
-func (a *analyzer) replayRank(rank int) *rankResult {
+// stepper is one analysis process's forward sweep with its state held
+// explicitly, so that the sweep can stop before any event that would
+// block and resume there: the event index, the region stack, the repair
+// shift, the per-communicator collective sequence numbers and the
+// collective instance it has deposited into and waits on.
+type stepper struct {
+	a    *analyzer
+	rank int
+	rr   rankResult
+
+	sc      sweepCursor
+	i       int     // the next event to sweep
+	delta   float64 // the forward timestamp-repair shift
+	stack   []stackEntry
+	collSeq map[int32]int
+
+	// pending is the collective instance this rank deposited into and
+	// waits on — instance pendingSeq of communicator pendingComm — and
+	// nextWaiter links it into that instance's list of parked members.
+	pending     *collGather
+	pendingSeq  int
+	pendingComm int32
+	nextWaiter  int32
+
+	// Set up by the first step.
+	corr    vclock.LinearMap
+	myMH    int
+	regions map[trace.RegionID]*trace.Region
+	labels  context.Context // the rank's pprof labels, set on each step
+
+	// fw is the rank's flight shard (nil while the recorder is off); owed
+	// is the End a begun wait still owes, 0 for none.
+	fw           *flight.Writer
+	owed         flight.Kind
+	owedName     flight.NameID
+	owedA, owedB int64
+}
+
+// begin sets up what the sweep needs once, on the rank's first step —
+// on a runner, in parallel with other ranks' steps.
+func (st *stepper) begin() {
+	a, rank := st.a, st.rank
 	t := a.traces[rank]
-	corr := a.corr[rank]
-	myMH := t.Loc.Metahost
-	rr := &rankResult{
-		rank: rank, byKey: make(map[cpKey]int),
-		commMatrix: make(map[[2]int]CommVolume),
-	}
-	regions := make(map[trace.RegionID]*trace.Region, len(t.Regions))
+	st.corr = a.corr[rank]
+	st.myMH = t.Loc.Metahost
+	st.labels = pprof.WithLabels(a.labelBase, pprof.Labels("rank", strconv.Itoa(rank), "phase", "replay"))
+	rr := &st.rr
+	rr.byKey = make(map[cpKey]int)
+	rr.commRow = make([]CommVolume, len(a.metahosts))
+	st.regions = make(map[trace.RegionID]*trace.Region, len(t.Regions))
 	for i := range t.Regions {
-		regions[t.Regions[i].ID] = &t.Regions[i]
+		st.regions[t.Regions[i].ID] = &t.Regions[i]
 	}
-	collSeq := make(map[int32]int)
+	st.collSeq = make(map[int32]int)
 
 	// The sweep reads its events through a cursor so the same code
-	// serves every feeder: over a preloaded log at() never blocks, over
+	// serves every feeder: over a preloaded log at() always succeeds, over
 	// a pulled one it decodes the next block, and in a live session it
-	// blocks until the next chunk lands.
-	sc := newSweepCursor(a.logs[rank])
+	// reports the log dry until the next chunk lands.
+	st.sc = newSweepCursor(a.logs[rank])
 
 	// The three per-rank logs grow by one entry per Send event (the
 	// volume sample), per Recv event and per completed non-user region.
@@ -597,67 +642,124 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 		rr.opLog.reserve(c.ops)
 	}
 
-	// Publish sweep progress for the live frontier: the last corrected
-	// event time, and +Inf once this rank's sweep is over (done or
-	// failed — either way it will never hold a window open again).
+	// Flight recording: one shard per rank. The whole sweep is one span;
+	// takes, puts, and gathers nest inside.
+	st.fw = a.fl.Writer(int32(rank))
+	if st.fw != nil {
+		st.fw.Emit(flight.SpanBegin, a.flJob, a.fn.worker, 0, 0)
+	}
+}
+
+// finish closes the rank's sweep, done or failed — either way it will
+// never hold a window open again. Called under the lock of the rank's
+// shard.
+func (st *stepper) finish() {
+	a := st.a
 	if a.progress != nil {
-		defer a.progress[rank].Store(math.Float64bits(math.Inf(1)))
+		a.progress[st.rank].Store(math.Float64bits(math.Inf(1)))
 	}
-
-	// Flight recording: one shard per rank (nil while the recorder is
-	// disabled — every emit below then costs a single branch). The
-	// whole sweep is one span; takes, puts, and gathers nest inside.
-	fw := a.fl.Writer(int32(rank))
-	if fw != nil {
-		fw.Emit(flight.SpanBegin, a.flJob, a.fn.worker, 0, 0)
-		defer fw.Emit(flight.SpanEnd, a.flJob, a.fn.worker, 0, 0)
+	if st.fw != nil {
+		st.awaited()
+		st.fw.Emit(flight.SpanEnd, a.flJob, a.fn.worker, 0, 0)
 	}
+	a.metrics.ranksDone.Add(1)
+}
 
-	// delta is the forward timestamp-repair shift (controlled logical
-	// clock): non-decreasing, applied to every event from the moment a
-	// violation was repaired.
-	delta := 0.0
+// await records the start of a wait — a take or a gather — the first
+// time event i tries it, and awaited its end: a wait the rank parks in
+// spans its park, and one it passes at once is a zero-width pair.
+func (st *stepper) await(begin flight.Kind, name flight.NameID, x, y int64) {
+	if st.owed == 0 {
+		st.fw.Emit(begin, st.a.flJob, name, x, y)
+		st.owed, st.owedName, st.owedA, st.owedB = begin+1, name, x, y
+	}
+}
 
-	var stack []stackEntry
-	for i := 0; ; i++ {
+func (st *stepper) awaited() {
+	if st.owed != 0 {
+		st.fw.Emit(st.owed, st.a.flJob, st.owedName, st.owedA, st.owedB)
+		st.owed = 0
+	}
+}
+
+// waitsFor says what a parked rank waits on, for the deadlock error.
+func (st *stepper) waitsFor() string {
+	a := st.a
+	if g := st.pending; g != nil {
+		d := a.colls[st.pendingComm]
+		d.mu.Lock()
+		arrived := g.arrived
+		d.mu.Unlock()
+		return fmt.Sprintf("waits in collective %d of communicator %d, which %d of its %d members have reached",
+			st.pendingSeq, st.pendingComm, arrived, len(g.enters))
+	}
+	mb := a.mailboxes[st.rank]
+	mb.mu.Lock()
+	s := mb.want
+	mb.mu.Unlock()
+	return fmt.Sprintf("waits for a message from rank %d (communicator %d, tag %d)", s.src, s.comm, s.tag)
+}
+
+// step sweeps the rank's events until the sweep ends (parkDone; rr.err
+// says whether it failed) or the next event would block, and returns why
+// it stopped. A blocked event has had none of its side effects applied:
+// it runs again from the top when the rank is resumed.
+func (st *stepper) step() park {
+	a, rank := st.a, st.rank
+	rr := &st.rr
+	if a.aborted.Load() {
+		rr.err = a.cancelErr(rank)
+		return parkDone
+	}
+	if st.labels == nil {
+		st.begin() // the rank's first step
+	}
+	pprof.SetGoroutineLabels(st.labels)
+	sc := &st.sc
+	corr, myMH, fw := st.corr, st.myMH, st.fw
+	for ; ; st.i++ {
+		i := st.i
 		if !sc.at(i) {
-			if a.sweepEnded(rr, sc) {
-				return rr
+			if sc.dry {
+				return parkLog
 			}
-			break // log closed: the sweep is complete
+			if !a.sweepEnded(rr, sc) && len(st.stack) != 0 {
+				rr.err = fmt.Errorf("replay: rank %d: %d unclosed regions at end of trace", rank, len(st.stack))
+			}
+			return parkDone
 		}
 		// Periodic abort poll: a cancelled analysis must not finish a
-		// multi-million-event sweep first. Blocking points (mailbox
-		// takes, collective gathers, cursor waits) unblock through
-		// their own paths.
+		// multi-million-event sweep first.
 		if i&1023 == 0 && a.aborted.Load() {
 			rr.err = a.cancelErr(rank)
-			return rr
+			return parkDone
 		}
 		// Blocks entirely behind the frontier will never be read again;
 		// releasing them is what bounds a lazy or live sweep's memory.
 		sc.release(i)
 		ev := sc.ev(i)
-		ct := corr.Apply(ev.Time) + delta
+		ct := corr.Apply(ev.Time) + st.delta
 		if a.progress != nil {
 			a.progress[rank].Store(math.Float64bits(ct))
 		}
 		switch ev.Kind {
 		case trace.KindEnter:
 			parent := -1
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1].cp
+			if len(st.stack) > 0 {
+				parent = st.stack[len(st.stack)-1].cp
 			}
-			cp := rr.cpID(parent, ev.Region, regions)
-			stack = append(stack, stackEntry{cp: cp, enter: ct})
+			cp := rr.cpID(parent, ev.Region, st.regions)
+			st.stack = append(st.stack, stackEntry{cp: cp, enter: ct})
 
 		case trace.KindExit:
+			stack := st.stack
 			if len(stack) == 0 {
 				rr.err = fmt.Errorf("replay: rank %d: exit without enter at event %d", rank, i)
-				return rr
+				return parkDone
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			st.stack = stack
 			dur := ct - top.enter
 			rr.acc[top.cp].excl += dur - top.childTime
 			rr.acc[top.cp].visits++
@@ -672,23 +774,26 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			}
 
 		case trace.KindSend:
-			if len(stack) == 0 {
+			if len(st.stack) == 0 {
 				rr.err = fmt.Errorf("replay: rank %d: send outside region at event %d", rank, i)
-				return rr
+				return parkDone
 			}
-			top := stack[len(stack)-1]
-			exitT, ok := regionExitTime(sc, i, corr, delta)
+			top := st.stack[len(st.stack)-1]
+			exitT, ok := regionExitTime(sc, i, corr, st.delta)
 			if !ok {
+				if sc.dry {
+					return parkLog
+				}
 				if !a.sweepEnded(rr, sc) {
 					rr.err = fmt.Errorf("replay: rank %d: unterminated MPI region at event %d", rank, i)
 				}
-				return rr
+				return parkDone
 			}
 			def := a.comms[ev.Comm]
 			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
 				rr.err = fmt.Errorf("replay: rank %d: send to rank %d of %d-member communicator %d",
 					rank, ev.Peer, len(def), ev.Comm)
-				return rr
+				return parkDone
 			}
 			rr.acc[top.cp].bytesSent += float64(ev.Bytes)
 			rr.replayBytes += sendRecordWire
@@ -697,10 +802,9 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			if dstMH != myMH {
 				rr.replayExternal += sendRecordWire
 			}
-			cell := rr.commMatrix[[2]int{myMH, dstMH}]
+			cell := &rr.commRow[a.mhCol[dst]]
 			cell.Messages++
 			cell.Bytes += ev.Bytes
-			rr.commMatrix[[2]int{myMH, dstMH}] = cell
 			vol := metricBytesIntra
 			if dstMH != myMH {
 				vol = metricBytesWide
@@ -709,7 +813,7 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			if fw != nil {
 				fw.Emit(flight.Send, a.flJob, a.fn.put, int64(dst), flightSig(ev.Comm, ev.Tag))
 			}
-			a.mailboxes[dst].put(sendRecord{
+			if a.mailboxes[dst].put(sendRecord{
 				comm:        ev.Comm,
 				srcWorld:    int32(rank),
 				tag:         ev.Tag,
@@ -719,31 +823,32 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 				sendEnter:   top.enter,
 				sendExit:    exitT,
 				srcCP:       top.cp,
-			})
+			}) {
+				a.sched.wake(dst, rank)
+			}
 
 		case trace.KindRecv:
-			if len(stack) == 0 {
+			if len(st.stack) == 0 {
 				rr.err = fmt.Errorf("replay: rank %d: recv outside region at event %d", rank, i)
-				return rr
+				return parkDone
 			}
-			top := stack[len(stack)-1]
+			top := st.stack[len(st.stack)-1]
 			def := a.comms[ev.Comm]
 			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
 				rr.err = fmt.Errorf("replay: rank %d: recv from rank %d of %d-member communicator %d",
 					rank, ev.Peer, len(def), ev.Comm)
-				return rr
+				return parkDone
 			}
 			srcWorld := def[ev.Peer]
 			if fw != nil {
-				fw.Emit(flight.BlockBegin, a.flJob, a.fn.take, int64(srcWorld), flightSig(ev.Comm, ev.Tag))
+				st.await(flight.BlockBegin, a.fn.take, int64(srcWorld), flightSig(ev.Comm, ev.Tag))
 			}
 			rec, ok := a.mailboxes[rank].take(ev.Comm, srcWorld, ev.Tag)
-			if fw != nil {
-				fw.Emit(flight.BlockEnd, a.flJob, a.fn.take, int64(srcWorld), flightSig(ev.Comm, ev.Tag))
-			}
 			if !ok {
-				rr.err = a.cancelErr(rank)
-				return rr
+				return parkMailbox
+			}
+			if fw != nil {
+				st.awaited()
 			}
 			rr.messages++
 			rr.acc[top.cp].bytesRecv += float64(ev.Bytes)
@@ -753,8 +858,8 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 					// Advance this process's logical clock just past
 					// the send; the shift persists for all later
 					// events, restoring causal order.
-					delta += rec.sendEvent + repairMu - ct
-					ct = corr.Apply(ev.Time) + delta
+					st.delta += rec.sendEvent + repairMu - ct
+					ct = corr.Apply(ev.Time) + st.delta
 					rr.repairs++
 				}
 			}
@@ -794,11 +899,11 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			}
 
 		case trace.KindCollExit:
-			if len(stack) == 0 {
+			if len(st.stack) == 0 {
 				rr.err = fmt.Errorf("replay: rank %d: collexit outside region at event %d", rank, i)
-				return rr
+				return parkDone
 			}
-			top := stack[len(stack)-1]
+			top := st.stack[len(st.stack)-1]
 			def := a.comms[ev.Comm]
 			commRank := -1
 			for idx, wr := range def {
@@ -809,27 +914,34 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			}
 			if commRank < 0 {
 				rr.err = fmt.Errorf("replay: rank %d: collexit on foreign communicator %d", rank, ev.Comm)
-				return rr
+				return parkDone
 			}
 			if (ev.Coll.IsNToOne() || ev.Coll.IsOneToN()) && (ev.Root < 0 || int(ev.Root) >= len(def)) {
 				rr.err = fmt.Errorf("replay: rank %d: collective rooted at rank %d of %d-member communicator %d",
 					rank, ev.Root, len(def), ev.Comm)
-				return rr
+				return parkDone
+			}
+			// Deposit once; a resumed step finds its instance pending.
+			g, seq := st.pending, st.pendingSeq
+			if g == nil {
+				seq = st.collSeq[ev.Comm]
+				if fw != nil {
+					st.await(flight.GatherBegin, a.fn.gather, int64(ev.Comm), int64(seq))
+				}
+				var complete bool
+				if g, complete = a.gatherColl(ev.Comm, seq, len(def), commRank, top.enter, ct, myMH, rank); !complete {
+					st.pending, st.pendingSeq, st.pendingComm = g, seq, ev.Comm
+					return parkGather
+				}
+			} else if !a.gatherComplete(ev.Comm, g) {
+				return parkGather
+			}
+			st.pending = nil
+			st.collSeq[ev.Comm] = seq + 1
+			if fw != nil {
+				st.awaited()
 			}
 			rr.acc[top.cp].bytesSent += float64(ev.Bytes)
-			seq := collSeq[ev.Comm]
-			collSeq[ev.Comm] = seq + 1
-			if fw != nil {
-				fw.Emit(flight.GatherBegin, a.flJob, a.fn.gather, int64(ev.Comm), int64(seq))
-			}
-			g := a.gatherColl(ev.Comm, seq, len(def), commRank, top.enter, ct, myMH)
-			if fw != nil {
-				fw.Emit(flight.GatherEnd, a.flJob, a.fn.gather, int64(ev.Comm), int64(seq))
-			}
-			if g == nil {
-				rr.err = a.cancelErr(rank)
-				return rr
-			}
 			rr.colls++
 			rr.replayBytes += collGatherWire
 			for _, wr := range def {
@@ -843,10 +955,6 @@ func (a *analyzer) replayRank(rank int) *rankResult {
 			a.scoreCollective(rr, top.cp, ev, g, commRank, ct)
 		}
 	}
-	if len(stack) != 0 {
-		rr.err = fmt.Errorf("replay: rank %d: %d unclosed regions at end of trace", rank, len(stack))
-	}
-	return rr
 }
 
 // sweepEnded reports whether the cursor's log ended by failure or abort
@@ -868,11 +976,12 @@ func (a *analyzer) sweepEnded(rr *rankResult, sc *sweepCursor) bool {
 // nesting depth). Under timestamp repair the current shift is used;
 // shifts applied later inside the region are not foreseen, a deliberate
 // simplification of the full controlled logical clock. The lookahead
-// runs through the cursor: in a live session it blocks until the
-// enclosing MPI call's Exit has been ingested (MPI calls are leaf
-// regions spanning a handful of events, so the wait is one chunk at
-// most). ok=false means the log ended first — closed without the Exit
-// (an unterminated region), failed or aborted; sweepEnded tells which.
+// runs through the cursor: in a live session the enclosing MPI call's
+// Exit may not have been ingested yet (MPI calls are leaf regions
+// spanning a handful of events, so it is one chunk away at most), and
+// then the cursor is left dry and the caller parks on the log. ok=false
+// means that, or that the log ended first — closed without the Exit (an
+// unterminated region), failed or aborted; sweepEnded tells which.
 func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64) (float64, bool) {
 	depth := 0
 	for j := i + 1; sc.at(j); j++ {

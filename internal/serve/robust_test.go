@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -173,7 +174,10 @@ func allocatedBy(f func()) uint64 {
 
 // TestRobustBadUploads drives the submission endpoint with malformed
 // bodies and URLs; every case must be a clean 4xx JSON error, and one
-// about a bundle entry must name it.
+// about a bundle entry must name it. A bundle whose every file is sound
+// but whose ranks cannot all be replayed — a receive without its send —
+// is taken, and its job fails at once, not at the end of its time budget:
+// the replay names the deadlock, and the result answers 422.
 func TestRobustBadUploads(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 
@@ -188,6 +192,7 @@ func TestRobustBadUploads(t *testing.T) {
 		status      int    // 0 = 400
 		names       string // what the error must mention
 		unallocated bool   // as lyingBundle's
+		job         bool   // taken: the job fails, and its result answers status
 	}
 	cases := []badUpload{
 		{name: "empty body"},
@@ -218,9 +223,42 @@ func TestRobustBadUploads(t *testing.T) {
 		many[i] = honest(fmt.Sprintf("mh0/epik_many/trace.%d.mscp", i), nil)
 	}
 	cases = append(cases, badUpload{name: "65537 entries", body: rawZip(t, many...), names: "65537 entries"})
+	// Rank 0 never sends what rank 1 receives; it waits at the barrier.
+	orphan := pairTraces(2, 1)
+	orphan[0].Events = slices.DeleteFunc(orphan[0].Events, func(ev trace.Event) bool { return ev.Kind == trace.KindSend })
+	blobs := make([][]byte, len(orphan))
+	for r, tr := range orphan {
+		var buf bytes.Buffer
+		must(t, tr.EncodeV2(&buf))
+		blobs[r] = buf.Bytes()
+	}
+	cases = append(cases, badUpload{name: "orphan receive", body: pairBundle(t, orphan, blobs), job: true,
+		status: http.StatusUnprocessableEntity, names: "deadlock"})
 
+	jobs := 0
 	for _, tc := range cases {
+		if tc.job {
+			jobs++
+		}
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.job {
+				start := time.Now()
+				st, resp := submitZip(t, ts.URL, tc.body, tc.query)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit: status %d, want 202", resp.StatusCode)
+				}
+				final := awaitJob(t, ts.URL, st.ID)
+				if final.State != StateFailed || !strings.Contains(final.Error, tc.names) {
+					t.Fatalf("job ended %s (%s), want failed naming %q", final.State, final.Error, tc.names)
+				}
+				if code, body := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != tc.status {
+					t.Errorf("result: HTTP %d (%s), want %d", code, body, tc.status)
+				}
+				if d := time.Since(start); d > 10*time.Second {
+					t.Errorf("the job took %v to fail", d)
+				}
+				return
+			}
 			resp, err := http.Post(ts.URL+"/v1/jobs"+tc.query, "application/zip", bytes.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
@@ -247,8 +285,8 @@ func TestRobustBadUploads(t *testing.T) {
 	// Whatever was refused, no analysis was ever registered.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.order); n != 0 {
-		t.Errorf("%d analyses registered by refused uploads", n)
+	if n := len(s.order); n != jobs {
+		t.Errorf("%d analyses registered by %d taken uploads", n, jobs)
 	}
 }
 

@@ -67,6 +67,25 @@ for f in internal/replay/*.go; do
 	fi
 done
 
+# A rank's replay is a stepper under one scheduler (sched.go): a step
+# that would block returns why, and whoever unblocks it re-queues it. A
+# condition variable, an abort channel, pprof.Do or a second place that
+# starts runners is a goroutine-per-rank mode creeping back.
+echo "== one scheduler"
+starts=0
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -n -E 'sync\.Cond|abortCh|pprof\.Do\(' "$f"; then
+		echo "check: $f waits on a condition variable or an abort channel: park the step and let the scheduler re-queue it" >&2
+		exit 1
+	fi
+	starts=$((starts + $(grep -c -F 'go a.runner(' "$f" || true)))
+done
+if [ "$starts" -ne 1 ]; then
+	echo "check: internal/replay starts runners in $starts places: the one site is analyzer.start" >&2
+	exit 1
+fi
+
 # A ledger record is written once, into the page it stays in: the three
 # per-rank logs (profLog, recvLog, opLog) are pagedLogs, filled through
 # add. An append onto one of them is a log that moves — copied at every
