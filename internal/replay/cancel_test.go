@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"metascope/internal/obs"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
@@ -22,19 +25,24 @@ import (
 // cancelDeadline bounds "promptly" generously enough for -race CI.
 const cancelDeadline = 5 * time.Second
 
-// analyzeCancelled runs AnalyzeContext in a goroutine, cancels the
-// context after delay, and requires a context-wrapped error within
-// cancelDeadline.
-func analyzeCancelled(t *testing.T, traces []*trace.Trace, delay time.Duration) {
+// analyzeCancelled analyses ar in a goroutine, cancels the context once
+// the replay runs, and requires a context-wrapped error within
+// cancelDeadline, no goroutine left behind and the abort counted once, as
+// cancelled.
+func analyzeCancelled(t *testing.T, ar *LazyArchive) {
 	t.Helper()
+	rec, logged := abortRecorder()
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := AnalyzeContext(ctx, traces, Config{Scheme: vclock.FlatSingle, Title: "cancel"})
+		_, err := analyzeCtx(ctx, ar, Config{Scheme: vclock.FlatSingle, Title: "cancel", Obs: rec})
 		done <- err
 	}()
-	time.AfterFunc(delay, cancel)
+	for active := newReplayMetrics(rec).workersActive; active.Value() == 0; {
+		time.Sleep(50 * time.Microsecond)
+	}
+	cancel()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -46,8 +54,62 @@ func analyzeCancelled(t *testing.T, traces []*trace.Trace, delay time.Duration) 
 	case <-time.After(cancelDeadline):
 		t.Fatal("cancelled analysis did not return (replay stuck)")
 	}
-	// Every analysis goroutine (workers, watcher) must have unwound.
+	// Every analysis goroutine (runners, the context's AfterFunc) must
+	// have unwound.
 	waitNoLeak(t, before)
+	wantOneAbort(t, rec, logged, "cancelled")
+}
+
+// lockedLog collects a logger's lines; the abort's line may be written
+// from another goroutine than the test's.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// abortRecorder returns a recorder of its own and the lines it logs.
+func abortRecorder() (*obs.Recorder, *lockedLog) {
+	rec, logged := obs.NewRecorder(), &lockedLog{}
+	rec.Log = obs.NewLogger(logged)
+	return rec, logged
+}
+
+// wantOneAbort requires that the analysis behind rec was aborted exactly
+// once, for cause: one metascope_replay_aborts_total bump of that label
+// and none of the others, and one "replay aborted" warning. The winner of
+// the abort counts it after it published the cause, so the count may land
+// a moment after the analysis returned.
+func wantOneAbort(t *testing.T, rec *obs.Recorder, logged *lockedLog, cause string) {
+	t.Helper()
+	aborts := newReplayMetrics(rec).aborts
+	for deadline := time.Now().Add(cancelDeadline); !strings.Contains(logged.String(), `msg="replay aborted"`) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	for _, c := range []string{"cancelled", "failed", "deadlock"} {
+		want := 0.0
+		if c == cause {
+			want = 1
+		}
+		if got := aborts.With(c).Value(); got != want {
+			t.Errorf("metascope_replay_aborts_total{cause=%q} = %g, want %g", c, got, want)
+		}
+	}
+	if out := logged.String(); strings.Count(out, `msg="replay aborted"`) != 1 ||
+		!strings.Contains(out, `level=warn msg="replay aborted" cause=`+cause+" ") {
+		t.Errorf("logged %q, want one warning with cause=%s", logged.String(), cause)
+	}
 }
 
 // waitNoLeak asserts the goroutine count returns to the baseline,
@@ -111,10 +173,11 @@ func TestReplayDeadlockNamesBlockedRanks(t *testing.T) {
 			"rank 1 waits for a message from rank 0 (communicator 0, tag 4)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			rec, logged := abortRecorder()
 			before := runtime.NumGoroutine()
 			done := make(chan error, 1)
 			go func() {
-				_, err := Analyze(tc.traces, Config{Scheme: vclock.FlatSingle, Title: "deadlock"})
+				_, err := Analyze(tc.traces, Config{Scheme: vclock.FlatSingle, Title: "deadlock", Obs: rec})
 				done <- err
 			}()
 			select {
@@ -126,6 +189,7 @@ func TestReplayDeadlockNamesBlockedRanks(t *testing.T) {
 				t.Fatal("deadlocked analysis did not return")
 			}
 			waitNoLeak(t, before)
+			wantOneAbort(t, rec, logged, "deadlock")
 		})
 	}
 }
@@ -145,12 +209,11 @@ func TestAnalyzeContextPreCancelled(t *testing.T) {
 
 // TestAnalyzeContextSweepPoll cancels while both ranks are mid-sweep in
 // a long event stream with no blocking operations at all — only the
-// periodic poll can stop them. The stream must be long enough that the
-// sweep is still running when the cancel lands; 2^20 events of pure
-// enter/exit churn take well over the 1 ms cancel delay even on a fast
-// machine, and the test only requires *prompt return*, so a sweep that
-// finishes first would still pass the deadline but is made vanishingly
-// unlikely by the volume.
+// step's poll, at its start and every 1024 events, can stop them: over
+// preloaded logs, and over pulled ones, whose sweep decodes as it goes.
+// The cancel lands once a runner is active, and the stream must be long
+// enough that the sweep is still running then; 2^20 events of pure
+// enter/exit churn take far longer than the test's poll interval.
 func TestAnalyzeContextSweepPoll(t *testing.T) {
 	const pairs = 1 << 19
 	mk := func(rank int) *trace.Trace {
@@ -164,7 +227,13 @@ func TestAnalyzeContextSweepPoll(t *testing.T) {
 		events = append(events, exit(tt+1, 0))
 		return synth(rank, 0, events)
 	}
-	analyzeCancelled(t, []*trace.Trace{mk(0), mk(1)}, time.Millisecond)
+	traces := []*trace.Trace{mk(0), mk(1)}
+	t.Run("preloaded", func(t *testing.T) {
+		analyzeCancelled(t, &LazyArchive{Traces: traces})
+	})
+	t.Run("pulled", func(t *testing.T) {
+		analyzeCancelled(t, lazyArchiveOf(t, traces, 0))
+	})
 }
 
 // TestAnalyzeContextCompletesUncancelled: a context that is never

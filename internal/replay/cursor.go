@@ -17,8 +17,8 @@ import (
 // whole image and the sweep pulls, through more, whenever it runs out of
 // published events; a pushed log (a live session) has an image that is
 // still being uploaded and Live.FeedChunk pulls whenever bytes arrive —
-// a sweep that runs dry parks on the log, and the next publish or close
-// re-queues it with the scheduler. The sweep never sees a difference
+// a sweep that catches up with it finds the log dry, and the feeder wakes
+// the rank once it published more. The sweep never sees a difference
 // beyond *when* events become visible, which is the whole trick behind
 // byte-identical results: the sweep's event order, and therefore every
 // accumulator's addition order, is the trace order whoever feeds.
@@ -42,16 +42,9 @@ import (
 // depends on when the collector runs, and a per-log list is bounded by
 // the window the log held anyway.
 type rankLog struct {
-	mu      sync.Mutex
-	closed  bool
-	aborted bool
-	err     error // why a pulled log ended early, sticky; set with closed
-
-	// parked is set while the rank's sweep waits for this (pushed) log to
-	// grow: the next publish or close wakes rank with sched.
-	parked bool
-	sched  *scheduler
-	rank   int
+	mu     sync.Mutex
+	closed bool
+	err    error // why a pulled log ended early, sticky; set with closed
 
 	blocks   [][]trace.Event
 	stride   int
@@ -114,9 +107,9 @@ func (lg *rankLog) attach(r *trace.BlockReader) {
 }
 
 // publish makes a decoded block visible to the sweep, without copying
-// it, and wakes the sweep if it is parked on the log. Fixed-stride
-// indexing needs every block before the last to be full; a stream that
-// starts another block after a short one is rejected.
+// it. Fixed-stride indexing needs every block before the last to be
+// full; a stream that starts another block after a short one is
+// rejected.
 func (lg *rankLog) publish(blk []trace.Event) error {
 	if len(blk) == 0 {
 		return nil
@@ -137,27 +130,8 @@ func (lg *rankLog) publish(blk []trace.Event) error {
 	if lg.resident > lg.maxResident {
 		lg.maxResident = lg.resident
 	}
-	lg.unlockWaking()
+	lg.mu.Unlock()
 	return nil
-}
-
-// wakes names whom a publish or close wakes when the sweep parked on the
-// log: rank, through sched.
-func (lg *rankLog) wakes(s *scheduler, rank int) {
-	lg.mu.Lock()
-	lg.sched, lg.rank = s, rank
-	lg.mu.Unlock()
-}
-
-// unlockWaking releases the log's lock and then, if the sweep was parked
-// on the log, re-queues it — never under the log's lock.
-func (lg *rankLog) unlockWaking() {
-	wake := lg.parked
-	lg.parked = false
-	lg.mu.Unlock()
-	if wake {
-		lg.sched.wake(lg.rank, -1)
-	}
 }
 
 // newBlock is the one place block storage is allocated.
@@ -220,7 +194,6 @@ func (lg *rankLog) pull() (int, error) {
 func (lg *rankLog) drop() {
 	lg.mu.Lock()
 	lg.blocks, lg.free, lg.src, lg.val = nil, nil, nil, nil
-	lg.sched, lg.parked = nil, false
 	lg.mu.Unlock()
 }
 
@@ -229,27 +202,19 @@ func (lg *rankLog) drop() {
 func (lg *rankLog) close() {
 	lg.mu.Lock()
 	lg.closed, lg.free = true, nil
-	lg.unlockWaking()
-}
-
-// abort marks the log's sweep cancelled: the cursor reports the log
-// ended. (The scheduler re-queues a parked sweep itself.)
-func (lg *rankLog) abort() {
-	lg.mu.Lock()
-	lg.aborted = true
 	lg.mu.Unlock()
 }
 
-// more returns once the log holds more than have events, is closed, or
-// is aborted, with the published count and flags. Until then it pulls
-// the next block when the log's image is complete; a pushed log whose
-// feeder has not delivered more returns at once, dry, with its sweep
-// marked parked on it. A failed pull closes the log; err is its cause.
-func (lg *rankLog) more(have int) (n int, closed, aborted, dry bool, err error) {
+// more returns once the log holds more than have events or is closed,
+// with the published count and flags. Until then it pulls the next block
+// when the log's image is complete; a pushed log whose feeder has not
+// delivered more returns at once, dry. A failed pull closes the log; err
+// is its cause.
+func (lg *rankLog) more(have int) (n int, closed, dry bool, err error) {
 	lg.mu.Lock()
-	for lg.n == have && !lg.closed && !lg.aborted {
+	for lg.n == have && !lg.closed {
 		if lg.pushed {
-			lg.parked, dry = true, true
+			dry = true
 			break
 		}
 		lg.mu.Unlock()
@@ -259,9 +224,9 @@ func (lg *rankLog) more(have int) (n int, closed, aborted, dry bool, err error) 
 			lg.err, lg.closed, lg.free = perr, true, nil
 		}
 	}
-	n, closed, aborted, err = lg.n, lg.closed, lg.aborted, lg.err
+	n, closed, err = lg.n, lg.closed, lg.err
 	lg.mu.Unlock()
-	return n, closed, aborted, dry, err
+	return n, closed, dry, err
 }
 
 // logCounts is what the sweep of a log will append to the rank's three
@@ -377,14 +342,13 @@ func (lg *rankLog) releaseBefore(i int) {
 // block so the sequential sweep touches the log's lock once per block,
 // not once per event.
 type sweepCursor struct {
-	lg      *rankLog
-	blk     []trace.Event
-	base    int // global index of blk[0]
-	n       int // published-event count last observed
-	closed  bool
-	aborted bool
-	dry     bool  // a pushed log had no more when last asked: the sweep parks on it
-	err     error // why a pulled log ended short of its declared events
+	lg     *rankLog
+	blk    []trace.Event
+	base   int // global index of blk[0]
+	n      int // published-event count last observed
+	closed bool
+	dry    bool  // a pushed log had no more when last asked: the sweep parks on it
+	err    error // why a pulled log ended short of its declared events
 
 	stride      int
 	nextRelease int // first event index whose block has blocks below it to release
@@ -393,21 +357,21 @@ type sweepCursor struct {
 func newSweepCursor(lg *rankLog) sweepCursor {
 	sc := sweepCursor{lg: lg, stride: lg.stride, nextRelease: lg.stride, base: -1}
 	lg.mu.Lock()
-	sc.n, sc.closed, sc.aborted = lg.n, lg.closed, lg.aborted
+	sc.n, sc.closed = lg.n, lg.closed
 	lg.mu.Unlock()
 	return sc
 }
 
 // at reports whether event i is published — pulling it first from a
-// complete image — or returns false: when the log ended first, closed
-// before reaching i (sc.err says why if that was a failure) or aborted,
-// or, sc.dry set, when a pushed log has not received it yet.
+// complete image — or returns false: when the log closed before reaching
+// i (sc.err says why if that was a failure), or, sc.dry set, when a
+// pushed log has not received it yet.
 func (sc *sweepCursor) at(i int) bool {
 	for i >= sc.n {
-		if sc.closed || sc.aborted {
+		if sc.closed {
 			return false
 		}
-		if sc.n, sc.closed, sc.aborted, sc.dry, sc.err = sc.lg.more(sc.n); sc.dry {
+		if sc.n, sc.closed, sc.dry, sc.err = sc.lg.more(sc.n); sc.dry {
 			return false
 		}
 	}

@@ -176,7 +176,7 @@ func TestRankLogBlockHandoff(t *testing.T) {
 							}
 						}
 						if !sc.at(i) {
-							if sc.err != nil || sc.aborted {
+							if sc.err != nil {
 								t.Fatalf("log ended at event %d: %v", i, sc.err)
 							}
 							return seen

@@ -279,7 +279,7 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 		err = l.registerHeader(rank, lr, r)
 	}
 	if err == nil && lr.haveCorr {
-		err = l.ingest(lr)
+		err = l.ingest(rank, lr, false)
 	}
 	if err != nil {
 		l.fail(err)
@@ -292,8 +292,13 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 }
 
 // ingest pulls every block the rank's image holds whole by now into its
-// log and moves the ingest counters.
-func (l *Live) ingest(lr *liveRank) error {
+// log and moves the ingest counters. If that published events — or the
+// image is complete, last set, which closes the log — it then wakes the
+// rank's sweep, which may be parked on the log: the one way a rank
+// leaves parkLog besides an abort. The analyzer is looked up after the
+// publish: one started before it is woken, one started after it sees the
+// events.
+func (l *Live) ingest(rank int, lr *liveRank, last bool) error {
 	total := 0
 	for {
 		n, err := lr.log.pull()
@@ -308,9 +313,17 @@ func (l *Live) ingest(lr *liveRank) error {
 	if total > 0 {
 		lr.events.Add(int64(total))
 		l.m.events.Add(float64(total))
-		_, last, _ := lr.log.bounds()
-		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(last)))
+		_, newest, _ := lr.log.bounds()
+		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(newest)))
 		lr.haveIngest.Store(true)
+	}
+	if total > 0 || last {
+		l.mu.Lock()
+		a := l.a
+		l.mu.Unlock()
+		if a != nil {
+			a.sched.wake(rank, feeder)
+		}
 	}
 	return nil
 }
@@ -368,8 +381,8 @@ func (l *Live) startLocked() error {
 	l.started = true
 	l.state = "running"
 	// The runners are goroutines: this is a feeder's call. A rank whose
-	// stream has not caught up parks on its log, and the feeder's next
-	// publish re-queues it.
+	// stream has not caught up parks on its log, and the feeder wakes it
+	// once it published more (ingest).
 	a.start(false)
 	go l.drainLoop()
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "running"}})
@@ -395,7 +408,7 @@ func (l *Live) FinishRank(rank int) error {
 	// The image is complete now: what pull still finds must be whole.
 	err := lr.dec.Close()
 	if err == nil {
-		err = l.ingest(lr)
+		err = l.ingest(rank, lr, true)
 	}
 	if err != nil {
 		l.fail(err)
@@ -415,7 +428,7 @@ func (l *Live) fail(err error) {
 		l.abortErr = err
 		l.state = "failed"
 		if l.a != nil {
-			l.a.abortWith(err)
+			l.a.abort(err)
 		}
 	}
 	l.mu.Unlock()
@@ -483,14 +496,11 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	}
 
 	// The ranks drain on their own (closed logs), unless the session
-	// already failed — then abortWith has woken them. ctx expiry turns
+	// already failed — then the abort has woken them. ctx expiry turns
 	// into an abort so a stuck finalize cannot leak the analyzer.
-	select {
-	case <-l.a.sched.done:
-	case <-ctx.Done():
-		l.Abort(context.Cause(ctx))
-		<-l.a.sched.done
-	}
+	stop := context.AfterFunc(ctx, func() { l.Abort(context.Cause(ctx)) })
+	<-l.a.sched.done
+	stop()
 	close(l.drainStop)
 	<-l.drainDone
 

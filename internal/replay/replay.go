@@ -534,24 +534,13 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 		return nil, fmt.Errorf("replay: analysis aborted before replay: %w", err)
 	}
 
-	// The watcher translates a context cancellation into the analyzer's
-	// abort (re-queueing parked ranks); it exits as soon as the replay
-	// phase finishes so no goroutine outlives the analysis.
-	watchDone := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				a.abortWith(ctx.Err())
-			case <-watchDone:
-			}
-		}()
-	}
+	// A cancellation during the replay aborts it; none is watched after.
+	stop := context.AfterFunc(ctx, func() { a.abort(ctx.Err()) })
 	replaySpan := rec.Phases.Start("replay")
 	a.labelBase = ctx
 	a.run()
 	replaySpan.End()
-	close(watchDone)
+	stop()
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("replay: analysis aborted before pattern search: %w", err)
@@ -650,12 +639,14 @@ func profileConfig(logs []*rankLog, corr []vclock.LinearMap, cfg Config) profile
 type replayMetrics struct {
 	events, messages, collectives, violations, repairs *obs.Series
 	eventsPerSec, workersActive, ranksDone             *obs.Series
+	waitingUpload                                      *obs.Series
 	rankBytes, rankExternal                            *obs.Series
+	aborts                                             *obs.Family
 }
 
 func newReplayMetrics(rec *obs.Recorder) *replayMetrics {
 	r := rec.Reg
-	return &replayMetrics{
+	m := &replayMetrics{
 		events: r.Counter("metascope_replay_events_total",
 			"trace events swept during replay analysis").With(),
 		messages: r.Counter("metascope_replay_messages_total",
@@ -672,11 +663,19 @@ func newReplayMetrics(rec *obs.Recorder) *replayMetrics {
 			"replay runners stepping a rank or looking for one, not waiting: at most GOMAXPROCS, whatever the rank count").With(),
 		ranksDone: r.Gauge("metascope_replay_ranks_done",
 			"analysis processes finished, last analysis").With(),
+		waitingUpload: r.Gauge("metascope_replay_ranks_waiting_upload",
+			"live-session ranks whose replay has caught up with the upload and waits for the next chunk, summed over sessions").With(),
 		rankBytes: r.Histogram("metascope_replay_rank_bytes",
 			"per-rank analysis-time communication volume", obs.BytesBuckets).With(),
 		rankExternal: r.Histogram("metascope_replay_rank_external_bytes",
 			"per-rank analysis-time traffic crossing metahost boundaries", obs.BytesBuckets).With(),
+		aborts: r.Counter("metascope_replay_aborts_total",
+			"analyses aborted, by cause: cancelled (context or session abort), failed (a rank's or the session's error), deadlock", "cause"),
 	}
+	for _, cause := range []string{"cancelled", "failed", "deadlock"} {
+		m.aborts.With(cause)
+	}
+	return m
 }
 
 // AnalyzeArchive is the end-to-end convenience path: load the archive

@@ -21,8 +21,8 @@ import (
 // effects, so the event runs again when the rank is resumed. Runners, one
 // per GOMAXPROCS and never more than there are ranks, step ready ranks;
 // whoever makes a parked rank's event possible — a put of its signature,
-// the last member of its gather, a publish or close of its log, an abort
-// — re-queues it. Ranks cost no goroutine, and a wait is a queue entry
+// the last member of its gather, the feeder that published to its log, an
+// abort — re-queues it. Ranks cost no goroutine, and a wait is a queue entry
 // instead of a sleeping goroutine and a condition variable.
 //
 // Each runner owns a shard: a block of consecutive ranks with its own
@@ -66,7 +66,7 @@ const (
 	running                    // being stepped by a runner
 	rerun                      // being stepped, and woken meanwhile: queue it again on return
 	parked                     // on a mailbox or a gather: another rank's step wakes it
-	logParked                  // on its own log: the feeder's next publish or close wakes it
+	logParked                  // on its own log: the feeder's wake after its next publish re-queues it
 	finished                   // its sweep is over
 )
 
@@ -99,9 +99,8 @@ type shard struct {
 
 // scheduler runs the ranks of one analysis.
 type scheduler struct {
-	shards  []shard
-	state   []rankState // rank r's is guarded by its shard's mu
-	aborted atomic.Bool // abort ran: a rank parks only to be queued again
+	shards []shard
+	state  []rankState // rank r's is guarded by its shard's mu
 
 	// pick, when set, makes the one runner pop a ready rank drawn from it
 	// instead of the oldest: the schedule explorer (export_test.go).
@@ -119,19 +118,24 @@ type scheduler struct {
 	over      chan struct{} // closed once no rank is left
 	exited    int           // runners that have returned
 	done      chan struct{} // closed when the last runner returns
+	// waiting is metascope_replay_ranks_waiting_upload: moved by ±1, under
+	// the rank's shard lock, as a rank enters or leaves state logParked, so
+	// it is exact at every moment and concurrent sessions sum.
+	waiting *obs.Series
 }
 
 // exploreSeed, set only by export_test.go, puts every analysis started
 // while it is set under the schedule explorer.
 var exploreSeed *int64
 
-func newScheduler(ranks int) *scheduler {
+func newScheduler(ranks int, waiting *obs.Series) *scheduler {
 	s := &scheduler{
-		shards: make([]shard, min(runtime.GOMAXPROCS(0), ranks)),
-		state:  make([]rankState, ranks),
-		left:   ranks,
-		over:   make(chan struct{}),
-		done:   make(chan struct{}),
+		shards:  make([]shard, min(runtime.GOMAXPROCS(0), ranks)),
+		state:   make([]rankState, ranks),
+		left:    ranks,
+		over:    make(chan struct{}),
+		done:    make(chan struct{}),
+		waiting: waiting,
 	}
 	if exploreSeed != nil {
 		s.shards, s.pick = s.shards[:1], rand.New(rand.NewSource(*exploreSeed))
@@ -183,10 +187,17 @@ func (sh *shard) popLocked(pick *rand.Rand) (int, bool) {
 	return r, true
 }
 
+// feeder is the from of a wake by the feeder that published to the
+// rank's log: it re-queues the rank only if it waits on that log.
+const feeder = -2
+
 // wake re-queues rank r if it is parked, or — it is being stepped — has
 // it queued again when its step returns, so a wake that arrives mid-step
-// is not lost. Waking a queued or finished rank does nothing. from is the
-// rank whose step makes the wake, or -1 for a feeder or an abort.
+// is not lost; a publish that lands between the step finding its log dry
+// and the rank parking on it is such a wake. Waking a queued or finished
+// rank does nothing, and neither does a feeder's waking a rank parked on
+// a mailbox or a gather. from is the rank whose step makes the wake, -1
+// for an abort, or feeder.
 func (s *scheduler) wake(r, from int) {
 	sh := s.shardOf(r)
 	sh.mu.Lock()
@@ -200,9 +211,12 @@ func (s *scheduler) wake(r, from int) {
 	switch s.state[r] {
 	case logParked:
 		fromLog = true
+		s.waiting.Add(-1)
 		pushed, wasIdle = true, sh.pushLocked(s, r)
 	case parked:
-		pushed, wasIdle = true, sh.pushLocked(s, r)
+		if from != feeder {
+			pushed, wasIdle = true, sh.pushLocked(s, r)
+		}
 	case running:
 		s.state[r] = rerun
 	}
@@ -274,16 +288,6 @@ func (s *scheduler) steal(k int) (*shard, int, bool) {
 	return nil, 0, false
 }
 
-// abort wakes every parked rank, for good: from now on a rank that parks
-// is queued again at once, so each one reaches its next step and sees the
-// abort.
-func (s *scheduler) abort() {
-	s.aborted.Store(true)
-	for r := range s.state {
-		s.wake(r, -1)
-	}
-}
-
 // start launches the runners. Inline, the calling goroutine is the first
 // of them, start returns when the replay is over, and the goroutine
 // leaves with the labels of a.labelBase — the caller's context — not
@@ -340,7 +344,7 @@ func (a *analyzer) runner(k int) {
 		if p == parkDone && st.rr.err != nil {
 			// This rank's fault alone, but peers waiting on its sends
 			// and collectives must unwind too.
-			a.abortWith(st.rr.err)
+			a.abort(st.rr.err)
 		}
 
 		sh.mu.Lock()
@@ -351,10 +355,11 @@ func (a *analyzer) runner(k int) {
 		case p == parkDone:
 			s.state[r] = finished
 			st.finish()
-		case s.state[r] == rerun || s.aborted.Load():
+		case s.state[r] == rerun || a.aborted():
 			requeued, wasIdle = true, sh.pushLocked(s, r)
 		case p == parkLog:
 			s.state[r] = logParked
+			s.waiting.Add(1)
 		default:
 			s.state[r] = parked
 		}
@@ -445,7 +450,7 @@ func (a *analyzer) idle() bool {
 	if s.left == 0 {
 		return false
 	}
-	if s.idle.Add(1) == int32(len(s.shards)) && s.logParked == 0 && !s.aborted.Load() {
+	if s.idle.Add(1) == int32(len(s.shards)) && s.logParked == 0 && !a.aborted() {
 		a.deadlockLocked()
 		return false
 	}
@@ -464,7 +469,8 @@ func (s *scheduler) finishedLocked(n int) {
 // idle and every rank not finished waits on a message or a collective
 // that no other rank will ever provide. Each of them finishes with one
 // error that names them and what they wait for — a traced application
-// that completed cannot deadlock, so the archive is inconsistent.
+// that completed cannot deadlock, so the archive is inconsistent — and the
+// analysis is aborted with it: nothing is left to wake.
 func (a *analyzer) deadlockLocked() {
 	s := a.sched
 	const named = 16 // an error message stays readable on 1000-rank worlds
@@ -489,6 +495,7 @@ func (a *analyzer) deadlockLocked() {
 		fmt.Fprintf(&b, "; and %d more ranks", len(stuck)-named)
 	}
 	err := errors.New(b.String())
+	a.trip(err, "deadlock")
 	for _, r := range stuck {
 		sh := s.shardOf(r)
 		sh.mu.Lock()

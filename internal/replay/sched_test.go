@@ -175,13 +175,16 @@ func TestAnalyzeKeepsCallerLabels(t *testing.T) {
 
 // TestLiveFinalizeUnwindsParkedLogs: ranks whose streams stop short park
 // on their logs, and that is no deadlock — a feeder may still fill them,
-// so the session keeps running. A Finalize whose context is already
-// cancelled closes the streams, fails the session and still unwinds every
-// rank and every runner.
+// so the session keeps running, and metascope_replay_ranks_waiting_upload
+// says how many wait. A Finalize whose context is already cancelled
+// closes the streams, fails the session and still unwinds every rank and
+// every runner, and no rank waits any more.
 func TestLiveFinalizeUnwindsParkedLogs(t *testing.T) {
 	traces := exchangeTraces(8)
 	before := runtime.NumGoroutine()
-	l, err := NewLive(LiveConfig{Config: Config{Scheme: vclock.FlatSingle}, Ranks: len(traces), EmitEvery: time.Millisecond})
+	rec := obs.NewRecorder()
+	waiting := newReplayMetrics(rec).waitingUpload
+	l, err := NewLive(LiveConfig{Config: Config{Scheme: vclock.FlatSingle, Obs: rec}, Ranks: len(traces), EmitEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +209,9 @@ func TestLiveFinalizeUnwindsParkedLogs(t *testing.T) {
 	if st := l.Status(); st.State != "running" {
 		t.Fatalf("ranks parked on their logs left the session %q (%v), want running", st.State, l.sessionErr())
 	}
+	if v := waiting.Value(); v <= 0 {
+		t.Errorf("metascope_replay_ranks_waiting_upload = %g with the sweeps parked on their logs, want > 0", v)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	done := make(chan error, 1)
@@ -223,6 +229,9 @@ func TestLiveFinalizeUnwindsParkedLogs(t *testing.T) {
 	}
 	if st := l.Status(); st.State != "failed" {
 		t.Errorf("state %q, want failed", st.State)
+	}
+	if v := waiting.Value(); v != 0 {
+		t.Errorf("metascope_replay_ranks_waiting_upload = %g after Finalize, want 0", v)
 	}
 	waitNoLeak(t, before)
 }

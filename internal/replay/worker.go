@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime/pprof"
@@ -408,14 +409,11 @@ type analyzer struct {
 	flJob int32
 	fn    flightNames
 
-	// Cancellation: abortWith trips once and has the scheduler wake every
-	// parked rank; a step checks the flag when it starts and periodically
-	// while it sweeps, so a long sweep unwinds promptly. cause (the
-	// context's error) is published before the atomic flag, so any step
-	// that observes the abort also sees it.
-	abortOnce sync.Once
-	aborted   atomic.Bool
-	cause     error
+	// cause is why the analysis was aborted, nil while it runs: the one
+	// abort state. The first trip sets it; a step checks it when it starts
+	// and every 1024 events, the scheduler when it re-queues a rank and
+	// before it calls a deadlock.
+	cause atomic.Pointer[error]
 }
 
 // newAnalyzer is the one engine set-up, shared by post-mortem, lazy and
@@ -434,6 +432,7 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 		return nil, err
 	}
 	n := len(traces)
+	m := newReplayMetrics(rec)
 	a := &analyzer{
 		traces:    traces,
 		corr:      make([]vclock.LinearMap, n),
@@ -443,11 +442,11 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 		mailboxes: make([]*mailbox, n),
 		colls:     make(map[int32]*collDomain, len(comms)),
 		steppers:  make([]stepper, n),
-		sched:     newScheduler(n),
+		sched:     newScheduler(n, m.waitingUpload),
 		labelBase: context.Background(),
 		results:   make([]*rankResult, n),
 		corrs:     corr,
-		metrics:   newReplayMetrics(rec),
+		metrics:   m,
 	}
 	a.fl = rec.Flight
 	a.flJob = cfg.FlightJob
@@ -475,7 +474,6 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 		st.a, st.rank, st.rr.rank = a, r, r
 		a.results[r] = &st.rr
 		a.mailboxes[r] = newMailbox()
-		logs[r].wakes(a.sched, r)
 	}
 	for id := range comms {
 		a.colls[id] = &collDomain{gathers: make(map[int]*collGather)}
@@ -483,19 +481,36 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	return a, nil
 }
 
-// abortWith cancels the replay: every parked rank is queued again and
-// every step unwinds at its next check. The first cause wins; later calls
-// are no-ops.
-func (a *analyzer) abortWith(cause error) {
-	a.abortOnce.Do(func() {
-		a.cause = cause
-		a.aborted.Store(true)
-		for _, lg := range a.logs {
-			lg.abort()
+// abort cancels the replay: every parked rank is queued again, and from
+// then on a rank that parks is queued again at once, so each one reaches
+// its next check and unwinds. The first cause wins; later calls are
+// no-ops.
+func (a *analyzer) abort(cause error) {
+	label := "failed"
+	if errors.Is(cause, context.Canceled) || errors.Is(cause, context.DeadlineExceeded) {
+		label = "cancelled"
+	}
+	if a.trip(cause, label) {
+		for r := range a.steppers {
+			a.sched.wake(r, -1)
 		}
-		a.sched.abort()
-	})
+	}
 }
+
+// trip is the one place an analysis becomes aborted: it publishes cause
+// unless another won, and the winner counts the abort under label and
+// logs it, once per analysis.
+func (a *analyzer) trip(cause error, label string) bool {
+	if !a.cause.CompareAndSwap(nil, &cause) {
+		return false
+	}
+	a.metrics.aborts.With(label).Inc()
+	obs.OrDefault(a.cfg.Obs).Log.Warn("replay aborted", "cause", label, "err", cause)
+	return true
+}
+
+// aborted reports whether the analysis was aborted.
+func (a *analyzer) aborted() bool { return a.cause.Load() != nil }
 
 // repairMu is the minimal message latency a timestamp repair enforces:
 // the µ of the controlled logical clock, 1 ns.
@@ -505,7 +520,7 @@ const repairMu = 1e-9
 // of an abort; it wraps the context's error so callers can errors.Is
 // against context.Canceled / DeadlineExceeded.
 func (a *analyzer) cancelErr(rank int) error {
-	return fmt.Errorf("replay: rank %d: analysis aborted: %w", rank, a.cause)
+	return fmt.Errorf("replay: rank %d: analysis aborted: %w", rank, *a.cause.Load())
 }
 
 // gatherColl deposits one member's contribution to a collective instance
@@ -707,7 +722,7 @@ func (st *stepper) waitsFor() string {
 func (st *stepper) step() park {
 	a, rank := st.a, st.rank
 	rr := &st.rr
-	if a.aborted.Load() {
+	if a.aborted() {
 		rr.err = a.cancelErr(rank)
 		return parkDone
 	}
@@ -723,14 +738,14 @@ func (st *stepper) step() park {
 			if sc.dry {
 				return parkLog
 			}
-			if !a.sweepEnded(rr, sc) && len(st.stack) != 0 {
+			if rr.err = sc.err; sc.err == nil && len(st.stack) != 0 {
 				rr.err = fmt.Errorf("replay: rank %d: %d unclosed regions at end of trace", rank, len(st.stack))
 			}
 			return parkDone
 		}
 		// Periodic abort poll: a cancelled analysis must not finish a
 		// multi-million-event sweep first.
-		if i&1023 == 0 && a.aborted.Load() {
+		if i&1023 == 0 && a.aborted() {
 			rr.err = a.cancelErr(rank)
 			return parkDone
 		}
@@ -784,7 +799,7 @@ func (st *stepper) step() park {
 				if sc.dry {
 					return parkLog
 				}
-				if !a.sweepEnded(rr, sc) {
+				if rr.err = sc.err; sc.err == nil {
 					rr.err = fmt.Errorf("replay: rank %d: unterminated MPI region at event %d", rank, i)
 				}
 				return parkDone
@@ -957,20 +972,6 @@ func (st *stepper) step() park {
 	}
 }
 
-// sweepEnded reports whether the cursor's log ended by failure or abort
-// rather than by completing, and records the cause as the rank's error.
-func (a *analyzer) sweepEnded(rr *rankResult, sc *sweepCursor) bool {
-	switch {
-	case sc.err != nil:
-		rr.err = sc.err
-	case sc.aborted:
-		rr.err = a.cancelErr(rr.rank)
-	default:
-		return false
-	}
-	return true
-}
-
 // regionExitTime finds the corrected exit time of the region enclosing
 // the event at index i (the first Exit that returns to the current
 // nesting depth). Under timestamp repair the current shift is used;
@@ -981,7 +982,7 @@ func (a *analyzer) sweepEnded(rr *rankResult, sc *sweepCursor) bool {
 // spanning a handful of events, so it is one chunk away at most), and
 // then the cursor is left dry and the caller parks on the log. ok=false
 // means that, or that the log ended first — closed without the Exit (an
-// unterminated region), failed or aborted; sweepEnded tells which.
+// unterminated region) or failed, which sc.err tells.
 func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64) (float64, bool) {
 	depth := 0
 	for j := i + 1; sc.at(j); j++ {

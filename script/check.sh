@@ -68,7 +68,9 @@ for f in internal/replay/*.go; do
 done
 
 # A rank's replay is a stepper under one scheduler (sched.go): a step
-# that would block returns why, and whoever unblocks it re-queues it. A
+# that would block returns why, and whoever unblocks it re-queues it — a
+# put, the last member of a gather, the feeder that published to the
+# rank's log, an abort. The scheduler alone records who waits on what. A
 # condition variable, an abort channel, pprof.Do or a second place that
 # starts runners is a goroutine-per-rank mode creeping back.
 echo "== one scheduler"
@@ -83,6 +85,30 @@ for f in internal/replay/*.go; do
 done
 if [ "$starts" -ne 1 ]; then
 	echo "check: internal/replay starts runners in $starts places: the one site is analyzer.start" >&2
+	exit 1
+fi
+
+# An analysis is aborted in one place: analyzer.cause, one atomic
+# pointer to the first cause, which the steps' poll and the scheduler's
+# re-queue and deadlock rules read. A rank log knows neither the scheduler
+# nor aborts (a sweep stops at its step's poll), and a context reaches the
+# analyzer through context.AfterFunc, not a watcher goroutine of its own.
+echo "== one abort"
+if grep -n -i -E 'sched|abort' internal/replay/cursor.go; then
+	echo "check: internal/replay/cursor.go names the scheduler or an abort: the scheduler records who waits on a log, and a sweep stops at its step's poll" >&2
+	exit 1
+fi
+decls=0
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	decls=$((decls + $(grep -c -E '^[[:space:]]*(aborted|abortOnce|cause)[[:space:]]+[][A-Za-z*.]' "$f" || true)))
+	if grep -n -E 'watchDone|<-[A-Za-z.]*ctx\.Done\(\)' "$f"; then
+		echo "check: $f watches a context by hand: use context.AfterFunc" >&2
+		exit 1
+	fi
+done
+if [ "$decls" -ne 1 ]; then
+	echo "check: internal/replay declares abort state $decls times: the one is analyzer.cause" >&2
 	exit 1
 fi
 
