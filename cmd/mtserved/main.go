@@ -2,8 +2,9 @@
 // over HTTP — uploaded as zip bundles or named by a path under -root —
 // runs the full sync → replay → cube → profile pipeline through a
 // bounded worker pool, and serves the resulting cube reports, profile
-// series, and mtdiff-style comparisons from a content-addressed result
-// cache:
+// series, and mtdiff-style comparisons. It keeps the newest -cache
+// finished analyses, answers a byte-identical resubmission from a kept
+// one, and answers 410 Gone for an id it has evicted:
 //
 //	mtserved -addr :8921 -root ./experiments -workers 4
 //
@@ -89,7 +90,7 @@ func main() {
 	addr := flag.String("addr", ":8921", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "analysis worker pool width")
 	queue := flag.Int("queue", 64, "FIFO queue depth before submissions get 429")
-	cacheN := flag.Int("cache", 128, "result cache capacity in entries (negative disables)")
+	cacheN := flag.Int("cache", 128, "finished analyses kept, oldest evicted first; resubmissions reuse a kept result (negative: no reuse, 128 kept)")
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job analysis time budget (negative disables)")
 	root := flag.String("root", "", "directory for ?path= submissions (empty: upload only)")
 	maxUpload := flag.Int64("max-upload", serve.DefaultMaxUploadBytes, "decompressed byte budget of one uploaded bundle")

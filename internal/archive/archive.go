@@ -361,21 +361,18 @@ type Comm interface {
 	AllAnd(v bool) bool
 }
 
-// Ensure runs the hierarchical archive-creation protocol for the
+// EnsureObs runs the hierarchical archive-creation protocol for the
 // calling process. fs is the process's metahost file system,
 // localMaster marks the metahost's elected master process, and dir is
 // the archive directory path. On success every process of the job can
 // see dir on its own file system; otherwise every process receives
 // ErrAborted (or the root's creation error).
-func Ensure(c Comm, fs FS, localMaster bool, dir string) error {
-	return EnsureObs(c, fs, localMaster, dir, nil)
-}
-
-// EnsureObs is Ensure reporting protocol-step timings and
-// create/check/abort counters into the recorder (nil selects
-// obs.Default). Counters are per calling process: every rank counts
-// its own visibility checks and abort observations; only ranks that
-// actually attempt a mkdir count creations.
+//
+// It reports protocol-step timings and create/check/abort counters into
+// the recorder (nil selects obs.Default). Counters are per calling
+// process: every rank counts its own visibility checks and abort
+// observations; only ranks that actually attempt a mkdir count
+// creations.
 func EnsureObs(c Comm, fs FS, localMaster bool, dir string, rec *obs.Recorder) error {
 	rec = obs.OrDefault(rec)
 	creates := rec.Reg.Counter("metascope_archive_mkdir_total",
@@ -439,6 +436,3 @@ func EnsureObs(c Comm, fs FS, localMaster bool, dir string, rec *obs.Recorder) e
 func TraceFile(dir string, rank int) string {
 	return fmt.Sprintf("%s/trace.%d.mscp", dir, rank)
 }
-
-// ReportFile returns the canonical analysis report path.
-func ReportFile(dir string) string { return dir + "/analysis.cube" }

@@ -346,7 +346,7 @@ func (cc *coordComm) AllAnd(v bool) bool {
 	return c.res
 }
 
-// runEnsure drives the real Ensure protocol concurrently: one
+// runEnsure drives the real EnsureObs protocol concurrently: one
 // goroutine per process, local master = first process seen per file
 // system.
 func runEnsure(t *testing.T, fss []FS, dir string) []error {
@@ -367,7 +367,7 @@ func runEnsure(t *testing.T, fss []FS, dir string) []error {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = Ensure(&coordComm{rank: r, c: co}, fss[r], localMaster[r], dir)
+			errs[r] = EnsureObs(&coordComm{rank: r, c: co}, fss[r], localMaster[r], dir, nil)
 		}(r)
 	}
 	wg.Wait()
@@ -431,9 +431,6 @@ func TestEnsureProtocolFailsWhenMasterCannotCreate(t *testing.T) {
 func TestTraceAndReportFileNames(t *testing.T) {
 	if got := TraceFile("epik_a", 7); got != "epik_a/trace.7.mscp" {
 		t.Errorf("TraceFile = %q", got)
-	}
-	if got := ReportFile("epik_a"); got != "epik_a/analysis.cube" {
-		t.Errorf("ReportFile = %q", got)
 	}
 }
 

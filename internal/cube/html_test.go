@@ -60,8 +60,8 @@ func TestRenderHTMLHeatmap(t *testing.T) {
 	acc.SetMetahostName(0, "FZJ")
 	acc.SetMetahostName(1, "FH<BRS>") // exercises attribute escaping
 	acc.SetMeta(pattern.KeyLateSender, profile.SeriesMeta{Name: "Late Sender", Unit: "sec"})
-	acc.Add(profile.Key{Metric: pattern.KeyLateSender, Metahost: 0, Rank: 0}, 0.5, 1, 2)
-	acc.Add(profile.Key{Metric: pattern.KeyLateSender, Metahost: 1, Rank: 1}, 2, 0.5, 1)
+	acc.Series(profile.Key{Metric: pattern.KeyLateSender, Metahost: 0, Rank: 0}).Add(0.5, 1, 2)
+	acc.Series(profile.Key{Metric: pattern.KeyLateSender, Metahost: 1, Rank: 1}).Add(2, 0.5, 1)
 	r.Profile = acc.Snapshot("tiny")
 	var buf bytes.Buffer
 	if err := r.RenderHTML(&buf); err != nil {

@@ -269,28 +269,27 @@ func TestSyncDataSupportsAccurateCorrections(t *testing.T) {
 	// internal network latency (20 us here).
 	master := r.clocks.ForLoc(r.place.Loc(0))
 	tMid := r.eng.Now() / 2
-	inputs := make([]vclock.HierarchicalInput, 8)
-	flats := make([]vclock.Measurement, 8)
-	flatEnds := make([]vclock.Measurement, 8)
+	hier := make([]vclock.LinearMap, 8)
+	flat := make([]vclock.LinearMap, 8)
 	for rank := 0; rank < 8; rank++ {
 		tr := r.loadTrace(t, rank)
 		s := tr.Sync
 		if s.GlobalMasterRank != 0 {
 			t.Fatalf("rank %d: global master %d", rank, s.GlobalMasterRank)
 		}
-		inputs[rank] = vclock.HierarchicalInput{
+		hier[rank] = vclock.HierarchicalCorrection(vclock.HierarchicalInput{
 			Rank: rank, SlaveStart: s.LocalStart, SlaveEnd: s.LocalEnd,
 			MasterStart: s.MasterStart, MasterEnd: s.MasterEnd,
 			SharedNodeClock: s.SharedNodeClock,
+		})
+		if flat[rank], err = vclock.FlatCorrection(vclock.FlatInterp, s.FlatStart, s.FlatEnd); err != nil {
+			t.Fatal(err)
 		}
-		flats[rank] = s.FlatStart
-		flatEnds[rank] = s.FlatEnd
 	}
-	hier := vclock.BuildHierarchical(inputs)
 	corrected := make([]float64, 8)
 	for rank := 0; rank < 8; rank++ {
 		local := r.clocks.ForLoc(r.place.Loc(rank)).Read(tMid)
-		corrected[rank] = hier[rank].Map.Apply(local)
+		corrected[rank] = hier[rank].Apply(local)
 	}
 	// The guarantee of the hierarchical scheme (§4): processes on the
 	// SAME metahost stay mutually synchronized to internal-measurement
@@ -317,13 +316,9 @@ func TestSyncDataSupportsAccurateCorrections(t *testing.T) {
 	}
 	// Flat interpolation also works, just less accurately; sanity-check
 	// it stays within a few external latencies.
-	flat, err := vclock.BuildFlat(vclock.FlatInterp, flats, flatEnds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for rank := 0; rank < 8; rank++ {
 		local := r.clocks.ForLoc(r.place.Loc(rank)).Read(tMid)
-		got := flat[rank].Map.Apply(local)
+		got := flat[rank].Apply(local)
 		want := master.Read(tMid)
 		if math.Abs(got-want) > 3e-3 {
 			t.Errorf("rank %d: flat error %.2f us implausibly large", rank, (got-want)*1e6)

@@ -10,8 +10,7 @@ import (
 // Phases aggregates phase timers into a per-run breakdown. Spans
 // started with Start nest via an internal stack (the sequential
 // orchestration layers — build, measure, analyze — use this);
-// concurrent contributors either derive children explicitly with
-// Span.StartChild or deposit externally measured durations with
+// concurrent contributors deposit externally measured durations with
 // Record. Repeated spans of the same name under the same parent
 // aggregate (count + total), and the breakdown lists phases in
 // first-seen order, so the output is deterministic for a given call
@@ -59,11 +58,10 @@ func (p *Phases) childLocked(parent *phaseNode, name string) *phaseNode {
 
 // Span is one open phase timer.
 type Span struct {
-	p       *Phases
-	n       *phaseNode
-	start   time.Time
-	onStack bool
-	ended   bool
+	p     *Phases
+	n     *phaseNode
+	start time.Time
+	ended bool
 }
 
 // Start opens a span as a child of the innermost open stack span (or
@@ -77,16 +75,7 @@ func (p *Phases) Start(name string) *Span {
 	}
 	n := p.childLocked(parent, name)
 	p.stack = append(p.stack, n)
-	return &Span{p: p, n: n, start: p.now(), onStack: true}
-}
-
-// StartChild opens a nested span under s without touching the shared
-// stack, so concurrent goroutines can time sub-phases safely.
-func (s *Span) StartChild(name string) *Span {
-	s.p.mu.Lock()
-	n := s.p.childLocked(s.n, name)
-	s.p.mu.Unlock()
-	return &Span{p: s.p, n: n, start: s.p.now()}
+	return &Span{p: p, n: n, start: p.now()}
 }
 
 // End closes the span, folds its duration into the aggregate, and
@@ -102,12 +91,10 @@ func (s *Span) End() time.Duration {
 	d := s.p.now().Sub(s.start)
 	s.n.count++
 	s.n.total += d
-	if s.onStack {
-		for i := len(s.p.stack) - 1; i >= 0; i-- {
-			if s.p.stack[i] == s.n {
-				s.p.stack = append(s.p.stack[:i], s.p.stack[i+1:]...)
-				break
-			}
+	for i := len(s.p.stack) - 1; i >= 0; i-- {
+		if s.p.stack[i] == s.n {
+			s.p.stack = append(s.p.stack[:i], s.p.stack[i+1:]...)
+			break
 		}
 	}
 	return d

@@ -48,11 +48,11 @@ func TestSpanNestingDeterministic(t *testing.T) {
 func TestStartChildAndRecord(t *testing.T) {
 	p := newFakePhases(time.Second)
 	m := p.Start("measure")
-	// StartChild does not touch the stack: a sibling Start while the
-	// child is open still nests under measure, not under the child.
-	c := m.StartChild("archive-protocol")
-	c.End()
+	// A span started while measure is open is its child; Record deposits
+	// at its absolute path whatever the stack holds.
+	c := p.Start("archive-protocol")
 	p.Record(3*time.Second, "measure", "trace-write")
+	c.End()
 	p.Record(2*time.Second, "measure", "trace-write")
 	m.End()
 

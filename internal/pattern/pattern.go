@@ -85,17 +85,6 @@ func (id ID) String() string {
 	}
 }
 
-// IsGrid reports whether the pattern is a metacomputing
-// specialization.
-func (id ID) IsGrid() bool {
-	switch id {
-	case GridLateSender, GridLateReceiver, GridEarlyReduce,
-		GridLateBroadcast, GridWaitNxN, GridWaitBarrier:
-		return true
-	}
-	return false
-}
-
 // Gridded returns the grid specialization of a base pattern, or the
 // pattern itself if none exists.
 func (id ID) Gridded() ID {

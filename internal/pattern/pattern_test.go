@@ -175,8 +175,8 @@ func TestPatternStringsAndGridding(t *testing.T) {
 		if base.Gridded() != grid {
 			t.Errorf("%v.Gridded() = %v", base, base.Gridded())
 		}
-		if !grid.IsGrid() || base.IsGrid() {
-			t.Errorf("IsGrid wrong for %v/%v", base, grid)
+		if grid.Gridded() != grid {
+			t.Errorf("%v.Gridded() = %v, want the grid pattern itself", grid, grid.Gridded())
 		}
 	}
 	// Patterns without grid versions map to themselves.
@@ -277,8 +277,13 @@ func TestMetricTreeStructure(t *testing.T) {
 
 func TestGridKeysContainGridSuffix(t *testing.T) {
 	for p := ID(0); p < NumPatterns; p++ {
-		if p.IsGrid() && !strings.HasSuffix(p.MetricKey(), ".grid") {
-			t.Errorf("grid pattern %v key %q lacks .grid suffix", p, p.MetricKey())
+		grid := p.Gridded()
+		if grid == p {
+			continue // a grid pattern, or one without a grid version
+		}
+		if !strings.HasSuffix(grid.MetricKey(), ".grid") || strings.HasSuffix(p.MetricKey(), ".grid") {
+			t.Errorf("%v (key %q) and its grid version %v (key %q): only the grid key may end in .grid",
+				p, p.MetricKey(), grid, grid.MetricKey())
 		}
 	}
 }

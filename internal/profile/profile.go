@@ -209,14 +209,6 @@ func (a *Accumulator) Series(k Key) Handle {
 // (synchronized) seconds, like every severity the analyzer computes.
 func (h Handle) Add(start, dur, value float64) { h.s.add(h.origin, start, dur, value) }
 
-// Add spreads value over the interval [start, start+dur) of series k.
-func (a *Accumulator) Add(k Key, start, dur, value float64) {
-	a.Series(k).Add(start, dur, value)
-}
-
-// AddPoint deposits value at time t of series k.
-func (a *Accumulator) AddPoint(k Key, t, value float64) { a.Add(k, t, 0, value) }
-
 func sortKeys(keys []Key) {
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Metric != keys[j].Metric {

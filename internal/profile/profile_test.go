@@ -12,9 +12,9 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 func TestAddPointAndInterval(t *testing.T) {
 	a := NewAccumulator(Config{Buckets: 4, Width: 1})
 	k := Key{Metric: "m", Metahost: 0, Rank: 0}
-	a.AddPoint(k, 0.5, 2)  // bucket 0
-	a.Add(k, 1.0, 2.0, 4)  // spread evenly over buckets 1 and 2
-	a.Add(k, 3.25, 0.5, 1) // entirely inside bucket 3
+	a.Series(k).Add(0.5, 0, 2)    // bucket 0
+	a.Series(k).Add(1.0, 2.0, 4)  // spread evenly over buckets 1 and 2
+	a.Series(k).Add(3.25, 0.5, 1) // entirely inside bucket 3
 	p := a.Snapshot("t")
 	if len(p.Series) != 1 {
 		t.Fatalf("series count %d", len(p.Series))
@@ -34,8 +34,8 @@ func TestAddPointAndInterval(t *testing.T) {
 func TestWidthDoublingPreservesMass(t *testing.T) {
 	a := NewAccumulator(Config{Buckets: 4, Width: 1})
 	k := Key{Metric: "m"}
-	a.Add(k, 0, 4, 8)    // fills the initial range evenly
-	a.AddPoint(k, 13, 5) // forces width 1 → 4 (range 16)
+	a.Series(k).Add(0, 4, 8)  // fills the initial range evenly
+	a.Series(k).Add(13, 0, 5) // forces width 1 → 4 (range 16)
 	p := a.Snapshot("t")
 	if p.BucketWidth != 4 {
 		t.Fatalf("width %g, want 4", p.BucketWidth)
@@ -62,11 +62,11 @@ func TestOrderIndependence(t *testing.T) {
 		if reverse {
 			for i := len(samples) - 1; i >= 0; i-- {
 				s := samples[i]
-				a.Add(k, s[0], s[1], s[2])
+				a.Series(k).Add(s[0], s[1], s[2])
 			}
 		} else {
 			for _, s := range samples {
-				a.Add(k, s[0], s[1], s[2])
+				a.Series(k).Add(s[0], s[1], s[2])
 			}
 		}
 		return a.Snapshot("t").Series[0].Values
@@ -83,8 +83,8 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 	mk := func() *bytes.Buffer {
 		a := NewAccumulator(Config{Buckets: 8, Width: 0.25, Origin: 1})
 		a.SetMeta("x", SeriesMeta{Name: "X", Unit: "sec"})
-		a.Add(Key{Metric: "x", Metahost: 1, Rank: 3}, 1.1, 0.7, 0.123456789)
-		a.Add(Key{Metric: "a", Metahost: 0, Rank: 0}, 2, 0, 1)
+		a.Series(Key{Metric: "x", Metahost: 1, Rank: 3}).Add(1.1, 0.7, 0.123456789)
+		a.Series(Key{Metric: "a", Metahost: 0, Rank: 0}).Add(2, 0, 1)
 		var buf bytes.Buffer
 		if err := a.Snapshot("t").WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestSnapshotDeterministicJSON(t *testing.T) {
 
 func TestReadRoundTrip(t *testing.T) {
 	a := NewAccumulator(Config{Buckets: 4, Width: 1})
-	a.Add(Key{Metric: "m", Metahost: 2, Rank: 5}, 1, 2, 3)
+	a.Series(Key{Metric: "m", Metahost: 2, Rank: 5}).Add(1, 2, 3)
 	p := a.Snapshot("round")
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
@@ -128,7 +128,7 @@ func TestReadRoundTrip(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	a := NewAccumulator(Config{Buckets: 2, Width: 1})
 	a.SetMetahostName(0, "FH,BRS")
-	a.Add(Key{Metric: "m", Metahost: 0, Rank: 1}, 0, 0, 2.5)
+	a.Series(Key{Metric: "m", Metahost: 0, Rank: 1}).Add(0, 0, 2.5)
 	var buf bytes.Buffer
 	if err := a.Snapshot("t").WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -144,9 +144,9 @@ func TestWriteCSV(t *testing.T) {
 func TestByMetahostAggregatesRanks(t *testing.T) {
 	a := NewAccumulator(Config{Buckets: 2, Width: 1})
 	a.SetMetahostName(1, "CAESAR")
-	a.Add(Key{Metric: "m", Metahost: 1, Rank: 0}, 0, 0, 1)
-	a.Add(Key{Metric: "m", Metahost: 1, Rank: 1}, 0, 0, 2)
-	a.Add(Key{Metric: "m", Metahost: 0, Rank: 2}, 1, 0, 4)
+	a.Series(Key{Metric: "m", Metahost: 1, Rank: 0}).Add(0, 0, 1)
+	a.Series(Key{Metric: "m", Metahost: 1, Rank: 1}).Add(0, 0, 2)
+	a.Series(Key{Metric: "m", Metahost: 0, Rank: 2}).Add(1, 0, 4)
 	rows := a.Snapshot("t").ByMetahost("m")
 	if len(rows) != 2 || rows[0].Metahost != 0 || rows[1].Metahost != 1 {
 		t.Fatalf("rows %+v", rows)
@@ -162,7 +162,7 @@ func TestByMetahostAggregatesRanks(t *testing.T) {
 func TestDiffAlignsWidths(t *testing.T) {
 	mk := func(width float64, v float64) *Profile {
 		a := NewAccumulator(Config{Buckets: 4, Width: width})
-		a.Add(Key{Metric: "m"}, 0, 0, v)
+		a.Series(Key{Metric: "m"}).Add(0, 0, v)
 		return a.Snapshot("p")
 	}
 	a := mk(1, 5)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"metascope/internal/cube"
@@ -87,7 +89,8 @@ func (s *Server) register(f feeder, prefix string, scheme vclock.Scheme, state S
 // analysis: it classifies the error and the cause the analysis was
 // stopped for, if any, into the state, the HTTP status the result
 // endpoint reports and the outcome label of the feeder's counter family,
-// closes done, and drops what only a running analysis needs. s.mu held.
+// closes done, drops what only a running analysis needs, and holds the
+// store to its bound. s.mu held.
 func (s *Server) settle(f feeder, res *replay.Result, err, cause error) {
 	a := f.record()
 	outcome := "done"
@@ -133,6 +136,61 @@ func (s *Server) settle(f feeder, res *replay.Result, err, cause error) {
 		s.m.sessionOutcomes.With(outcome).Inc()
 		s.m.sessionsOpen.Add(-1)
 	}
+	s.retain()
+}
+
+// retain is the store's bound: walking it from its newest end, it keeps
+// the first s.keep finished analyses it meets and evicts every older one,
+// job or session, done, failed or cancelled alike. Eviction drops the
+// record from the store, and with it the result, the profile and a
+// session's event log; a queued, running, open or finalizing analysis
+// is never evicted. s.mu held.
+func (s *Server) retain() {
+	kept, n := 0, len(s.order)
+	for i := len(s.order) - 1; i >= 0; i-- {
+		f := s.order[i]
+		if f.record().state.terminal() {
+			if kept == s.keep {
+				s.evict(f)
+				continue
+			}
+			kept++
+		}
+		n--
+		s.order[n] = f
+	}
+	live := copy(s.order, s.order[n:])
+	clear(s.order[live:])
+	s.order = s.order[:live]
+	s.m.cacheEntries.Set(float64(kept))
+}
+
+// evict removes one finished analysis from the store. Its id answers 410
+// from then on. s.mu held.
+func (s *Server) evict(f feeder) {
+	a := f.record()
+	delete(s.analyses, a.id)
+	kind := "session"
+	if _, ok := f.(*job); ok {
+		kind = "job"
+	}
+	s.m.evicted.With(kind).Inc()
+	s.rec.Log.Debug("analysis evicted", "id", a.id, "state", string(a.state), "keep", s.keep)
+}
+
+// reusable returns the newest kept done job that analyzed the archive
+// and scheme key names, or nil; with reuse off it is always nil. s.mu
+// held.
+func (s *Server) reusable(key string) *job {
+	if s.opts.CacheEntries < 0 {
+		return nil
+	}
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if j, ok := s.order[i].(*job); ok && j.state == StateDone && j.cacheKey == key {
+			return j
+		}
+	}
+	return nil
 }
 
 // stop asks an analysis to end for cause; on a terminal one it does
@@ -241,27 +299,60 @@ func await(r *http.Request, a *analysis) {
 	}
 }
 
-// lookup resolves an id to its analysis, whichever feeder owns it.
-func (s *Server) lookup(id string) feeder {
+// lookup resolves an id to its analysis, whichever feeder owns it. An id
+// the store does not hold it answers itself and returns nil: 410 when the
+// analysis was evicted, 404 when the id was never issued.
+func (s *Server) lookup(w http.ResponseWriter, id string) feeder {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.analyses[id]
+	f := s.analyses[id]
+	gone := f == nil && s.evictedLocked(id)
+	s.mu.Unlock()
+	switch {
+	case gone:
+		s.fail(w, http.StatusGone, "%s was evicted: the server keeps the %d newest finished analyses", id, s.keep)
+	case f == nil:
+		s.fail(w, http.StatusNotFound, "no such analysis %q", id)
+	}
+	return f
+}
+
+// lookupAs resolves the request's {id} path value to the feeder T a
+// route serves. Anything else it answers itself and returns nil: as
+// lookup does, or 404 for an analysis of the other feeder.
+func lookupAs[T feeder](s *Server, w http.ResponseWriter, r *http.Request, kind string) T {
+	id := r.PathValue("id")
+	f := s.lookup(w, id)
+	t, ok := f.(T)
+	if f != nil && !ok {
+		s.fail(w, http.StatusNotFound, "no such %s %q", kind, id)
+	}
+	return t
+}
+
+// evictedLocked reports whether id names an evicted analysis: it is
+// job-N or exp-N in canonical form, the shared counter has issued N, and
+// no record under either prefix holds N any more. s.mu held.
+func (s *Server) evictedLocked(id string) bool {
+	_, num, _ := strings.Cut(id, "-")
+	n, err := strconv.ParseInt(num, 10, 64)
+	job, exp := "job-"+num, "exp-"+num
+	return err == nil && 0 < n && n <= s.nextID && num == strconv.FormatInt(n, 10) &&
+		(id == job || id == exp) && s.analyses[job] == nil && s.analyses[exp] == nil
 }
 
 // finished resolves an id to the result of a done analysis. Anything
-// else it answers itself and returns nil: 404 for an unknown id, 409 for
-// one not finished or cancelled, the classified status for a failed one.
+// else it answers itself and returns nil: 404 or 410 as lookup does, 409
+// for one not finished or cancelled, the classified status for a failed
+// one.
 func (s *Server) finished(w http.ResponseWriter, id string) *replay.Result {
-	s.mu.Lock()
-	f := s.analyses[id]
-	var a analysis
-	if f != nil {
-		a = *f.record()
+	f := s.lookup(w, id)
+	if f == nil {
+		return nil
 	}
+	s.mu.Lock()
+	a := *f.record()
 	s.mu.Unlock()
 	switch {
-	case f == nil:
-		s.fail(w, http.StatusNotFound, "no such analysis %q", id)
 	case a.state == StateDone:
 		return a.result
 	case a.state == StateFailed:
@@ -311,10 +402,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 // JSON (load it in Perfetto / chrome://tracing): its replay-worker
 // lanes plus the service actor's queue, cache and state events.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	f := s.lookup(id)
+	f := s.lookup(w, r.PathValue("id"))
 	if f == nil {
-		s.fail(w, http.StatusNotFound, "no such analysis %q", id)
 		return
 	}
 	if !s.rec.Flight.Enabled() {

@@ -140,9 +140,8 @@ func (s *Server) analyze(ctx context.Context, j *job) (*replay.Result, error) {
 	})
 }
 
-// finish settles a job the pool ran and feeds what its run time and
-// result are for: the Retry-After estimator, the latency histogram and
-// the result cache.
+// finish settles a job the pool ran and feeds what its run time is for:
+// the Retry-After estimator and the latency histogram.
 func (s *Server) finish(j *job, res *replay.Result, err error) {
 	s.mu.Lock()
 	s.settle(j, res, err, context.Cause(j.ctx))
@@ -158,10 +157,6 @@ func (s *Server) finish(j *job, res *replay.Result, err error) {
 	state, errMsg := j.state, j.err
 	s.mu.Unlock()
 
-	if state == StateDone {
-		s.cache.Put(j.cacheKey, res)
-		s.m.cacheEntries.Set(float64(s.cache.Len()))
-	}
 	s.m.jobSeconds.Observe(dur)
 	s.rec.Log.Debug("job finished", "id", j.id, "state", string(state),
 		"seconds", fmt.Sprintf("%.3f", dur), "err", errMsg)

@@ -46,7 +46,7 @@ func blockedServer(t testing.TB, opts Options) (*Server, *stdhttptest.Server) {
 	// drain waits on the pool.
 	t.Cleanup(func() {
 		s.mu.Lock()
-		for _, f := range s.order {
+		for _, f := range slices.Clone(s.order) { // settling may evict
 			s.stop(f, errCancelled)
 		}
 		s.mu.Unlock()
@@ -980,8 +980,11 @@ func TestRobustEndings(t *testing.T) {
 			tc.opts.CacheEntries = -1
 			s, url := tc.start(t, tc.opts)
 			id := tc.drive(t, s, url)
+			s.mu.Lock()
+			done := s.analyses[id].record().done
+			s.mu.Unlock()
 			select {
-			case <-s.lookup(id).record().done:
+			case <-done:
 			case <-time.After(30 * time.Second):
 				t.Fatalf("%s never settled", id)
 			}

@@ -2,12 +2,14 @@
 // concurrent analysis service accepting experiment archives (uploaded
 // as zip bundles or named by a server-side path), running the full
 // sync → replay → cube → profile pipeline through a bounded worker
-// pool behind a FIFO queue, and serving results from an LRU cache
-// keyed by archive content digest.
+// pool behind a FIFO queue, and answering a byte-identical resubmission
+// (same content digest and scheme) from the result of a kept job.
 //
 // Live sessions (session.go) feed the same pipeline incrementally; a job
 // and a session are one kind of record, an analysis (analysis.go): one
 // store, one lock, one terminal transition, one set of result handlers.
+// The store is also the result cache: it keeps the newest CacheEntries
+// finished analyses, and an evicted id answers 410 Gone.
 //
 // Robustness is first-class:
 //
@@ -31,6 +33,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,6 +42,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,8 +67,11 @@ type Options struct {
 	// FIFO queue holds before submissions are rejected with 429
 	// (default 64).
 	QueueDepth int
-	// CacheEntries is the result-cache capacity (default 128; negative
-	// disables caching).
+	// CacheEntries is how many finished analyses — jobs and sessions,
+	// done, failed or cancelled — the store keeps; the oldest registered
+	// is evicted past it (default 128). A resubmission is answered from a
+	// kept done job with the same digest and scheme; a negative value
+	// turns that reuse off and keeps the default number.
 	CacheEntries int
 	// JobTimeout bounds one job's analysis wall time (default 5m;
 	// negative disables the timeout).
@@ -113,9 +120,9 @@ type Server struct {
 	opts  Options
 	rec   *obs.Recorder
 	m     *serveMetrics
-	cache *LRU
 	mux   *http.ServeMux
 	start time.Time
+	keep  int // finished analyses the store holds; a negative CacheEntries turns reuse off, not this
 
 	// fw is the service's flight shard (nil while the recorder is
 	// disabled); fn holds the interned event names.
@@ -126,7 +133,7 @@ type Server struct {
 	// below; no analysis carries a lock of its own.
 	mu       sync.Mutex
 	analyses map[string]feeder
-	order    []feeder // registration order, for the list endpoints
+	order    []feeder // registration order: the list endpoints, reuse and eviction
 	nextID   int64
 	queue    chan *job
 	draining bool
@@ -146,9 +153,6 @@ func New(opts Options) *Server {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.CacheEntries == 0 {
-		opts.CacheEntries = 128
 	}
 	if opts.JobTimeout == 0 {
 		opts.JobTimeout = 5 * time.Minute
@@ -174,7 +178,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:     opts,
 		rec:      obs.OrDefault(opts.Obs),
-		cache:    NewLRU(opts.CacheEntries),
+		keep:     cmp.Or(max(opts.CacheEntries, 0), 128),
 		analyses: make(map[string]feeder),
 		queue:    make(chan *job, opts.QueueDepth),
 		start:    time.Now(),
@@ -214,7 +218,7 @@ func New(opts Options) *Server {
 		go s.worker()
 	}
 	s.rec.Log.Info("analysis service ready", "workers", opts.Workers,
-		"queue_depth", opts.QueueDepth, "cache_entries", opts.CacheEntries,
+		"queue_depth", opts.QueueDepth, "cache_entries", s.keep,
 		"job_timeout", opts.JobTimeout.String())
 	return s
 }
@@ -255,7 +259,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		for _, f := range s.order {
+		// A queued job settles inside stop, and settling may evict: walk
+		// a copy of the store's order.
+		for _, f := range slices.Clone(s.order) {
 			s.stop(f, errDrainAborted)
 		}
 		s.mu.Unlock()
@@ -285,8 +291,8 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 // handleSubmit accepts a job: an uploaded zip bundle (request body) or
 // a server-side path (?path= under Options.Root). Optional query
 // parameters: scheme (flat1|flat2|hier), archive (explicit epik_*
-// directory name for path submissions). A content-digest cache hit
-// completes the job immediately without occupying a queue slot.
+// directory name for path submissions). An archive and scheme a kept
+// done job has analyzed complete at once, without a queue slot.
 //
 // The handler's wall time is the obs phase serve-intake, and the three
 // steps an upload pays before it is a job its children.
@@ -356,21 +362,14 @@ func (s *Server) mountPath(p, dirOverride string) (*archive.Mounts, []int, strin
 	return archive.MountTree(filepath.Join(s.opts.Root, clean), dirOverride)
 }
 
-// submit registers the job and either serves it from the result cache
-// or enqueues it; a full queue rejects with 429 and a Retry-After
-// estimate derived from observed job latency. It reports whether the job
-// was accepted.
+// submit registers the job and either settles it with the result of a
+// kept job that analyzed the same archive under the same scheme, or
+// enqueues it; a full queue rejects with 429 and a Retry-After estimate
+// derived from observed job latency. It reports whether the job was
+// accepted.
 func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) bool {
 	j.cacheKey = j.digest + "|" + scheme.String()
 	j.ctx, j.cancel = context.WithCancelCause(context.Background())
-
-	cached, hit := s.cache.Get(j.cacheKey)
-	if hit {
-		s.m.cacheHits.Inc()
-	} else {
-		s.m.cacheMisses.Inc()
-	}
-	s.setCacheRatio()
 
 	s.mu.Lock()
 	if s.draining {
@@ -378,6 +377,14 @@ func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) boo
 		s.rejectDraining(w)
 		return false
 	}
+	kept := s.reusable(j.cacheKey)
+	hit := kept != nil
+	if hit {
+		s.m.cacheHits.Inc()
+	} else {
+		s.m.cacheMisses.Inc()
+	}
+	s.setCacheRatio()
 	// Only submit sends on the queue, and only under the lock: a queue
 	// with room here still has it at the send below.
 	if !hit && len(s.queue) == cap(s.queue) {
@@ -394,7 +401,7 @@ func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) boo
 		status = http.StatusOK
 		j.cached = true
 		s.fw.Emit(flight.CacheHit, j.serial, s.fn.cache, 0, 0)
-		s.settle(j, cached.(*replay.Result), nil, nil)
+		s.settle(j, kept.result, nil, nil)
 	} else {
 		s.queue <- j
 		qlen := len(s.queue)
@@ -430,19 +437,9 @@ func (s *Server) retryAfterLocked() int {
 	return retry
 }
 
-// lookupJob fetches a job by the request's {id} path value.
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
-	id := r.PathValue("id")
-	j, ok := s.lookup(id).(*job)
-	if !ok {
-		s.fail(w, http.StatusNotFound, "no such job %q", id)
-	}
-	return j
-}
-
 // handleStatus reports one job; ?wait= turns the poll into a long poll.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
+	j := lookupAs[*job](s, w, r, "job")
 	if j == nil {
 		return
 	}
@@ -472,7 +469,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // replay unblocks) and frees the worker slot. Terminal jobs are left
 // untouched and reported as-is, so cancellation is idempotent.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
+	j := lookupAs[*job](s, w, r, "job")
 	if j == nil {
 		return
 	}
@@ -505,7 +502,7 @@ type Health struct {
 	Workers       int           `json:"workers"`
 	QueueDepth    int           `json:"queue_depth"`
 	QueueCapacity int           `json:"queue_capacity"`
-	CacheEntries  int           `json:"cache_entries"`
+	CacheEntries  int           `json:"cache_entries"` // finished analyses kept
 	Jobs          map[State]int `json:"jobs"`
 
 	// Live-session census: counts by state, the number of sessions not
@@ -537,7 +534,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{
 		Workers:        s.opts.Workers,
 		QueueCapacity:  s.opts.QueueDepth,
-		CacheEntries:   s.cache.Len(),
+		CacheEntries:   int(s.m.cacheEntries.Value()),
 		Jobs:           make(map[State]int),
 		Sessions:       make(map[string]int),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
@@ -618,6 +615,7 @@ type serveMetrics struct {
 	rejected        *obs.Family // by rejection reason
 	outcomes        *obs.Family // by terminal outcome
 	sessionOutcomes *obs.Family // live sessions by terminal outcome
+	evicted         *obs.Family // finished analyses evicted, by feeder
 	sessionsOpen    *obs.Series
 
 	queueDepth   *obs.Series
@@ -632,7 +630,7 @@ type serveMetrics struct {
 
 func newServeMetrics(rec *obs.Recorder) *serveMetrics {
 	r := rec.Reg
-	return &serveMetrics{
+	m := &serveMetrics{
 		submitted: r.Counter("metascope_serve_jobs_submitted_total",
 			"analysis jobs accepted, by submission source", "source"),
 		rejected: r.Counter("metascope_serve_rejected_total",
@@ -641,6 +639,8 @@ func newServeMetrics(rec *obs.Recorder) *serveMetrics {
 			"jobs reaching a terminal state, by outcome", "outcome"),
 		sessionOutcomes: r.Counter("metascope_serve_sessions_total",
 			"live sessions reaching a terminal state, by outcome", "outcome"),
+		evicted: r.Counter("metascope_serve_evicted_total",
+			"finished analyses evicted from the store, by feeder", "feeder"),
 		sessionsOpen: r.Gauge("metascope_serve_sessions_open",
 			"live analysis sessions currently open").With(),
 		queueDepth: r.Gauge("metascope_serve_queue_depth",
@@ -652,12 +652,16 @@ func newServeMetrics(rec *obs.Recorder) *serveMetrics {
 		waitSeconds: r.Histogram("metascope_serve_wait_seconds",
 			"queue wait of one job (submission to start)", obs.SecondsBuckets).With(),
 		cacheHits: r.Counter("metascope_serve_cache_hits_total",
-			"submissions served from the result cache").With(),
+			"submissions answered from the result of a kept job").With(),
 		cacheMisses: r.Counter("metascope_serve_cache_misses_total",
-			"submissions missing the result cache").With(),
+			"submissions no kept job could answer").With(),
 		cacheEntries: r.Gauge("metascope_serve_cache_entries",
-			"entries currently held by the result cache").With(),
+			"finished analyses the store keeps").With(),
 		cacheRatio: r.Gauge("metascope_serve_cache_hit_ratio",
 			"result-cache hits over lookups since start").With(),
 	}
+	for _, feeder := range []string{"job", "session"} {
+		m.evicted.With(feeder)
+	}
+	return m
 }

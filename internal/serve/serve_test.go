@@ -124,11 +124,26 @@ func submitZip(t testing.TB, base string, zip []byte, query string) (JobStatus, 
 // awaitJob long-polls a job to its terminal state.
 func awaitJob(t testing.TB, base, id string) JobStatus {
 	t.Helper()
+	st, code := pollJob(t, base, id)
+	if code != http.StatusOK {
+		t.Fatalf("status %s: HTTP %d", id, code)
+	}
+	return st
+}
+
+// pollJob long-polls a job until it is terminal or its status route
+// answers anything but 200, and returns the last status and HTTP code.
+func pollJob(t testing.TB, base, id string) (JobStatus, int) {
+	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait=5s")
 		if err != nil {
 			t.Fatalf("status %s: %v", id, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			return JobStatus{}, resp.StatusCode
 		}
 		var st JobStatus
 		err = json.NewDecoder(resp.Body).Decode(&st)
@@ -137,11 +152,11 @@ func awaitJob(t testing.TB, base, id string) JobStatus {
 			t.Fatalf("decoding status %s: %v", id, err)
 		}
 		if st.State.terminal() {
-			return st
+			return st, http.StatusOK
 		}
 	}
 	t.Fatalf("job %s never reached a terminal state", id)
-	return JobStatus{}
+	return JobStatus{}, 0
 }
 
 // waitState polls a job's server-side state until it reaches want.
@@ -233,27 +248,33 @@ func TestServeOracleConcurrent(t *testing.T) {
 }
 
 // TestServeSchemesDiffer submits the same archive under two schemes:
-// both must verify against the oracle, and the cache must keep them
-// apart (same digest, different cache key).
+// both must verify against the oracle, and reuse must keep them apart
+// (same digest, different cache key) — the second scheme runs an
+// analysis of its own although the first one's job is kept and done.
 func TestServeSchemesDiffer(t *testing.T) {
 	b := oracleBundles(t)[0]
 	s, ts := newTestServer(t, Options{Workers: 2})
 
 	stHier, _ := submitZip(t, ts.URL, b.zip, "?scheme=hier")
-	stFlat, _ := submitZip(t, ts.URL, b.zip, "?scheme=flat2")
+	checkJobOracle(t, ts.URL, awaitJob(t, ts.URL, stHier.ID), b)
+	stFlat, resp := submitZip(t, ts.URL, b.zip, "?scheme=flat2")
+	if resp.StatusCode != http.StatusAccepted || stFlat.Cached {
+		t.Fatalf("same bytes under another scheme: HTTP %d, cached=%v; want 202 and a run of its own",
+			resp.StatusCode, stFlat.Cached)
+	}
 	if stHier.Digest != stFlat.Digest {
 		t.Fatalf("same bytes, different digests: %s vs %s", stHier.Digest, stFlat.Digest)
 	}
-	checkJobOracle(t, ts.URL, awaitJob(t, ts.URL, stHier.ID), b)
 	checkJobOracle(t, ts.URL, awaitJob(t, ts.URL, stFlat.ID), b)
-	if n := s.cache.Len(); n != 2 {
-		t.Fatalf("cache entries = %d, want 2 (one per scheme)", n)
+	if n := s.m.cacheEntries.Value(); n != 2 {
+		t.Fatalf("cache entries = %v, want 2 (one per scheme)", n)
 	}
 }
 
 // TestServeCacheCollapsesResubmission: the second upload of
-// byte-identical content must complete instantly from the cache (200,
-// cached flag, no new queue slot) with the identical report.
+// byte-identical content must complete instantly from the kept job (200,
+// cached flag, no new queue slot) with the identical report — the one
+// result the first job computed.
 func TestServeCacheCollapsesResubmission(t *testing.T) {
 	b := oracleBundles(t)[1]
 	s, ts := newTestServer(t, Options{Workers: 2})
@@ -276,13 +297,23 @@ func TestServeCacheCollapsesResubmission(t *testing.T) {
 		t.Fatalf("digest changed across resubmission: %s vs %s", st2.Digest, st1.Digest)
 	}
 	checkJobOracle(t, ts.URL, st2, b)
-	if n := s.cache.Len(); n != 1 {
-		t.Fatalf("cache entries = %d, want 1 (identical bytes share one entry)", n)
+	_, cube1 := getBody(t, ts.URL+"/v1/jobs/"+st1.ID+"/result")
+	_, cube2 := getBody(t, ts.URL+"/v1/jobs/"+st2.ID+"/result")
+	if !bytes.Equal(cube1, cube2) {
+		t.Fatal("the resubmission's cube differs from the first job's")
+	}
+	s.mu.Lock()
+	shared := s.analyses[st1.ID].record().result == s.analyses[st2.ID].record().result
+	s.mu.Unlock()
+	if !shared {
+		t.Fatal("the resubmission holds a result of its own, not the kept job's")
 	}
 
-	hits := s.m.cacheHits.Value()
-	if hits != 1 {
+	if hits := s.m.cacheHits.Value(); hits != 1 {
 		t.Fatalf("cache hits = %v, want 1", hits)
+	}
+	if n := s.m.outcomes.With("cache").Value(); n != 1 {
+		t.Fatalf("outcome cache = %v, want 1", n)
 	}
 }
 

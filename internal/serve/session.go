@@ -123,10 +123,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A session allocates per-rank state before any byte arrives, so the
+	// world size is bounded like a bundle's rank files are.
 	ranks, err := strconv.Atoi(r.URL.Query().Get("ranks"))
-	if err != nil || ranks <= 0 {
+	if err != nil || ranks <= 0 || ranks > maxZipFiles {
 		s.reject(w, "bad_request", http.StatusBadRequest,
-			"pass ?ranks=N (positive world size), got %q", r.URL.Query().Get("ranks"))
+			"pass ?ranks=N (world size 1..%d), got %q", maxZipFiles, r.URL.Query().Get("ranks"))
 		return
 	}
 	window := s.opts.WindowSec
@@ -187,16 +189,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.sessionStatus(sess, true))
 }
 
-// lookupSession fetches a session by the request's {id} path value.
-func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session {
-	id := r.PathValue("id")
-	sess, ok := s.lookup(id).(*session)
-	if !ok {
-		s.fail(w, http.StatusNotFound, "no such session %q", id)
-	}
-	return sess
-}
-
 // handleSessionList reports every session in creation order.
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -213,7 +205,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionStatus reports one session with per-rank upload detail.
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if sess := s.lookupSession(w, r); sess != nil {
+	if sess := lookupAs[*session](s, w, r, "session"); sess != nil {
 		writeJSON(w, http.StatusOK, s.sessionStatus(sess, true))
 	}
 }
@@ -277,7 +269,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buf
 // handleChunk applies one uploaded chunk:
 // PUT /v1/sessions/{id}/ranks/{mh}/{rank}?seq=N[&last=1]
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
+	sess := lookupAs[*session](s, w, r, "session")
 	if sess == nil {
 		return
 	}
@@ -388,7 +380,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 // completion in the background; poll the session (or ?wait=1) for the
 // terminal state, then fetch /v1/experiments/{id}/result.
 func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
+	sess := lookupAs[*session](s, w, r, "session")
 	if sess == nil {
 		return
 	}
@@ -411,7 +403,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 // reported as-is — result, stream and state untouched — so deletion is
 // idempotent.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
+	sess := lookupAs[*session](s, w, r, "session")
 	if sess == nil {
 		return
 	}

@@ -673,6 +673,31 @@ func TestSessionDeleteAndLimits(t *testing.T) {
 	openSession(t, ts.URL, "?ranks=2")
 }
 
+// TestSessionWorldSizeBound: a session allocates per-rank state when it
+// opens, before any byte arrives, so ?ranks= is bounded like the rank
+// files of a bundle: past maxZipFiles it is a counted 400 and nothing is
+// registered.
+func TestSessionWorldSizeBound(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	resp, err := http.Post(fmt.Sprintf("%s/v1/sessions?ranks=%d", ts.URL, maxZipFiles+1), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("ranks=%d: HTTP %d, want 400", maxZipFiles+1, resp.StatusCode)
+	}
+	decodeErr(t, resp)
+	if v := s.m.rejected.With("bad_request").Value(); v != 1 {
+		t.Errorf("rejected{reason=bad_request} = %v, want 1", v)
+	}
+	s.mu.Lock()
+	held := len(s.order)
+	s.mu.Unlock()
+	if held != 0 {
+		t.Errorf("store holds %d analyses after the refusal, want 0", held)
+	}
+}
+
 // TestSessionLimitConcurrentCreates: MaxSessions is enforced, not
 // advisory — creates racing for the last slot get it exactly once,
 // because counting the open sessions and registering the new one is one

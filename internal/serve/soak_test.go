@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"metascope/internal/conformance"
+	"metascope/internal/cube"
 )
 
 // The soak: sustained mixed traffic — good archives, hostile uploads,
@@ -47,9 +51,11 @@ func TestServeSoak(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	// The cache is deliberately smaller than the working set (4 bundles
+	// The store is deliberately smaller than the working set (4 bundles
 	// × 2 schemes = 8 keys) so the soak exercises eviction churn and
-	// keeps real replays flowing instead of devolving into cache hits.
+	// keeps real replays flowing instead of devolving into cache hits. It
+	// keeps 4 finished analyses in all, so a client's own job may be
+	// evicted by the others' before it reads the result: 410, counted.
 	s := New(Options{
 		Workers:      4,
 		QueueDepth:   32,
@@ -66,6 +72,7 @@ func TestServeSoak(t *testing.T) {
 		shed      atomic.Int64
 		cancels   atomic.Int64
 		badOK     atomic.Int64
+		evicted   atomic.Int64
 	)
 	const clients = 8
 	var wg sync.WaitGroup
@@ -118,12 +125,32 @@ func TestServeSoak(t *testing.T) {
 						cancels.Add(1)
 						continue
 					}
-					final := awaitJob(t, ts.URL, st.ID)
-					if final.State != StateDone {
-						t.Errorf("job %s (%s): state %s, err %q", st.ID, b.s.Name, final.State, final.Error)
+					final, code := pollJob(t, ts.URL, st.ID)
+					var body []byte
+					if code == http.StatusOK {
+						if final.State != StateDone {
+							t.Errorf("job %s (%s): state %s, err %q", st.ID, b.s.Name, final.State, final.Error)
+							return
+						}
+						code, body = getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
+					}
+					switch code {
+					case http.StatusGone:
+						evicted.Add(1)
+						continue
+					case http.StatusOK:
+					default:
+						t.Errorf("job %s (%s): HTTP %d", st.ID, b.s.Name, code)
 						return
 					}
-					checkJobOracle(t, ts.URL, final, b)
+					rep, err := cube.Read(bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("job %s (%s): cube does not parse: %v", st.ID, b.s.Name, err)
+						return
+					}
+					for _, mm := range conformance.CheckOracle(rep, b.s, b.scale, conformance.ExactTol) {
+						t.Errorf("job %s (%s): %v", st.ID, b.s.Name, mm)
+					}
 					verified.Add(1)
 				}
 			}
@@ -139,10 +166,18 @@ func TestServeSoak(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain after soak: %v", err)
 	}
-	t.Logf("soak: %d submitted, %d verified exact, %d cache hits, %d shed (429), %d cancels, %d hostile rejected",
-		submitted.Load(), verified.Load(), cacheHits.Load(), shed.Load(), cancels.Load(), badOK.Load())
+	t.Logf("soak: %d submitted, %d verified exact, %d evicted first (410), %d cache hits, %d shed (429), %d cancels, %d hostile rejected",
+		submitted.Load(), verified.Load(), evicted.Load(), cacheHits.Load(), shed.Load(), cancels.Load(), badOK.Load())
 	if verified.Load() == 0 {
 		t.Fatal("soak verified no jobs at all")
+	}
+	// Drained, every analysis is finished, so the store holds at most
+	// CacheEntries records.
+	s.mu.Lock()
+	kept := len(s.order)
+	s.mu.Unlock()
+	if kept > 4 {
+		t.Fatalf("store keeps %d analyses after the soak, want at most CacheEntries = 4", kept)
 	}
 
 	// Shutdown must be goroutine-clean: close the HTTP side, retire

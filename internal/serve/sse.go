@@ -107,7 +107,7 @@ func resumePoint(r *http.Request) uint64 {
 // one frame per engine event with the sequence number as the event id,
 // resuming after Last-Event-ID.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
+	sess := lookupAs[*session](s, w, r, "session")
 	if sess == nil {
 		return
 	}

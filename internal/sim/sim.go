@@ -239,14 +239,6 @@ func (p *Proc) SleepUntil(t float64) {
 	p.Suspend(fmt.Sprintf("sleep until %g", t))
 }
 
-// Yield lets every event already scheduled for the current instant run
-// before the process continues. Useful to establish "happens after"
-// within one time step.
-func (p *Proc) Yield() {
-	p.ResumeAt(p.eng.now)
-	p.Suspend("yield")
-}
-
 // DeadlockError is returned by Run when the event queue drains while
 // processes are still suspended.
 type DeadlockError struct {

@@ -142,7 +142,10 @@ func TestYieldOrdersWithinInstant(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	e.Spawn("a", func(p *Proc) {
-		p.Yield()
+		// Resumed at the current instant, a process runs after every event
+		// already scheduled for it.
+		p.ResumeAt(e.Now())
+		p.Suspend("yield")
 		order = append(order, "a-after-yield")
 	})
 	e.Spawn("b", func(p *Proc) {

@@ -70,19 +70,18 @@ func TestComposeInvertRoundTrip(t *testing.T) {
 }
 
 // TestBuildFlatErrors: the flat builder must reject the hierarchical
-// scheme and mismatched measurement slices with named errors.
+// scheme with an error naming the builder to use, and FlatSingle must
+// not read the end measurement at all.
 func TestBuildFlatErrors(t *testing.T) {
-	if _, err := BuildFlat(Hierarchical, make([]Measurement, 2), make([]Measurement, 2)); err == nil ||
-		!strings.Contains(err.Error(), "BuildHierarchical") {
-		t.Errorf("hierarchical scheme through BuildFlat: %v", err)
+	if _, err := FlatCorrection(Hierarchical, Measurement{}, Measurement{}); err == nil ||
+		!strings.Contains(err.Error(), "HierarchicalCorrection") {
+		t.Errorf("hierarchical scheme through FlatCorrection: %v", err)
 	}
-	if _, err := BuildFlat(FlatInterp, make([]Measurement, 3), make([]Measurement, 2)); err == nil ||
-		!strings.Contains(err.Error(), "measurements") {
-		t.Errorf("mismatched slices: %v", err)
-	}
-	// FlatSingle ignores the end slice entirely; a mismatch is fine.
-	if _, err := BuildFlat(FlatSingle, make([]Measurement, 3), nil); err != nil {
-		t.Errorf("FlatSingle with nil end measurements: %v", err)
+	start := Measurement{Local: 3, Offset: 0.25}
+	a, errA := FlatCorrection(FlatSingle, start, Measurement{})
+	b, errB := FlatCorrection(FlatSingle, start, Measurement{Local: 50, Offset: -7})
+	if errA != nil || errB != nil || a != b {
+		t.Errorf("FlatSingle depends on the end measurement: %+v (%v) vs %+v (%v)", a, errA, b, errB)
 	}
 }
 
@@ -96,13 +95,10 @@ func TestBuildHierarchicalSingleMetahost(t *testing.T) {
 		SlaveEnd:   Measurement{Local: 10, Offset: 0.6},
 		// MasterStart/MasterEnd zero: identity composition.
 	}
-	got := BuildHierarchical([]HierarchicalInput{in})[0]
+	got := HierarchicalCorrection(in)
 	want := InterpMap(0, 0.5, 10, 0.6)
-	if got.Rank != 1 {
-		t.Errorf("rank = %d, want 1", got.Rank)
-	}
-	if math.Abs(got.Map.A-want.A) > 1e-12 || math.Abs(got.Map.B-want.B) > 1e-12 {
-		t.Errorf("single-metahost correction = %+v, want slave interpolation %+v", got.Map, want)
+	if math.Abs(got.A-want.A) > 1e-12 || math.Abs(got.B-want.B) > 1e-12 {
+		t.Errorf("single-metahost correction = %+v, want slave interpolation %+v", got, want)
 	}
 }
 
@@ -118,7 +114,7 @@ func TestSharedNodeClockIgnoresSlaveMeasurements(t *testing.T) {
 		MasterEnd:       Measurement{Local: 20, Offset: 0.35},
 		SharedNodeClock: true,
 	}
-	got := BuildHierarchical([]HierarchicalInput{in})[0].Map
+	got := HierarchicalCorrection(in)
 	want := InterpMap(0, 0.25, 20, 0.35)
 	if got != want {
 		t.Errorf("shared-clock correction = %+v, want master interpolation %+v", got, want)
@@ -144,7 +140,7 @@ func TestBuildHierarchicalRecoversTrueClocks(t *testing.T) {
 		MasterStart: measure(local, meta, 0.1),
 		MasterEnd:   measure(local, meta, 9.9),
 	}
-	corr := BuildHierarchical([]HierarchicalInput{in})[0].Map
+	corr := HierarchicalCorrection(in)
 	for _, tt := range []float64{0.1, 1, 5, 9.9, 20} {
 		got := corr.Apply(slave.Read(tt))
 		want := meta.Read(tt)

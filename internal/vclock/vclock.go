@@ -161,11 +161,11 @@ type Correction struct {
 // FlatCorrection builds the correction map for one rank under a flat
 // scheme from its own measurements against the global master: the
 // single start offset for FlatSingle, the start/end interpolation for
-// FlatInterp. It is the per-rank core of BuildFlat, exposed so a live
-// session can construct each rank's correction the moment that rank's
-// sync block arrives, without waiting for the rest of the archive: every
-// scheme derives a rank's map from that rank's own sync block alone, so
-// a correction never changes once built.
+// FlatInterp. The master rank passes zero-offset measurements for
+// itself. Every scheme derives a rank's map from that rank's own sync
+// block alone, so a live session builds it the moment the block arrives,
+// without waiting for the rest of the archive, and it never changes once
+// built.
 func FlatCorrection(scheme Scheme, start, end Measurement) (LinearMap, error) {
 	switch scheme {
 	case FlatSingle:
@@ -175,33 +175,6 @@ func FlatCorrection(scheme Scheme, start, end Measurement) (LinearMap, error) {
 	default:
 		return LinearMap{}, errors.New("vclock: FlatCorrection cannot build hierarchical corrections; use HierarchicalCorrection")
 	}
-}
-
-// BuildFlat constructs per-rank corrections from direct measurements
-// against the global master. start holds the measurement taken at
-// program start for every rank; end (ignored for FlatSingle) the one
-// taken at program end. The master rank passes zero-offset
-// measurements for itself.
-func BuildFlat(scheme Scheme, start, end []Measurement) ([]Correction, error) {
-	if scheme == Hierarchical {
-		return nil, errors.New("vclock: BuildFlat cannot build hierarchical corrections; use BuildHierarchical")
-	}
-	if scheme == FlatInterp && len(end) != len(start) {
-		return nil, fmt.Errorf("vclock: have %d start but %d end measurements", len(start), len(end))
-	}
-	out := make([]Correction, len(start))
-	for r := range start {
-		var e Measurement
-		if scheme == FlatInterp {
-			e = end[r]
-		}
-		m, err := FlatCorrection(scheme, start[r], e)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = Correction{Rank: r, Map: m}
-	}
-	return out, nil
 }
 
 // HierarchicalInput bundles the measurements of the paper's
@@ -224,8 +197,8 @@ type HierarchicalInput struct {
 }
 
 // HierarchicalCorrection composes one rank's slave→local-master
-// interpolation with its local master's →metamaster interpolation —
-// the per-rank core of BuildHierarchical. Like FlatCorrection, every
+// interpolation with its local master's →metamaster interpolation,
+// yielding the slave→metamaster correction. Like FlatCorrection, every
 // input is rank-local, so the map is available as soon as that rank's
 // header has been ingested.
 func HierarchicalCorrection(in HierarchicalInput) LinearMap {
@@ -237,17 +210,6 @@ func HierarchicalCorrection(in HierarchicalInput) LinearMap {
 	toMeta := InterpMap(in.MasterStart.Local, in.MasterStart.Offset,
 		in.MasterEnd.Local, in.MasterEnd.Offset)
 	return toMeta.Compose(toLocal)
-}
-
-// BuildHierarchical composes, for every process, the slave→local-master
-// interpolation with the local-master→metamaster interpolation,
-// yielding the slave→metamaster correction.
-func BuildHierarchical(inputs []HierarchicalInput) []Correction {
-	out := make([]Correction, len(inputs))
-	for i, in := range inputs {
-		out[i] = Correction{Rank: in.Rank, Map: HierarchicalCorrection(in)}
-	}
-	return out
 }
 
 // ObserveCorrections records residual-drift statistics of a built

@@ -147,26 +147,31 @@ func TestSchemeStringAndParse(t *testing.T) {
 }
 
 func TestBuildFlatSingleIgnoresDrift(t *testing.T) {
-	start := []Measurement{{Local: 0, Offset: 0}, {Local: 10, Offset: 2}}
-	corr, err := BuildFlat(FlatSingle, start, nil)
+	m, err := FlatCorrection(FlatSingle, Measurement{Local: 10, Offset: 2}, Measurement{Local: 90, Offset: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corr[1].Map.Apply(100) != 102 {
-		t.Errorf("FlatSingle correction wrong: %g", corr[1].Map.Apply(100))
+	if m.Apply(100) != 102 {
+		t.Errorf("FlatSingle correction wrong: %g", m.Apply(100))
 	}
-	if corr[1].Map.B != 1 {
-		t.Errorf("FlatSingle must not compensate drift (B=%g)", corr[1].Map.B)
+	if m.B != 1 {
+		t.Errorf("FlatSingle must not compensate drift (B=%g)", m.B)
 	}
 }
 
+// TestBuildFlatInterpValidation: FlatInterp takes both measurements —
+// the start one at program start, the end one at program end — and its
+// map passes through each of them exactly.
 func TestBuildFlatInterpValidation(t *testing.T) {
-	start := make([]Measurement, 3)
-	if _, err := BuildFlat(FlatInterp, start, make([]Measurement, 2)); err == nil {
-		t.Errorf("mismatched end measurements accepted")
+	start, end := Measurement{Local: 10, Offset: 2}, Measurement{Local: 90, Offset: 3}
+	m, err := FlatCorrection(FlatInterp, start, end)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := BuildFlat(Hierarchical, start, start); err == nil {
-		t.Errorf("BuildFlat accepted hierarchical scheme")
+	for _, meas := range []Measurement{start, end} {
+		if got, want := m.Apply(meas.Local), meas.Local+meas.Offset; !approx(got, want, 1e-12) {
+			t.Errorf("FlatInterp maps %g to %g, want %g", meas.Local, got, want)
+		}
 	}
 }
 
@@ -187,9 +192,9 @@ func TestBuildHierarchicalComposition(t *testing.T) {
 		MasterStart: meas(L, M, t1),
 		MasterEnd:   meas(L, M, t2),
 	}
-	corr := BuildHierarchical([]HierarchicalInput{in})
+	corr := HierarchicalCorrection(in)
 	for _, tt := range []float64{0, 5, 100, 400, 777} {
-		got := corr[0].Map.Apply(S.Read(tt))
+		got := corr.Apply(S.Read(tt))
 		want := M.Read(tt)
 		if !approx(got, want, 1e-6) {
 			t.Errorf("t=%g: %.9f want %.9f", tt, got, want)
@@ -205,8 +210,7 @@ func TestBuildHierarchicalSharedNodeClock(t *testing.T) {
 		MasterStart:     Measurement{Local: 0, Offset: 5},
 		MasterEnd:       Measurement{Local: 100, Offset: 5},
 	}
-	corr := BuildHierarchical([]HierarchicalInput{in})
-	if got := corr[0].Map.Apply(50); !approx(got, 55, 1e-9) {
+	if got := HierarchicalCorrection(in).Apply(50); !approx(got, 55, 1e-9) {
 		t.Errorf("shared-clock correction = %g, want 55", got)
 	}
 }
@@ -234,8 +238,7 @@ func TestHierarchicalExactnessProperty(t *testing.T) {
 			SlaveStart: meas(S, L, 1), SlaveEnd: meas(S, L, 301),
 			MasterStart: meas(L, M, 1), MasterEnd: meas(L, M, 301),
 		}
-		corr := BuildHierarchical([]HierarchicalInput{in})
-		got := corr[0].Map.Apply(S.Read(probe))
+		got := HierarchicalCorrection(in).Apply(S.Read(probe))
 		return approx(got, M.Read(probe), 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -204,6 +204,24 @@ if [ "$routes" -gt 20 ]; then
 	exit 1
 fi
 
+# A finished analysis is kept in one place, the analyses store, which
+# settle holds to CacheEntries records and which answers a resubmission
+# from a kept job. A list, a sync.Map or a second map of analyses or
+# results is a second cache creeping back, with a bound and a lock of its
+# own.
+echo "== one result store"
+for f in internal/serve/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -n -E '"container/list"|sync\.Map' "$f"; then
+		echo "check: $f keeps a list or a sync.Map: finished analyses live in Server.analyses" >&2
+		exit 1
+	fi
+	if grep -n -E 'map\[[^]]*\](feeder|\*job|\*session|\*analysis|\*replay\.Result|\*cube\.Report|any)([^A-Za-z0-9_]|$)' "$f" | grep -v -F 'analyses'; then
+		echo "check: $f declares a map of analyses or results besides Server.analyses: a second result store" >&2
+		exit 1
+	fi
+done
+
 # Every internal package must carry tests: the conformance harness can
 # only vouch for code the suite actually reaches.
 echo "== test coverage presence (internal/...)"
