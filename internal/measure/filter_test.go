@@ -67,9 +67,10 @@ func TestRegionFilterKeepsNestingBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
+	regions := trace.NewRegionTable(tr.Regions)
 	for _, ev := range tr.Events {
 		if ev.Kind == trace.KindEnter {
-			names = append(names, tr.RegionByID(ev.Region).Name)
+			names = append(names, regions.Lookup(ev.Region).Name)
 		}
 	}
 	if strings.Join(names, ",") != "main,inner" {

@@ -132,10 +132,11 @@ func TestEventStreamStructure(t *testing.T) {
 	// Exit, Enter MPI_Barrier, COLLEXIT, Exit, Exit.
 	var kinds []trace.EventKind
 	var names []string
+	regions := trace.NewRegionTable(tr.Regions)
 	for _, ev := range tr.Events {
 		kinds = append(kinds, ev.Kind)
 		if ev.Kind == trace.KindEnter {
-			names = append(names, tr.RegionByID(ev.Region).Name)
+			names = append(names, regions.Lookup(ev.Region).Name)
 		}
 	}
 	wantKinds := []trace.EventKind{

@@ -243,25 +243,12 @@ type logCounts struct{ sends, recvs, ops int }
 // every block resident, defeating the window. An Exit is counted by the
 // kind of the region it names, which nothing has validated: a trace
 // whose exits lie gets a first page of the wrong size, and nothing else.
-func (lg *rankLog) countIfResident(regions []trace.Region) (logCounts, bool) {
+func (lg *rankLog) countIfResident(regions *trace.RegionTable) (logCounts, bool) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	var c logCounts
 	if !lg.closed || lg.resident != lg.n {
 		return c, false
-	}
-	// A table by region id: ids are small and dense in every trace a
-	// writer of ours produced, and an id past the table's bound counts as
-	// a user region — a smaller hint, nothing else.
-	const maxTable = 1 << 16
-	var nonUser []bool
-	for _, r := range regions {
-		if r.Kind != trace.RegionUser && r.ID < maxTable {
-			for int(r.ID) >= len(nonUser) {
-				nonUser = append(nonUser, false)
-			}
-			nonUser[r.ID] = true
-		}
 	}
 	for _, blk := range lg.blocks {
 		for i := range blk {
@@ -271,7 +258,7 @@ func (lg *rankLog) countIfResident(regions []trace.Region) (logCounts, bool) {
 			case trace.KindRecv:
 				c.recvs++
 			case trace.KindExit:
-				if int(ev.Region) < len(nonUser) && nonUser[ev.Region] {
+				if r := regions.Lookup(ev.Region); r != nil && r.Kind != trace.RegionUser {
 					c.ops++
 				}
 			}

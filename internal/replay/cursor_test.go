@@ -357,6 +357,86 @@ func TestPulledRankLogRejectsCorruptImages(t *testing.T) {
 	}
 }
 
+// TestHostileRegionIDs: a header may declare any region ids — past the
+// ids writers number from zero, at the top of the id space, the same id
+// twice — and an Enter of an id it does not declare is refused at that
+// event with the one message, whichever reader meets it: Validate on the
+// decoded trace, the lazy pull and ChunkDecoder. A trace that enters only
+// declared ids analyses the same preloaded and pulled, and a repeated id
+// names its last declaration's region, as it always did.
+func TestHostileRegionIDs(t *testing.T) {
+	// The table indexes ids 0, 1 and 2 — 3 is the first id past its dense
+	// bound — and searches for 5, 1<<16 and 0xFFFFFFFE.
+	regions := []trace.Region{
+		{ID: 0, Name: "main"}, {ID: 1, Name: "MPI_Send", Kind: trace.RegionMPIP2P}, {ID: 2, Name: "work"},
+		{ID: 5, Name: "first"}, {ID: 1 << 16, Name: "far"}, {ID: 5, Name: "second"}, {ID: 0xFFFFFFFE, Name: "top"},
+	}
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "hostile regions", Obs: obs.NewRecorder()}
+	for _, tc := range []struct {
+		name string
+		id   trace.RegionID
+		ok   bool
+	}{
+		{"declared 1<<16", 1 << 16, true},
+		{"declared 0xFFFFFFFE", 0xFFFFFFFE, true},
+		{"declared twice", 5, true},
+		{"just past the dense bound", 3, false},
+		{"in a hole", 4, false},
+		{"just past a declared far id", 1<<16 + 1, false},
+		{"0xFFFFFFFF", 0xFFFFFFFF, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := synth(0, 0, []trace.Event{
+				enter(0, 0), enter(1, 2), exit(2, 2), enter(3, tc.id), exit(4, tc.id), enter(5, 2), exit(6, 2), exit(7, 0),
+			}, trace.CommDef{ID: 0, Ranks: []int32{0}})
+			tr.Regions = regions
+			img := v2Blocks(t, tr, 2, 2, 2, 2, 2) // the Enter at event 3 sits in the second block
+			want := fmt.Sprintf("trace %v: event 3 enters unknown region %d", tr.Loc, tc.id)
+			check := func(reader string, err error) {
+				t.Helper()
+				if tc.ok && err != nil {
+					t.Errorf("%s refused a declared id: %v", reader, err)
+				}
+				if !tc.ok && (err == nil || err.Error() != want) {
+					t.Errorf("%s: err = %v, want %q", reader, err, want)
+				}
+			}
+
+			check("Validate", tr.Validate())
+			sc := newSweepCursor(pulledLog(t, img))
+			i := 0
+			for sc.at(i) {
+				i++
+			}
+			check("lazy pull", sc.err)
+			if !tc.ok && i != 2 {
+				t.Errorf("lazy pull published %d events before the refused block, want 2", i)
+			}
+			c := trace.NewChunkDecoder(nil)
+			_, err := c.Feed(img)
+			if err == nil {
+				_, err = c.Finish()
+			}
+			check("ChunkDecoder", err)
+
+			if !tc.ok {
+				return
+			}
+			pre := outcomeOf(Analyze([]*trace.Trace{tr}, cfg))
+			if pre.err != nil {
+				t.Fatal(pre.err)
+			}
+			if lazy, _ := pulledOutcome(t, context.Background(), cfg, [][]byte{img}); lazy.err != nil ||
+				!bytes.Equal(lazy.report, pre.report) || !bytes.Equal(lazy.prof, pre.prof) {
+				t.Errorf("pulled analysis differs from preloaded (err %v)", lazy.err)
+			}
+			if tc.id == 5 && (!bytes.Contains(pre.report, []byte(`"second"`)) || bytes.Contains(pre.report, []byte(`"first"`))) {
+				t.Error("a repeated region id does not name its last declaration's region")
+			}
+		})
+	}
+}
+
 // exchangeTraces repeats the three-rank exchange of liveTraces the given
 // number of times inside one main region, so that every rank's image
 // spans several small blocks.
@@ -705,9 +785,10 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 			t.Fatal(rr.err)
 		}
 		tr := traces[r]
+		regions := trace.NewRegionTable(tr.Regions)
 		mpi := 0
 		for _, ev := range tr.Events {
-			if ev.Kind == trace.KindExit && tr.RegionByID(ev.Region).Kind != trace.RegionUser {
+			if ev.Kind == trace.KindExit && regions.Lookup(ev.Region).Kind != trace.RegionUser {
 				mpi++
 			}
 		}
@@ -735,7 +816,8 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := newPulledRankLog(br).countIfResident(traces[0].Regions); ok {
+	regions := trace.NewRegionTable(traces[0].Regions)
+	if _, ok := newPulledRankLog(br).countIfResident(&regions); ok {
 		t.Error("a pulled log was counted: that decodes every block up front")
 	}
 

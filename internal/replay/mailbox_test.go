@@ -27,7 +27,7 @@ func (mb *mailbox) takeOK(comm, src, tag int32) sendRecord {
 }
 
 func TestMailboxFIFOPerSignature(t *testing.T) {
-	mb := newMailbox()
+	mb := &mailbox{}
 	mb.put(rec(0, 1, 7, 100))
 	mb.put(rec(0, 1, 7, 200))
 	mb.put(rec(0, 1, 7, 300))
@@ -39,7 +39,7 @@ func TestMailboxFIFOPerSignature(t *testing.T) {
 }
 
 func TestMailboxSignaturesAreIndependent(t *testing.T) {
-	mb := newMailbox()
+	mb := &mailbox{}
 	// Interleave four signatures; each must match only its own cell.
 	mb.put(rec(0, 1, 1, 11))
 	mb.put(rec(0, 2, 1, 21)) // different source
@@ -65,8 +65,7 @@ func TestMailboxSignaturesAreIndependent(t *testing.T) {
 // After a take, the mailbox's backing storage must hold no trace of
 // the matched record.
 func TestMailboxTakeReleasesMatchedRecords(t *testing.T) {
-	mb := newMailbox()
-	s := sig{comm: 0, src: 1, tag: 7}
+	mb := &mailbox{}
 	mb.put(rec(0, 1, 7, 42))
 	mb.put(rec(0, 1, 7, 43))
 	mb.put(rec(0, 1, 7, 44))
@@ -75,40 +74,50 @@ func TestMailboxTakeReleasesMatchedRecords(t *testing.T) {
 	}
 
 	mb.mu.Lock()
-	c, ok := mb.q[s]
+	k, ok := mb.find(sig{comm: 0, src: 1, tag: 7})
 	if !ok {
-		t.Fatal("signature cell vanished with records pending")
+		t.Fatal("signature FIFO vanished with records pending")
 	}
-	if c.count != 2 || c.first.bytes != 43 {
-		t.Fatalf("cell after take: count=%d first=%d, want 2/43", c.count, c.first.bytes)
+	f := mb.fifos[k]
+	if n := 1 + len(f.rest) - f.head; n != 2 || f.first.bytes != 43 {
+		t.Fatalf("FIFO after take: %d records, first %d, want 2/43", n, f.first.bytes)
 	}
 	// Every shifted spill slot — and the spare capacity beyond the live
 	// window — must be zeroed.
 	zero := sendRecord{}
-	for i := 0; i < c.head; i++ {
-		if c.rest[i] != zero {
-			t.Errorf("spill slot %d still holds matched record %+v", i, c.rest[i])
+	for i := 0; i < f.head; i++ {
+		if f.rest[i] != zero {
+			t.Errorf("spill slot %d still holds matched record %+v", i, f.rest[i])
 		}
 	}
-	for _, r := range c.rest[len(c.rest):cap(c.rest)] {
+	for _, r := range f.rest[len(f.rest):cap(f.rest)] {
 		if r != zero {
 			t.Errorf("spare spill capacity holds dead record %+v", r)
 		}
 	}
 	mb.mu.Unlock()
 
-	// Draining the signature deletes its cell outright — no cached
-	// state (and no reference to any record) survives.
+	// Draining the signature deletes its FIFO outright — no cached state,
+	// and no reference to any record, survives.
 	mb.takeOK(0, 1, 7)
 	mb.takeOK(0, 1, 7)
+	mb.assertDrained(t)
+}
+
+// assertDrained checks that a mailbox whose records were all taken keeps
+// none of them: no FIFO, and nothing left in the FIFO slice's capacity.
+func (mb *mailbox) assertDrained(t *testing.T) {
+	t.Helper()
 	mb.mu.Lock()
-	if _, ok := mb.q[s]; ok {
-		t.Error("drained signature still has a cell in the mailbox")
+	defer mb.mu.Unlock()
+	if len(mb.fifos) != 0 || mb.senders != 0 || mb.pending != 0 {
+		t.Errorf("drained mailbox holds %d FIFOs of %d senders, %d records", len(mb.fifos), mb.senders, mb.pending)
 	}
-	if len(mb.q) != 0 {
-		t.Errorf("drained mailbox holds %d cells", len(mb.q))
+	for i, f := range mb.fifos[:cap(mb.fifos)] {
+		if f.first != (sendRecord{}) || f.rest != nil {
+			t.Errorf("FIFO slot %d of a drained mailbox still holds records", i)
+		}
 	}
-	mb.mu.Unlock()
 }
 
 // TestMailboxBlockingTake checks that a take posted before the matching
@@ -117,7 +126,7 @@ func TestMailboxTakeReleasesMatchedRecords(t *testing.T) {
 // signature, and only that put, reports the wake the scheduler re-queues
 // the receiver on.
 func TestMailboxBlockingTake(t *testing.T) {
-	mb := newMailbox()
+	mb := &mailbox{}
 	if _, ok := mb.take(0, 1, 9); ok {
 		t.Fatal("a take from an empty mailbox matched")
 	}
@@ -143,7 +152,7 @@ func TestMailboxBlockingTake(t *testing.T) {
 func TestMailboxConcurrentPairs(t *testing.T) {
 	const senders = 8
 	const msgs = 200
-	mb := newMailbox()
+	mb := &mailbox{}
 	woken := make(chan struct{}, 1) // the receiver parks on one signature at a time
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -231,21 +240,57 @@ func TestMailboxAbortWakesBlockedTake(t *testing.T) {
 
 // TestMailboxVaryingPairsStaysCompact replays the clockbench
 // varying-pairs pattern — every signature used exactly once — and
-// checks the mailbox does not accumulate state: drained cells are
-// deleted, so the signature map stays at its floor no matter how many
-// distinct pairs pass through.
+// checks that a signature costs no heap object and leaves nothing behind:
+// a drained FIFO is deleted, so the mailbox stays at its floor no matter
+// how many distinct pairs pass through.
 func TestMailboxVaryingPairsStaysCompact(t *testing.T) {
-	mb := newMailbox()
-	for src := int32(0); src < 1000; src++ {
+	mb := &mailbox{}
+	src := int32(0)
+	allocs := testing.AllocsPerRun(1000, func() {
 		mb.put(rec(0, src, 4100, int64(src)))
 		if got := mb.takeOK(0, src, 4100); got.bytes != int64(src) {
 			t.Fatalf("src %d: bytes = %d", src, got.bytes)
 		}
+		src++
+	})
+	if allocs != 0 {
+		t.Errorf("a signature used once costs %v allocations", allocs)
 	}
-	mb.mu.Lock()
-	n := len(mb.q)
-	mb.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("mailbox retains %d cells after 1000 drained pairs", n)
+	mb.assertDrained(t)
+	if mb.sendersMax != 1 || mb.pendingMax != 1 {
+		t.Errorf("matching shape senders_max=%d pending_max=%d, want 1/1", mb.sendersMax, mb.pendingMax)
 	}
+}
+
+// TestMailboxManySenders has 4096 senders put three records each, on two
+// tags, into one receiver's mailbox before it takes any, in reverse rank
+// order: the fan-in of a gather to one root. Each pair's records must come
+// out in the order they were sent, the mailbox must have had one sender
+// slot per sender, and none of the records may stay behind once it
+// drained.
+func TestMailboxManySenders(t *testing.T) {
+	const senders = 4096
+	mb := &mailbox{}
+	for i := int64(0); i < 3; i++ {
+		for src := int32(0); src < senders; src++ {
+			mb.put(rec(0, src, int32(i%2), int64(src)*10+i))
+		}
+	}
+	if mb.sendersMax != senders || mb.pendingMax != 3*senders {
+		t.Fatalf("matching shape senders_max=%d pending_max=%d, want %d/%d", mb.sendersMax, mb.pendingMax, senders, 3*senders)
+	}
+	for src := int32(senders - 1); src >= 0; src-- {
+		for _, want := range []struct {
+			tag   int32
+			bytes int64
+		}{{1, 1}, {0, 0}, {0, 2}} {
+			if got := mb.takeOK(0, src, want.tag); got.bytes != int64(src)*10+want.bytes {
+				t.Fatalf("src %d tag %d: bytes = %d, want %d", src, want.tag, got.bytes, int64(src)*10+want.bytes)
+			}
+		}
+	}
+	if _, ok := mb.take(0, 0, 0); ok {
+		t.Fatal("a drained mailbox matched")
+	}
+	mb.assertDrained(t)
 }

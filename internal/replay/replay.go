@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -416,49 +417,40 @@ func BuildCorrections(traces []*trace.Trace, scheme vclock.Scheme) ([]vclock.Cor
 }
 
 // mergeComms combines the communicator definitions of all traces,
-// verifying consistency across ranks.
-func mergeComms(traces []*trace.Trace) (map[int32][]int32, error) {
-	out := make(map[int32][]int32)
+// verifying consistency across ranks, into communicators ascending by id,
+// and verifies that every communicator member has a trace. The
+// dense-range check of the archive loader cannot notice a missing tail
+// rank (the job simply looks smaller), but the world communicator
+// recorded in every surviving trace still names the lost ranks —
+// replaying without them would silently drop their side of every message
+// and produce a wrong cube rather than an error.
+func mergeComms(traces []*trace.Trace) ([]communicator, error) {
+	var out []communicator
 	for _, t := range traces {
 		for _, cd := range t.Comms {
-			if have, ok := out[cd.ID]; ok {
+			k := sort.Search(len(out), func(k int) bool { return out[k].id >= cd.ID })
+			if k < len(out) && out[k].id == cd.ID {
+				have := out[k].ranks
 				if len(have) != len(cd.Ranks) {
 					return nil, fmt.Errorf("replay: communicator %d has inconsistent sizes across traces", cd.ID)
 				}
-				for i := range have {
-					if have[i] != cd.Ranks[i] {
-						return nil, fmt.Errorf("replay: communicator %d has inconsistent membership across traces", cd.ID)
-					}
+				if !slices.Equal(have, cd.Ranks) {
+					return nil, fmt.Errorf("replay: communicator %d has inconsistent membership across traces", cd.ID)
 				}
 				continue
 			}
-			out[cd.ID] = cd.Ranks
+			out = slices.Insert(out, k, communicator{id: cd.ID, ranks: cd.Ranks, seq: make([]int, len(cd.Ranks))})
 		}
 	}
-	return out, nil
-}
-
-// checkCommCoverage verifies that every communicator member has a
-// trace. The dense-range check of the archive loader cannot notice a
-// missing tail rank (the job simply looks smaller), but the world
-// communicator recorded in every surviving trace still names the lost
-// ranks — replaying without them would silently drop their side of
-// every message and produce a wrong cube rather than an error.
-func checkCommCoverage(comms map[int32][]int32, n int) error {
-	ids := make([]int32, 0, len(comms))
-	for id := range comms {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, r := range comms[id] {
-			if int(r) < 0 || int(r) >= n {
-				return fmt.Errorf("replay: communicator %d references rank %d but the archive holds traces for ranks 0..%d (incomplete archive)",
-					id, r, n-1)
+	for i := range out {
+		for _, r := range out[i].ranks {
+			if int(r) < 0 || int(r) >= len(traces) {
+				return nil, fmt.Errorf("replay: communicator %d references rank %d but the archive holds traces for ranks 0..%d (incomplete archive)",
+					out[i].id, r, len(traces)-1)
 			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Analyze runs the parallel replay over a complete set of local traces

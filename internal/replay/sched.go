@@ -510,10 +510,11 @@ func (a *analyzer) deadlockLocked() {
 // logSchedule reports, once per analysis at debug level, how the replay
 // was scheduled: runners, steps taken (one per rank plus one per park),
 // parks by reason, wakes by another rank's step and how many of them
-// crossed shards, ranks stolen, and the deepest a ready ring got after
-// the start.
+// crossed shards, ranks stolen, the deepest a ready ring got after the
+// start, and the matching shape: the most sender slots and the most
+// records any one mailbox held.
 func (a *analyzer) logSchedule() {
-	var steps, wakes, cross, stolen, maxReady int
+	var steps, wakes, cross, stolen, maxReady, sendersMax, pendingMax int
 	var parks [numParks]int
 	for k := range a.sched.shards {
 		sh := &a.sched.shards[k]
@@ -525,8 +526,13 @@ func (a *analyzer) logSchedule() {
 		}
 		sh.mu.Unlock()
 	}
+	for _, mb := range a.mailboxes {
+		mb.mu.Lock()
+		sendersMax, pendingMax = max(sendersMax, mb.sendersMax), max(pendingMax, mb.pendingMax)
+		mb.mu.Unlock()
+	}
 	obs.OrDefault(a.cfg.Obs).Log.Debug("replay scheduled", "runners", len(a.sched.shards), "steps", steps,
 		"park_mailbox", parks[parkMailbox], "park_gather", parks[parkGather],
 		"park_log", parks[parkLog], "wakes", wakes, "wakes_cross", cross, "steals", stolen,
-		"max_ready", maxReady)
+		"max_ready", maxReady, "senders_max", sendersMax, "pending_max", pendingMax)
 }

@@ -102,39 +102,21 @@ func ExportTimelineProfile(w io.Writer, traces []*trace.Trace, scheme vclock.Sch
 				// For the send the signature is (comm, self, tag)
 				// viewed from the receiver, so both sides canonicalize
 				// to (comm, src-world-rank, tag, n).
-				var srcWorld int32
-				if e.Kind == trace.KindSend {
-					srcWorld = int32(rank)
-				} else {
-					def := t.CommByID(e.Comm)
-					if def == nil || int(e.Peer) >= len(def.Ranks) {
-						continue
-					}
-					srcWorld = def.Ranks[e.Peer]
+				def := t.CommByID(e.Comm)
+				if def == nil || int(e.Peer) >= len(def.Ranks) {
+					continue
 				}
-				// Destination world rank for the signature.
-				var dstWorld int32
-				if e.Kind == trace.KindRecv {
-					dstWorld = int32(rank)
-				} else {
-					def := t.CommByID(e.Comm)
-					if def == nil || int(e.Peer) >= len(def.Ranks) {
-						continue
-					}
-					dstWorld = def.Ranks[e.Peer]
+				srcWorld, dstWorld := def.Ranks[e.Peer], int32(rank)
+				if e.Kind == trace.KindSend {
+					srcWorld, dstWorld = dstWorld, srcWorld
 				}
 				sig := [3]int32{e.Comm, srcWorld<<16 | dstWorld, e.Tag}
 				n := seq[sig]
 				seq[sig] = n + 1
 				id := fmt.Sprintf("m%d.%d.%d.%d.%d", e.Comm, srcWorld, dstWorld, e.Tag, n)
-				ph := "s"
-				name := "msg"
+				flow := ev{"ph": "s", "name": "msg", "cat": "msg", "id": id, "pid": pid, "tid": tid, "ts": ts}
 				if e.Kind == trace.KindRecv {
-					ph = "f"
-				}
-				flow := ev{"ph": ph, "name": name, "cat": "msg", "id": id, "pid": pid, "tid": tid, "ts": ts}
-				if ph == "f" {
-					flow["bp"] = "e"
+					flow["ph"], flow["bp"] = "f", "e"
 				}
 				if err := emit(flow); err != nil {
 					return err

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime/pprof"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,27 +45,35 @@ type sendRecord struct {
 // receiver parks on, and the put that delivers it reports the wake for
 // its caller to hand to the scheduler.
 //
-// Records are sharded per receiver and, inside a receiver's mailbox,
-// keyed by exact matching signature (comm, src, tag). Matching is
-// therefore O(1) amortized — the receiver pops the head of its
-// signature's FIFO instead of scanning a shared slice — and a put only
-// touches the destination rank's mailbox, so runners replaying
-// disjoint receivers never contend.
+// Records are sharded per receiver, so a put only touches the
+// destination rank's mailbox and runners replaying disjoint receivers
+// never contend. Inside a mailbox they wait in one FIFO per exact
+// matching signature (comm, src, tag), and the FIFOs are kept sorted by
+// sender world rank, then communicator and tag: the receiver's sender
+// slots in rank order, each sender's (comm, tag) FIFOs side by side.
+// put and take find a signature by binary search — no hash, and
+// O(log pending signatures) however many senders a receiver has — and
+// the receiver pops the head of its signature's FIFO instead of scanning
+// a shared slice.
 //
-// The FIFOs are value cells inside the signature map, with the first
-// pending record stored inline and a spill slice used only when a
-// signature bursts. A signature that alternates put/take — the common
-// varying-pairs pattern, where thousands of (sender, receiver) pairs
-// each exchange a handful of messages — therefore costs no per-pair
-// heap objects at all: drained cells are deleted, and the map reuses
-// their buckets.
+// A FIFO holds its first pending record inline and spills only when a
+// signature bursts, and a drained FIFO leaves the slice at once. A
+// signature that alternates put/take — the common varying-pairs
+// pattern, where thousands of (sender, receiver) pairs each exchange a
+// handful of messages — therefore costs no heap object at all: the
+// slice stays as long as the most signatures ever pending together.
 type mailbox struct {
-	mu sync.Mutex
-	q  map[sig]cell
+	mu    sync.Mutex
+	fifos []fifo
 	// want is the signature the receiver parked on, while parked is set:
 	// the put of that signature wakes it.
 	want   sig
 	parked bool
+	// The matching shape for the "replay scheduled" line: sender slots
+	// (distinct senders with records pending) and records pending, now
+	// and at most.
+	senders, sendersMax int
+	pending, pendingMax int
 }
 
 // sig is the exact matching signature within one receiver's mailbox.
@@ -74,20 +83,37 @@ type sig struct {
 	tag  int32
 }
 
-// cell is the FIFO of pending send records of one signature. Records
-// from one sender arrive in that sender's event order, so the n-th
-// take of a signature yields the n-th send — the same pairing the
-// message-passing layer produced, because its transport is FIFO per
-// process pair.
-type cell struct {
-	count int        // live records: first plus rest[head:]
-	first sendRecord // the oldest pending record, inline
-	rest  []sendRecord
+// before orders signatures by sender, then communicator, then tag.
+func (s sig) before(t sig) bool {
+	return s.src < t.src || s.src == t.src && (s.comm < t.comm || s.comm == t.comm && s.tag < t.tag)
+}
+
+// fifo is the queue of pending send records of one signature, which its
+// oldest record, first, carries. Records from one sender arrive in that
+// sender's event order, so the n-th take of a signature yields the n-th
+// send — the same pairing the message-passing layer produced, because
+// MPI does not let messages of one (sender, receiver, comm, tag) overtake
+// each other.
+type fifo struct {
+	first sendRecord   // the oldest pending record, inline
+	rest  []sendRecord // the younger ones: rest[head:]
 	head  int
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{q: make(map[sig]cell, 8)}
+func (f *fifo) sig() sig { return sig{comm: f.first.comm, src: f.first.srcWorld, tag: f.first.tag} }
+
+// find returns the index of signature s's FIFO, or where it belongs.
+func (mb *mailbox) find(s sig) (int, bool) {
+	k := sort.Search(len(mb.fifos), func(k int) bool { return !mb.fifos[k].sig().before(s) })
+	return k, k < len(mb.fifos) && mb.fifos[k].sig() == s
+}
+
+// soleOf reports whether the FIFO at k, present or just removed, is the
+// only one of sender src: whether its arrival or departure opens or
+// closes a sender slot.
+func (mb *mailbox) soleOf(k int, src int32) bool {
+	return (k == 0 || mb.fifos[k-1].first.srcWorld != src) &&
+		(k >= len(mb.fifos) || mb.fifos[k].first.srcWorld != src)
 }
 
 // put delivers r and reports whether that wakes the receiver, parked on
@@ -95,14 +121,18 @@ func newMailbox() *mailbox {
 func (mb *mailbox) put(r sendRecord) (wake bool) {
 	s := sig{comm: r.comm, src: r.srcWorld, tag: r.tag}
 	mb.mu.Lock()
-	c := mb.q[s]
-	if c.count == 0 {
-		c.first = r
+	if k, ok := mb.find(s); ok {
+		f := &mb.fifos[k]
+		f.rest = append(f.rest, r)
 	} else {
-		c.rest = append(c.rest, r)
+		if mb.soleOf(k, s.src) {
+			mb.senders++
+			mb.sendersMax = max(mb.sendersMax, mb.senders)
+		}
+		mb.fifos = slices.Insert(mb.fifos, k, fifo{first: r})
 	}
-	c.count++
-	mb.q[s] = c
+	mb.pending++
+	mb.pendingMax = max(mb.pendingMax, mb.pending)
 	if mb.parked && mb.want == s {
 		mb.parked, wake = false, true
 	}
@@ -113,32 +143,32 @@ func (mb *mailbox) put(r sendRecord) (wake bool) {
 // take removes the oldest record with the exact signature (comm, source
 // world rank, tag); ok=false means none is pending, and the receiver is
 // parked on the signature until a put delivers one. Once matched, the
-// record is gone from the mailbox: a drained signature's cell is deleted
-// outright, and a shifted spill slot is zeroed, so the backing storage
-// holds no reference to matched records (the old scan-and-splice left
-// dead records alive in the slice's spare capacity).
+// record is gone from the mailbox: a drained FIFO is deleted outright —
+// slices.Delete zeroes the slot it vacates — and a shifted spill slot is
+// zeroed, so the backing storage holds no reference to matched records.
 func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 	s := sig{comm: comm, src: srcWorld, tag: tag}
 	mb.mu.Lock()
-	c := mb.q[s]
-	if c.count == 0 {
+	k, ok := mb.find(s)
+	if !ok {
 		mb.want, mb.parked = s, true
 		mb.mu.Unlock()
 		return sendRecord{}, false
 	}
-	r := c.first
-	c.count--
-	if c.count == 0 {
-		delete(mb.q, s)
-	} else {
-		c.first = c.rest[c.head]
-		c.rest[c.head] = sendRecord{}
-		c.head++
-		if c.head == len(c.rest) {
-			c.rest = c.rest[:0]
-			c.head = 0
+	f := &mb.fifos[k]
+	r := f.first
+	mb.pending--
+	if f.head == len(f.rest) {
+		mb.fifos = slices.Delete(mb.fifos, k, k+1)
+		if mb.soleOf(k, srcWorld) {
+			mb.senders--
 		}
-		mb.q[s] = c
+	} else {
+		f.first = f.rest[f.head]
+		f.rest[f.head] = sendRecord{}
+		if f.head++; f.head == len(f.rest) {
+			f.rest, f.head = f.rest[:0], 0
+		}
 	}
 	mb.mu.Unlock()
 	return r, true
@@ -157,15 +187,36 @@ type collGather struct {
 	waiters int32 // first parked member's world rank, -1 for none
 }
 
-// collDomain shards the collective-gather state by communicator: each
-// communicator carries its own lock and its own map of in-flight
-// instances (keyed by per-communicator sequence number), so collectives
-// on disjoint communicators never serialize on a shared mutex. The
-// domain map itself is built before the runners start and is read-only
-// during replay.
-type collDomain struct {
-	mu      sync.Mutex
-	gathers map[int]*collGather
+// communicator is one communicator of the replay, merged from every
+// trace that declares it: its members' world ranks in communicator-rank
+// order, each member's next collective instance, and the gather of the
+// instance its members are arriving at. A member waits in a collective
+// until every member has arrived, so none starts instance k+1 before k is
+// complete: one open gather per communicator is all there is. Each
+// communicator carries its own lock, so collectives on disjoint
+// communicators never serialize on a shared mutex. The communicators are
+// built before the runners start; seq[i] is written by member i's step
+// alone, and open under mu.
+type communicator struct {
+	id    int32
+	ranks []int32
+	seq   []int
+	mu    sync.Mutex
+	open  *collGather
+}
+
+// comm returns communicator id. The runtime numbers communicators 0, 1,
+// 2, …, so an id is nearly always its own index; any other is found by
+// binary search. An id no trace declares has no members, which fails the
+// event that names it.
+func (a *analyzer) comm(id int32) *communicator {
+	if uint64(id) < uint64(len(a.comms)) && a.comms[id].id == id {
+		return &a.comms[id]
+	}
+	if k := sort.Search(len(a.comms), func(k int) bool { return a.comms[k].id >= id }); k < len(a.comms) && a.comms[k].id == id {
+		return &a.comms[k]
+	}
+	return &communicator{id: id}
 }
 
 // remoteContribution attributes a severity detected on one analysis
@@ -215,20 +266,12 @@ func (acc *cpAcc) addPair(pat pattern.ID, a, b int, v float64) {
 
 // cpInfo is one node of a rank-local call-path tree.
 type cpInfo struct {
-	parent int
+	parent int // -1 for a root
 	region trace.RegionID
 	name   string
 	kind   trace.RegionKind
 	sig    uint64 // phase.SigOf(name), hashed once per call path
-}
-
-// cpKey identifies a call path by its parent path (-1 for a root) and
-// its region, packed into one word so the per-Enter lookup hashes eight
-// bytes instead of a struct.
-type cpKey uint64
-
-func makeCPKey(parent int, region trace.RegionID) cpKey {
-	return cpKey(uint32(parent+1))<<32 | cpKey(region)
+	next   [2]int // two call paths that followed this one, newest first, -1 for none: cpID's guesses
 }
 
 // recvInfo is kept per receive for the deterministic wrong-order
@@ -253,9 +296,13 @@ const (
 )
 
 type rankResult struct {
-	rank           int
-	paths          []cpInfo
-	byKey          map[cpKey]int
+	rank  int
+	paths []cpInfo
+	// children holds every call path's id, ordered by (parent, region):
+	// the tree's child links, each node's children one run in region
+	// order. last is the call path entered last, -1 before the first.
+	children       []int
+	last           int
 	acc            []cpAcc
 	recvLog        pagedLog[recvInfo]
 	violations     int
@@ -335,20 +382,40 @@ func (a *analyzer) score(rr *rankResult, m metricID, rank int32, start, dur, val
 
 // cpID returns the id of the call path that enters region under parent,
 // creating it — the only time the region's definition is looked up — on
-// its first visit.
-func (rr *rankResult) cpID(parent int, region trace.RegionID, regions map[trace.RegionID]*trace.Region) int {
-	k := makeCPKey(parent, region)
-	if id, ok := rr.byKey[k]; ok {
-		return id
+// its first visit. A sweep's Enters come round in the order they came
+// the last time round the loop, so the two call paths that last followed
+// the previous Enter's are tried first — two, so that a loop's body and
+// its exit both hit; otherwise the child is found by binary search over
+// rr.children, O(log paths) whatever the tree's width or depth.
+func (rr *rankResult) cpID(parent int, region trace.RegionID, regions *trace.RegionTable) int {
+	prev := rr.last
+	if prev >= 0 {
+		for _, id := range rr.paths[prev].next {
+			if id >= 0 && rr.paths[id].parent == parent && rr.paths[id].region == region {
+				rr.last = id
+				return id
+			}
+		}
 	}
-	reg := regions[region]
-	id := len(rr.paths)
-	rr.byKey[k] = id
-	rr.paths = append(rr.paths, cpInfo{
-		parent: parent, region: region, name: reg.Name, kind: reg.Kind,
-		sig: phase.SigOf(reg.Name),
+	k := sort.Search(len(rr.children), func(k int) bool {
+		p := &rr.paths[rr.children[k]]
+		return p.parent > parent || p.parent == parent && p.region >= region
 	})
-	rr.acc = append(rr.acc, cpAcc{})
+	if k == len(rr.children) || rr.paths[rr.children[k]].parent != parent || rr.paths[rr.children[k]].region != region {
+		reg := regions.Lookup(region)
+		rr.children = slices.Insert(rr.children, k, len(rr.paths))
+		rr.paths = append(rr.paths, cpInfo{
+			parent: parent, region: region, name: reg.Name, kind: reg.Kind,
+			sig: phase.SigOf(reg.Name), next: [2]int{-1, -1},
+		})
+		rr.acc = append(rr.acc, cpAcc{})
+	}
+	id := rr.children[k]
+	if prev >= 0 {
+		next := &rr.paths[prev].next
+		next[0], next[1] = id, next[0]
+	}
+	rr.last = id
 	return id
 }
 
@@ -356,7 +423,7 @@ func (rr *rankResult) cpID(parent int, region trace.RegionID, regions map[trace.
 type analyzer struct {
 	traces []*trace.Trace
 	corr   []vclock.LinearMap
-	comms  map[int32][]int32
+	comms  []communicator // ascending by id
 	cfg    Config
 
 	// metahosts lists the world's metahost ids in ascending order and
@@ -380,7 +447,6 @@ type analyzer struct {
 	progress []atomic.Uint64
 
 	mailboxes []*mailbox
-	colls     map[int32]*collDomain
 
 	// steppers are the ranks' analysis processes, sched runs them;
 	// labelBase is the base of every rank's pprof labels — a post-mortem
@@ -428,9 +494,6 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCommCoverage(comms, len(traces)); err != nil {
-		return nil, err
-	}
 	n := len(traces)
 	m := newReplayMetrics(rec)
 	a := &analyzer{
@@ -440,7 +503,6 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 		cfg:       cfg,
 		logs:      logs,
 		mailboxes: make([]*mailbox, n),
-		colls:     make(map[int32]*collDomain, len(comms)),
 		steppers:  make([]stepper, n),
 		sched:     newScheduler(n, m.waitingUpload),
 		labelBase: context.Background(),
@@ -473,10 +535,7 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 		st := &a.steppers[r]
 		st.a, st.rank, st.rr.rank = a, r, r
 		a.results[r] = &st.rr
-		a.mailboxes[r] = newMailbox()
-	}
-	for id := range comms {
-		a.colls[id] = &collDomain{gathers: make(map[int]*collGather)}
+		a.mailboxes[r] = &mailbox{}
 	}
 	return a, nil
 }
@@ -526,13 +585,13 @@ func (a *analyzer) cancelErr(rank int) error {
 // gatherColl deposits one member's contribution to a collective instance
 // and reports whether that completed it. Completing, it wakes the members
 // parked on it; otherwise rank is parked on it. Only the instance's own
-// communicator domain is locked, so collectives on other communicators
-// proceed concurrently.
-func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit float64, mh, rank int) (*collGather, bool) {
-	d := a.colls[comm]
-	d.mu.Lock()
-	g, ok := d.gathers[seq]
-	if !ok {
+// communicator is locked, so collectives on other communicators proceed
+// concurrently.
+func (a *analyzer) gatherColl(c *communicator, commRank int, enter, exit float64, mh, rank int) (*collGather, bool) {
+	size := len(c.ranks)
+	c.mu.Lock()
+	g := c.open
+	if g == nil {
 		// One backing array for both time vectors halves the gather's
 		// allocation count; the instance is created by whichever member
 		// replays its CollExit first.
@@ -543,7 +602,7 @@ func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit f
 			mhs:     make([]int, size),
 			waiters: -1,
 		}
-		d.gathers[seq] = g
+		c.open = g
 	}
 	g.enters[commRank] = enter
 	g.exits[commRank] = exit
@@ -551,13 +610,13 @@ func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit f
 	g.arrived++
 	if g.arrived < size {
 		a.steppers[rank].nextWaiter, g.waiters = g.waiters, int32(rank)
-		d.mu.Unlock()
+		c.mu.Unlock()
 		return g, false
 	}
-	delete(d.gathers, seq)
+	c.open = nil
 	w := g.waiters
 	g.waiters = -1
-	d.mu.Unlock()
+	c.mu.Unlock()
 	// A woken member may park on its next gather, and relink, at once:
 	// read each link before waking its owner.
 	for w >= 0 {
@@ -569,10 +628,9 @@ func (a *analyzer) gatherColl(comm int32, seq, size, commRank int, enter, exit f
 }
 
 // gatherComplete reports whether every member of g has arrived.
-func (a *analyzer) gatherComplete(comm int32, g *collGather) bool {
-	d := a.colls[comm]
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (a *analyzer) gatherComplete(c *communicator, g *collGather) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return g.arrived == len(g.enters)
 }
 
@@ -593,24 +651,22 @@ type stepper struct {
 	rank int
 	rr   rankResult
 
-	sc      sweepCursor
-	i       int     // the next event to sweep
-	delta   float64 // the forward timestamp-repair shift
-	stack   []stackEntry
-	collSeq map[int32]int
+	sc    sweepCursor
+	i     int     // the next event to sweep
+	delta float64 // the forward timestamp-repair shift
+	stack []stackEntry
 
 	// pending is the collective instance this rank deposited into and
-	// waits on — instance pendingSeq of communicator pendingComm — and
+	// waits on — the open gather of communicator pendingComm — and
 	// nextWaiter links it into that instance's list of parked members.
 	pending     *collGather
-	pendingSeq  int
-	pendingComm int32
+	pendingComm *communicator
 	nextWaiter  int32
 
 	// Set up by the first step.
 	corr    vclock.LinearMap
 	myMH    int
-	regions map[trace.RegionID]*trace.Region
+	regions trace.RegionTable
 	labels  context.Context // the rank's pprof labels, set on each step
 
 	// fw is the rank's flight shard (nil while the recorder is off); owed
@@ -630,13 +686,9 @@ func (st *stepper) begin() {
 	st.myMH = t.Loc.Metahost
 	st.labels = pprof.WithLabels(a.labelBase, pprof.Labels("rank", strconv.Itoa(rank), "phase", "replay"))
 	rr := &st.rr
-	rr.byKey = make(map[cpKey]int)
+	rr.last = -1
 	rr.commRow = make([]CommVolume, len(a.metahosts))
-	st.regions = make(map[trace.RegionID]*trace.Region, len(t.Regions))
-	for i := range t.Regions {
-		st.regions[t.Regions[i].ID] = &t.Regions[i]
-	}
-	st.collSeq = make(map[int32]int)
+	st.regions = trace.NewRegionTable(t.Regions)
 
 	// The sweep reads its events through a cursor so the same code
 	// serves every feeder: over a preloaded log at() always succeeds, over
@@ -651,7 +703,7 @@ func (st *stepper) begin() {
 	// halo2d run — holds one exact page per log instead of a ladder of
 	// doubling ones. The counts are hints: a log that outgrows its first
 	// page continues in pages like any other.
-	if c, ok := a.logs[rank].countIfResident(t.Regions); ok {
+	if c, ok := a.logs[rank].countIfResident(&st.regions); ok {
 		rr.profLog.reserve(c.sends)
 		rr.recvLog.reserve(c.recvs)
 		rr.opLog.reserve(c.ops)
@@ -701,12 +753,12 @@ func (st *stepper) awaited() {
 func (st *stepper) waitsFor() string {
 	a := st.a
 	if g := st.pending; g != nil {
-		d := a.colls[st.pendingComm]
-		d.mu.Lock()
+		c := st.pendingComm
+		c.mu.Lock()
 		arrived := g.arrived
-		d.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Sprintf("waits in collective %d of communicator %d, which %d of its %d members have reached",
-			st.pendingSeq, st.pendingComm, arrived, len(g.enters))
+			c.seq[slices.Index(c.ranks, int32(st.rank))], c.id, arrived, len(g.enters))
 	}
 	mb := a.mailboxes[st.rank]
 	mb.mu.Lock()
@@ -718,7 +770,11 @@ func (st *stepper) waitsFor() string {
 // step sweeps the rank's events until the sweep ends (parkDone; rr.err
 // says whether it failed) or the next event would block, and returns why
 // it stopped. A blocked event has had none of its side effects applied:
-// it runs again from the top when the rank is resumed.
+// it runs again from the top when the rank is resumed. Every event the
+// cursor admits has passed the stream validator (Validate, for a
+// preloaded trace): an Exit closes an open region, and a Send, Recv or
+// CollExit sits inside one, so the region stack is never empty where the
+// sweep reads its top.
 func (st *stepper) step() park {
 	a, rank := st.a, st.rank
 	rr := &st.rr
@@ -763,15 +819,11 @@ func (st *stepper) step() park {
 			if len(st.stack) > 0 {
 				parent = st.stack[len(st.stack)-1].cp
 			}
-			cp := rr.cpID(parent, ev.Region, st.regions)
+			cp := rr.cpID(parent, ev.Region, &st.regions)
 			st.stack = append(st.stack, stackEntry{cp: cp, enter: ct})
 
 		case trace.KindExit:
 			stack := st.stack
-			if len(stack) == 0 {
-				rr.err = fmt.Errorf("replay: rank %d: exit without enter at event %d", rank, i)
-				return parkDone
-			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			st.stack = stack
@@ -789,10 +841,6 @@ func (st *stepper) step() park {
 			}
 
 		case trace.KindSend:
-			if len(st.stack) == 0 {
-				rr.err = fmt.Errorf("replay: rank %d: send outside region at event %d", rank, i)
-				return parkDone
-			}
 			top := st.stack[len(st.stack)-1]
 			exitT, ok := regionExitTime(sc, i, corr, st.delta)
 			if !ok {
@@ -804,7 +852,7 @@ func (st *stepper) step() park {
 				}
 				return parkDone
 			}
-			def := a.comms[ev.Comm]
+			def := a.comm(ev.Comm).ranks
 			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
 				rr.err = fmt.Errorf("replay: rank %d: send to rank %d of %d-member communicator %d",
 					rank, ev.Peer, len(def), ev.Comm)
@@ -813,17 +861,14 @@ func (st *stepper) step() park {
 			rr.acc[top.cp].bytesSent += float64(ev.Bytes)
 			rr.replayBytes += sendRecordWire
 			dst := int(def[ev.Peer])
-			dstMH := a.traces[dst].Loc.Metahost
-			if dstMH != myMH {
+			vol := metricBytesIntra
+			if a.traces[dst].Loc.Metahost != myMH {
 				rr.replayExternal += sendRecordWire
+				vol = metricBytesWide
 			}
 			cell := &rr.commRow[a.mhCol[dst]]
 			cell.Messages++
 			cell.Bytes += ev.Bytes
-			vol := metricBytesIntra
-			if dstMH != myMH {
-				vol = metricBytesWide
-			}
 			a.score(rr, vol, int32(rank), ct, 0, float64(ev.Bytes))
 			if fw != nil {
 				fw.Emit(flight.Send, a.flJob, a.fn.put, int64(dst), flightSig(ev.Comm, ev.Tag))
@@ -843,12 +888,8 @@ func (st *stepper) step() park {
 			}
 
 		case trace.KindRecv:
-			if len(st.stack) == 0 {
-				rr.err = fmt.Errorf("replay: rank %d: recv outside region at event %d", rank, i)
-				return parkDone
-			}
 			top := st.stack[len(st.stack)-1]
-			def := a.comms[ev.Comm]
+			def := a.comm(ev.Comm).ranks
 			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
 				rr.err = fmt.Errorf("replay: rank %d: recv from rank %d of %d-member communicator %d",
 					rank, ev.Peer, len(def), ev.Comm)
@@ -914,19 +955,10 @@ func (st *stepper) step() park {
 			}
 
 		case trace.KindCollExit:
-			if len(st.stack) == 0 {
-				rr.err = fmt.Errorf("replay: rank %d: collexit outside region at event %d", rank, i)
-				return parkDone
-			}
 			top := st.stack[len(st.stack)-1]
-			def := a.comms[ev.Comm]
-			commRank := -1
-			for idx, wr := range def {
-				if int(wr) == rank {
-					commRank = idx
-					break
-				}
-			}
+			c := a.comm(ev.Comm)
+			def := c.ranks
+			commRank := slices.Index(def, int32(rank))
 			if commRank < 0 {
 				rr.err = fmt.Errorf("replay: rank %d: collexit on foreign communicator %d", rank, ev.Comm)
 				return parkDone
@@ -937,22 +969,21 @@ func (st *stepper) step() park {
 				return parkDone
 			}
 			// Deposit once; a resumed step finds its instance pending.
-			g, seq := st.pending, st.pendingSeq
+			g := st.pending
 			if g == nil {
-				seq = st.collSeq[ev.Comm]
 				if fw != nil {
-					st.await(flight.GatherBegin, a.fn.gather, int64(ev.Comm), int64(seq))
+					st.await(flight.GatherBegin, a.fn.gather, int64(ev.Comm), int64(c.seq[commRank]))
 				}
 				var complete bool
-				if g, complete = a.gatherColl(ev.Comm, seq, len(def), commRank, top.enter, ct, myMH, rank); !complete {
-					st.pending, st.pendingSeq, st.pendingComm = g, seq, ev.Comm
+				if g, complete = a.gatherColl(c, commRank, top.enter, ct, myMH, rank); !complete {
+					st.pending, st.pendingComm = g, c
 					return parkGather
 				}
-			} else if !a.gatherComplete(ev.Comm, g) {
+			} else if !a.gatherComplete(c, g) {
 				return parkGather
 			}
 			st.pending = nil
-			st.collSeq[ev.Comm] = seq + 1
+			c.seq[commRank]++
 			if fw != nil {
 				st.awaited()
 			}

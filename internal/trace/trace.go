@@ -14,7 +14,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"metascope/internal/vclock"
 )
@@ -274,12 +276,52 @@ func (t *Trace) CountKind(k EventKind) int {
 	return n
 }
 
-// RegionByID returns the region with the given id, or nil.
-func (t *Trace) RegionByID(id RegionID) *Region {
-	for i := range t.Regions {
-		if t.Regions[i].ID == id {
-			return &t.Regions[i]
-		}
+// RegionTable resolves a region id to its definition without hashing.
+// Writers number regions 0, 1, 2, …, and the ids of that dense run index
+// the table; any other id is found by binary search. A header whose ids
+// strictly ascend — every header our writers produce — is indexed as it
+// stands; any other is copied and sorted, and an id declared more than
+// once resolves to its last declaration.
+type RegionTable struct {
+	byID  []Region // ascending by id, each id once
+	dense int      // byID[i].ID == i for every i < dense
+}
+
+// NewRegionTable indexes a header's region table.
+func NewRegionTable(regions []Region) RegionTable {
+	byID := regions
+	ascending := true
+	for i := 1; i < len(regions) && ascending; i++ {
+		ascending = regions[i-1].ID < regions[i].ID
+	}
+	if !ascending {
+		// Latest declaration first, so that compacting keeps it.
+		byID = slices.Clone(regions)
+		slices.Reverse(byID)
+		slices.SortStableFunc(byID, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
+		byID = slices.CompactFunc(byID, func(a, b Region) bool { return a.ID == b.ID })
+	}
+	dense := 0
+	for dense < len(byID) && byID[dense].ID == RegionID(dense) {
+		dense++
+	}
+	return RegionTable{byID: byID, dense: dense}
+}
+
+// Lookup returns the definition of region id, nil if the header does not
+// declare it: an index below the dense bound, a binary search above it.
+func (t *RegionTable) Lookup(id RegionID) *Region {
+	if uint64(id) < uint64(t.dense) {
+		return &t.byID[id]
+	}
+	return t.search(id)
+}
+
+// search is Lookup's slow path, apart so that Lookup inlines.
+func (t *RegionTable) search(id RegionID) *Region {
+	rest := t.byID[t.dense:]
+	if i, ok := slices.BinarySearchFunc(rest, id, func(r Region, id RegionID) int { return cmp.Compare(r.ID, id) }); ok {
+		return &rest[i]
 	}
 	return nil
 }

@@ -268,6 +268,47 @@ func TestCollOpClasses(t *testing.T) {
 	}
 }
 
+// TestRegionTableMatchesMap: whatever ids a header declares — dense from
+// zero, ascending with holes, unsorted, repeated, at the top of the id
+// space — Lookup resolves every id as a map filled in declaration order
+// does, the last declaration of a repeated id winning.
+func TestRegionTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	headers := [][]RegionID{
+		nil,
+		{0, 1, 2, 3},
+		{0, 1, 2, 4, 7, 1 << 16, 1<<16 + 1, 0xFFFFFFFF},
+		{5, 0, 3, 3, 0xFFFFFFFE, 1, 0},
+	}
+	for i := 0; i < 50; i++ {
+		ids := make([]RegionID, rng.Intn(40))
+		for j := range ids {
+			ids[j] = RegionID(rng.Intn(48))
+			if rng.Intn(8) == 0 {
+				ids[j] = RegionID(rng.Uint32())
+			}
+		}
+		headers = append(headers, ids)
+	}
+	for _, ids := range headers {
+		regions := make([]Region, len(ids))
+		want := map[RegionID]string{}
+		probes := []RegionID{0, 1, 47, 48, 1 << 16, 0xFFFFFFFF}
+		for j, id := range ids {
+			regions[j] = Region{ID: id, Name: fmt.Sprint("r", j)}
+			want[id] = regions[j].Name
+			probes = append(probes, id, id+1, id-1)
+		}
+		table := NewRegionTable(regions)
+		for _, id := range probes {
+			r := table.Lookup(id)
+			if name, ok := want[id]; ok != (r != nil) || ok && (r.Name != name || r.ID != id) {
+				t.Fatalf("header %v: Lookup(%d) = %+v, want %q (declared %v)", ids, id, r, name, ok)
+			}
+		}
+	}
+}
+
 func TestTraceHelpers(t *testing.T) {
 	tr := sampleTrace()
 	if d := tr.Duration(); math.Abs(d-3.0) > 1e-12 {
@@ -276,10 +317,11 @@ func TestTraceHelpers(t *testing.T) {
 	if n := tr.CountKind(KindEnter); n != 4 {
 		t.Errorf("CountKind(Enter) = %d, want 4", n)
 	}
-	if r := tr.RegionByID(1); r == nil || r.Name != "MPI_Send" {
-		t.Errorf("RegionByID(1) = %+v", r)
+	regions := NewRegionTable(tr.Regions)
+	if r := regions.Lookup(1); r == nil || r.Name != "MPI_Send" {
+		t.Errorf("Lookup(1) = %+v", r)
 	}
-	if tr.RegionByID(99) != nil {
+	if regions.Lookup(99) != nil {
 		t.Errorf("unknown region found")
 	}
 	if cd := tr.CommByID(1); cd == nil || len(cd.Ranks) != 2 {

@@ -9,7 +9,7 @@ import "fmt"
 // layer's lazy block logs share this one implementation.
 type StreamValidator struct {
 	loc      Location
-	known    map[RegionID]bool
+	regions  RegionTable
 	depth    int
 	lastTime float64
 	n        int
@@ -19,11 +19,7 @@ type StreamValidator struct {
 // header: the location names errors, the region table defines which
 // Enter targets are known. Events themselves need not be present.
 func NewStreamValidator(t *Trace) *StreamValidator {
-	known := make(map[RegionID]bool, len(t.Regions))
-	for _, r := range t.Regions {
-		known[r.ID] = true
-	}
-	return &StreamValidator{loc: t.Loc, known: known}
+	return &StreamValidator{loc: t.Loc, regions: NewRegionTable(t.Regions)}
 }
 
 // Event checks the next event of the stream. Errors are fatal to the
@@ -44,7 +40,7 @@ func (v *StreamValidator) Event(ev *Event) error {
 	v.n++
 	switch ev.Kind {
 	case KindEnter:
-		if !v.known[ev.Region] {
+		if v.regions.Lookup(ev.Region) == nil {
 			return fmt.Errorf("trace %v: event %d enters unknown region %d", v.loc, i, ev.Region)
 		}
 		v.depth++

@@ -126,19 +126,22 @@ func TestObservabilityPipelineSnapshot(t *testing.T) {
 	// The replay says once how it was scheduled: a post-mortem replay's
 	// 8 ranks park on mailboxes and gathers, never on a log, and take one
 	// step each plus one per park; each wake is another rank's step, at
-	// most one per park, and only some of them cross shards.
-	sched := regexp.MustCompile(`(?m)^level=debug msg="replay scheduled" runners=(\d+) steps=(\d+) park_mailbox=(\d+) park_gather=(\d+) park_log=0 wakes=(\d+) wakes_cross=(\d+) steals=(\d+) max_ready=(\d+)$`).
+	// most one per park, and only some of them cross shards. Its matching
+	// shape says how many of the other 7 ranks sent to one receiver at once
+	// and how many of the 40 records one mailbox held.
+	sched := regexp.MustCompile(`(?m)^level=debug msg="replay scheduled" runners=(\d+) steps=(\d+) park_mailbox=(\d+) park_gather=(\d+) park_log=0 wakes=(\d+) wakes_cross=(\d+) steals=(\d+) max_ready=(\d+) senders_max=(\d+) pending_max=(\d+)$`).
 		FindAllStringSubmatch(logged.String(), -1)
 	if len(sched) != 1 {
 		t.Fatalf("want one \"replay scheduled\" debug line, got %d in:\n%s", len(sched), logged.String())
 	}
-	var s [8]int // runners, steps, mailbox parks, gather parks, wakes, cross-shard wakes, steals, max ready
+	var s [10]int // runners, steps, mailbox parks, gather parks, wakes, cross-shard wakes, steals, max ready, senders max, pending max
 	for i := range s {
 		s[i], _ = strconv.Atoi(sched[0][i+1])
 	}
-	if s[0] < 1 || s[0] > 8 || s[1] != 8+s[2]+s[3] || s[3] == 0 || s[4] > s[2]+s[3] || s[5] > s[4] || s[6] > s[1] || s[7] > 8 {
-		t.Errorf("schedule line reports %d runners, %d steps, %d mailbox and %d gather parks, %d wakes (%d across shards), %d steals, %d ready at most",
-			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+	if s[0] < 1 || s[0] > 8 || s[1] != 8+s[2]+s[3] || s[3] == 0 || s[4] > s[2]+s[3] || s[5] > s[4] || s[6] > s[1] || s[7] > 8 ||
+		s[8] < 1 || s[8] > 7 || s[9] < s[8] || s[9] > 40 {
+		t.Errorf("schedule line reports %d runners, %d steps, %d mailbox and %d gather parks, %d wakes (%d across shards), %d steals, %d ready at most, %d senders and %d records in one mailbox at most",
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9])
 	}
 
 	var buf strings.Builder

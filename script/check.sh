@@ -112,6 +112,22 @@ if [ "$decls" -ne 1 ]; then
 	exit 1
 fi
 
+# A replayed or validated event costs no hash: a mailbox finds a
+# signature by binary search over its FIFOs sorted by sender, a call path
+# comes from the tree's sorted child links, and a communicator or a region
+# from a table indexed by id (trace.RegionTable). A map keyed by
+# signature, communicator or region id, or the call-path map byKey, back
+# in the sweep's files is a per-event hash creeping back.
+echo "== no hash per event"
+if grep -n -E 'map\[(sig|int32|trace\.RegionID)\]|byKey' internal/replay/worker.go internal/replay/cursor.go; then
+	echo "check: the replay sweep keys a map by signature, communicator or region again: look it up in a sorted or dense table" >&2
+	exit 1
+fi
+if grep -n -F 'map[RegionID]' internal/trace/validator.go; then
+	echo "check: internal/trace/validator.go looks regions up in a map again: use the header's RegionTable" >&2
+	exit 1
+fi
+
 # A ledger record is written once, into the page it stays in: the three
 # per-rank logs (profLog, recvLog, opLog) are pagedLogs, filled through
 # add. An append onto one of them is a log that moves — copied at every
