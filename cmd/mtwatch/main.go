@@ -83,7 +83,7 @@ func (st *watchState) apply(ev replay.StreamEvent) {
 }
 
 func (st *watchState) terminal() bool {
-	return st.state == "done" || st.state == "failed"
+	return st.state == "done" || st.state == "failed" || st.state == "cancelled"
 }
 
 // render produces one full dashboard frame as text. It is a pure

@@ -9,12 +9,12 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"metascope"
 	"metascope/internal/apps/clockbench"
 	"metascope/internal/experiments"
 	"metascope/internal/measure"
+	"metascope/internal/obs"
 )
 
 func main() {
@@ -24,11 +24,11 @@ func main() {
 	// One measured run…
 	e := metascope.NewExperiment("clocksync", topo, place, 42)
 	if err := e.Build(); err != nil {
-		log.Fatal(err)
+		obs.Fatal("clocksync failed", "err", err)
 	}
 	params := clockbench.Params{Rounds: 400, Bytes: 64, Gap: 0.1}
 	if err := e.Run(func(m *measure.M) { clockbench.Body(m, params) }); err != nil {
-		log.Fatal(err)
+		obs.Fatal("clocksync failed", "err", err)
 	}
 	fmt.Printf("ran the clock benchmark: %d messages over %.0f s of virtual time\n\n",
 		params.Messages(place.N()), e.Engine().Now())
@@ -38,7 +38,7 @@ func main() {
 	// re-execution.
 	all, err := e.AnalyzeAll()
 	if err != nil {
-		log.Fatal(err)
+		obs.Fatal("clocksync failed", "err", err)
 	}
 	fmt.Println("clock condition violations (paper's Table 2: 7560 / 2179 / 0):")
 	for _, s := range []metascope.Scheme{metascope.FlatSingle, metascope.FlatInterp, metascope.Hierarchical} {
@@ -52,7 +52,7 @@ func main() {
 	// the clock condition needs (§4).
 	rows, internalLat, err := experiments.Figure3(43, params)
 	if err != nil {
-		log.Fatal(err)
+		obs.Fatal("clocksync failed", "err", err)
 	}
 	fmt.Print(experiments.FormatFigure3(rows, internalLat))
 	fmt.Println()

@@ -12,11 +12,11 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"metascope"
 	"metascope/internal/apps/metatrace"
 	"metascope/internal/measure"
+	"metascope/internal/obs"
 	"metascope/internal/pattern"
 	"metascope/internal/topology"
 )
@@ -29,21 +29,21 @@ func run(caesarSpeed, partScale float64) (gridLS, gridWB float64) {
 	place := metascope.ViolaExperiment1Placement(topo)
 	e := metascope.NewExperiment("whatif", topo, place, 42)
 	if err := e.Build(); err != nil {
-		log.Fatal(err)
+		obs.Fatal("loadbalance failed", "err", err)
 	}
 	params := metatrace.Default(place.N() / 2)
 	params.Steps = 4 // a short run is enough for shares
 	params.PartWork *= partScale
 	params, err := metatrace.Setup(e.World(), params)
 	if err != nil {
-		log.Fatal(err)
+		obs.Fatal("loadbalance failed", "err", err)
 	}
 	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
-		log.Fatal(err)
+		obs.Fatal("loadbalance failed", "err", err)
 	}
 	res, err := e.Analyze(metascope.Hierarchical)
 	if err != nil {
-		log.Fatal(err)
+		obs.Fatal("loadbalance failed", "err", err)
 	}
 	r := res.Report
 	return r.MetricPercent(r.MetricIndex(pattern.KeyGridLS)),

@@ -9,12 +9,12 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"metascope"
 	"metascope/internal/apps/metatrace"
 	"metascope/internal/cube"
 	"metascope/internal/measure"
+	"metascope/internal/obs"
 	"metascope/internal/pattern"
 	"metascope/internal/replay"
 	"metascope/internal/topology"
@@ -23,18 +23,18 @@ import (
 func runExperiment(name string, topo *topology.Metacomputer, place *topology.Placement) *replay.Result {
 	e := metascope.NewExperiment(name, topo, place, 42)
 	if err := e.Build(); err != nil {
-		log.Fatal(err)
+		obs.Fatal("metatrace failed", "err", err)
 	}
 	params, err := metatrace.Setup(e.World(), metatrace.Default(place.N()/2))
 	if err != nil {
-		log.Fatal(err)
+		obs.Fatal("metatrace failed", "err", err)
 	}
 	if err := e.Run(func(m *measure.M) { metatrace.Body(m, params) }); err != nil {
-		log.Fatal(err)
+		obs.Fatal("metatrace failed", "err", err)
 	}
 	res, err := e.Analyze(metascope.Hierarchical)
 	if err != nil {
-		log.Fatal(err)
+		obs.Fatal("metatrace failed", "err", err)
 	}
 	return res
 }

@@ -8,9 +8,6 @@ package metatrace
 // Dims holds the process-grid extents.
 type Dims struct{ X, Y, Z int }
 
-// Size returns X·Y·Z.
-func (d Dims) Size() int { return d.X * d.Y * d.Z }
-
 // Dims3 factors n into three factors as close to each other as
 // possible, preferring larger extents in X (the contiguous dimension).
 // For 16 it yields 4×2×2, the grid used by the 16-process Trace runs.

@@ -31,7 +31,7 @@ func TestDims3Property(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw)%512 + 1
 		d := Dims3(n)
-		return d.Size() == n && d.X >= d.Y && d.Y >= d.Z && d.Z >= 1
+		return d.X*d.Y*d.Z == n && d.X >= d.Y && d.Y >= d.Z && d.Z >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 512}); err != nil {
 		t.Fatal(err)

@@ -28,12 +28,6 @@ type Result struct {
 	StdDev  float64
 }
 
-// String renders "label: mean ± sd µs (n samples)".
-func (r Result) String() string {
-	return fmt.Sprintf("%s (%s): %.2f us (sd %.3f us, n=%d)",
-		r.Label, r.Class, r.Mean*1e6, r.StdDev*1e6, r.Samples)
-}
-
 // tag base for the benchmark's messages; each pair uses its own tag so
 // concurrent pairs cannot interfere.
 const tagBase = 7000

@@ -2,7 +2,6 @@ package pingpong
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"metascope/internal/sim"
@@ -115,13 +114,5 @@ func TestMeasureValidation(t *testing.T) {
 	pairs, _ := Table1Pairs(place)
 	if _, err := Measure(sim.NewEngine(1), place, pairs, 1, 64); err == nil {
 		t.Fatalf("single round accepted")
-	}
-}
-
-func TestResultString(t *testing.T) {
-	r := Result{Label: "x", Class: topology.External, Samples: 10, Mean: 1e-3, StdDev: 1e-6}
-	s := r.String()
-	if !strings.Contains(s, "x") || !strings.Contains(s, "external") || !strings.Contains(s, "1000.00 us") {
-		t.Errorf("String() = %q", s)
 	}
 }

@@ -33,9 +33,6 @@ func NewDirFS(dir string) (*DirFS, error) {
 // Name returns the root directory's base name.
 func (d *DirFS) Name() string { return d.name }
 
-// Root returns the absolute root path.
-func (d *DirFS) Root() string { return d.root }
-
 // resolve maps an archive path into the root, rejecting escapes.
 func (d *DirFS) resolve(p string) (string, error) {
 	clean := filepath.Clean("/" + strings.TrimPrefix(p, "/"))

@@ -28,18 +28,11 @@ import (
 	"metascope/internal/measure"
 	"metascope/internal/pattern"
 	"metascope/internal/replay"
+	"metascope/internal/scenario"
 	"metascope/internal/topology"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
-
-// CompletionBound caps the incidental collective completion time
-// (BarrierCompletion, NxNCompletion) a conformance scenario may
-// accumulate per rank. Completion is implementation skew — dissemination
-// rounds over the testbed's links — not planted imbalance, so it has no
-// closed form; on the conformance testbed it is a few link latencies,
-// far below this bound and far below any planted delay.
-const CompletionBound = 0.02
 
 // Scenario plants one wait-state pattern instance with known delays.
 // One scenario is one complete experiment: len(Delays) ranks aligned at
@@ -285,8 +278,9 @@ func (m Mismatch) String() string {
 //     exactly zero for intra scenarios;
 //   - the wrong-order specialization of Late Sender stays zero (the
 //     scenarios send in order);
-//   - collective completion metrics stay within CompletionBound when
-//     the scenario runs a collective, zero otherwise;
+//   - collective completion metrics stay within
+//     scenario.CompletionPerCall when the scenario runs its one
+//     collective, zero otherwise;
 //   - every other wait-state family stays zero.
 func CheckOracle(rep *cube.Report, s Scenario, scale float64, tol Tolerance) []Mismatch {
 	want := s.Expected()
@@ -299,9 +293,9 @@ func CheckOracle(rep *cube.Report, s Scenario, scale float64, tol Tolerance) []M
 	bounds := map[string]float64{}
 	switch s.Base {
 	case pattern.WaitBarrier:
-		bounds[pattern.KeyBarrierComp] = CompletionBound
+		bounds[pattern.KeyBarrierComp] = scenario.CompletionPerCall
 	case pattern.WaitNxN:
-		bounds[pattern.KeyNxNComp] = CompletionBound
+		bounds[pattern.KeyNxNComp] = scenario.CompletionPerCall
 	}
 	return CheckKeys(rep, s.N(), keys, bounds, scale, tol)
 }

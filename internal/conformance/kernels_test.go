@@ -19,18 +19,6 @@ func exactKernels() []string {
 	return []string{"halo1d", "halo2d", "masterworker", "amr", "straggler", "crosstraffic"}
 }
 
-// TestCompletionConstantsAgree pins scenario.CompletionPerCall to
-// CompletionBound: the kernel expectations budget completion skew per
-// collective call using the same constant the planted scenarios are
-// checked against.
-func TestCompletionConstantsAgree(t *testing.T) {
-	t.Parallel()
-	if scenario.CompletionPerCall != CompletionBound {
-		t.Fatalf("scenario.CompletionPerCall = %g, conformance.CompletionBound = %g",
-			scenario.CompletionPerCall, CompletionBound)
-	}
-}
-
 // TestKernelOracle is the generated-workload arm of the oracle: every
 // exact library kernel, in both trace encodings, analyzed under every
 // synchronization scheme, must reproduce its compiled multi-key

@@ -1,147 +1,68 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Level orders log severities.
-type Level int32
+// Level orders log severities; it is slog's.
+type Level = slog.Level
 
 // The logger's severity levels; the default threshold is LevelInfo.
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
 
-// String returns the key=value spelling of the level.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int32(l))
-	}
-}
-
-// Logger is a leveled structured logger emitting one key=value line
-// per entry:
+// Logger is log/slog's text handler, without the time key and with the
+// level in lower case, emitting one key=value line per entry:
 //
 //	level=info msg="archives written" dir=run1 metahosts=3
 //
-// It is safe for concurrent use and deliberately timestamp-free so
-// test output stays deterministic.
+// It is safe for concurrent use and deliberately timestamp-free so test
+// output stays deterministic. Debug, Info, Warn and Error are slog's, so
+// go vet checks the key/value pairs of every call.
 type Logger struct {
-	mu    sync.Mutex
-	w     io.Writer
-	level atomic.Int32
-	exit  func(int)
+	*slog.Logger
+	level slog.LevelVar
 }
 
 // NewLogger creates a logger writing to w (nil selects os.Stderr) at
 // LevelInfo.
 func NewLogger(w io.Writer) *Logger {
-	l := &Logger{w: w, exit: os.Exit}
-	l.level.Store(int32(LevelInfo))
-	return l
-}
-
-// SetLevel sets the minimum level that is emitted.
-func (l *Logger) SetLevel(lv Level) { l.level.Store(int32(lv)) }
-
-// Level returns the current threshold.
-func (l *Logger) Level() Level { return Level(l.level.Load()) }
-
-// SetExit replaces the process-exit function Fatal uses; tests install
-// a recorder to assert the exit code without dying.
-func (l *Logger) SetExit(fn func(int)) {
-	l.mu.Lock()
-	l.exit = fn
-	l.mu.Unlock()
-}
-
-// needsQuotes reports whether a value must be quoted to stay one
-// unambiguous key=value token.
-func needsQuotes(s string) bool {
-	if s == "" {
-		return true
-	}
-	return strings.ContainsAny(s, " \t\n\"=")
-}
-
-func formatValue(v any) string {
-	s := fmt.Sprint(v)
-	if needsQuotes(s) {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
-}
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if lv < l.Level() {
-		return
-	}
-	var b strings.Builder
-	b.WriteString("level=")
-	b.WriteString(lv.String())
-	b.WriteString(" msg=")
-	b.WriteString(formatValue(msg))
-	for i := 0; i < len(kv); i += 2 {
-		key := fmt.Sprint(kv[i])
-		var val string
-		if i+1 < len(kv) {
-			val = formatValue(kv[i+1])
-		} else {
-			val = "\"(MISSING)\""
-		}
-		b.WriteByte(' ')
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	b.WriteByte('\n')
-	l.mu.Lock()
-	w := l.w
 	if w == nil {
 		w = os.Stderr
 	}
-	io.WriteString(w, b.String())
-	l.mu.Unlock()
+	l := new(Logger)
+	l.Logger = slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: &l.level, ReplaceAttr: untimed}))
+	return l
 }
 
-// Debug logs at debug level; kv is alternating keys and values.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-// Fatal logs at error level (regardless of threshold) and exits the
-// process with status 1.
-func (l *Logger) Fatal(msg string, kv ...any) {
-	l.log(LevelError, msg, kv)
-	l.mu.Lock()
-	exit := l.exit
-	l.mu.Unlock()
-	if exit == nil {
-		exit = os.Exit
+// untimed drops the time key and spells the level in lower case.
+func untimed(_ []string, a slog.Attr) slog.Attr {
+	switch a.Key {
+	case slog.TimeKey:
+		return slog.Attr{}
+	case slog.LevelKey:
+		a.Value = slog.StringValue(strings.ToLower(a.Value.String()))
 	}
-	exit(1)
+	return a
+}
+
+// SetLevel sets the minimum level that is emitted.
+func (l *Logger) SetLevel(lv Level) { l.level.Set(lv) }
+
+// Level returns the current threshold.
+func (l *Logger) Level() Level { return l.level.Level() }
+
+// Fatal logs at error level on the Default logger and exits with status
+// 1. The CLIs route every fatal path through here so exit messages share
+// one format.
+func Fatal(msg string, kv ...any) {
+	Default.Log.Error(msg, kv...)
+	os.Exit(1)
 }

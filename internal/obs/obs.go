@@ -12,8 +12,8 @@
 //   - lightweight phase spans (Phases.Start → Span.End) that nest and
 //     aggregate into a per-run phase breakdown (build, measure, sync,
 //     archive, replay, pattern-search, render),
-//   - a leveled structured (key=value) Logger replacing ad-hoc log/fmt
-//     use in the CLIs.
+//   - a leveled structured (key=value) Logger, log/slog's text handler
+//     without time stamps, replacing ad-hoc log/fmt use in the CLIs.
 //
 // Library layers accept an optional *Recorder and fall back to the
 // process-wide Default, so instrumentation is always on but tests can
@@ -93,25 +93,6 @@ func OrDefault(r *Recorder) *Recorder {
 	}
 	return r
 }
-
-// Package-level logging helpers on the Default recorder's logger.
-
-// Debug logs at debug level on the Default logger.
-func Debug(msg string, kv ...any) { Default.Log.Debug(msg, kv...) }
-
-// Info logs at info level on the Default logger.
-func Info(msg string, kv ...any) { Default.Log.Info(msg, kv...) }
-
-// Warn logs at warn level on the Default logger.
-func Warn(msg string, kv ...any) { Default.Log.Warn(msg, kv...) }
-
-// Error logs at error level on the Default logger.
-func Error(msg string, kv ...any) { Default.Log.Error(msg, kv...) }
-
-// Fatal logs at error level on the Default logger and exits with a
-// non-zero status. The CLIs route every fatal path through here so
-// exit messages share one format.
-func Fatal(msg string, kv ...any) { Default.Log.Fatal(msg, kv...) }
 
 // Shared histogram bucket boundaries, chosen once so the same
 // measurement is comparable across packages and runs.

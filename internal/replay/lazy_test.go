@@ -179,10 +179,10 @@ func TestAnalyzeLazyCorruptBlockSurfacesError(t *testing.T) {
 	}
 }
 
-// TestLiveBoundedResident: a feeder that throttles on Resident() against
-// its own budget must complete with a peak resident window far below the
-// full event count — the out-of-core guarantee for archives larger than
-// RAM.
+// TestLiveBoundedResident: a feeder that throttles on a rank log's
+// resident events against its own budget must complete with a peak
+// resident window far below the full event count — the out-of-core
+// guarantee for archives larger than RAM.
 func TestLiveBoundedResident(t *testing.T) {
 	traces := bigPingPong(4000)
 	blobs := make([][]byte, len(traces))
@@ -207,7 +207,7 @@ func TestLiveBoundedResident(t *testing.T) {
 			if offs[r] >= len(blobs[r]) {
 				continue
 			}
-			if res, _ := l.Resident(r); res > budget {
+			if res, _ := l.ranks[r].log.residentEvents(); res > budget {
 				continue // throttle: let the sweep drain this rank first
 			}
 			end := offs[r] + 4096
@@ -242,7 +242,7 @@ func TestLiveBoundedResident(t *testing.T) {
 	}
 	peakSum := 0
 	for r := range blobs {
-		_, peak := l.Resident(r)
+		_, peak := l.ranks[r].log.residentEvents()
 		if peak >= len(traces[r].Events) {
 			t.Errorf("rank %d peak resident %d >= full trace %d: window never released",
 				r, peak, len(traces[r].Events))

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -119,7 +120,7 @@ type FrontierEvent struct {
 
 // StateEvent reports a session lifecycle transition.
 type StateEvent struct {
-	State string `json:"state"` // "open" | "running" | "done" | "failed"
+	State string `json:"state"` // "open" | "running" | "done" | "failed" | "cancelled"
 	Error string `json:"error,omitempty"`
 }
 
@@ -419,21 +420,27 @@ func (l *Live) FinishRank(rank int) error {
 }
 
 // fail records the first fatal session error and aborts the running
-// analysis so every rank unwinds. A session that is done stays done:
-// its stream has ended and is not reopened by a late abort.
+// analysis so every rank unwinds. The session ends "cancelled" when err
+// is a cancellation (errors.Is context.Canceled), "failed" otherwise. A
+// session that is done stays done: its stream has ended and is not
+// reopened by a late abort.
 func (l *Live) fail(err error) {
+	state := "failed"
+	if errors.Is(err, context.Canceled) {
+		state = "cancelled"
+	}
 	l.mu.Lock()
 	first := l.abortErr == nil && l.state != "done"
 	if first {
 		l.abortErr = err
-		l.state = "failed"
+		l.state = state
 		if l.a != nil {
 			l.a.abort(err)
 		}
 	}
 	l.mu.Unlock()
 	if first {
-		l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "failed", Error: err.Error()}})
+		l.emit(StreamEvent{Type: "state", State: &StateEvent{State: state, Error: err.Error()}})
 	}
 }
 
@@ -539,9 +546,8 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 // sink and the set of windows closed (an entry per window the run ever
 // closed), the string interner, every rank's remaining event blocks and
 // every decoder's byte buffer — so a finished session costs its owner
-// the counters and header locations Status, Resident and RankLocation
-// report, not the engine, however it ended and however fine its windows
-// were.
+// the counters and header locations Status and RankLocation report, not
+// the engine, however it ended and however fine its windows were.
 func (l *Live) release() {
 	l.mu.Lock()
 	l.a = nil
@@ -680,19 +686,6 @@ func (l *Live) emit(ev StreamEvent) {
 	}
 	l.emitMu.Unlock()
 	l.m.emits.With(ev.Type).Inc()
-}
-
-// Resident reports one rank's bounded-memory window: the events
-// currently held in its log (ingested but not yet swept past and
-// released) and the session-lifetime peak. The engine always releases
-// swept blocks but never blocks FeedChunk — a hard limit could deadlock
-// when a message match needs events further ahead than it allows — so a
-// feeder that wants a pinned ceiling throttles itself on this.
-func (l *Live) Resident(rank int) (resident, peak int) {
-	if rank < 0 || rank >= len(l.ranks) {
-		return 0, 0
-	}
-	return l.ranks[rank].log.residentEvents()
 }
 
 // LiveStatus is a point-in-time view of a session for vitals and the

@@ -473,8 +473,8 @@ func TestLiveAbort(t *testing.T) {
 	if _, err := l.Finalize(context.Background()); err == nil {
 		t.Fatal("finalize of aborted session succeeded")
 	}
-	if st := l.Status(); st.State != "failed" {
-		t.Fatalf("state %q, want failed", st.State)
+	if st := l.Status(); st.State != "cancelled" {
+		t.Fatalf("state %q, want cancelled", st.State)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 
 // CompletionPerCall is the per-collective-call bound on incidental
 // completion time (BarrierCompletion, NxNCompletion) a generated
-// kernel may accumulate on the deterministic testbed. It mirrors
-// conformance.CompletionBound — completion is dissemination skew, not
-// planted imbalance, so it has no closed form; internal/conformance
-// cross-checks the two constants stay equal.
+// kernel may accumulate on the deterministic testbed, and the bound the
+// planted conformance scenarios are checked against. Completion is
+// dissemination skew over the testbed's links, not planted imbalance, so
+// it has no closed form; it stays a few link latencies, far below this
+// bound and far below any planted delay.
 const CompletionPerCall = 0.02
 
 // Expectation is the closed-form analysis ground truth of a compiled

@@ -35,10 +35,12 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Sentinel stop causes and failures, which settle classifies.
+// Sentinel stop causes and failures, which settle classifies. The two
+// cancellations wrap context.Canceled, so the replay counts and streams
+// the abort they cause as cancelled, not failed.
 var (
-	errCancelled    = errors.New("serve: cancelled by request")
-	errDrainAborted = errors.New("serve: aborted by server drain")
+	errCancelled    = fmt.Errorf("serve: cancelled by request: %w", context.Canceled)
+	errDrainAborted = fmt.Errorf("serve: aborted by server drain: %w", context.Canceled)
 	errSessionIdle  = errors.New("serve: session idle timeout expired")
 	errJobTimeout   = errors.New("serve: analysis exceeded its time budget")
 	errJobPanicked  = errors.New("serve: analysis panicked")
@@ -98,7 +100,7 @@ func (s *Server) settle(f feeder, res *replay.Result, err, cause error) {
 	switch {
 	case err == nil:
 		a.state, a.result = StateDone, res
-	case cause == errCancelled || cause == errDrainAborted:
+	case errors.Is(cause, context.Canceled):
 		outcome = "cancelled"
 		if a.state == StateQueued {
 			// The job never started: the distinct label separates free
@@ -224,16 +226,23 @@ func (s *Server) budget(ctx context.Context) (context.Context, context.CancelFun
 	return context.WithTimeoutCause(ctx, s.opts.JobTimeout, errJobTimeout)
 }
 
-// reject counts a refused submission and answers it.
-func (s *Server) reject(w http.ResponseWriter, reason string, status int, format string, args ...any) {
+// reject refuses a request before it becomes work: one count of
+// metascope_serve_rejected_total under reason, one structured warn line
+//
+//	level=warn msg="request refused" reason=… status=… method=… path=… error=… [attrs…]
+//
+// and the status with msg as its JSON error.
+func (s *Server) reject(w http.ResponseWriter, r *http.Request, reason string, status int, msg string, attrs ...any) {
 	s.m.rejected.With(reason).Inc()
-	s.fail(w, status, format, args...)
+	s.rec.Log.Warn("request refused", append([]any{"reason", reason, "status", status,
+		"method", r.Method, "path", r.URL.Path, "error", msg}, attrs...)...)
+	s.fail(w, status, "%s", msg)
 }
 
 // tooLarge reports whether err refuses an upload for being over
 // MaxUploadBytes — the body as it arrived, or the bundle by what its
-// directory declares — and if so answers it: 413, counted, and logged
-// with the declared and the allowed bytes.
+// directory declares — and if so refuses it with 413, the line carrying
+// the declared and the allowed bytes.
 func (s *Server) tooLarge(w http.ResponseWriter, r *http.Request, err error) bool {
 	var declared, allowed any
 	var body *http.MaxBytesError
@@ -246,16 +255,15 @@ func (s *Server) tooLarge(w http.ResponseWriter, r *http.Request, err error) boo
 	default:
 		return false
 	}
-	s.rec.Log.Warn("upload over the size limit", "method", r.Method, "path", r.URL.Path,
+	s.reject(w, r, "too_large", http.StatusRequestEntityTooLarge, "upload over the size limit: "+err.Error(),
 		"declared_bytes", declared, "allowed_bytes", allowed)
-	s.reject(w, "too_large", http.StatusRequestEntityTooLarge, "%v", err)
 	return true
 }
 
 // rejectDraining answers a submission that met a draining server, at
 // admit or, when the drain began in between, at registration.
-func (s *Server) rejectDraining(w http.ResponseWriter) {
-	s.reject(w, "draining", http.StatusServiceUnavailable, "server is draining; not accepting new work")
+func (s *Server) rejectDraining(w http.ResponseWriter, r *http.Request) {
+	s.reject(w, r, "draining", http.StatusServiceUnavailable, "server is draining; not accepting new work")
 }
 
 // admit is the intake gate of both feeders: it refuses new work while
@@ -266,14 +274,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (vclock.Scheme, b
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		s.rejectDraining(w)
+		s.rejectDraining(w, r)
 		return 0, false
 	}
 	scheme := s.opts.Scheme
 	if v := r.URL.Query().Get("scheme"); v != "" {
 		var err error
 		if scheme, err = vclock.ParseScheme(v); err != nil {
-			s.reject(w, "bad_request", http.StatusBadRequest, "%v", err)
+			s.reject(w, r, "bad_request", http.StatusBadRequest, err.Error())
 			return 0, false
 		}
 	}

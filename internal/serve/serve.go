@@ -335,7 +335,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		if !s.tooLarge(w, r, err) {
-			s.reject(w, "bad_request", http.StatusBadRequest, "%v", err)
+			s.reject(w, r, "bad_request", http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -343,7 +343,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		source: source, digest: digest,
 		mounts: u.mounts, metahosts: u.metahosts, dir: u.dir,
 	}
-	if s.submit(w, scheme, j) {
+	if s.submit(w, r, scheme, j) {
 		s.rec.Log.Debug("job accepted", "id", j.id, "source", source, "digest", digest,
 			"body_bytes", len(body), "inflated_bytes", u.inflated, "files", u.files)
 	}
@@ -367,14 +367,14 @@ func (s *Server) mountPath(p, dirOverride string) (*archive.Mounts, []int, strin
 // enqueues it; a full queue rejects with 429 and a Retry-After estimate
 // derived from observed job latency. It reports whether the job was
 // accepted.
-func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) bool {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, scheme vclock.Scheme, j *job) bool {
 	j.cacheKey = j.digest + "|" + scheme.String()
 	j.ctx, j.cancel = context.WithCancelCause(context.Background())
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.rejectDraining(w)
+		s.rejectDraining(w, r)
 		return false
 	}
 	kept := s.reusable(j.cacheKey)
@@ -391,8 +391,8 @@ func (s *Server) submit(w http.ResponseWriter, scheme vclock.Scheme, j *job) boo
 		retry := s.retryAfterLocked()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.reject(w, "queue_full", http.StatusTooManyRequests,
-			"analysis queue is full (%d waiting); retry in ~%ds", s.opts.QueueDepth, retry)
+		s.reject(w, r, "queue_full", http.StatusTooManyRequests,
+			fmt.Sprintf("analysis queue is full (%d waiting); retry in ~%ds", s.opts.QueueDepth, retry))
 		return false
 	}
 	s.register(j, "job", scheme, StateQueued)
@@ -612,7 +612,7 @@ func (s *Server) setCacheRatio() {
 // of an idle server already carries the full schema.
 type serveMetrics struct {
 	submitted       *obs.Family // by submission source
-	rejected        *obs.Family // by rejection reason
+	rejected        *obs.Family // refused requests, by reason
 	outcomes        *obs.Family // by terminal outcome
 	sessionOutcomes *obs.Family // live sessions by terminal outcome
 	evicted         *obs.Family // finished analyses evicted, by feeder
@@ -634,7 +634,7 @@ func newServeMetrics(rec *obs.Recorder) *serveMetrics {
 		submitted: r.Counter("metascope_serve_jobs_submitted_total",
 			"analysis jobs accepted, by submission source", "source"),
 		rejected: r.Counter("metascope_serve_rejected_total",
-			"submissions rejected before queueing, by reason", "reason"),
+			"requests refused (submissions, session opens, chunks), by reason", "reason"),
 		outcomes: r.Counter("metascope_serve_jobs_total",
 			"jobs reaching a terminal state, by outcome", "outcome"),
 		sessionOutcomes: r.Counter("metascope_serve_sessions_total",

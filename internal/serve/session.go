@@ -127,15 +127,15 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// world size is bounded like a bundle's rank files are.
 	ranks, err := strconv.Atoi(r.URL.Query().Get("ranks"))
 	if err != nil || ranks <= 0 || ranks > maxZipFiles {
-		s.reject(w, "bad_request", http.StatusBadRequest,
-			"pass ?ranks=N (world size 1..%d), got %q", maxZipFiles, r.URL.Query().Get("ranks"))
+		s.reject(w, r, "bad_request", http.StatusBadRequest,
+			fmt.Sprintf("pass ?ranks=N (world size 1..%d), got %q", maxZipFiles, r.URL.Query().Get("ranks")))
 		return
 	}
 	window := s.opts.WindowSec
 	if v := r.URL.Query().Get("window"); v != "" {
 		d, derr := time.ParseDuration(v)
 		if derr != nil || d <= 0 {
-			s.reject(w, "bad_request", http.StatusBadRequest, "bad ?window=%q: want a positive duration", v)
+			s.reject(w, r, "bad_request", http.StatusBadRequest, fmt.Sprintf("bad ?window=%q: want a positive duration", v))
 			return
 		}
 		window = d.Seconds()
@@ -154,12 +154,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining:
 		s.mu.Unlock()
-		s.rejectDraining(w)
+		s.rejectDraining(w, r)
 		return
 	case open >= s.opts.MaxSessions:
 		s.mu.Unlock()
-		s.reject(w, "sessions_full", http.StatusTooManyRequests,
-			"%d live sessions already open (limit %d)", open, s.opts.MaxSessions)
+		s.reject(w, r, "sessions_full", http.StatusTooManyRequests,
+			fmt.Sprintf("%d live sessions already open (limit %d)", open, s.opts.MaxSessions))
 		return
 	}
 	s.register(sess, "exp", scheme, stateOpen)
@@ -273,19 +273,25 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
+	badRequest := func(format string, args ...any) {
+		s.reject(w, r, "bad_request", http.StatusBadRequest, fmt.Sprintf(format, args...))
+	}
+	conflict := func(format string, args ...any) {
+		s.reject(w, r, "conflict", http.StatusConflict, fmt.Sprintf(format, args...))
+	}
 	mh, err := strconv.Atoi(r.PathValue("mh"))
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad metahost %q", r.PathValue("mh"))
+		badRequest("bad metahost %q", r.PathValue("mh"))
 		return
 	}
 	rank, err := strconv.Atoi(r.PathValue("rank"))
 	if err != nil || rank < 0 || rank >= len(sess.ranks) {
-		s.fail(w, http.StatusBadRequest, "bad rank %q (world size %d)", r.PathValue("rank"), len(sess.ranks))
+		badRequest("bad rank %q (world size %d)", r.PathValue("rank"), len(sess.ranks))
 		return
 	}
 	seq, err := strconv.ParseInt(r.URL.Query().Get("seq"), 10, 64)
 	if err != nil || seq < 0 {
-		s.fail(w, http.StatusBadRequest, "pass ?seq=N (chunk sequence number from 0), got %q", r.URL.Query().Get("seq"))
+		badRequest("pass ?seq=N (chunk sequence number from 0), got %q", r.URL.Query().Get("seq"))
 		return
 	}
 	last := r.URL.Query().Get("last") == "1" || r.URL.Query().Get("last") == "true"
@@ -300,7 +306,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	body, err := s.readBody(w, r, buf)
 	if err != nil {
 		if !s.tooLarge(w, r, err) {
-			s.fail(w, http.StatusBadRequest, "reading chunk: %v", err)
+			badRequest("reading chunk: %v", err)
 		}
 		return
 	}
@@ -317,7 +323,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if state != stateOpen {
-		s.fail(w, http.StatusConflict, "session %s is %s; chunks are only accepted while open", sess.id, state)
+		conflict("session %s is %s; chunks are only accepted while open", sess.id, state)
 		return
 	}
 	// An ingest failure ends the whole session: the engine has aborted
@@ -341,12 +347,11 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		ack(false)
 		return
 	case seq > sr.nextSeq:
-		s.fail(w, http.StatusConflict,
-			"rank %d chunk gap: got seq %d, expected %d — resend in order", rank, seq, sr.nextSeq)
+		conflict("rank %d chunk gap: got seq %d, expected %d — resend in order", rank, seq, sr.nextSeq)
 		return
 	}
 	if sr.finished {
-		s.fail(w, http.StatusConflict, "rank %d stream already finished", rank)
+		conflict("rank %d stream already finished", rank)
 		return
 	}
 	if err := sess.live.FeedChunk(rank, body); err != nil {
@@ -443,6 +448,11 @@ func (s *Server) reapSession(sess *session) {
 			ctx, cancel := s.budget(context.Background())
 			defer cancel()
 			res, err := sess.live.Finalize(ctx)
+			// A budget that ran out before Finalize returned is the timeout,
+			// also when the replay finished before the abort reached it.
+			if dl, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(dl) {
+				res, err = nil, errJobTimeout
+			}
 			s.mu.Lock()
 			s.settle(sess, res, err, sess.cause)
 			state, errMsg := sess.state, sess.err

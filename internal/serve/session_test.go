@@ -596,7 +596,9 @@ func TestSessionSSEResume(t *testing.T) {
 		}
 	}
 
-	// Abandoned streams must not leak their handler goroutines.
+	// Abandoned streams must not leak their handler goroutines. A finished
+	// session's stream ends by itself, so the clients watch an open one.
+	streamURL = ts.URL + "/v1/experiments/" + openSession(t, ts.URL, "?ranks=1").ID + "/stream"
 	base := runtime.NumGoroutine()
 	var cancels []context.CancelFunc
 	for i := 0; i < 8; i++ {

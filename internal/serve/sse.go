@@ -137,7 +137,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if len(evs) > 0 {
 			fl.Flush()
 		}
-		if done && len(evs) == 0 {
+		if done { // evs was the rest of the log: nothing follows
 			return
 		}
 		select {

@@ -26,10 +26,10 @@ import (
 // its calls per rank (the serve layer's sequence numbers do this).
 type ChunkDecoder struct {
 	// DiscardEvents, when set before the first Feed, stops Feed from
-	// accumulating events on the trace returned by Header/Finish: events
-	// are still decoded, validated, and returned as they complete, but
-	// the decoder's resident memory stays bounded by the undecoded tail
-	// of one chunk.
+	// accumulating events on the trace Finish returns: events are still
+	// decoded, validated, and returned as they complete, but the
+	// decoder's resident memory stays bounded by the undecoded tail of
+	// one chunk.
 	DiscardEvents bool
 
 	intern *Interner
@@ -64,7 +64,7 @@ func (c *ChunkDecoder) fail(err error) error {
 // Append adds data to the stream. The decoder copies what it needs, so
 // the caller may reuse data as soon as Append returns. Once the bytes
 // complete the header — which for v2 includes the block size that
-// follows the event count — Reader and Header turn non-nil. Errors are
+// follows the event count — Reader turns non-nil. Errors are
 // sticky: once corruption is reported, the decoder is dead.
 func (c *ChunkDecoder) Append(data []byte) error {
 	if c.err != nil {
@@ -101,18 +101,6 @@ func (c *ChunkDecoder) Append(data []byte) error {
 // next block is still arriving; after Close the image is complete and a
 // block cut short is an error.
 func (c *ChunkDecoder) Reader() *BlockReader { return c.r }
-
-// Header returns the decoded trace header (location, sync block,
-// regions, communicators) once it is complete, nil before that. The
-// returned trace's Events slice grows as Feed calls land (unless
-// DiscardEvents is set); Finish returns the same pointer when the
-// stream completes.
-func (c *ChunkDecoder) Header() *Trace {
-	if c.r == nil {
-		return nil
-	}
-	return c.r.t
-}
 
 // Close declares end-of-stream: the reader's image stops growing. A
 // stream that ends inside the header is an error.

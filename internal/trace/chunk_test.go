@@ -99,29 +99,29 @@ func TestChunkDecoderRandomChunking(t *testing.T) {
 func TestChunkDecoderHeaderAccessors(t *testing.T) {
 	data := encodeSample(t)
 	c := NewChunkDecoder(nil)
-	if c.Header() != nil {
-		t.Fatal("Header non-nil before any bytes")
+	if c.Reader() != nil {
+		t.Fatal("Reader non-nil before any bytes")
 	}
 	// Feed a prefix too short for the header: still waiting.
 	if evs, err := c.Feed(data[:8]); err != nil || evs != nil {
 		t.Fatalf("short Feed = (%v, %v), want (nil, nil)", evs, err)
 	}
-	if c.Header() != nil {
-		t.Fatal("Header non-nil mid-header")
+	if c.Reader() != nil {
+		t.Fatal("Reader non-nil mid-header")
 	}
 	if _, err := c.Feed(data[8:]); err != nil {
 		t.Fatal(err)
 	}
-	h := c.Header()
-	if h == nil || h.Loc.MetahostName != "FH-BRS" || len(h.Regions) != 3 {
-		t.Fatalf("Header = %+v, want sample header", h)
+	h := c.Reader().Trace()
+	if h.Loc.MetahostName != "FH-BRS" || len(h.Regions) != 3 {
+		t.Fatalf("header = %+v, want sample header", h)
 	}
 	tr, err := c.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr != h {
-		t.Fatal("Finish returned a different *Trace than Header")
+		t.Fatal("Finish returned a different *Trace than the reader's")
 	}
 }
 

@@ -118,7 +118,7 @@ func TestChunkDecoderBlockHandoff(t *testing.T) {
 				}
 				s := &blockSink{want: want.Events}
 				c := feedBlocks(t, single, s)
-				if c.Header().Events != nil {
+				if c.Reader().Trace().Events != nil {
 					t.Fatal("NextInto accumulated events on the decoder's trace")
 				}
 				for k, blk := range s.blocks {

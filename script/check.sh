@@ -238,6 +238,23 @@ for f in internal/serve/*.go; do
 	fi
 done
 
+# Every log line goes through one logger, obs.Logger, which is log/slog's
+# text handler without the time key (internal/obs/log.go), so go vet
+# checks the key/value pairs of every call. A logger that formats lines
+# itself, or the standard log package in a program file, is a second
+# logger creeping back.
+echo "== one logger"
+if ! grep -q '"log/slog"' internal/obs/log.go; then
+	echo "check: internal/obs/log.go does not import log/slog: the logger is slog's text handler" >&2
+	exit 1
+fi
+stdlog=$(grep -rl -E --include='*.go' '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"log"[[:space:]]*$' . | grep -v '_test\.go$' || true)
+if [ -n "$stdlog" ]; then
+	echo "check: these files import the standard log package; log through obs (obs.Fatal on a fatal path):" >&2
+	echo "$stdlog" >&2
+	exit 1
+fi
+
 # Every internal package must carry tests: the conformance harness can
 # only vouch for code the suite actually reaches.
 echo "== test coverage presence (internal/...)"
