@@ -327,7 +327,9 @@ func (lg *rankLog) releaseBefore(i int) {
 // sweepCursor is one rank's forward view of a rankLog. at(i) reports
 // whether event i exists; ev(i) returns the event itself, caching one
 // block so the sequential sweep touches the log's lock once per block,
-// not once per event.
+// not once per event. The sweep reads an event inside the cached block,
+// published and short of nextRelease straight from blk, and calls at,
+// release and ev only at a block edge (stepper.sweep).
 type sweepCursor struct {
 	lg     *rankLog
 	blk    []trace.Event
@@ -377,9 +379,8 @@ func (sc *sweepCursor) ev(i int) *trace.Event {
 	return &sc.blk[i-sc.base]
 }
 
-// release frees the log's blocks below the sweep frontier i. Called
-// once per event; it touches the log only when the frontier crosses a
-// block boundary.
+// release frees the log's blocks below the sweep frontier i. It touches
+// the log only when the frontier crosses a block boundary.
 func (sc *sweepCursor) release(i int) {
 	if i < sc.nextRelease {
 		return

@@ -30,13 +30,14 @@ import (
 // profile artifacts are byte-identical to Analyze over the whole
 // archive. The conformance suite asserts this.
 //
-// While the replay runs, scored severities are additionally deposited
-// into fixed time windows (streamSink); a drain goroutine empties
-// the sink periodically and publishes window deltas, the low-watermark
-// frontier (the minimum corrected sweep time over all ranks — no
-// event before it can still be scored, except for sender-side
-// amendments, which are flagged), and per-rank ingest lag as
-// StreamEvents. The serve layer forwards them over SSE.
+// While the replay runs, each rank folds the severities its sweep scored
+// into fixed time windows (streamSink) whenever it publishes its
+// frontier; a drain goroutine empties the sink periodically and
+// publishes window deltas, the low-watermark frontier (the minimum
+// published sweep time over all ranks — no event before it can still be
+// scored, except for sender-side amendments, which are flagged), and
+// per-rank ingest lag as StreamEvents. The serve layer forwards them
+// over SSE.
 
 // LiveConfig configures a live analysis session.
 type LiveConfig struct {
@@ -181,9 +182,10 @@ type Live struct {
 	drainDone chan struct{}
 
 	// Drain-goroutine-only state (the final drain runs after the drain
-	// goroutine has stopped, so no lock is needed).
-	closedThrough int64
-	closedSet     map[int64]bool
+	// goroutine has stopped, so no lock is needed). touched is the highest
+	// window index a drain has emitted.
+	closedThrough, touched int64
+	closedSet              map[int64]bool
 }
 
 // NewLive opens a live analysis session for a world of cfg.Ranks
@@ -211,6 +213,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		drainStop:     make(chan struct{}),
 		drainDone:     make(chan struct{}),
 		closedThrough: math.MinInt64,
+		touched:       math.MinInt64,
 		closedSet:     make(map[int64]bool),
 	}
 	l.fw = rec.Flight.Writer(flight.WindowActor)
@@ -369,14 +372,14 @@ func (l *Live) startLocked() error {
 		return err
 	}
 	// Attach the live plumbing: the window sink, its columns the
-	// metahosts the headers name, and the progress frontier (initialized
-	// to -Inf — a rank that has not yet swept any event holds every window
-	// open).
+	// metahosts the headers name, and the progress frontier, which each
+	// rank publishes as −Inf before it runs — a rank that has not yet swept
+	// any event holds every window open.
 	l.sink = newStreamSink(0, l.cfg.WindowSec, a.metahosts, a.mhCol, l.fail)
 	a.sink = l.sink
 	a.progress = make([]atomic.Uint64, len(l.ranks))
-	for i := range a.progress {
-		a.progress[i].Store(math.Float64bits(math.Inf(-1)))
+	for r := range a.steppers {
+		a.steppers[r].publish()
 	}
 	l.a = a
 	l.started = true
@@ -579,10 +582,13 @@ func (l *Live) drainLoop() {
 
 // drainAndEmit drains the sink and emits one batch of window events
 // plus a frontier event. final=true (from Finalize, after the replay
-// drained) closes every touched window unconditionally.
+// drained) closes every touched window unconditionally. The frontier is
+// read before the sink is drained: a rank folds its deposits before it
+// publishes, so a window the frontier read has passed leaves with every
+// deposit its ranks' sweeps made into it — barring sender-side amendments.
 func (l *Live) drainAndEmit(final bool) {
-	drained := l.sink.drain()
 	progress, ingest, lags := l.frontierState()
+	drained := l.sink.drain()
 
 	// maxClosed: highest window index whose end the progress frontier
 	// has passed.
@@ -616,8 +622,13 @@ func (l *Live) drainAndEmit(final bool) {
 	if maxClosed != math.MinInt64 && maxClosed != math.MaxInt64 && maxClosed > l.closedThrough {
 		l.closedThrough = maxClosed
 	}
-	if maxClosed == math.MaxInt64 && len(idxs) > 0 && idxs[len(idxs)-1] > l.closedThrough {
-		l.closedThrough = idxs[len(idxs)-1]
+	if len(idxs) > 0 {
+		l.touched = max(l.touched, idxs[len(idxs)-1])
+	}
+	// Once every sweep is over, every window is final: a window emitted
+	// open by an earlier drain and never touched again is closed too.
+	if maxClosed == math.MaxInt64 && l.touched > l.closedThrough {
+		l.closedThrough = l.touched
 	}
 
 	fe := &FrontierEvent{ClosedThrough: l.closedThrough, Ranks: lags}
@@ -635,13 +646,16 @@ func (l *Live) drainAndEmit(final bool) {
 }
 
 // frontierState computes the progress and ingest frontiers and the
-// per-rank lag vector.
+// per-rank lag vector, and sets the sweep-lag gauge: the largest gap, over
+// the ranks still sweeping (published an event's time, not done), between
+// a rank's last ingested and last published corrected time.
 func (l *Live) frontierState() (progress, ingest float64, lags []RankLag) {
 	l.mu.Lock()
 	a := l.a
 	traces := append([]*trace.Trace(nil), l.traces...)
 	l.mu.Unlock()
 	progress, ingest = math.Inf(1), math.Inf(1)
+	sweepLag := 0.0
 	lags = make([]RankLag, len(l.ranks))
 	for i, lr := range l.ranks {
 		lag := RankLag{
@@ -665,14 +679,17 @@ func (l *Live) frontierState() (progress, ingest float64, lags []RankLag) {
 		lag.Finished = lr.finished
 		lr.mu.Unlock()
 		if a != nil {
-			if p := math.Float64frombits(a.progress[i].Load()); p < progress {
-				progress = p
+			p := math.Float64frombits(a.progress[i].Load())
+			progress = min(progress, p)
+			if lag.HasTime && !math.IsInf(p, 0) {
+				sweepLag = max(sweepLag, lag.Ingested-p)
 			}
 		} else {
 			progress = math.Inf(-1)
 		}
 		lags[i] = lag
 	}
+	l.m.sweepLag.Set(sweepLag)
 	return progress, ingest, lags
 }
 
@@ -727,7 +744,7 @@ func (l *Live) Status() LiveStatus {
 type streamMetrics struct {
 	chunks, bytes, events *obs.Series
 	windowsClosed         *obs.Series
-	frontier              *obs.Series
+	frontier, sweepLag    *obs.Series
 	emits                 *obs.Family
 }
 
@@ -744,6 +761,8 @@ func newStreamMetrics(rec *obs.Recorder) *streamMetrics {
 			"severity windows closed by live sessions").With(),
 		frontier: r.Gauge("metascope_stream_frontier_seconds",
 			"progress frontier (min corrected sweep time) of the last live session").With(),
+		sweepLag: r.Gauge("metascope_stream_sweep_lag_seconds",
+			"largest gap between a rank's last ingested and last published corrected time, over the ranks still sweeping, of the last live session").With(),
 		emits: r.Counter("metascope_stream_emits_total",
 			"stream events emitted by live sessions", "type"),
 	}

@@ -62,6 +62,27 @@ func (l *pagedLog[T]) add(v T) {
 	(*pg)[n] = v
 }
 
+// logPos is a reader's place in a pagedLog: a page, and how many of its
+// records were read. The zero value is the start of the log.
+type logPos struct{ page, off int }
+
+// unread returns the records added since pos, one page's run at a time,
+// and moves pos past them; nil once pos is at the end. Only the last page
+// can still grow, so pos stays on it.
+func (l *pagedLog[T]) unread(pos *logPos) []T {
+	for ; pos.page < len(l.pages); pos.page, pos.off = pos.page+1, 0 {
+		if pg := l.pages[pos.page]; pos.off < len(pg) {
+			run := pg[pos.off:]
+			pos.off = len(pg)
+			return run
+		}
+		if pos.page == len(l.pages)-1 {
+			break
+		}
+	}
+	return nil
+}
+
 // len returns the number of records.
 func (l *pagedLog[T]) len() int {
 	n := 0

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"metascope/internal/pattern"
 	"metascope/internal/phase"
 )
 
@@ -39,9 +40,12 @@ type sinkCell struct {
 }
 
 // streamSink collects severity mass into fixed time windows while the
-// replay runs. Steps deposit each detected wait interval (or volume
-// point) as it is scored; the live session's drain goroutine periodically
-// empties the sink and publishes the deltas of every touched window. Intervals are
+// replay runs. It is a projection of the severity ledger: each rank folds
+// what its sweep scored since its previous publication into the sink just
+// before it publishes its frontier (stepper.publish), so a window holds a
+// rank's own deposits before that rank's frontier passes it. The live
+// session's drain goroutine periodically empties the sink and publishes
+// the deltas of every touched window. Intervals are
 // spread across windows proportionally to overlap — the same rule the
 // profile accumulator uses — so the per-window deltas of one series
 // sum exactly to the severity total deposited, which is what lets the
@@ -97,32 +101,75 @@ func (s *streamSink) windowOf(t float64) int64 {
 	return int64(math.Floor((t - s.origin) / s.width))
 }
 
-// add deposits value, scored by rank scorer's step as metric m of rank, over
-// the corrected interval [start, start+dur). A non-positive duration
-// deposits at start's window. An interval spanning more than
-// maxDepositWindows windows is not deposited: it fails the session.
-func (s *streamSink) add(scorer int, m metricID, rank int32, start, dur, value float64) {
+// fold deposits into the windows what rank rr's sweep scored since its
+// previous fold: the ledger samples after prof, and the Late Sender wait of
+// every receive after recv — at family granularity, because whether an
+// instance is plain, wrong-order or grid, all in the Late Sender family,
+// is decided in the post-pass, which enters it in the ledger. It takes the
+// sink's lock once for the lot, and consecutive deposits, which mostly
+// land in one window, reuse that window's row instead of looking it up
+// again. A deposit spanning more than maxDepositWindows windows is refused
+// and fails the session, once the lock is released; the rest of the fold
+// is dropped with it.
+func (s *streamSink) fold(rr *rankResult, prof, recv *logPos) {
+	s.mu.Lock()
+	err := s.foldLocked(rr, prof, recv)
+	s.mu.Unlock()
+	if err != nil {
+		s.fail(err)
+	}
+}
+
+func (s *streamSink) foldLocked(rr *rankResult, prof, recv *logPos) error {
+	var last lastRow
+	for run := rr.profLog.unread(prof); run != nil; run = rr.profLog.unread(prof) {
+		for k := range run {
+			p := &run[k]
+			if err := s.depositLocked(&last, rr.rank, p.metric, p.rank, p.start, p.dur, p.val); err != nil {
+				return err
+			}
+		}
+	}
+	for run := rr.recvLog.unread(recv); run != nil; run = rr.recvLog.unread(recv) {
+		for k := range run {
+			if r := &run[k]; r.lsWait > 0 {
+				if err := s.depositLocked(&last, rr.rank, metricID(pattern.LateSender), int32(rr.rank), r.recvEnter, r.lsWait, r.lsWait); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// lastRow is the window a fold deposited into last, and its row.
+type lastRow struct {
+	w   int64
+	row []sinkCell
+}
+
+// depositLocked adds value, scored by rank scorer's sweep as metric m of
+// rank, over the corrected interval [start, start+dur), spread across the
+// windows it overlaps. A non-positive duration deposits at start's window.
+func (s *streamSink) depositLocked(last *lastRow, scorer int, m metricID, rank int32, start, dur, value float64) error {
 	if value == 0 {
-		return
+		return nil
 	}
 	if dur > 0 {
 		// Counted in floating point: a hostile time stamp over a narrow
 		// window overflows the int64 window index.
 		n := math.Floor((start+dur-s.origin)/s.width) - math.Floor((start-s.origin)/s.width) + 1
 		if !(n <= maxDepositWindows) { // NaN is refused too
-			s.fail(fmt.Errorf("replay: rank %d: wait interval [%g, %g) spans %.0f stream windows of %g s (limit %d)",
-				scorer, start, start+dur, n, s.width, maxDepositWindows))
-			return
+			return fmt.Errorf("replay: rank %d: wait interval [%g, %g) spans %.0f stream windows of %g s (limit %d)",
+				scorer, start, start+dur, n, s.width, maxDepositWindows)
 		}
 	}
 	k := sinkFamily[m]*len(s.metahosts) + s.col[rank]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.total[k].v += value
 	s.total[k].set = true
 	if dur <= 0 {
-		s.depositLocked(k, s.windowOf(start), value)
-		return
+		s.addLocked(last, s.windowOf(start), k, value)
+		return nil
 	}
 	end := start + dur
 	w0, w1 := s.windowOf(start), s.windowOf(end)
@@ -130,26 +177,32 @@ func (s *streamSink) add(scorer int, m metricID, rank int32, start, dur, value f
 		w1-- // interval ends exactly on a window edge
 	}
 	if w0 == w1 {
-		s.depositLocked(k, w0, value)
-		return
+		s.addLocked(last, w0, k, value)
+		return nil
 	}
 	for w := w0; w <= w1; w++ {
 		lo := math.Max(start, s.origin+float64(w)*s.width)
 		hi := math.Min(end, s.origin+float64(w+1)*s.width)
 		if hi > lo {
-			s.depositLocked(k, w, value*(hi-lo)/dur)
+			s.addLocked(last, w, k, value*(hi-lo)/dur)
 		}
 	}
+	return nil
 }
 
-func (s *streamSink) depositLocked(k int, w int64, v float64) {
-	row := s.cur[w]
-	if row == nil {
-		row = s.newRow()
-		s.cur[w] = row
+// addLocked adds v to cell k of window w's row, making the row on the
+// window's first deposit since the last drain.
+func (s *streamSink) addLocked(last *lastRow, w int64, k int, v float64) {
+	if last.row == nil || last.w != w {
+		row := s.cur[w]
+		if row == nil {
+			row = s.newRow()
+			s.cur[w] = row
+		}
+		last.w, last.row = w, row
 	}
-	row[k].v += v
-	row[k].set = true
+	last.row[k].v += v
+	last.row[k].set = true
 }
 
 // drain swaps out and returns everything deposited since the previous

@@ -177,14 +177,12 @@ func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 // collGather coordinates the members of one collective instance: every
 // participant deposits its corrected enter/exit once and parks until the
 // last one arrives, after which each computes its own wait states from
-// the complete vectors. The parked members form an intrusive list through
-// their steppers (stepper.nextWaiter), so waiting allocates nothing.
+// the complete vectors.
 type collGather struct {
 	enters  []float64
 	exits   []float64
 	mhs     []int
 	arrived int
-	waiters int32 // first parked member's world rank, -1 for none
 }
 
 // communicator is one communicator of the replay, merged from every
@@ -368,16 +366,12 @@ type profSample struct {
 }
 
 // score records one scored severity of rank — the scoring process itself
-// or, for Late Receiver, the sender that suffered it: deferred to the
-// scoring rank's sample log for result()'s read of the ledger and, in a
-// live session, deposited into the window sink under its pattern family —
-// grid and wrong-order variants are children of their base pattern in the
-// metric tree, so the family's inclusive cube total matches the stream.
-func (a *analyzer) score(rr *rankResult, m metricID, rank int32, start, dur, val float64) {
+// or, for Late Receiver, the sender that suffered it — in the scoring
+// rank's sample log, deferred to result()'s read of the ledger. In a live
+// session the window sink is folded from the same log at the rank's next
+// publication (stepper.publish).
+func (rr *rankResult) score(m metricID, rank int32, start, dur, val float64) {
 	rr.profLog.add(profSample{start: start, dur: dur, val: val, rank: rank, metric: m})
-	if a.sink != nil {
-		a.sink.add(rr.rank, m, rank, start, dur, val)
-	}
 }
 
 // cpID returns the id of the call path that enters region under parent,
@@ -435,15 +429,18 @@ type analyzer struct {
 	// logs hold the per-rank event streams the steppers sweep, handed to
 	// newAnalyzer by whoever feeds them.
 	logs []*rankLog
-	// sink, when non-nil, receives every scored severity as a windowed
-	// delta for the live stream (nil post-mortem: one branch per score).
-	// Besides the mailboxes and the collective gathers it is the only
-	// shared state a step writes; everything else goes to its own
-	// rankResult.
+	// sink, when non-nil, is the live stream's window sink, folded from
+	// each rank's ledger at every publication (nil post-mortem). Besides
+	// the mailboxes and the collective gathers it is the only shared state
+	// a step writes; everything else goes to its own rankResult.
 	sink *streamSink
-	// progress, when non-nil, tracks each rank's corrected sweep time
-	// (float64 bits; +Inf once the rank is done) — the live engine's
-	// window-close frontier.
+	// progress, when non-nil (a live session), holds each rank's published
+	// frontier as float64 bits: the corrected time of the last event its
+	// sweep had swept when it last published — −Inf before its first event,
+	// +Inf once it is done. A rank publishes when a step returns and every
+	// 1024 events (stepper.publish), so the value is a lower bound on its
+	// sweep that lags it by at most one step and never runs ahead; the
+	// minimum over the ranks is the window-close frontier.
 	progress []atomic.Uint64
 
 	mailboxes []*mailbox
@@ -534,6 +531,7 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	for r := range a.steppers {
 		st := &a.steppers[r]
 		st.a, st.rank, st.rr.rank = a, r, r
+		st.swept = math.Inf(-1)
 		a.results[r] = &st.rr
 		a.mailboxes[r] = &mailbox{}
 	}
@@ -583,8 +581,8 @@ func (a *analyzer) cancelErr(rank int) error {
 }
 
 // gatherColl deposits one member's contribution to a collective instance
-// and reports whether that completed it. Completing, it wakes the members
-// parked on it; otherwise rank is parked on it. Only the instance's own
+// and reports whether that completed it. Completing, it wakes the other
+// members; otherwise rank is parked on it. Only the instance's own
 // communicator is locked, so collectives on other communicators proceed
 // concurrently.
 func (a *analyzer) gatherColl(c *communicator, commRank int, enter, exit float64, mh, rank int) (*collGather, bool) {
@@ -597,10 +595,9 @@ func (a *analyzer) gatherColl(c *communicator, commRank int, enter, exit float64
 		// replays its CollExit first.
 		times := make([]float64, 2*size)
 		g = &collGather{
-			enters:  times[:size:size],
-			exits:   times[size:],
-			mhs:     make([]int, size),
-			waiters: -1,
+			enters: times[:size:size],
+			exits:  times[size:],
+			mhs:    make([]int, size),
 		}
 		c.open = g
 	}
@@ -609,20 +606,21 @@ func (a *analyzer) gatherColl(c *communicator, commRank int, enter, exit float64
 	g.mhs[commRank] = mh
 	g.arrived++
 	if g.arrived < size {
-		a.steppers[rank].nextWaiter, g.waiters = g.waiters, int32(rank)
 		c.mu.Unlock()
 		return g, false
 	}
 	c.open = nil
-	w := g.waiters
-	g.waiters = -1
 	c.mu.Unlock()
-	// A woken member may park on its next gather, and relink, at once:
-	// read each link before waking its owner.
-	for w >= 0 {
-		next := a.steppers[w].nextWaiter
-		a.sched.wake(int(w), rank)
-		w = next
+	// Every other member has arrived and waits on g: parked, or in a step
+	// about to park, which the wake turns into a re-run. A member already
+	// re-run for another wake may have found g complete (gatherComplete)
+	// and moved on; its wake costs one spurious step. No list of waiters is
+	// kept — such a member could relink a list into its next gather while
+	// it is being walked, and the rest of the walk would be lost.
+	for _, r := range c.ranks {
+		if int(r) != rank {
+			a.sched.wake(int(r), rank)
+		}
 	}
 	return g, true
 }
@@ -656,12 +654,16 @@ type stepper struct {
 	delta float64 // the forward timestamp-repair shift
 	stack []stackEntry
 
+	// swept is the corrected time of the last event swept, −Inf before
+	// the first; a live rank publishes it (publish), after folding the
+	// ledger records past folded and foldedRecv into the window sink.
+	swept              float64
+	folded, foldedRecv logPos
+
 	// pending is the collective instance this rank deposited into and
-	// waits on — the open gather of communicator pendingComm — and
-	// nextWaiter links it into that instance's list of parked members.
+	// waits on — the open gather of communicator pendingComm.
 	pending     *collGather
 	pendingComm *communicator
-	nextWaiter  int32
 
 	// Set up by the first step.
 	corr    vclock.LinearMap
@@ -719,7 +721,8 @@ func (st *stepper) begin() {
 
 // finish closes the rank's sweep, done or failed — either way it will
 // never hold a window open again. Called under the lock of the rank's
-// shard.
+// shard, so it folds nothing: the step that ended the sweep has published
+// everything it scored.
 func (st *stepper) finish() {
 	a := st.a
 	if a.progress != nil {
@@ -768,14 +771,37 @@ func (st *stepper) waitsFor() string {
 }
 
 // step sweeps the rank's events until the sweep ends (parkDone; rr.err
-// says whether it failed) or the next event would block, and returns why
-// it stopped. A blocked event has had none of its side effects applied:
-// it runs again from the top when the rank is resumed. Every event the
-// cursor admits has passed the stream validator (Validate, for a
-// preloaded trace): an Exit closes an open region, and a Send, Recv or
-// CollExit sits inside one, so the region stack is never empty where the
-// sweep reads its top.
+// says whether it failed) or the next event would block, publishes where
+// it got to, and returns why it stopped.
 func (st *stepper) step() park {
+	p := st.sweep()
+	st.publish()
+	return p
+}
+
+// publish is a live rank's one publication point, taken when a step
+// returns and at the sweep's 1024-event poll: it folds what the sweep
+// scored since the previous publication into the window sink, then
+// publishes the corrected time of the last event swept as the rank's
+// frontier. A window the frontier passes therefore holds every deposit
+// the rank's sweep made into it up to there. Post-mortem there is neither
+// sink nor frontier.
+func (st *stepper) publish() {
+	a := st.a
+	if a.progress == nil {
+		return
+	}
+	a.sink.fold(&st.rr, &st.folded, &st.foldedRecv)
+	a.progress[st.rank].Store(math.Float64bits(st.swept))
+}
+
+// sweep runs the events of one step. A blocked event has had none of its
+// side effects applied: it runs again from the top when the rank is
+// resumed. Every event the cursor admits has passed the stream validator
+// (Validate, for a preloaded trace): an Exit closes an open region, and a
+// Send, Recv or CollExit sits inside one, so the region stack is never
+// empty where the sweep reads its top.
+func (st *stepper) sweep() park {
 	a, rank := st.a, st.rank
 	rr := &st.rr
 	if a.aborted() {
@@ -790,29 +816,38 @@ func (st *stepper) step() park {
 	corr, myMH, fw := st.corr, st.myMH, st.fw
 	for ; ; st.i++ {
 		i := st.i
-		if !sc.at(i) {
-			if sc.dry {
-				return parkLog
+		// Inside the cursor's block, published and short of the next
+		// release, the event is read in place; only a block edge takes the
+		// cursor's calls.
+		var ev *trace.Event
+		if off := i - sc.base; uint(off) < uint(len(sc.blk)) && i < sc.n && i < sc.nextRelease {
+			ev = &sc.blk[off]
+		} else {
+			if !sc.at(i) {
+				if sc.dry {
+					return parkLog
+				}
+				if rr.err = sc.err; sc.err == nil && len(st.stack) != 0 {
+					rr.err = fmt.Errorf("replay: rank %d: %d unclosed regions at end of trace", rank, len(st.stack))
+				}
+				return parkDone
 			}
-			if rr.err = sc.err; sc.err == nil && len(st.stack) != 0 {
-				rr.err = fmt.Errorf("replay: rank %d: %d unclosed regions at end of trace", rank, len(st.stack))
-			}
-			return parkDone
+			// Blocks entirely behind the frontier will never be read again;
+			// releasing them is what bounds a lazy or live sweep's memory.
+			sc.release(i)
+			ev = sc.ev(i)
 		}
 		// Periodic abort poll: a cancelled analysis must not finish a
-		// multi-million-event sweep first.
-		if i&1023 == 0 && a.aborted() {
-			rr.err = a.cancelErr(rank)
-			return parkDone
+		// multi-million-event sweep first. A live rank publishes here too,
+		// so a long step does not hold the windows behind it open.
+		if i&1023 == 0 {
+			if a.aborted() {
+				rr.err = a.cancelErr(rank)
+				return parkDone
+			}
+			st.publish()
 		}
-		// Blocks entirely behind the frontier will never be read again;
-		// releasing them is what bounds a lazy or live sweep's memory.
-		sc.release(i)
-		ev := sc.ev(i)
 		ct := corr.Apply(ev.Time) + st.delta
-		if a.progress != nil {
-			a.progress[rank].Store(math.Float64bits(ct))
-		}
 		switch ev.Kind {
 		case trace.KindEnter:
 			parent := -1
@@ -842,15 +877,21 @@ func (st *stepper) step() park {
 
 		case trace.KindSend:
 			top := st.stack[len(st.stack)-1]
-			exitT, ok := regionExitTime(sc, i, corr, st.delta)
-			if !ok {
-				if sc.dry {
-					return parkLog
+			// Only the Late Receiver test reads the exit of the send's MPI
+			// call, and only for a rendezvous send: an eager one completes
+			// without its receiver, so the sweep does not look ahead for it.
+			var exitT float64
+			if ev.Bytes > int64(a.cfg.EagerLimit) {
+				var ok bool
+				if exitT, ok = regionExitTime(sc, i, corr, st.delta); !ok {
+					if sc.dry {
+						return parkLog
+					}
+					if rr.err = sc.err; sc.err == nil {
+						rr.err = fmt.Errorf("replay: rank %d: unterminated MPI region at event %d", rank, i)
+					}
+					return parkDone
 				}
-				if rr.err = sc.err; sc.err == nil {
-					rr.err = fmt.Errorf("replay: rank %d: unterminated MPI region at event %d", rank, i)
-				}
-				return parkDone
 			}
 			def := a.comm(ev.Comm).ranks
 			if ev.Peer < 0 || int(ev.Peer) >= len(def) {
@@ -869,7 +910,7 @@ func (st *stepper) step() park {
 			cell := &rr.commRow[a.mhCol[dst]]
 			cell.Messages++
 			cell.Bytes += ev.Bytes
-			a.score(rr, vol, int32(rank), ct, 0, float64(ev.Bytes))
+			rr.score(vol, int32(rank), ct, 0, float64(ev.Bytes))
 			if fw != nil {
 				fw.Emit(flight.Send, a.flJob, a.fn.put, int64(dst), flightSig(ev.Comm, ev.Tag))
 			}
@@ -921,13 +962,6 @@ func (st *stepper) step() park {
 			}
 			grid := rec.srcMetahost != myMH
 			ls := pattern.LateSenderWait(rec.sendEnter, top.enter, ct)
-			if a.sink != nil && ls > 0 {
-				// Sink only, at family granularity: whether the instance
-				// is plain, wrong-order or grid — all in the Late Sender
-				// family — is decided in the post-pass, which deposits
-				// the ledger sample.
-				a.sink.add(rank, metricID(pattern.LateSender), int32(rank), top.enter, ls, ls)
-			}
 			rr.recvLog.add(recvInfo{
 				sendEvent: rec.sendEvent,
 				recvEnter: top.enter,
@@ -950,7 +984,7 @@ func (st *stepper) step() park {
 					// elapsed; the detecting (receiving) process records
 					// the interval into its own sample log, keyed to
 					// the suffering sender.
-					a.score(rr, metricID(pat), rec.srcWorld, rec.sendEnter, lr, lr)
+					rr.score(metricID(pat), rec.srcWorld, rec.sendEnter, lr, lr)
 				}
 			}
 
@@ -998,8 +1032,9 @@ func (st *stepper) step() park {
 					break
 				}
 			}
-			a.scoreCollective(rr, top.cp, ev, g, commRank, ct)
+			rr.scoreCollective(top.cp, ev, g, commRank, ct)
 		}
+		st.swept = ct
 	}
 }
 
@@ -1036,7 +1071,7 @@ func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64
 // classified by the metahost pair (this process's metahost, the
 // metahost of the process that caused the wait) — the fine-grained
 // classification §6 proposes.
-func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *collGather, commRank int, myDone float64) {
+func (rr *rankResult) scoreCollective(cp int, ev *trace.Event, g *collGather, commRank int, myDone float64) {
 	myEnter := g.enters[commRank]
 	myMH := g.mhs[commRank]
 	maxEnter, minOther := myEnter, 0.0
@@ -1070,7 +1105,7 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 		rr.acc[cp].waits[pat] += v
 		// Waiting starts when this process enters the operation and
 		// lasts until the cause arrives.
-		a.score(rr, metricID(pat), int32(rr.rank), myEnter, v, v)
+		rr.score(metricID(pat), int32(rr.rank), myEnter, v, v)
 	}
 	// Completion waits sit at the *end* of the operation: from the last
 	// participant's enter to this process's exit.
@@ -1079,7 +1114,7 @@ func (a *analyzer) scoreCollective(rr *rankResult, cp int, ev *trace.Event, g *c
 			return
 		}
 		rr.acc[cp].waits[pat] += v
-		a.score(rr, metricID(pat), int32(rr.rank), myDone-v, v, v)
+		rr.score(metricID(pat), int32(rr.rank), myDone-v, v, v)
 	}
 	switch {
 	case ev.Coll == trace.CollBarrier:

@@ -128,6 +128,21 @@ if grep -n -F 'map[RegionID]' internal/trace/validator.go; then
 	exit 1
 fi
 
+# A live rank publishes in one place, stepper.publish, taken when a step
+# returns and at the sweep's 1024-event poll: it folds what the sweep
+# scored since the last publication into the window sink, then stores the
+# rank's frontier; finish stores +Inf for a rank that is done. A frontier
+# store or a sink deposit anywhere else — in the sweep's per-event switch
+# above all — is a publication per event creeping back.
+echo "== one publication point"
+for f in internal/replay/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if awk '/^func /{fn=$0} /progress\[[^]]*\]\.Store\(|sink\.(fold|add|deposit[A-Za-z]*)\(/{ if (fn !~ /^func \(st \*stepper\) (publish|finish)\(/) { print FILENAME ":" FNR ": " $0; bad=1 } } END{exit !bad}' "$f"; then
+		echo "check: $f stores a rank's frontier or deposits into the window sink outside stepper.publish and stepper.finish" >&2
+		exit 1
+	fi
+done
+
 # A ledger record is written once, into the page it stays in: the three
 # per-rank logs (profLog, recvLog, opLog) are pagedLogs, filled through
 # add. An append onto one of them is a log that moves — copied at every
