@@ -1,7 +1,7 @@
 package metascope_test
 
-// End-to-end pipeline over real on-disk archives (what cmd/mtrun and
-// cmd/mtanalyze do), in a temporary directory: measure → per-metahost
+// End-to-end pipeline over real on-disk archives (what metascope run and
+// metascope analyze do), in a temporary directory: measure → per-metahost
 // directories → load → analyze → write cube → read cube back.
 
 import (
@@ -56,7 +56,7 @@ func TestOnDiskPipeline(t *testing.T) {
 		}
 	}
 
-	// Re-load from disk as a fresh process would (mtanalyze's path).
+	// Re-load from disk as a fresh process would (metascope analyze's path).
 	loadMounts := archive.NewMounts()
 	id := 0
 	entries, err := os.ReadDir(root)

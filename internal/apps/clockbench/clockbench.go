@@ -36,10 +36,6 @@ func Quick() Params {
 	return Params{Rounds: 150, Bytes: 64, Gap: 0.1}
 }
 
-// Messages returns the total number of point-to-point messages the
-// benchmark generates on n processes.
-func (p Params) Messages(n int) int { return p.Rounds * n }
-
 const tag = 4100
 
 // Body is the per-process benchmark, run under measurement. In round

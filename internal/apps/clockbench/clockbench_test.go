@@ -44,9 +44,6 @@ func TestBodyProducesExpectedMessageCount(t *testing.T) {
 				tr.Loc.Rank, sends, recvs, p.Rounds)
 		}
 	}
-	if p.Messages(32) != 40*32 {
-		t.Fatalf("Messages() = %d", p.Messages(32))
-	}
 }
 
 func TestVaryingPairsCoverManyPartners(t *testing.T) {

@@ -41,7 +41,7 @@ func DetectExperiment(fs FS) (string, bool) {
 }
 
 // MountTree mounts every metahost subdirectory found under root —
-// the on-disk layout written by mtrun, one subdirectory per metahost
+// the on-disk layout written by metascope run, one subdirectory per metahost
 // file system — and resolves the experiment archive directory: an
 // explicit non-empty dir is passed through, otherwise the lexically
 // first epik_* entry across all mounts is autodetected. It returns the

@@ -10,7 +10,7 @@ import (
 )
 
 // DirFS adapts a directory of the host file system to the FS
-// interface, so the command-line tools (mtrun, mtanalyze) can persist
+// interface, so the command-line tools (metascope run, metascope analyze) can persist
 // experiment archives on disk. Each simulated metahost file system
 // maps to one subdirectory.
 type DirFS struct {

@@ -47,7 +47,7 @@ func RegisterCLIFlags(tool string, fs *flag.FlagSet, rec *Recorder) *CLIConfig {
 	fs.StringVar(&c.PprofAddr, "pprof", "",
 		"serve net/http/pprof and Prometheus /metrics on this address (e.g. localhost:6060)")
 	fs.StringVar(&c.TraceOut, "trace-out", "",
-		"record a flight trace of the tool's own pipeline and write it on exit (.json = Chrome trace for Perfetto, otherwise a metascope trace archive directory for mtanalyze)")
+		"record a flight trace of the tool's own pipeline and write it on exit (.json = Chrome trace for Perfetto, otherwise a metascope trace archive directory for metascope analyze)")
 	return c
 }
 

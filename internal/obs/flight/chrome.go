@@ -8,7 +8,7 @@ import (
 )
 
 // WriteChrome renders a snapshot in Chrome's trace_event JSON format
-// (chrome://tracing, Perfetto) — the same viewer mttimeline targets
+// (chrome://tracing, Perfetto) — the same viewer metascope timeline targets
 // for application traces, so a flight recording of the analyzer sits
 // next to the timeline of the application it analyzed.
 //
@@ -16,7 +16,7 @@ import (
 // up as one thread per rank, service actors under their negative ids.
 // Span/block/gather begin-end pairs become duration events; sends,
 // queue transitions, cache probes, and job-state changes become
-// instants. In the style of mttimeline's profile counter tracks, the
+// instants. In the style of metascope timeline's profile counter tracks, the
 // export also derives "C" counter rows from the event stream itself —
 // the number of actors blocked in a mailbox wait and the number of
 // queued jobs over time — so the wait intensity is visible as an area

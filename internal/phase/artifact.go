@@ -47,8 +47,8 @@ type PhaseRow struct {
 }
 
 // Profile is the deterministic per-phase severity artifact — the
-// phase-resolved counterpart of profile.Profile, written by mtanalyze
-// -phases-out and compared by mtdiff -phases.
+// phase-resolved counterpart of profile.Profile, written by metascope analyze
+// -phases-out and compared by metascope diff -phases.
 type Profile struct {
 	Title  string `json:"title,omitempty"`
 	Ranks  int    `json:"ranks"`

@@ -14,8 +14,8 @@ import (
 
 // Profile is the exportable time-resolved severity artifact: one row
 // of bucket values per (metric, metahost, rank), all on a common time
-// axis. It is the stable interchange format between mtanalyze (which
-// writes it), mtdiff (which compares two interval-by-interval), the
+// axis. It is the stable interchange format between metascope analyze (which
+// writes it), metascope diff (which compares two interval-by-interval), the
 // HTML heatmap, and the timeline counter tracks.
 type Profile struct {
 	Title string `json:"title,omitempty"`

@@ -135,7 +135,7 @@ type Result struct {
 	// Phases is the automatically detected iteration structure with
 	// wait-state severities folded per (phase, family, metahost) — the
 	// phase-resolved counterpart of Profile, compared across archives
-	// by mtdiff -phases.
+	// by metascope diff -phases.
 	Phases *phase.Profile
 }
 

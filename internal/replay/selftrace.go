@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,8 +13,8 @@ import (
 
 // This file is the flight recorder's dogfood exporter: it renders a
 // flight recording of metascope's *own* replay pipeline as a metascope
-// trace archive, so mtanalyze can analyze an analysis. The mapping
-// follows the obvious isomorphism — the replay's ranks are ranks, a
+// trace archive, so metascope analyze can analyze an analysis. The
+// mapping follows the obvious isomorphism — the replay's ranks are ranks, a
 // mailbox put is a send, a mailbox take the rank parked in is a receive
 // that waited for it — which means the analyzer's Late Sender pattern,
 // applied to a flight archive, measures exactly how long the replay's
@@ -44,6 +45,10 @@ func newFlightNames(fl *flight.Recorder) flightNames {
 func flightSig(comm, tag int32) int64 {
 	return int64(uint32(comm)<<16^uint32(tag)) & 0x7fffffff
 }
+
+// errNoFlightWorkers reports a recording without replay-worker events:
+// the command replayed nothing.
+var errNoFlightWorkers = errors.New("replay: flight recording holds no replay-worker events")
 
 // flightRootRegion is the synthetic region enclosing each rank's whole
 // recorded window (flight rings may have dropped the true span edges).
@@ -92,7 +97,7 @@ func BuildFlightTraces(snap *flight.Snapshot, job int32) ([]*trace.Trace, error)
 		}
 	}
 	if len(byActor) == 0 {
-		return nil, fmt.Errorf("replay: flight recording holds no replay-worker events for job %d", job)
+		return nil, fmt.Errorf("%w for job %d", errNoFlightWorkers, job)
 	}
 	actors := make([]int32, 0, len(byActor))
 	for a := range byActor {
@@ -251,16 +256,17 @@ func BuildFlightTraces(snap *flight.Snapshot, job int32) ([]*trace.Trace, error)
 }
 
 // WriteFlightArchive exports a flight recording as an on-disk
-// metascope experiment archive, laid out the way mtrun writes
+// metascope experiment archive, laid out the way metascope run writes
 // measurements: one metahost subdirectory ("metascope") holding an
 // epik_flight experiment directory of per-rank trace files. The result
-// mounts with archive.MountTree and analyzes with mtanalyze — the
-// self-analysis loop. Only events outside job context (job -1, the CLI
-// pipeline) are exported; obs.CLIConfig.FlightArchive is assigned this
-// function by every command that links the replay layer.
+// mounts with archive.MountTree and analyzes with metascope analyze —
+// the self-analysis loop. Only events outside job context (job -1, the
+// CLI pipeline) are exported; a command that replayed nothing leaves
+// the experiment directory empty. The metascope command assigns this
+// function to obs.CLIConfig.FlightArchive for every verb.
 func WriteFlightArchive(rec *flight.Recorder, dir string) error {
 	traces, err := BuildFlightTraces(rec.Snapshot(), -1)
-	if err != nil {
+	if err != nil && !errors.Is(err, errNoFlightWorkers) {
 		return err
 	}
 	exp := filepath.Join(dir, "metascope", "epik_flight")

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"metascope/internal/archive"
@@ -191,5 +193,23 @@ func TestWriteFlightArchiveMounts(t *testing.T) {
 	}
 	if traces[0].Loc.MetahostName != "metascope" {
 		t.Fatalf("metahost name %q, want metascope", traces[0].Loc.MetahostName)
+	}
+}
+
+// TestWriteFlightArchiveEmpty: a command that replayed nothing writes
+// the experiment directory without rank files instead of failing.
+func TestWriteFlightArchiveEmpty(t *testing.T) {
+	rec := flight.New()
+	rec.Enable(0)
+	root := t.TempDir()
+	if err := WriteFlightArchive(rec, root); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(filepath.Join(root, "metascope", "epik_flight"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("empty recording wrote %d files", len(ents))
 	}
 }

@@ -68,7 +68,7 @@ func TestArchiveDeterminismAcrossGOMAXPROCS(t *testing.T) {
 
 // TestArchiveDeterminismAcrossFormats runs the same scenario and seed
 // once per trace format and converts the v1 archive to v2 the way
-// mttrace -convert does (decode, re-encode); the converted bytes must
+// metascope trace -convert does (decode, re-encode); the converted bytes must
 // equal the directly generated v2 archive, file by file.
 func TestArchiveDeterminismAcrossFormats(t *testing.T) {
 	t.Parallel()

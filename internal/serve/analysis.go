@@ -374,7 +374,7 @@ func (s *Server) finished(w http.ResponseWriter, id string) *replay.Result {
 }
 
 // handleResult serves a finished analysis's cube report as mscpcube
-// text (parse it with internal/cube.Read or render it with mtprint).
+// text (parse it with internal/cube.Read or render it with metascope print).
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if res := s.finished(w, r.PathValue("id")); res != nil {
 		w.Header().Set("Content-Type", "text/x-mscpcube; charset=utf-8")
@@ -391,7 +391,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleDiff serves the mtdiff-style comparison (cube algebra
+// handleDiff serves the metascope diff-style comparison (cube algebra
 // difference b − a) of two finished analyses: GET /v1/diff?a=ID&b=ID.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	ra := s.finished(w, r.URL.Query().Get("a"))

@@ -17,7 +17,7 @@ import (
 )
 
 // The upload wire format is an ordinary zip whose entries follow the
-// on-disk layout mtrun writes: one top-level directory per metahost
+// on-disk layout metascope run writes: one top-level directory per metahost
 // file system, each containing the experiment archive directory with
 // the local trace files,
 //

@@ -584,7 +584,7 @@ func TestRobustPathSubmission(t *testing.T) {
 	}
 }
 
-// extractZipTree unpacks an upload bundle to disk in the mtrun layout
+// extractZipTree unpacks an upload bundle to disk in the metascope run layout
 // MountTree expects.
 func extractZipTree(dst string, data []byte) error {
 	mounts, metahosts, dir, err := DecodeZip(data, int64(len(data))*100+1024)

@@ -28,7 +28,7 @@
 // The server reports itself through an obs recorder — queue depth,
 // busy workers, cache hit ratio, job latency histograms — exposed on
 // GET /metrics in Prometheus text format and on the usual
-// -metrics-out path of cmd/mtserved.
+// -metrics-out path of metascope serve.
 package serve
 
 import (

@@ -367,7 +367,7 @@ func TestSessionRefusesV1Stream(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
-	const want = "rank 0 chunk rejected: trace: live streams are format v2; convert the archive with mttrace -convert -format v2 (post-mortem analysis reads v1)"
+	const want = "rank 0 chunk rejected: trace: live streams are format v2; convert the archive with metascope trace -convert -format v2 (post-mortem analysis reads v1)"
 	// Five bytes are enough: magic and version.
 	code, body := putChunk(t, ts.URL, st.ID, 0, 0, 0, v1.Bytes()[:5], false)
 	if code != http.StatusUnprocessableEntity || body["error"] != want {

@@ -40,7 +40,7 @@ type ChunkDecoder struct {
 }
 
 // ErrV1Stream refuses a v1 stream, by its version byte.
-var ErrV1Stream = errors.New("trace: live streams are format v2; convert the archive with mttrace -convert -format v2 (post-mortem analysis reads v1)")
+var ErrV1Stream = errors.New("trace: live streams are format v2; convert the archive with metascope trace -convert -format v2 (post-mortem analysis reads v1)")
 
 // NewChunkDecoder returns a decoder that canonicalizes region and
 // metahost names through in (nil disables interning), matching

@@ -7,7 +7,7 @@ import (
 )
 
 // Stats summarizes one local trace file: event mix, local-clock span,
-// communication volume, and per-region visit counts. The mttrace tool
+// communication volume, and per-region visit counts. The metascope trace tool
 // prints it; tests use it to sanity-check generated traces.
 type Stats struct {
 	Loc      Location

@@ -2,7 +2,7 @@ package metascope_test
 
 // End-to-end determinism of the time-resolved profile: two independent
 // simulated runs with the same seed, measured to disk, reloaded, and
-// analyzed (mtanalyze's -profile-out path) must serialize to
+// analyzed (metascope analyze's -profile-out path) must serialize to
 // byte-identical profile artifacts.
 
 import (

@@ -270,6 +270,32 @@ if [ -n "$stdlog" ]; then
 	exit 1
 fi
 
+# The toolchain is one command, cmd/metascope, whose verbs each live in
+# a file of their own as a function of (ctx, args, stdout). main.go
+# alone sets up what every verb shares: the signal context, the obs
+# flags on the verb's flag set, the -trace-out archive hook, the flush
+# and the fatal line. A second main package, a second registration of
+# the obs flags, or a verb that reads the global flag set or writes
+# os.Stdout itself is a per-tool copy of that set-up creeping back.
+echo "== one binary"
+mains=$(grep -l -E '^package main$' $(find cmd -name '*.go' ! -name '*_test.go') | xargs -n1 dirname | sort -u)
+if [ "$(echo "$mains" | wc -l)" -ne 1 ]; then
+	echo "check: cmd/ holds more than one main package; add a verb to cmd/metascope instead:" >&2
+	echo "$mains" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' -F 'obs.RegisterCLIFlags(' . | grep -v -E '^\./(cmd/metascope/main\.go|examples/quickstart/)'; then
+	echo "check: the obs CLI flags are registered outside cmd/metascope/main.go: register them once, in dispatch" >&2
+	exit 1
+fi
+for f in cmd/metascope/*.go; do
+	case "$f" in cmd/metascope/main.go) continue ;; esac
+	if grep -n -E 'flag\.CommandLine|flag\.Parse\(\)|os\.Stdout' "$f"; then
+		echo "check: $f reads the global flag set or writes os.Stdout: a verb takes its flags from its FlagSet and writes to the stdout it is given" >&2
+		exit 1
+	fi
+done
+
 # Every internal package must carry tests: the conformance harness can
 # only vouch for code the suite actually reaches.
 echo "== test coverage presence (internal/...)"
