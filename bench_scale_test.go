@@ -3,8 +3,8 @@ package metascope_test
 // Scalability of the parallel replay analysis (§4: the parallel trace
 // algorithm "is not only more scalable, but also avoids costly copying
 // of trace data"): measurement + analysis at growing process counts on
-// the VIOLA topology. The analyzer runs one goroutine per rank, so
-// analysis time should grow roughly with per-rank trace length, not
+// the VIOLA topology. The analyzer steps every rank under one scheduler
+// of GOMAXPROCS runners, so analysis time should grow roughly with per-rank trace length, not
 // with the product of ranks × events the way a merged sequential scan
 // would.
 

@@ -57,7 +57,6 @@ func serveVerb(fs *flag.FlagSet) verbFunc {
 	maxSessions := fs.Int("max-sessions", 8, "concurrently open live analysis sessions")
 	sessionIdle := fs.Duration("session-idle-timeout", 10*time.Minute, "abort a live session untouched for this long (negative disables)")
 	window := fs.Duration("window", time.Second, "default live-session severity window width")
-	streamTick := fs.Duration("stream-tick", 250*time.Millisecond, "live-session event publication period")
 	return func(ctx context.Context, _ []string, _ io.Writer) error {
 		scheme, err := vclock.ParseScheme(*schemeFlag)
 		if err != nil {
@@ -77,7 +76,6 @@ func serveVerb(fs *flag.FlagSet) verbFunc {
 			MaxSessions:        *maxSessions,
 			SessionIdleTimeout: *sessionIdle,
 			WindowSec:          (*window).Seconds(),
-			StreamTick:         *streamTick,
 			Obs:                rec,
 		})
 

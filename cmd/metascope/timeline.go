@@ -52,7 +52,7 @@ func timelineVerb(fs *flag.FlagSet) verbFunc {
 		}
 		span := rec.Phases.Start("render")
 		err = writeFile(*out, func(w io.Writer) error {
-			return replay.ExportTimelineProfile(w, traces, scheme, prof)
+			return replay.ExportTimeline(w, traces, scheme, prof)
 		})
 		span.End()
 		if err != nil {

@@ -122,7 +122,7 @@ func TestOnDiskPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replay.ExportTimeline(tf, traces, vclock.Hierarchical); err != nil {
+	if err := replay.ExportTimeline(tf, traces, vclock.Hierarchical, nil); err != nil {
 		t.Fatal(err)
 	}
 	tf.Close()

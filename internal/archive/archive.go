@@ -29,6 +29,7 @@ import (
 	"io"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -435,4 +436,22 @@ func EnsureObs(c Comm, fs FS, localMaster bool, dir string, rec *obs.Recorder) e
 // TraceFile returns the canonical local trace file path for a rank.
 func TraceFile(dir string, rank int) string {
 	return fmt.Sprintf("%s/trace.%d.mscp", dir, rank)
+}
+
+// TraceRank parses a trace file's base name, trace.<rank>.mscp: the
+// files of an archive directory that are traces, which the loader reads
+// and the service digests, and no others.
+func TraceRank(name string) (int, bool) {
+	mid, ok := strings.CutPrefix(name, "trace.")
+	if !ok {
+		return 0, false
+	}
+	if mid, ok = strings.CutSuffix(mid, ".mscp"); !ok {
+		return 0, false
+	}
+	r, err := strconv.Atoi(mid)
+	if err != nil || r < 0 {
+		return 0, false
+	}
+	return r, true
 }

@@ -434,6 +434,26 @@ func TestTraceAndReportFileNames(t *testing.T) {
 	}
 }
 
+func TestTraceRankParsing(t *testing.T) {
+	cases := map[string]struct {
+		rank int
+		ok   bool
+	}{
+		"trace.0.mscp":   {0, true},
+		"trace.17.mscp":  {17, true},
+		"trace.-1.mscp":  {0, false},
+		"trace.x.mscp":   {0, false},
+		"analysis.cube":  {0, false},
+		"trace.3.backup": {0, false},
+	}
+	for name, want := range cases {
+		r, ok := TraceRank(name)
+		if ok != want.ok || (ok && r != want.rank) {
+			t.Errorf("TraceRank(%q) = (%d,%v)", name, r, ok)
+		}
+	}
+}
+
 func TestMkdirFailureMessageNamesFS(t *testing.T) {
 	fs := NewMemFS("fzj-home")
 	fs.FailMkdir = true

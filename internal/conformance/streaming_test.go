@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
@@ -107,7 +106,6 @@ func streamPlan(t *testing.T, cfg replay.Config, n int, plan []feedStep) (*repla
 		Config:    cfg,
 		Ranks:     n,
 		WindowSec: 0.5,
-		EmitEvery: time.Millisecond,
 		OnEvent:   func(ev replay.StreamEvent) { got = append(got, ev) },
 	})
 	if err != nil {

@@ -60,6 +60,18 @@ func samplerGoroutines() int {
 // (the analogue of the replay package's goroutine-leak tests): a
 // sampler started through the recorder must not outlive Close.
 func TestRecorderCloseStopsSampler(t *testing.T) {
+	// Stop() waits on the sampler's done channel, which the goroutine
+	// closes as its last act; poll briefly to let it leave the scheduler
+	// — the samplers of an earlier test of a shuffled run first.
+	settled := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); samplerGoroutines() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sampler goroutines leaked %s", samplerGoroutines(), what)
+			}
+		}
+	}
+	settled("by earlier tests")
 	rec := NewRecorder()
 	for i := 0; i < 3; i++ {
 		rec.StartRuntimeSampler(time.Millisecond)
@@ -69,13 +81,7 @@ func TestRecorderCloseStopsSampler(t *testing.T) {
 	}
 	rec.Close()
 	rec.Close() // idempotent
-	// Stop() waits on the sampler's done channel, which the goroutine
-	// closes as its last act; poll briefly to let it leave the scheduler.
-	for deadline := time.Now().Add(2 * time.Second); samplerGoroutines() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sampler goroutines leaked after Close", samplerGoroutines())
-		}
-	}
+	settled("after Close")
 }
 
 // A sampler stopped directly and then again via Close must not

@@ -194,7 +194,6 @@ func TestLiveBoundedResident(t *testing.T) {
 		Config:    Config{Scheme: vclock.FlatSingle, Title: "live-bounded"},
 		Ranks:     len(traces),
 		WindowSec: 5,
-		EmitEvery: time.Millisecond,
 		OnEvent:   func(StreamEvent) {},
 	})
 	if err != nil {

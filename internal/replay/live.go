@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,6 +40,11 @@ import (
 // per-rank ingest lag as StreamEvents. The serve layer forwards them
 // over SSE.
 
+// emitEvery is the drain period of every live session's window stream:
+// what the serve layer forwards over SSE at most this often. Only
+// export_test.go changes it.
+var emitEvery = 250 * time.Millisecond
+
 // LiveConfig configures a live analysis session.
 type LiveConfig struct {
 	Config
@@ -47,9 +53,6 @@ type LiveConfig struct {
 	// WindowSec is the severity-window width in corrected seconds.
 	// Zero selects 1 s.
 	WindowSec float64
-	// EmitEvery is the drain period of the window stream. Zero selects
-	// 50 ms.
-	EmitEvery time.Duration
 	// OnEvent receives every stream event, in sequence order, from the
 	// engine's goroutines. The callback must be fast and must not call
 	// back into the Live session.
@@ -183,9 +186,10 @@ type Live struct {
 
 	// Drain-goroutine-only state (the final drain runs after the drain
 	// goroutine has stopped, so no lock is needed). touched is the highest
-	// window index a drain has emitted.
+	// window index a drain has emitted, frontier the last frontier event.
 	closedThrough, touched int64
 	closedSet              map[int64]bool
+	frontier               *FrontierEvent
 }
 
 // NewLive opens a live analysis session for a world of cfg.Ranks
@@ -197,9 +201,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	cfg.Config = cfg.Config.withDefaults(cfg.Ranks)
 	if cfg.WindowSec <= 0 {
 		cfg.WindowSec = 1
-	}
-	if cfg.EmitEvery <= 0 {
-		cfg.EmitEvery = 50 * time.Millisecond
 	}
 	rec := obs.OrDefault(cfg.Obs)
 	l := &Live{
@@ -388,7 +389,7 @@ func (l *Live) startLocked() error {
 	// stream has not caught up parks on its log, and the feeder wakes it
 	// once it published more (ingest).
 	a.start(false)
-	go l.drainLoop()
+	go l.drainLoop(emitEvery)
 	l.emit(StreamEvent{Type: "state", State: &StateEvent{State: "running"}})
 	return nil
 }
@@ -555,7 +556,7 @@ func (l *Live) release() {
 	l.mu.Lock()
 	l.a = nil
 	l.mu.Unlock()
-	l.sink, l.closedSet, l.intern = nil, nil, nil
+	l.sink, l.closedSet, l.intern, l.frontier = nil, nil, nil, nil
 	for _, lr := range l.ranks {
 		lr.mu.Lock()
 		lr.dec = nil
@@ -566,9 +567,9 @@ func (l *Live) release() {
 
 // drainLoop periodically drains the sink and publishes window and
 // frontier events until Finalize stops it.
-func (l *Live) drainLoop() {
+func (l *Live) drainLoop(every time.Duration) {
 	defer close(l.drainDone)
-	t := time.NewTicker(l.cfg.EmitEvery)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
@@ -581,8 +582,10 @@ func (l *Live) drainLoop() {
 }
 
 // drainAndEmit drains the sink and emits one batch of window events
-// plus a frontier event. final=true (from Finalize, after the replay
-// drained) closes every touched window unconditionally. The frontier is
+// plus a frontier event — unless it drained nothing and the frontier is
+// the one it emitted last, so an idle session's stream does not grow with
+// wall time. final=true (from Finalize, after the replay drained) closes
+// every touched window unconditionally and always emits. The frontier is
 // read before the sink is drained: a rank folds its deposits before it
 // publishes, so a window the frontier read has passed leaves with every
 // deposit its ranks' sweeps made into it — barring sender-side amendments.
@@ -639,10 +642,21 @@ func (l *Live) drainAndEmit(final bool) {
 	if !math.IsInf(ingest, 0) && !math.IsNaN(ingest) {
 		fe.Ingest, fe.IngestValid = ingest, true
 	}
+	if !final && len(idxs) == 0 && l.frontier != nil && sameFrontier(fe, l.frontier) {
+		return
+	}
+	l.frontier = fe
 	l.emit(StreamEvent{Type: "frontier", Frontier: fe})
 	if l.fw != nil {
 		l.fw.Emit(flight.Mark, l.cfg.FlightJob, l.fn, int64(len(idxs)), l.closedThrough)
 	}
+}
+
+// sameFrontier reports whether two frontier events say the same thing.
+func sameFrontier(a, b *FrontierEvent) bool {
+	return a.Progress == b.Progress && a.ProgressValid == b.ProgressValid &&
+		a.Ingest == b.Ingest && a.IngestValid == b.IngestValid &&
+		a.ClosedThrough == b.ClosedThrough && slices.Equal(a.Ranks, b.Ranks)
 }
 
 // frontierState computes the progress and ingest frontiers and the

@@ -124,11 +124,11 @@ type feedStep struct {
 func runLive(t *testing.T, cfg Config, n int, plan []feedStep) (*Result, []StreamEvent) {
 	t.Helper()
 	var got []StreamEvent
+	setEmitEvery(t, time.Millisecond) // drains mid-run, between the feeds
 	l, err := NewLive(LiveConfig{
 		Config:    cfg,
 		Ranks:     n,
 		WindowSec: 2,
-		EmitEvery: time.Millisecond,
 		// OnEvent calls are serialized by the engine, and Finalize
 		// happens-after the last of them — got is safe to read below.
 		OnEvent: func(ev StreamEvent) { got = append(got, ev) },
@@ -458,7 +458,7 @@ func TestLiveRejectsBadStreams(t *testing.T) {
 func TestLiveAbort(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle}
 	blobs := encodeTraces(t, liveTraces())
-	l, err := NewLive(LiveConfig{Config: cfg, Ranks: 3, EmitEvery: time.Millisecond})
+	l, err := NewLive(LiveConfig{Config: cfg, Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +511,12 @@ func TestFinishedLiveDropsWindowState(t *testing.T) {
 	// retained runs one session to its ending and returns the heap only
 	// the finalized Live keeps reachable, and the windows it closed.
 	retained := func(t *testing.T, window float64, ending string) (heap, closed int64) {
+		setEmitEvery(t, time.Millisecond) // the wait below is on a mid-run frontier event
 		var windows atomic.Int64
 		var swept atomic.Bool // the frontier has passed most of the run
 		l, err := NewLive(LiveConfig{
 			Config: Config{Scheme: vclock.FlatSingle, Obs: obs.NewRecorder()}, Ranks: len(images),
-			WindowSec: window, EmitEvery: time.Millisecond,
+			WindowSec: window,
 			OnEvent: func(ev StreamEvent) {
 				if ev.Window != nil && ev.Window.Closed {
 					windows.Add(1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,10 +74,10 @@ func TestLiveFrontierLowerBound(t *testing.T) {
 	sweepLag := newStreamMetrics(rec).sweepLag
 	var mu sync.Mutex
 	var events []StreamEvent
+	setEmitEvery(t, time.Hour) // the drain loop never ticks: the test drains, between feeds
 	l, err := NewLive(LiveConfig{
 		Config: Config{Scheme: vclock.FlatSingle, Obs: rec}, Ranks: len(traces),
-		// The drain loop never ticks: the test drains, between feeds.
-		WindowSec: 2, EmitEvery: time.Hour,
+		WindowSec: 2,
 		OnEvent: func(ev StreamEvent) {
 			mu.Lock()
 			events = append(events, ev)
@@ -169,6 +170,44 @@ func TestLiveFrontierLowerBound(t *testing.T) {
 	}
 }
 
+// TestLiveIdleStreamStill: once the sweeps have settled on a rank whose
+// upload stopped after its header, the drain loop has nothing new to say,
+// and many drain periods pass without a stream event — an idle session's
+// event log does not grow with wall time.
+func TestLiveIdleStreamStill(t *testing.T) {
+	traces := exchangeTraces(8)
+	const held = 2
+	var events atomic.Int64
+	setEmitEvery(t, time.Millisecond)
+	l, err := NewLive(LiveConfig{
+		Config: Config{Scheme: vclock.FlatSingle}, Ranks: len(traces),
+		OnEvent: func(StreamEvent) { events.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, tr := range traces {
+		img := v2Blocks(t, tr, 8, blockCounts(len(tr.Events), 8)...)
+		if r == held {
+			img = v2Blocks(t, tr, 8)
+		}
+		if err := l.FeedChunk(r, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, l)
+	time.Sleep(20 * time.Millisecond) // a drain reports the settled frontier
+	before := events.Load()
+	time.Sleep(50 * time.Millisecond)
+	if idle := events.Load() - before; idle != 0 {
+		t.Errorf("an idle session emitted %d events in 50 drain periods, want 0", idle)
+	}
+	l.Abort(context.Canceled)
+	if _, err := l.Finalize(context.Background()); err == nil {
+		t.Fatal("an aborted session finalized")
+	}
+}
+
 // TestLiveEagerSendSweepsPastUnfedExit: rank 0's MPI_Send is the last
 // event of its first block, and the Exit of the call the first event of a
 // block not yet fed. An eager send's exit is never read, so the rank
@@ -206,7 +245,7 @@ func TestLiveEagerSendSweepsPastUnfedExit(t *testing.T) {
 			if !bytes.HasPrefix(sender, first) {
 				t.Fatal("the sender's image does not start with its first block")
 			}
-			l, err := NewLive(LiveConfig{Config: cfg, Ranks: 2, EmitEvery: time.Hour})
+			l, err := NewLive(LiveConfig{Config: cfg, Ranks: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -238,7 +237,7 @@ func load(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir stri
 			return nil, fmt.Errorf("replay: listing archive %q: %w", dir, err)
 		}
 		for _, name := range names {
-			rank, ok := traceRank(name)
+			rank, ok := archive.TraceRank(name)
 			if !ok {
 				continue
 			}
@@ -384,19 +383,6 @@ func newIngestMetrics(rec *obs.Recorder) *ingestMetrics {
 		poolWidth: r.Gauge("metascope_ingest_pool_width",
 			"decode worker pool width of the last archive load").With(),
 	}
-}
-
-// traceRank parses "trace.<rank>.mscp" names.
-func traceRank(name string) (int, bool) {
-	if !strings.HasPrefix(name, "trace.") || !strings.HasSuffix(name, ".mscp") {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "trace."), ".mscp")
-	r, err := strconv.Atoi(mid)
-	if err != nil || r < 0 {
-		return 0, false
-	}
-	return r, true
 }
 
 // BuildCorrections derives the per-rank time correction maps for a
@@ -722,23 +708,16 @@ func (r *Result) FormatCommMatrix() string {
 	return b.String()
 }
 
-// TraceSizes returns every trace's encoded size in bytes — what
-// merging-based analysis would have to copy between metahosts. The
-// comparison with Result.ReplayBytes quantifies §4's argument for
-// replay-based parallel analysis.
+// TraceSizes returns every trace's encoded size in bytes in the default
+// format, the one archives are written in — what merging-based analysis
+// would have to copy between metahosts. The comparison with
+// Result.ReplayBytes quantifies §4's argument for replay-based parallel
+// analysis.
 func TraceSizes(traces []*trace.Trace) ([]int64, error) {
-	return TraceSizesFormat(traces, trace.FormatV1)
-}
-
-// TraceSizesFormat is TraceSizes for an explicit encoding format, so
-// the v1-vs-v2 footprint comparison uses the same yardstick as the
-// archive on disk. FormatDefault selects the current default writer
-// format.
-func TraceSizesFormat(traces []*trace.Trace, f trace.Format) ([]int64, error) {
 	out := make([]int64, len(traces))
 	for i, t := range traces {
 		var cw countingWriter
-		if err := t.EncodeFormat(&cw, f); err != nil {
+		if err := t.EncodeFormat(&cw, trace.FormatDefault); err != nil {
 			return nil, err
 		}
 		out[i] = cw.n

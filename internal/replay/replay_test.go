@@ -434,26 +434,6 @@ func TestMergeCommsDetectsInconsistency(t *testing.T) {
 	}
 }
 
-func TestTraceRankParsing(t *testing.T) {
-	cases := map[string]struct {
-		rank int
-		ok   bool
-	}{
-		"trace.0.mscp":   {0, true},
-		"trace.17.mscp":  {17, true},
-		"trace.-1.mscp":  {0, false},
-		"trace.x.mscp":   {0, false},
-		"analysis.cube":  {0, false},
-		"trace.3.backup": {0, false},
-	}
-	for name, want := range cases {
-		r, ok := traceRank(name)
-		if ok != want.ok || (ok && r != want.rank) {
-			t.Errorf("traceRank(%q) = (%d,%v)", name, r, ok)
-		}
-	}
-}
-
 func TestLoadArchive(t *testing.T) {
 	fsA, fsB := archive.NewMemFS("a"), archive.NewMemFS("b")
 	mounts := archive.NewMounts()
@@ -576,8 +556,8 @@ func TestBuildCorrectionsSchemes(t *testing.T) {
 }
 
 func TestAnalyzeDeterministicAcrossRuns(t *testing.T) {
-	// The analyzer runs one goroutine per rank; results must not
-	// depend on their interleaving. 8 ranks in a ring with known
+	// The analyzer's runners step the ranks in whatever order wakes
+	// them; results must not depend on that interleaving. 8 ranks in a ring with known
 	// waits, analyzed many times.
 	mk := func() []*trace.Trace {
 		var traces []*trace.Trace

@@ -184,7 +184,7 @@ func TestLiveFinalizeUnwindsParkedLogs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	rec := obs.NewRecorder()
 	waiting := newReplayMetrics(rec).waitingUpload
-	l, err := NewLive(LiveConfig{Config: Config{Scheme: vclock.FlatSingle, Obs: rec}, Ranks: len(traces), EmitEvery: time.Millisecond})
+	l, err := NewLive(LiveConfig{Config: Config{Scheme: vclock.FlatSingle, Obs: rec}, Ranks: len(traces)})
 	if err != nil {
 		t.Fatal(err)
 	}

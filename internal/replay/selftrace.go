@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"metascope/internal/archive"
 	"metascope/internal/obs/flight"
 	"metascope/internal/trace"
 )
@@ -274,11 +275,11 @@ func WriteFlightArchive(rec *flight.Recorder, dir string) error {
 		return err
 	}
 	for _, t := range traces {
-		f, err := os.Create(filepath.Join(exp, fmt.Sprintf("trace.%d.mscp", t.Loc.Rank)))
+		f, err := os.Create(archive.TraceFile(exp, t.Loc.Rank))
 		if err != nil {
 			return err
 		}
-		err = t.Encode(f)
+		err = t.EncodeFormat(f, trace.FormatDefault)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

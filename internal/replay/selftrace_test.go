@@ -194,6 +194,16 @@ func TestWriteFlightArchiveMounts(t *testing.T) {
 	if traces[0].Loc.MetahostName != "metascope" {
 		t.Fatalf("metahost name %q, want metascope", traces[0].Loc.MetahostName)
 	}
+	// Every file is in the default format, like every archive metascope run writes.
+	for r := range traces {
+		data, err := os.ReadFile(filepath.Join(root, "metascope", archive.TraceFile(dir, r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err := trace.FormatOf(data); err != nil || f != trace.FormatV2 {
+			t.Errorf("rank %d's flight trace sniffs as %v (%v), want v2", r, f, err)
+		}
+	}
 }
 
 // TestWriteFlightArchiveEmpty: a command that replayed nothing writes

@@ -25,17 +25,13 @@ import (
 // same archive under FlatSingle and Hierarchical makes the clock-
 // condition violations visible as backwards arrows in one view and
 // not the other.
-func ExportTimeline(w io.Writer, traces []*trace.Trace, scheme vclock.Scheme) error {
-	return ExportTimelineProfile(w, traces, scheme, nil)
-}
-
-// ExportTimelineProfile is ExportTimeline with the time-resolved
-// severity profile merged in as counter tracks: one "ph":"C" track per
-// (metric, metahost), sampled at every bucket edge, so Perfetto draws
-// the wait-state intensity as a stacked area right above the event
-// rows it explains. A nil or empty profile degrades to the plain
-// timeline.
-func ExportTimelineProfile(w io.Writer, traces []*trace.Trace, scheme vclock.Scheme, prof *profile.Profile) error {
+//
+// A non-nil time-resolved severity profile is merged in as counter
+// tracks: one "ph":"C" track per (metric, metahost), sampled at every
+// bucket edge, so Perfetto draws the wait-state intensity as a stacked
+// area right above the event rows it explains. A nil or empty profile
+// leaves the plain timeline.
+func ExportTimeline(w io.Writer, traces []*trace.Trace, scheme vclock.Scheme, prof *profile.Profile) error {
 	corr, err := BuildCorrections(traces, scheme)
 	if err != nil {
 		return err

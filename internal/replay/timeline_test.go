@@ -29,7 +29,7 @@ func timelineTraces() []*trace.Trace {
 
 func TestExportTimelineValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ExportTimeline(&buf, timelineTraces(), vclock.FlatSingle); err != nil {
+	if err := ExportTimeline(&buf, timelineTraces(), vclock.FlatSingle, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}
@@ -82,7 +82,7 @@ func TestExportTimelineProfileCounterTracks(t *testing.T) {
 		t.Fatal("analysis produced no profile series")
 	}
 	var buf bytes.Buffer
-	if err := ExportTimelineProfile(&buf, timelineTraces(), vclock.FlatSingle, res.Profile); err != nil {
+	if err := ExportTimeline(&buf, timelineTraces(), vclock.FlatSingle, res.Profile); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}
@@ -127,22 +127,11 @@ func TestExportTimelineProfileCounterTracks(t *testing.T) {
 	if len(names) != len(res.Profile.Metrics()) {
 		t.Errorf("counter track names %v, want one per metric %v", names, res.Profile.Metrics())
 	}
-	// The nil-profile path stays byte-compatible with ExportTimeline.
-	var plain, withNil bytes.Buffer
-	if err := ExportTimeline(&plain, timelineTraces(), vclock.FlatSingle); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExportTimelineProfile(&withNil, timelineTraces(), vclock.FlatSingle, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), withNil.Bytes()) {
-		t.Error("nil profile changes timeline output")
-	}
 }
 
 func TestExportTimelineFlowIDsMatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := ExportTimeline(&buf, timelineTraces(), vclock.FlatSingle); err != nil {
+	if err := ExportTimeline(&buf, timelineTraces(), vclock.FlatSingle, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}
@@ -175,7 +164,7 @@ func TestExportTimelineUsesCorrectedTimes(t *testing.T) {
 		FlatEnd:   vclock.Measurement{Local: 10, Offset: -100},
 	}
 	var buf bytes.Buffer
-	if err := ExportTimeline(&buf, traces, vclock.FlatSingle); err != nil {
+	if err := ExportTimeline(&buf, traces, vclock.FlatSingle, nil); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}

@@ -236,11 +236,6 @@ func inflate(f *zip.File) ([]byte, error) {
 	return content, nil
 }
 
-// isTraceFile mirrors the loader's trace.<rank>.mscp naming check.
-func isTraceFile(name string) bool {
-	return strings.HasPrefix(name, "trace.") && strings.HasSuffix(name, ".mscp")
-}
-
 // Digest hashes the experiment's trace content: every trace file's
 // name, size, and bytes across all distinct file systems, in sorted
 // file-name order. Byte-identical archives digest identically no
@@ -265,7 +260,7 @@ func Digest(mounts *archive.Mounts, metahosts []int, dir string) (string, error)
 			return "", fmt.Errorf("serve: listing archive %q: %w", dir, err)
 		}
 		for _, name := range names {
-			if isTraceFile(name) {
+			if _, ok := archive.TraceRank(name); ok {
 				files = append(files, tf{name: name, fs: fs})
 			}
 		}

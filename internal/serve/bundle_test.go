@@ -74,7 +74,7 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 	flipped := false
 	for _, name := range names {
-		if !isTraceFile(name) {
+		if _, ok := archive.TraceRank(name); !ok {
 			continue
 		}
 		data, err := archive.ReadFile(fs, dir2+"/"+name)
@@ -104,6 +104,37 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 	if d3 == d1 {
 		t.Fatal("digest ignored a flipped trace byte")
+	}
+}
+
+// TestDigestSkipsWhatTheLoaderSkips: files the loader does not read as
+// traces, however close their names come, do not change the digest.
+func TestDigestSkipsWhatTheLoaderSkips(t *testing.T) {
+	b := oracleBundles(t)[0]
+	m1, mh1, dir1, err := DecodeZip(b.zip, DefaultMaxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, mh2, dir2, err := DecodeZip(b.zip, DefaultMaxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"trace.x.mscp", "trace.-1.mscp"} {
+		w, err := m2.For(mh2[0]).(*archive.MemFS).Create(dir2 + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write([]byte("not a trace")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d1, _ := Digest(m1, mh1, dir1)
+	d2, _ := Digest(m2, mh2, dir2)
+	if d1 != d2 {
+		t.Fatalf("files the loader skips changed the digest: %s vs %s", d1, d2)
 	}
 }
 

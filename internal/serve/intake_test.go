@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -263,18 +264,29 @@ func TestSubmitBodyReadOnce(t *testing.T) {
 // phase tree, under the handler's own span, and they account for the
 // handler's wall time within 5 %; the "job accepted" line carries what
 // the intake measured.
+//
+// The job's analysis waits until the handler has recorded its span: the
+// handler enqueues the job before it answers, and on a machine with few
+// cores the analysis would otherwise take the CPU from the handler's
+// last microseconds, so the span would measure the scheduler rather than
+// the handler.
 func TestIntakePhases(t *testing.T) {
 	h := haloBundle(t)
 	rec := obs.NewRecorder()
 	logged := &logLines{}
 	rec.Log = obs.NewLogger(logged)
 	rec.Log.SetLevel(obs.LevelDebug)
-	_, ts := newTestServer(t, Options{Workers: 1, Obs: rec})
+	s, ts := newTestServer(t, Options{Workers: 1, Obs: rec})
+	real := s.runJob
+	handled := make(chan struct{})
+	s.runJob = func(ctx context.Context, j *job) (*replay.Result, error) {
+		<-handled
+		return real(ctx, j)
+	}
 	st, resp := submitZip(t, ts.URL, h.zip, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	awaitJob(t, ts.URL, st.ID)
 
 	// The handler records its own span after it has answered.
 	var handler time.Duration
@@ -288,6 +300,8 @@ func TestIntakePhases(t *testing.T) {
 			}
 		}
 	}
+	close(handled)
+	awaitJob(t, ts.URL, st.ID)
 	var sum time.Duration
 	for _, name := range []string{"read-body", "decode-zip", "digest"} {
 		if steps[name] <= 0 {

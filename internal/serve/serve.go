@@ -109,9 +109,6 @@ type Options struct {
 	// in corrected seconds (default 1; a session can override it with
 	// ?window=).
 	WindowSec float64
-	// StreamTick is the live-session event publication period (default
-	// 250ms).
-	StreamTick time.Duration
 }
 
 // Server is the analysis service. Create it with New; it is ready to
@@ -171,9 +168,6 @@ func New(opts Options) *Server {
 	}
 	if opts.WindowSec <= 0 {
 		opts.WindowSec = 1
-	}
-	if opts.StreamTick <= 0 {
-		opts.StreamTick = 250 * time.Millisecond
 	}
 	s := &Server{
 		opts:     opts,

@@ -175,7 +175,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		},
 		Ranks:     ranks,
 		WindowSec: window,
-		EmitEvery: s.opts.StreamTick,
 		OnEvent:   sess.log.append,
 	})
 	if s.opts.SessionIdleTimeout > 0 {

@@ -207,7 +207,7 @@ func getBody(t testing.TB, url string) (int, []byte) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, StreamTick: 5 * time.Millisecond})
+	_, ts := newTestServer(t, Options{Workers: 2})
 	traces := sessionTraces()
 	blobs := encodeAll(t, traces)
 
@@ -531,7 +531,7 @@ func readSSE(ctx context.Context, t testing.TB, url string, lastID uint64, stopA
 // complete gap-free event sequence. It also checks that abandoned
 // stream handlers do not leak goroutines.
 func TestSessionSSEResume(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, StreamTick: 2 * time.Millisecond})
+	_, ts := newTestServer(t, Options{Workers: 2})
 	traces := sessionTraces()
 	blobs := encodeAll(t, traces)
 	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
@@ -753,7 +753,7 @@ func TestSessionLimitConcurrentCreates(t *testing.T) {
 // reports it as-is; the state, the event count and the replayed stream
 // are what they were — no failed event appended after done.
 func TestSessionDeleteAfterDone(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, StreamTick: 2 * time.Millisecond})
+	_, ts := newTestServer(t, Options{Workers: 1})
 	traces := sessionTraces()
 	st := openSession(t, ts.URL, "?ranks=3&scheme=flat1")
 	uploadSession(t, ts.URL, st.ID, traces, encodeAll(t, traces), 101)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"metascope/internal/replay"
 	"metascope/internal/trace"
@@ -108,7 +107,7 @@ func TestLiveHandoffNonDefaultStrides(t *testing.T) {
 					}
 					blobs[r] = buf.Bytes()
 				}
-				l, err := replay.NewLive(replay.LiveConfig{Config: cfg, Ranks: len(blobs), EmitEvery: time.Millisecond})
+				l, err := replay.NewLive(replay.LiveConfig{Config: cfg, Ranks: len(blobs)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -296,6 +296,111 @@ for f in cmd/metascope/*.go; do
 	fi
 done
 
+# The docs are only worth reading if a reader can take them at their
+# word. DESIGN.md and EXPERIMENTS.md stay short enough to read whole;
+# DESIGN.md and README.md say what the code is, not which change made it
+# so (that is git's and EXPERIMENTS.md's); and every name they give in
+# backticks exists: a repo path (globs expand; a bare *.go name anywhere
+# in the tree), a pkg.Ident declared in that package's non-test files
+# (and the member after it, if any, named there), a -flag of the
+# metascope verb a command line names. A name the code no longer has is
+# a doc describing what was.
+echo "== docs describe what is"
+docs_tmp=$(mktemp -d)
+trap 'rm -rf "$docs_tmp"' EXIT
+go build -o "$docs_tmp/metascope" ./cmd/metascope
+bad=0
+for f in DESIGN.md EXPERIMENTS.md; do
+	if [ "$(wc -l <"$f")" -gt 1000 ]; then
+		echo "check: $f is $(wc -l <"$f") lines, over 1000: say what the code is, not how it got there" >&2
+		bad=1
+	fi
+done
+if grep -n -E '\bPR [0-9]+' DESIGN.md README.md; then
+	echo "check: DESIGN.md or README.md names a PR: describe the code; its history is git's and EXPERIMENTS.md's" >&2
+	bad=1
+fi
+spans=$(grep -o -h '`[^`]*`' README.md DESIGN.md | tr -d '`' | sort -u)
+while IFS= read -r s; do
+	case "$s" in
+	'' | *[[:space:]]*) continue ;;
+	internal/* | cmd/* | bench/* | script/* | examples/*)
+		# shellcheck disable=SC2086 # the span may be a glob
+		ls -d ${s%/} >/dev/null 2>&1 || { echo "check: the docs name $s, which does not exist" >&2; bad=1; }
+		continue
+		;;
+	[A-Z]*.md | [A-Z]*.json)
+		[ -e "$s" ] || { echo "check: the docs name $s, which does not exist" >&2; bad=1; }
+		continue
+		;;
+	*.go)
+		[ -n "$(find . -name "$s" -not -path './.git/*')" ] || { echo "check: the docs name $s, which does not exist" >&2; bad=1; }
+		continue
+		;;
+	esac
+	ref=$(echo "$s" | sed -n -E 's/^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(\.([A-Za-z_][A-Za-z0-9_]*))?.*/\1 \2 \4/p')
+	[ -n "$ref" ] || continue
+	set -- $ref
+	if [ "$1" = metascope ]; then
+		dir=.
+	else
+		dir=$(find internal cmd -type d -name "$1" | head -n 1)
+		[ -n "$dir" ] || continue # not one of ours: json.Marshal, context.AfterFunc
+	fi
+	files=$(ls "$dir"/*.go 2>/dev/null | grep -v '_test\.go$' || true)
+	[ -n "$files" ] || continue
+	# shellcheck disable=SC2086
+	if ! awk -v id="$2" '
+		/^(var|const|type) \($/ { blk = 1; next }
+		blk && /^\)/ { blk = 0; next }
+		blk { n = $1; sub(/[^A-Za-z0-9_].*/, "", n); if (n == id) found = 1; next }
+		/^(func|type|var|const) / { n = $2; if ($1 == "func" && n ~ /^\(/) next; sub(/[^A-Za-z0-9_].*/, "", n); if (n == id) found = 1 }
+		END { exit !found }' $files; then
+		echo "check: the docs name $1.$2, which $dir does not declare" >&2
+		bad=1
+	elif [ $# -eq 3 ] && ! grep -q -w -- "$3" $files; then
+		echo "check: the docs name $1.$2.$3, which $dir does not mention" >&2
+		bad=1
+	fi
+done <<EOF
+$spans
+EOF
+# Flags of metascope command lines, in backticks or in fenced blocks.
+awk '
+	function emit(s,   n, w, i, f) {
+		sub(/ (#|\||&&|;).*/, "", s)
+		n = split(s, w, /[ \t]+/)
+		for (i = 3; i <= n; i++) if (w[i] ~ /^-[a-z]/) {
+			f = w[i]; sub(/[^a-z0-9-].*/, "", f); print w[2], f
+		}
+	}
+	/^```/ { fence = !fence; next }
+	fence {
+		line = (cont ? cont " " : "") $0; cont = ""
+		if (line ~ /\\$/) { cont = substr(line, 1, length(line) - 1); next }
+		if (match(line, /(^|[^A-Za-z0-9_-])metascope [a-z]+/)) emit(substr(line, RSTART + (RSTART > 1 || substr(line, 1, 1) != "m")))
+		next
+	}
+	{
+		line = $0
+		while (match(line, /`metascope [a-z]+[^`]*`/)) {
+			emit(substr(line, RSTART + 1, RLENGTH - 2)); line = substr(line, RSTART + RLENGTH)
+		}
+	}' README.md DESIGN.md EXPERIMENTS.md | sort -u >"$docs_tmp/flags"
+while read -r verb flag; do
+	[ -f "$docs_tmp/$verb.h" ] || "$docs_tmp/metascope" "$verb" -h >"$docs_tmp/$verb.h" 2>&1 || true
+	if ! grep -q "^Usage of metascope $verb:" "$docs_tmp/$verb.h"; then
+		echo "check: the docs run metascope $verb, which is not a verb" >&2
+		bad=1
+	elif [ "$flag" != -h ] && ! grep -q -E -- "^  $flag( |\$)" "$docs_tmp/$verb.h"; then
+		echo "check: the docs pass $flag to metascope $verb, which registers no such flag" >&2
+		bad=1
+	fi
+done <"$docs_tmp/flags"
+if [ "$bad" -ne 0 ]; then
+	exit 1
+fi
+
 # Every internal package must carry tests: the conformance harness can
 # only vouch for code the suite actually reaches.
 echo "== test coverage presence (internal/...)"
