@@ -17,6 +17,7 @@ fuzz: ## coverage-guided fuzzing of the trace decoders, the live-vs-lazy feeders
 	go test ./internal/trace -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz 'FuzzDecodeV2$$' -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz 'FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME)
+	go test ./internal/trace -run '^$$' -fuzz 'FuzzIngestDifferential$$' -fuzztime $(FUZZTIME)
 	go test ./internal/replay -run '^$$' -fuzz 'FuzzLiveFeed$$' -fuzztime $(FUZZTIME)
 	go test ./internal/scenario -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime $(FUZZTIME)
 	go test ./internal/phase -run '^$$' -fuzz 'FuzzPhaseAlign$$' -fuzztime $(FUZZTIME)

@@ -12,16 +12,17 @@ import (
 // publish, and three feeders. A preloaded log (Analyze over loaded
 // traces) publishes the rank's whole event slice as a single block and
 // closes. The other two hold a block reader over the rank's v2 byte
-// image and take the one ingest step, pull, which decodes, validates and
-// publishes the image's next block: a pulled log (AnalyzeLazy) has the
-// whole image and the sweep pulls, through more, whenever it runs out of
-// published events; a pushed log (a live session) has an image that is
-// still being uploaded and Live.FeedChunk pulls whenever bytes arrive —
-// a sweep that catches up with it finds the log dry, and the feeder wakes
-// the rank once it published more. The sweep never sees a difference
-// beyond *when* events become visible, which is the whole trick behind
-// byte-identical results: the sweep's event order, and therefore every
-// accumulator's addition order, is the trace order whoever feeds.
+// image and take the one ingest step, pull, which publishes the image's
+// next block as the reader hands it over, decoded and validated in the
+// same passes: a pulled log (AnalyzeLazy) has the whole image and the
+// sweep pulls, through more, whenever it runs out of published events; a
+// pushed log (a live session) has an image that is still being uploaded
+// and Live.FeedChunk pulls whenever bytes arrive — a sweep that catches
+// up with it finds the log dry, and the feeder wakes the rank once it
+// published more. The sweep never sees a difference beyond *when* events
+// become visible, which is the whole trick behind byte-identical
+// results: the sweep's event order, and therefore every accumulator's
+// addition order, is the trace order whoever feeds.
 //
 // Events are stored in fixed-stride blocks, so releaseBefore can let go
 // of the already-swept prefix — the bounded-memory window that lets an
@@ -52,12 +53,10 @@ type rankLog struct {
 	released int             // blocks[:released] are released (nil)
 	free     [][]trace.Event // released blocks awaiting reuse by room
 
-	// The image pull reads and the validator its events pass through,
-	// set by attach; nil for a preloaded log. Only the pulling goroutine
-	// touches what they point to: the rank's sweep, or — pushed set — the
-	// rank's feeder.
+	// The image pull reads, set by attach; nil for a preloaded log. Only
+	// the pulling goroutine touches the reader: the rank's sweep, or —
+	// pushed set — the rank's feeder.
 	src    *trace.BlockReader
-	val    *trace.StreamValidator
 	pushed bool
 
 	// Memory accounting (events, not bytes: one Event is a fixed-size
@@ -96,13 +95,12 @@ func newPulledRankLog(r *trace.BlockReader) *rankLog {
 }
 
 // attach gives the log the image its events come from, once the image's
-// header is known. Events are validated as they decode, with exactly the
-// checks (*Trace).Validate applies to a materialized trace.
+// header is known. The reader validates events as it decodes them, with
+// exactly the checks (*Trace).Validate applies to a materialized trace.
 func (lg *rankLog) attach(r *trace.BlockReader) {
 	lg.mu.Lock()
 	lg.stride = r.BlockSize()
 	lg.src = r
-	lg.val = trace.NewStreamValidator(r.Trace())
 	lg.mu.Unlock()
 }
 
@@ -154,35 +152,22 @@ func (lg *rankLog) room(n int) []trace.Event {
 	return blk
 }
 
-// pull is the one ingest step, whoever calls it: decode the image's next
-// block, validate it in stream order, publish it, and return how many
+// pull is the one ingest step, whoever calls it: have the reader decode
+// and validate the image's next block, publish it, and return how many
 // events that made visible — zero when the image has no further whole
 // block, because it is complete or because the rest has not arrived.
-// Reaching the declared event count also checks the end-of-trace
-// invariant a one-shot decode enforces eagerly (balanced regions; the
-// reader itself refuses trailing bytes and, once the image is complete,
-// a block cut short) and closes the log.
+// The block that reaches the declared event count, which the reader has
+// also checked for balanced regions and trailing bytes, closes the log.
 func (lg *rankLog) pull() (int, error) {
 	r := lg.src
 	blk, err := r.NextInto(lg.room)
 	if err != nil {
 		return 0, err
 	}
-	for i := range blk {
-		if err := lg.val.Event(&blk[i]); err != nil {
-			return 0, err
-		}
-	}
-	last := r.Decoded() == r.Total()
-	if last {
-		if err := lg.val.Close(); err != nil {
-			return 0, err
-		}
-	}
 	if err := lg.publish(blk); err != nil {
 		return 0, fmt.Errorf("trace %v: %w", r.Trace().Loc, err)
 	}
-	if last {
+	if r.Decoded() == r.Total() {
 		lg.close()
 	}
 	return len(blk), nil
@@ -193,7 +178,7 @@ func (lg *rankLog) pull() (int, error) {
 // values.
 func (lg *rankLog) drop() {
 	lg.mu.Lock()
-	lg.blocks, lg.free, lg.src, lg.val = nil, nil, nil, nil
+	lg.blocks, lg.free, lg.src = nil, nil, nil
 	lg.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -515,15 +516,14 @@ func outcomeOf(res *Result, err error) feedOutcome {
 	return feedOutcome{report: rb.Bytes(), prof: pb.Bytes(), phases: hb.Bytes()}
 }
 
-// pulledOutcome writes the images into an archive and analyses it
-// lazily. loaded reports whether the loader took the archive — a fault
-// the loader refuses is named in its own words, with the file.
-func pulledOutcome(t testing.TB, ctx context.Context, cfg Config, images [][]byte) (out feedOutcome, loaded bool) {
+// feedersArchive is an in-memory archive, on metahost 0, of the rank
+// images.
+func feedersArchive(t testing.TB, images [][]byte) (mounts *archive.Mounts, dir string) {
 	t.Helper()
 	fs := archive.NewMemFS("feeders")
-	mounts := archive.NewMounts()
+	mounts = archive.NewMounts()
 	mounts.Mount(0, fs)
-	const dir = "epik_feeders"
+	dir = "epik_feeders"
 	if err := fs.Mkdir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -535,6 +535,15 @@ func pulledOutcome(t testing.TB, ctx context.Context, cfg Config, images [][]byt
 		w.Write(img)
 		w.Close()
 	}
+	return mounts, dir
+}
+
+// pulledOutcome writes the images into an archive and analyses it
+// lazily. loaded reports whether the loader took the archive — a fault
+// the loader refuses is named in its own words, with the file.
+func pulledOutcome(t testing.TB, ctx context.Context, cfg Config, images [][]byte) (out feedOutcome, loaded bool) {
+	t.Helper()
+	mounts, dir := feedersArchive(t, images)
 	ar, err := LoadArchiveLazyCtx(ctx, mounts, []int{0}, dir, obs.NewRecorder())
 	if err != nil {
 		return feedOutcome{err: err}, false
@@ -632,16 +641,17 @@ func TestFeedersAgree(t *testing.T) {
 		// clean: the traces behind the images, all of them sound.
 		clean []*trace.Trace
 		rest  [][]byte // the other ranks' images, clean[1:] if nil
-		// events: the image is a well-formed encoding of unsound events, so
-		// the eager load and analysis refuse it too, in the same words.
-		events bool
+		// eager: the eager decode and analysis refuse the image too, in the
+		// same words — a well-formed encoding of unsound events, or bytes
+		// after the last declared event.
+		eager bool
 	}
 	faults := []fault{
 		{name: "clean", img: clean[0], clean: traces},
 		{name: "clean multi-receiver", img: fanImages[0], clean: fan, rest: fanImages[1:]},
 		{name: "truncated mid-block", img: clean[0][:len(clean[0])-3]},
 		{name: "truncated at a block boundary", img: image(t0, 32, 32)},
-		{name: "trailing byte", img: append(clean[0][:len(clean[0]):len(clean[0])], 0)},
+		{name: "trailing byte", eager: true, img: append(clean[0][:len(clean[0]):len(clean[0])], 0)},
 		{name: "block count 0", img: patch(clean[0], first+2, 0)},
 		{name: "block count over the block size", img: patch(clean[0], first+2, bs+1)},
 		{name: "block count over the events owed", img: func() []byte {
@@ -663,14 +673,14 @@ func TestFeedersAgree(t *testing.T) {
 		// Both formats carry raw float64 bits. Every comparison with a NaN
 		// is false, so only an explicit check stops one; an infinity is in
 		// order after any time stamp and used to surface at render time.
-		{name: "nan-time", events: true, img: func() []byte {
+		{name: "nan-time", eager: true, img: func() []byte {
 			tr := edit(func(evs []trace.Event) []trace.Event {
 				evs[n0-2].Time, evs[n0-1].Time = math.NaN(), math.NaN()
 				return evs
 			})
 			return image(tr, blockCounts(n0, bs)...)
 		}()},
-		{name: "inf-time", events: true, img: func() []byte {
+		{name: "inf-time", eager: true, img: func() []byte {
 			tr := edit(func(evs []trace.Event) []trace.Event {
 				evs[n0-2].Time, evs[n0-1].Time = math.Inf(1), math.Inf(1)
 				return evs
@@ -705,7 +715,7 @@ func TestFeedersAgree(t *testing.T) {
 				t.Fatalf("lazy analysis: err = %v", want.err)
 			}
 			hdr := first // every faulty image keeps t0's header
-			if f.events {
+			if f.eager {
 				bad, err := trace.DecodeBytesInterned(f.img, nil)
 				if err == nil {
 					_, err = Analyze(append([]*trace.Trace{bad}, traces[1:]...), cfg)
@@ -748,6 +758,52 @@ func TestFeedersAgree(t *testing.T) {
 				case got.err.Error() != want.err.Error() || !strings.HasPrefix(got.err.Error(), "trace"):
 					t.Errorf("%s: live session says %q, lazy analysis says %q", name, got.err, want.err)
 				}
+			}
+		})
+	}
+}
+
+// TestTrailingBytesRefusedByEveryFeeder: a rank file with bytes after
+// its last declared event is refused whoever reads it, in the same words
+// — the eager load of AnalyzeArchiveContext (what metascope analyze and
+// served jobs run), which names the file as it does for every decode
+// fault, a lazy analysis, and a live session. A v1 file, which only the
+// loaders read, too.
+func TestTrailingBytesRefusedByEveryFeeder(t *testing.T) {
+	cfg := Config{Scheme: vclock.FlatSingle, Title: "trailing", Obs: obs.NewRecorder()}
+	ctx := context.Background()
+	traces := exchangeTraces(8)
+	want := fmt.Sprintf("trace %v: 2 trailing byte(s) after %d declared events", traces[0].Loc, len(traces[0].Events))
+	for _, format := range []trace.Format{trace.FormatV2, trace.FormatV1} {
+		t.Run(format.String(), func(t *testing.T) {
+			images := make([][]byte, len(traces))
+			for r, tr := range traces {
+				var buf bytes.Buffer
+				if err := tr.EncodeFormat(&buf, format); err != nil {
+					t.Fatal(err)
+				}
+				images[r] = buf.Bytes()
+			}
+			images[0] = append(images[0], 0, 0)
+			named := func(feeder string, err error) {
+				t.Helper()
+				if err == nil || !strings.HasPrefix(err.Error(), "replay: decoding trace.0.") || errors.Unwrap(err).Error() != want {
+					t.Errorf("%s: err = %v, want %q naming the file", feeder, err, want)
+				}
+			}
+			mounts, dir := feedersArchive(t, images)
+			_, err := AnalyzeArchiveContext(ctx, mounts, []int{0}, dir, cfg)
+			named("eager", err)
+			lazy, _ := pulledOutcome(t, ctx, cfg, images)
+			if format == trace.FormatV1 {
+				named("lazy", lazy.err) // a v1 rank decodes whole
+				return
+			}
+			if lazy.err == nil || lazy.err.Error() != want {
+				t.Errorf("lazy: err = %v, want %q", lazy.err, want)
+			}
+			if live := pushedOutcome(t, ctx, LiveConfig{Config: cfg}, images); live.err == nil || live.err.Error() != want {
+				t.Errorf("live: err = %v, want %q", live.err, want)
 			}
 		})
 	}

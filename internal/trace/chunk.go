@@ -35,8 +35,7 @@ type ChunkDecoder struct {
 	intern *Interner
 	buf    []byte       // bytes appended and not yet decoded: the reader's image
 	r      *BlockReader // nil until the header has fully decoded
-	val    *StreamValidator
-	err    error // sticky: first fatal error ends the stream
+	err    error        // sticky: first fatal error ends the stream
 }
 
 // ErrV1Stream refuses a v1 stream, by its version byte.
@@ -85,7 +84,7 @@ func (c *ChunkDecoder) Append(data []byte) error {
 	if f, _ := FormatOf(c.buf); f == FormatV1 {
 		return c.fail(ErrV1Stream)
 	}
-	r := &BlockReader{d: decoder{data: c.buf, intern: c.intern}, open: true}
+	r := &BlockReader{d: decoder{data: c.buf, intern: c.intern, streaming: true}}
 	if err := r.readHeader(); err != nil {
 		if needMore(err) {
 			return nil // header still arriving
@@ -112,7 +111,7 @@ func (c *ChunkDecoder) Close() error {
 		return c.fail(fmt.Errorf("trace: stream ended inside the header (%d bytes): %w",
 			len(c.buf), io.ErrUnexpectedEOF))
 	}
-	c.r.open = false
+	c.r.d.streaming = false
 	return nil
 }
 
@@ -143,9 +142,6 @@ func (c *ChunkDecoder) Feed(data []byte) ([]Event, error) {
 	if err := c.Append(data); err != nil || c.r == nil {
 		return nil, err
 	}
-	if c.val == nil {
-		c.val = NewStreamValidator(c.r.t)
-	}
 	var fresh []Event
 	reserve := func(n int) []Event {
 		if fresh == nil {
@@ -156,9 +152,6 @@ func (c *ChunkDecoder) Feed(data []byte) ([]Event, error) {
 	}
 	for {
 		blk, err := c.r.NextInto(reserve)
-		for i := 0; err == nil && i < len(blk); i++ {
-			err = c.val.Event(&blk[i])
-		}
 		if err != nil {
 			return nil, c.fail(err)
 		}
@@ -173,9 +166,10 @@ func (c *ChunkDecoder) Feed(data []byte) ([]Event, error) {
 }
 
 // Finish is Close for a stream decoded through Feed, and returns the
-// completed trace. A stream that ends mid-header, short of its declared
-// event count, or with unbalanced regions is an error — the same faults
-// Validate reports on a truncated file.
+// completed trace. A stream that ends mid-header or short of its
+// declared event count is an error — the fault Validate reports on a
+// truncated file. (Unbalanced regions are refused by the Feed that
+// delivers the last declared event.)
 func (c *ChunkDecoder) Finish() (*Trace, error) {
 	if err := c.Close(); err != nil {
 		return nil, err
@@ -183,11 +177,6 @@ func (c *ChunkDecoder) Finish() (*Trace, error) {
 	if r := c.r; r.decoded < r.total {
 		return nil, c.fail(fmt.Errorf("trace %v: stream ended after %d of %d declared events: %w",
 			r.t.Loc, r.decoded, r.total, io.ErrUnexpectedEOF))
-	}
-	if c.val != nil {
-		if err := c.val.Close(); err != nil {
-			return nil, c.fail(err)
-		}
 	}
 	return c.r.t, nil
 }

@@ -198,15 +198,17 @@ func TestChunkDecoderRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("unbalanced exit", func(t *testing.T) {
+		// The block that completes the declared count closes the regions,
+		// so the Feed that delivers it fails, and Finish repeats the error.
 		tr := sampleTrace()
 		tr.Events = tr.Events[:len(tr.Events)-1] // drop final Exit
 		c := NewChunkDecoder(nil)
-		if _, err := c.Feed(encodeV2Bytes(t, tr, 4)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Finish(); err == nil ||
-			!bytes.Contains([]byte(err.Error()), []byte("unclosed region")) {
+		_, err := c.Feed(encodeV2Bytes(t, tr, 4))
+		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("unclosed region")) {
 			t.Fatalf("err = %v, want unclosed-region error", err)
+		}
+		if _, ferr := c.Finish(); ferr != err {
+			t.Fatalf("Finish err = %v, want the sticky %v", ferr, err)
 		}
 	})
 }

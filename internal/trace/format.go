@@ -123,12 +123,14 @@ type decoder struct {
 	// caller can dispatch between the v1 row stream and the v2 block
 	// stream that follow the (identical) header.
 	version byte
-	// streaming marks the header decode of an image that is still growing
-	// (ChunkDecoder): a declared count that exceeds the bytes buffered so
+	// streaming marks an image that is still growing (ChunkDecoder sets
+	// and clears it): a declared count that exceeds the bytes buffered so
 	// far is not corruption — the missing bytes may simply not have
 	// arrived yet — so the bound check reports an
 	// io.ErrUnexpectedEOF-wrapped error the chunk decoder treats as "feed
-	// me more". The absolute caps still reject absurd headers outright.
+	// me more", and BlockReader.NextInto waits for a block that is not
+	// whole yet rather than refusing it. The absolute caps still reject
+	// absurd headers outright.
 	streaming bool
 }
 
@@ -370,7 +372,19 @@ func DecodeBytesInterned(data []byte, in *Interner) (*Trace, error) {
 			return nil, err
 		}
 	}
+	if err := trailing(d, t, len(t.Events)); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// trailing rejects bytes after the last of the total declared events, in
+// either format.
+func trailing(d *decoder, t *Trace, total int) error {
+	if rest := d.remaining(); rest > 0 {
+		return fmt.Errorf("trace %v: %d trailing byte(s) after %d declared events", t.Loc, rest, total)
+	}
+	return nil
 }
 
 // Minimum encoded sizes, used to bound every declared count against
@@ -391,8 +405,8 @@ const (
 )
 
 // decodeV2 is the one-shot decode of a v2 image: a BlockReader drained
-// into one slice. Bytes after the last block are ignored, as the v1 row
-// decoder ignores them.
+// into one slice. Bytes after the last block are refused, as NextInto
+// refuses them.
 func decodeV2(data []byte, in *Interner) (*Trace, error) {
 	r, err := NewBlockReader(data, in)
 	if err != nil {
@@ -408,6 +422,9 @@ func decodeV2(data []byte, in *Interner) (*Trace, error) {
 			return nil, err
 		}
 		idx += n
+	}
+	if err := r.trailing(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

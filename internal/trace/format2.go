@@ -52,12 +52,14 @@ import (
 // per event.
 //
 // The column directory makes every column's offset computable before
-// any event is touched, so decode is one fused pass: per event, a
-// fixed-width time load, a (usually one-byte, inlined) varint per
-// populated field from that field's own cursor, and a single struct
-// store. No intermediate buffers are built, and the columns of one
-// block are read in place from a single contiguous slice of the
-// backing file image.
+// any event is touched, so decode writes each event in place, column by
+// column, in at most three passes over the block: kinds and time stamps
+// (a fixed-width load and a usually one-byte varint per event), then the
+// region column, then — only in a block that has them — the
+// communication columns. No intermediate buffers are built, the columns
+// of one block are read in place from a single contiguous slice of the
+// backing file image, and the structural checks of StreamValidator ride
+// along in the same passes (decodeV2Block).
 
 // Format selects an on-disk trace encoding.
 type Format uint8
@@ -283,13 +285,13 @@ func appendV2Block(buf []byte, cb *v2ColBufs, evs []Event) ([]byte, error) {
 
 // posInvalid poisons a column cursor on malformed input: it fails
 // every subsequent bounds guard (and stays poisoned through the slow
-// varint reader), so the decode loop runs through harmlessly and the
+// varint reader), so the decode passes run through harmlessly and the
 // end-of-column checks report the corruption once.
 const posInvalid = 1 << 62
 
-// readUvarintSlow decodes one uvarint from p[pos:end]. It is the
-// out-of-line continuation of the one-byte fast path the decode loop
-// inlines; malformed or truncated input poisons the cursor.
+// readUvarintSlow decodes one uvarint from p[pos:end]. In the decode
+// passes it is the continuation of the short fast paths they spell out;
+// malformed or truncated input poisons the cursor.
 func readUvarintSlow(p []byte, pos, end int) (uint64, int) {
 	var v uint64
 	var shift uint
@@ -328,18 +330,27 @@ func decodeV2BlockSize(d *decoder) (int, error) {
 // corruption: a caller whose input may still be growing peeks at the
 // length prefix first (BlockReader.NextInto).
 //
-// This is the hottest loop of archive ingestion (the zero-alloc gate
-// in script/check.sh sits on top of it): the column directory is
-// resolved into one cursor per column up front, then a single fused
-// pass decodes each event with an inlined one-byte varint fast path
-// per populated field and one struct store.
-func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
+// It also runs v's checks on the block, unless v is nil. ok reports that
+// every event passed them, and then v has advanced past the block;
+// otherwise v is untouched and the caller replays the block through
+// v.Event for the message, in its own order relative to its own framing
+// checks.
+//
+// This is the hottest loop of archive ingestion (the zero-alloc gates
+// in script/check.sh sit on top of it). The column directory is
+// resolved into one cursor per column up front; then each event is
+// written in place, column by column: pass 1 stores kind and time stamp
+// and zeroes the rest, pass 2 walks the region column, and pass 3, only
+// in a block with communication events, the communication columns. The
+// checks ride along on register state — finite, monotone time and the
+// nesting depth in pass 1, known regions in pass 2.
+func decodeV2Block(d *decoder, dst []Event, blockSize int, v *StreamValidator) (n int, ok bool, err error) {
 	plen := d.u64()
 	if d.err != nil {
-		return 0, d.err
+		return 0, false, d.err
 	}
 	if plen > uint64(d.remaining()) {
-		return 0, fmt.Errorf("trace: block payload length %d exceeds remaining input (%d bytes)",
+		return 0, false, fmt.Errorf("trace: block payload length %d exceeds remaining input (%d bytes)",
 			plen, d.remaining())
 	}
 	p := d.data[d.pos : d.pos+int(plen)]
@@ -347,11 +358,11 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 
 	nu, pos := readUvarintSlow(p, 0, len(p))
 	if pos == posInvalid || nu < 1 || nu > uint64(blockSize) {
-		return 0, fmt.Errorf("trace: block event count %d out of range [1, %d]", nu, blockSize)
+		return 0, false, fmt.Errorf("trace: block event count %d out of range [1, %d]", nu, blockSize)
 	}
-	n := int(nu)
+	n = int(nu)
 	if n > len(dst) {
-		return 0, fmt.Errorf("trace: block of %d events exceeds buffer of %d", n, len(dst))
+		return 0, false, fmt.Errorf("trace: block of %d events exceeds buffer of %d", n, len(dst))
 	}
 
 	// Column directory: byte lengths of the varint/raw columns, from
@@ -362,7 +373,7 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 		var l uint64
 		l, pos = readUvarintSlow(p, pos, len(p))
 		if pos == posInvalid || l > uint64(len(p)) {
-			return 0, errors.New("trace: corrupt block column directory")
+			return 0, false, errors.New("trace: corrupt block column directory")
 		}
 		lens[j] = int(l)
 	}
@@ -371,186 +382,241 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int) (int, error) {
 		need += l
 	}
 	if len(p)-pos != need {
-		return 0, fmt.Errorf("trace: block columns (%d bytes) do not tile the payload (%d bytes left)",
+		return 0, false, fmt.Errorf("trace: block columns (%d bytes) do not tile the payload (%d bytes left)",
 			need, len(p)-pos)
 	}
 
+	dst = dst[:n]
 	kinds := p[pos : pos+n]
 	pos += n
 	lo := p[pos : pos+4*n]
 	pos += 4 * n
-	thiPos, thiEnd := pos, pos+lens[0]
-	regPos, regEnd := thiEnd, thiEnd+lens[1]
-	commPos, commEnd := regEnd, regEnd+lens[2]
-	peerPos, peerEnd := commEnd, commEnd+lens[3]
-	tagPos, tagEnd := peerEnd, peerEnd+lens[4]
-	bytPos, bytEnd := tagEnd, tagEnd+lens[5]
-	collPos, collEnd := bytEnd, bytEnd+lens[6]
-	rootPos, rootEnd := collEnd, collEnd+lens[7]
+	var cols [v2ColumnCount][]byte
+	for j, l := range lens {
+		cols[j] = p[pos : pos+l : pos+l]
+		pos += l
+	}
 
-	var tprev, rprev, cprev, pprev, gprev, bprev, oprev int64
-	for i, k := range kinds {
-		ev := Event{Kind: EventKind(k)}
-
-		var u uint64
-		if thiPos < thiEnd {
-			if c := p[thiPos]; c < 0x80 {
-				u = uint64(c)
-				thiPos++
-			} else {
-				u, thiPos = readUvarintSlow(p, thiPos, thiEnd)
-			}
-		} else {
-			thiPos = posInvalid
+	c := v2Check{last: math.Inf(-1), ok: true} // the first event has no predecessor
+	var regions *RegionTable
+	if v != nil {
+		if v.n > 0 {
+			c.last = v.lastTime
 		}
-		tprev += int64(u>>1) ^ -int64(u&1)
-		ev.Time = math.Float64frombits(uint64(uint32(tprev))<<32 | uint64(binary.LittleEndian.Uint32(lo[4*i:])))
+		c.depth, regions = v.depth, &v.regions
+	}
+	var used [v2ColumnCount]int
+	if used[0], err = decodeV2Stamps(dst, kinds, lo, cols[0], &c); err != nil {
+		return 0, false, err
+	}
+	used[1] = decodeV2Regions(dst, kinds, cols[1], regions, &c)
+	if c.comm {
+		decodeV2Comms(dst, kinds, &cols, &used)
+	}
+	for j := range cols {
+		if used[j] != len(cols[j]) {
+			return 0, false, errors.New("trace: corrupt event block: columns do not match the kinds they serve")
+		}
+	}
+	if c.ok && v != nil {
+		v.lastTime, v.depth, v.n = c.last, c.depth, v.n+n
+	}
+	return n, c.ok, nil
+}
 
-		switch ev.Kind {
-		case KindEnter, KindExit:
-			if regPos < regEnd {
-				if c := p[regPos]; c < 0x80 {
-					u = uint64(c)
-					regPos++
-				} else {
-					u, regPos = readUvarintSlow(p, regPos, regEnd)
-				}
-			} else {
-				u, regPos = 0, posInvalid
-			}
-			rprev += int64(u>>1) ^ -int64(u&1)
-			ev.Region = RegionID(uint32(rprev))
-		case KindSend, KindRecv:
-			if commPos < commEnd {
-				if c := p[commPos]; c < 0x80 {
-					u = uint64(c)
-					commPos++
-				} else {
-					u, commPos = readUvarintSlow(p, commPos, commEnd)
-				}
-			} else {
-				u, commPos = 0, posInvalid
-			}
-			cprev += int64(u>>1) ^ -int64(u&1)
-			ev.Comm = int32(cprev)
+// v2Check is the validator state decodeV2Block's passes carry from one
+// to the next; each pass holds it in locals while it loops.
+type v2Check struct {
+	last  float64 // the previous time stamp
+	depth int     // regions open
+	ok    bool    // every event so far passed
+	comm  bool    // the block holds communication events
+}
 
-			if peerPos < peerEnd {
-				if c := p[peerPos]; c < 0x80 {
-					u = uint64(c)
-					peerPos++
-				} else {
-					u, peerPos = readUvarintSlow(p, peerPos, peerEnd)
-				}
-			} else {
-				u, peerPos = 0, posInvalid
-			}
-			pprev += int64(u>>1) ^ -int64(u&1)
-			ev.Peer = int32(pprev)
+// zigzag maps a decoded uvarint back to the signed delta it encodes.
+func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-			if tagPos < tagEnd {
-				if c := p[tagPos]; c < 0x80 {
-					u = uint64(c)
-					tagPos++
-				} else {
-					u, tagPos = readUvarintSlow(p, tagPos, tagEnd)
-				}
-			} else {
-				u, tagPos = 0, posInvalid
+// decodeV2Stamps is pass 1: it writes the kind and time stamp of every
+// event, zeroing the other fields, and checks that the time is finite
+// and monotone and that the nesting stays sound. It returns how many
+// bytes of the times-hi column it read; an invalid kind is corruption.
+func decodeV2Stamps(dst []Event, kinds, lo, thi []byte, c *v2Check) (int, error) {
+	last, depth, ok, comm := c.last, c.depth, c.ok, false
+	kinds, lo = kinds[:len(dst)], lo[:4*len(dst)]
+	var hi, delta int64
+	var u uint64
+	pos := 0
+	for i := range dst {
+		k := EventKind(kinds[i])
+		// A time stamp's high word moves by one- and two-byte deltas.
+		if pos < len(thi) && thi[pos] < 0x80 {
+			delta, pos = zigzag(uint64(thi[pos])), pos+1
+		} else if pos+1 < len(thi) && thi[pos+1] < 0x80 {
+			delta, pos = zigzag(uint64(thi[pos]&0x7f)|uint64(thi[pos+1])<<7), pos+2
+		} else {
+			u, pos = readUvarintSlow(thi, pos, len(thi))
+			delta = zigzag(u)
+		}
+		hi += delta
+		t := math.Float64frombits(uint64(uint32(hi))<<32 | uint64(binary.LittleEndian.Uint32(lo[4*i:4*i+4])))
+		dst[i] = Event{Time: t, Kind: k}
+		if !(t >= last) {
+			ok = false // before its predecessor, or NaN
+		}
+		last = t
+		switch k {
+		case KindEnter:
+			depth++
+		case KindExit:
+			depth--
+			if depth < 0 {
+				ok = false
 			}
-			gprev += int64(u>>1) ^ -int64(u&1)
-			ev.Tag = int32(gprev)
-
-			if bytPos < bytEnd {
-				if c := p[bytPos]; c < 0x80 {
-					u = uint64(c)
-					bytPos++
-				} else {
-					u, bytPos = readUvarintSlow(p, bytPos, bytEnd)
-				}
-			} else {
-				u, bytPos = 0, posInvalid
+		case KindSend, KindRecv, KindCollExit:
+			comm = true
+			if depth == 0 {
+				ok = false
 			}
-			bprev += int64(u>>1) ^ -int64(u&1)
-			ev.Bytes = bprev
-		case KindCollExit:
-			if commPos < commEnd {
-				if c := p[commPos]; c < 0x80 {
-					u = uint64(c)
-					commPos++
-				} else {
-					u, commPos = readUvarintSlow(p, commPos, commEnd)
-				}
-			} else {
-				u, commPos = 0, posInvalid
-			}
-			cprev += int64(u>>1) ^ -int64(u&1)
-			ev.Comm = int32(cprev)
-
-			if collPos < collEnd {
-				ev.Coll = CollOp(p[collPos])
-				collPos++
-			} else {
-				collPos = posInvalid
-			}
-
-			if rootPos < rootEnd {
-				if c := p[rootPos]; c < 0x80 {
-					u = uint64(c)
-					rootPos++
-				} else {
-					u, rootPos = readUvarintSlow(p, rootPos, rootEnd)
-				}
-			} else {
-				u, rootPos = 0, posInvalid
-			}
-			oprev += int64(u>>1) ^ -int64(u&1)
-			ev.Root = int32(oprev)
-
-			if bytPos < bytEnd {
-				if c := p[bytPos]; c < 0x80 {
-					u = uint64(c)
-					bytPos++
-				} else {
-					u, bytPos = readUvarintSlow(p, bytPos, bytEnd)
-				}
-			} else {
-				u, bytPos = 0, posInvalid
-			}
-			bprev += int64(u>>1) ^ -int64(u&1)
-			ev.Bytes = bprev
 		default:
 			return 0, fmt.Errorf("trace: block event %d has invalid kind %d", i, k)
 		}
-		dst[i] = ev
 	}
+	// Ordered time stamps are all finite when the first and the last are.
+	if first := dst[0].Time; first-first != 0 || last-last != 0 {
+		ok = false
+	}
+	c.last, c.depth, c.ok, c.comm = last, depth, ok, comm
+	return pos, nil
+}
 
-	if thiPos != thiEnd || regPos != regEnd || commPos != commEnd ||
-		peerPos != peerEnd || tagPos != tagEnd || bytPos != bytEnd ||
-		collPos != collEnd || rootPos != rootEnd {
-		return 0, errors.New("trace: corrupt event block: columns do not match the kinds they serve")
+// decodeV2Regions is pass 2: it writes the region of every Enter and
+// Exit and checks that an Enter names a region the header declares, in
+// regions unless that is nil. It returns how many bytes of the regions
+// column it read.
+func decodeV2Regions(dst []Event, kinds, col []byte, regions *RegionTable, c *v2Check) int {
+	ok := c.ok
+	kinds = kinds[:len(dst)]
+	var reg, delta int64
+	var u uint64
+	pos := 0
+	for i := range dst {
+		k := EventKind(kinds[i])
+		if k != KindEnter && k != KindExit {
+			continue
+		}
+		if pos < len(col) && col[pos] < 0x80 {
+			delta, pos = zigzag(uint64(col[pos])), pos+1
+		} else {
+			u, pos = readUvarintSlow(col, pos, len(col))
+			delta = zigzag(u)
+		}
+		reg += delta
+		id := RegionID(uint32(reg))
+		dst[i].Region = id
+		if k == KindEnter && regions != nil && regions.Lookup(id) == nil {
+			ok = false
+		}
 	}
-	return n, nil
+	c.ok = ok
+	return pos
+}
+
+// decodeV2Comms is pass 3, for a block with communication events: it
+// writes their fields from the comms, peers, tags, bytes, colls and
+// roots columns and records in used how many bytes of each it read.
+func decodeV2Comms(dst []Event, kinds []byte, cols *[v2ColumnCount][]byte, used *[v2ColumnCount]int) {
+	comm, peer, tag, byt, coll, root := cols[2], cols[3], cols[4], cols[5], cols[6], cols[7]
+	var cp, pp, gp, bp, lp, rp int
+	var cprev, pprev, gprev, bprev, oprev, delta int64
+	var u uint64
+	kinds = kinds[:len(dst)]
+	for i := range dst {
+		ev := &dst[i]
+		switch EventKind(kinds[i]) {
+		case KindSend, KindRecv:
+			if cp < len(comm) && comm[cp] < 0x80 {
+				delta, cp = zigzag(uint64(comm[cp])), cp+1
+			} else {
+				u, cp = readUvarintSlow(comm, cp, len(comm))
+				delta = zigzag(u)
+			}
+			cprev += delta
+			if pp < len(peer) && peer[pp] < 0x80 {
+				delta, pp = zigzag(uint64(peer[pp])), pp+1
+			} else {
+				u, pp = readUvarintSlow(peer, pp, len(peer))
+				delta = zigzag(u)
+			}
+			pprev += delta
+			if gp < len(tag) && tag[gp] < 0x80 {
+				delta, gp = zigzag(uint64(tag[gp])), gp+1
+			} else {
+				u, gp = readUvarintSlow(tag, gp, len(tag))
+				delta = zigzag(u)
+			}
+			gprev += delta
+			if bp < len(byt) && byt[bp] < 0x80 {
+				delta, bp = zigzag(uint64(byt[bp])), bp+1
+			} else {
+				u, bp = readUvarintSlow(byt, bp, len(byt))
+				delta = zigzag(u)
+			}
+			bprev += delta
+			ev.Comm, ev.Peer, ev.Tag, ev.Bytes = int32(cprev), int32(pprev), int32(gprev), bprev
+		case KindCollExit:
+			if cp < len(comm) && comm[cp] < 0x80 {
+				delta, cp = zigzag(uint64(comm[cp])), cp+1
+			} else {
+				u, cp = readUvarintSlow(comm, cp, len(comm))
+				delta = zigzag(u)
+			}
+			cprev += delta
+			if lp < len(coll) {
+				ev.Coll = CollOp(coll[lp])
+				lp++
+			} else {
+				lp = posInvalid
+			}
+			if rp < len(root) && root[rp] < 0x80 {
+				delta, rp = zigzag(uint64(root[rp])), rp+1
+			} else {
+				u, rp = readUvarintSlow(root, rp, len(root))
+				delta = zigzag(u)
+			}
+			oprev += delta
+			if bp < len(byt) && byt[bp] < 0x80 {
+				delta, bp = zigzag(uint64(byt[bp])), bp+1
+			} else {
+				u, bp = readUvarintSlow(byt, bp, len(byt))
+				delta = zigzag(u)
+			}
+			bprev += delta
+			ev.Comm, ev.Root, ev.Bytes = int32(cprev), int32(oprev), bprev
+		}
+	}
+	used[2], used[3], used[4], used[5], used[6], used[7] = cp, pp, gp, bp, lp, rp
 }
 
 // BlockReader decodes a v2 trace image block by block: the header is
 // decoded eagerly, then each call materializes one block of events.
 // Next decodes into a caller-owned buffer and performs no allocations —
-// the zero-alloc gate in script/check.sh depends on that. NextInto is
-// the block hand-over the replay's rank logs are fed by: it asks the
-// consumer for room only once a whole plausible block is present, so it
-// also serves an image that is still growing (a live upload, see
-// ChunkDecoder), where "not here yet" is not corruption.
+// the zero-alloc gates in script/check.sh depend on that. NextInto is
+// the block hand-over the replay's rank logs are fed by: it validates
+// what it decodes, and it asks the consumer for room only once a whole
+// plausible block is present, so it also serves an image that is still
+// growing (a live upload, see ChunkDecoder), where "not here yet" is not
+// corruption.
+//
+// On an image that is still growing, d.streaming is set and d.data is
+// re-pointed as bytes arrive.
 type BlockReader struct {
 	d       decoder
 	t       *Trace
+	val     *StreamValidator // NextInto's checks, block to block; nil until it first runs
 	total   int
 	bs      int
 	start   int // byte offset of the first block, for Reset
 	decoded int
-	// open marks an image that is still growing: d.data is re-pointed as
-	// bytes arrive and a block that is not whole yet is waited for rather
-	// than refused. ChunkDecoder sets and clears it.
-	open bool
 }
 
 // NewBlockReader decodes the header of a v2 trace image and returns a
@@ -569,7 +635,6 @@ func NewBlockReader(data []byte, in *Interner) (*BlockReader, error) {
 // the reader at the first event block. A growing image cannot bound the
 // declared event count by the bytes present, only by the absolute cap.
 func (r *BlockReader) readHeader() error {
-	r.d.streaming = r.open
 	t, ne, err := decodeHeader(&r.d)
 	if err != nil {
 		return err
@@ -579,7 +644,7 @@ func (r *BlockReader) readHeader() error {
 			formatVersion2, r.d.version)
 	}
 	minBytes := minEventBytesV2
-	if r.open {
+	if r.d.streaming {
 		minBytes = 0
 	}
 	if !r.d.checkCount("event", ne, minBytes, maxEventCount) {
@@ -602,6 +667,9 @@ func (r *BlockReader) Reset() {
 	r.d.pos = r.start
 	r.d.err = nil
 	r.decoded = 0
+	if r.val != nil {
+		r.val.depth, r.val.lastTime, r.val.n = 0, 0, 0
+	}
 }
 
 // Trace returns the decoded header: location, sync data, region table,
@@ -619,12 +687,14 @@ func (r *BlockReader) Decoded() int { return r.decoded }
 func (r *BlockReader) BlockSize() int { return r.bs }
 
 // Next decodes the next block into dst and returns the number of
-// events written, or io.EOF once every declared event was decoded.
+// events written, or io.EOF once every declared event was decoded. It
+// does not validate the events: the one-shot decode leaves that to
+// (*Trace).Validate, as it does for v1.
 func (r *BlockReader) Next(dst []Event) (int, error) {
 	if r.decoded >= r.total {
 		return 0, io.EOF
 	}
-	n, err := decodeV2Block(&r.d, dst, r.bs)
+	n, _, err := decodeV2Block(&r.d, dst, r.bs, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -640,33 +710,36 @@ func (r *BlockReader) overDeclared() error {
 }
 
 // trailing rejects bytes after the last declared event.
-func (r *BlockReader) trailing() error {
-	if rest := r.d.remaining(); rest > 0 {
-		return fmt.Errorf("trace %v: %d trailing byte(s) after %d declared events", r.t.Loc, rest, r.total)
-	}
-	return nil
-}
+func (r *BlockReader) trailing() error { return trailing(&r.d, r.t, r.total) }
 
-// NextInto decodes the next block into room obtained from reserve and
-// returns it; the block belongs to the caller, the reader keeps no
-// reference to it. A nil block with a nil error means every declared
-// event has been decoded or, on a growing image, that the next block
-// has not fully arrived.
+// NextInto decodes the next block into room obtained from reserve,
+// validates it and returns it; the block belongs to the caller, the
+// reader keeps no reference to it. A nil block with a nil error means
+// every declared event has been decoded or, on a growing image, that the
+// next block has not fully arrived.
 //
 // reserve(n) must return room for exactly n events. It is called at
 // most once, and only when the whole payload is present and its event
 // count n fits the block size, the events the stream still owes and the
 // payload's bytes — so what a consumer allocates is bounded by what was
-// actually uploaded, whatever the header declares. Bytes after the last
-// declared event are an error, as is — on a complete image — a block
-// that is cut short.
+// actually uploaded, whatever the header declares.
+//
+// The events pass exactly the checks (*Trace).Validate applies, with
+// its messages, and the block that completes the declared count also
+// closes every region. A block with several faults reports the first
+// of: its framing, columns or kinds; more events than declared; bytes
+// after the last declared event; its first invalid event; regions left
+// open. On a complete image a block cut short is an error too.
 func (r *BlockReader) NextInto(reserve func(n int) []Event) ([]Event, error) {
+	if r.val == nil {
+		r.val = NewStreamValidator(r.t)
+	}
 	if r.decoded == r.total {
 		return nil, r.trailing()
 	}
 	owed := uint64(r.total - r.decoded)
 	n, length, ok := peekV2Block(r.d.data[r.d.pos:])
-	if !ok && r.open {
+	if !ok && r.d.streaming {
 		return nil, nil
 	}
 	var dst []Event
@@ -682,19 +755,32 @@ func (r *BlockReader) NextInto(reserve func(n int) []Event) ([]Event, error) {
 	default:
 		dst = reserve(int(n))
 	}
-	got, err := decodeV2Block(&r.d, dst, r.bs)
+	got, ok, err := decodeV2Block(&r.d, dst, r.bs, r.val)
 	if err != nil {
 		return nil, err
 	}
 	if uint64(got) > owed {
 		return nil, r.overDeclared()
 	}
-	if r.decoded += got; r.decoded == r.total {
+	blk := dst[:got]
+	r.decoded += got
+	last := r.decoded == r.total
+	if last {
 		if err := r.trailing(); err != nil {
 			return nil, err
 		}
 	}
-	return dst[:got], nil
+	for i := 0; !ok && i < len(blk); i++ {
+		if err := r.val.Event(&blk[i]); err != nil {
+			return nil, err
+		}
+	}
+	if last {
+		if err := r.val.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return blk, nil
 }
 
 // peekV2Block reads the length prefix and the event count of the v2

@@ -335,6 +335,44 @@ func BenchmarkV2BlockDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkV2BlockIngest is the allocation contract of the validating
+// path behind the second check.sh gate: NextInto decodes and validates
+// one block per iteration into a block the caller reuses, and must not
+// allocate either.
+func BenchmarkV2BlockIngest(b *testing.B) {
+	tr := synthTrace(1, 100000)
+	for depth := tr.CountKind(KindEnter) - tr.CountKind(KindExit); depth > 0; depth-- {
+		tr.Events = append(tr.Events, Event{Kind: KindExit, Time: tr.Events[len(tr.Events)-1].Time, Region: 1})
+	}
+	var buf bytes.Buffer
+	if err := tr.EncodeV2(&buf); err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewBlockReader(buf.Bytes(), NewInterner())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]Event, r.BlockSize())
+	reserve := func(n int) []Event { return dst[:n] }
+	// Warm the validator outside the timed region.
+	if _, err := r.NextInto(reserve); err != nil {
+		b.Fatal(err)
+	}
+	r.Reset()
+	b.SetBytes(int64(defaultBlockSize * 16)) // approximate decoded bytes per block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := r.NextInto(reserve)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if blk == nil {
+			r.Reset()
+		}
+	}
+}
+
 func TestBlockReaderReset(t *testing.T) {
 	tr := synthTrace(5, 300)
 	r, err := NewBlockReader(encodeV2Bytes(t, tr, 64), nil)

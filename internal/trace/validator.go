@@ -5,8 +5,11 @@ import "fmt"
 // StreamValidator applies the structural per-event checks
 // incrementally, so a fault caught post-mortem is caught at the same
 // event, with the same message, when a trace is decoded as a stream of
-// chunks or blocks. (*Trace).Validate, ChunkDecoder and the replay
-// layer's lazy block logs share this one implementation.
+// chunks or blocks. It is the one definition of the checks:
+// (*Trace).Validate runs it, and BlockReader.NextInto — what every lazy
+// or live rank log pulls through — runs the same checks inside its
+// decode passes and replays a block they refuse through it for the
+// message.
 type StreamValidator struct {
 	loc      Location
 	regions  RegionTable

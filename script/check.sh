@@ -459,6 +459,17 @@ if ! echo "$out" | grep 'BenchmarkV2BlockDecode' | grep -q '\b0 allocs/op'; then
 	exit 1
 fi
 
+# The validating path a rank log pulls through — NextInto decodes and
+# validates a block in the same passes — must not allocate either when
+# the caller hands it a reused block.
+echo "== v2 block ingest zero-alloc gate"
+out=$(go test -run '^$' -bench 'BenchmarkV2BlockIngest$' -benchmem -benchtime=10000x ./internal/trace)
+echo "$out" | grep 'BenchmarkV2BlockIngest' || { echo "check: v2 block ingest benchmark did not run" >&2; exit 1; }
+if ! echo "$out" | grep 'BenchmarkV2BlockIngest' | grep -q '\b0 allocs/op'; then
+	echo "check: validating v2 block ingest allocates per block" >&2
+	exit 1
+fi
+
 # Streaming ingest decodes each event once, straight into the block the
 # sweep reads. Gate the consequence: feeding an archive through a live
 # session in 64 KiB chunks allocates at most 25 B/event more than the
