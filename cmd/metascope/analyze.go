@@ -101,7 +101,7 @@ func analyzeVerb(fs *flag.FlagSet) verbFunc {
 		fmt.Fprintf(stdout, "\nreport written to %s (render with metascope print)\n", target)
 
 		if *profileOut != "" {
-			if err := res.Profile.WriteFile(*profileOut); err != nil {
+			if err := writeArtifact(*profileOut, res.Profile); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "time-resolved profile (%d series, %d buckets of %.3gs) written to %s\n",
@@ -109,7 +109,7 @@ func analyzeVerb(fs *flag.FlagSet) verbFunc {
 		}
 
 		if *phasesOut != "" {
-			if err := res.Phases.WriteFile(*phasesOut); err != nil {
+			if err := writeArtifact(*phasesOut, res.Phases); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "phase profile (%d phases, period %d) written to %s (compare with metascope diff -phases)\n",

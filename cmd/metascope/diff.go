@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"metascope/internal/cube"
 	"metascope/internal/obs"
@@ -23,11 +22,11 @@ func runProfile(out string, args []string, w io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: metascope diff -profile [-o out.json] a-profile.json b-profile.json")
 	}
-	a, err := profile.ReadFile(args[0])
+	a, err := readFile(args[0], profile.Read)
 	if err != nil {
 		return err
 	}
-	b, err := profile.ReadFile(args[1])
+	b, err := readFile(args[1], profile.Read)
 	if err != nil {
 		return err
 	}
@@ -54,7 +53,7 @@ func runProfile(out string, args []string, w io.Writer) error {
 			s.Metric, metahostLabel(s.MetahostName, s.Metahost), s.Rank, total, s.Values[maxIdx], left, left+d.BucketWidth)
 	}
 	if out != "" {
-		if err := d.WriteFile(out); err != nil {
+		if err := writeArtifact(out, d); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\ndiff profile written to %s\n", out)
@@ -71,19 +70,22 @@ func runPhases(out string, jsonOut bool, threshold, minDelta float64, args []str
 	if len(args) != 2 {
 		return fmt.Errorf("usage: metascope diff -phases [-json] [-threshold X] [-min-delta S] [-o out.json] a-phases.json b-phases.json")
 	}
-	a, err := phase.ReadFile(args[0])
+	a, err := readFile(args[0], phase.Read)
 	if err != nil {
 		return err
 	}
-	b, err := phase.ReadFile(args[1])
+	b, err := readFile(args[1], phase.Read)
 	if err != nil {
 		return err
 	}
 	cmp := phase.Compare(a, b, threshold, minDelta)
-	if jsonOut {
+	encode := func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(cmp); err != nil {
+		return enc.Encode(cmp)
+	}
+	if jsonOut {
+		if err := encode(w); err != nil {
 			return err
 		}
 	} else {
@@ -112,11 +114,7 @@ func runPhases(out string, jsonOut bool, threshold, minDelta float64, args []str
 			cmp.Regressions, cmp.Threshold, cmp.MinDelta)
 	}
 	if out != "" {
-		data, err := json.MarshalIndent(cmp, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		if err := writeFile(out, encode); err != nil {
 			return err
 		}
 		if !jsonOut {
@@ -132,7 +130,7 @@ func diffReports(op, out string, args []string, w io.Writer) error {
 	}
 	reports := make([]*cube.Report, len(args))
 	for i, p := range args {
-		r, err := readCube(p)
+		r, err := readFile(p, cube.Read)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p, err)
 		}

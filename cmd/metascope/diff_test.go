@@ -44,7 +44,7 @@ func fixturePair(t *testing.T) (aCube, bCube, aProf, bProf string) {
 			t.Fatal(err)
 		}
 		profPath := filepath.Join(dir, tag+"-profile.json")
-		if err := res.Profile.WriteFile(profPath); err != nil {
+		if err := writeArtifact(profPath, res.Profile); err != nil {
 			t.Fatal(err)
 		}
 		return cubePath, profPath
@@ -86,7 +86,7 @@ func TestGoldenProfileDiff(t *testing.T) {
 	// partner is the same artifact with one series scaled — run b "got
 	// slower" in a known place.
 	_, _, ap, _ := fixturePair(t)
-	p, err := profile.ReadFile(ap)
+	p, err := readFile(ap, profile.Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestGoldenProfileDiff(t *testing.T) {
 		}
 	}
 	bp := filepath.Join(t.TempDir(), "b-profile.json")
-	if err := p.WriteFile(bp); err != nil {
+	if err := writeArtifact(bp, p); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -144,7 +144,7 @@ func fixturePhaseTwins(t *testing.T) (aPath, bPath string) {
 			t.Fatal(err)
 		}
 		p := filepath.Join(dir, tag+"-phases.json")
-		if err := res.Phases.WriteFile(p); err != nil {
+		if err := writeArtifact(p, res.Phases); err != nil {
 			t.Fatal(err)
 		}
 		return p

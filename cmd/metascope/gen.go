@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -12,12 +10,12 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"sort"
 	"strings"
 
 	"metascope"
 	"metascope/internal/archive"
 	"metascope/internal/scenario"
+	"metascope/internal/serve"
 	"metascope/internal/trace"
 	"metascope/internal/vclock"
 )
@@ -54,8 +52,10 @@ type genOptions struct {
 // with metascope trace -convert -format v2.
 //
 // Every scenario compiles to a closed-form expectation of the wait
-// states the analyzer must find; the archive digest printed on every
-// run is deterministic in (scenario, seed, format).
+// states the analyzer must find. The sha256 printed on every run is
+// the archive's content digest (serve.Digest), the key the service's
+// result cache uses for the same archive, and is deterministic in
+// (scenario, seed, format).
 func genVerb(fs *flag.FlagSet) verbFunc {
 	o := &genOptions{}
 	fs.BoolVar(&o.list, "list", false, "list the shipped scenario library and exit")
@@ -125,13 +125,13 @@ func gen(ctx context.Context, o genOptions, args []string, out io.Writer) error 
 		return err
 	}
 
-	files, digest, err := archiveDigest(e)
+	digest, err := serve.Digest(e.Mounts(), e.Place.MetahostsUsed(), e.ArchiveDir)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "scenario %q: kernel %s, %d ranks, %d phases, %.2f s virtual time\n",
 		name, p.Spec.Kernel, p.N(), p.Phases(), e.Engine().Now())
-	fmt.Fprintf(out, "archive %s (%s): %d files, sha256 %s\n", e.ArchiveDir, format, files, digest)
+	fmt.Fprintf(out, "archive %s (%s): %d files, sha256 %s\n", e.ArchiveDir, format, p.N(), digest)
 	if o.out != "" {
 		fmt.Fprintf(out, "archives written under %s (one subdirectory per metahost)\n", o.out)
 		fmt.Fprintf(out, "analyze with: metascope analyze -in %s -archive %s\n", o.out, e.ArchiveDir)
@@ -181,29 +181,6 @@ func loadProgram(o genOptions, args []string) (*scenario.Program, string, error)
 	default:
 		return nil, "", fmt.Errorf("usage: metascope gen [-library NAME | scenario.json] [flags] (see -list)")
 	}
-}
-
-// archiveDigest hashes every archive file in (metahost, path) order.
-func archiveDigest(e *metascope.Experiment) (files int, digest string, err error) {
-	h := sha256.New()
-	for _, mh := range e.Place.MetahostsUsed() {
-		fs := e.Mounts().For(mh)
-		names, err := fs.List(e.ArchiveDir)
-		if err != nil {
-			return 0, "", err
-		}
-		sort.Strings(names)
-		for _, f := range names {
-			data, err := archive.ReadFile(fs, e.ArchiveDir+"/"+f)
-			if err != nil {
-				return 0, "", err
-			}
-			fmt.Fprintf(h, "%d/%s/%d\n", mh, f, len(data))
-			h.Write(data)
-			files++
-		}
-	}
-	return files, hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // sessionStatus is the subset of the service's session document the

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"metascope/internal/archive"
 	"metascope/internal/obs"
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
@@ -66,6 +67,41 @@ func TestGoldenRunDigest(t *testing.T) {
 			}
 			checkGolden(t, "run-halo1d-"+format+".golden", buf.Bytes())
 		})
+	}
+}
+
+// TestGenDigestIsServeDigest pins the identity gen prints: the sha256
+// of an in-memory run and of the same run written with -out both equal
+// serve.Digest of the archive mounted again from disk, the key the
+// service's result cache uses.
+func TestGenDigestIsServeDigest(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	digestRe := regexp.MustCompile(`: 6 files, sha256 ([0-9a-f]{64})\n`)
+	printed := func(o genOptions) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gen(context.Background(), o, nil, &buf); err != nil {
+			t.Fatal(err)
+		}
+		m := digestRe.FindStringSubmatch(buf.String())
+		if m == nil {
+			t.Fatalf("no archive digest line in:\n%s", buf.String())
+		}
+		return m[1]
+	}
+	inMemory := printed(genOptions{library: "halo1d", seed: 1})
+	onDisk := printed(genOptions{library: "halo1d", seed: 1, out: dir})
+	mounts, metahosts, archDir, err := archive.MountTree(dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serve.Digest(mounts, metahosts, archDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inMemory != want || onDisk != want {
+		t.Errorf("gen printed sha256 %s (in memory) and %s (-out); serve.Digest of the mounted archive is %s", inMemory, onDisk, want)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"metascope/internal/cube"
@@ -112,14 +113,34 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// readCube reads a cube report file.
-func readCube(path string) (*cube.Report, error) {
+// writeArtifact writes a profile or phase artifact to path: CSV for a
+// .csv path, JSON otherwise.
+func writeArtifact(path string, a interface {
+	WriteJSON(io.Writer) error
+	WriteCSV(io.Writer) error
+}) error {
+	if strings.HasSuffix(path, ".csv") {
+		return writeFile(path, a.WriteCSV)
+	}
+	return writeFile(path, a.WriteJSON)
+}
+
+// readFile opens path and decodes it with read, closing it on every
+// path; the verbs read their cube reports and JSON artifacts through
+// it. A profile or phase artifact that does not decode is named in the
+// error; a cube report's errors stand as cube.Read gives them.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	return cube.Read(f)
+	v, err := read(f)
+	if _, isCube := any(v).(*cube.Report); err != nil && !isCube {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return v, err
 }
 
 // metahostLabel names a metahost in a rendered row: by name, or by id

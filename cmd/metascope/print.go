@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 
+	"metascope/internal/cube"
 	"metascope/internal/obs"
 	"metascope/internal/phase"
 	"metascope/internal/profile"
@@ -55,7 +56,7 @@ func printReport(o printOptions, args []string, out io.Writer) error {
 		if len(args) != 0 {
 			return fmt.Errorf("usage: metascope print -phases phases.json")
 		}
-		p, err := phase.ReadFile(o.phasesIn)
+		p, err := readFile(o.phasesIn, phase.Read)
 		if err != nil {
 			return err
 		}
@@ -67,12 +68,12 @@ func printReport(o printOptions, args []string, out io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: metascope print [-metric KEY] [-call PATH] report.cube")
 	}
-	r, err := readCube(args[0])
+	r, err := readFile(args[0], cube.Read)
 	if err != nil {
 		return err
 	}
 	if o.profileIn != "" {
-		if r.Profile, err = profile.ReadFile(o.profileIn); err != nil {
+		if r.Profile, err = readFile(o.profileIn, profile.Read); err != nil {
 			return err
 		}
 	}

@@ -52,7 +52,7 @@ func fixtureCube(t *testing.T, tf trace.Format) (cubePath, profilePath string) {
 		t.Fatal(err)
 	}
 	profilePath = filepath.Join(dir, "profile.json")
-	if err := res.Profile.WriteFile(profilePath); err != nil {
+	if err := writeArtifact(profilePath, res.Profile); err != nil {
 		t.Fatal(err)
 	}
 	return cubePath, profilePath
@@ -130,7 +130,7 @@ func fixturePrintPhases(t *testing.T, tf trace.Format) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "phases.json")
-	if err := res.Phases.WriteFile(path); err != nil {
+	if err := writeArtifact(path, res.Phases); err != nil {
 		t.Fatal(err)
 	}
 	return path

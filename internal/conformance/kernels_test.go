@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"metascope/internal/mmpi"
+	"metascope/internal/pattern"
 	"metascope/internal/replay"
 	"metascope/internal/scenario"
 	"metascope/internal/trace"
@@ -77,8 +78,15 @@ func testKernelOracle(t *testing.T, name string, f trace.Format) {
 // compared against the expectation's inclusive family total.
 func checkKernelProfileMass(t *testing.T, res *replay.Result, prog *scenario.Program, scale float64, sch vclock.Scheme) {
 	t.Helper()
+	gridded := make(map[string]string) // base key → its grid child's key
+	for id := pattern.ID(0); id < pattern.NumPatterns; id++ {
+		if g := id.Gridded(); g != id {
+			gridded[id.MetricKey()] = g.MetricKey()
+		}
+	}
 	for key, perRank := range prog.Expect.Keys {
-		if scenario.GridKeyFor(key) == "" {
+		grid, ok := gridded[key]
+		if !ok {
 			continue // a grid child; covered via its family
 		}
 		want := 0.0
@@ -86,7 +94,7 @@ func checkKernelProfileMass(t *testing.T, res *replay.Result, prog *scenario.Pro
 			want += w * scale
 		}
 		got := res.Profile.SeriesTotal(key, -1) +
-			res.Profile.SeriesTotal(key+".grid", -1) +
+			res.Profile.SeriesTotal(grid, -1) +
 			res.Profile.SeriesTotal(key+".wrong_order", -1)
 		if math.Abs(got-want) > ExactTol.For(want) {
 			t.Errorf("%v: profile mass under the %s family = %.9g, want %.9g", sch, key, got, want)

@@ -64,13 +64,10 @@ func (c *CLIConfig) Start() {
 	if c.TraceOut != "" {
 		c.rec.Flight.Enable(0)
 	}
-	// Sample Go runtime statistics whenever anything will consume them:
-	// a snapshot file on exit or a live /metrics endpoint. The sampler
-	// is adopted by the recorder, so rec.Close (called by Flush) stops
-	// its goroutine.
-	if c.MetricsOut != "" || c.PprofAddr != "" {
-		c.rec.StartRuntimeSampler(0)
-	}
+	// The runtime gauges cost nothing until a snapshot or a /metrics
+	// scrape renders them — metascope serve's included, which takes
+	// no obs flag to be scraped.
+	RegisterRuntimeGauges(c.rec.Reg)
 	if c.PprofAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/debug/pprof/", http.DefaultServeMux)
@@ -92,10 +89,10 @@ func (c *CLIConfig) Start() {
 	}
 }
 
-// Flush closes the recorder (stopping any runtime sampler after a
-// final sample, and freezing the flight recording) and writes the
-// outputs selected by -metrics-out and -trace-out. Without either
-// flag it only closes the recorder.
+// Flush closes the recorder (freezing the flight recording) and writes
+// the outputs selected by -metrics-out and -trace-out; the runtime
+// gauges in the snapshot read the state at exit. Without either flag it
+// only closes the recorder.
 func (c *CLIConfig) Flush() error {
 	c.rec.Close()
 	if err := c.flushTrace(); err != nil {

@@ -20,6 +20,9 @@ func newTestCLI(t *testing.T, args ...string) *CLIConfig {
 	return cli
 }
 
+// NewTestCLI exposes newTestCLI to the package's external tests.
+var NewTestCLI = newTestCLI
+
 func TestFlushJSON(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "m.json")
 	cli := newTestCLI(t, "-metrics-out", out)

@@ -20,12 +20,7 @@
 // isolate their own recorders.
 package obs
 
-import (
-	"sync"
-	"time"
-
-	"metascope/internal/obs/flight"
-)
+import "metascope/internal/obs/flight"
 
 // Recorder bundles the observability facilities for one run (or for
 // the whole process, in the case of Default).
@@ -37,9 +32,6 @@ type Recorder struct {
 	// created disabled; Flight.Enable turns retention on). Aggregates
 	// go to Reg, timelines go here.
 	Flight *flight.Recorder
-
-	mu       sync.Mutex
-	samplers []*RuntimeSampler
 }
 
 // NewRecorder creates an isolated recorder with an empty registry,
@@ -54,33 +46,10 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// StartRuntimeSampler starts a runtime-metrics sampler on the
-// recorder's registry and adopts it, so Close stops its goroutine.
-// Prefer this over the package-level StartRuntimeSampler for any
-// sampler tied to a recorder's lifetime.
-func (r *Recorder) StartRuntimeSampler(interval time.Duration) *RuntimeSampler {
-	s := StartRuntimeSampler(r.Reg, interval)
-	r.mu.Lock()
-	r.samplers = append(r.samplers, s)
-	r.mu.Unlock()
-	return s
-}
-
-// Close releases the recorder's background resources: every adopted
-// runtime sampler is stopped (its goroutine exits before Close
-// returns) and the flight recorder stops retaining events. Metrics,
-// phases, recorded flight events, and the logger stay readable; Close
-// is idempotent.
-func (r *Recorder) Close() {
-	r.mu.Lock()
-	samplers := r.samplers
-	r.samplers = nil
-	r.mu.Unlock()
-	for _, s := range samplers {
-		s.Stop()
-	}
-	r.Flight.Disable()
-}
+// Close stops the flight recorder retaining events. Metrics, phases,
+// recorded flight events, and the logger stay readable; Close is
+// idempotent.
+func (r *Recorder) Close() { r.Flight.Disable() }
 
 // Default is the process-wide recorder used by the package-level
 // helpers and by every layer that is not handed an explicit Recorder.

@@ -39,6 +39,66 @@ func TestPrometheusExpositionLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	samples := LintPrometheus(t, out)
+
+	// Histogram triplet: every finite bucket, a +Inf bucket equal to
+	// _count, and non-decreasing cumulative counts.
+	var bucketVals []string
+	var sum, count string
+	for _, line := range samples["app_latency_seconds"] {
+		switch {
+		case strings.HasPrefix(line, "app_latency_seconds_bucket"):
+			bucketVals = append(bucketVals, line)
+		case strings.HasPrefix(line, "app_latency_seconds_sum"):
+			sum = line
+		case strings.HasPrefix(line, "app_latency_seconds_count"):
+			count = line
+		}
+	}
+	if len(bucketVals) != 4 { // 0.1, 1, 10, +Inf
+		t.Fatalf("histogram exposes %d buckets, want 4:\n%s", len(bucketVals), strings.Join(bucketVals, "\n"))
+	}
+	if !strings.Contains(bucketVals[3], `le="+Inf"`) {
+		t.Fatalf("last bucket is not +Inf: %q", bucketVals[3])
+	}
+	if sum == "" || count == "" {
+		t.Fatalf("histogram missing _sum or _count:\n%s", out)
+	}
+	if !strings.HasSuffix(count, " 3") || !strings.HasSuffix(bucketVals[3], " 3") {
+		t.Fatalf("+Inf bucket and _count must both read 3:\n%s\n%s", bucketVals[3], count)
+	}
+	prev := -1
+	for _, b := range bucketVals {
+		fields := strings.Fields(b)
+		v, err := strconv.Atoi(fields[len(fields)-1])
+		if err != nil {
+			t.Fatalf("bucket value unparseable: %q", b)
+		}
+		if v < prev {
+			t.Fatalf("cumulative buckets decrease:\n%s", strings.Join(bucketVals, "\n"))
+		}
+		prev = v
+	}
+
+	// Label escaping: backslash, quote, newline.
+	if !strings.Contains(out, `path="a\\b\"c\nd"`) {
+		t.Fatalf("label escaping wrong; output:\n%s", out)
+	}
+
+	// Series of one family are sorted by label values.
+	reqs := samples["app_requests_total"]
+	if len(reqs) != 2 || !(reqs[0] < reqs[1]) {
+		t.Fatalf("labeled series not sorted:\n%s", strings.Join(reqs, "\n"))
+	}
+}
+
+// LintPrometheus checks Prometheus text exposition out line by line —
+// every sample parses, HELP and TYPE come once per family and before
+// its samples, histogram samples are suffixed and bucketed, families
+// arrive sorted — and returns each family's sample lines in order. It
+// is exported for the package's external tests.
+func LintPrometheus(t testing.TB, out string) map[string][]string {
+	t.Helper()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 
 	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.e+Inf-]+)$`)
@@ -126,54 +186,5 @@ func TestPrometheusExpositionLint(t *testing.T) {
 			t.Fatalf("family %s has samples but no HELP", fam)
 		}
 	}
-
-	// Histogram triplet: every finite bucket, a +Inf bucket equal to
-	// _count, and non-decreasing cumulative counts.
-	var bucketVals []string
-	var sum, count string
-	for _, line := range samples["app_latency_seconds"] {
-		switch {
-		case strings.HasPrefix(line, "app_latency_seconds_bucket"):
-			bucketVals = append(bucketVals, line)
-		case strings.HasPrefix(line, "app_latency_seconds_sum"):
-			sum = line
-		case strings.HasPrefix(line, "app_latency_seconds_count"):
-			count = line
-		}
-	}
-	if len(bucketVals) != 4 { // 0.1, 1, 10, +Inf
-		t.Fatalf("histogram exposes %d buckets, want 4:\n%s", len(bucketVals), strings.Join(bucketVals, "\n"))
-	}
-	if !strings.Contains(bucketVals[3], `le="+Inf"`) {
-		t.Fatalf("last bucket is not +Inf: %q", bucketVals[3])
-	}
-	if sum == "" || count == "" {
-		t.Fatalf("histogram missing _sum or _count:\n%s", out)
-	}
-	if !strings.HasSuffix(count, " 3") || !strings.HasSuffix(bucketVals[3], " 3") {
-		t.Fatalf("+Inf bucket and _count must both read 3:\n%s\n%s", bucketVals[3], count)
-	}
-	prev := -1
-	for _, b := range bucketVals {
-		fields := strings.Fields(b)
-		v, err := strconv.Atoi(fields[len(fields)-1])
-		if err != nil {
-			t.Fatalf("bucket value unparseable: %q", b)
-		}
-		if v < prev {
-			t.Fatalf("cumulative buckets decrease:\n%s", strings.Join(bucketVals, "\n"))
-		}
-		prev = v
-	}
-
-	// Label escaping: backslash, quote, newline.
-	if !strings.Contains(out, `path="a\\b\"c\nd"`) {
-		t.Fatalf("label escaping wrong; output:\n%s", out)
-	}
-
-	// Series of one family are sorted by label values.
-	reqs := samples["app_requests_total"]
-	if len(reqs) != 2 || !(reqs[0] < reqs[1]) {
-		t.Fatalf("labeled series not sorted:\n%s", strings.Join(reqs, "\n"))
-	}
+	return samples
 }

@@ -56,7 +56,8 @@ type Family struct {
 	help    string
 	kind    Kind
 	labels  []string
-	buckets []float64 // histogram kind only; strictly increasing
+	buckets []float64      // histogram kind only; strictly increasing
+	read    func() float64 // computed gauges only; called at render time
 
 	mu     sync.RWMutex
 	series map[string]*Series
@@ -79,7 +80,7 @@ func validName(s string) bool {
 	return true
 }
 
-func (r *Registry) family(name, help string, kind Kind, labels []string, buckets []float64) *Family {
+func (r *Registry) family(name, help string, kind Kind, labels []string, buckets []float64, read func() float64) *Family {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -110,6 +111,7 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, buckets
 		kind:    kind,
 		labels:  append([]string(nil), labels...),
 		buckets: append([]float64(nil), buckets...),
+		read:    read,
 		series:  make(map[string]*Series),
 	}
 	r.fams[name] = f
@@ -118,12 +120,21 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, buckets
 
 // Counter registers (or retrieves) a counter family.
 func (r *Registry) Counter(name, help string, labels ...string) *Family {
-	return r.family(name, help, KindCounter, labels, nil)
+	return r.family(name, help, KindCounter, labels, nil, nil)
 }
 
 // Gauge registers (or retrieves) a gauge family.
 func (r *Registry) Gauge(name, help string, labels ...string) *Family {
-	return r.family(name, help, KindGauge, labels, nil)
+	return r.family(name, help, KindGauge, labels, nil, nil)
+}
+
+// GaugeFunc registers (or retrieves) a label-less gauge whose value is
+// read calls each time the registry is rendered, so nothing has to keep
+// it current. Re-registering the name keeps the first read function.
+func (r *Registry) GaugeFunc(name, help string, read func() float64) *Family {
+	f := r.family(name, help, KindGauge, nil, nil, read)
+	f.With()
+	return f
 }
 
 // Histogram registers (or retrieves) a histogram family with fixed,
@@ -138,7 +149,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 			panic(fmt.Sprintf("obs: histogram %s buckets not strictly increasing at %d", name, i))
 		}
 	}
-	return r.family(name, help, KindHistogram, labels, buckets)
+	return r.family(name, help, KindHistogram, labels, buckets, nil)
 }
 
 // Series is one labeled time series of a family. Counter and gauge
@@ -243,9 +254,12 @@ func (s *Series) Observe(v float64) {
 	addFloat(&s.sumBits, v)
 }
 
-// Value returns a counter's or gauge's current value, or a histogram's
-// sum of observations.
+// Value returns a counter's or gauge's current value (a computed
+// gauge's read now), or a histogram's sum of observations.
 func (s *Series) Value() float64 {
+	if s.fam.read != nil {
+		return s.fam.read()
+	}
 	if s.fam.kind == KindHistogram {
 		return math.Float64frombits(s.sumBits.Load())
 	}

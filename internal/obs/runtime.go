@@ -1,82 +1,29 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
-// RuntimeSampler periodically samples Go runtime statistics — heap
-// sizes, goroutine count, and garbage-collector activity — into gauge
-// families of a registry, so a long analysis run's memory trajectory
-// shows up next to the tool's own metrics on /metrics and in the
-// -metrics-out snapshot.
-type RuntimeSampler struct {
-	heapAlloc  *Family
-	heapSys    *Family
-	goroutines *Family
-	gcPause    *Family
-	gcCycles   *Family
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// StartRuntimeSampler registers the runtime gauge families on reg and
-// starts a goroutine sampling them every interval (a non-positive
-// interval selects 250ms). Call Stop to end sampling; Stop takes a
-// final sample first, so even a short-lived process reports its peak
-// state.
-func StartRuntimeSampler(reg *Registry, interval time.Duration) *RuntimeSampler {
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
+// RegisterRuntimeGauges registers five Go runtime gauges on reg — heap
+// sizes, goroutine count and garbage-collector activity — whose values
+// are read from the runtime each time reg is rendered, so a long
+// analysis run's memory trajectory shows up next to the tool's own
+// metrics on /metrics and in the -metrics-out snapshot without anything
+// sampling in the background. Registering them again is a no-op.
+func RegisterRuntimeGauges(reg *Registry) {
+	memStat := func(name, help string, get func(*runtime.MemStats) float64) {
+		reg.GaugeFunc(name, help, func() float64 {
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			return get(&m)
+		})
 	}
-	s := &RuntimeSampler{
-		heapAlloc:  reg.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects"),
-		heapSys:    reg.Gauge("go_heap_sys_bytes", "Bytes of heap memory obtained from the OS"),
-		goroutines: reg.Gauge("go_goroutines", "Number of live goroutines"),
-		gcPause:    reg.Gauge("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause"),
-		gcCycles:   reg.Gauge("go_gc_cycles_total", "Completed GC cycles"),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	s.sample()
-	go func() {
-		defer close(s.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				s.sample()
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-	return s
-}
-
-func (s *RuntimeSampler) sample() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	s.heapAlloc.Set(float64(m.HeapAlloc))
-	s.heapSys.Set(float64(m.HeapSys))
-	s.goroutines.Set(float64(runtime.NumGoroutine()))
-	s.gcPause.Set(float64(m.PauseTotalNs) / 1e9)
-	s.gcCycles.Set(float64(m.NumGC))
-}
-
-// Stop ends the sampling goroutine after one final sample. Safe to
-// call more than once; a nil sampler is a no-op.
-func (s *RuntimeSampler) Stop() {
-	if s == nil {
-		return
-	}
-	s.once.Do(func() {
-		close(s.stop)
-		<-s.done
-		s.sample()
-	})
+	memStat("go_heap_alloc_bytes", "Bytes of allocated heap objects",
+		func(m *runtime.MemStats) float64 { return float64(m.HeapAlloc) })
+	memStat("go_heap_sys_bytes", "Bytes of heap memory obtained from the OS",
+		func(m *runtime.MemStats) float64 { return float64(m.HeapSys) })
+	memStat("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause",
+		func(m *runtime.MemStats) float64 { return float64(m.PauseTotalNs) / 1e9 })
+	memStat("go_gc_cycles_total", "Completed GC cycles",
+		func(m *runtime.MemStats) float64 { return float64(m.NumGC) })
+	reg.GaugeFunc("go_goroutines", "Number of live goroutines",
+		func() float64 { return float64(runtime.NumGoroutine()) })
 }

@@ -4,91 +4,72 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
-func TestRuntimeSamplerRegistersGauges(t *testing.T) {
-	reg := NewRegistry()
-	s := StartRuntimeSampler(reg, time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	s.Stop()
-	s.Stop() // idempotent
+// obsGoroutines counts the live goroutines started by code of this
+// package, by their creator frame in a dump of all stacks.
+func obsGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by metascope/internal/obs.")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
 
+func gaugeValues(reg *Registry) map[string]float64 {
 	got := make(map[string]float64)
 	for _, fam := range reg.Snapshot() {
 		for _, series := range fam.Series {
 			got[fam.Name] = series.Value
 		}
 	}
+	return got
+}
+
+// sink keeps the test's allocation reachable until the second render.
+var sink []byte
+
+// TestRuntimeGaugesReadAtRender pins that the runtime gauges are read
+// when the registry is rendered: registering them starts no goroutine,
+// twice is harmless, and an allocation between two renders shows in
+// go_heap_alloc_bytes.
+func TestRuntimeGaugesReadAtRender(t *testing.T) {
+	reg := NewRegistry()
+	before := obsGoroutines()
+	RegisterRuntimeGauges(reg)
+	RegisterRuntimeGauges(reg)
+	if after := obsGoroutines(); after != before {
+		t.Fatalf("registering the runtime gauges started %d goroutines", after-before)
+	}
+
+	first := gaugeValues(reg)
 	for _, name := range []string{
 		"go_heap_alloc_bytes", "go_heap_sys_bytes", "go_goroutines",
 		"go_gc_pause_seconds_total", "go_gc_cycles_total",
 	} {
-		v, ok := got[name]
+		v, ok := first[name]
 		if !ok {
 			t.Errorf("gauge %s not registered", name)
 			continue
 		}
-		if name == "go_heap_alloc_bytes" || name == "go_goroutines" {
-			if v <= 0 {
-				t.Errorf("%s = %g, want > 0", name, v)
-			}
+		if (name == "go_heap_alloc_bytes" || name == "go_goroutines") && v <= 0 {
+			t.Errorf("%s = %g, want > 0", name, v)
 		}
 	}
-}
-
-func TestRuntimeSamplerNilStop(t *testing.T) {
-	var s *RuntimeSampler
-	s.Stop() // must not panic
-}
-
-// samplerGoroutines counts the live goroutines StartRuntimeSampler
-// started, by their creator frame in a dump of all stacks. A global
-// runtime.NumGoroutine() delta would also count whatever goroutines
-// earlier tests of a shuffled run are still winding down.
-func samplerGoroutines() int {
-	buf := make([]byte, 1<<16)
-	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "created by metascope/internal/obs.StartRuntimeSampler")
-		}
-		buf = make([]byte, 2*len(buf))
+	sink = make([]byte, 8<<20)
+	second := gaugeValues(reg)
+	if first["go_heap_alloc_bytes"] == second["go_heap_alloc_bytes"] {
+		t.Errorf("go_heap_alloc_bytes reads %g before and after an 8 MiB allocation", first["go_heap_alloc_bytes"])
 	}
-}
+	sink = nil
 
-// TestRecorderCloseStopsSampler is the sampler-shutdown leak check
-// (the analogue of the replay package's goroutine-leak tests): a
-// sampler started through the recorder must not outlive Close.
-func TestRecorderCloseStopsSampler(t *testing.T) {
-	// Stop() waits on the sampler's done channel, which the goroutine
-	// closes as its last act; poll briefly to let it leave the scheduler
-	// — the samplers of an earlier test of a shuffled run first.
-	settled := func(what string) {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); samplerGoroutines() != 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d sampler goroutines leaked %s", samplerGoroutines(), what)
-			}
-		}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	settled("by earlier tests")
-	rec := NewRecorder()
-	for i := 0; i < 3; i++ {
-		rec.StartRuntimeSampler(time.Millisecond)
+	if !strings.Contains(b.String(), "# TYPE go_goroutines gauge\ngo_goroutines ") {
+		t.Errorf("exposition lacks go_goroutines:\n%s", b.String())
 	}
-	if running := samplerGoroutines(); running != 3 {
-		t.Fatalf("%d sampler goroutines running, want 3", running)
-	}
-	rec.Close()
-	rec.Close() // idempotent
-	settled("after Close")
-}
-
-// A sampler stopped directly and then again via Close must not
-// double-close or hang.
-func TestRecorderCloseAfterManualStop(t *testing.T) {
-	rec := NewRecorder()
-	s := rec.StartRuntimeSampler(time.Millisecond)
-	s.Stop()
-	rec.Close()
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,34 +118,6 @@ func TestArtifactCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[3], ",,,,") {
 		t.Fatalf("empty phase line missing: %s", lines[3])
-	}
-}
-
-func TestArtifactWriteReadFile(t *testing.T) {
-	acc := NewAccumulator(testSeg(), 2)
-	acc.Add("mpi.wait_nxn", 0, 1.0, 3.5)
-	p := acc.Snapshot("file")
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "phases.json")
-	csvPath := filepath.Join(dir, "phases.csv")
-	if err := p.WriteFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WriteFile(csvPath); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("file round trip drifted: %+v vs %+v", got, p)
-	}
-	if _, err := ReadFile(csvPath); err == nil {
-		t.Fatal("reading CSV as JSON must fail")
-	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file must fail")
 	}
 }
 

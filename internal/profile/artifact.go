@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -237,24 +236,6 @@ func csvEscape(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// WriteFile writes the profile to path, choosing CSV for .csv paths
-// and JSON otherwise.
-func (p *Profile) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = p.WriteCSV(f)
-	} else {
-		err = p.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Read decodes a JSON profile artifact and validates its shape.
 func Read(r io.Reader) (*Profile, error) {
 	var p Profile
@@ -271,20 +252,6 @@ func Read(r io.Reader) (*Profile, error) {
 		}
 	}
 	return &p, nil
-}
-
-// ReadFile reads a JSON profile artifact from path.
-func ReadFile(path string) (*Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
 }
 
 // foldValues halves the resolution of a bucket row k times.

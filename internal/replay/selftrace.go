@@ -3,7 +3,6 @@ package replay
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -270,12 +269,16 @@ func WriteFlightArchive(rec *flight.Recorder, dir string) error {
 	if err != nil && !errors.Is(err, errNoFlightWorkers) {
 		return err
 	}
-	exp := filepath.Join(dir, "metascope", "epik_flight")
-	if err := os.MkdirAll(exp, 0o755); err != nil {
+	fs, err := archive.NewDirFS(filepath.Join(dir, "metascope"))
+	if err != nil {
+		return err
+	}
+	const exp = "epik_flight"
+	if err := fs.Mkdir(exp); err != nil && !errors.Is(err, archive.ErrExist) {
 		return err
 	}
 	for _, t := range traces {
-		f, err := os.Create(archive.TraceFile(exp, t.Loc.Rank))
+		f, err := fs.Create(archive.TraceFile(exp, t.Loc.Rank))
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 	"metascope"
 	"metascope/internal/archive"
 	"metascope/internal/measure"
-	"metascope/internal/pattern"
 	"metascope/internal/topology"
 )
 
@@ -697,18 +696,4 @@ func (p *Program) Describe() string {
 		fmt.Fprintf(&b, "analysis: expected to FAIL (damaged archive)\n")
 	}
 	return b.String()
-}
-
-// GridKeyFor maps a base metric to its grid child — a convenience for
-// tests asserting on the pattern keys kernels fill.
-func GridKeyFor(base string) string {
-	switch base {
-	case pattern.KeyLateSender:
-		return pattern.KeyGridLS
-	case pattern.KeyWaitBarrier:
-		return pattern.KeyGridWB
-	case pattern.KeyWaitNxN:
-		return pattern.KeyGridNxN
-	}
-	return ""
 }

@@ -2,40 +2,24 @@ package scenario
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 
 	"metascope"
 	"metascope/internal/archive"
+	"metascope/internal/serve"
 	"metascope/internal/trace"
 )
 
-// archiveDigest hashes every file of an experiment's archive, in
-// (metahost, path) order, into one hex digest.
+// archiveDigest is the experiment archive's content digest, the one the
+// analysis service keys its result cache on.
 func archiveDigest(t *testing.T, e *metascope.Experiment) string {
 	t.Helper()
-	h := sha256.New()
-	for _, mh := range e.Place.MetahostsUsed() {
-		fs := e.Mounts().For(mh)
-		files, err := fs.List(e.ArchiveDir)
-		if err != nil {
-			t.Fatalf("listing metahost %d: %v", mh, err)
-		}
-		sort.Strings(files)
-		for _, f := range files {
-			data, err := archive.ReadFile(fs, e.ArchiveDir+"/"+f)
-			if err != nil {
-				t.Fatalf("reading %s: %v", f, err)
-			}
-			fmt.Fprintf(h, "%d/%s/%d\n", mh, f, len(data))
-			h.Write(data)
-		}
+	d, err := serve.Digest(e.Mounts(), e.Place.MetahostsUsed(), e.ArchiveDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d
 }
 
 func runLibrary(t *testing.T, name, title string, format trace.Format, seed int64) *metascope.Experiment {

@@ -53,8 +53,7 @@ type session struct {
 // chunk protocol for one rank; different ranks upload concurrently.
 type sessRank struct {
 	mu        sync.Mutex
-	nextSeq   int64
-	chunks    int64
+	nextSeq   int64 // chunks accepted so far
 	bytes     int64
 	finished  bool
 	mhChecked bool
@@ -107,7 +106,7 @@ func (s *Server) sessionStatus(sess *session, detail bool) SessionStatus {
 			sr := &sess.ranks[i]
 			sr.mu.Lock()
 			st.RankDetail = append(st.RankDetail, RankUploadStatus{
-				Rank: i, NextSeq: sr.nextSeq, Chunks: sr.chunks,
+				Rank: i, NextSeq: sr.nextSeq, Chunks: sr.nextSeq,
 				Bytes: sr.bytes, Finished: sr.finished,
 			})
 			sr.mu.Unlock()
@@ -358,7 +357,6 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sr.nextSeq++
-	sr.chunks++
 	sr.bytes += int64(len(body))
 	if !sr.mhChecked {
 		if loc, ok := sess.live.RankLocation(rank); ok {

@@ -225,6 +225,26 @@ for f in internal/serve/*.go internal/replay/*.go; do
 	fi
 done
 
+# Host files are opened at the pipeline's edges only: the command
+# (cmd/metascope) for reports and artifacts, the archive file systems
+# (internal/archive) for experiment archives, and the obs flags
+# (internal/obs/cli.go) for -metrics-out and -trace-out. A library
+# package that opens, creates or lists host files takes an io.Reader, an
+# io.Writer or an archive.FS instead. Runtime gauges are read when a
+# snapshot or /metrics renders them, so obs runs no ticker either.
+echo "== one place opens files"
+for f in $(find internal -name '*.go' ! -name '*_test.go'); do
+	case "$f" in internal/archive/* | internal/obs/cli.go) continue ;; esac
+	if grep -n -H -E 'os\.(Create|Open|OpenFile|MkdirAll|ReadFile|WriteFile|ReadDir)\(' "$f"; then
+		echo "check: $f opens host files itself: take an io.Reader, io.Writer or archive.FS and let the command open the file" >&2
+		exit 1
+	fi
+done
+if grep -rn --include='*.go' -F 'time.NewTicker' internal/obs | grep -v '_test\.go:'; then
+	echo "check: internal/obs starts a ticker: runtime gauges are read when rendered (Registry.GaugeFunc)" >&2
+	exit 1
+fi
+
 # The service answers 20 routes over one store of analyses, whichever
 # feeder — job or live session — produced them. A 21st is a mode
 # creeping back: serve it from a handler that already resolves by id.
