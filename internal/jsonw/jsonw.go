@@ -11,8 +11,10 @@
 //   - a float64 prints in the shortest form that parses back to it, as
 //     digits ('f') unless its magnitude is below 1e-6 or at least 1e21,
 //     then with an exponent ('e') whose two-digit negative form loses its
-//     leading zero (1e-07 is written 1e-7); NaN and ±Inf have no JSON
-//     form and are an *json.UnsupportedValueError;
+//     leading zero (1e-07 is written 1e-7), and an integral one of
+//     magnitude below 2^53 other than −0 is its integer's digits, which
+//     is that same form; NaN and ±Inf have no JSON form and are an
+//     *json.UnsupportedValueError;
 //   - a string escapes '"' and '\\', writes \b \f \n \r \t short and every
 //     other control byte as \u00XX, escapes '<', '>' and '&' as \u00XX
 //     (MarshalIndent's HTML-safe default), U+2028 and U+2029 as \u2028
@@ -81,10 +83,13 @@ func (w *Writer) sep() {
 	}
 	w.more = true
 	w.buf = append(w.buf, '\n')
-	for i := 0; i < w.depth; i++ {
-		w.buf = append(w.buf, ' ', ' ')
+	for n := 2 * w.depth; n > 0; n -= len(indent) {
+		w.buf = append(w.buf, indent[:min(n, len(indent))]...)
 	}
 }
+
+// indent is eight levels of indentation, what one append writes.
+const indent = "                "
 
 // Key starts an object member named k, which must need no escaping.
 func (w *Writer) Key(k string) {
@@ -123,6 +128,12 @@ func (w *Writer) Int(v int64) { w.buf = strconv.AppendInt(w.buf, v, 10) }
 
 // Float writes a finite float64 (see Unsupported).
 func (w *Writer) Float(f float64) {
+	// An integral value of magnitude below 2^53 is its own shortest form:
+	// its digits, as an integer prints them (−0 keeps its sign, below).
+	if i := int64(f); float64(i) == f && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		w.buf = strconv.AppendInt(w.buf, i, 10)
+		return
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

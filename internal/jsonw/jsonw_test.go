@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"metascope/internal/jsonw/jsonwtest"
@@ -143,5 +144,51 @@ func TestWriterFlushesAndKeepsFirstError(t *testing.T) {
 	d.write(w)
 	if err := w.End(); err == nil || err.Error() != "disk full" {
 		t.Fatalf("End() = %v, want the destination's error", err)
+	}
+}
+
+// formatted is what Float writes by the package comment's rule for any
+// finite float64: the shortest 'f' form, or 'e' below 1e-6 and from 1e21
+// with a two-digit negative exponent cut to one.
+func formatted(f float64) string {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	s := strconv.FormatFloat(f, format, -1, 64)
+	if n := len(s); format == 'e' && n >= 4 && s[n-4:n-1] == "e-0" {
+		s = s[:n-2] + s[n-1:]
+	}
+	return s
+}
+
+// TestFloatIntegral: whichever path an integral value takes — the
+// integer one below 2^53 in magnitude, other than −0 — Float writes what
+// the float formatter and json.MarshalIndent write, on the edges of that
+// range and on integral values drawn across it and beyond.
+func TestFloatIntegral(t *testing.T) {
+	const max53 = 1<<53 - 1
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 4096, max53, -max53, 1 << 53, -(1 << 53),
+		1<<53 + 2, 1e15, 1e20, -1e20, 1e21, 1 << 62, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 20000; i++ {
+		bits := 1 + rng.Intn(70) // integers of up to 70 bits: both paths and the edge between them
+		f := math.Trunc(math.Ldexp(rng.Float64(), bits))
+		if rng.Intn(2) == 0 {
+			f = -f
+		}
+		floats = append(floats, f)
+	}
+	for _, f := range floats {
+		w := New(nil)
+		w.Float(f)
+		got := string(w.buf)
+		want, err := json.MarshalIndent(f, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != formatted(f) || got != string(want) {
+			t.Fatalf("Float(%v) = %s; the formatter writes %s, MarshalIndent %s", f, got, formatted(f), want)
+		}
 	}
 }

@@ -117,8 +117,8 @@ type Accumulator struct {
 	rows  map[rowKey]*Row
 	names map[int]string
 	// cur is the phase of the last deposit. Deposits arrive in a rank's
-	// time order, so the next one is most often in the same phase and
-	// needs no search.
+	// time order, so the next one is most often in the same phase or the
+	// one after it and needs no search.
 	cur int
 }
 
@@ -158,10 +158,14 @@ func (r *Row) Add(start, val float64) {
 		return
 	}
 	a := r.acc
-	// Strictly inside the current phase IndexOf has one answer however
-	// the bounds repeat; on an edge or outside, ask it.
+	// Strictly inside the current phase, or the next one, IndexOf has one
+	// answer however the bounds repeat; on an edge or elsewhere, ask it.
 	if b := a.seg.Bounds; !(b[a.cur] < start && start < b[a.cur+1]) {
-		a.cur = a.seg.IndexOf(start)
+		if c := a.cur + 1; c+1 < len(b) && b[c] < start && start < b[c+1] {
+			a.cur = c
+		} else {
+			a.cur = a.seg.IndexOf(start)
+		}
 	}
 	r.sums[a.cur] += val
 	r.touched[a.cur] = true

@@ -180,7 +180,7 @@ type search struct {
 	prefix []rankAtom
 	cuts   []int      // the candidate: cut after these atom indices
 	seq    []rankAtom // one rank's phase tuples under cuts
-	fail   []int      // KMP failure table over seq
+	fail   []int      // KMP failure table over a suffix of seq
 }
 
 // cutAt makes the candidate that cuts at every gap of at least
@@ -217,17 +217,18 @@ func (s *search) phases(r int) []rankAtom {
 	return s.seq
 }
 
-// period returns the minimal shift-period of seq via the KMP failure
-// function: p is the smallest value with seq[i] == seq[i-p] for all
-// i ≥ p.
-func (s *search) period(seq []rankAtom) int {
+// borders returns the KMP failure table of seq: fail[m] is the longest
+// proper border of seq's prefix of length m, and m − fail[m] that
+// prefix's minimal shift-period, the smallest p with seq[i] == seq[i-p]
+// for all p ≤ i < m. The period never shrinks as the prefix grows, so
+// unless whole is set the table stops at the first prefix whose period
+// exceeds half of len(seq): no prefix past the returned table repeats
+// twice.
+func (s *search) borders(seq []rankAtom, whole bool) []int {
 	n := len(seq)
-	if n == 0 {
-		return 1
-	}
 	fail := append(s.fail[:0], -1, 0)
 	k := 0
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && (whole || 2*(i-k) <= n); i++ {
 		for k >= 0 && seq[i] != seq[k] {
 			k = fail[k]
 		}
@@ -235,14 +236,26 @@ func (s *search) period(seq []rankAtom) int {
 		fail = append(fail, k)
 	}
 	s.fail = fail
-	return n - fail[n]
+	return fail
+}
+
+// period returns the minimal shift-period of seq.
+func (s *search) period(seq []rankAtom) int {
+	n := len(seq)
+	if n == 0 {
+		return 1
+	}
+	return n - s.borders(seq, true)[n]
 }
 
 // accept reports whether the candidate is a periodic partition: after
 // one global trim, every rank's phase-tuple sequence repeats at least
 // twice. Ranks are evaluated one at a time against the set of trims no
 // earlier rank has refuted, until none is left; the answer is the first
-// surviving trim in trimOrder.
+// surviving trim in trimOrder. The cores of the trims that share a
+// prologue are prefixes of one suffix of the rank's sequence, so one
+// failure table per prologue, cut at the longest core still wanted,
+// answers all three.
 func (s *search) accept() (pre, post int, ok bool) {
 	k := len(s.cuts) + 1
 	alive := 0
@@ -253,12 +266,22 @@ func (s *search) accept() (pre, post int, ok bool) {
 	}
 	for r := 0; r < s.ranks && alive != 0; r++ {
 		seq := s.phases(r)
-		for t, tr := range trimOrder {
-			if alive&(1<<t) == 0 {
+		for pre := 0; pre <= 2; pre++ {
+			want := 0
+			for t, tr := range trimOrder {
+				if alive&(1<<t) != 0 && tr[0] == pre {
+					want = max(want, k-pre-tr[1])
+				}
+			}
+			if want == 0 {
 				continue
 			}
-			if core := seq[tr[0] : k-tr[1]]; 2*s.period(core) > len(core) {
-				alive &^= 1 << t
+			fail := s.borders(seq[pre:pre+want], false)
+			for t, tr := range trimOrder {
+				if m := k - pre - tr[1]; alive&(1<<t) != 0 && tr[0] == pre &&
+					(m >= len(fail) || 2*(m-fail[m]) > m) {
+					alive &^= 1 << t
+				}
 			}
 		}
 	}
@@ -346,6 +369,21 @@ func mergeSpans(dst, acc []interval, ol Log) []interval {
 	return append(dst, cur)
 }
 
+// addKind adds sig to a set of distinct region signatures. The sets are
+// those of one atom or one phase, a handful of names each, so the set is
+// a slice searched in order.
+func addKind(set []uint64, sig uint64) []uint64 {
+	for _, k := range set {
+		if k == sig {
+			return set
+		}
+	}
+	if set == nil {
+		set = make([]uint64, 0, 4)
+	}
+	return append(set, sig)
+}
+
 // Detect segments the run described by the per-rank op logs. It never
 // fails: runs with no detectable repetition fall back to the finest
 // silence partition, and an empty input yields one empty phase.
@@ -413,7 +451,7 @@ func Detect(ops []Log) *Segmentation {
 		seq:    make([]rankAtom, 0, nAtoms),
 		fail:   make([]int, 0, nAtoms+1),
 	}
-	kindSets := make([]map[uint64]struct{}, nAtoms)
+	kindSets := make([][]uint64, nAtoms)
 	r := 0
 	for _, ol := range ops {
 		if ol.len() == 0 {
@@ -421,17 +459,22 @@ func Detect(ops []Log) *Segmentation {
 		}
 		row := s.row(r)
 		r++
+		// A log in enter order meets the atoms in order: a cursor that
+		// only moves forward finds each op's atom, and a log that goes
+		// backwards is searched.
+		at := 0
 		for _, pg := range ol {
 			for _, op := range pg {
-				at := atomOf(op.Enter)
+				if starts[at] <= op.Enter {
+					for at+1 < nAtoms && starts[at+1] <= op.Enter {
+						at++
+					}
+				} else {
+					at = atomOf(op.Enter)
+				}
 				row[at+1].sum += mix64(op.Sig)
 				row[at+1].cnt++
-				ks := kindSets[at]
-				if ks == nil {
-					ks = make(map[uint64]struct{}, 4)
-					kindSets[at] = ks
-				}
-				ks[op.Sig] = struct{}{}
+				kindSets[at] = addKind(kindSets[at], op.Sig)
 			}
 		}
 		for a := 1; a <= nAtoms; a++ {
@@ -470,7 +513,7 @@ func Detect(ops []Log) *Segmentation {
 
 // build assembles the Segmentation for the candidate, accepted with the
 // given trim.
-func (s *search) build(segs []interval, kindSets []map[uint64]struct{}, pre, post int) *Segmentation {
+func (s *search) build(segs []interval, kindSets [][]uint64, pre, post int) *Segmentation {
 	cuts := s.cuts
 	k := len(cuts) + 1
 	sg := &Segmentation{
@@ -496,21 +539,19 @@ func (s *search) build(segs []interval, kindSets []map[uint64]struct{}, pre, pos
 	// Structural signatures: XOR over the distinct region-name hashes
 	// of each phase (set semantics — merging atoms unions the sets).
 	next, phase := 0, 0
-	kinds := make(map[uint64]struct{}, 8)
+	var kinds []uint64
 	flush := func() {
 		var h uint64
-		for sig := range kinds {
+		for _, sig := range kinds {
 			h ^= mix64(sig)
 		}
 		sg.Kinds[phase] = h
 		phase++
-		for sig := range kinds {
-			delete(kinds, sig)
-		}
+		kinds = kinds[:0]
 	}
 	for a := 0; a < s.nAtoms; a++ {
-		for sig := range kindSets[a] {
-			kinds[sig] = struct{}{}
+		for _, sig := range kindSets[a] {
+			kinds = addKind(kinds, sig)
 		}
 		if next < len(cuts) && cuts[next] == a {
 			flush()

@@ -227,16 +227,32 @@ func TestDetectManyGapsStaysBounded(t *testing.T) {
 	}
 }
 
+// Draw kinds of randomRun beside the plain periodic and aperiodic ones.
+const (
+	drawLong = 1 << iota // a long run whose one glitch lies past its half
+	drawLate             // a glitch on a later rank only, in the first or last iteration
+	drawWide             // 100 ranks or more
+)
+
 // randomRun draws one run for the differential test: a periodic body of
 // steps with jittered gaps (so the finest partitions are usually
 // aperiodic and several thresholds are tried), ragged ranks that join
 // only every other iteration, ranks with empty logs, 0–2 one-off
 // prologue and epilogue regions, or no repetition at all; op order
-// within a rank is shuffled.
-func randomRun(rng *rand.Rand) [][]Op {
+// within a rank is shuffled. Some bodies are long, with one op of a
+// region of its own in an iteration past the half, so a rank's sequence
+// repeats up to there and no further; in some a rank other than rank 0
+// has that op in the first or the last iteration, so rank 0 passes the
+// untrimmed partition and that rank refutes it; some runs have 100 ranks
+// or more. kinds reports which of these the run is.
+func randomRun(rng *rand.Rand) (ops [][]Op, kinds int) {
 	sigs := []uint64{sigA, sigB, sigC, sigInit, SigOf("MPI_Allreduce")}
 	ranks := 1 + rng.Intn(6)
-	ops := make([][]Op, ranks)
+	if rng.Intn(12) == 0 {
+		ranks = 100 + rng.Intn(50)
+		kinds |= drawWide
+	}
+	ops = make([][]Op, ranks)
 	empty := make([]bool, ranks)
 	for r := 1; r < ranks; r++ { // rank 0 always has ops
 		empty[r] = rng.Intn(5) == 0
@@ -275,12 +291,31 @@ func randomRun(rng *rand.Rand) [][]Op {
 		for r := range every {
 			every[r] = 1 + rng.Intn(2)
 		}
-		for i, iters := 0, 2+rng.Intn(12); i < iters; i++ {
+		iters := 2 + rng.Intn(12)
+		glitchRank, glitchIter := -1, -1 // the one op of a region of its own
+		switch rng.Intn(6) {
+		case 0:
+			iters = 24 + rng.Intn(40)
+			glitchRank, glitchIter = rng.Intn(ranks), iters/2+1+rng.Intn(iters-iters/2-1)
+			kinds |= drawLong
+		case 1:
+			if ranks > 1 {
+				glitchRank, glitchIter = 1+rng.Intn(ranks-1), (iters-1)*rng.Intn(2)
+				every[glitchRank], empty[glitchRank] = 1, false
+				kinds |= drawLate
+			}
+		}
+		for i := 0; i < iters; i++ {
 			for s := 0; s < steps; s++ {
 				for r := 0; r < ranks; r++ {
-					if i%every[r] == 0 {
-						add(r, now+q(rng.Float64()/2), 1, stepSig[s])
+					if i%every[r] != 0 {
+						continue
 					}
+					sig := stepSig[s]
+					if r == glitchRank && i == glitchIter && s == 0 {
+						sig = SigOf("glitch")
+					}
+					add(r, now+q(rng.Float64()/2), 1, sig)
 				}
 				now += 2 + q(rng.Float64()) // within an iteration: short, varying silences
 			}
@@ -291,7 +326,7 @@ func randomRun(rng *rand.Rand) [][]Op {
 	for r := range ops {
 		rng.Shuffle(len(ops[r]), func(i, j int) { ops[r][i], ops[r][j] = ops[r][j], ops[r][i] })
 	}
-	return ops
+	return ops, kinds
 }
 
 // TestDetectMatchesReference holds the in-place candidate search to
@@ -300,8 +335,14 @@ func randomRun(rng *rand.Rand) [][]Op {
 func TestDetectMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	accepted, fallback, trimmed := 0, 0, 0
+	var drawn [3]int
 	for i := 0; i < 3000; i++ {
-		ops := randomRun(rng)
+		ops, kinds := randomRun(rng)
+		for k := range drawn {
+			if kinds&(1<<k) != 0 {
+				drawn[k]++
+			}
+		}
 		got, want := Detect(onePage(ops)), referenceDetect(ops)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d: Detect differs from its definition:\n got %+v\nwant %+v\n ops %v", i, got, want, ops)
@@ -317,6 +358,10 @@ func TestDetectMatchesReference(t *testing.T) {
 	}
 	if accepted < 300 || fallback < 300 || trimmed < 300 {
 		t.Errorf("the draw is lopsided: %d clean acceptances, %d trimmed, %d fallbacks", accepted, trimmed, fallback)
+	}
+	if drawn[0] < 100 || drawn[1] < 100 || drawn[2] < 100 {
+		t.Errorf("the draw is lopsided: %d long runs glitched past the half, %d glitched on a later rank, %d of 100 ranks or more",
+			drawn[0], drawn[1], drawn[2])
 	}
 
 	// More gaps than maxCuts, over three ranks of which one is ragged.

@@ -85,7 +85,7 @@ func TestCallPathsMatchMapReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := newAnalyzer([]*trace.Trace{tr}, []*rankLog{newPreloadedRankLog(tr.Events)}, corr, cfg)
+	a, err := newAnalyzer([]*trace.Trace{tr}, []*rankLog{newPreloadedRankLog(tr.Events, logCounts{})}, corr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

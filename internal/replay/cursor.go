@@ -70,15 +70,22 @@ type rankLog struct {
 	// released by the time the analyzer asks.
 	haveTime            bool
 	firstTime, lastTime float64
+
+	// sizes is what the sweep of a preloaded log will append to the
+	// ledger logs, the size of their first pages; zero, no hint, for any
+	// other log.
+	sizes logCounts
 }
 
 // newRankLog returns an open, empty log.
 func newRankLog() *rankLog { return &rankLog{} }
 
 // newPreloadedRankLog publishes an already complete event slice as one
-// block, without copying, and closes the log.
-func newPreloadedRankLog(events []trace.Event) *rankLog {
+// block, without copying, and closes the log; sizes is what its sweep
+// will append to the ledger logs (validateCounting).
+func newPreloadedRankLog(events []trace.Event, sizes logCounts) *rankLog {
 	lg := newRankLog()
+	lg.sizes = sizes
 	lg.stride = max(len(events), 1)
 	_ = lg.publish(events) // the first block of a log is never refused
 	lg.closed = true
@@ -220,36 +227,32 @@ func (lg *rankLog) more(have int) (n int, closed, dry bool, err error) {
 // region.
 type logCounts struct{ sends, recvs, ops int }
 
-// countIfResident counts, in one pass, what sizes the rank's ledger logs
-// when the log is complete and holds every event — closed with nothing
-// released: a preloaded log, or a pushed one whose stream finished
-// before the sweep began. Any other log returns ok=false (a pulled log
-// closes only once its last block is decoded): counting would force
-// every block resident, defeating the window. An Exit is counted by the
-// kind of the region it names, which nothing has validated: a trace
-// whose exits lie gets a first page of the wrong size, and nothing else.
-func (lg *rankLog) countIfResident(regions *trace.RegionTable) (logCounts, bool) {
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
+// validateCounting runs (*trace.Trace).Validate's checks over a
+// materialized trace and, in the same walk, counts what sizes the rank's
+// ledger logs. An Exit is counted by the kind of the region it names,
+// which the checks do not tie to its Enter: a trace whose exits lie gets
+// a first page of the wrong size, and nothing else.
+func validateCounting(t *trace.Trace) (logCounts, error) {
+	v := trace.NewStreamValidator(t)
+	regions := trace.NewRegionTable(t.Regions)
 	var c logCounts
-	if !lg.closed || lg.resident != lg.n {
-		return c, false
-	}
-	for _, blk := range lg.blocks {
-		for i := range blk {
-			switch ev := &blk[i]; ev.Kind {
-			case trace.KindSend:
-				c.sends++
-			case trace.KindRecv:
-				c.recvs++
-			case trace.KindExit:
-				if r := regions.Lookup(ev.Region); r != nil && r.Kind != trace.RegionUser {
-					c.ops++
-				}
+	for i := range t.Events {
+		ev := &t.Events[i]
+		if err := v.Event(ev); err != nil {
+			return c, err
+		}
+		switch ev.Kind {
+		case trace.KindSend:
+			c.sends++
+		case trace.KindRecv:
+			c.recvs++
+		case trace.KindExit:
+			if r := regions.Lookup(ev.Region); r != nil && r.Kind != trace.RegionUser {
+				c.ops++
 			}
 		}
 	}
-	return c, true
+	return c, v.Close()
 }
 
 // published returns the number of events the log has made visible —

@@ -158,7 +158,7 @@ func TestRankLogBlockHandoff(t *testing.T) {
 				open := func() (*rankLog, func()) {
 					switch mode {
 					case "preloaded":
-						return newPreloadedRankLog(want), nil
+						return newPreloadedRankLog(want, logCounts{}), nil
 					case "pulled":
 						return pulledLog(t, img), nil
 					}
@@ -809,13 +809,13 @@ func TestTrailingBytesRefusedByEveryFeeder(t *testing.T) {
 	}
 }
 
-// TestLedgerLogsSizedByOneCount: over a resident log one counting pass
-// sizes the first page of the three ledger logs — volume samples by Send,
-// receive records by Recv, ops by Exit of a non-user region, none for a
-// user region's exit — so the receive and the op log are one page,
-// exactly full; a pulled log is not counted, because that would decode it
-// whole; and the counts are hints, never answers: exits that name the
-// wrong region change the page reserved and not one byte of the result.
+// TestLedgerLogsSizedByOneCount: the walk that validates a preloaded
+// trace counts what sizes the first page of the three ledger logs —
+// volume samples by Send, receive records by Recv, ops by Exit of a
+// non-user region, none for a user region's exit — so the receive and the
+// op log are one page, exactly full; and the counts are hints, never
+// answers: exits that name the wrong region change the page reserved and
+// not one byte of the result.
 func TestLedgerLogsSizedByOneCount(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "hints", Obs: obs.NewRecorder()}.withDefaults(3)
 	sweep := func(traces []*trace.Trace) *analyzer {
@@ -826,7 +826,11 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 		}
 		logs := make([]*rankLog, len(traces))
 		for i, tr := range traces {
-			logs[i] = newPreloadedRankLog(tr.Events)
+			sizes, err := validateCounting(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs[i] = newPreloadedRankLog(tr.Events, sizes)
 		}
 		a, err := newAnalyzer(traces, logs, corr, cfg)
 		if err != nil {
@@ -865,16 +869,6 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 		if n := tr.CountKind(trace.KindSend); rr.profLog.len() < n || (n > 0 && cap(rr.profLog.pages[0]) != n) {
 			t.Errorf("rank %d: sample log of %d records, first page of %d, for %d sends", r, rr.profLog.len(), cap(rr.profLog.pages[0]), n)
 		}
-	}
-
-	img := v2Blocks(t, traces[0], 8, blockCounts(len(traces[0].Events), 8)...)
-	br, err := trace.NewBlockReader(img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regions := trace.NewRegionTable(traces[0].Regions)
-	if _, ok := newPulledRankLog(br).countIfResident(&regions); ok {
-		t.Error("a pulled log was counted: that decodes every block up front")
 	}
 
 	// Every exit names the user region — no op page is reserved — then

@@ -10,7 +10,7 @@ import "unsafe"
 // allocates about four times what the log ends up holding.
 //
 // reserve opens a first page of exactly the size the counting pass found
-// (countIfResident), so a resident rank's log is one page, exactly full.
+// (validateCounting), so a preloaded rank's log is one page, exactly full.
 // Without a reservation, and past one, pages start at firstPageRecords
 // and double up to maxPageRecords: a short rank pays for a short page,
 // and whatever the feeder the log allocates at most what it holds plus

@@ -479,9 +479,19 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("replay: no traces")
 	}
-	for _, t := range traces {
-		if err := t.Validate(); err != nil {
+	// One walk validates a preloaded trace and counts its ledger records;
+	// a pulled rank's trace holds no events, and its blocks are validated
+	// as they decode.
+	logs := make([]*rankLog, len(traces))
+	for i, t := range traces {
+		sizes, err := validateCounting(t)
+		if err != nil {
 			return nil, err
+		}
+		if i < len(ar.readers) && ar.readers[i] != nil {
+			logs[i] = newPulledRankLog(ar.readers[i])
+		} else {
+			logs[i] = newPreloadedRankLog(t.Events, sizes)
 		}
 	}
 	cfg = cfg.withDefaults(len(traces))
@@ -495,14 +505,6 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 	syncSpan.End()
 	if err != nil {
 		return nil, err
-	}
-	logs := make([]*rankLog, len(traces))
-	for i, t := range traces {
-		if i < len(ar.readers) && ar.readers[i] != nil {
-			logs[i] = newPulledRankLog(ar.readers[i])
-		} else {
-			logs[i] = newPreloadedRankLog(t.Events)
-		}
 	}
 	a, err := newAnalyzer(traces, logs, corr, cfg)
 	if err != nil {

@@ -700,16 +700,15 @@ func (st *stepper) begin() {
 
 	// The three per-rank logs grow by one entry per Send event (the
 	// volume sample), per Recv event and per completed non-user region.
-	// When the whole log is already resident (post-mortem), one counting
-	// pass sizes each log's first page, so a short rank — 192 of them in a
-	// halo2d run — holds one exact page per log instead of a ladder of
-	// doubling ones. The counts are hints: a log that outgrows its first
-	// page continues in pages like any other.
-	if c, ok := a.logs[rank].countIfResident(&st.regions); ok {
-		rr.profLog.reserve(c.sends)
-		rr.recvLog.reserve(c.recvs)
-		rr.opLog.reserve(c.ops)
-	}
+	// A preloaded log was counted as it was validated, and the counts size
+	// each log's first page, so a short rank — 192 of them in a halo2d run
+	// — holds one exact page per log instead of a ladder of doubling ones.
+	// The counts are hints: a log that outgrows its first page continues
+	// in pages like any other.
+	c := a.logs[rank].sizes
+	rr.profLog.reserve(c.sends)
+	rr.recvLog.reserve(c.recvs)
+	rr.opLog.reserve(c.ops)
 
 	// Flight recording: one shard per rank. The whole sweep is one span;
 	// takes, puts, and gathers nest inside.

@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -115,12 +117,20 @@ func memArchive(t testing.TB, n, size int) (*archive.Mounts, []int, string) {
 // an archive is the same whether its file system lends (MemFS) or is read
 // (DirFS), and it is the value the result cache has always keyed on.
 func TestDigestBorrows(t *testing.T) {
+	// TotalAlloc is process-wide: a goroutine of an earlier test still
+	// winding down adds to it, never takes from it. So each size is
+	// measured several times after a collection and the least is the
+	// digest's own.
 	digestAlloc := func(size int) uint64 {
 		mounts, mhs, dir := memArchive(t, 8, size)
-		var err error
-		grew := allocatedBy(func() { _, err = Digest(mounts, mhs, dir) })
-		must(t, err)
-		return grew
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+			var err error
+			least = min(least, allocatedBy(func() { _, err = Digest(mounts, mhs, dir) }))
+			must(t, err)
+		}
+		return least
 	}
 	small, large := digestAlloc(1<<10), digestAlloc(1<<20)
 	t.Logf("Digest allocated %d bytes over 8 KB of traces, %d over 8 MB", small, large)

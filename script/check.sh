@@ -128,6 +128,16 @@ if grep -n -F 'map[RegionID]' internal/trace/validator.go; then
 	exit 1
 fi
 
+# The phase search is linear in what it reads: an op finds its atom by a
+# forward cursor, a kind set is a short slice, and the candidates share
+# one failure table per trim start. A map in internal/phase/phase.go is a
+# hash per op or per atom creeping back.
+echo "== no map in the phase search"
+if grep -n -F 'map[' internal/phase/phase.go; then
+	echo "check: internal/phase/phase.go builds a map: keep the search's sets in slices" >&2
+	exit 1
+fi
+
 # A live rank publishes in one place, stepper.publish, taken when a step
 # returns and at the sweep's 1024-event poll: it folds what the sweep
 # scored since the last publication into the window sink, then stores the
@@ -450,9 +460,13 @@ echo "== serve soak (short)"
 METASCOPE_SOAK_SECONDS=2 go test -race -count=1 -run 'TestServeSoak' ./internal/serve
 
 # One iteration of every benchmark: catches benchmarks that rot (fail
-# to compile or crash) without paying for a real measurement run.
+# to compile or crash) without paying for a real measurement run. The
+# phase search's benchmark must be among them, on both of its shapes.
 echo "== go test -bench . -benchtime=1x (smoke)"
-go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
+out=$(go test -run '^$' -bench . -benchtime=1x ./...)
+for shape in ragged-192x256 silenced-32x1000; do
+	echo "$out" | grep -q "^BenchmarkDetect/$shape" || { echo "check: BenchmarkDetect/$shape did not run" >&2; exit 1; }
+done
 
 # The flight recorder's contract is that a disabled recorder is free:
 # instrumented hot paths (every mailbox put/take in the parallel
