@@ -13,6 +13,7 @@ package main
 // the comments and in EXPERIMENTS.md.
 
 import (
+	"context"
 	"testing"
 
 	"metascope/internal/apps/clockbench"
@@ -28,7 +29,7 @@ import (
 func BenchmarkTable1Latencies(b *testing.B) {
 	var last []float64
 	for i := 0; i < b.N; i++ {
-		rs, err := table1(42, 500)
+		rs, err := table1(context.Background(), 42, 500)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func BenchmarkTable1Latencies(b *testing.B) {
 func BenchmarkTable2ClockViolations(b *testing.B) {
 	var v1, v2, v3 int
 	for i := 0; i < b.N; i++ {
-		res, err := table2(42, clockbench.Default())
+		res, err := table2(context.Background(), 42, clockbench.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func BenchmarkFigure1ClockDrift(b *testing.B) {
 func BenchmarkFigure3OffsetError(b *testing.B) {
 	var flat2, hier float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := figure3(42, clockbench.Quick())
+		rows, _, err := figure3(context.Background(), 42, clockbench.Quick())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func BenchmarkFigure3OffsetError(b *testing.B) {
 func BenchmarkFigure6ThreeMetahost(b *testing.B) {
 	var gls, gwb float64
 	for i := 0; i < b.N; i++ {
-		r, err := figure6(42)
+		r, err := figure6(context.Background(), 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkFigure6ThreeMetahost(b *testing.B) {
 func BenchmarkFigure7OneMetahost(b *testing.B) {
 	var ls, wb, grid float64
 	for i := 0; i < b.N; i++ {
-		r, err := figure7(42)
+		r, err := figure7(context.Background(), 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,11 +138,11 @@ func BenchmarkFigure7OneMetahost(b *testing.B) {
 // BenchmarkCubeAlgebra exercises the cross-experiment difference of §6
 // (future work realized): diff of the two MetaTrace analyses.
 func BenchmarkCubeAlgebra(b *testing.B) {
-	r6, err := figure6(42)
+	r6, err := figure6(context.Background(), 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r7, err := figure7(42)
+	r7, err := figure7(context.Background(), 42)
 	if err != nil {
 		b.Fatal(err)
 	}

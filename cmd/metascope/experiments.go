@@ -40,14 +40,14 @@ import (
 func experimentsVerb(fs *flag.FlagSet) verbFunc {
 	seed := fs.Int64("seed", 42, "simulation seed (same seed = same numbers)")
 	only := fs.String("only", "", "run a single experiment (table1, table2, fig1, fig3, fig6, fig7, topology, algebra)")
-	return func(_ context.Context, _ []string, stdout io.Writer) error {
+	return func(ctx context.Context, _ []string, stdout io.Writer) error {
 		did := false
 		for _, x := range paperExperiments {
 			if *only != "" && *only != x.name {
 				continue
 			}
 			did = true
-			s, err := x.render(*seed)
+			s, err := x.render(ctx, *seed)
 			if err != nil {
 				return err
 			}
@@ -65,49 +65,49 @@ func experimentsVerb(fs *flag.FlagSet) verbFunc {
 // order; experiments prints each section followed by a blank line.
 var paperExperiments = []struct {
 	name   string
-	render func(seed int64) (string, error)
+	render func(ctx context.Context, seed int64) (string, error)
 }{
-	{"topology", func(int64) (string, error) {
+	{"topology", func(context.Context, int64) (string, error) {
 		return "=== Figures 2 and 5: metacomputer topology ===\n" + metascope.VIOLA().Describe(), nil
 	}},
-	{"table1", func(seed int64) (string, error) {
-		rs, err := table1(seed, 1000)
+	{"table1", func(ctx context.Context, seed int64) (string, error) {
+		rs, err := table1(ctx, seed, 1000)
 		if err != nil {
 			return "", err
 		}
 		return formatTable1(rs), nil
 	}},
-	{"fig1", func(seed int64) (string, error) { return formatFigure1(figure1(seed, 100, 11)), nil }},
-	{"table2", func(seed int64) (string, error) {
-		t2, err := table2(seed, clockbench.Default())
+	{"fig1", func(_ context.Context, seed int64) (string, error) { return formatFigure1(figure1(seed, 100, 11)), nil }},
+	{"table2", func(ctx context.Context, seed int64) (string, error) {
+		t2, err := table2(ctx, seed, clockbench.Default())
 		if err != nil {
 			return "", err
 		}
 		return formatTable2(t2), nil
 	}},
-	{"fig3", func(seed int64) (string, error) {
-		rows, lat, err := figure3(seed, clockbench.Default())
+	{"fig3", func(ctx context.Context, seed int64) (string, error) {
+		rows, lat, err := figure3(ctx, seed, clockbench.Default())
 		if err != nil {
 			return "", err
 		}
 		return formatFigure3(rows, lat), nil
 	}},
-	{"fig6", func(seed int64) (string, error) {
-		r, err := figure6(seed)
+	{"fig6", func(ctx context.Context, seed int64) (string, error) {
+		r, err := figure6(ctx, seed)
 		if err != nil {
 			return "", err
 		}
 		return formatMetaTrace("=== Figure 6: MetaTrace on three metahosts (Table 3, Experiment 1) ===", r, true), nil
 	}},
-	{"fig7", func(seed int64) (string, error) {
-		r, err := figure7(seed)
+	{"fig7", func(ctx context.Context, seed int64) (string, error) {
+		r, err := figure7(ctx, seed)
 		if err != nil {
 			return "", err
 		}
 		return formatMetaTrace("=== Figure 7: MetaTrace on one metahost (Table 3, Experiment 2) ===", r, false), nil
 	}},
-	{"algebra", func(seed int64) (string, error) {
-		diff, err := algebra(seed)
+	{"algebra", func(ctx context.Context, seed int64) (string, error) {
+		diff, err := algebra(ctx, seed)
 		if err != nil {
 			return "", err
 		}
@@ -124,7 +124,7 @@ var paperExperiments = []struct {
 
 // table1 measures the latencies of Table 1 on the VIOLA testbed: the
 // external FZJ–FH-BRS link and the FZJ and FH-BRS internal networks.
-func table1(seed int64, rounds int) ([]pingpong.Result, error) {
+func table1(ctx context.Context, seed int64, rounds int) ([]pingpong.Result, error) {
 	topo := metascope.VIOLA()
 	place := metascope.ViolaExperiment1Placement(topo)
 	if err := place.Validate(); err != nil {
@@ -135,6 +135,7 @@ func table1(seed int64, rounds int) ([]pingpong.Result, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine(seed)
+	defer interruptible(ctx, eng)()
 	return pingpong.Measure(eng, place, pairs, rounds, 64)
 }
 
@@ -159,13 +160,14 @@ type table2Result struct {
 // and counts clock-condition violations under the three schemes of
 // Table 2: a single flat offset, two flat offsets with interpolation,
 // and two hierarchical offsets with interpolation.
-func table2(seed int64, params clockbench.Params) (*table2Result, error) {
+func table2(ctx context.Context, seed int64, params clockbench.Params) (*table2Result, error) {
 	topo := metascope.VIOLA()
 	place := metascope.ViolaExperiment1Placement(topo)
 	e := metascope.NewExperiment("clockbench", topo, place, seed)
 	if err := e.Build(); err != nil {
 		return nil, err
 	}
+	defer interruptible(ctx, e.Engine())()
 	if err := e.Run(func(m *measure.M) { clockbench.Body(m, params) }); err != nil {
 		return nil, err
 	}
@@ -248,13 +250,14 @@ type figure3Row struct {
 // readings are corrected: a perfect scheme maps them all onto one value,
 // so each row holds the largest pairwise spread of the corrected
 // readings, within and across metahosts.
-func figure3(seed int64, params clockbench.Params) ([]figure3Row, float64, error) {
+func figure3(ctx context.Context, seed int64, params clockbench.Params) ([]figure3Row, float64, error) {
 	topo := metascope.VIOLA()
 	place := metascope.ViolaExperiment1Placement(topo)
 	e := metascope.NewExperiment("figure3", topo, place, seed)
 	if err := e.Build(); err != nil {
 		return nil, 0, err
 	}
+	defer interruptible(ctx, e.Engine())()
 	if err := e.Run(func(m *measure.M) { clockbench.Body(m, params) }); err != nil {
 		return nil, 0, err
 	}
@@ -320,11 +323,12 @@ type metaTraceResult struct {
 	Pct map[string]float64
 }
 
-func metaTraceRun(title string, topo *topology.Metacomputer, place *topology.Placement, seed int64) (*metaTraceResult, error) {
+func metaTraceRun(ctx context.Context, title string, topo *topology.Metacomputer, place *topology.Placement, seed int64) (*metaTraceResult, error) {
 	e := metascope.NewExperiment(title, topo, place, seed)
 	if err := e.Build(); err != nil {
 		return nil, err
 	}
+	defer interruptible(ctx, e.Engine())()
 	params, err := metatrace.Setup(e.World(), metatrace.Default(place.N()/2))
 	if err != nil {
 		return nil, err
@@ -354,18 +358,18 @@ func metaTraceRun(title string, topo *topology.Metacomputer, place *topology.Pla
 // figure6 runs MetaTrace in the three-metahost configuration of
 // Table 3 (Experiment 1: Partrace on the XD1, Trace split across
 // FH-BRS and CAESAR) and analyzes it hierarchically.
-func figure6(seed int64) (*metaTraceResult, error) {
+func figure6(ctx context.Context, seed int64) (*metaTraceResult, error) {
 	topo := metascope.VIOLA()
 	place := metascope.ViolaExperiment1Placement(topo)
-	return metaTraceRun("metatrace-exp1", topo, place, seed)
+	return metaTraceRun(ctx, "metatrace-exp1", topo, place, seed)
 }
 
 // figure7 runs MetaTrace in the one-metahost configuration of Table 3
 // (Experiment 2: both submodels on the IBM AIX POWER system).
-func figure7(seed int64) (*metaTraceResult, error) {
+func figure7(ctx context.Context, seed int64) (*metaTraceResult, error) {
 	topo := metascope.IBMPower()
 	place := metascope.IBMExperiment2Placement(topo)
-	return metaTraceRun("metatrace-exp2", topo, place, seed)
+	return metaTraceRun(ctx, "metatrace-exp2", topo, place, seed)
 }
 
 // formatMetaTrace renders the headline shares and the three-panel view
@@ -392,12 +396,12 @@ func formatMetaTrace(title string, r *metaTraceResult, grid bool) string {
 
 // algebra computes the cross-experiment difference (figure6 − figure7)
 // with the cube algebra, the comparative analysis §6 proposes.
-func algebra(seed int64) (*cube.Report, error) {
-	a, err := figure6(seed)
+func algebra(ctx context.Context, seed int64) (*cube.Report, error) {
+	a, err := figure6(ctx, seed)
 	if err != nil {
 		return nil, err
 	}
-	b, err := figure7(seed)
+	b, err := figure7(ctx, seed)
 	if err != nil {
 		return nil, err
 	}

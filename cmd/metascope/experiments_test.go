@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // states — as recorded in EXPERIMENTS.md.
 
 func TestTable1Shape(t *testing.T) {
-	rs, err := table1(42, 300)
+	rs, err := table1(context.Background(), 42, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	res, err := table2(42, clockbench.Quick())
+	res, err := table2(context.Background(), 42, clockbench.Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestFigure1DivergenceLinear(t *testing.T) {
 }
 
 func TestFigure3ErrorHierarchy(t *testing.T) {
-	rows, internalLat, err := figure3(42, clockbench.Quick())
+	rows, internalLat, err := figure3(context.Background(), 42, clockbench.Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestFigure3ErrorHierarchy(t *testing.T) {
 }
 
 func TestFigure6ThreeMetahostShape(t *testing.T) {
-	r, err := figure6(42)
+	r, err := figure6(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestFigure6ThreeMetahostShape(t *testing.T) {
 }
 
 func TestFigure7OneMetahostShape(t *testing.T) {
-	r6, err := figure6(42)
+	r6, err := figure6(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r7, err := figure7(42)
+	r7, err := figure7(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestFigure7OneMetahostShape(t *testing.T) {
 }
 
 func TestAlgebraDiffDirection(t *testing.T) {
-	diff, err := algebra(42)
+	diff, err := algebra(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func TestAlgebraDiffDirection(t *testing.T) {
 }
 
 func TestMetaTraceDeterminism(t *testing.T) {
-	a, err := figure6(7)
+	a, err := figure6(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := figure6(7)
+	b, err := figure6(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestMetaTraceDeterminism(t *testing.T) {
 			t.Errorf("%s: %g vs %g across identical runs", key, av, bv)
 		}
 	}
-	c, err := figure6(8)
+	c, err := figure6(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestMetaTraceDeterminism(t *testing.T) {
 }
 
 func TestFormatMetaTrace(t *testing.T) {
-	r, err := figure6(42)
+	r, err := figure6(context.Background(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,6 +111,7 @@ func gen(ctx context.Context, o genOptions, args []string, out io.Writer) error 
 	if err != nil {
 		return err
 	}
+	defer interruptible(ctx, e.Engine())()
 	if o.out != "" {
 		mounts, err := mountDirs(o.out, e.Topo)
 		if err != nil {

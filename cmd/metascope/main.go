@@ -10,8 +10,9 @@
 // Every verb also takes the shared observability flags -v, -metrics-out,
 // -pprof and -trace-out (internal/obs/cli.go). SIGINT or SIGTERM
 // cancels the verb's context — serve drains, watch leaves its last
-// frame up, analyze stops its replay — and a second signal kills the
-// process the default way.
+// frame up, analyze stops its replay, run, gen and experiments stop
+// their simulation — and a second signal kills the process the default
+// way.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"metascope/internal/cube"
 	"metascope/internal/obs"
 	"metascope/internal/replay"
+	"metascope/internal/sim"
 )
 
 // verbFunc runs one verb on its positional arguments, after its flags
@@ -97,6 +99,17 @@ func dispatch(ctx context.Context, args []string, stdout, stderr io.Writer) (str
 	}
 	usage(stderr)
 	return "", errUsage
+}
+
+// interruptible arms eng to stop before its next event once ctx is done,
+// so that its run returns ctx's cause instead of finishing the
+// simulation; a context done already stops it before its first event.
+// The returned stop disarms it.
+func interruptible(ctx context.Context, eng *sim.Engine) (stop func() bool) {
+	if ctx.Err() != nil {
+		eng.Interrupt(context.Cause(ctx))
+	}
+	return context.AfterFunc(ctx, func() { eng.Interrupt(context.Cause(ctx)) })
 }
 
 // writeFile creates path and fills it through write, closing it on

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -119,6 +120,33 @@ func TestDispatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSimulatingVerbsStopOnCancel: a verb that simulates — run, gen,
+// experiments — stops before its simulation's next event once its
+// context is done (the first SIGINT), and returns the context's cause
+// without printing what a finished simulation prints.
+func TestSimulatingVerbsStopOnCancel(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		args  []string
+		never string // what only a finished simulation prints
+	}{
+		{[]string{"run", "-workload", "clockbench", "-rounds", "20", "-out", filepath.Join(dir, "run")}, "measured"},
+		{[]string{"gen", "-library", "halo1d", "-out", filepath.Join(dir, "gen")}, "scenario"},
+		{[]string{"experiments"}, "Table 1"},
+		{[]string{"experiments", "-only", "fig6"}, "Figure 6"},
+	} {
+		var out, log bytes.Buffer
+		if _, err := dispatch(ctx, c.args, &out, &log); !errors.Is(err, context.Canceled) {
+			t.Errorf("%q: err = %v, want context.Canceled", c.args, err)
+		}
+		if strings.Contains(out.String(), c.never) {
+			t.Errorf("%q printed %q after its context was cancelled:\n%s", c.args, c.never, out.String())
+		}
 	}
 }
 

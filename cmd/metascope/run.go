@@ -33,7 +33,7 @@ func runVerb(fs *flag.FlagSet) verbFunc {
 	rounds := fs.Int("rounds", 0, "clockbench rounds override")
 	steps := fs.Int("steps", 0, "metatrace coupling steps override")
 	formatStr := fs.String("format", "", "trace file format: v1 | v2 (default: v2)")
-	return func(_ context.Context, _ []string, stdout io.Writer) error {
+	return func(ctx context.Context, _ []string, stdout io.Writer) error {
 		format, err := trace.ParseFormat(*formatStr)
 		if err != nil {
 			return err
@@ -57,6 +57,7 @@ func runVerb(fs *flag.FlagSet) verbFunc {
 		if err := e.Build(); err != nil {
 			return err
 		}
+		defer interruptible(ctx, e.Engine())()
 		// Replace the in-memory mounts with on-disk archives.
 		mounts, err := mountDirs(*out, topo)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestTable2OrderingAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{7, 1001, 424242} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res, err := table2(seed, clockbench.Quick())
+			res, err := table2(context.Background(), seed, clockbench.Quick())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +42,7 @@ func TestFigure6PlacementAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{7, 99} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r, err := figure6(seed)
+			r, err := figure6(context.Background(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,11 +81,11 @@ func TestHeterogeneousVsHomogeneousAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{7, 99} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r6, err := figure6(seed)
+			r6, err := figure6(context.Background(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r7, err := figure7(seed)
+			r7, err := figure7(context.Background(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,9 @@
 package conformance
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"metascope/internal/cube"
@@ -94,6 +96,64 @@ func TestMetamorphicMetahostRenumber(t *testing.T) {
 	base := severityVector(analyzeTraces(t, traces).Report, s.N())
 	ren := severityVector(analyzeTraces(t, RenumberMetahosts(traces, map[int]int{0: 1, 1: 0})).Report, s.N())
 	wantEqualVectors(t, ren, base, nil, 1e-12)
+}
+
+// TestMetamorphicMetahostCycle: renumbering three metahosts in a cycle
+// moves every per-pair grid value to its pair's new key — both ids
+// renumbered, then put back in ascending order — and changes none. The
+// pair table is indexed by metahost column (0, 1, 2 here) and keyed by
+// metahost id (10, 20, 30), so a column taken for an id, or a pair left
+// unordered, moves a value to the wrong key. amr's barriers cover the
+// collective pairs, a rank's own metahost among them; halo1d's exchanges
+// the point-to-point ones.
+func TestMetamorphicMetahostCycle(t *testing.T) {
+	t.Parallel()
+	spread := map[int]int{0: 10, 1: 20, 2: 30}
+	cycled := map[int]int{0: 20, 1: 30, 2: 10}
+	cycle := map[int]int{10: 20, 20: 30, 30: 10} // spread, then cycle = cycled
+	for _, kernel := range []string{"amr", "halo1d"} {
+		e := runSpec(t, fmt.Sprintf(`{"name":"cycle-%s","kernel":"%s","ranks":9,"iterations":3,
+			"topology":{"preset":"conformance","count":3}}`, kernel, kernel), 2)
+		traces, err := e.Traces()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := analyzeTraces(t, RenumberMetahosts(traces, spread)).Report
+		ren := analyzeTraces(t, RenumberMetahosts(traces, cycled)).Report
+		pairs, flipped := 0, 0
+		for _, m := range base.Metrics {
+			parent, ids, ok := strings.Cut(m.Key, ".pair.")
+			if !ok {
+				continue
+			}
+			var a, b int
+			if _, err := fmt.Sscanf(ids, "%d-%d", &a, &b); err != nil {
+				t.Fatalf("%s: pair metric %q: %v", kernel, m.Key, err)
+			}
+			a, b = cycle[a], cycle[b]
+			if a > b {
+				a, b = b, a
+				flipped++
+			}
+			key := fmt.Sprintf("%s.pair.%d-%d", parent, a, b)
+			if ren.MetricIndex(key) < 0 {
+				t.Errorf("%s: %s has no renumbered counterpart %s", kernel, m.Key, key)
+				continue
+			}
+			pairs++
+			for r := range traces {
+				if g, w := ren.RankMetricTotal(key, r), base.RankMetricTotal(m.Key, r); math.Abs(g-w) > 1e-12 {
+					t.Errorf("%s: rank %d: %s = %.17g after renumbering, %s = %.17g before", kernel, r, key, g, m.Key, w)
+				}
+			}
+		}
+		if n := strings.Count(strings.Join(ren.SortedMetricKeys(), " "), ".pair."); n != pairs {
+			t.Errorf("%s: %d pair metrics after renumbering, %d before", kernel, n, pairs)
+		}
+		if pairs < 2 || flipped == 0 {
+			t.Errorf("%s: %d pair metrics, %d reordered by the cycle: the case checks too little", kernel, pairs, flipped)
+		}
+	}
 }
 
 // TestMetamorphicRankRelabel: permuting world ranks moves each rank's

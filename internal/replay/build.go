@@ -158,19 +158,17 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 		if x.pat != y.pat {
 			return x.pat < y.pat
 		}
-		if x.mhA != y.mhA {
-			return x.mhA < y.mhA
-		}
-		if x.mhB != y.mhB {
-			return x.mhB < y.mhB
+		if x.col != y.col {
+			return x.col < y.col
 		}
 		return x.val < y.val
 	})
 	for _, rc := range remote {
 		acc := &a.results[rc.rank].acc[rc.cp]
-		acc.waits[rc.pat] += rc.val
-		if rc.isGrid {
-			acc.addPair(rc.pat, rc.mhA, rc.mhB, rc.val)
+		if rc.pat == pattern.GridLateReceiver {
+			acc.addGrid(rc.pat, rc.col, len(a.metahosts), rc.val)
+		} else {
+			acc.waits[rc.pat] += rc.val
 		}
 	}
 	lap("post-pass")
@@ -191,7 +189,7 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 // and depositing the late-sender-family samples, in receive order.
 // minFuture is the suffix-minimum buffer, handed back for the next rank.
 func (a *analyzer) postPassRank(rr *rankResult, minFuture []float64, deposit func(m metricID, rank int32, start, dur, val float64)) []float64 {
-	myMH := a.traces[rr.rank].Loc.Metahost
+	myCol, m := a.mhCol[rr.rank], len(a.metahosts)
 	pages := rr.recvLog.pages
 	n := rr.recvLog.len()
 	if cap(minFuture) < n+1 {
@@ -214,14 +212,15 @@ func (a *analyzer) postPassRank(rr *rankResult, minFuture []float64, deposit fun
 				continue
 			}
 			pat := pattern.LateSender
-			switch srcMH := a.traces[ri.src].Loc.Metahost; {
-			case srcMH != myMH:
+			if srcCol := a.mhCol[ri.src]; srcCol != myCol {
 				pat = pattern.GridLateSender
-				rr.acc[ri.cp].addPair(pat, myMH, srcMH, ri.lsWait)
-			case pattern.WrongOrderCandidate(ri.lsWait, ri.sendEvent, minFuture[i], ri.recvEnter):
-				pat = pattern.WrongOrder
+				rr.acc[ri.cp].addGrid(pat, srcCol, m, ri.lsWait)
+			} else {
+				if pattern.WrongOrderCandidate(ri.lsWait, ri.sendEvent, minFuture[i], ri.recvEnter) {
+					pat = pattern.WrongOrder
+				}
+				rr.acc[ri.cp].waits[pat] += ri.lsWait
 			}
-			rr.acc[ri.cp].waits[pat] += ri.lsWait
 			deposit(metricID(pat), int32(rr.rank), ri.recvEnter, ri.lsWait, ri.lsWait)
 		}
 	}
@@ -280,7 +279,8 @@ func slots(r *cube.Report) metricSlot {
 //	P2P/Collective/Synchronization: call time minus the wait states
 //	           detected inside it,
 //	patterns:  the wait states themselves (plain, grid, and wrong-order
-//	           variants disjoint by construction).
+//	           variants disjoint by construction); a grid pattern's waits
+//	           live in its per-metahost-pair children.
 //
 // Inclusive aggregation along the metric tree then yields exactly the
 // totals shown in the paper's displays: "Time" is total execution
@@ -299,45 +299,48 @@ func (a *analyzer) buildReport() *cube.Report {
 	rep := cube.New(a.cfg.Title, cube.FromMetricDefs(pattern.MetricTree()), locs)
 	ms := slots(rep)
 
-	// Per-metahost-pair specializations of the grid metrics (§6 future
-	// work): one child metric per pair that actually occurred, created
-	// lazily in deterministic (pattern, pair) order.
-	mhName := make(map[int]string)
-	for _, t := range a.traces {
-		mhName[t.Loc.Metahost] = t.Loc.MetahostName
+	// Per-metahost-pair children of the grid metrics (§6 future work): one
+	// per pair that occurred. pairIdx[(pat*m+lo)*m+hi] is the metric of
+	// pattern pat between metahost columns lo <= hi, and columns ascend
+	// with metahost ids, so walking it creates them in (pattern, id, id)
+	// order. cell maps a call path's pair-row entry k on a rank of column
+	// own to its index there.
+	m := len(a.metahosts)
+	cell := func(own, k int) int {
+		col := k % m
+		return (k-col+min(own, col))*m + max(own, col)
 	}
-	pairSet := make(map[pairKey]bool)
-	for _, rr := range a.results {
+	pairIdx := make([]int, int(pattern.NumPatterns)*m*m)
+	names := make([]string, m)
+	for rank, rr := range a.results {
+		names[a.mhCol[rank]] = a.traces[rank].Loc.MetahostName
 		for _, acc := range rr.acc {
-			for pk := range acc.pairs {
-				pairSet[pk] = true
+			for k, v := range acc.pairs {
+				if v != 0 {
+					pairIdx[cell(a.mhCol[rank], k)] = 1
+				}
 			}
 		}
 	}
-	pairKeys := make([]pairKey, 0, len(pairSet))
-	for pk := range pairSet {
-		pairKeys = append(pairKeys, pk)
-	}
-	sort.Slice(pairKeys, func(i, j int) bool {
-		if pairKeys[i].pat != pairKeys[j].pat {
-			return pairKeys[i].pat < pairKeys[j].pat
+	for i, seen := range pairIdx {
+		if seen == 0 {
+			continue
 		}
-		if pairKeys[i].a != pairKeys[j].a {
-			return pairKeys[i].a < pairKeys[j].a
-		}
-		return pairKeys[i].b < pairKeys[j].b
-	})
-	pairMetric := make(map[pairKey]int, len(pairKeys))
-	for _, pk := range pairKeys {
-		parent := rep.MetricIndex(pk.pat.MetricKey())
-		nameA, nameB := mhName[pk.a], mhName[pk.b]
-		pairMetric[pk] = rep.AddMetric(cube.Metric{
-			Key:    fmt.Sprintf("%s.pair.%d-%d", pk.pat.MetricKey(), pk.a, pk.b),
-			Name:   fmt.Sprintf("%s: %s <-> %s", pk.pat, nameA, nameB),
+		pat, lo, hi := pattern.ID(i/(m*m)), i/m%m, i%m
+		nameA, nameB := names[lo], names[hi]
+		pairIdx[i] = rep.AddMetric(cube.Metric{
+			Key:    fmt.Sprintf("%s.pair.%d-%d", pat.MetricKey(), a.metahosts[lo], a.metahosts[hi]),
+			Name:   fmt.Sprintf("%s: %s <-> %s", pat, nameA, nameB),
 			Unit:   "sec",
-			Desc:   fmt.Sprintf("%s instances between metahosts %s and %s", pk.pat, nameA, nameB),
-			Parent: parent,
+			Desc:   fmt.Sprintf("%s instances between metahosts %s and %s", pat, nameA, nameB),
+			Parent: ms.pat[pat],
 		})
+	}
+	var grid [pattern.NumPatterns]bool
+	for p := range pattern.NumPatterns {
+		if g := p.Gridded(); g != p {
+			grid[g] = true
+		}
 	}
 
 	for rank, rr := range a.results {
@@ -360,23 +363,16 @@ func (a *analyzer) buildReport() *cube.Report {
 			if acc.bytesRecv > 0 {
 				rep.Add(ms.bytesRecv, c, rank, acc.bytesRecv)
 			}
-			// Pair-classified shares move into the per-pair child
-			// metrics; the grid metric keeps any unclassified rest so
-			// inclusive totals are preserved exactly.
-			pairByPat := make(map[pattern.ID]float64, len(acc.pairs))
-			for pk, v := range acc.pairs {
-				pairByPat[pk.pat] += v
-				rep.Add(pairMetric[pk], c, rank, v)
+			for k, v := range acc.pairs {
+				if v != 0 {
+					rep.Add(pairIdx[cell(a.mhCol[rank], k)], c, rank, v)
+				}
 			}
 			waitSum := 0.0
 			for p := pattern.ID(0); p < pattern.NumPatterns; p++ {
 				if acc.waits[p] > 0 {
-					excl := acc.waits[p] - pairByPat[p]
-					if excl < 0 {
-						excl = 0
-					}
-					if excl > 0 {
-						rep.Add(ms.pat[p], c, rank, excl)
+					if !grid[p] {
+						rep.Add(ms.pat[p], c, rank, acc.waits[p])
 					}
 					waitSum += acc.waits[p]
 				}

@@ -26,15 +26,14 @@ import (
 // forwards to the receiver's analysis process during replay — a few
 // dozen bytes, independent of the message's payload size.
 type sendRecord struct {
-	comm        int32
-	srcWorld    int32
-	tag         int32
-	bytes       int64
-	srcMetahost int
-	sendEvent   float64 // corrected Send event time
-	sendEnter   float64 // corrected enter of the enclosing MPI call
-	sendExit    float64 // corrected exit of the enclosing MPI call
-	srcCP       int     // sender-local call-path id of the MPI call
+	comm      int32
+	srcWorld  int32
+	tag       int32
+	bytes     int64
+	sendEvent float64 // corrected Send event time
+	sendEnter float64 // corrected enter of the enclosing MPI call
+	sendExit  float64 // corrected exit of the enclosing MPI call
+	srcCP     int     // sender-local call-path id of the MPI call
 }
 
 // mailbox is the unbounded, order-preserving channel delivering send
@@ -175,13 +174,11 @@ func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 }
 
 // collGather coordinates the members of one collective instance: every
-// participant deposits its corrected enter/exit once and parks until the
-// last one arrives, after which each computes its own wait states from
-// the complete vectors.
+// participant deposits its corrected enter once and parks until the last
+// one arrives, after which each computes its own wait states from the
+// complete vector.
 type collGather struct {
 	enters  []float64
-	exits   []float64
-	mhs     []int
 	arrived int
 }
 
@@ -193,11 +190,15 @@ type collGather struct {
 // complete: one open gather per communicator is all there is. Each
 // communicator carries its own lock, so collectives on disjoint
 // communicators never serialize on a shared mutex. The communicators are
-// built before the runners start; seq[i] is written by member i's step
-// alone, and open under mu.
+// built before the runners start, with cols, the members' metahost
+// columns, and spans, whether those name more than one metahost — what
+// makes each of its collectives a grid instance; seq[i] is written by
+// member i's step alone, and open under mu.
 type communicator struct {
 	id    int32
 	ranks []int32
+	cols  []int
+	spans bool
 	seq   []int
 	mu    sync.Mutex
 	open  *collGather
@@ -219,30 +220,14 @@ func (a *analyzer) comm(id int32) *communicator {
 
 // remoteContribution attributes a severity detected on one analysis
 // process to a call path of another process (Late Receiver is detected
-// by the receiver but suffered by the sender).
+// by the receiver but suffered by the sender); col is the detecting
+// receiver's metahost column.
 type remoteContribution struct {
-	rank   int
-	cp     int
-	pat    pattern.ID
-	val    float64
-	mhA    int // metahost pair for grid instances
-	mhB    int
-	isGrid bool
-}
-
-// pairKey identifies a grid-pattern instance's metahost combination
-// (canonically ordered), realizing the fine-grained classification §6
-// names as desirable future work.
-type pairKey struct {
+	rank int
+	cp   int
 	pat  pattern.ID
-	a, b int
-}
-
-func makePairKey(pat pattern.ID, a, b int) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{pat: pat, a: a, b: b}
+	val  float64
+	col  int
 }
 
 // cpAcc accumulates raw severities for one call path of one rank.
@@ -252,14 +237,23 @@ type cpAcc struct {
 	bytesSent float64
 	bytesRecv float64
 	waits     [pattern.NumPatterns]float64
-	pairs     map[pairKey]float64 // grid waits by metahost pair
+	// pairs splits the grid waits by metahost pair, the fine-grained
+	// classification §6 names as future work: pairs[pat*M+col], for M
+	// metahosts, holds the waits of pattern pat whose other side is on
+	// metahost column col. One side of every grid instance is the rank's
+	// own metahost, so the row holds every pair. nil until the call path's
+	// first grid wait.
+	pairs []float64
 }
 
-func (acc *cpAcc) addPair(pat pattern.ID, a, b int, v float64) {
+// addGrid adds a grid wait v of pattern pat, whose other side is on
+// metahost column col of m, to the pattern's total and its pair's cell.
+func (acc *cpAcc) addGrid(pat pattern.ID, col, m int, v float64) {
 	if acc.pairs == nil {
-		acc.pairs = make(map[pairKey]float64, 2)
+		acc.pairs = make([]float64, int(pattern.NumPatterns)*m)
 	}
-	acc.pairs[makePairKey(pat, a, b)] += v
+	acc.pairs[int(pat)*m+col] += v
+	acc.waits[pat] += v
 }
 
 // cpInfo is one node of a rank-local call-path tree.
@@ -528,6 +522,14 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	for r, mh := range a.mhCol {
 		a.mhCol[r], _ = slices.BinarySearch(a.metahosts, mh)
 	}
+	for i := range a.comms {
+		c := &a.comms[i]
+		c.cols = make([]int, len(c.ranks))
+		for k, r := range c.ranks {
+			c.cols[k] = a.mhCol[r]
+			c.spans = c.spans || c.cols[k] != c.cols[0]
+		}
+	}
 	for r := range a.steppers {
 		st := &a.steppers[r]
 		st.a, st.rank, st.rr.rank = a, r, r
@@ -585,25 +587,17 @@ func (a *analyzer) cancelErr(rank int) error {
 // members; otherwise rank is parked on it. Only the instance's own
 // communicator is locked, so collectives on other communicators proceed
 // concurrently.
-func (a *analyzer) gatherColl(c *communicator, commRank int, enter, exit float64, mh, rank int) (*collGather, bool) {
+func (a *analyzer) gatherColl(c *communicator, commRank int, enter float64, rank int) (*collGather, bool) {
 	size := len(c.ranks)
 	c.mu.Lock()
 	g := c.open
 	if g == nil {
-		// One backing array for both time vectors halves the gather's
-		// allocation count; the instance is created by whichever member
-		// replays its CollExit first.
-		times := make([]float64, 2*size)
-		g = &collGather{
-			enters: times[:size:size],
-			exits:  times[size:],
-			mhs:    make([]int, size),
-		}
+		// The instance is created by whichever member replays its CollExit
+		// first.
+		g = &collGather{enters: make([]float64, size)}
 		c.open = g
 	}
 	g.enters[commRank] = enter
-	g.exits[commRank] = exit
-	g.mhs[commRank] = mh
 	g.arrived++
 	if g.arrived < size {
 		c.mu.Unlock()
@@ -667,7 +661,6 @@ type stepper struct {
 
 	// Set up by the first step.
 	corr    vclock.LinearMap
-	myMH    int
 	regions trace.RegionTable
 	labels  context.Context // the rank's pprof labels, set on each step
 
@@ -685,7 +678,6 @@ func (st *stepper) begin() {
 	a, rank := st.a, st.rank
 	t := a.traces[rank]
 	st.corr = a.corr[rank]
-	st.myMH = t.Loc.Metahost
 	st.labels = pprof.WithLabels(a.labelBase, pprof.Labels("rank", strconv.Itoa(rank), "phase", "replay"))
 	rr := &st.rr
 	rr.last = -1
@@ -812,7 +804,7 @@ func (st *stepper) sweep() park {
 	}
 	pprof.SetGoroutineLabels(st.labels)
 	sc := &st.sc
-	corr, myMH, fw := st.corr, st.myMH, st.fw
+	corr, myCol, fw := st.corr, a.mhCol[rank], st.fw
 	for ; ; st.i++ {
 		i := st.i
 		// Inside the cursor's block, published and short of the next
@@ -902,7 +894,7 @@ func (st *stepper) sweep() park {
 			rr.replayBytes += sendRecordWire
 			dst := int(def[ev.Peer])
 			vol := metricBytesIntra
-			if a.traces[dst].Loc.Metahost != myMH {
+			if a.mhCol[dst] != myCol {
 				rr.replayExternal += sendRecordWire
 				vol = metricBytesWide
 			}
@@ -914,15 +906,14 @@ func (st *stepper) sweep() park {
 				fw.Emit(flight.Send, a.flJob, a.fn.put, int64(dst), flightSig(ev.Comm, ev.Tag))
 			}
 			if a.mailboxes[dst].put(sendRecord{
-				comm:        ev.Comm,
-				srcWorld:    int32(rank),
-				tag:         ev.Tag,
-				bytes:       ev.Bytes,
-				srcMetahost: myMH,
-				sendEvent:   ct,
-				sendEnter:   top.enter,
-				sendExit:    exitT,
-				srcCP:       top.cp,
+				comm:      ev.Comm,
+				srcWorld:  int32(rank),
+				tag:       ev.Tag,
+				bytes:     ev.Bytes,
+				sendEvent: ct,
+				sendEnter: top.enter,
+				sendExit:  exitT,
+				srcCP:     top.cp,
 			}) {
 				a.sched.wake(dst, rank)
 			}
@@ -959,7 +950,6 @@ func (st *stepper) sweep() park {
 					rr.repairs++
 				}
 			}
-			grid := rec.srcMetahost != myMH
 			ls := pattern.LateSenderWait(rec.sendEnter, top.enter, ct)
 			rr.recvLog.add(recvInfo{
 				sendEvent: rec.sendEvent,
@@ -972,12 +962,11 @@ func (st *stepper) sweep() park {
 				lr := pattern.LateReceiverWait(top.enter, rec.sendEnter, rec.sendExit)
 				if lr > 0 {
 					pat := pattern.LateReceiver
-					if grid {
+					if a.mhCol[rec.srcWorld] != myCol {
 						pat = pattern.GridLateReceiver
 					}
 					rr.remote = append(rr.remote, remoteContribution{
-						rank: int(rec.srcWorld), cp: rec.srcCP, pat: pat, val: lr,
-						mhA: rec.srcMetahost, mhB: myMH, isGrid: grid,
+						rank: int(rec.srcWorld), cp: rec.srcCP, pat: pat, val: lr, col: myCol,
 					})
 					// The sender blocked from its enter until the wait
 					// elapsed; the detecting (receiving) process records
@@ -1008,7 +997,7 @@ func (st *stepper) sweep() park {
 					st.await(flight.GatherBegin, a.fn.gather, int64(ev.Comm), int64(c.seq[commRank]))
 				}
 				var complete bool
-				if g, complete = a.gatherColl(c, commRank, top.enter, ct, myMH, rank); !complete {
+				if g, complete = a.gatherColl(c, commRank, top.enter, rank); !complete {
 					st.pending, st.pendingComm = g, c
 					return parkGather
 				}
@@ -1023,15 +1012,12 @@ func (st *stepper) sweep() park {
 			rr.acc[top.cp].bytesSent += float64(ev.Bytes)
 			rr.colls++
 			rr.replayBytes += collGatherWire
-			for _, wr := range def {
-				if a.traces[wr].Loc.Metahost != myMH {
-					// The dissemination of gathered enters crosses the
-					// external network once per remote member.
-					rr.replayExternal += collGatherWire
-					break
-				}
+			if c.spans {
+				// The dissemination of gathered enters crosses the external
+				// network.
+				rr.replayExternal += collGatherWire
 			}
-			rr.scoreCollective(top.cp, ev, g, commRank, ct)
+			st.scoreCollective(top.cp, ev, c, g, commRank, ct)
 		}
 		st.swept = ct
 	}
@@ -1066,42 +1052,39 @@ func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64
 }
 
 // scoreCollective computes this participant's wait states for one
-// completed collective instance. Grid instances are additionally
-// classified by the metahost pair (this process's metahost, the
-// metahost of the process that caused the wait) — the fine-grained
+// completed collective instance of communicator c. Grid instances are
+// additionally classified by the metahost pair (this process's metahost,
+// the metahost of the process that caused the wait) — the fine-grained
 // classification §6 proposes.
-func (rr *rankResult) scoreCollective(cp int, ev *trace.Event, g *collGather, commRank int, myDone float64) {
+func (st *stepper) scoreCollective(cp int, ev *trace.Event, c *communicator, g *collGather, commRank int, myDone float64) {
+	rr, m := &st.rr, len(st.a.metahosts)
 	myEnter := g.enters[commRank]
-	myMH := g.mhs[commRank]
 	maxEnter, minOther := myEnter, 0.0
-	maxMH, minOtherMH := myMH, 0
+	maxCol, minOtherCol := c.cols[commRank], 0
 	haveOther := false
-	spans := false
 	for i, e := range g.enters {
 		if e > maxEnter {
 			maxEnter = e
-			maxMH = g.mhs[i]
-		}
-		if g.mhs[i] != g.mhs[0] {
-			spans = true
+			maxCol = c.cols[i]
 		}
 		if int32(i) != ev.Root {
 			if !haveOther || e < minOther {
 				minOther = e
-				minOtherMH = g.mhs[i]
+				minOtherCol = c.cols[i]
 				haveOther = true
 			}
 		}
 	}
-	add := func(pat pattern.ID, v float64, causeMH int) {
+	add := func(pat pattern.ID, v float64, causeCol int) {
 		if v <= 0 {
 			return
 		}
-		if spans {
+		if c.spans {
 			pat = pat.Gridded()
-			rr.acc[cp].addPair(pat, myMH, causeMH, v)
+			rr.acc[cp].addGrid(pat, causeCol, m, v)
+		} else {
+			rr.acc[cp].waits[pat] += v
 		}
-		rr.acc[cp].waits[pat] += v
 		// Waiting starts when this process enters the operation and
 		// lasts until the cause arrives.
 		rr.score(metricID(pat), int32(rr.rank), myEnter, v, v)
@@ -1117,20 +1100,20 @@ func (rr *rankResult) scoreCollective(cp int, ev *trace.Event, g *collGather, co
 	}
 	switch {
 	case ev.Coll == trace.CollBarrier:
-		add(pattern.WaitBarrier, pattern.WaitAtBarrierWait(maxEnter, myEnter, myDone), maxMH)
+		add(pattern.WaitBarrier, pattern.WaitAtBarrierWait(maxEnter, myEnter, myDone), maxCol)
 		// Barrier Completion has no grid specialization; add directly.
 		addCompletion(pattern.BarrierCompletion, pattern.BarrierCompletionWait(maxEnter, myEnter, myDone))
 	case ev.Coll.IsNxN():
-		add(pattern.WaitNxN, pattern.WaitAtNxNWait(maxEnter, myEnter, myDone), maxMH)
+		add(pattern.WaitNxN, pattern.WaitAtNxNWait(maxEnter, myEnter, myDone), maxCol)
 		addCompletion(pattern.NxNCompletion, pattern.NxNCompletionWait(maxEnter, myEnter, myDone))
 	case ev.Coll.IsNToOne():
 		if int32(commRank) == ev.Root && haveOther {
-			add(pattern.EarlyReduce, pattern.EarlyReduceWait(minOther, myEnter, myDone), minOtherMH)
+			add(pattern.EarlyReduce, pattern.EarlyReduceWait(minOther, myEnter, myDone), minOtherCol)
 		}
 	case ev.Coll.IsOneToN():
 		if int32(commRank) != ev.Root {
 			rootEnter := g.enters[ev.Root]
-			add(pattern.LateBroadcast, pattern.LateBroadcastWait(rootEnter, myEnter, myDone), g.mhs[ev.Root])
+			add(pattern.LateBroadcast, pattern.LateBroadcastWait(rootEnter, myEnter, myDone), c.cols[ev.Root])
 		}
 	}
 }

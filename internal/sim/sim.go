@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // ProcState describes what a simulated process is currently doing.
@@ -85,6 +86,9 @@ type Engine struct {
 	err     error
 	stopped bool
 	rng     *rngSet
+	// interrupt is why the run was interrupted from outside, nil until
+	// then: the engine's one goroutine-safe field (Interrupt).
+	interrupt atomic.Pointer[error]
 }
 
 // NewEngine returns an engine whose random streams derive from seed.
@@ -121,6 +125,12 @@ func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
 // events are discarded; suspended processes are not treated as a
 // deadlock.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Interrupt makes RunUntil return cause before its next event, as Fail
+// would. Unlike Stop and Fail it may be called from any goroutine — a
+// signal handler's or a context's (context.AfterFunc) — and before Run.
+// The first cause wins.
+func (e *Engine) Interrupt(cause error) { e.interrupt.CompareAndSwap(nil, &cause) }
 
 // Fail records err (first one wins) and stops the engine.
 func (e *Engine) Fail(err error) {
@@ -265,10 +275,15 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil behaves like Run but additionally stops once simulation time
-// would exceed horizon (a negative horizon means no limit). Stopping at
-// the horizon with suspended processes is not a deadlock.
+// would exceed horizon (a negative horizon means no limit), or with the
+// cause of an Interrupt, checked between events. Stopping at the horizon
+// with suspended processes is not a deadlock.
 func (e *Engine) RunUntil(horizon float64) error {
 	for !e.stopped && len(e.queue) > 0 {
+		if cause := e.interrupt.Load(); cause != nil {
+			e.Fail(*cause)
+			break
+		}
 		ev := heap.Pop(&e.queue).(event)
 		if horizon >= 0 && ev.t > horizon {
 			e.now = horizon

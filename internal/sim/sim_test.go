@@ -118,6 +118,40 @@ func TestFailStopsEngine(t *testing.T) {
 	}
 }
 
+// TestInterruptStopsBetweenEvents: an Interrupt from another goroutine
+// stops a run that would never end by itself at its next event, and Run
+// returns the cause; one raised before Run stops it before any event.
+func TestInterruptStopsBetweenEvents(t *testing.T) {
+	stop := errors.New("interrupted")
+	e := NewEngine(1)
+	started := make(chan struct{})
+	e.Spawn("forever", func(p *Proc) {
+		close(started)
+		for {
+			p.Sleep(1)
+		}
+	})
+	go func() {
+		<-started
+		e.Interrupt(stop)
+	}()
+	if err := e.Run(); !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the interrupt's cause", err)
+	}
+	if err := e.Err(); !errors.Is(err, stop) {
+		t.Fatalf("Err() = %v, want the interrupt's cause", err)
+	}
+
+	e = NewEngine(1)
+	ran := false
+	e.Spawn("p", func(p *Proc) { ran = true })
+	e.Interrupt(stop)
+	e.Interrupt(errors.New("second"))
+	if err := e.Run(); !errors.Is(err, stop) || ran {
+		t.Fatalf("err = %v, process ran: %v; want the first cause before any event", err, ran)
+	}
+}
+
 func TestRunUntilHorizon(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0

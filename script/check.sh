@@ -114,13 +114,16 @@ fi
 
 # A replayed or validated event costs no hash: a mailbox finds a
 # signature by binary search over its FIFOs sorted by sender, a call path
-# comes from the tree's sorted child links, and a communicator or a region
-# from a table indexed by id (trace.RegionTable). A map keyed by
-# signature, communicator or region id, or the call-path map byKey, back
-# in the sweep's files is a per-event hash creeping back.
+# comes from the tree's sorted child links, a communicator or a region
+# from a table indexed by id (trace.RegionTable), and a grid wait's
+# metahost pair from the call path's dense row indexed by metahost column.
+# A map in the sweep's files — keyed by signature, communicator, region
+# id or metahost pair (pairKey), or the call-path map byKey — is a
+# per-event hash creeping back, and a map ranged over while a report is
+# built makes its bytes depend on map order.
 echo "== no hash per event"
-if grep -n -E 'map\[(sig|int32|trace\.RegionID)\]|byKey' internal/replay/worker.go internal/replay/cursor.go; then
-	echo "check: the replay sweep keys a map by signature, communicator or region again: look it up in a sorted or dense table" >&2
+if grep -n -E 'map\[|pairKey|byKey' internal/replay/worker.go || grep -n -E 'map\[(sig|int32|trace\.RegionID)\]|byKey' internal/replay/cursor.go; then
+	echo "check: the replay sweep keeps a map again: look it up in a sorted or dense table" >&2
 	exit 1
 fi
 if grep -n -F 'map[RegionID]' internal/trace/validator.go; then
