@@ -175,7 +175,8 @@ func TestFaultCorpus(t *testing.T) {
 // a NaN passes every order comparison while an infinity is in order
 // after anything — so a non-finite time stamp is refused by name, at the
 // event that carries it, with the same words whoever reads the trace: the
-// eager load of a v1 or a v2 file, the lazy sweep, a live session's PUT.
+// one-shot decode of a v1 file, the eager load of a v1 or a v2 file, the
+// lazy sweep, a live session's PUT.
 func TestFaultNonFiniteTime(t *testing.T) {
 	t.Parallel()
 	for name, bad := range map[string]float64{"nan-time": math.NaN(), "inf-time": math.Inf(1)} {
@@ -186,10 +187,12 @@ func TestFaultNonFiniteTime(t *testing.T) {
 			}
 			// The last two events, so the stamps before them stay ordered.
 			var want string
+			var mutated *trace.Trace
 			mutateTrace(t, f, 0, func(tr *trace.Trace) {
 				n := len(tr.Events)
 				tr.Events[n-2].Time, tr.Events[n-1].Time = bad, bad
 				want = fmt.Sprintf("trace %v: event %d has non-finite time %g", tr.Loc, n-2, bad)
+				mutated = tr
 			})
 			defer noPanic(t, name)
 			refused := func(feeder string, err error) {
@@ -207,8 +210,11 @@ func TestFaultNonFiniteTime(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, err := trace.DecodeBytes(raw) // decoding does not validate
-				if err != nil {
+				tr, err := trace.DecodeBytes(raw)
+				if r == 0 {
+					refused("decode v1", err)
+					tr = mutated
+				} else if err != nil {
 					t.Fatal(err)
 				}
 				blobs[r] = encodeRanks(t, []*trace.Trace{tr})[0]

@@ -101,12 +101,10 @@ func chunkPlans(blobs [][]byte) map[string][]feedStep {
 // result plus the emitted event stream.
 func streamPlan(t *testing.T, cfg replay.Config, n int, plan []feedStep) (*replay.Result, []replay.StreamEvent) {
 	t.Helper()
-	var got []replay.StreamEvent
 	l, err := replay.NewLive(replay.LiveConfig{
 		Config:    cfg,
 		Ranks:     n,
 		WindowSec: 0.5,
-		OnEvent:   func(ev replay.StreamEvent) { got = append(got, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +118,7 @@ func streamPlan(t *testing.T, cfg replay.Config, n int, plan []feedStep) (*repla
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, _, _ := l.Events(0)
 	return res, got
 }
 

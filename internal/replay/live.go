@@ -37,8 +37,9 @@ import (
 // publishes window deltas, the low-watermark frontier (the minimum
 // published sweep time over all ranks — no event before it can still be
 // scored, except for sender-side amendments, which are flagged), and
-// per-rank ingest lag as StreamEvents. The serve layer forwards them
-// over SSE.
+// per-rank ingest lag as StreamEvents. The session keeps every event it
+// emits, in order, as its stream history (Events), which the serve layer
+// forwards over SSE.
 
 // emitEvery is the drain period of every live session's window stream:
 // what the serve layer forwards over SSE at most this often. Only
@@ -53,10 +54,6 @@ type LiveConfig struct {
 	// WindowSec is the severity-window width in corrected seconds.
 	// Zero selects 1 s.
 	WindowSec float64
-	// OnEvent receives every stream event, in sequence order, from the
-	// engine's goroutines. The callback must be fast and must not call
-	// back into the Live session.
-	OnEvent func(StreamEvent)
 }
 
 // StreamEvent is one event of a live session's output stream. Exactly
@@ -138,7 +135,9 @@ type SummaryEvent struct {
 	Violations    int           `json:"violations"`
 }
 
-// liveRank is the per-rank ingest state of a live session.
+// liveRank is the per-rank ingest state of a live session. Its ingested
+// event count and last ingested time are its log's published count and
+// bounds, read under mu like finished.
 type liveRank struct {
 	mu sync.Mutex
 	// dec is nil once Finalize released the engine. By then the rank is
@@ -149,10 +148,7 @@ type liveRank struct {
 	haveCorr bool // header registered: corr is set and log has dec's reader
 	finished bool
 
-	bytes      atomic.Int64
-	events     atomic.Int64
-	lastIngest atomic.Uint64 // corrected ts bits of the last ingested event
-	haveIngest atomic.Bool
+	bytes atomic.Int64
 }
 
 // Live is one live analysis session. Feed chunks with FeedChunk (any
@@ -169,14 +165,20 @@ type Live struct {
 	ranks  []*liveRank
 	intern *trace.Interner
 
-	emitMu sync.Mutex
-	seq    uint64
+	// The stream history: every event emitted, in sequence order
+	// (events[k].Seq == k+1). changed closes and is replaced on every
+	// emit and at EndStream; ended is set by EndStream.
+	emitMu  sync.Mutex
+	events  []StreamEvent
+	changed chan struct{}
+	ended   bool
 
+	// The session's state is derived (Status): abortErr set is failed
+	// or cancelled, done is done, a non-nil analyzer running, else open.
 	mu       sync.Mutex
-	state    string
 	traces   []*trace.Trace
 	headers  int
-	started  bool
+	done     bool
 	abortErr error
 	a        *analyzer
 
@@ -209,7 +211,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		m:             newStreamMetrics(rec),
 		ranks:         make([]*liveRank, cfg.Ranks),
 		intern:        trace.NewInterner(),
-		state:         "open",
+		changed:       make(chan struct{}),
 		traces:        make([]*trace.Trace, cfg.Ranks),
 		drainStop:     make(chan struct{}),
 		drainDone:     make(chan struct{}),
@@ -297,12 +299,11 @@ func (l *Live) FeedChunk(rank int, data []byte) error {
 }
 
 // ingest pulls every block the rank's image holds whole by now into its
-// log and moves the ingest counters. If that published events — or the
-// image is complete, last set, which closes the log — it then wakes the
-// rank's sweep, which may be parked on the log: the one way a rank
-// leaves parkLog besides an abort. The analyzer is looked up after the
-// publish: one started before it is woken, one started after it sees the
-// events.
+// log. If that published events — or the image is complete, last set,
+// which closes the log — it then wakes the rank's sweep, which may be
+// parked on the log: the one way a rank leaves parkLog besides an abort.
+// The analyzer is looked up after the publish: one started before it is
+// woken, one started after it sees the events.
 func (l *Live) ingest(rank int, lr *liveRank, last bool) error {
 	total := 0
 	for {
@@ -316,11 +317,7 @@ func (l *Live) ingest(rank int, lr *liveRank, last bool) error {
 		total += n
 	}
 	if total > 0 {
-		lr.events.Add(int64(total))
 		l.m.events.Add(float64(total))
-		_, newest, _ := lr.log.bounds()
-		lr.lastIngest.Store(math.Float64bits(lr.corr.Apply(newest)))
-		lr.haveIngest.Store(true)
 	}
 	if total > 0 || last {
 		l.mu.Lock()
@@ -379,12 +376,11 @@ func (l *Live) startLocked() error {
 	l.sink = newStreamSink(0, l.cfg.WindowSec, a.metahosts, a.mhCol, l.fail)
 	a.sink = l.sink
 	a.progress = make([]atomic.Uint64, len(l.ranks))
+	a.sweptEvents = make([]atomic.Int64, len(l.ranks))
 	for r := range a.steppers {
 		a.steppers[r].publish()
 	}
 	l.a = a
-	l.started = true
-	l.state = "running"
 	// The runners are goroutines: this is a feeder's call. A rank whose
 	// stream has not caught up parks on its log, and the feeder wakes it
 	// once it published more (ingest).
@@ -434,10 +430,9 @@ func (l *Live) fail(err error) {
 		state = "cancelled"
 	}
 	l.mu.Lock()
-	first := l.abortErr == nil && l.state != "done"
+	first := l.abortErr == nil && !l.done
 	if first {
 		l.abortErr = err
-		l.state = state
 		if l.a != nil {
 			l.a.abort(err)
 		}
@@ -486,12 +481,11 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 		}
 	}
 	l.mu.Lock()
-	started := l.started
+	started := l.a != nil
 	emitFail := false
 	if !started && l.abortErr == nil {
 		l.abortErr = fmt.Errorf("replay: live session finalized before all rank headers arrived (%d of %d)",
 			l.headers, len(l.ranks))
-		l.state = "failed"
 		ferr = l.abortErr
 		emitFail = true // fail() has not run for this error, so no event yet
 	}
@@ -524,7 +518,7 @@ func (l *Live) Finalize(ctx context.Context) (*Result, error) {
 	if l.abortErr != nil {
 		err = l.abortErr
 	} else if err == nil {
-		l.state = "done"
+		l.done = true
 	}
 	l.mu.Unlock()
 	if err != nil {
@@ -660,63 +654,94 @@ func sameFrontier(a, b *FrontierEvent) bool {
 }
 
 // frontierState computes the progress and ingest frontiers and the
-// per-rank lag vector, and sets the sweep-lag gauge: the largest gap, over
-// the ranks still sweeping (published an event's time, not done), between
-// a rank's last ingested and last published corrected time.
+// per-rank lag vector, and sets the two sweep-lag gauges: the largest gap,
+// over the ranks still sweeping (published an event's time, not done),
+// between a rank's last ingested and last published corrected time, and
+// between its ingested and swept event counts. A rank's publication is
+// read before its log, so the log is never behind it.
 func (l *Live) frontierState() (progress, ingest float64, lags []RankLag) {
 	l.mu.Lock()
 	a := l.a
 	traces := append([]*trace.Trace(nil), l.traces...)
 	l.mu.Unlock()
 	progress, ingest = math.Inf(1), math.Inf(1)
-	sweepLag := 0.0
+	sweepLag, sweepLagEvents := 0.0, int64(0)
 	lags = make([]RankLag, len(l.ranks))
 	for i, lr := range l.ranks {
-		lag := RankLag{
-			Rank:   i,
-			Events: lr.events.Load(),
-			Bytes:  lr.bytes.Load(),
+		p, swept := math.Inf(-1), int64(0)
+		if a != nil {
+			p, swept = math.Float64frombits(a.progress[i].Load()), a.sweptEvents[i].Load()
 		}
+		lag := l.rankLag(i, lr)
 		if t := traces[i]; t != nil {
 			lag.Metahost = t.Loc.MetahostName
 		}
-		if lr.haveIngest.Load() {
-			v := math.Float64frombits(lr.lastIngest.Load())
-			lag.Ingested, lag.HasTime = v, true
-			if v < ingest {
-				ingest = v
-			}
+		if lag.HasTime {
+			ingest = min(ingest, lag.Ingested)
 		} else {
 			ingest = math.Inf(-1) // a rank with nothing ingested pins the frontier
 		}
-		lr.mu.Lock()
-		lag.Finished = lr.finished
-		lr.mu.Unlock()
-		if a != nil {
-			p := math.Float64frombits(a.progress[i].Load())
-			progress = min(progress, p)
-			if lag.HasTime && !math.IsInf(p, 0) {
-				sweepLag = max(sweepLag, lag.Ingested-p)
-			}
-		} else {
-			progress = math.Inf(-1)
+		progress = min(progress, p)
+		if lag.HasTime && !math.IsInf(p, 0) {
+			sweepLag = max(sweepLag, lag.Ingested-p)
+			sweepLagEvents = max(sweepLagEvents, lag.Events-swept)
 		}
 		lags[i] = lag
 	}
 	l.m.sweepLag.Set(sweepLag)
+	l.m.sweepLagEvents.Set(float64(sweepLagEvents))
 	return progress, ingest, lags
 }
 
-// emit assigns the next sequence number and delivers the event.
+// rankLag reads one rank's ingest position: its log's published count
+// and last time, corrected, under the rank's lock.
+func (l *Live) rankLag(i int, lr *liveRank) RankLag {
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	lag := RankLag{Rank: i, Events: int64(lr.log.published()), Bytes: lr.bytes.Load(), Finished: lr.finished}
+	if _, last, ok := lr.log.bounds(); ok {
+		lag.Ingested, lag.HasTime = lr.corr.Apply(last), true
+	}
+	return lag
+}
+
+// emit assigns the next sequence number, appends the event to the
+// stream history and wakes its readers.
 func (l *Live) emit(ev StreamEvent) {
 	l.emitMu.Lock()
-	l.seq++
-	ev.Seq = l.seq
-	if l.cfg.OnEvent != nil {
-		l.cfg.OnEvent(ev)
-	}
+	ev.Seq = uint64(len(l.events)) + 1
+	l.events = append(l.events, ev)
+	close(l.changed) // wakes every reader; the next one waits on a fresh channel
+	l.changed = make(chan struct{})
 	l.emitMu.Unlock()
 	l.m.emits.With(ev.Type).Inc()
+}
+
+// Events returns the stream events with sequence numbers above after, in
+// order, whether the stream has ended (EndStream), and a channel that
+// closes on the next emit or at the end. Sequence numbers run from 1
+// without gaps, so a reader that resumes after the last event it saw
+// misses nothing and sees nothing twice. The returned events are shared
+// and must not be modified.
+func (l *Live) Events(after uint64) (events []StreamEvent, ended bool, changed <-chan struct{}) {
+	l.emitMu.Lock()
+	defer l.emitMu.Unlock()
+	i := int(min(after, uint64(len(l.events))))
+	return l.events[i:len(l.events):len(l.events)], l.ended, l.changed
+}
+
+// EndStream declares the stream history complete: a reader that has
+// everything up to the last event gets ended=true and hangs up. The
+// session's owner calls it once the session's outcome is recorded.
+// Idempotent.
+func (l *Live) EndStream() {
+	l.emitMu.Lock()
+	defer l.emitMu.Unlock()
+	if !l.ended {
+		l.ended = true
+		close(l.changed)
+		l.changed = make(chan struct{})
+	}
 }
 
 // LiveStatus is a point-in-time view of a session for vitals and the
@@ -737,15 +762,25 @@ type LiveStatus struct {
 // Status reports the session's current state.
 func (l *Live) Status() LiveStatus {
 	l.mu.Lock()
-	st := LiveStatus{State: l.state, Ranks: len(l.ranks), Headers: l.headers}
+	st := LiveStatus{State: "open", Ranks: len(l.ranks), Headers: l.headers}
+	switch {
+	case errors.Is(l.abortErr, context.Canceled):
+		st.State = "cancelled"
+	case l.abortErr != nil:
+		st.State = "failed"
+	case l.done:
+		st.State = "done"
+	case l.a != nil:
+		st.State = "running"
+	}
 	l.mu.Unlock()
 	for _, lr := range l.ranks {
 		st.BytesIngested += lr.bytes.Load()
-		st.EventsIngested += lr.events.Load()
 		res, peak := lr.log.residentEvents()
 		st.ResidentEvents += res
 		st.MaxResidentEvents += peak
 		lr.mu.Lock()
+		st.EventsIngested += int64(lr.log.published())
 		if lr.finished {
 			st.RanksFinished++
 		}
@@ -759,6 +794,7 @@ type streamMetrics struct {
 	chunks, bytes, events *obs.Series
 	windowsClosed         *obs.Series
 	frontier, sweepLag    *obs.Series
+	sweepLagEvents        *obs.Series
 	emits                 *obs.Family
 }
 
@@ -777,6 +813,8 @@ func newStreamMetrics(rec *obs.Recorder) *streamMetrics {
 			"progress frontier (min corrected sweep time) of the last live session").With(),
 		sweepLag: r.Gauge("metascope_stream_sweep_lag_seconds",
 			"largest gap between a rank's last ingested and last published corrected time, over the ranks still sweeping, of the last live session").With(),
+		sweepLagEvents: r.Gauge("metascope_stream_sweep_lag_events",
+			"largest gap between a rank's ingested and swept event counts, over the ranks still sweeping, of the last live session").With(),
 		emits: r.Counter("metascope_stream_emits_total",
 			"stream events emitted by live sessions", "type"),
 	}

@@ -5,10 +5,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,15 +123,11 @@ type feedStep struct {
 
 func runLive(t *testing.T, cfg Config, n int, plan []feedStep) (*Result, []StreamEvent) {
 	t.Helper()
-	var got []StreamEvent
 	setEmitEvery(t, time.Millisecond) // drains mid-run, between the feeds
 	l, err := NewLive(LiveConfig{
 		Config:    cfg,
 		Ranks:     n,
 		WindowSec: 2,
-		// OnEvent calls are serialized by the engine, and Finalize
-		// happens-after the last of them — got is safe to read below.
-		OnEvent: func(ev StreamEvent) { got = append(got, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +141,121 @@ func runLive(t *testing.T, cfg Config, n int, plan []feedStep) (*Result, []Strea
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, _, _ := l.Events(0)
 	return res, got
+}
+
+// awaitEvent waits until l's stream history holds an event ok accepts,
+// and fails the test with msg if none arrives in 10 s.
+func awaitEvent(t *testing.T, l *Live, ok func(StreamEvent) bool, msg string) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for seen := uint64(0); ; {
+		evs, _, changed := l.Events(seen)
+		for _, ev := range evs {
+			if ok(ev) {
+				return
+			}
+			seen = ev.Seq
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatal(msg + " in 10 s")
+		}
+	}
+}
+
+// TestLiveStreamHistory: a session keeps the stream it emits. Driven to
+// done and to cancellation with no periodic drain, so that only the
+// calls below emit: the change channel Events hands out closes on each
+// emit and at EndStream, the history numbers its events from 1 without
+// gaps, opens with the open state and ends with the final one, Events(k)
+// is exactly the suffix after k, and Status reports each state on the way.
+func TestLiveStreamHistory(t *testing.T) {
+	setEmitEvery(t, time.Hour)
+	blobs := encodeTraces(t, liveTraces())
+	for _, ending := range []string{"done", "cancelled"} {
+		t.Run(ending, func(t *testing.T) {
+			l, err := NewLive(LiveConfig{Config: Config{Scheme: vclock.FlatSingle}, Ranks: len(blobs)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// changes runs act, which must emit or end the stream: the change
+			// channel handed out before it is open until then, and closed after.
+			changes := func(what string, act func()) {
+				t.Helper()
+				_, _, changed := l.Events(0)
+				select {
+				case <-changed:
+					t.Fatalf("%s: the change channel closed early", what)
+				default:
+				}
+				act()
+				select {
+				case <-changed:
+				default:
+					t.Fatalf("%s: the change channel is still open", what)
+				}
+			}
+			state := func(want string) {
+				t.Helper()
+				if got := l.Status().State; got != want {
+					t.Fatalf("status %q, want %q", got, want)
+				}
+			}
+			state("open")
+			last := len(blobs) - 1
+			for r, b := range blobs[:last] {
+				if err := l.FeedChunk(r, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			changes("the last header", func() {
+				if err := l.FeedChunk(last, blobs[last]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			state("running")
+			if ending == "done" {
+				changes("finalize", func() {
+					if _, err := l.Finalize(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				})
+			} else {
+				changes("abort", func() { l.Abort(context.Canceled) })
+				if _, err := l.Finalize(context.Background()); err == nil {
+					t.Fatal("an aborted session finalized")
+				}
+			}
+			state(ending)
+
+			evs, ended, _ := l.Events(0)
+			if ended {
+				t.Fatal("the stream ended before EndStream")
+			}
+			for i, ev := range evs {
+				if ev.Seq != uint64(i+1) {
+					t.Fatalf("event %d has sequence number %d", i, ev.Seq)
+				}
+			}
+			if first := evs[0].State; first == nil || first.State != "open" {
+				t.Fatalf("first event %+v, want the open state", evs[0])
+			}
+			if fin := evs[len(evs)-1].State; fin == nil || fin.State != ending {
+				t.Fatalf("last event %+v, want the %s state", evs[len(evs)-1], ending)
+			}
+			changes("EndStream", l.EndStream)
+			l.EndStream() // idempotent
+			for k := 0; k <= len(evs)+1; k++ {
+				got, ended, _ := l.Events(uint64(k))
+				if want := evs[min(k, len(evs)):]; !reflect.DeepEqual(got, want) || !ended {
+					t.Fatalf("Events(%d) = %d events (ended %v), want the %d after it", k, len(got), ended, len(want))
+				}
+			}
+		})
+	}
 }
 
 // chunkPlan slices each rank's bytes into size-byte chunks and
@@ -512,19 +622,9 @@ func TestFinishedLiveDropsWindowState(t *testing.T) {
 	// the finalized Live keeps reachable, and the windows it closed.
 	retained := func(t *testing.T, window float64, ending string) (heap, closed int64) {
 		setEmitEvery(t, time.Millisecond) // the wait below is on a mid-run frontier event
-		var windows atomic.Int64
-		var swept atomic.Bool // the frontier has passed most of the run
 		l, err := NewLive(LiveConfig{
 			Config: Config{Scheme: vclock.FlatSingle, Obs: obs.NewRecorder()}, Ranks: len(images),
 			WindowSec: window,
-			OnEvent: func(ev StreamEvent) {
-				if ev.Window != nil && ev.Window.Closed {
-					windows.Add(1)
-				}
-				if f := ev.Frontier; f != nil && f.ProgressValid && f.Progress > 60 {
-					swept.Store(true)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -540,11 +640,11 @@ func TestFinishedLiveDropsWindowState(t *testing.T) {
 		if ending != "done" {
 			// Let the sweep reach the end of what arrived and the scheduler
 			// close the windows behind it.
-			for deadline := time.Now().Add(10 * time.Second); !swept.Load(); time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("the frontier did not pass 60 s of the run in 10 s")
-				}
+			swept := func(ev StreamEvent) bool {
+				f := ev.Frontier
+				return f != nil && f.ProgressValid && f.Progress > 60
 			}
+			awaitEvent(t, l, swept, "the frontier did not pass 60 s of the run")
 		}
 		if ending == "aborted" {
 			l.Abort(context.Canceled)
@@ -559,10 +659,23 @@ func TestFinishedLiveDropsWindowState(t *testing.T) {
 		if _, ok := l.RankLocation(1); !ok {
 			t.Fatal("the finished session forgot a rank's location")
 		}
+		var windows int64
+		events, _, _ := l.Events(0)
+		for _, ev := range events {
+			if ev.Window != nil && ev.Window.Closed {
+				windows++
+			}
+		}
+		// The stream history holds an event per window by design: it is
+		// what a reader replays. Everything else must not grow with them.
+		l.emitMu.Lock()
+		l.events = nil
+		l.emitMu.Unlock()
+		events = nil
 		with := settled()
 		runtime.KeepAlive(l)
 		l = nil
-		return with - settled(), windows.Load()
+		return with - settled(), windows
 	}
 	for _, ending := range []string{"done", "failed", "aborted"} {
 		t.Run(ending, func(t *testing.T) {
@@ -588,17 +701,8 @@ func TestFinishedLiveDropsWindowState(t *testing.T) {
 func TestLiveDepositWindowCap(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle}
 	blobs := encodeTraces(t, liveTraces())
-	var failed []string
-	var l *Live
-	held := 0 // windows in the sink when the session failed; Finalize drops the sink
-	l, err := NewLive(LiveConfig{Config: cfg, Ranks: 3, WindowSec: 1e-9, OnEvent: func(ev StreamEvent) {
-		if ev.State != nil && ev.State.State == "failed" {
-			failed = append(failed, ev.State.Error)
-			l.sink.mu.Lock()
-			held = len(l.sink.cur)
-			l.sink.mu.Unlock()
-		}
-	}})
+	setEmitEvery(t, time.Hour) // no drain empties the sink before it is read below
+	l, err := NewLive(LiveConfig{Config: cfg, Ranks: 3, WindowSec: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +712,20 @@ func TestLiveDepositWindowCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	isFailed := func(ev StreamEvent) bool { return ev.State != nil && ev.State.State == "failed" }
+	awaitEvent(t, l, isFailed, "the session did not fail")
+	// Windows in the sink once the session failed; Finalize drops the sink.
+	l.sink.mu.Lock()
+	held := len(l.sink.cur)
+	l.sink.mu.Unlock()
 	_, err = l.Finalize(context.Background())
+	var failed []string
+	events, _, _ := l.Events(0)
+	for _, ev := range events {
+		if isFailed(ev) {
+			failed = append(failed, ev.State.Error)
+		}
+	}
 	// Whichever worker scores its first wait first: rank 1's Late Sender
 	// [1, 4) or the Late Receiver rank 0 detects for rank 2, [2, 6).
 	want := regexp.MustCompile(`^replay: rank [01]: wait interval \[[12], [46]\) spans [34]00000000\d stream windows of 1e-09 s \(limit 65536\)$`)

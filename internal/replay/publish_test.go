@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,12 +50,28 @@ func sweptTime(a *analyzer, tr *trace.Trace, r int) float64 {
 	return math.Inf(-1)
 }
 
+// sweepLagEvents is what metascope_stream_sweep_lag_events must read once
+// the sweeps have settled: the largest gap between a rank's published and
+// swept event counts over the ranks still sweeping (a finite published
+// time), taken from the logs and the steppers.
+func sweepLagEvents(l *Live, a *analyzer) float64 {
+	lag := 0
+	for r, lr := range l.ranks {
+		if p := math.Float64frombits(a.progress[r].Load()); !math.IsInf(p, 0) {
+			lag = max(lag, lr.log.published()-a.steppers[r].i)
+		}
+	}
+	return float64(lag)
+}
+
 // TestLiveFrontierLowerBound: with one rank's chunks held back, the
 // frontier is not valid until that rank has swept an event; after that it
 // never decreases and never exceeds the held rank's published time, which
 // is the corrected time of the last event that rank swept once it has
 // settled — a lower bound that does not run ahead. Finalize still closes
-// every window, and the sweep-lag gauge is never negative.
+// every window, the sweep-lag gauge in seconds is never negative, and the
+// one in events reads what the logs and the steppers say, 0 once every
+// sweep is over.
 func TestLiveFrontierLowerBound(t *testing.T) {
 	traces := exchangeTraces(8)
 	const held = 2 // rank 0 receives its rendezvous message
@@ -71,25 +85,17 @@ func TestLiveFrontierLowerBound(t *testing.T) {
 	}
 
 	rec := obs.NewRecorder()
-	sweepLag := newStreamMetrics(rec).sweepLag
-	var mu sync.Mutex
-	var events []StreamEvent
+	m := newStreamMetrics(rec)
 	setEmitEvery(t, time.Hour) // the drain loop never ticks: the test drains, between feeds
 	l, err := NewLive(LiveConfig{
 		Config: Config{Scheme: vclock.FlatSingle, Obs: rec}, Ranks: len(traces),
 		WindowSec: 2,
-		OnEvent: func(ev StreamEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lastFrontier := func() *FrontierEvent {
-		mu.Lock()
-		defer mu.Unlock()
+		events, _, _ := l.Events(0)
 		for k := len(events) - 1; k >= 0; k-- {
 			if f := events[k].Frontier; f != nil {
 				return f
@@ -129,8 +135,11 @@ func TestLiveFrontierLowerBound(t *testing.T) {
 			}
 			prev, valid = f.Progress, true
 		}
-		if v := sweepLag.Value(); !(v >= 0) || math.IsInf(v, 0) {
+		if v := m.sweepLag.Value(); !(v >= 0) || math.IsInf(v, 0) {
 			t.Fatalf("%s: metascope_stream_sweep_lag_seconds = %g", stage, v)
+		}
+		if got, want := m.sweepLagEvents.Value(), sweepLagEvents(l, a); got != want {
+			t.Fatalf("%s: metascope_stream_sweep_lag_events = %g, want %g", stage, got, want)
 		}
 	}
 	check("header only")
@@ -149,10 +158,14 @@ func TestLiveFrontierLowerBound(t *testing.T) {
 	if _, err := l.Finalize(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if v := m.sweepLagEvents.Value(); v != 0 {
+		t.Errorf("after every sweep is over: metascope_stream_sweep_lag_events = %g, want 0", v)
+	}
 
 	// A window is closed by a window event that says so, or by the last
 	// frontier's closed_through.
 	touched, closed := map[int64]bool{}, map[int64]bool{}
+	events, _, _ := l.Events(0)
 	for _, ev := range events {
 		if w := ev.Window; w != nil {
 			touched[w.Index] = true
@@ -177,14 +190,16 @@ func TestLiveFrontierLowerBound(t *testing.T) {
 func TestLiveIdleStreamStill(t *testing.T) {
 	traces := exchangeTraces(8)
 	const held = 2
-	var events atomic.Int64
 	setEmitEvery(t, time.Millisecond)
 	l, err := NewLive(LiveConfig{
 		Config: Config{Scheme: vclock.FlatSingle}, Ranks: len(traces),
-		OnEvent: func(StreamEvent) { events.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	emitted := func() int {
+		events, _, _ := l.Events(0)
+		return len(events)
 	}
 	for r, tr := range traces {
 		img := v2Blocks(t, tr, 8, blockCounts(len(tr.Events), 8)...)
@@ -197,9 +212,9 @@ func TestLiveIdleStreamStill(t *testing.T) {
 	}
 	settle(t, l)
 	time.Sleep(20 * time.Millisecond) // a drain reports the settled frontier
-	before := events.Load()
+	before := emitted()
 	time.Sleep(50 * time.Millisecond)
-	if idle := events.Load() - before; idle != 0 {
+	if idle := emitted() - before; idle != 0 {
 		t.Errorf("an idle session emitted %d events in 50 drain periods, want 0", idle)
 	}
 	l.Abort(context.Canceled)

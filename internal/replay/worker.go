@@ -434,8 +434,11 @@ type analyzer struct {
 	// +Inf once it is done. A rank publishes when a step returns and every
 	// 1024 events (stepper.publish), so the value is a lower bound on its
 	// sweep that lags it by at most one step and never runs ahead; the
-	// minimum over the ranks is the window-close frontier.
-	progress []atomic.Uint64
+	// minimum over the ranks is the window-close frontier. sweptEvents
+	// holds, from the same publication, how many events the rank had
+	// swept.
+	progress    []atomic.Uint64
+	sweptEvents []atomic.Int64
 
 	mailboxes []*mailbox
 
@@ -774,9 +777,9 @@ func (st *stepper) step() park {
 // returns and at the sweep's 1024-event poll: it folds what the sweep
 // scored since the previous publication into the window sink, then
 // publishes the corrected time of the last event swept as the rank's
-// frontier. A window the frontier passes therefore holds every deposit
-// the rank's sweep made into it up to there. Post-mortem there is neither
-// sink nor frontier.
+// frontier, and the number of events swept. A window the frontier passes
+// therefore holds every deposit the rank's sweep made into it up to
+// there. Post-mortem there is neither sink nor frontier.
 func (st *stepper) publish() {
 	a := st.a
 	if a.progress == nil {
@@ -784,6 +787,7 @@ func (st *stepper) publish() {
 	}
 	a.sink.fold(&st.rr, &st.folded, &st.foldedRecv)
 	a.progress[st.rank].Store(math.Float64bits(st.swept))
+	a.sweptEvents[st.rank].Store(int64(st.i))
 }
 
 // sweep runs the events of one step. A blocked event has had none of its

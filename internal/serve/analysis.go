@@ -145,7 +145,7 @@ func (s *Server) settle(f feeder, res *replay.Result, err, cause error) {
 // the first s.keep finished analyses it meets and evicts every older one,
 // job or session, done, failed or cancelled alike. Eviction drops the
 // record from the store, and with it the result, the profile and a
-// session's event log; a queued, running, open or finalizing analysis
+// session's stream history; a queued, running, open or finalizing analysis
 // is never evicted. s.mu held.
 func (s *Server) retain() {
 	kept, n := 0, len(s.order)

@@ -34,14 +34,13 @@ import (
 // every grid pattern.
 
 // session is one live analysis session: the analysis record plus the
-// engine that feeds it, the stream it publishes and the chunk-protocol
-// table, which alone carries locks of its own.
+// engine that feeds it — and keeps the stream it publishes — and the
+// chunk-protocol table, which alone carries locks of its own.
 type session struct {
 	analysis
 	window float64
 
 	live  *replay.Live
-	log   *eventLog
 	ranks []sessRank
 
 	cause error // why the session was stopped; nil while it runs its course
@@ -96,8 +95,9 @@ func (s *Server) sessionStatus(sess *session, detail bool) SessionStatus {
 		AgeSeconds:      time.Since(sess.created).Seconds(),
 		HeadersComplete: ls.Headers, RanksFinished: ls.RanksFinished,
 		BytesIngested: ls.BytesIngested, EventsIngested: ls.EventsIngested,
-		Events: sess.log.len(),
 	}
+	evs, _, _ := sess.live.Events(0)
+	st.Events = uint64(len(evs))
 	s.mu.Lock()
 	st.State, st.Error = string(sess.state), sess.err
 	s.mu.Unlock()
@@ -139,7 +139,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		window = d.Seconds()
 	}
-	sess := &session{window: window, log: newEventLog(), ranks: make([]sessRank, ranks)}
+	sess := &session{window: window, ranks: make([]sessRank, ranks)}
 
 	// Counting the open sessions and registering the new one is one
 	// critical section: MaxSessions holds under concurrent creates.
@@ -174,7 +174,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		},
 		Ranks:     ranks,
 		WindowSec: window,
-		OnEvent:   sess.log.append,
 	})
 	if s.opts.SessionIdleTimeout > 0 {
 		sess.idle = time.AfterFunc(s.opts.SessionIdleTimeout, func() { s.expire(sess) })
@@ -454,7 +453,7 @@ func (s *Server) reapSession(sess *session) {
 			s.settle(sess, res, err, sess.cause)
 			state, errMsg := sess.state, sess.err
 			s.mu.Unlock()
-			sess.log.markDone()
+			sess.live.EndStream()
 			if state == StateDone {
 				s.rec.Log.Info("live session done", "id", sess.id)
 			} else {

@@ -343,7 +343,9 @@ func (t *Trace) Encode(w io.Writer) error {
 
 // DecodeBytes decodes one trace from an in-memory MSCP image. It fails
 // with ErrBadMagic on foreign input and with a descriptive error on
-// truncation or corruption.
+// truncation or corruption. A v1 image's events also pass the checks
+// (*Trace).Validate applies, with NextInto's messages and precedence; a
+// v2 image's are left to Validate (BlockReader.Next).
 func DecodeBytes(data []byte) (*Trace, error) { return DecodeBytesInterned(data, nil) }
 
 // DecodeBytesInterned is DecodeBytes with the trace's strings (region
@@ -367,12 +369,22 @@ func DecodeBytesInterned(data []byte, in *Interner) (*Trace, error) {
 		// trace round-trips to a nil slice, not an empty one.
 		t.Events = make([]Event, ne)
 	}
+	// Each event passes the checks NextInto runs on a v2 block as it is
+	// decoded, and a fault is reported in v2's order: the first bad
+	// event, then bytes after the last one, then regions left open.
+	v := NewStreamValidator(t)
 	for i := range t.Events {
 		if err := decodeEvent(d, i, &t.Events[i]); err != nil {
 			return nil, err
 		}
+		if err := v.Event(&t.Events[i]); err != nil {
+			return nil, err
+		}
 	}
 	if err := trailing(d, t, len(t.Events)); err != nil {
+		return nil, err
+	}
+	if err := v.Close(); err != nil {
 		return nil, err
 	}
 	return t, nil

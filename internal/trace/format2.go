@@ -688,8 +688,8 @@ func (r *BlockReader) BlockSize() int { return r.bs }
 
 // Next decodes the next block into dst and returns the number of
 // events written, or io.EOF once every declared event was decoded. It
-// does not validate the events: the one-shot decode leaves that to
-// (*Trace).Validate, as it does for v1.
+// does not validate the events: the one-shot v2 decode leaves that to
+// (*Trace).Validate.
 func (r *BlockReader) Next(dst []Event) (int, error) {
 	if r.decoded >= r.total {
 		return 0, io.EOF

@@ -102,9 +102,22 @@ func TestV2RoundTripOddBlockSizes(t *testing.T) {
 }
 
 // TestV2MatchesV1 pins the formats to the same model: any trace must
-// decode identically from its v1 and v2 encodings.
+// decode identically from its v1 and v2 encodings. The v1 decode
+// validates, so the regions synthTrace leaves open are closed.
 func TestV2MatchesV1(t *testing.T) {
 	tr := synthTrace(42, 500)
+	depth := 0
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case KindEnter:
+			depth++
+		case KindExit:
+			depth--
+		}
+	}
+	for ; depth > 0; depth-- {
+		tr.Events = append(tr.Events, Event{Kind: KindExit, Time: tr.Events[len(tr.Events)-1].Time, Region: 1})
+	}
 	var v1, v2 bytes.Buffer
 	if err := tr.EncodeFormat(&v1, FormatV1); err != nil {
 		t.Fatal(err)

@@ -219,15 +219,20 @@ func v2KindColumns(t testing.TB, data []byte) (kinds []int) {
 	return kinds
 }
 
+// ingestFault is an image carrying a fault and the message that refuses
+// it; v1 carries the same fault in a v1 image, nil where v1 cannot (the
+// framing, column and count faults).
+type ingestFault struct {
+	name, want string
+	img, v1    []byte
+}
+
 // ingestFaults are images that each carry one fault past the header, or
 // two in one block — there the first of the stated precedence must be
 // the one reported: framing, columns and kinds; then more events than
 // declared; then bytes after the last declared event; then the first
 // invalid event; then regions left open.
-func ingestFaults(t testing.TB) []struct {
-	name, want string
-	img        []byte
-} {
+func ingestFaults(t testing.TB) []ingestFault {
 	const bs = 4
 	encode := func(tr *Trace) []byte {
 		var buf bytes.Buffer
@@ -235,6 +240,17 @@ func ingestFaults(t testing.TB) []struct {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
+	}
+	encodeV1 := func(tr *Trace) []byte {
+		var buf bytes.Buffer
+		if err := tr.EncodeFormat(&buf, FormatV1); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// both is a fault in the events alone, which either format carries.
+	both := func(name, want string, tr *Trace) ingestFault {
+		return ingestFault{name, want, encode(tr), encodeV1(tr)}
 	}
 	edit := func(fn func(evs []Event) []Event) *Trace {
 		tr := validTrace(40)
@@ -281,44 +297,41 @@ func ingestFaults(t testing.TB) []struct {
 		return append(head[:hr.start:hr.start], img[r.start:]...)
 	}
 	unclosed := edit(func(evs []Event) []Event { return evs[:len(evs)-1] })
-	faults := []struct {
-		name, want string
-		img        []byte
-	}{
-		{"clean", "", encode(validTrace(40))},
-		{"non-monotone time", fmt.Sprintf("trace %v: event 9 time 0.5 before predecessor %g", loc, validTrace(40).Events[8].Time),
-			encode(badTime(9, 0.5))},
-		{"nan time", fmt.Sprintf("trace %v: event 9 has non-finite time NaN", loc), encode(badTime(9, math.NaN()))},
-		{"+inf last time", fmt.Sprintf("trace %v: event %d has non-finite time +Inf", loc, n-1), encode(badTime(n-1, math.Inf(1)))},
-		{"-inf first time", fmt.Sprintf("trace %v: event 0 has non-finite time -Inf", loc), encode(badTime(0, math.Inf(-1)))},
-		{"unknown region", fmt.Sprintf("trace %v: event 12 enters unknown region 7", loc),
-			encode(edit(func(evs []Event) []Event { evs[12].Region = 7; return evs }))},
-		{"exit without enter", fmt.Sprintf("trace %v: event 0 exit without matching enter", loc),
-			encode(edit(func(evs []Event) []Event { return evs[2:] }))},
-		{"send outside any region", fmt.Sprintf("trace %v: event 0 SEND outside any region", loc),
-			encode(edit(func(evs []Event) []Event { return evs[1:] }))},
-		{"send between regions", fmt.Sprintf("trace %v: event 3 SEND outside any region", loc),
-			encode(edit(func(evs []Event) []Event {
+	faults := []ingestFault{
+		both("clean", "", validTrace(40)),
+		both("non-monotone time", fmt.Sprintf("trace %v: event 9 time 0.5 before predecessor %g", loc, validTrace(40).Events[8].Time),
+			badTime(9, 0.5)),
+		both("nan time", fmt.Sprintf("trace %v: event 9 has non-finite time NaN", loc), badTime(9, math.NaN())),
+		both("+inf last time", fmt.Sprintf("trace %v: event %d has non-finite time +Inf", loc, n-1), badTime(n-1, math.Inf(1))),
+		both("-inf first time", fmt.Sprintf("trace %v: event 0 has non-finite time -Inf", loc), badTime(0, math.Inf(-1))),
+		both("unknown region", fmt.Sprintf("trace %v: event 12 enters unknown region 7", loc),
+			edit(func(evs []Event) []Event { evs[12].Region = 7; return evs })),
+		both("exit without enter", fmt.Sprintf("trace %v: event 0 exit without matching enter", loc),
+			edit(func(evs []Event) []Event { return evs[2:] })),
+		both("send outside any region", fmt.Sprintf("trace %v: event 0 SEND outside any region", loc),
+			edit(func(evs []Event) []Event { return evs[1:] })),
+		both("send between regions", fmt.Sprintf("trace %v: event 3 SEND outside any region", loc),
+			edit(func(evs []Event) []Event {
 				send := Event{Kind: KindSend, Time: evs[2].Time, Peer: 1, Tag: 7, Bytes: 8}
 				return append(evs[:3:3], append([]Event{send}, evs[3:]...)...)
-			}))},
-		{"exit past the last region", fmt.Sprintf("trace %v: event %d exit without matching enter", loc, n),
-			encode(edit(func(evs []Event) []Event { return append(evs, Event{Kind: KindExit, Time: evs[n-1].Time}) }))},
-		{"unclosed regions", fmt.Sprintf("trace %v: 1 unclosed region(s) at end of trace", loc), encode(unclosed)},
+			})),
+		both("exit past the last region", fmt.Sprintf("trace %v: event %d exit without matching enter", loc, n),
+			edit(func(evs []Event) []Event { return append(evs, Event{Kind: KindExit, Time: evs[n-1].Time}) })),
+		both("unclosed regions", fmt.Sprintf("trace %v: 1 unclosed region(s) at end of trace", loc), unclosed),
 		// Two faults in one block: the corrupt columns win over the bad
 		// time, more events than declared over the bad time, trailing
 		// bytes over the open regions, the bad time over the open regions.
-		{"columns and bad time", "trace: corrupt event block: columns do not match the kinds they serve",
-			kindToSend(encode(badTime(10, 0.5)), 2)},
-		{"over-declared and bad time", fmt.Sprintf("trace %v: blocks hold more events than the declared count %d", loc, n-1),
-			declare(encode(badTime(n-1, 0.5)), n-1)},
-		{"trailing bytes and unclosed regions", fmt.Sprintf("trace %v: 1 trailing byte(s) after %d declared events", loc, n-1),
-			append(encode(unclosed), 0)},
-		{"bad time and unclosed regions", fmt.Sprintf("trace %v: event %d time 0.5 before predecessor %g", loc, n-2, validTrace(40).Events[n-3].Time),
-			encode(edit(func(evs []Event) []Event { evs[n-2].Time = 0.5; return evs[:n-1] }))},
+		{name: "columns and bad time", want: "trace: corrupt event block: columns do not match the kinds they serve",
+			img: kindToSend(encode(badTime(10, 0.5)), 2)},
+		{name: "over-declared and bad time", want: fmt.Sprintf("trace %v: blocks hold more events than the declared count %d", loc, n-1),
+			img: declare(encode(badTime(n-1, 0.5)), n-1)},
+		{name: "trailing bytes and unclosed regions", want: fmt.Sprintf("trace %v: 1 trailing byte(s) after %d declared events", loc, n-1),
+			img: append(encode(unclosed), 0), v1: append(encodeV1(unclosed), 0)},
+		both("bad time and unclosed regions", fmt.Sprintf("trace %v: event %d time 0.5 before predecessor %g", loc, n-2, validTrace(40).Events[n-3].Time),
+			edit(func(evs []Event) []Event { evs[n-2].Time = 0.5; return evs[:n-1] })),
 		// In stream order, a fault in an earlier block comes first.
-		{"bad time, then corrupt columns", fmt.Sprintf("trace %v: event 5 time 0.5 before predecessor %g", loc, validTrace(40).Events[4].Time),
-			kindToSend(encode(badTime(5, 0.5)), 4)},
+		{name: "bad time, then corrupt columns", want: fmt.Sprintf("trace %v: event 5 time 0.5 before predecessor %g", loc, validTrace(40).Events[4].Time),
+			img: kindToSend(encode(badTime(5, 0.5)), 4)},
 	}
 	return faults
 }
@@ -363,6 +376,23 @@ func FuzzIngestDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkIngestAgrees(t, "fuzz input", data, len(data) <= 1<<12)
 	})
+}
+
+// TestOneShotV1DecodeRefusesFaults: the one-shot decode of a v1 image
+// runs NextInto's checks as it goes, so every fault a v1 image can carry
+// is refused with the message the v2 image of the same events gets, and a
+// command that only decodes (metascope trace, timeline) refuses the file
+// an analysis refuses.
+func TestOneShotV1DecodeRefusesFaults(t *testing.T) {
+	for _, f := range ingestFaults(t) {
+		if f.v1 == nil {
+			continue
+		}
+		_, err := DecodeBytes(f.v1)
+		if got := fmt.Sprint(err); (err == nil) != (f.want == "") || err != nil && got != f.want {
+			t.Errorf("%s: DecodeBytes err = %v, want %q", f.name, err, f.want)
+		}
+	}
 }
 
 // TestOneShotDecodeRefusesTrailingBytes: the one-shot decode refuses

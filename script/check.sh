@@ -144,14 +144,44 @@ fi
 # A live rank publishes in one place, stepper.publish, taken when a step
 # returns and at the sweep's 1024-event poll: it folds what the sweep
 # scored since the last publication into the window sink, then stores the
-# rank's frontier; finish stores +Inf for a rank that is done. A frontier
-# store or a sink deposit anywhere else — in the sweep's per-event switch
-# above all — is a publication per event creeping back.
+# rank's frontier and swept event count; finish stores +Inf for a rank
+# that is done. A frontier or swept-count store or a sink deposit anywhere
+# else — in the sweep's per-event switch above all — is a publication per
+# event creeping back.
 echo "== one publication point"
 for f in internal/replay/*.go; do
 	case "$f" in *_test.go) continue ;; esac
-	if awk '/^func /{fn=$0} /progress\[[^]]*\]\.Store\(|sink\.(fold|add|deposit[A-Za-z]*)\(/{ if (fn !~ /^func \(st \*stepper\) (publish|finish)\(/) { print FILENAME ":" FNR ": " $0; bad=1 } } END{exit !bad}' "$f"; then
+	if awk '/^func /{fn=$0} /(progress|sweptEvents)\[[^]]*\]\.Store\(|sink\.(fold|add|deposit[A-Za-z]*)\(/{ if (fn !~ /^func \(st \*stepper\) (publish|finish)\(/) { print FILENAME ":" FNR ": " $0; bad=1 } } END{exit !bad}' "$f"; then
 		echo "check: $f stores a rank's frontier or deposits into the window sink outside stepper.publish and stepper.finish" >&2
+		exit 1
+	fi
+done
+
+# A live session's facts are kept once. The engine, replay.Live, keeps
+# the stream it emits (Live.Events) and reads a rank's ingested count and
+# last ingested time from the rank's log; serve keeps the SSE framing, the
+# resume point and the chunk protocol. A callback in LiveConfig, a type in
+# serve that holds stream events, or an event counter or an ingest time in
+# liveRank is a second copy of the stream or of the log creeping back.
+echo "== one session record"
+structbody() { # file, type: the lines inside the struct's braces
+	awk -v t="$2" '$0 ~ "^type " t " struct [{]" { inb = 1; next } inb && /^}/ { inb = 0 } inb' "$1"
+}
+if structbody internal/replay/live.go LiveConfig | grep -n -E '^[[:space:]]*[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]func[[:space:]]*\('; then
+	echo "check: replay.LiveConfig declares a func field: a session's owner reads the stream it keeps (Live.Events)" >&2
+	exit 1
+fi
+if structbody internal/replay/live.go liveRank | grep -n -E '^[[:space:]]*([A-Za-z0-9_]+,[[:space:]]*)*[A-Za-z0-9_]*([Ee]vent|[Ii]ngest)[A-Za-z0-9_]*[[:space:],]'; then
+	echo "check: liveRank declares an event counter or an ingest time: read the rank log's published count and bounds" >&2
+	exit 1
+fi
+for f in internal/serve/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if awk '/^type / { inb = /[{(]$/; if (/replay\.StreamEvent/) { print FILENAME ":" FNR ": " $0; bad = 1 }; next }
+		inb && /^[})]/ { inb = 0 }
+		inb && /replay\.StreamEvent/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+		END { exit !bad }' "$f"; then
+		echo "check: $f declares a type that holds stream events: the engine keeps the stream (replay.Live.Events)" >&2
 		exit 1
 	fi
 done
