@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"metascope/internal/conformance"
 	"metascope/internal/pattern"
@@ -197,6 +202,44 @@ func TestPhasesDiffWritesComparison(t *testing.T) {
 	if cmp.Mode != "match" || cmp.Regressions == 0 {
 		t.Errorf("written comparison mode=%q regressions=%d, want match mode with regressions",
 			cmp.Mode, cmp.Regressions)
+	}
+}
+
+// TestProfileDiffRefusesBadAxes: diff -profile ends at once with an
+// error on two axes that differ — widths 0 and 1 have no power of two
+// in common — and on an artifact declaring more than profile.MaxBuckets
+// buckets.
+func TestProfileDiffRefusesBadAxes(t *testing.T) {
+	dir := t.TempDir()
+	artifact := func(name string, width float64, buckets int) string {
+		path := filepath.Join(dir, name)
+		doc := fmt.Sprintf(`{"origin":0,"bucket_width":%g,"buckets":%d,"series":[{"metric":"m","metahost":0,"rank":0,"count":1,"values":[1]}]}`, width, buckets)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	zero, one := artifact("zero.json", 0, 1), artifact("one.json", 1, 1)
+	huge := artifact("huge.json", 1, profile.MaxBuckets+1)
+	for _, c := range []struct {
+		a, b, want string
+	}{
+		{zero, one, "profile: time axes differ (1 buckets of 0s from 0s vs 1 buckets of 1s from 0s)"},
+		{huge, huge, "profile: invalid artifact: buckets=65537 (limit 65536)"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := dispatch(context.Background(), []string{"diff", "-profile", c.a, c.b}, io.Discard, io.Discard)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("diff -profile %s %s: err %v, want %q", filepath.Base(c.a), filepath.Base(c.b), err, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("diff -profile %s %s still running after 5 s", filepath.Base(c.a), filepath.Base(c.b))
+		}
 	}
 }
 

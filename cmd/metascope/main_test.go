@@ -78,6 +78,12 @@ func TestDispatch(t *testing.T) {
 			cmds:    slices.Concat(measure, [][]string{{"print", "-trace-out", "DIR/flight", "DIR/analysis.cube"}}),
 			wantDir: "flight/metascope/epik_flight"},
 		{name: "serve-drains", cmds: [][]string{{"serve", "-addr", "127.0.0.1:0"}}, cancel: true},
+		// A request picks its scheme with ?scheme=; the server has no default to set.
+		{name: "serve-no-scheme-flag", cmds: [][]string{{"serve", "-addr", "127.0.0.1:0", "-scheme", "flat1"}},
+			cancel: true, wantErr: errUsage.Error(), wantLog: []string{"flag provided but not defined: -scheme"}},
+		{name: "analyze-profile-buckets-over-limit",
+			cmds:    slices.Concat(measure, [][]string{{"analyze", "-in", "DIR", "-profile-buckets", "65537"}}),
+			wantErr: "profile bucket count 65537 is above the limit of 65536"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

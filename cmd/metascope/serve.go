@@ -12,7 +12,6 @@ import (
 
 	"metascope/internal/obs"
 	"metascope/internal/serve"
-	"metascope/internal/vclock"
 )
 
 // serveVerb is serve, the analysis service: it accepts experiment
@@ -50,7 +49,6 @@ func serveVerb(fs *flag.FlagSet) verbFunc {
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job analysis time budget (negative disables)")
 	root := fs.String("root", "", "directory for ?path= submissions (empty: upload only)")
 	maxUpload := fs.Int64("max-upload", serve.DefaultMaxUploadBytes, "decompressed byte budget of one uploaded bundle")
-	schemeFlag := fs.String("scheme", "hier", "default time-stamp synchronization: flat1 | flat2 | hier")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget after SIGTERM")
 	flightOn := fs.Bool("flight", false, "enable the flight recorder; per-job traces on GET /v1/jobs/{id}/trace")
 	flightEvents := fs.Int("flight-events", 0, "flight-recorder ring capacity per actor (0: default)")
@@ -58,10 +56,6 @@ func serveVerb(fs *flag.FlagSet) verbFunc {
 	sessionIdle := fs.Duration("session-idle-timeout", 10*time.Minute, "abort a live session untouched for this long (negative disables)")
 	window := fs.Duration("window", time.Second, "default live-session severity window width")
 	return func(ctx context.Context, _ []string, _ io.Writer) error {
-		scheme, err := vclock.ParseScheme(*schemeFlag)
-		if err != nil {
-			return err
-		}
 		rec := obs.Default
 		srv := serve.New(serve.Options{
 			Workers:            *workers,
@@ -70,7 +64,6 @@ func serveVerb(fs *flag.FlagSet) verbFunc {
 			JobTimeout:         *jobTimeout,
 			Root:               *root,
 			MaxUploadBytes:     *maxUpload,
-			Scheme:             scheme,
 			Flight:             *flightOn,
 			FlightEvents:       *flightEvents,
 			MaxSessions:        *maxSessions,

@@ -57,9 +57,9 @@ func (p *Profile) Metrics() []string {
 
 // SeriesTotal sums the bucket values of every series carrying the
 // given metric at the given rank (rank < 0 matches every rank). The
-// interval accumulator only ever folds buckets together, so this total
-// equals the sum of the severities fed into the profile — the property
-// the conformance oracle cross-checks against the cube.
+// accumulator keeps every sample's whole value on its axis, so this
+// total equals the sum of the severities fed into the profile — the
+// property the conformance oracle cross-checks against the cube.
 func (p *Profile) SeriesTotal(metric string, rank int) float64 {
 	total := 0.0
 	for _, s := range p.Series {
@@ -243,8 +243,8 @@ func Read(r io.Reader) (*Profile, error) {
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: decoding artifact: %w", err)
 	}
-	if p.Buckets < 0 || p.BucketWidth < 0 {
-		return nil, fmt.Errorf("profile: invalid artifact: buckets=%d width=%g", p.Buckets, p.BucketWidth)
+	if p.Buckets < 0 || p.Buckets > MaxBuckets || p.BucketWidth < 0 {
+		return nil, fmt.Errorf("profile: invalid artifact: buckets=%d (limit %d) width=%g", p.Buckets, MaxBuckets, p.BucketWidth)
 	}
 	for i, s := range p.Series {
 		if len(s.Values) > p.Buckets {
@@ -254,54 +254,26 @@ func Read(r io.Reader) (*Profile, error) {
 	return &p, nil
 }
 
-// foldValues halves the resolution of a bucket row k times.
-func foldValues(vals []float64, buckets, k int) []float64 {
-	out := make([]float64, buckets)
-	copy(out, vals)
-	s := series{width: 1, sums: out}
-	s.fold(k)
-	return s.sums
-}
-
-// Diff compares two profiles interval-by-interval and returns a − b as
-// a new profile. The time axes are aligned by folding the finer
-// profile's buckets; the widths must therefore be related by a power
-// of two (which holds for any two runs of the same configuration), the
-// origins must match, and the bucket counts must be equal. Series
+// Diff compares two profiles interval by interval and returns a − b as
+// a new profile. The two must share one time axis — bucket count,
+// origin and width — which two analyses of one archive under one
+// scheme and one bucket count do; anything else is refused, since no
+// interval of one profile then matches an interval of the other. Series
 // present on only one side diff against zero.
 func Diff(a, b *Profile) (*Profile, error) {
-	if a.Buckets != b.Buckets {
-		return nil, fmt.Errorf("profile: bucket counts differ (%d vs %d)", a.Buckets, b.Buckets)
-	}
-	if a.Origin != b.Origin {
-		return nil, fmt.Errorf("profile: origins differ (%g vs %g)", a.Origin, b.Origin)
-	}
-	wA, wB := a.BucketWidth, b.BucketWidth
-	foldA, foldB := 0, 0
-	for wA < wB {
-		wA *= 2
-		foldA++
-	}
-	for wB < wA {
-		wB *= 2
-		foldB++
-	}
-	if wA != wB {
-		return nil, fmt.Errorf("profile: bucket widths %g and %g are not power-of-two related", a.BucketWidth, b.BucketWidth)
+	if a.Buckets != b.Buckets || a.Origin != b.Origin || a.BucketWidth != b.BucketWidth {
+		return nil, fmt.Errorf("profile: time axes differ (%d buckets of %gs from %gs vs %d buckets of %gs from %gs)",
+			a.Buckets, a.BucketWidth, a.Origin, b.Buckets, b.BucketWidth, b.Origin)
 	}
 	out := &Profile{
 		Title:       fmt.Sprintf("%s − %s", a.Title, b.Title),
 		Origin:      a.Origin,
-		BucketWidth: wA,
+		BucketWidth: a.BucketWidth,
 		Buckets:     a.Buckets,
 	}
-	type side struct {
-		s    *Series
-		fold int
-	}
-	bySeries := make(map[Key][2]*side)
+	bySeries := make(map[Key][2]*Series)
 	var keys []Key
-	index := func(p *Profile, fold, which int) {
+	index := func(p *Profile, which int) {
 		for i := range p.Series {
 			s := &p.Series[i]
 			k := Key{Metric: s.Metric, Metahost: s.Metahost, Rank: s.Rank}
@@ -309,30 +281,29 @@ func Diff(a, b *Profile) (*Profile, error) {
 			if !ok {
 				keys = append(keys, k)
 			}
-			pair[which] = &side{s: s, fold: fold}
+			pair[which] = s
 			bySeries[k] = pair
 		}
 	}
-	index(a, foldA, 0)
-	index(b, foldB, 1)
+	index(a, 0)
+	index(b, 1)
 	sortKeys(keys)
 	for _, k := range keys {
 		pair := bySeries[k]
 		row := Series{Metric: k.Metric, Metahost: k.Metahost, Rank: k.Rank}
 		vals := make([]float64, a.Buckets)
 		for which, sign := range []float64{1, -1} {
-			sd := pair[which]
-			if sd == nil {
+			s := pair[which]
+			if s == nil {
 				continue
 			}
 			if row.Name == "" {
-				row.Name, row.Unit, row.MetahostName = sd.s.Name, sd.s.Unit, sd.s.MetahostName
+				row.Name, row.Unit, row.MetahostName = s.Name, s.Unit, s.MetahostName
 			}
-			folded := foldValues(sd.s.Values, a.Buckets, sd.fold)
-			for i, v := range folded {
+			for i, v := range s.Values {
 				vals[i] += sign * v
 			}
-			row.Count += int64(sign) * sd.s.Count
+			row.Count += int64(sign) * s.Count
 		}
 		row.Values = vals
 		out.Series = append(out.Series, row)

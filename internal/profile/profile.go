@@ -8,24 +8,29 @@
 // MPI analyses of Haldar et al. (PAPERS.md): standard severities,
 // resolved over fixed intervals of the synchronized global timeline.
 //
-// The accumulator is streaming with O(1) memory per series: each
-// series holds a fixed number of buckets whose width doubles (folding
-// neighbor pairs) whenever a sample falls beyond the covered range.
-// Because severities are spread over buckets proportionally to
-// interval overlap and folding preserves exactly those sums, the final
-// bucket contents depend only on the sample set and the final width —
-// not on arrival order — which keeps profiles byte-identical across
-// runs of the same deterministic experiment as long as samples are
-// *added in a deterministic order* (floating-point addition is not
-// associative). The replay analyzer therefore defers its samples to
-// per-process logs and feeds one accumulator from them in rank order,
-// on one goroutine.
+// The accumulator has one fixed time axis — origin, bucket width and
+// bucket count, set before the first sample — and O(buckets) memory per
+// series. A sample is spread over the buckets proportionally to
+// interval overlap; a time outside the axis is clamped onto the first
+// or last bucket, so every series keeps the mass it was given. The
+// bucket contents depend only on the sample set and the axis, but
+// floating-point addition is not associative, so profiles are
+// byte-identical across runs only when samples are *added in a
+// deterministic order*. The replay analyzer therefore defers its
+// samples to per-process logs, sizes the axis from the finished run,
+// and feeds one accumulator from the logs in rank order, on one
+// goroutine.
 package profile
 
 import "sort"
 
 // DefaultBuckets is the bucket count used when Config.Buckets is zero.
 const DefaultBuckets = 64
+
+// MaxBuckets bounds the bucket count of a profile: Read refuses an
+// artifact declaring more, and the analyzer a configuration asking for
+// more, so a bucket count never sizes an allocation unchecked.
+const MaxBuckets = 1 << 16
 
 // Metric keys for the built-in message-volume series; wait-state
 // series use the pattern metric keys of the report's metric tree.
@@ -42,12 +47,10 @@ const (
 type Config struct {
 	// Buckets is the fixed bucket count per series (0 = DefaultBuckets).
 	Buckets int
-	// Width is the initial bucket width in seconds; it doubles as
-	// needed to cover the run. Zero selects 1 ms. Callers that know the
-	// run span up front should pass span/Buckets so no folding occurs.
+	// Width is the bucket width in seconds (0 = 1 ms).
 	Width float64
 	// Origin is the global time (in corrected seconds) of bucket 0's
-	// left edge; samples before it are clamped into bucket 0.
+	// left edge.
 	Origin float64
 }
 
@@ -74,69 +77,34 @@ type Key struct {
 }
 
 type series struct {
-	width float64
 	sums  []float64
 	count int64
 }
 
-// fold doubles the bucket width k times, summing neighbor pairs.
-func (s *series) fold(k int) {
-	for ; k > 0; k-- {
-		n := len(s.sums)
-		for i := 0; i < n/2; i++ {
-			s.sums[i] = s.sums[2*i] + s.sums[2*i+1]
-		}
-		if n%2 == 1 {
-			s.sums[n/2] = s.sums[n-1]
-		} else {
-			s.sums[n/2] = 0
-		}
-		for i := n/2 + 1; i < n; i++ {
-			s.sums[i] = 0
-		}
-		s.width *= 2
-	}
-}
-
-// widen grows the width until origin+width*len covers t.
-func (s *series) widen(origin, t float64) {
-	for t >= origin+s.width*float64(len(s.sums)) {
-		s.fold(1)
-	}
-}
-
 // add spreads value over [start, start+dur) proportionally to bucket
-// overlap; dur <= 0 deposits the whole value into start's bucket.
-func (s *series) add(origin, start, dur, value float64) {
+// overlap; dur <= 0 deposits the whole value into start's bucket. The
+// part of an interval outside the axis is cut off and the value spread
+// over the rest, so a sample wholly outside lands in an edge bucket.
+func (s *series) add(origin, width, start, dur, value float64) {
 	s.count++
 	if start < origin {
 		if dur > 0 {
-			dur -= origin - start
-			if dur < 0 {
-				dur = 0
-			}
+			dur = max(dur-(origin-start), 0)
 		}
 		start = origin
 	}
-	if dur <= 0 {
-		s.widen(origin, start)
-		s.sums[int((start-origin)/s.width)] += value
-		return
-	}
 	end := start + dur
-	s.widen(origin, end)
-	lo := int((start - origin) / s.width)
-	hi := int((end - origin) / s.width)
-	if hi >= len(s.sums) { // end exactly on the right edge
-		hi = len(s.sums) - 1
+	if right := origin + width*float64(len(s.sums)); end > right {
+		end, dur = right, right-start
 	}
-	if lo == hi {
+	lo, hi := s.bucket(origin, width, start), s.bucket(origin, width, end)
+	if dur <= 0 || lo == hi {
 		s.sums[lo] += value
 		return
 	}
 	for b := lo; b <= hi; b++ {
-		bStart := origin + float64(b)*s.width
-		bEnd := bStart + s.width
+		bStart := origin + float64(b)*width
+		bEnd := bStart + width
 		oStart, oEnd := start, end
 		if bStart > oStart {
 			oStart = bStart
@@ -148,6 +116,15 @@ func (s *series) add(origin, start, dur, value float64) {
 			s.sums[b] += value * (oEnd - oStart) / dur
 		}
 	}
+}
+
+// bucket is the index of the bucket holding t >= origin; a time at or
+// past the axis' right edge is in the last bucket.
+func (s *series) bucket(origin, width, t float64) int {
+	if x := (t - origin) / width; x < float64(len(s.sums)) {
+		return int(x)
+	}
+	return len(s.sums) - 1
 }
 
 // Accumulator collects severity samples into per-key series. It is not
@@ -188,8 +165,8 @@ func (a *Accumulator) SetMeta(metric string, m SeriesMeta) { a.meta[metric] = m 
 // Handle deposits into one series of an accumulator without looking the
 // series up again.
 type Handle struct {
-	s      *series
-	origin float64
+	s             *series
+	origin, width float64
 }
 
 // Series returns the handle of series k, creating the series — which
@@ -198,16 +175,16 @@ type Handle struct {
 func (a *Accumulator) Series(k Key) Handle {
 	s, ok := a.series[k]
 	if !ok {
-		s = &series{width: a.cfg.Width, sums: make([]float64, a.cfg.Buckets)}
+		s = &series{sums: make([]float64, a.cfg.Buckets)}
 		a.series[k] = s
 	}
-	return Handle{s: s, origin: a.cfg.Origin}
+	return Handle{s: s, origin: a.cfg.Origin, width: a.cfg.Width}
 }
 
 // Add spreads value over the interval [start, start+dur) of the series;
 // dur <= 0 deposits the whole value at start. Times are corrected
 // (synchronized) seconds, like every severity the analyzer computes.
-func (h Handle) Add(start, dur, value float64) { h.s.add(h.origin, start, dur, value) }
+func (h Handle) Add(start, dur, value float64) { h.s.add(h.origin, h.width, start, dur, value) }
 
 func sortKeys(keys []Key) {
 	sort.Slice(keys, func(i, j int) bool {
@@ -221,9 +198,8 @@ func sortKeys(keys []Key) {
 	})
 }
 
-// Snapshot renders the accumulator into the exportable artifact: all
-// series folded to one common bucket width, sorted by (metric,
-// metahost, rank).
+// Snapshot renders the accumulator into the exportable artifact: every
+// series on the accumulator's axis, sorted by (metric, metahost, rank).
 func (a *Accumulator) Snapshot(title string) *Profile {
 	p := &Profile{
 		Title:       title,
@@ -231,27 +207,13 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 		BucketWidth: a.cfg.Width,
 		Buckets:     a.cfg.Buckets,
 	}
-	if len(a.series) == 0 {
-		return p
-	}
-	common := a.cfg.Width
-	for _, s := range a.series {
-		if s.width > common {
-			common = s.width
-		}
-	}
-	p.BucketWidth = common
 	keys := make([]Key, 0, len(a.series))
 	for k := range a.series {
 		keys = append(keys, k)
 	}
 	sortKeys(keys)
 	for _, k := range keys {
-		src := a.series[k]
-		cp := series{width: src.width, sums: append([]float64(nil), src.sums...), count: src.count}
-		for cp.width < common {
-			cp.fold(1)
-		}
+		s := a.series[k]
 		meta := a.meta[k.Metric]
 		p.Series = append(p.Series, Series{
 			Metric:       k.Metric,
@@ -260,8 +222,8 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 			Metahost:     k.Metahost,
 			MetahostName: a.names[k.Metahost],
 			Rank:         k.Rank,
-			Count:        cp.count,
-			Values:       cp.sums,
+			Count:        s.count,
+			Values:       append([]float64(nil), s.sums...),
 		})
 	}
 	return p

@@ -2,9 +2,11 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -31,26 +33,33 @@ func TestAddPointAndInterval(t *testing.T) {
 	}
 }
 
-func TestWidthDoublingPreservesMass(t *testing.T) {
-	a := NewAccumulator(Config{Buckets: 4, Width: 1})
+// TestOutsideAxisClampsOntoEdges: the axis never changes once the
+// accumulator is built; a sample reaching past it keeps its whole value,
+// cut at the edge and spread over the part that is on the axis.
+func TestOutsideAxisClampsOntoEdges(t *testing.T) {
+	a := NewAccumulator(Config{Buckets: 4, Width: 1, Origin: 10})
 	k := Key{Metric: "m"}
-	a.Series(k).Add(0, 4, 8)  // fills the initial range evenly
-	a.Series(k).Add(13, 0, 5) // forces width 1 → 4 (range 16)
+	a.Series(k).Add(10, 4, 8)   // fills the axis evenly
+	a.Series(k).Add(17, 0, 5)   // a point past the right edge
+	a.Series(k).Add(13.5, 2, 6) // half on the axis, half past it
+	a.Series(k).Add(20, 3, 1)   // an interval wholly past it
+	a.Series(k).Add(8, 3, 3)    // begins before the origin
+	a.Series(k).Add(2, 1, 7)    // wholly before it
 	p := a.Snapshot("t")
-	if p.BucketWidth != 4 {
-		t.Fatalf("width %g, want 4", p.BucketWidth)
+	if p.BucketWidth != 1 || p.Origin != 10 || p.Buckets != 4 {
+		t.Fatalf("axis moved: origin %g, width %g, %d buckets", p.Origin, p.BucketWidth, p.Buckets)
 	}
-	vals := p.Series[0].Values
+	want := []float64{2 + 3 + 7, 2, 2, 2 + 5 + 6 + 1}
+	got := p.Series[0].Values
 	sum := 0.0
-	for _, v := range vals {
-		sum += v
+	for i := range want {
+		sum += got[i]
+		if !approx(got[i], want[i]) {
+			t.Errorf("bucket %d = %g, want %g (all: %v)", i, got[i], want[i], got)
+		}
 	}
-	if !approx(sum, 13) {
-		t.Errorf("mass not preserved: %g, want 13 (%v)", sum, vals)
-	}
-	// The first sample's mass all folds into bucket 0 of width 4.
-	if !approx(vals[0], 8) || !approx(vals[3], 5) {
-		t.Errorf("fold misplaced mass: %v", vals)
+	if !approx(sum, 30) || p.Series[0].Count != 6 {
+		t.Errorf("mass %g over %d samples, want 30 over 6", sum, p.Series[0].Count)
 	}
 }
 
@@ -159,28 +168,24 @@ func TestByMetahostAggregatesRanks(t *testing.T) {
 	}
 }
 
-func TestDiffAlignsWidths(t *testing.T) {
-	mk := func(width float64, v float64) *Profile {
-		a := NewAccumulator(Config{Buckets: 4, Width: width})
-		a.Series(Key{Metric: "m"}).Add(0, 0, v)
+// TestDiffOneAxis: profiles on one axis subtract bucket by bucket, a
+// series on one side only against zero; any other pair of axes is
+// refused at once, the error naming both.
+func TestDiffOneAxis(t *testing.T) {
+	mk := func(metric string, v float64) *Profile {
+		a := NewAccumulator(Config{Buckets: 4, Width: 1})
+		a.Series(Key{Metric: metric}).Add(0, 0, v)
 		return a.Snapshot("p")
 	}
-	a := mk(1, 5)
-	b := mk(2, 3) // coarser by one fold
-	d, err := Diff(a, b)
+	a := mk("m", 5)
+	d, err := Diff(a, mk("m", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.BucketWidth != 2 {
-		t.Fatalf("diff width %g", d.BucketWidth)
+	if d.BucketWidth != 1 || len(d.Series) != 1 || !approx(d.Series[0].Values[0], 2) {
+		t.Fatalf("diff %+v", d)
 	}
-	if !approx(d.Series[0].Values[0], 2) {
-		t.Errorf("diff values %v", d.Series[0].Values)
-	}
-	// One-sided series diff against zero.
-	b2 := mk(1, 1)
-	b2.Series[0].Metric = "other"
-	d2, err := Diff(a, b2)
+	d2, err := Diff(a, mk("other", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +204,47 @@ func TestDiffAlignsWidths(t *testing.T) {
 			}
 		}
 	}
-	// Mismatched bucket counts are rejected.
-	bad := &Profile{Buckets: 8, BucketWidth: 1}
-	if _, err := Diff(a, bad); err == nil {
-		t.Error("bucket-count mismatch not rejected")
+
+	for _, bad := range []*Profile{
+		{Buckets: 8, BucketWidth: 1},
+		{Buckets: 4, BucketWidth: 2},
+		{Buckets: 4, BucketWidth: 1, Origin: 1e-300},
+	} {
+		if _, err := Diff(a, bad); err == nil || !strings.Contains(err.Error(), "time axes differ") {
+			t.Errorf("axis %d×%g@%g: err %v, want the axes error", bad.Buckets, bad.BucketWidth, bad.Origin, err)
+		}
+	}
+
+	// Widths 0 and 1: no power of two of 0 reaches 1, so an alignment
+	// loop never ends. Refusing takes no time.
+	zero, one := &Profile{Buckets: 1}, &Profile{Buckets: 1, BucketWidth: 1}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Diff(zero, one)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		want := "profile: time axes differ (1 buckets of 0s from 0s vs 1 buckets of 1s from 0s)"
+		if err == nil || err.Error() != want {
+			t.Fatalf("widths 0 and 1: err %v, want %q", err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Diff of widths 0 and 1 still running after 5 s")
+	}
+}
+
+// TestReadRefusesBucketsOverMax: a bucket count is bounded before
+// anything is sized by it.
+func TestReadRefusesBucketsOverMax(t *testing.T) {
+	for _, n := range []int{MaxBuckets + 1, 4e12} {
+		_, err := Read(strings.NewReader(fmt.Sprintf(`{"origin":0,"bucket_width":1,"buckets":%d,"series":[]}`, n)))
+		if err == nil || !strings.Contains(err.Error(), "limit 65536") {
+			t.Errorf("buckets=%d: err %v, want the limit refusal", n, err)
+		}
+	}
+	p, err := Read(strings.NewReader(fmt.Sprintf(`{"origin":0,"bucket_width":1,"buckets":%d,"series":[]}`, MaxBuckets)))
+	if err != nil || p.Buckets != MaxBuckets {
+		t.Errorf("buckets=MaxBuckets: %v, %v", p, err)
 	}
 }

@@ -65,11 +65,12 @@ func (a *analyzer) result(lap func(child string)) (*Result, error) {
 	// sum, so the artifacts are byte-identical across post-mortem, lazy
 	// and streamed analysis and any GOMAXPROCS.
 	//
-	// The profile's interval axis is derived here, not before the replay:
-	// a live session only knows the corrected run span once every rank's
-	// stream has finished. Phase detection reads only the per-rank op
-	// logs (pure functions of the corrected traces).
-	prof := profile.NewAccumulator(profileConfig(a.logs, a.corr, a.cfg))
+	// The profile's interval axis is derived here, after the replay: it
+	// includes every rank's final repair shift, and a live session only
+	// knows the corrected run span once every rank's stream has finished.
+	// Phase detection reads only the per-rank op logs (pure functions of
+	// the corrected traces).
+	prof := profile.NewAccumulator(profileConfig(a))
 	for p := pattern.ID(0); p < pattern.NumPatterns; p++ {
 		prof.SetMeta(p.MetricKey(), profile.SeriesMeta{Name: p.String(), Unit: "sec"})
 	}

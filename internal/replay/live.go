@@ -200,6 +200,9 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("replay: live session needs a positive rank count, got %d", cfg.Ranks)
 	}
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	cfg.Config = cfg.Config.withDefaults(cfg.Ranks)
 	if cfg.WindowSec <= 0 {
 		cfg.WindowSec = 1

@@ -8,6 +8,7 @@ import (
 	"metascope/internal/pattern"
 	"metascope/internal/profile"
 	"metascope/internal/trace"
+	"metascope/internal/vclock"
 )
 
 // profSum totals one metric's profile series, optionally restricted to
@@ -171,5 +172,86 @@ func TestProfileDeterministicAcrossRuns(t *testing.T) {
 		if next := run(); !bytes.Equal(first, next) {
 			t.Fatalf("profile JSON differs between runs (run %d)", i+1)
 		}
+	}
+}
+
+// TestProfileAxisCoversRepairShift: a repair shift far past the axis'
+// 6.25 % headroom moves the axis end out by the shift, so the width is
+// (span + shift) × 1.0625 / buckets and the profile keeps exactly the
+// cube's mass.
+func TestProfileAxisCoversRepairShift(t *testing.T) {
+	// Rank 1's receive is recorded at 2, six seconds before its send:
+	// the repair shifts rank 1's remaining events, its end included,
+	// from 10 to 16. Its reply, sent at 9 (15 shifted), then makes rank
+	// 0 wait from 9.5 to 15 and shifts rank 0's end to 15.4 — samples
+	// far past the unshifted span's axis.
+	t0 := synth(0, 0, []trace.Event{
+		enter(0, 0),
+		enter(8, 1), send(8, 1, 7, 100), exit(8.5, 1),
+		enter(9.5, 2), recv(9.6, 1, 8, 100), exit(9.7, 2),
+		exit(10, 0),
+	})
+	t1 := synth(1, 0, []trace.Event{
+		enter(0, 0),
+		enter(1, 2), recv(2, 0, 7, 100), exit(2.1, 2),
+		enter(9, 1), send(9, 0, 8, 100), exit(9.1, 1),
+		exit(10, 0),
+	})
+	res, err := Analyze([]*trace.Trace{t0, t1}, Config{Scheme: vclock.FlatSingle, Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Repairs != 2 {
+		t.Fatalf("repairs = %d, want 2", res.Repairs)
+	}
+	p := res.Profile
+	span, shift := 10.0, 8+repairMu-2
+	want := (span + shift) * 1.0625 / profile.DefaultBuckets
+	if p.Origin != 0 || p.Buckets != profile.DefaultBuckets || math.Abs(p.BucketWidth-want) > 1e-12*want {
+		t.Fatalf("axis: %d buckets of %g from %g, want %d of %g from 0",
+			p.Buckets, p.BucketWidth, p.Origin, profile.DefaultBuckets, want)
+	}
+	r := res.Report
+	checked := 0
+	for _, key := range p.Metrics() {
+		m := r.MetricIndex(key)
+		if m < 0 {
+			continue // a message-volume series; the cube has no such metric
+		}
+		cube := 0.0
+		for c := range r.Calls {
+			for l := range r.Locs {
+				cube += r.Value(m, c, l)
+			}
+		}
+		if got := p.SeriesTotal(key, -1); math.Abs(got-cube) > 1e-12*math.Abs(cube) {
+			t.Errorf("%s: profile total %.17g, cube %.17g", key, got, cube)
+		}
+		checked++
+	}
+	if ls0, ls1 := p.SeriesTotal(pattern.KeyLateSender, 0), p.SeriesTotal(pattern.KeyLateSender, 1); checked == 0 || math.Abs(ls0-5.5) > 1e-6 || math.Abs(ls1-7) > 1e-6 {
+		t.Fatalf("%d series checked; late sender %g at rank 0 and %g at rank 1, want 5.5 and 7", checked, ls0, ls1)
+	}
+}
+
+// TestProfileBucketsBounded: an analysis asking for more buckets than
+// profile.MaxBuckets is refused before any trace is read, post-mortem
+// and live.
+func TestProfileBucketsBounded(t *testing.T) {
+	traces := []*trace.Trace{
+		synth(0, 0, []trace.Event{enter(0, 0), exit(1, 0)}),
+		synth(1, 0, []trace.Event{enter(0, 0), exit(1, 0)}),
+	}
+	over := Config{Scheme: vclock.Hierarchical, ProfileBuckets: profile.MaxBuckets + 1}
+	want := "replay: profile bucket count 65537 is above the limit of 65536"
+	if _, err := Analyze(traces, over); err == nil || err.Error() != want {
+		t.Errorf("Analyze: err %v, want %q", err, want)
+	}
+	if _, err := NewLive(LiveConfig{Config: over, Ranks: 2}); err == nil || err.Error() != want {
+		t.Errorf("NewLive: err %v, want %q", err, want)
+	}
+	res, err := Analyze(traces, Config{Scheme: vclock.Hierarchical, ProfileBuckets: profile.MaxBuckets})
+	if err != nil || res.Profile.Buckets != profile.MaxBuckets {
+		t.Fatalf("MaxBuckets refused: %v", err)
 	}
 }

@@ -74,8 +74,18 @@ type Config struct {
 	// "no job": events carry job id -1.
 	FlightJob int32
 	// ProfileBuckets is the fixed bucket count of the time-resolved
-	// severity profile (0 selects profile.DefaultBuckets).
+	// severity profile (0 selects profile.DefaultBuckets); an analysis
+	// asking for more than profile.MaxBuckets is refused.
 	ProfileBuckets int
+}
+
+// check refuses a configuration no analysis may run under, before any
+// trace is read.
+func (cfg Config) check() error {
+	if cfg.ProfileBuckets > profile.MaxBuckets {
+		return fmt.Errorf("replay: profile bucket count %d is above the limit of %d", cfg.ProfileBuckets, profile.MaxBuckets)
+	}
+	return nil
 }
 
 // withDefaults fills the options an analysis of n processes derives when
@@ -475,6 +485,9 @@ func AnalyzeLazy(ar *LazyArchive, cfg Config) (*Result, error) {
 // reader is swept through a pulled log, every other rank through a
 // preloaded one.
 func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	traces := ar.Traces
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("replay: no traces")
@@ -576,30 +589,32 @@ func (a *analyzer) finish() (*Result, error) {
 	return res, nil
 }
 
-// profileConfig derives the time-resolved profile's interval axis
+// profileConfig derives the time-resolved profile's one interval axis
 // from the corrected run span: origin at the earliest corrected event,
-// bucket width covering the span with ~6% headroom so neither the last
-// event nor moderate timestamp repairs force a bucket fold. The span
-// is read from the rank logs' time bounds — not the traces' event
-// slices, which lazy and live analyses never materialize — so the axis
-// depends only on the events and corrections, and two analyses of the
-// same archive profile onto identical intervals regardless of mode.
-func profileConfig(logs []*rankLog, corr []vclock.LinearMap, cfg Config) profile.Config {
-	pc := profile.Config{Buckets: cfg.ProfileBuckets}
+// bucket width covering the span with ~6% headroom. A rank's end is its
+// last corrected event moved out by its final repair shift — the shift
+// only grows, and carries to every later event — so every deposit lies
+// on the axis. The span is read from the rank logs' time bounds — not
+// the traces' event slices, which lazy and live analyses never
+// materialize — so the axis depends only on the events and corrections,
+// and two analyses of the same archive profile onto identical intervals
+// regardless of mode.
+func profileConfig(a *analyzer) profile.Config {
+	pc := profile.Config{Buckets: a.cfg.ProfileBuckets}
 	if pc.Buckets <= 0 {
 		pc.Buckets = profile.DefaultBuckets
 	}
 	first := math.Inf(1)
 	last := math.Inf(-1)
-	for r, lg := range logs {
+	for r, lg := range a.logs {
 		lo, hi, ok := lg.bounds()
 		if !ok {
 			continue
 		}
-		if v := corr[r].Apply(lo); v < first {
+		if v := a.corr[r].Apply(lo); v < first {
 			first = v
 		}
-		if v := corr[r].Apply(hi); v > last {
+		if v := a.corr[r].Apply(hi) + a.steppers[r].delta; v > last {
 			last = v
 		}
 	}
@@ -669,6 +684,9 @@ func AnalyzeArchive(mounts *archive.Mounts, metahosts []int, dir string, cfg Con
 // archive load and the analysis phases — the entry point services use
 // to bound a job's lifetime and to free its workers on cancellation.
 func AnalyzeArchiveContext(ctx context.Context, mounts *archive.Mounts, metahosts []int, dir string, cfg Config) (*Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	span := obs.OrDefault(cfg.Obs).Phases.Start("archive")
 	ar, err := load(ctx, mounts, metahosts, dir, cfg.Obs, false)
 	span.End()

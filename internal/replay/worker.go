@@ -309,11 +309,12 @@ type rankResult struct {
 	commRow []CommVolume
 	// profLog is this analysis process's slice of the severity ledger:
 	// every severity its sweep scored, as raw samples in sweep order. The
-	// profile's interval axis (origin, bucket width) and the phase
-	// boundaries are only known once every trace is complete — post-mortem
-	// that is before the replay starts, in a live session only at
-	// finalize — so steps defer the samples and result() reads the logs
-	// once, in rank order, into the one profile and the one phase fold.
+	// profile's interval axis (origin, bucket width) is only known once
+	// every rank is swept (it includes each rank's final repair shift),
+	// and the phase boundaries once every trace is complete — in a live
+	// session only at finalize — so steps defer the samples and result()
+	// reads the logs once, in rank order, into the one profile and the one
+	// phase fold.
 	profLog pagedLog[profSample]
 	// opLog records one entry per completed non-user region instance
 	// (corrected enter/exit plus the region-name signature) — the raw

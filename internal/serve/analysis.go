@@ -267,8 +267,8 @@ func (s *Server) rejectDraining(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit is the intake gate of both feeders: it refuses new work while
-// the server drains and resolves ?scheme= (flat1|flat2|hier) against
-// the server default.
+// the server drains and resolves ?scheme= (flat1|flat2|hier), which
+// defaults to hier.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (vclock.Scheme, bool) {
 	s.mu.Lock()
 	draining := s.draining
@@ -277,7 +277,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (vclock.Scheme, b
 		s.rejectDraining(w, r)
 		return 0, false
 	}
-	scheme := s.opts.Scheme
+	scheme := vclock.Hierarchical
 	if v := r.URL.Query().Get("scheme"); v != "" {
 		var err error
 		if scheme, err = vclock.ParseScheme(v); err != nil {

@@ -82,11 +82,6 @@ type Options struct {
 	// MaxUploadBytes bounds the decompressed size of one uploaded
 	// bundle (default DefaultMaxUploadBytes).
 	MaxUploadBytes int64
-	// Scheme is the default synchronization scheme when a submission
-	// does not pass one. The zero value selects hierarchical (the
-	// pipeline's usual default); a request can always choose another
-	// scheme explicitly with ?scheme=.
-	Scheme vclock.Scheme
 	// Obs receives the service's own telemetry (nil selects
 	// obs.Default).
 	Obs *obs.Recorder
@@ -156,9 +151,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = DefaultMaxUploadBytes
-	}
-	if opts.Scheme == 0 {
-		opts.Scheme = vclock.Hierarchical
 	}
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = 8

@@ -17,7 +17,6 @@ import (
 	"metascope/internal/obs"
 	"metascope/internal/pattern"
 	"metascope/internal/replay"
-	"metascope/internal/vclock"
 )
 
 // The end-to-end contract: the service must hand back, over HTTP and
@@ -223,7 +222,6 @@ func TestServeOracleConcurrent(t *testing.T) {
 		Workers:      4,
 		QueueDepth:   64,
 		CacheEntries: -1,
-		Scheme:       vclock.Hierarchical,
 	})
 
 	const submitters = 32

@@ -236,6 +236,28 @@ if grep -n 'go func' internal/replay/build.go; then
 	exit 1
 fi
 
+# A time-resolved profile has one axis per analysis: origin, bucket width
+# and bucket count are fixed when the accumulator is built (the analyzer
+# sizes them from the finished run, repair shifts included), and a sample
+# outside the axis is clamped onto an edge bucket. A fold or widen
+# function, or a width changed anywhere but where Config.normalized fills
+# the default, is the doubling accumulator creeping back.
+echo "== one profile axis"
+for f in internal/profile/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -n -i -E '^func (\([^)]*\) )?(fold|widen)' "$f"; then
+		echo "check: $f declares a fold or widen: a profile's axis is fixed when its accumulator is built" >&2
+		exit 1
+	fi
+	if awk '/^func / { fn = $0 } /^}/ { fn = "" }
+		{ code = $0; gsub(/"([^"\\]|\\.)*"|`[^`]*`|\/\/.*/, "", code) }
+		code ~ /[Ww]idth[[:space:]]*([-+*\/%]|<<|>>)?=([^=]|$)/ && fn !~ /^func \(c Config\) normalized\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+		END { exit !bad }' "$f"; then
+		echo "check: $f changes a bucket width after the accumulator is built: clamp onto an edge bucket instead" >&2
+		exit 1
+	fi
+done
+
 # The profile and phase artifacts have one writer each, which appends
 # the JSON field by field (internal/jsonw) and is held to
 # json.MarshalIndent's bytes by a property test. A json.Marshal in either
