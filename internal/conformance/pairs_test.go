@@ -19,7 +19,7 @@ import (
 // metahosts, so one call path of one rank holds four pair values — the
 // shape whose grid metric once summed them in hash order. At experiment
 // seed 5, `metascope gen -seed 5` writes its archive with sha256
-// 9b37741535c6….
+// 32288bf8cb00….
 const mw5Spec = `{"name":"mw5","kernel":"masterworker","seed":3,"ranks":24,"iterations":12,
 "topology":{"preset":"conformance","count":5},"work":{"base":0.2,"spread":0.15}}`
 

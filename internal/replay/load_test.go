@@ -182,8 +182,8 @@ func TestLoadArchiveWrongRankInFile(t *testing.T) {
 }
 
 // TestLoadArchiveInternsSharedNames verifies that the loader's shared
-// interner collapses the region and metahost names replicated in every
-// rank's trace file to single string instances.
+// interner collapses the region and metahost names and the communicator
+// member lists replicated in every rank's trace file to single instances.
 func TestLoadArchiveInternsSharedNames(t *testing.T) {
 	const n = 8
 	mounts, _, dir := loadFixture(t, n)
@@ -202,6 +202,10 @@ func TestLoadArchiveInternsSharedNames(t *testing.T) {
 			if len(a) > 0 && unsafeStringData(a) != unsafeStringData(b) {
 				t.Errorf("rank %d region %d name %q not interned", r, i, b)
 			}
+		}
+		// So does the world every rank declares: one member slice.
+		if a, b := traces[0].Comms[0].Ranks, traces[r].Comms[0].Ranks; &a[0] != &b[0] {
+			t.Errorf("rank %d holds its own copy of the world", r)
 		}
 	}
 }

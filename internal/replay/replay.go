@@ -414,12 +414,17 @@ func BuildCorrections(traces []*trace.Trace, scheme vclock.Scheme) ([]vclock.Cor
 
 // mergeComms combines the communicator definitions of all traces,
 // verifying consistency across ranks, into communicators ascending by id,
-// and verifies that every communicator member has a trace. The
-// dense-range check of the archive loader cannot notice a missing tail
-// rank (the job simply looks smaller), but the world communicator
-// recorded in every surviving trace still names the lost ranks —
-// replaying without them would silently drop their side of every message
-// and produce a wrong cube rather than an error.
+// and verifies that every communicator member has a trace and is listed
+// once. The dense-range check of the archive loader cannot notice a
+// missing tail rank (the job simply looks smaller), but the world
+// communicator recorded in every surviving trace still names the lost
+// ranks — replaying without them would silently drop their side of every
+// message and produce a wrong cube rather than an error. A member listed
+// twice would wait in every collective for an arrival that never comes.
+//
+// Traces decoded through one trace.Interner share each member slice, so
+// the per-trace comparison is by identity; only traces from different
+// interners are compared member by member.
 func mergeComms(traces []*trace.Trace) ([]communicator, error) {
 	var out []communicator
 	for _, t := range traces {
@@ -430,7 +435,7 @@ func mergeComms(traces []*trace.Trace) ([]communicator, error) {
 				if len(have) != len(cd.Ranks) {
 					return nil, fmt.Errorf("replay: communicator %d has inconsistent sizes across traces", cd.ID)
 				}
-				if !slices.Equal(have, cd.Ranks) {
+				if len(have) > 0 && &have[0] != &cd.Ranks[0] && !slices.Equal(have, cd.Ranks) {
 					return nil, fmt.Errorf("replay: communicator %d has inconsistent membership across traces", cd.ID)
 				}
 				continue
@@ -438,12 +443,18 @@ func mergeComms(traces []*trace.Trace) ([]communicator, error) {
 			out = slices.Insert(out, k, communicator{id: cd.ID, ranks: cd.Ranks, seq: make([]int, len(cd.Ranks))})
 		}
 	}
+	// seen[r] is 1 + the index of the last communicator that listed r.
+	seen := make([]int32, len(traces))
 	for i := range out {
 		for _, r := range out[i].ranks {
 			if int(r) < 0 || int(r) >= len(traces) {
 				return nil, fmt.Errorf("replay: communicator %d references rank %d but the archive holds traces for ranks 0..%d (incomplete archive)",
 					out[i].id, r, len(traces)-1)
 			}
+			if seen[r] == int32(i+1) {
+				return nil, fmt.Errorf("replay: communicator %d lists rank %d more than once", out[i].id, r)
+			}
+			seen[r] = int32(i + 1)
 		}
 	}
 	return out, nil

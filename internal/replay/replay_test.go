@@ -434,6 +434,23 @@ func TestMergeCommsDetectsInconsistency(t *testing.T) {
 	}
 }
 
+// TestMergeCommsRefusesRepeatedMember: a communicator that lists a rank
+// twice is refused up front, naming the communicator and the rank, not
+// replayed into a collective that waits forever for the repeat.
+func TestMergeCommsRefusesRepeatedMember(t *testing.T) {
+	world := trace.CommDef{ID: 0, Ranks: []int32{0, 1, 1}}
+	var traces []*trace.Trace
+	for r := range 2 {
+		traces = append(traces, synth(r, 0, []trace.Event{
+			enter(0, 0), enter(1, 3), collExit(2, trace.CollBarrier, -1), exit(2, 3), exit(3, 0),
+		}, world))
+	}
+	_, err := Analyze(traces, Config{})
+	if err == nil || !strings.Contains(err.Error(), "communicator 0 lists rank 1 more than once") {
+		t.Fatalf("repeated member: %v", err)
+	}
+}
+
 func TestLoadArchive(t *testing.T) {
 	fsA, fsB := archive.NewMemFS("a"), archive.NewMemFS("b")
 	mounts := archive.NewMounts()

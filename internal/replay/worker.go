@@ -175,11 +175,67 @@ func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 
 // collGather coordinates the members of one collective instance: every
 // participant deposits its corrected enter once and parks until the last
-// one arrives, after which each computes its own wait states from the
-// complete vector.
+// one arrives. That member summarizes the enters once, under the lock,
+// before any other sees the gather complete; each participant then
+// scores its own wait states from the summary in O(1).
 type collGather struct {
 	enters  []float64
 	arrived int
+	// The first member holding the largest enter, the smallest, and the
+	// smallest of a member other than min's, over the enters that are not
+	// NaN; -1 where there is none.
+	max, min, min2 int32
+}
+
+// summarize finds the gather's extremes in one pass over its enters. A
+// NaN enter never wins a comparison, so it never holds an extreme.
+func (g *collGather) summarize() {
+	g.max, g.min, g.min2 = -1, -1, -1
+	for i, e := range g.enters {
+		if e != e {
+			continue
+		}
+		k := int32(i)
+		if g.max < 0 || e > g.enters[g.max] {
+			g.max = k
+		}
+		if g.min < 0 || e < g.enters[g.min] {
+			g.min2, g.min = g.min, k
+		} else if g.min2 < 0 || e < g.enters[g.min2] {
+			g.min2 = k
+		}
+	}
+}
+
+// lastFrom returns the member holding the largest enter as member k's
+// scan from its own enter finds it: k itself unless a member entered
+// later, else the first such member with the largest enter.
+func (g *collGather) lastFrom(k int) int {
+	if g.max < 0 || !(g.enters[g.max] > g.enters[k]) {
+		return k
+	}
+	return int(g.max)
+}
+
+// minOther returns the member holding the smallest enter of a member
+// other than root, as a scan of the enters in member order that skips
+// root finds it: its first candidate stands unless a later one is
+// smaller, so a NaN first candidate stands. ok is false when every member
+// is root.
+func (g *collGather) minOther(root int32) (i int, ok bool) {
+	first := 0
+	if root == 0 {
+		first = 1
+	}
+	switch {
+	case first >= len(g.enters):
+		return 0, false
+	case g.enters[first] != g.enters[first]:
+		return first, true
+	case g.min != root:
+		return int(g.min), true
+	}
+	return int(g.min2), true
 }
 
 // communicator is one communicator of the replay, merged from every
@@ -193,7 +249,8 @@ type collGather struct {
 // built before the runners start, with cols, the members' metahost
 // columns, and spans, whether those name more than one metahost — what
 // makes each of its collectives a grid instance; seq[i] is written by
-// member i's step alone, and open under mu.
+// member i's step alone, and open under mu. A member finds its own
+// communicator rank through analyzer.commRank.
 type communicator struct {
 	id    int32
 	ranks []int32
@@ -415,6 +472,12 @@ type analyzer struct {
 	comms  []communicator // ascending by id
 	cfg    Config
 
+	// membership lists, per world rank, the communicators it belongs to
+	// and its rank in each: rank r's entries are
+	// membership[memberAt[r]:memberAt[r+1]].
+	memberAt   []int32
+	membership []member
+
 	// metahosts lists the world's metahost ids in ascending order and
 	// mhCol gives each rank its metahost's index there — the dense
 	// columns of the communication matrix rows and of the window sink.
@@ -526,14 +589,30 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 	for r, mh := range a.mhCol {
 		a.mhCol[r], _ = slices.BinarySearch(a.metahosts, mh)
 	}
+	a.memberAt = make([]int32, n+1)
 	for i := range a.comms {
 		c := &a.comms[i]
 		c.cols = make([]int, len(c.ranks))
 		for k, r := range c.ranks {
 			c.cols[k] = a.mhCol[r]
 			c.spans = c.spans || c.cols[k] != c.cols[0]
+			a.memberAt[r+1]++
 		}
 	}
+	for r := range n {
+		a.memberAt[r+1] += a.memberAt[r]
+	}
+	// Filling moves each rank's start to its end, which is the next rank's
+	// start: shift the starts back.
+	a.membership = make([]member, a.memberAt[n])
+	for i := range a.comms {
+		for k, r := range a.comms[i].ranks {
+			a.membership[a.memberAt[r]] = member{comm: int32(i), rank: int32(k)}
+			a.memberAt[r]++
+		}
+	}
+	copy(a.memberAt[1:], a.memberAt[:n])
+	a.memberAt[0] = 0
 	for r := range a.steppers {
 		st := &a.steppers[r]
 		st.a, st.rank, st.rr.rank = a, r, r
@@ -542,6 +621,24 @@ func newAnalyzer(traces []*trace.Trace, logs []*rankLog, corr []vclock.Correctio
 		a.mailboxes[r] = &mailbox{}
 	}
 	return a, nil
+}
+
+// member is one entry of the membership index: a communicator, by its
+// index in analyzer.comms, and a member's communicator rank there.
+type member struct {
+	comm, rank int32
+}
+
+// commRank returns rank's communicator rank in c, or -1 if rank is not a
+// member: a scan of the few communicators rank belongs to, not of c's
+// members.
+func (a *analyzer) commRank(c *communicator, rank int) int {
+	for _, m := range a.membership[a.memberAt[rank]:a.memberAt[rank+1]] {
+		if &a.comms[m.comm] == c {
+			return int(m.rank)
+		}
+	}
+	return -1
 }
 
 // abort cancels the replay: every parked rank is queued again, and from
@@ -607,6 +704,7 @@ func (a *analyzer) gatherColl(c *communicator, commRank int, enter float64, rank
 		c.mu.Unlock()
 		return g, false
 	}
+	g.summarize()
 	c.open = nil
 	c.mu.Unlock()
 	// Every other member has arrived and waits on g: parked, or in a step
@@ -756,7 +854,7 @@ func (st *stepper) waitsFor() string {
 		arrived := g.arrived
 		c.mu.Unlock()
 		return fmt.Sprintf("waits in collective %d of communicator %d, which %d of its %d members have reached",
-			c.seq[slices.Index(c.ranks, int32(st.rank))], c.id, arrived, len(g.enters))
+			c.seq[a.commRank(c, st.rank)], c.id, arrived, len(g.enters))
 	}
 	mb := a.mailboxes[st.rank]
 	mb.mu.Lock()
@@ -985,7 +1083,7 @@ func (st *stepper) sweep() park {
 			top := st.stack[len(st.stack)-1]
 			c := a.comm(ev.Comm)
 			def := c.ranks
-			commRank := slices.Index(def, int32(rank))
+			commRank := a.commRank(c, rank)
 			if commRank < 0 {
 				rr.err = fmt.Errorf("replay: rank %d: collexit on foreign communicator %d", rank, ev.Comm)
 				return parkDone
@@ -1064,22 +1162,8 @@ func regionExitTime(sc *sweepCursor, i int, corr vclock.LinearMap, delta float64
 func (st *stepper) scoreCollective(cp int, ev *trace.Event, c *communicator, g *collGather, commRank int, myDone float64) {
 	rr, m := &st.rr, len(st.a.metahosts)
 	myEnter := g.enters[commRank]
-	maxEnter, minOther := myEnter, 0.0
-	maxCol, minOtherCol := c.cols[commRank], 0
-	haveOther := false
-	for i, e := range g.enters {
-		if e > maxEnter {
-			maxEnter = e
-			maxCol = c.cols[i]
-		}
-		if int32(i) != ev.Root {
-			if !haveOther || e < minOther {
-				minOther = e
-				minOtherCol = c.cols[i]
-				haveOther = true
-			}
-		}
-	}
+	last := g.lastFrom(commRank)
+	maxEnter, maxCol := g.enters[last], c.cols[last]
 	add := func(pat pattern.ID, v float64, causeCol int) {
 		if v <= 0 {
 			return
@@ -1112,8 +1196,8 @@ func (st *stepper) scoreCollective(cp int, ev *trace.Event, c *communicator, g *
 		add(pattern.WaitNxN, pattern.WaitAtNxNWait(maxEnter, myEnter, myDone), maxCol)
 		addCompletion(pattern.NxNCompletion, pattern.NxNCompletionWait(maxEnter, myEnter, myDone))
 	case ev.Coll.IsNToOne():
-		if int32(commRank) == ev.Root && haveOther {
-			add(pattern.EarlyReduce, pattern.EarlyReduceWait(minOther, myEnter, myDone), minOtherCol)
+		if other, ok := g.minOther(ev.Root); int32(commRank) == ev.Root && ok {
+			add(pattern.EarlyReduce, pattern.EarlyReduceWait(g.enters[other], myEnter, myDone), c.cols[other])
 		}
 	case ev.Coll.IsOneToN():
 		if int32(commRank) != ev.Root {

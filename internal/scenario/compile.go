@@ -184,6 +184,7 @@ func (sp *Spec) Compile() (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	sp.deriveAlign(place.Ranks)
 	locs := append([]topology.Loc(nil), place.Ranks...)
 	speed := make([]float64, len(locs))
 	for r, loc := range locs {
@@ -242,6 +243,25 @@ func (sp *Spec) Compile() (*Program, error) {
 	}
 	p.completionBounds()
 	return p, nil
+}
+
+// deriveAlign fills schedule.align when the document leaves it out (or
+// 0). The start-of-run offset measurement has the global master, rank
+// 0, answer every rank off its metahost in turn, about 20 ms of simulated
+// time each over the wide-area link, so the first step starts 25 ms per
+// such rank after t = 0, and at 2 s at least: two metahosts keep 2 s up
+// to 80 ranks each.
+func (sp *Spec) deriveAlign(locs []topology.Loc) {
+	if sp.Schedule.Align != 0 {
+		return
+	}
+	off := 0
+	for _, l := range locs {
+		if l.Metahost != locs[0].Metahost {
+			off++
+		}
+	}
+	sp.Schedule.Align = max(2, 0.025*float64(off))
 }
 
 // burstExtra returns the worst-case summed one-way latency injection

@@ -153,3 +153,34 @@ func TestValidateStepCeiling(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// TestDerivedAlignFitsLargeWorld: a 1024-rank halo2d document that
+// leaves schedule.align out validates, derives an alignment point past
+// the start-of-run clock synchronization — rank 511, the last answered
+// over the wide-area link, is done at t ≈ 11.3 s — and every rank reaches
+// its first phase before it (Body fails a rank that arrives late). Small
+// documents keep 2 s.
+func TestDerivedAlignFitsLargeWorld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a 1024-rank run")
+	}
+	prog, err := Load([]byte(`{"kernel": "halo2d", "ranks": 1024, "iterations": 1, "params": {"px": 32, "py": 32}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.Spec.Schedule.Align; got != 12.8 {
+		t.Fatalf("derived align %g, want 12.8 (25 ms for each of 512 ranks off rank 0's metahost)", got)
+	}
+	if _, err := prog.Run(prog.Spec.Name, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range LibraryNames() {
+		p, err := LoadLibrary(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Spec.Schedule.Align; got != 2 {
+			t.Errorf("library scenario %s: derived align %g, want 2", name, got)
+		}
+	}
+}

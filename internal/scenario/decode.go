@@ -13,7 +13,7 @@ import (
 // Hard limits keeping compiled scenarios bounded whatever the input —
 // the fuzz harness feeds Parse arbitrary documents.
 const (
-	maxRanks      = 256
+	maxRanks      = 4096
 	maxIterations = 64
 	maxMetahosts  = 16
 	maxNodes      = 1024
@@ -36,7 +36,7 @@ func Parse(src []byte) (*Spec, error) {
 		Iterations: 2,
 		Bytes:      2048,
 		Topology:   TopoSpec{Count: 2},
-		Schedule:   ScheduleSpec{Align: 2.0, Slack: 0.25},
+		Schedule:   ScheduleSpec{Slack: 0.25},
 		Work:       WorkSpec{Base: 0.2, Spread: 0.1},
 		Params:     ParamSpec{Prep: 0.03, PrepSpread: 0.02, Collect: 0.08, CollectSpread: 0.05, Amp: 0.25},
 	}
@@ -54,6 +54,11 @@ func Parse(src []byte) (*Spec, error) {
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
+	}
+	if sp.Schedule.Align == 0 {
+		if _, place, err := sp.buildTopology(); err == nil {
+			sp.deriveAlign(place.Ranks) // else Compile reports the placement
+		}
 	}
 	return sp, nil
 }

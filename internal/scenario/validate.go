@@ -49,8 +49,8 @@ func (sp *Spec) Validate() error {
 		return bad("bytes", "want 1..%d bytes (the closed forms need eager messages), got %d",
 			mmpi.DefaultEagerLimit, sp.Bytes)
 	}
-	if sp.Schedule.Align < 0.5 || sp.Schedule.Align > 1e4 {
-		return bad("schedule.align", "want 0.5..1e4 seconds, got %g", sp.Schedule.Align)
+	if a := sp.Schedule.Align; a != 0 && (a < 0.5 || a > 1e4) {
+		return bad("schedule.align", "want 0.5..1e4 seconds (0: derived), got %g", a)
 	}
 	if sp.Schedule.Slack < 0.05 || sp.Schedule.Slack > 100 {
 		return bad("schedule.slack", "want 0.05..100 seconds, got %g", sp.Schedule.Slack)

@@ -156,9 +156,18 @@ func TestDigestBorrows(t *testing.T) {
 	if inMemory != onDisk {
 		t.Errorf("digest %s in memory, %s on disk", inMemory, onDisk)
 	}
-	// Pinned at the commit before the intake borrowed: a resubmission must
-	// still hit the cache key an older server stored.
-	const pinned = "4c84df569c9c39231107a8d54e6ec6f0c527d4ea9473b2d061ff648eb653e99c"
+	// The digest hashes the files' bytes, so the same bytes must still hit
+	// the cache key an older server stored: eight fixed files keep the key
+	// pinned before the intake borrowed. The oracle archive's key is
+	// pinned to the trace writer's bytes, which run-coded member lists
+	// changed once.
+	fmounts, fmhs, fdir := memArchive(t, 8, 1<<10)
+	fixed, err := Digest(fmounts, fmhs, fdir)
+	must(t, err)
+	if want := "e6e5cd2f68e07e63d9b3f3b5651f05e9ee906597e6fddeb3305d3ae8a0d265a3"; fixed != want {
+		t.Errorf("digest of eight fixed files = %s, want %s as before", fixed, want)
+	}
+	const pinned = "f24a792bd3d8d96018cb31199767bafbbe61e2b69b5ba5b3eb8c6e7f3c0bad91"
 	if inMemory != pinned {
 		t.Errorf("digest of %s = %s, want %s as before", b.s.Name, inMemory, pinned)
 	}

@@ -21,8 +21,12 @@ const corpusRoot = "testdata/fuzz"
 // regenerates byte-identically.
 func corpusSets(t testing.TB) map[string]map[string][]byte {
 	t.Helper()
-	enc := encodedSeeds(t)
-	enc2 := encodedV2Seeds(t)
+	// The seeds from before run coding keep their explicit member lists,
+	// so the corpus pins that the reader still decodes those images.
+	enc := explicitSeeds(t, FormatV1)
+	enc2 := explicitSeeds(t, FormatV2)
+	runs1, runs2 := encodedSeeds(t), encodedV2Seeds(t)
+	world := runWorldImage(t)
 	return map[string]map[string][]byte{
 		"FuzzDecode": {
 			"valid-sample":     enc[0],
@@ -43,6 +47,10 @@ func corpusSets(t testing.TB) map[string]map[string][]byte {
 			"v2-truncated-block":   enc2[2][: len(enc2[2])*3/4 : len(enc2[2])*3/4],
 			"v2-trailing-garbage":  append(append([]byte{}, enc2[1]...), 0xFF),
 			"v1-through-v2-target": enc[0], // v1 image: the target must handle both
+			"v2-runs-sample":       runs2[0],
+			"v2-runs-world":        world,
+			"v2-runs-stride0":      withComms(t, 0, 1, 0, 2, 0), // members {0, 0}
+			"v2-runs-hostile":      withComms(t, 0, 1, 0, 1<<40, 1),
 		},
 		"FuzzDecodeDifferential": {
 			"diff-v1-sample":   enc[0],
@@ -50,6 +58,9 @@ func corpusSets(t testing.TB) map[string]map[string][]byte {
 			"diff-v2-sample":   enc2[0],
 			"diff-v2-multiblk": enc2[2],
 			"diff-not-a-trace": []byte("not a trace"),
+			"diff-v1-runs-p2p": runs1[2],
+			"diff-v2-runs":     runs2[2],
+			"diff-runs-world":  world,
 		},
 	}
 }

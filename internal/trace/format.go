@@ -17,6 +17,7 @@ import (
 //	location: rank, metahost, node, cpu (uvarint), metahost name (string)
 //	sync block: master ranks, flags, 6 measurements (3 × f64 each)
 //	region table: count, then (id, kind, name) per region
+//	communicators: count, then (id, runs) per communicator (members.go)
 //	event stream: count, then per event a kind byte followed by the
 //	              fields meaningful for that kind
 //
@@ -38,6 +39,10 @@ type encoder struct {
 	w   *bufio.Writer
 	err error
 	buf [binary.MaxVarintLen64]byte
+	// explicitComms writes each member list member by member, as images
+	// written before run coding are; the tests write such images.
+	explicitComms bool
+	runs          runs // encodeComms' scratch
 }
 
 func (e *encoder) u64(v uint64) {
@@ -81,13 +86,21 @@ func (e *encoder) byte(b byte) {
 // names, so decoding an archive of N ranks without interning holds N
 // copies of every name. An Interner shared across decodes (safe for
 // concurrent use) keeps exactly one.
+//
+// It also hands out one member slice per distinct communicator (id and
+// members), so the P traces of a world share one world list; members
+// counts what it expanded, against maxMembers.
 type Interner struct {
-	mu sync.Mutex
-	m  map[string]string
+	mu      sync.Mutex
+	m       map[string]string
+	comms   map[string][]int32
+	members int64
 }
 
 // NewInterner returns an empty interner.
-func NewInterner() *Interner { return &Interner{m: make(map[string]string)} }
+func NewInterner() *Interner {
+	return &Interner{m: make(map[string]string), comms: make(map[string][]int32)}
+}
 
 // intern returns the canonical string for b, allocating only on first
 // sight. The map lookup with a string(b) key does not allocate.
@@ -269,11 +282,14 @@ func (t *Trace) encodeHeader(e *encoder, version byte) error {
 	s := &t.Sync
 	e.i64(int64(s.GlobalMasterRank))
 	e.i64(int64(s.LocalMasterRank))
-	if s.SharedNodeClock {
-		e.byte(1)
-	} else {
-		e.byte(0)
+	flags := byte(flagCommRuns)
+	if e.explicitComms {
+		flags = 0
 	}
+	if s.SharedNodeClock {
+		flags |= flagSharedClock
+	}
+	e.byte(flags)
 	for _, m := range []struct{ a, b, c float64 }{
 		{s.FlatStart.Local, s.FlatStart.Offset, s.FlatStart.Err},
 		{s.FlatEnd.Local, s.FlatEnd.Offset, s.FlatEnd.Err},
@@ -293,21 +309,14 @@ func (t *Trace) encodeHeader(e *encoder, version byte) error {
 		e.str(r.Name)
 	}
 
-	// Communicator definitions.
-	e.u64(uint64(len(t.Comms)))
-	for _, cd := range t.Comms {
-		e.i64(int64(cd.ID))
-		e.u64(uint64(len(cd.Ranks)))
-		for _, r := range cd.Ranks {
-			e.i64(int64(r))
-		}
-	}
+	e.encodeComms(t.Comms)
 	return e.err
 }
 
 // Encode writes the trace to w in the MSCP v1 binary format.
-func (t *Trace) Encode(w io.Writer) error {
-	e := &encoder{w: bufio.NewWriter(w)}
+func (t *Trace) Encode(w io.Writer) error { return t.encodeV1(&encoder{w: bufio.NewWriter(w)}) }
+
+func (t *Trace) encodeV1(e *encoder) error {
 	if err := t.encodeHeader(e, formatVersion); err != nil {
 		return err
 	}
@@ -402,8 +411,8 @@ func trailing(d *decoder, t *Trace, total int) error {
 // Minimum encoded sizes, used to bound every declared count against
 // the bytes actually present: a region is an id varint, a kind byte,
 // and a name-length varint; a communicator is an id varint and a
-// member-count varint; a rank is one varint; an event is a kind byte
-// and an 8-byte time stamp.
+// member- or run-count varint; a rank is one varint; an event is a kind
+// byte and an 8-byte time stamp.
 const (
 	minRegionBytes = 3
 	minCommBytes   = 2
@@ -412,7 +421,6 @@ const (
 
 	maxRegionCount = 1 << 20
 	maxCommCount   = 1 << 20
-	maxMemberCount = 1 << 24
 	maxEventCount  = 1 << 28
 )
 
@@ -479,7 +487,11 @@ func decodeHeader(d *decoder) (*Trace, uint64, error) {
 	s := &t.Sync
 	s.GlobalMasterRank = int(d.i64())
 	s.LocalMasterRank = int(d.i64())
-	s.SharedNodeClock = d.byte() == 1
+	flags := d.byte()
+	if d.err == nil && flags&^flagsKnown != 0 {
+		return nil, 0, fmt.Errorf("trace: unknown header flags %#x", flags)
+	}
+	s.SharedNodeClock = flags&flagSharedClock != 0
 	read3 := func() (a, b, c float64) { return d.f64(), d.f64(), d.f64() }
 	s.FlatStart.Local, s.FlatStart.Offset, s.FlatStart.Err = read3()
 	s.FlatEnd.Local, s.FlatEnd.Offset, s.FlatEnd.Err = read3()
@@ -499,21 +511,9 @@ func decodeHeader(d *decoder) (*Trace, uint64, error) {
 		t.Regions[i].Name = d.str()
 	}
 
-	nc := d.u64()
-	if !d.checkCount("communicator", nc, minCommBytes, maxCommCount) {
-		return nil, 0, d.err
-	}
-	t.Comms = make([]CommDef, nc)
-	for i := range t.Comms {
-		t.Comms[i].ID = int32(d.i64())
-		nm := d.u64()
-		if !d.checkCount("communicator member", nm, minRankBytes, maxMemberCount) {
-			return nil, 0, d.err
-		}
-		t.Comms[i].Ranks = make([]int32, nm)
-		for j := range t.Comms[i].Ranks {
-			t.Comms[i].Ranks[j] = int32(d.i64())
-		}
+	var err error
+	if t.Comms, err = d.decodeComms(flags); err != nil {
+		return nil, 0, err
 	}
 
 	ne := d.u64()

@@ -165,10 +165,13 @@ func (t *Trace) EncodeFormat(w io.Writer, f Format) error {
 }
 
 func (t *Trace) encodeV2(w io.Writer, blockSize int) error {
+	return t.writeV2(&encoder{w: bufio.NewWriter(w)}, blockSize)
+}
+
+func (t *Trace) writeV2(e *encoder, blockSize int) error {
 	if blockSize < 1 || blockSize > maxBlockSize {
 		return fmt.Errorf("trace: block size %d out of range [1, %d]", blockSize, maxBlockSize)
 	}
-	e := &encoder{w: bufio.NewWriter(w)}
 	if err := t.encodeHeader(e, formatVersion2); err != nil {
 		return err
 	}

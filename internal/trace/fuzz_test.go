@@ -71,6 +71,86 @@ func encodedV2Seeds(t testing.TB) [][]byte {
 	return out
 }
 
+// explicitSeeds returns the seed traces in format f with every member
+// list spelled out, as images from before run coding are written (v2
+// with the same block sizes as encodedV2Seeds).
+func explicitSeeds(t testing.TB, f Format) [][]byte {
+	t.Helper()
+	seeds := seedTraces()
+	var out [][]byte
+	for i, tr := range seeds {
+		bs := defaultBlockSize
+		if i == len(seeds)-1 {
+			bs = 2
+		}
+		var buf bytes.Buffer
+		if err := tr.EncodeExplicit(&buf, f, bs); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// runWorldTrace declares a 4096-rank world and the odd ranks of it
+// around a barrier: two runs of three varints each.
+func runWorldTrace() *Trace {
+	world, odd := make([]int32, 4096), make([]int32, 2048)
+	for i := range world {
+		world[i] = int32(i)
+	}
+	for i := range odd {
+		odd[i] = int32(2*i + 1)
+	}
+	return &Trace{
+		Loc:     Location{Rank: 7, MetahostName: "big"},
+		Regions: []Region{{ID: 0, Name: "MPI_Barrier", Kind: RegionMPIColl}},
+		Comms:   []CommDef{{ID: 0, Ranks: world}, {ID: 1, Ranks: odd}},
+		Events: []Event{
+			{Kind: KindEnter, Time: 1, Region: 0},
+			{Kind: KindCollExit, Time: 2, Comm: 1, Coll: CollBarrier, Root: -1},
+			{Kind: KindExit, Time: 2, Region: 0},
+		},
+	}
+}
+
+func runWorldImage(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := runWorldTrace().EncodeV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withComms returns the v2 image of an empty trace whose header declares
+// one communicator with the given id and runs, (start, count, stride)
+// each, written as they stand: a header no writer produces.
+func withComms(t testing.TB, id int64, nruns uint64, r ...int64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := (&Trace{Loc: Location{MetahostName: "x"}}).EncodeV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// The image ends in the communicator count, the event count (both
+	// 0) and the two-byte block size.
+	tail := len(img) - 4
+	if img[tail] != 0 || img[tail+1] != 0 {
+		t.Fatalf("unexpected tail % x", img[tail:])
+	}
+	out := append([]byte{}, img[:tail]...)
+	out = append(out, 1)
+	out = binary.AppendVarint(out, id)
+	out = binary.AppendUvarint(out, nruns)
+	for i := 0; i+2 < len(r); i += 3 {
+		out = binary.AppendVarint(out, r[i])
+		out = binary.AppendUvarint(out, uint64(r[i+1]))
+		out = binary.AppendVarint(out, r[i+2])
+	}
+	return append(out, img[tail+1:]...)
+}
+
 // encodeV1Bytes re-encodes tr in the v1 format. The fuzz targets judge
 // trace equality by comparing these bytes: the encoding is canonical,
 // and byte comparison stays exact on NaN time stamps, which defeat
@@ -131,6 +211,8 @@ func FuzzDecodeV2(f *testing.F) {
 	for _, seed := range encodedV2Seeds(f) {
 		f.Add(seed)
 	}
+	f.Add(runWorldImage(f))
+	f.Add(withComms(f, 0, 1, 0, 1<<40, 1))
 	f.Add([]byte("MSCP\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBytes(data)
@@ -192,6 +274,10 @@ func FuzzDecodeDifferential(f *testing.F) {
 	for _, seed := range encodedV2Seeds(f) {
 		f.Add(seed)
 	}
+	for _, seed := range explicitSeeds(f, FormatV2) {
+		f.Add(seed)
+	}
+	f.Add(runWorldImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBytes(data)
 		if err != nil {

@@ -229,6 +229,9 @@ type SyncData struct {
 // order. The parallel analyzer needs the membership to translate the
 // communicator-local Peer field of Send/Recv events and to coordinate
 // collective replay.
+//
+// Ranks is read-only: traces decoded through one Interner share one
+// slice per distinct communicator.
 type CommDef struct {
 	ID    int32
 	Ranks []int32

@@ -131,6 +131,25 @@ if grep -n -F 'map[RegionID]' internal/trace/validator.go; then
 	exit 1
 fi
 
+# A collective costs each participant O(1), however large its
+# communicator: the member that completes a gather summarizes its enters
+# once (collGather.summarize), a participant scores from that summary,
+# and a rank finds its communicator rank in the membership index
+# (analyzer.commRank). A loop over g.enters in scoreCollective, or a
+# slices.Index over a member list in the sweep's file, is the scan per
+# member — O(P) per rank per collective — creeping back.
+echo "== linear collectives"
+if awk '/^func / { fn = $0 } /^}/ { fn = "" }
+	fn ~ /^func \(st \*stepper\) scoreCollective\(/ && /for .*g\.enters|range g\.enters/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+	END { exit !bad }' internal/replay/worker.go; then
+	echo "check: scoreCollective loops over the gather's enters: score from the summary the completing member computed" >&2
+	exit 1
+fi
+if grep -n -E 'slices\.Index(Func)?\(' internal/replay/worker.go; then
+	echo "check: internal/replay/worker.go scans a member list: find a communicator rank through analyzer.commRank" >&2
+	exit 1
+fi
+
 # The phase search is linear in what it reads: an op finds its atom by a
 # forward cursor, a kind set is a short slice, and the candidates share
 # one failure table per trim start. A map in internal/phase/phase.go is a
@@ -516,12 +535,14 @@ METASCOPE_SOAK_SECONDS=2 go test -race -count=1 -run 'TestServeSoak' ./internal/
 
 # One iteration of every benchmark: catches benchmarks that rot (fail
 # to compile or crash) without paying for a real measurement run. The
-# phase search's benchmark must be among them, on both of its shapes.
+# phase search's benchmark must be among them, on both of its shapes,
+# and the ranks-scaling one at 1024 ranks.
 echo "== go test -bench . -benchtime=1x (smoke)"
 out=$(go test -run '^$' -bench . -benchtime=1x ./...)
 for shape in ragged-192x256 silenced-32x1000; do
 	echo "$out" | grep -q "^BenchmarkDetect/$shape" || { echo "check: BenchmarkDetect/$shape did not run" >&2; exit 1; }
 done
+echo "$out" | grep -q "^BenchmarkAnalyzeRanks/1024" || { echo "check: BenchmarkAnalyzeRanks/1024 did not run" >&2; exit 1; }
 
 # The flight recorder's contract is that a disabled recorder is free:
 # instrumented hot paths (every mailbox put/take in the parallel
