@@ -59,7 +59,6 @@ func align(title string, a, b *Report) (*Report, func(r *Report, m, c, l int) (i
 	}
 	addCalls(a)
 	addCalls(b)
-	out.growSev()
 
 	lookup := func(src *Report, m, c, l int) (int, int, int, bool) {
 		mi, ok := haveMetric[src.Metrics[m].Key]
@@ -79,13 +78,14 @@ func align(title string, a, b *Report) (*Report, func(r *Report, m, c, l int) (i
 	return out, lookup
 }
 
-// forEachCell visits every non-zero severity cell of a report.
+// forEachCell visits every non-zero severity cell of a report, in
+// (metric, call, location) order.
 func forEachCell(r *Report, fn func(m, c, l int, v float64)) {
-	for m := range r.Metrics {
-		for c := range r.Calls {
-			for l := range r.Locs {
-				if v := r.Value(m, c, l); v != 0 {
-					fn(m, c, l, v)
+	for m, rows := range r.sev {
+		for _, row := range rows {
+			for l, v := range row.cells {
+				if v != 0 {
+					fn(m, row.call, l, v)
 				}
 			}
 		}

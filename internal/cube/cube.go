@@ -14,7 +14,9 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,10 +60,31 @@ type Report struct {
 	// own artifact (see internal/profile) and can be re-attached to a
 	// loaded report before rendering.
 	Profile *profile.Profile
-	// sev[m][c][l] is the exclusive severity of metric m at call node c
-	// and location l.
-	sev [][][]float64
+	// sev[m] holds metric m's rows in call-node order: one per call node
+	// the metric was ever written at, made on its first write, sized to
+	// the locations then known. Row cells[l] is the exclusive severity at
+	// location l; a row not yet written, or a location past a row's end,
+	// reads as zero. Storage follows what was written, not metrics ×
+	// calls × locations.
+	sev [][]sevRow
+	// slab is the unused tail of the block row cells are cut from, and
+	// rows the number of rows cut so far: a block holds as many rows as
+	// were cut before it, at least 8 and at most slabBytes of them, so a
+	// report of many rows makes few allocations and one of few wastes
+	// little.
+	slab []float64
+	rows int
 }
+
+// sevRow is one (metric, call node) row of exclusive severities.
+type sevRow struct {
+	call  int
+	cells []float64
+}
+
+// slabBytes caps one block of rows; a row longer than that is a block
+// of its own.
+const slabBytes = 32 << 10
 
 // New creates a report with the given metric dimension and locations.
 // Call nodes are added incrementally with AddCall.
@@ -106,7 +129,6 @@ func (r *Report) AddMetric(m Metric) int {
 		panic(fmt.Sprintf("cube: AddMetric with invalid parent %d", m.Parent))
 	}
 	r.Metrics = append(r.Metrics, m)
-	r.growSev()
 	return len(r.Metrics) - 1
 }
 
@@ -124,7 +146,6 @@ func (r *Report) LocIndex(rank int) int {
 // its index. It does not deduplicate; use Child for lookup-or-create.
 func (r *Report) AddCall(name string, parent int) int {
 	r.Calls = append(r.Calls, CallNode{Name: name, Parent: parent})
-	r.growSev()
 	return len(r.Calls) - 1
 }
 
@@ -172,40 +193,87 @@ func (r *Report) CallByPath(path []string) int {
 	return cur
 }
 
-func (r *Report) growSev() {
-	for len(r.sev) < len(r.Metrics) {
-		r.sev = append(r.sev, nil)
+// rowsOf returns metric m's written rows, in call order.
+func (r *Report) rowsOf(m int) []sevRow {
+	if m < len(r.sev) {
+		return r.sev[m]
 	}
-	for m := range r.sev {
-		for len(r.sev[m]) < len(r.Calls) {
-			r.sev[m] = append(r.sev[m], make([]float64, len(r.Locs)))
-		}
-		for c := range r.sev[m] {
-			for len(r.sev[m][c]) < len(r.Locs) {
-				r.sev[m][c] = append(r.sev[m][c], 0)
-			}
-		}
+	return nil
+}
+
+// row returns the index among metric's rows of the row of call, or where
+// it would go.
+func (r *Report) row(metric, call int) (int, bool) {
+	rows := r.rowsOf(metric)
+	// Rows are most often written in the order their call nodes were made.
+	if n := len(rows); n == 0 || rows[n-1].call < call {
+		return n, false
+	} else if rows[n-1].call == call {
+		return n - 1, true
 	}
+	return slices.BinarySearchFunc(rows, call, func(x sevRow, c int) int { return cmp.Compare(x.call, c) })
+}
+
+// cell returns the storage of (metric, call, loc), making its row first,
+// or lengthening it for a location added after the row was made.
+func (r *Report) cell(metric, call, loc int) *float64 {
+	if metric >= len(r.sev) {
+		r.sev = append(r.sev, make([][]sevRow, len(r.Metrics)-len(r.sev))...)
+	}
+	if call < 0 || call >= len(r.Calls) {
+		panic(fmt.Sprintf("cube: call node %d out of range [0, %d)", call, len(r.Calls)))
+	}
+	i, ok := r.row(metric, call)
+	if !ok {
+		r.sev[metric] = slices.Insert(r.sev[metric], i, sevRow{call: call})
+	}
+	row := &r.sev[metric][i]
+	switch {
+	case row.cells == nil:
+		row.cells = r.newCells()
+	case loc >= len(row.cells):
+		row.cells = append(row.cells, make([]float64, len(r.Locs)-len(row.cells))...)
+	}
+	return &row.cells[loc]
+}
+
+// newCells cuts a row of len(r.Locs) zero cells from the slab.
+func (r *Report) newCells() []float64 {
+	n := len(r.Locs)
+	if len(r.slab) < n {
+		k := min(max(r.rows, 8), max(slabBytes/8/max(n, 1), 1))
+		r.slab = make([]float64, k*n)
+	}
+	cells := r.slab[:n:n]
+	r.slab = r.slab[n:]
+	r.rows++
+	return cells
 }
 
 // Add accumulates an exclusive severity value.
 func (r *Report) Add(metric, call, loc int, v float64) {
-	r.growSev()
-	r.sev[metric][call][loc] += v
+	*r.cell(metric, call, loc) += v
 }
 
 // Set stores an exclusive severity value.
 func (r *Report) Set(metric, call, loc int, v float64) {
-	r.growSev()
-	r.sev[metric][call][loc] = v
+	*r.cell(metric, call, loc) = v
+}
+
+// cells returns the row of (metric, call), nil if never written.
+func (r *Report) cells(metric, call int) []float64 {
+	if i, ok := r.row(metric, call); ok {
+		return r.sev[metric][i].cells
+	}
+	return nil
 }
 
 // Value returns the exclusive severity of (metric, call, loc).
 func (r *Report) Value(metric, call, loc int) float64 {
-	if metric >= len(r.sev) || call >= len(r.sev[metric]) || loc >= len(r.sev[metric][call]) {
-		return 0
+	if cells := r.cells(metric, call); loc < len(cells) {
+		return cells[loc]
 	}
-	return r.sev[metric][call][loc]
+	return 0
 }
 
 // MetricChildren returns the indices of a metric's direct children.
@@ -231,22 +299,27 @@ func (r *Report) CallChildren(c int) []int {
 	return out
 }
 
-// metricSubtree lists m and all its descendants.
-func (r *Report) metricSubtree(m int) []int {
-	out := []int{m}
-	for _, ch := range r.MetricChildren(m) {
-		out = append(out, r.metricSubtree(ch)...)
+// eachMetric calls fn for m and every metric below it, in preorder: m,
+// then each child's subtree in index order. The tree queries below sum
+// in this order, metric by metric, each by call and then by location, so
+// their floating-point totals do not depend on how the walk is made.
+func (r *Report) eachMetric(m int, fn func(mm int)) {
+	fn(m)
+	for ch := range r.Metrics {
+		if r.Metrics[ch].Parent == m {
+			r.eachMetric(ch, fn)
+		}
 	}
-	return out
 }
 
-// callSubtree lists c and all its descendants.
-func (r *Report) callSubtree(c int) []int {
-	out := []int{c}
-	for _, ch := range r.CallChildren(c) {
-		out = append(out, r.callSubtree(ch)...)
+// eachCall calls fn for c and every call node below it, in preorder.
+func (r *Report) eachCall(c int, fn func(cc int)) {
+	fn(c)
+	for ch := range r.Calls {
+		if r.Calls[ch].Parent == c {
+			r.eachCall(ch, fn)
+		}
 	}
-	return out
 }
 
 // MetricCallValue sums metric m's subtree over one call node (all
@@ -254,20 +327,18 @@ func (r *Report) callSubtree(c int) []int {
 // m is selected.
 func (r *Report) MetricCallValue(m, call int) float64 {
 	total := 0.0
-	for _, mm := range r.metricSubtree(m) {
-		for l := range r.Locs {
-			total += r.Value(mm, call, l)
+	r.eachMetric(m, func(mm int) {
+		for _, v := range r.cells(mm, call) {
+			total += v
 		}
-	}
+	})
 	return total
 }
 
 // MetricCallInclusive additionally sums over the call subtree.
 func (r *Report) MetricCallInclusive(m, call int) float64 {
 	total := 0.0
-	for _, c := range r.callSubtree(call) {
-		total += r.MetricCallValue(m, c)
-	}
+	r.eachCall(call, func(c int) { total += r.MetricCallValue(m, c) })
 	return total
 }
 
@@ -275,11 +346,9 @@ func (r *Report) MetricCallInclusive(m, call int) float64 {
 // the call subtree — the number shown in the system panel.
 func (r *Report) MetricLocValue(m, call, loc int) float64 {
 	total := 0.0
-	for _, c := range r.callSubtree(call) {
-		for _, mm := range r.metricSubtree(m) {
-			total += r.Value(mm, c, loc)
-		}
-	}
+	r.eachCall(call, func(c int) {
+		r.eachMetric(m, func(mm int) { total += r.Value(mm, c, loc) })
+	})
 	return total
 }
 
@@ -296,24 +365,26 @@ func (r *Report) RankMetricTotal(key string, rank int) float64 {
 		return 0
 	}
 	total := 0.0
-	for _, mm := range r.metricSubtree(m) {
-		for c := range r.Calls {
-			total += r.Value(mm, c, l)
+	r.eachMetric(m, func(mm int) {
+		for _, row := range r.rowsOf(mm) {
+			if l < len(row.cells) {
+				total += row.cells[l]
+			}
 		}
-	}
+	})
 	return total
 }
 
 // MetricTotal sums metric m's subtree over everything.
 func (r *Report) MetricTotal(m int) float64 {
 	total := 0.0
-	for _, mm := range r.metricSubtree(m) {
-		for c := range r.Calls {
-			for l := range r.Locs {
-				total += r.Value(mm, c, l)
+	r.eachMetric(m, func(mm int) {
+		for _, row := range r.rowsOf(mm) {
+			for _, v := range row.cells {
+				total += v
 			}
 		}
-	}
+	})
 	return total
 }
 
@@ -329,7 +400,11 @@ func (r *Report) TotalTime() float64 {
 
 // MetricPercent returns metric m's inclusive share of total time.
 func (r *Report) MetricPercent(m int) float64 {
-	t := r.TotalTime()
+	return r.percentOf(m, r.TotalTime())
+}
+
+// percentOf returns metric m's inclusive share of the given total time.
+func (r *Report) percentOf(m int, t float64) float64 {
 	if t <= 0 {
 		return 0
 	}

@@ -246,7 +246,6 @@ func TestMergeAddsAndAlignsStructure(t *testing.T) {
 	extra := b.AddCall("io", b.CallByPath([]string{"main"}))
 	b.Locs = append(b.Locs, Loc{Rank: 2, Metahost: 0, MetahostName: "A", Node: 1})
 	exec := b.MetricIndex(pattern.KeyExecution)
-	b.growSev()
 	b.Set(exec, extra, 2, 7.0)
 
 	m := Merge(a, b)

@@ -2,7 +2,6 @@ package cube
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -51,45 +50,70 @@ func (r *Report) Findings(n int, minPercent float64) []Finding {
 		"mpi": true, "mpi.communication": true, "mpi.communication.p2p": true,
 		"mpi.communication.collective": true, "mpi.synchronization": true,
 	}
-	var cands []int
-	for _, m := range r.metricSubtree(mpi) {
-		if structural[r.Metrics[m].Key] {
-			continue
-		}
-		cands = append(cands, m)
-	}
 	// Most specific dominant level: drop a candidate if one of its
 	// children carries ≥ 85 % of its inclusive value (the child is the
 	// better diagnosis), or if several reportable children jointly
 	// cover ≥ 85 % (the per-pair breakdown explains the parent).
-	// Conversely drop children below minPercent.
-	keep := make(map[int]bool)
-	for _, m := range cands {
+	// Conversely drop children below minPercent. The kept candidates go
+	// into top, most severe first and cut to n as they come, so only the
+	// reported ones are described below.
+	type pick struct {
+		m       int
+		incl    float64
+		percent float64
+	}
+	before := func(x, y pick) bool {
+		if x.percent != y.percent {
+			return x.percent > y.percent
+		}
+		return r.Metrics[x.m].Key < r.Metrics[y.m].Key
+	}
+	top := make([]pick, 0, max(min(n, len(r.Metrics)), 0))
+	r.eachMetric(mpi, func(m int) {
+		if structural[r.Metrics[m].Key] {
+			return
+		}
 		incl := r.MetricTotal(m)
 		if 100*incl/total < minPercent {
-			continue
+			return
 		}
 		covered := 0.0
-		for _, ch := range r.MetricChildren(m) {
+		for ch := range r.Metrics {
+			if r.Metrics[ch].Parent != m {
+				continue
+			}
 			if chV := r.MetricTotal(ch); 100*chV/total >= minPercent {
 				covered += chV
 			}
 		}
 		if incl > 0 && covered >= 0.85*incl {
-			continue
+			return
 		}
-		keep[m] = true
+		p := pick{m: m, incl: incl, percent: 100 * incl / total}
+		i := len(top)
+		for i > 0 && before(p, top[i-1]) {
+			i--
+		}
+		if i < n {
+			if len(top) < n {
+				top = append(top, pick{})
+			}
+			copy(top[i+1:], top[i:])
+			top[i] = p
+		}
+	})
+	if len(top) == 0 {
+		return nil
 	}
-	// Also drop a child whose parent was kept and holds nothing beyond
-	// the child (avoid reporting both Late Sender and Grid Late Sender).
-	var out []Finding
-	for m := range keep {
-		incl := r.MetricTotal(m)
+	names := r.MetahostNames()
+	out := make([]Finding, len(top))
+	for i, p := range top {
+		m, incl := p.m, p.incl
 		hot, _ := r.HottestCall(m)
 		f := Finding{
 			MetricKey:  r.Metrics[m].Key,
 			MetricName: r.Metrics[m].Name,
-			Percent:    100 * incl / total,
+			Percent:    p.percent,
 			Seconds:    incl,
 		}
 		if hot >= 0 {
@@ -98,7 +122,7 @@ func (r *Report) Findings(n int, minPercent float64) []Finding {
 				f.CallShare = r.MetricCallValue(m, hot) / incl
 			}
 			bestMH, bestV := "", 0.0
-			for _, mh := range r.MetahostNames() {
+			for _, mh := range names {
 				if v := r.MetahostValue(m, hot, mh); v > bestV {
 					bestMH, bestV = mh, v
 				}
@@ -108,16 +132,7 @@ func (r *Report) Findings(n int, minPercent float64) []Finding {
 				f.MetahostShare = bestV / at
 			}
 		}
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Percent != out[j].Percent {
-			return out[i].Percent > out[j].Percent
-		}
-		return out[i].MetricKey < out[j].MetricKey
-	})
-	if len(out) > n {
-		out = out[:n]
+		out[i] = f
 	}
 	return out
 }

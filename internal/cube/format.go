@@ -20,31 +20,67 @@ import (
 //	sev <metric> <call> <loc> <value>      (non-zero cells only)
 //	end
 
-// Write serializes the report.
+// Write serializes the report. Each line is appended into one reused
+// buffer, so writing allocates the same whatever the report's size.
 func (r *Report) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "mscpcube 1")
-	fmt.Fprintf(bw, "title %s\n", strconv.Quote(r.Title))
+	line := make([]byte, 0, 128)
+	put := func() {
+		line = append(line, '\n')
+		bw.Write(line)
+		line = line[:0]
+	}
+	line = append(line, "mscpcube 1\ntitle "...)
+	line = strconv.AppendQuote(line, r.Title)
+	put()
 	for i, m := range r.Metrics {
-		fmt.Fprintf(bw, "metric %d %d %s %s %s\n", i, m.Parent, m.Unit, m.Key, strconv.Quote(m.Name))
+		line = append(line, "metric "...)
+		line = appendInts(line, i, m.Parent)
+		line = append(line, m.Unit...)
+		line = append(line, ' ')
+		line = append(line, m.Key...)
+		line = append(line, ' ')
+		line = strconv.AppendQuote(line, m.Name)
+		put()
 	}
 	for i, c := range r.Calls {
-		fmt.Fprintf(bw, "call %d %d %s\n", i, c.Parent, strconv.Quote(c.Name))
+		line = append(line, "call "...)
+		line = appendInts(line, i, c.Parent)
+		line = strconv.AppendQuote(line, c.Name)
+		put()
 	}
 	for i, l := range r.Locs {
-		fmt.Fprintf(bw, "loc %d %d %d %d %s\n", i, l.Rank, l.Metahost, l.Node, strconv.Quote(l.MetahostName))
+		line = append(line, "loc "...)
+		line = appendInts(line, i, l.Rank, l.Metahost, l.Node)
+		line = strconv.AppendQuote(line, l.MetahostName)
+		put()
 	}
-	for m := range r.Metrics {
-		for c := range r.Calls {
-			for l := range r.Locs {
-				if v := r.Value(m, c, l); v != 0 {
-					fmt.Fprintf(bw, "sev %d %d %d %.17g\n", m, c, l, v)
+	// Only rows ever written hold a non-zero cell, visited in (m, c, l)
+	// order.
+	for m, rows := range r.sev {
+		for _, row := range rows {
+			for l, v := range row.cells {
+				if v != 0 {
+					line = append(line, "sev "...)
+					line = appendInts(line, m, row.call, l)
+					line = strconv.AppendFloat(line, v, 'g', 17, 64) // fmt's %.17g
+					put()
 				}
 			}
 		}
 	}
-	fmt.Fprintln(bw, "end")
+	line = append(line, "end"...)
+	put()
 	return bw.Flush()
+}
+
+// appendInts appends each value in decimal, each followed by a space.
+func appendInts(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Read parses a report written by Write.
@@ -157,6 +193,5 @@ func Read(rd io.Reader) (*Report, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	r.growSev()
 	return r, nil
 }

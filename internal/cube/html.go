@@ -74,7 +74,7 @@ func (r *Report) RenderHTML(w io.Writer) error {
 		md := &r.Metrics[m]
 		row := metricRow{Indent: depth, Name: md.Name, IsTime: md.Unit == "sec"}
 		if md.Unit == "sec" {
-			row.Percent = r.MetricPercent(m)
+			row.Percent = r.percentOf(m, data.TotalTime)
 			row.BarPct = row.Percent
 			if row.BarPct > 100 {
 				row.BarPct = 100

@@ -3,6 +3,7 @@ package cube
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -34,30 +35,74 @@ func severityMark(pct float64) string {
 
 // RenderMetricTree renders the metric panel: every metric with its
 // inclusive value as a percentage of total time (counts for "occ"
-// metrics).
+// metrics). The text is appended into one buffer sized up front, and
+// total time is summed once.
 func (r *Report) RenderMetricTree() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Metric tree (total time %.3f s)\n", r.TotalTime())
-	var walk func(m, depth int)
-	walk = func(m, depth int) {
-		md := &r.Metrics[m]
-		indent := strings.Repeat("  ", depth)
-		if md.Unit != "sec" {
-			fmt.Fprintf(&b, "       %s%s %s = %.0f %s\n", indent, "-", md.Name, r.MetricTotal(m), md.Unit)
-		} else {
-			pct := r.MetricPercent(m)
-			fmt.Fprintf(&b, "%5.1f%% %s%s %s\n", pct, severityMark(pct), indent, md.Name)
-		}
-		for _, ch := range r.MetricChildren(m) {
-			walk(ch, depth+1)
-		}
+	t := r.TotalTime()
+	size := 64
+	for i := range r.Metrics {
+		size += 64 + len(r.Metrics[i].Name) + len(r.Metrics[i].Unit)
 	}
+	b := make([]byte, 0, size)
+	b = append(b, "Metric tree (total time "...)
+	b = appendFixed(b, t, 3, 0)
+	b = append(b, " s)\n"...)
 	for i := range r.Metrics {
 		if r.Metrics[i].Parent == -1 {
-			walk(i, 0)
+			b = r.appendMetricTree(b, i, 0, t)
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendMetricTree appends metric m's line of the metric panel, indented
+// by depth, and then its children's subtrees in index order.
+func (r *Report) appendMetricTree(b []byte, m, depth int, t float64) []byte {
+	md := &r.Metrics[m]
+	if md.Unit != "sec" {
+		b = append(b, "       "...)
+		b = appendIndent(b, depth)
+		b = append(b, "- "...)
+		b = append(b, md.Name...)
+		b = append(b, " = "...)
+		b = appendFixed(b, r.MetricTotal(m), 0, 0)
+		b = append(b, ' ')
+		b = append(b, md.Unit...)
+	} else {
+		pct := r.percentOf(m, t)
+		b = appendFixed(b, pct, 1, 5)
+		b = append(b, "% "...)
+		b = append(b, severityMark(pct)...)
+		b = appendIndent(b, depth)
+		b = append(b, ' ')
+		b = append(b, md.Name...)
+	}
+	b = append(b, '\n')
+	for ch := range r.Metrics {
+		if r.Metrics[ch].Parent == m {
+			b = r.appendMetricTree(b, ch, depth+1, t)
+		}
+	}
+	return b
+}
+
+// appendIndent appends two spaces per level of depth.
+func appendIndent(b []byte, depth int) []byte {
+	for range depth {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// appendFixed appends v as fmt's %*.*f prints it: prec decimals, padded
+// on the left with spaces to width.
+func appendFixed(b []byte, v float64, prec, width int) []byte {
+	var num [32]byte
+	s := strconv.AppendFloat(num[:0], v, 'f', prec, 64)
+	for range width - len(s) {
+		b = append(b, ' ')
+	}
+	return append(b, s...)
 }
 
 // RenderCallTree renders the call-tree panel for one metric: each call

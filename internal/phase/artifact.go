@@ -87,8 +87,14 @@ func (p *Profile) FamilyTotal(family string) float64 {
 	return total
 }
 
-// sigString renders a signature in the artifact's fixed-width hex.
-func sigString(v uint64) string { return fmt.Sprintf("%016x", v) }
+// appendSig appends a signature in the artifact's fixed-width hex, as
+// fmt's %016x prints it.
+func appendSig(b []byte, v uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[v>>shift&15])
+	}
+	return b
+}
 
 // rowKey addresses one accumulator row.
 type rowKey struct {
@@ -205,8 +211,17 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 			}
 		}
 	}
-	// One backing array for every phase's rows, cut phase by phase.
+	// One backing array for every phase's rows, cut phase by phase, and
+	// one string holding every phase's two signatures, cut the same way.
 	sev := make([]SevRow, 0, cells)
+	var hex strings.Builder
+	hex.Grow(32 * len(p.Phases))
+	var sig [16]byte
+	for i := range p.Phases {
+		hex.Write(appendSig(sig[:0], a.seg.Sigs[i]))
+		hex.Write(appendSig(sig[:0], a.seg.Kinds[i]))
+	}
+	sigs := hex.String()
 	for i := range p.Phases {
 		first := len(sev)
 		for _, r := range rows {
@@ -223,8 +238,8 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 			Index: i,
 			Start: a.seg.Bounds[i],
 			End:   a.seg.Bounds[i+1],
-			Sig:   sigString(a.seg.Sigs[i]),
-			Kinds: sigString(a.seg.Kinds[i]),
+			Sig:   sigs[32*i : 32*i+16],
+			Kinds: sigs[32*i+16 : 32*i+32],
 			Ops:   a.seg.Counts[i],
 		}
 		if len(sev) > first {

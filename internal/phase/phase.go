@@ -369,9 +369,34 @@ func mergeSpans(dst, acc []interval, ol Log) []interval {
 	return append(dst, cur)
 }
 
-// addKind adds sig to a set of distinct region signatures. The sets are
-// those of one atom or one phase, a handful of names each, so the set is
-// a slice searched in order.
+// kindSets holds the distinct region signatures of every atom, as one
+// list per atom threaded through one arena: head[a] is one past the
+// index of atom a's last added node, and each node links the one added
+// before it. An atom holds a handful of names, so a list is searched in
+// order.
+type kindSets struct {
+	head  []int
+	nodes []kindNode
+}
+
+type kindNode struct {
+	sig  uint64
+	next int // one past the index of the atom's previous node; 0 ends the list
+}
+
+// add adds sig to atom a's set.
+func (k *kindSets) add(a int, sig uint64) {
+	for i := k.head[a]; i != 0; i = k.nodes[i-1].next {
+		if k.nodes[i-1].sig == sig {
+			return
+		}
+	}
+	k.nodes = append(k.nodes, kindNode{sig: sig, next: k.head[a]})
+	k.head[a] = len(k.nodes)
+}
+
+// addKind adds sig to a set of distinct region signatures, the set of one
+// phase, a handful of names, searched in order.
 func addKind(set []uint64, sig uint64) []uint64 {
 	for _, k := range set {
 		if k == sig {
@@ -451,7 +476,7 @@ func Detect(ops []Log) *Segmentation {
 		seq:    make([]rankAtom, 0, nAtoms),
 		fail:   make([]int, 0, nAtoms+1),
 	}
-	kindSets := make([][]uint64, nAtoms)
+	kinds := kindSets{head: make([]int, nAtoms), nodes: make([]kindNode, 0, nAtoms)}
 	r := 0
 	for _, ol := range ops {
 		if ol.len() == 0 {
@@ -474,7 +499,7 @@ func Detect(ops []Log) *Segmentation {
 				}
 				row[at+1].sum += mix64(op.Sig)
 				row[at+1].cnt++
-				kindSets[at] = addKind(kindSets[at], op.Sig)
+				kinds.add(at, op.Sig)
 			}
 		}
 		for a := 1; a <= nAtoms; a++ {
@@ -502,18 +527,18 @@ func Detect(ops []Log) *Segmentation {
 			break // coarser thresholds only remove more cuts
 		}
 		if pre, post, ok := s.accept(); ok {
-			return s.build(segs, kindSets, pre, post)
+			return s.build(segs, &kinds, pre, post)
 		}
 	}
 	// No periodic partition: fall back to the finest silence partition
 	// so the artifact still resolves the run's covered spans.
 	s.cutAt(gaps, 0)
-	return s.build(segs, kindSets, 0, 0)
+	return s.build(segs, &kinds, 0, 0)
 }
 
 // build assembles the Segmentation for the candidate, accepted with the
 // given trim.
-func (s *search) build(segs []interval, kindSets [][]uint64, pre, post int) *Segmentation {
+func (s *search) build(segs []interval, atomKinds *kindSets, pre, post int) *Segmentation {
 	cuts := s.cuts
 	k := len(cuts) + 1
 	sg := &Segmentation{
@@ -550,8 +575,8 @@ func (s *search) build(segs []interval, kindSets [][]uint64, pre, post int) *Seg
 		kinds = kinds[:0]
 	}
 	for a := 0; a < s.nAtoms; a++ {
-		for _, sig := range kindSets[a] {
-			kinds = addKind(kinds, sig)
+		for i := atomKinds.head[a]; i != 0; i = atomKinds.nodes[i-1].next {
+			kinds = addKind(kinds, atomKinds.nodes[i-1].sig)
 		}
 		if next < len(cuts) && cuts[next] == a {
 			flush()

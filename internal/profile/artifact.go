@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,16 +92,20 @@ func (p *Profile) ByMetahost(metric string) []MetahostRow {
 		}
 		row, ok := byID[s.Metahost]
 		if !ok {
-			row = &MetahostRow{Metahost: s.Metahost, Name: s.MetahostName, Values: make([]float64, p.Buckets)}
+			row = &MetahostRow{Metahost: s.Metahost, Name: s.MetahostName}
 			byID[s.Metahost] = row
 		}
 		if row.Name == "" {
 			row.Name = s.MetahostName
 		}
-		for i, v := range s.Values {
-			if i < len(row.Values) {
-				row.Values[i] += v
-			}
+		// A row is as long as the longest series it sums, not the declared
+		// bucket count.
+		vals := s.Values[:min(len(s.Values), p.Buckets)]
+		if len(vals) > len(row.Values) {
+			row.Values = append(row.Values, make([]float64, len(vals)-len(row.Values))...)
+		}
+		for i, v := range vals {
+			row.Values[i] += v
 		}
 	}
 	ids := make([]int, 0, len(byID))
@@ -287,11 +292,20 @@ func Diff(a, b *Profile) (*Profile, error) {
 	}
 	index(a, 0)
 	index(b, 1)
-	sortKeys(keys)
+	slices.SortFunc(keys, compareKeys)
 	for _, k := range keys {
 		pair := bySeries[k]
 		row := Series{Metric: k.Metric, Metahost: k.Metahost, Rank: k.Rank}
-		vals := make([]float64, a.Buckets)
+		// A row is as long as the longer of its inputs, not the declared
+		// bucket count: a missing value is zero, and a series line of a few
+		// bytes does not size a row of MaxBuckets.
+		n := 0
+		for _, s := range pair {
+			if s != nil {
+				n = max(n, len(s.Values))
+			}
+		}
+		vals := make([]float64, n)
 		for which, sign := range []float64{1, -1} {
 			s := pair[which]
 			if s == nil {

@@ -22,7 +22,11 @@
 // goroutine.
 package profile
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // DefaultBuckets is the bucket count used when Config.Buckets is zero.
 const DefaultBuckets = 64
@@ -129,11 +133,18 @@ func (s *series) bucket(origin, width, t float64) int {
 
 // Accumulator collects severity samples into per-key series. It is not
 // safe for concurrent use: the bucket sums depend on the order of the
-// Add calls, so the order is the caller's to fix.
+// Add calls, so the order is the caller's to fix. Snapshot spends it:
+// the artifact takes the series' sums over instead of copying them.
 type Accumulator struct {
 	cfg Config
 
+	// series is nil once Snapshot has spent the accumulator.
 	series map[Key]*series
+	// free is the unused tail of the block series — and their sums — are
+	// cut from. A block holds as many series as were made before it, at
+	// least 8 and at most 32 KiB of sums, so an accumulator of many
+	// series makes few allocations and one of few wastes little.
+	free []series
 	// names resolves metahost ids to display names in snapshots.
 	names map[int]string
 	// meta resolves metric keys to display name and unit.
@@ -173,9 +184,22 @@ type Handle struct {
 // then appears in the snapshot — on first use. A caller that deposits
 // many samples of one key resolves it once, on the first of them.
 func (a *Accumulator) Series(k Key) Handle {
+	if a.series == nil {
+		panic("profile: Series on an accumulator Snapshot has spent")
+	}
 	s, ok := a.series[k]
 	if !ok {
-		s = &series{sums: make([]float64, a.cfg.Buckets)}
+		if len(a.free) == 0 {
+			n := a.cfg.Buckets
+			block := min(max(len(a.series), 8), max(32<<10/8/n, 1))
+			sums := make([]float64, block*n)
+			a.free = make([]series, block)
+			for i := range a.free {
+				a.free[i].sums = sums[i*n : (i+1)*n : (i+1)*n]
+			}
+		}
+		s = &a.free[0]
+		a.free = a.free[1:]
 		a.series[k] = s
 	}
 	return Handle{s: s, origin: a.cfg.Origin, width: a.cfg.Width}
@@ -186,21 +210,20 @@ func (a *Accumulator) Series(k Key) Handle {
 // (synchronized) seconds, like every severity the analyzer computes.
 func (h Handle) Add(start, dur, value float64) { h.s.add(h.origin, h.width, start, dur, value) }
 
-func sortKeys(keys []Key) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Metric != keys[j].Metric {
-			return keys[i].Metric < keys[j].Metric
-		}
-		if keys[i].Metahost != keys[j].Metahost {
-			return keys[i].Metahost < keys[j].Metahost
-		}
-		return keys[i].Rank < keys[j].Rank
-	})
+// compareKeys orders keys by (metric, metahost, rank).
+func compareKeys(x, y Key) int {
+	return cmp.Or(strings.Compare(x.Metric, y.Metric), cmp.Compare(x.Metahost, y.Metahost), cmp.Compare(x.Rank, y.Rank))
 }
 
 // Snapshot renders the accumulator into the exportable artifact: every
 // series on the accumulator's axis, sorted by (metric, metahost, rank).
+// The artifact's values are the series' own sums, so the accumulator is
+// spent: Series and Snapshot on it panic, and a sample added through a
+// handle taken before would change the artifact.
 func (a *Accumulator) Snapshot(title string) *Profile {
+	if a.series == nil {
+		panic("profile: Snapshot of an accumulator Snapshot has spent")
+	}
 	p := &Profile{
 		Title:       title,
 		Origin:      a.cfg.Origin,
@@ -211,11 +234,14 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 	for k := range a.series {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
-	for _, k := range keys {
+	slices.SortFunc(keys, compareKeys)
+	if len(keys) > 0 {
+		p.Series = make([]Series, len(keys))
+	}
+	for i, k := range keys {
 		s := a.series[k]
 		meta := a.meta[k.Metric]
-		p.Series = append(p.Series, Series{
+		p.Series[i] = Series{
 			Metric:       k.Metric,
 			Name:         meta.Name,
 			Unit:         meta.Unit,
@@ -223,8 +249,9 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 			MetahostName: a.names[k.Metahost],
 			Rank:         k.Rank,
 			Count:        s.count,
-			Values:       append([]float64(nil), s.sums...),
-		})
+			Values:       s.sums,
+		}
 	}
+	a.series, a.free = nil, nil
 	return p
 }

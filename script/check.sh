@@ -604,5 +604,17 @@ go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|T
 # for the digest, at most 1 MB on a declared length alone — skip under
 # the race detector, which drops archive/zip's pooled inflaters at random.
 go test -count=1 -run 'TestDecodeZipAllocatesInflatedSizeOnce$|TestDigestBorrows$|TestSubmitBodyReadOnce$' ./internal/serve
+# The analysis epilogue allocates in proportion to what it writes: a
+# write into a written cube row allocates nothing and a new call node
+# only the row written; the metric panel, the findings and a subtree
+# total walk the metric tree in place; profile.Snapshot hands the series'
+# sums over and phase.Snapshot cuts every phase's signatures from one
+# string — so none of them allocates more for more metrics, series or
+# phases. cube.Read, profile.Diff and ByMetahost allocate by what their
+# input holds, not by the cube or bucket count it declares.
+echo "== epilogue allocation gates"
+go test -count=1 -run 'TestWritesAllocateByTouch$|TestTreeQueryAllocsFlatInMetrics$|TestReadDoesNotAmplifyDeclarations$|FuzzCubeRead$' ./internal/cube
+go test -count=1 -run 'TestSnapshotAllocsFlatInSeries$|TestSnapshotSpendsAccumulator$|TestDiffAndByMetahostSizeRowsByValues$' ./internal/profile
+go test -count=1 -run 'TestSnapshotAllocsFlatInPhases$' ./internal/phase
 
 echo "check: all green"
