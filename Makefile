@@ -13,7 +13,7 @@ soak: ## minutes-long analysis-service soak under -race (the seconds-long tier r
 	METASCOPE_SOAK_SECONDS=$(or $(SOAK_SECONDS),60) go test -race -count=1 -v -run 'TestServeSoak' ./internal/serve
 
 FUZZTIME ?= 10s
-fuzz: ## coverage-guided fuzzing of the trace decoders, the live-vs-lazy feeders, the scenario parser and the cube reader (seed corpora alone run in plain `go test`); FUZZTIME=5m for a long local run
+fuzz: ## coverage-guided fuzzing of the trace decoders, the live-vs-lazy feeders, the scenario parser and the cube, profile and phase readers (seed corpora alone run in plain `go test`); FUZZTIME=5m for a long local run
 	go test ./internal/trace -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz 'FuzzDecodeV2$$' -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz 'FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME)
@@ -22,6 +22,8 @@ fuzz: ## coverage-guided fuzzing of the trace decoders, the live-vs-lazy feeders
 	go test ./internal/scenario -run '^$$' -fuzz 'FuzzScenarioParse$$' -fuzztime $(FUZZTIME)
 	go test ./internal/phase -run '^$$' -fuzz 'FuzzPhaseAlign$$' -fuzztime $(FUZZTIME)
 	go test ./internal/cube -run '^$$' -fuzz 'FuzzCubeRead$$' -fuzztime $(FUZZTIME)
+	go test ./internal/profile -run '^$$' -fuzz 'FuzzProfileRead$$' -fuzztime $(FUZZTIME)
+	go test ./internal/phase -run '^$$' -fuzz 'FuzzPhaseRead$$' -fuzztime $(FUZZTIME)
 
 scenarios: ## compile, run, and oracle-check every library scenario across both trace formats
 	go test ./internal/conformance -count=1 -v -run 'TestKernelOracle|TestKernelTruncationFails'

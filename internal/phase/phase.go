@@ -369,30 +369,60 @@ func mergeSpans(dst, acc []interval, ol Log) []interval {
 	return append(dst, cur)
 }
 
-// kindSets holds the distinct region signatures of every atom, as one
-// list per atom threaded through one arena: head[a] is one past the
-// index of atom a's last added node, and each node links the one added
-// before it. An atom holds a handful of names, so a list is searched in
-// order.
+// kindSets holds the distinct region signatures of every atom. An atom
+// holds a handful of names, so the first three sit in the atom's own
+// slot, searched in order, and only a fourth or later one goes to a
+// list threaded through one overflow arena: the sets take one slot per
+// atom, sized once, where an arena of every name grown by append copies
+// itself at each growth and allocates several times what it ends up
+// holding.
 type kindSets struct {
-	head  []int
-	nodes []kindNode
+	atoms []kindSet
+	more  []kindNode
+}
+
+type kindSet struct {
+	sigs [3]uint64
+	n    int32 // names in sigs
+	more int32 // one past the index of the atom's last overflow node; 0 for none
 }
 
 type kindNode struct {
 	sig  uint64
-	next int // one past the index of the atom's previous node; 0 ends the list
+	next int32 // one past the index of the atom's previous overflow node; 0 ends the list
 }
 
 // add adds sig to atom a's set.
 func (k *kindSets) add(a int, sig uint64) {
-	for i := k.head[a]; i != 0; i = k.nodes[i-1].next {
-		if k.nodes[i-1].sig == sig {
+	s := &k.atoms[a]
+	for _, x := range s.sigs[:s.n] {
+		if x == sig {
 			return
 		}
 	}
-	k.nodes = append(k.nodes, kindNode{sig: sig, next: k.head[a]})
-	k.head[a] = len(k.nodes)
+	for i := s.more; i != 0; i = k.more[i-1].next {
+		if k.more[i-1].sig == sig {
+			return
+		}
+	}
+	if int(s.n) < len(s.sigs) {
+		s.sigs[s.n] = sig
+		s.n++
+		return
+	}
+	k.more = append(k.more, kindNode{sig: sig, next: s.more})
+	s.more = int32(len(k.more))
+}
+
+// each calls fn with every name of atom a's set.
+func (k *kindSets) each(a int, fn func(sig uint64)) {
+	s := &k.atoms[a]
+	for _, x := range s.sigs[:s.n] {
+		fn(x)
+	}
+	for i := s.more; i != 0; i = k.more[i-1].next {
+		fn(k.more[i-1].sig)
+	}
 }
 
 // addKind adds sig to a set of distinct region signatures, the set of one
@@ -476,7 +506,7 @@ func Detect(ops []Log) *Segmentation {
 		seq:    make([]rankAtom, 0, nAtoms),
 		fail:   make([]int, 0, nAtoms+1),
 	}
-	kinds := kindSets{head: make([]int, nAtoms), nodes: make([]kindNode, 0, nAtoms)}
+	kinds := kindSets{atoms: make([]kindSet, nAtoms)}
 	r := 0
 	for _, ol := range ops {
 		if ol.len() == 0 {
@@ -575,9 +605,7 @@ func (s *search) build(segs []interval, atomKinds *kindSets, pre, post int) *Seg
 		kinds = kinds[:0]
 	}
 	for a := 0; a < s.nAtoms; a++ {
-		for i := atomKinds.head[a]; i != 0; i = atomKinds.nodes[i-1].next {
-			kinds = addKind(kinds, atomKinds.nodes[i-1].sig)
-		}
+		atomKinds.each(a, func(sig uint64) { kinds = addKind(kinds, sig) })
 		if next < len(cuts) && cuts[next] == a {
 			flush()
 			next++

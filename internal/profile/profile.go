@@ -215,6 +215,13 @@ func compareKeys(x, y Key) int {
 	return cmp.Or(strings.Compare(x.Metric, y.Metric), cmp.Compare(x.Metahost, y.Metahost), cmp.Compare(x.Rank, y.Rank))
 }
 
+// sortKey is a series' place in the snapshot: its metric's place among
+// the distinct metrics by name, its metahost and its rank.
+type sortKey struct {
+	metric, metahost, rank int
+	s                      *series
+}
+
 // Snapshot renders the accumulator into the exportable artifact: every
 // series on the accumulator's axis, sorted by (metric, metahost, rank).
 // The artifact's values are the series' own sums, so the accumulator is
@@ -230,24 +237,43 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 		BucketWidth: a.cfg.Width,
 		Buckets:     a.cfg.Buckets,
 	}
-	keys := make([]Key, 0, len(a.series))
+	// The series in compareKeys order, sorted by integers: a series'
+	// metric is found among the handful of distinct metrics, listed in
+	// name order, and its place there stands for its name.
+	var small [32]string
+	metrics := small[:0]
 	for k := range a.series {
-		keys = append(keys, k)
+		if !slices.Contains(metrics, k.Metric) {
+			metrics = append(metrics, k.Metric)
+		}
 	}
-	slices.SortFunc(keys, compareKeys)
+	slices.Sort(metrics)
+	keys := make([]sortKey, 0, len(a.series))
+	for k, s := range a.series {
+		keys = append(keys, sortKey{metric: slices.Index(metrics, k.Metric), metahost: k.Metahost, rank: k.Rank, s: s})
+	}
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		switch {
+		case x.metric != y.metric:
+			return x.metric - y.metric
+		case x.metahost != y.metahost:
+			return cmp.Compare(x.metahost, y.metahost)
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
 	if len(keys) > 0 {
 		p.Series = make([]Series, len(keys))
 	}
 	for i, k := range keys {
-		s := a.series[k]
-		meta := a.meta[k.Metric]
+		s, metric := k.s, metrics[k.metric]
+		meta := a.meta[metric]
 		p.Series[i] = Series{
-			Metric:       k.Metric,
+			Metric:       metric,
 			Name:         meta.Name,
 			Unit:         meta.Unit,
-			Metahost:     k.Metahost,
-			MetahostName: a.names[k.Metahost],
-			Rank:         k.Rank,
+			Metahost:     k.metahost,
+			MetahostName: a.names[k.metahost],
+			Rank:         k.rank,
 			Count:        s.count,
 			Values:       s.sums,
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -246,5 +248,34 @@ func TestReadRefusesBucketsOverMax(t *testing.T) {
 	p, err := Read(strings.NewReader(fmt.Sprintf(`{"origin":0,"bucket_width":1,"buckets":%d,"series":[]}`, MaxBuckets)))
 	if err != nil || p.Buckets != MaxBuckets {
 		t.Errorf("buckets=MaxBuckets: %v, %v", p, err)
+	}
+}
+
+// TestSnapshotOrdersLikeKeys: the snapshot's series come out in the
+// order compareKeys gives their keys, made in any order, with metric
+// names that share prefixes and metahosts and ranks out of order.
+func TestSnapshotOrdersLikeKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	metrics := []string{"b", "a.grid", "a", "comm.bytes.wide", "comm.bytes.intra", "mpi.x", "mpi"}
+	a := NewAccumulator(Config{Buckets: 2, Width: 1})
+	var keys []Key
+	seen := map[Key]bool{}
+	for range 300 {
+		k := Key{Metric: metrics[rng.Intn(len(metrics))], Metahost: rng.Intn(4) - 1, Rank: rng.Intn(40)}
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+			a.Series(k).Add(0, 0, 1)
+		}
+	}
+	slices.SortFunc(keys, compareKeys)
+	p := a.Snapshot("t")
+	if len(p.Series) != len(keys) {
+		t.Fatalf("%d series, want %d", len(p.Series), len(keys))
+	}
+	for i, s := range p.Series {
+		if got := (Key{Metric: s.Metric, Metahost: s.Metahost, Rank: s.Rank}); got != keys[i] {
+			t.Fatalf("series %d is %+v, want %+v", i, got, keys[i])
+		}
 	}
 }

@@ -177,10 +177,13 @@ func (mb *mailbox) take(comm, srcWorld, tag int32) (sendRecord, bool) {
 // participant deposits its corrected enter once and parks until the last
 // one arrives. That member summarizes the enters once, under the lock,
 // before any other sees the gather complete; each participant then
-// scores its own wait states from the summary in O(1).
+// scores its own wait states from the summary in O(1). A gather is not
+// made per instance: it is one of its communicator's two, and inst is the
+// instance it holds now.
 type collGather struct {
 	enters  []float64
 	arrived int
+	inst    int
 	// The first member holding the largest enter, the smallest, and the
 	// smallest of a member other than min's, over the enters that are not
 	// NaN; -1 where there is none.
@@ -240,25 +243,26 @@ func (g *collGather) minOther(root int32) (i int, ok bool) {
 
 // communicator is one communicator of the replay, merged from every
 // trace that declares it: its members' world ranks in communicator-rank
-// order, each member's next collective instance, and the gather of the
-// instance its members are arriving at. A member waits in a collective
-// until every member has arrived, so none starts instance k+1 before k is
-// complete: one open gather per communicator is all there is. Each
-// communicator carries its own lock, so collectives on disjoint
-// communicators never serialize on a shared mutex. The communicators are
-// built before the runners start, with cols, the members' metahost
-// columns, and spans, whether those name more than one metahost — what
-// makes each of its collectives a grid instance; seq[i] is written by
-// member i's step alone, and open under mu. A member finds its own
-// communicator rank through analyzer.commRank.
+// order, each member's next collective instance, and two gathers, which
+// instances use by parity. A member waits in a collective until every
+// member has arrived, and scores it before it deposits into the next, so
+// no member deposits into instance k+2 before every member has scored k:
+// k's gather is free again when k+2 needs it. Each communicator carries
+// its own lock, so collectives on disjoint communicators never serialize
+// on a shared mutex. The communicators are built before the runners
+// start, with cols, the members' metahost columns, and spans, whether
+// those name more than one metahost — what makes each of its collectives
+// a grid instance; seq[i] is written by member i's step alone, gathers
+// under mu. A member finds its own communicator rank through
+// analyzer.commRank.
 type communicator struct {
-	id    int32
-	ranks []int32
-	cols  []int
-	spans bool
-	seq   []int
-	mu    sync.Mutex
-	open  *collGather
+	id      int32
+	ranks   []int32
+	cols    []int
+	spans   bool
+	seq     []int
+	mu      sync.Mutex
+	gathers [2]collGather
 }
 
 // comm returns communicator id. The runtime numbers communicators 0, 1,
@@ -683,20 +687,21 @@ func (a *analyzer) cancelErr(rank int) error {
 	return fmt.Errorf("replay: rank %d: analysis aborted: %w", rank, *a.cause.Load())
 }
 
-// gatherColl deposits one member's contribution to a collective instance
-// and reports whether that completed it. Completing, it wakes the other
-// members; otherwise rank is parked on it. Only the instance's own
-// communicator is locked, so collectives on other communicators proceed
-// concurrently.
+// gatherColl deposits one member's contribution to its next collective
+// instance and reports whether that completed it. Completing, it wakes
+// the other members; otherwise rank is parked on it. Only the instance's
+// own communicator is locked, so collectives on other communicators
+// proceed concurrently.
 func (a *analyzer) gatherColl(c *communicator, commRank int, enter float64, rank int) (*collGather, bool) {
-	size := len(c.ranks)
+	size, inst := len(c.ranks), c.seq[commRank]
 	c.mu.Lock()
-	g := c.open
-	if g == nil {
-		// The instance is created by whichever member replays its CollExit
-		// first.
-		g = &collGather{enters: make([]float64, size)}
-		c.open = g
+	g := &c.gathers[inst&1]
+	if g.enters == nil {
+		g.enters = make([]float64, size)
+	}
+	if g.inst != inst {
+		// The instance's first depositor re-arms the gather instance-2 left.
+		g.inst, g.arrived = inst, 0
 	}
 	g.enters[commRank] = enter
 	g.arrived++
@@ -705,7 +710,6 @@ func (a *analyzer) gatherColl(c *communicator, commRank int, enter float64, rank
 		return g, false
 	}
 	g.summarize()
-	c.open = nil
 	c.mu.Unlock()
 	// Every other member has arrived and waits on g: parked, or in a step
 	// about to park, which the wake turns into a re-run. A member already
@@ -757,7 +761,7 @@ type stepper struct {
 	folded, foldedRecv logPos
 
 	// pending is the collective instance this rank deposited into and
-	// waits on — the open gather of communicator pendingComm.
+	// waits on — a gather of communicator pendingComm.
 	pending     *collGather
 	pendingComm *communicator
 

@@ -137,7 +137,9 @@ fi
 # and a rank finds its communicator rank in the membership index
 # (analyzer.commRank). A loop over g.enters in scoreCollective, or a
 # slices.Index over a member list in the sweep's file, is the scan per
-# member — O(P) per rank per collective — creeping back.
+# member — O(P) per rank per collective — creeping back. A communicator's
+# two gathers serve all its instances, so a collGather made in the
+# sweep's file is an allocation per instance creeping back.
 echo "== linear collectives"
 if awk '/^func / { fn = $0 } /^}/ { fn = "" }
 	fn ~ /^func \(st \*stepper\) scoreCollective\(/ && /for .*g\.enters|range g\.enters/ { print FILENAME ":" FNR ": " $0; bad = 1 }
@@ -147,6 +149,10 @@ if awk '/^func / { fn = $0 } /^}/ { fn = "" }
 fi
 if grep -n -E 'slices\.Index(Func)?\(' internal/replay/worker.go; then
 	echo "check: internal/replay/worker.go scans a member list: find a communicator rank through analyzer.commRank" >&2
+	exit 1
+fi
+if grep -n -E '&collGather\{|new\(collGather\)' internal/replay/worker.go; then
+	echo "check: internal/replay/worker.go makes a collGather: use one of the communicator's two gathers" >&2
 	exit 1
 fi
 
@@ -600,6 +606,10 @@ fi
 # program's own bytes.
 echo "== live ingest, lazy, eager and served analysis allocation budgets"
 go test -count=1 -run 'TestLiveIngestAllocBudget$|TestLazyAllocPerEventBudget$|TestLazyShortRanksAllocBudget$|TestEagerAllocPerEventBudget$|TestServedAllocPerEventBudget$' .
+# A collective instance allocates nothing of its own: four times the
+# instances, on the world and on a sub-communicator, rooted and not,
+# allocate the same object count within a small constant.
+go test -count=1 -run 'TestCollectiveAllocsFlatInInstances$' ./internal/replay
 # The intake's own byte counts — one allocation per inflated entry, none
 # for the digest, at most 1 MB on a declared length alone — skip under
 # the race detector, which drops archive/zip's pooled inflaters at random.
@@ -610,11 +620,12 @@ go test -count=1 -run 'TestDecodeZipAllocatesInflatedSizeOnce$|TestDigestBorrows
 # total walk the metric tree in place; profile.Snapshot hands the series'
 # sums over and phase.Snapshot cuts every phase's signatures from one
 # string — so none of them allocates more for more metrics, series or
-# phases. cube.Read, profile.Diff and ByMetahost allocate by what their
-# input holds, not by the cube or bucket count it declares.
+# phases. cube.Read, profile.Read, phase.Read, profile.Diff and
+# ByMetahost allocate by what their input holds, not by the cube or
+# bucket count it declares.
 echo "== epilogue allocation gates"
 go test -count=1 -run 'TestWritesAllocateByTouch$|TestTreeQueryAllocsFlatInMetrics$|TestReadDoesNotAmplifyDeclarations$|FuzzCubeRead$' ./internal/cube
-go test -count=1 -run 'TestSnapshotAllocsFlatInSeries$|TestSnapshotSpendsAccumulator$|TestDiffAndByMetahostSizeRowsByValues$' ./internal/profile
-go test -count=1 -run 'TestSnapshotAllocsFlatInPhases$' ./internal/phase
+go test -count=1 -run 'TestSnapshotAllocsFlatInSeries$|TestSnapshotSpendsAccumulator$|TestDiffAndByMetahostSizeRowsByValues$|FuzzProfileRead$' ./internal/profile
+go test -count=1 -run 'TestSnapshotAllocsFlatInPhases$|FuzzPhaseRead$' ./internal/phase
 
 echo "check: all green"
