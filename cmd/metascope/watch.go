@@ -85,36 +85,17 @@ func render(st *watchState) string {
 	}
 	b.WriteString(")\n")
 	if f := st.frontier; f != nil {
-		b.WriteString("frontier ")
-		if f.ProgressValid {
-			fmt.Fprintf(&b, "%.3f s", f.Progress)
-		} else {
-			b.WriteString("–")
-		}
-		b.WriteString(" · ingested through ")
-		if f.IngestValid {
-			fmt.Fprintf(&b, "%.3f s", f.Ingest)
-		} else {
-			b.WriteString("–")
-		}
-		b.WriteString(" · closed through window ")
-		if f.ClosedThrough > -(1 << 62) {
-			fmt.Fprintf(&b, "%d", f.ClosedThrough)
-		} else {
-			b.WriteString("–")
-		}
-		b.WriteString("\n\n")
-		fmt.Fprintf(&b, "%5s  %-12s %10s %12s %12s  %s\n", "rank", "metahost", "events", "bytes", "ingested(s)", "done")
-		for _, rk := range f.Ranks {
-			ing := "–"
-			if rk.HasTime {
-				ing = fmt.Sprintf("%.3f", rk.Ingested)
-			}
+		fmt.Fprintf(&b, "frontier %s · ingested through %s · closed through window %s\n\nslowest ranks\n",
+			either(f.ProgressValid, "%.3f s", f.Progress), either(f.IngestValid, "%.3f s", f.Ingest),
+			either(f.ClosedThrough > -(1<<62), "%d", f.ClosedThrough))
+		fmt.Fprintf(&b, "%5s  %-12s %12s %10s %10s  %s\n", "rank", "metahost", "ingested(s)", "events", "swept", "done")
+		for _, rk := range f.Slowest {
 			done := ""
 			if rk.Finished {
 				done = "yes"
 			}
-			fmt.Fprintf(&b, "%5d  %-12s %10d %12d %12s  %s\n", rk.Rank, rk.Metahost, rk.Events, rk.Bytes, ing, done)
+			fmt.Fprintf(&b, "%5d  %-12s %12s %10d %10d  %s\n",
+				rk.Rank, rk.Metahost, either(rk.HasTime, "%.3f", rk.Ingested), rk.Events, rk.Swept, done)
 		}
 	}
 	if len(st.sums) > 0 {
@@ -139,6 +120,15 @@ func render(st *watchState) string {
 			s.WindowsClosed, s.Messages, s.Collectives, s.Violations)
 	}
 	return b.String()
+}
+
+// either formats v when ok and is a dash otherwise: a position the
+// session does not know yet.
+func either(ok bool, format string, v any) string {
+	if ok {
+		return fmt.Sprintf(format, v)
+	}
+	return "–"
 }
 
 // watchOptions carries the parsed flags so watch is testable without
@@ -284,9 +274,9 @@ func watch(ctx context.Context, o watchOptions, args []string, out io.Writer) er
 
 // watchVerb is watch, the terminal dashboard for a live analysis
 // session: it follows the SSE stream a running serve publishes for an
-// experiment and renders session state, the replay frontier, per-rank
-// ingest lag, and the cumulative wait-state severities as they
-// accumulate window by window.
+// experiment and renders session state, the replay frontier, the
+// slowest ranks with their ingested and swept events, and the cumulative
+// wait-state severities as they accumulate window by window.
 //
 //	metascope watch -server http://localhost:8921 exp-1
 //

@@ -27,9 +27,9 @@ func cannedEvents() []replay.StreamEvent {
 		}},
 		{Seq: 4, Type: "frontier", Frontier: &replay.FrontierEvent{
 			Progress: 4.25, ProgressValid: true, Ingest: 4, IngestValid: true, ClosedThrough: 0,
-			Ranks: []replay.RankLag{
-				{Rank: 0, Metahost: "ALPHA", Events: 10, Bytes: 512, Ingested: 4.5, HasTime: true},
-				{Rank: 1, Metahost: "BETA", Events: 8, Bytes: 384, Ingested: 4, HasTime: true, Finished: true},
+			Slowest: []replay.RankLag{
+				{Rank: 1, Metahost: "BETA", Events: 8, Swept: 6, Bytes: 384, Ingested: 4, HasTime: true, Finished: true},
+				{Rank: 0, Metahost: "ALPHA", Events: 10, Swept: 10, Bytes: 512, Ingested: 4.5, HasTime: true},
 			},
 		}},
 		{Seq: 5, Type: "window", Window: &replay.WindowEvent{
@@ -94,6 +94,7 @@ func TestRenderLayout(t *testing.T) {
 		"reconnects 1",
 		"frontier 4.250 s",
 		"closed through window 0",
+		"slowest ranks",
 		"ALPHA",
 		"BETA",
 		"mpi.point_to_point.late_sender",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -36,10 +37,11 @@ import (
 // frontier; a drain goroutine empties the sink periodically and
 // publishes window deltas, the low-watermark frontier (the minimum
 // published sweep time over all ranks — no event before it can still be
-// scored, except for sender-side amendments, which are flagged), and
-// per-rank ingest lag as StreamEvents. The session keeps every event it
+// scored, except for sender-side amendments, which are flagged), and the
+// ranks furthest behind as StreamEvents. The session keeps the events it
 // emits, in order, as its stream history (Events), which the serve layer
-// forwards over SSE.
+// forwards over SSE; a frontier event leaves it when the next one
+// supersedes it. The per-rank table is Rank's, not the stream's.
 
 // emitEvery is the drain period of every live session's window stream:
 // what the serve layer forwards over SSE at most this often. Only
@@ -90,11 +92,13 @@ type WindowEvent struct {
 	Deltas  []WindowDelta `json:"deltas"`
 }
 
-// RankLag is one rank's ingest position.
+// RankLag is one rank's ingest position. Swept, the events its sweep has
+// passed, is set in a frontier event's list.
 type RankLag struct {
 	Rank     int     `json:"rank"`
 	Metahost string  `json:"metahost,omitempty"`
 	Events   int64   `json:"events"`
+	Swept    int64   `json:"swept,omitempty"`
 	Bytes    int64   `json:"bytes"`
 	Ingested float64 `json:"ingested,omitempty"` // last ingested corrected ts
 	HasTime  bool    `json:"has_time"`
@@ -115,9 +119,15 @@ type FrontierEvent struct {
 	// ClosedThrough is the highest window index closed so far (windows
 	// 0..ClosedThrough are final barring amendments); math.MinInt64
 	// means none.
-	ClosedThrough int64     `json:"closed_through"`
-	Ranks         []RankLag `json:"ranks,omitempty"`
+	ClosedThrough int64 `json:"closed_through"`
+	// Slowest are the ranks that hold the session back, at most
+	// laggards of them: the lowest ingested time first (a rank with none
+	// before any), ties by rank.
+	Slowest []RankLag `json:"slowest,omitempty"`
 }
+
+// laggards is the length of a frontier event's Slowest list.
+const laggards = 4
 
 // StateEvent reports a session lifecycle transition.
 type StateEvent struct {
@@ -165,17 +175,21 @@ type Live struct {
 	ranks  []*liveRank
 	intern *trace.Interner
 
-	// The stream history: every event emitted, in sequence order
-	// (events[k].Seq == k+1). changed closes and is replaced on every
-	// emit and at EndStream; ended is set by EndStream.
+	// The stream history: the events emitted, in strictly increasing
+	// sequence order, but for frontiers a later one superseded. changed
+	// closes and is replaced on every emit and at EndStream; ended is set
+	// by EndStream.
 	emitMu  sync.Mutex
+	seq     uint64 // the last sequence number assigned
 	events  []StreamEvent
 	changed chan struct{}
 	ended   bool
 
 	// The session's state is derived (Status): abortErr set is failed
 	// or cancelled, done is done, a non-nil analyzer running, else open.
-	mu       sync.Mutex
+	mu sync.Mutex
+	// traces[r] is set once, with rank r's lock held too: read under
+	// either lock once the rank's header is registered.
 	traces   []*trace.Trace
 	headers  int
 	done     bool
@@ -587,7 +601,7 @@ func (l *Live) drainLoop(every time.Duration) {
 // publishes, so a window the frontier read has passed leaves with every
 // deposit its ranks' sweeps made into it — barring sender-side amendments.
 func (l *Live) drainAndEmit(final bool) {
-	progress, ingest, lags := l.frontierState()
+	progress, ingest, slowest := l.frontierState()
 	drained := l.sink.drain()
 
 	// maxClosed: highest window index whose end the progress frontier
@@ -631,7 +645,7 @@ func (l *Live) drainAndEmit(final bool) {
 		l.closedThrough = l.touched
 	}
 
-	fe := &FrontierEvent{ClosedThrough: l.closedThrough, Ranks: lags}
+	fe := &FrontierEvent{ClosedThrough: l.closedThrough, Slowest: slowest}
 	if !math.IsInf(progress, 0) && !math.IsNaN(progress) {
 		fe.Progress, fe.ProgressValid = progress, true
 		l.m.frontier.Set(progress)
@@ -639,7 +653,7 @@ func (l *Live) drainAndEmit(final bool) {
 	if !math.IsInf(ingest, 0) && !math.IsNaN(ingest) {
 		fe.Ingest, fe.IngestValid = ingest, true
 	}
-	if !final && len(idxs) == 0 && l.frontier != nil && sameFrontier(fe, l.frontier) {
+	if !final && len(idxs) == 0 && reflect.DeepEqual(fe, l.frontier) {
 		return
 	}
 	l.frontier = fe
@@ -649,36 +663,26 @@ func (l *Live) drainAndEmit(final bool) {
 	}
 }
 
-// sameFrontier reports whether two frontier events say the same thing.
-func sameFrontier(a, b *FrontierEvent) bool {
-	return a.Progress == b.Progress && a.ProgressValid == b.ProgressValid &&
-		a.Ingest == b.Ingest && a.IngestValid == b.IngestValid &&
-		a.ClosedThrough == b.ClosedThrough && slices.Equal(a.Ranks, b.Ranks)
-}
-
 // frontierState computes the progress and ingest frontiers and the
-// per-rank lag vector, and sets the two sweep-lag gauges: the largest gap,
-// over the ranks still sweeping (published an event's time, not done),
-// between a rank's last ingested and last published corrected time, and
-// between its ingested and swept event counts. A rank's publication is
-// read before its log, so the log is never behind it.
-func (l *Live) frontierState() (progress, ingest float64, lags []RankLag) {
+// slowest ranks, and sets the two sweep-lag gauges: the largest
+// gap, over the ranks still sweeping (published an event's time, not
+// done), between a rank's last ingested and last published corrected
+// time, and between its ingested and swept event counts. A rank's
+// publication is read before its log, so the log is never behind it.
+func (l *Live) frontierState() (progress, ingest float64, slowest []RankLag) {
 	l.mu.Lock()
 	a := l.a
-	traces := append([]*trace.Trace(nil), l.traces...)
 	l.mu.Unlock()
 	progress, ingest = math.Inf(1), math.Inf(1)
 	sweepLag, sweepLagEvents := 0.0, int64(0)
-	lags = make([]RankLag, len(l.ranks))
-	for i, lr := range l.ranks {
+	slow := make([]RankLag, 0, laggards+1)
+	for i := range l.ranks {
 		p, swept := math.Inf(-1), int64(0)
 		if a != nil {
 			p, swept = math.Float64frombits(a.progress[i].Load()), a.sweptEvents[i].Load()
 		}
-		lag := l.rankLag(i, lr)
-		if t := traces[i]; t != nil {
-			lag.Metahost = t.Loc.MetahostName
-		}
+		lag := l.Rank(i)
+		lag.Swept = swept
 		if lag.HasTime {
 			ingest = min(ingest, lag.Ingested)
 		} else {
@@ -687,21 +691,34 @@ func (l *Live) frontierState() (progress, ingest float64, lags []RankLag) {
 		progress = min(progress, p)
 		if lag.HasTime && !math.IsInf(p, 0) {
 			sweepLag = max(sweepLag, lag.Ingested-p)
-			sweepLagEvents = max(sweepLagEvents, lag.Events-swept)
+			sweepLagEvents = max(sweepLagEvents, lag.Events-lag.Swept)
 		}
-		lags[i] = lag
+		// slow stays sorted: the rank goes before the first entry that has
+		// ingested further, so a tie stays behind the lower ranks.
+		k := sort.Search(len(slow), func(j int) bool {
+			return slow[j].HasTime && (!lag.HasTime || lag.Ingested < slow[j].Ingested)
+		})
+		if k < laggards {
+			slow = slices.Insert(slow, k, lag)[:min(len(slow)+1, laggards)]
+		}
 	}
 	l.m.sweepLag.Set(sweepLag)
 	l.m.sweepLagEvents.Set(float64(sweepLagEvents))
-	return progress, ingest, lags
+	return progress, ingest, slow
 }
 
-// rankLag reads one rank's ingest position: its log's published count
-// and last time, corrected, under the rank's lock.
-func (l *Live) rankLag(i int, lr *liveRank) RankLag {
+// Rank reads the ingest position of rank i, a rank of the world — its
+// log's published count and last time, corrected, the bytes fed and
+// whether its stream finished — under the rank's lock. This is the
+// session's per-rank table.
+func (l *Live) Rank(i int) RankLag {
+	lr := l.ranks[i]
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
 	lag := RankLag{Rank: i, Events: int64(lr.log.published()), Bytes: lr.bytes.Load(), Finished: lr.finished}
+	if lr.haveCorr {
+		lag.Metahost = l.traces[i].Loc.MetahostName
+	}
 	if _, last, ok := lr.log.bounds(); ok {
 		lag.Ingested, lag.HasTime = lr.corr.Apply(last), true
 	}
@@ -709,28 +726,36 @@ func (l *Live) rankLag(i int, lr *liveRank) RankLag {
 }
 
 // emit assigns the next sequence number, appends the event to the
-// stream history and wakes its readers.
+// stream history and wakes its readers. A frontier that follows a
+// frontier takes its place: the older one says nothing the newer does
+// not.
 func (l *Live) emit(ev StreamEvent) {
 	l.emitMu.Lock()
-	ev.Seq = uint64(len(l.events)) + 1
-	l.events = append(l.events, ev)
+	l.seq++
+	ev.Seq = l.seq
+	n := len(l.events)
+	if n > 0 && ev.Frontier != nil && l.events[n-1].Frontier != nil {
+		n--
+	}
+	l.events = append(l.events[:n], ev)
 	close(l.changed) // wakes every reader; the next one waits on a fresh channel
 	l.changed = make(chan struct{})
 	l.emitMu.Unlock()
 	l.m.emits.With(ev.Type).Inc()
 }
 
-// Events returns the stream events with sequence numbers above after, in
-// order, whether the stream has ended (EndStream), and a channel that
-// closes on the next emit or at the end. Sequence numbers run from 1
-// without gaps, so a reader that resumes after the last event it saw
-// misses nothing and sees nothing twice. The returned events are shared
-// and must not be modified.
+// Events returns a copy of the stream events with sequence numbers above
+// after, in order, whether the stream has ended (EndStream), and a channel
+// that closes on the next emit or at the end. Sequence numbers increase
+// strictly from 1; a gap is a frontier the next one superseded, so a
+// reader that resumes after the last event it saw misses no window, state
+// or summary, sees nothing twice and gets the latest frontier. The events'
+// payloads are shared and must not be modified.
 func (l *Live) Events(after uint64) (events []StreamEvent, ended bool, changed <-chan struct{}) {
 	l.emitMu.Lock()
 	defer l.emitMu.Unlock()
-	i := int(min(after, uint64(len(l.events))))
-	return l.events[i:len(l.events):len(l.events)], l.ended, l.changed
+	i := sort.Search(len(l.events), func(i int) bool { return l.events[i].Seq > after })
+	return slices.Clone(l.events[i:]), l.ended, l.changed
 }
 
 // EndStream declares the stream history complete: a reader that has
@@ -760,6 +785,8 @@ type LiveStatus struct {
 	// swept-and-released) events; MaxResidentEvents sums their peaks.
 	ResidentEvents    int `json:"resident_events"`
 	MaxResidentEvents int `json:"max_resident_events"`
+	// LastSeq is the stream's newest sequence number.
+	LastSeq uint64 `json:"last_seq"`
 }
 
 // Status reports the session's current state.
@@ -777,17 +804,19 @@ func (l *Live) Status() LiveStatus {
 		st.State = "running"
 	}
 	l.mu.Unlock()
-	for _, lr := range l.ranks {
-		st.BytesIngested += lr.bytes.Load()
+	l.emitMu.Lock()
+	st.LastSeq = l.seq
+	l.emitMu.Unlock()
+	for i, lr := range l.ranks {
 		res, peak := lr.log.residentEvents()
 		st.ResidentEvents += res
 		st.MaxResidentEvents += peak
-		lr.mu.Lock()
-		st.EventsIngested += int64(lr.log.published())
-		if lr.finished {
+		rk := l.Rank(i)
+		st.BytesIngested += rk.Bytes
+		st.EventsIngested += rk.Events
+		if rk.Finished {
 			st.RanksFinished++
 		}
-		lr.mu.Unlock()
 	}
 	return st
 }

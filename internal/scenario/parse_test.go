@@ -218,6 +218,7 @@ func TestParseErrors(t *testing.T) {
 		{"nan-drift", "{\"kernel\": \"halo1d\", \"ranks\": 4,\n" + oneMetahost(",\n\"clock\": {\"max_drift_ppm\": NaN}") + "}", "invalid character 'N'", 3},
 		{"infinity", doc(`"work": {"base": Infinity}`), "invalid character 'I'", 1},
 		{"float-overflow", doc(`"work": {"base": 1e999}`), "work.base: expected a number", 1},
+		{"zero-slack", doc(`"schedule": {"slack": 0}`), "schedule.slack: want 0.05..100 seconds, got 0", 0},
 		{"negative-latency", doc(strings.Replace(oneMetahost(""), "20", "-5", 1)), "latency", 0},
 		{"missing-link", doc(`"topology": {"metahosts": [{"nodes": 4}]}`), "topology.metahosts[0].internal.latency_us", 0},
 		{"grid-mismatch", `{"kernel": "halo2d", "ranks": 5, "params": {"px": 2, "py": 2}}`, "halo2d", 0},

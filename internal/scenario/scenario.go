@@ -73,12 +73,15 @@ func Kernels() []string {
 }
 
 // Spec is a fully decoded scenario document. The json tags are the
-// document's keys, so json.Marshal of a Spec is a document Parse
-// accepts — as long as Format is left at its default, which is
-// omitted: a set Format marshals as a number, not the "v1"/"v2" string
-// a document carries. Zero values stand for "not set"; Parse fills
-// defaults and Validate enforces ranges, so a Spec obtained from Parse
-// is always internally consistent.
+// document's keys. Parse decodes a document over its defaults: a key the
+// document leaves out keeps its default, while a value it states, zero
+// included, is judged by Validate — "schedule": {"slack": 0} is refused,
+// not defaulted. So json.Marshal of a Spec that Parse returned is a
+// document Parse accepts, as long as Format is left at its default, which
+// is omitted (a set Format marshals as a number, not the "v1"/"v2" string
+// a document carries). A Spec built by hand marshals what it leaves unset
+// as zeros, which Validate refuses where zero is out of range. A Spec
+// obtained from Parse is always internally consistent.
 type Spec struct {
 	Name       string       `json:"name"`
 	Kernel     string       `json:"kernel"`

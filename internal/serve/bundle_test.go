@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"archive/zip"
 	"bytes"
+	"math"
 	"testing"
 
 	"metascope/internal/archive"
@@ -159,21 +161,24 @@ func TestDecodeZipBudget(t *testing.T) {
 // the decoder level (the HTTP-level test covers the same through the
 // endpoint).
 func TestDecodeZipRejectsHostileEntries(t *testing.T) {
-	for _, entry := range []string{
-		"trace.0.mscp",
-		"mh0/trace.0.mscp",
-		"mh0/epik_x/deep/trace.0.mscp",
-		"mh0/epik_x/..",
-		"mh0/../trace.0.mscp",
-		"mh0/notepik/trace.0.mscp",
-		`mh0\epik_x\trace.0.mscp`,
-	} {
+	for _, entry := range hostileEntries {
 		var buf bytes.Buffer
 		data := newZipWith(t, &buf, map[string][]byte{entry: []byte("x")})
 		if _, _, _, err := DecodeZip(data, 1024); err == nil {
 			t.Errorf("entry %q decoded without error", entry)
 		}
 	}
+}
+
+// hostileEntries are entry names DecodeZip refuses.
+var hostileEntries = []string{
+	"trace.0.mscp",
+	"mh0/trace.0.mscp",
+	"mh0/epik_x/deep/trace.0.mscp",
+	"mh0/epik_x/..",
+	"mh0/../trace.0.mscp",
+	"mh0/notepik/trace.0.mscp",
+	`mh0\epik_x\trace.0.mscp`,
 }
 
 // TestDecodeZipEmpty: empty and fileless bundles are structured
@@ -203,4 +208,56 @@ func TestDigestNoTraces(t *testing.T) {
 	if _, err := Digest(mounts, mhs, dir); err == nil {
 		t.Fatal("digest of a traceless archive succeeded")
 	}
+}
+
+// FuzzDecodeZip: DecodeZip never panics, and what it allocates is bounded
+// by its input and its budget — decodeBytesPerInputByte per input byte
+// (the zip directory's records and the entry table built from them), plus
+// the inflated bytes the directory declares within maxBytes (each entry
+// is inflated into one buffer of its declared size), plus
+// decodeFixedBytes (the inflater archive/zip pools). Seeded with the
+// hostile-entry table, the budget bundle and a round-trip bundle.
+func FuzzDecodeZip(f *testing.F) {
+	const maxBytes = 1 << 20
+	var buf bytes.Buffer
+	for _, entry := range hostileEntries {
+		buf.Reset()
+		f.Add(bytes.Clone(newZipWith(f, &buf, map[string][]byte{entry: []byte("x")})))
+	}
+	buf.Reset()
+	f.Add(bytes.Clone(newZipWith(f, &buf, map[string][]byte{"mh0/epik_x/trace.0.mscp": bytes.Repeat([]byte{0x5A}, 4096)})))
+	f.Add(oracleBundles(f)[0].zip)
+	f.Fuzz(func(t *testing.T, input []byte) {
+		var err error
+		got := allocatedBy(func() { _, _, _, err = DecodeZip(input, maxBytes) })
+		if raceEnabled {
+			return // the race detector drops pooled inflaters at random
+		}
+		bound := decodeBytesPerInputByte*uint64(len(input)) + min(declaredBytes(input), maxBytes) + decodeFixedBytes
+		if got > bound {
+			t.Errorf("%d input bytes allocated %d, over the bound %d (err %v)", len(input), got, bound, err)
+		}
+	})
+}
+
+// DecodeZip's allocation bound: a bundle of a thousand one-byte entries
+// allocates ~7 bytes per input byte, the halo2d bundle 1.3 beyond what it
+// inflates to.
+const (
+	decodeBytesPerInputByte = 32
+	decodeFixedBytes        = 256 << 10
+)
+
+// declaredBytes is what the zip directory in input declares its entries
+// inflate to, 0 for input that is not a zip.
+func declaredBytes(input []byte) uint64 {
+	zr, err := zip.NewReader(bytes.NewReader(input), int64(len(input)))
+	if err != nil {
+		return 0
+	}
+	var n uint64
+	for _, f := range zr.File {
+		n += min(f.UncompressedSize64, math.MaxInt64-n)
+	}
+	return n
 }

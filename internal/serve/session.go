@@ -48,12 +48,12 @@ type session struct {
 	reap  sync.Once // guards the single Finalize call
 }
 
-// sessRank is the per-rank upload state. Its mutex serializes the
-// chunk protocol for one rank; different ranks upload concurrently.
+// sessRank is the per-rank chunk-protocol state. Its mutex serializes
+// the protocol for one rank; different ranks upload concurrently. What a
+// rank ingested — events, bytes, time — the engine counts (Live.Rank).
 type sessRank struct {
 	mu        sync.Mutex
 	nextSeq   int64 // chunks accepted so far
-	bytes     int64
 	finished  bool
 	mhChecked bool
 }
@@ -72,22 +72,21 @@ type SessionStatus struct {
 	RanksFinished   int    `json:"ranks_finished"`
 	BytesIngested   int64  `json:"bytes_ingested"`
 	EventsIngested  int64  `json:"events_ingested"`
-	Events          uint64 `json:"events"` // stream events published so far
+	Events          uint64 `json:"events"` // the stream's last sequence number
 
 	RankDetail []RankUploadStatus `json:"rank_detail,omitempty"`
 }
 
-// RankUploadStatus is one rank's chunk-protocol position.
+// RankUploadStatus is one rank's row of the session's per-rank table:
+// the engine's ingest position and the chunk protocol's next sequence
+// number.
 type RankUploadStatus struct {
-	Rank     int   `json:"rank"`
-	NextSeq  int64 `json:"next_seq"`
-	Chunks   int64 `json:"chunks"`
-	Bytes    int64 `json:"bytes"`
-	Finished bool  `json:"finished"`
+	replay.RankLag
+	NextSeq int64 `json:"next_seq"`
 }
 
 // sessionStatus renders the session document. detail=true includes the
-// per-rank upload table (single-session GET; the list stays compact).
+// per-rank table (single-session GET; the list stays compact).
 func (s *Server) sessionStatus(sess *session, detail bool) SessionStatus {
 	ls := sess.live.Status()
 	st := SessionStatus{
@@ -95,9 +94,8 @@ func (s *Server) sessionStatus(sess *session, detail bool) SessionStatus {
 		AgeSeconds:      time.Since(sess.created).Seconds(),
 		HeadersComplete: ls.Headers, RanksFinished: ls.RanksFinished,
 		BytesIngested: ls.BytesIngested, EventsIngested: ls.EventsIngested,
+		Events: ls.LastSeq,
 	}
-	evs, _, _ := sess.live.Events(0)
-	st.Events = uint64(len(evs))
 	s.mu.Lock()
 	st.State, st.Error = string(sess.state), sess.err
 	s.mu.Unlock()
@@ -105,10 +103,7 @@ func (s *Server) sessionStatus(sess *session, detail bool) SessionStatus {
 		for i := range sess.ranks {
 			sr := &sess.ranks[i]
 			sr.mu.Lock()
-			st.RankDetail = append(st.RankDetail, RankUploadStatus{
-				Rank: i, NextSeq: sr.nextSeq, Chunks: sr.nextSeq,
-				Bytes: sr.bytes, Finished: sr.finished,
-			})
+			st.RankDetail = append(st.RankDetail, RankUploadStatus{RankLag: sess.live.Rank(i), NextSeq: sr.nextSeq})
 			sr.mu.Unlock()
 		}
 	}
@@ -333,7 +328,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	ack := func(applied bool) {
 		writeJSON(w, http.StatusOK, chunkAck{
-			Applied: applied, Bytes: sr.bytes, Finished: sr.finished,
+			Applied: applied, Bytes: sess.live.Rank(rank).Bytes, Finished: sr.finished,
 			NextSeq: sr.nextSeq, Rank: rank,
 		})
 	}
@@ -356,7 +351,6 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sr.nextSeq++
-	sr.bytes += int64(len(body))
 	if !sr.mhChecked {
 		if loc, ok := sess.live.RankLocation(rank); ok {
 			sr.mhChecked = true

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -527,8 +528,10 @@ func readSSE(ctx context.Context, t testing.TB, url string, lastID uint64, stopA
 }
 
 // TestSessionSSEResume kills a streaming client mid-session, resumes
-// with Last-Event-ID, and verifies the union of both reads is the
-// complete gap-free event sequence. It also checks that abandoned
+// with Last-Event-ID, and verifies that ids increase strictly across both
+// reads and that their union is what a fresh read from 0 gets after the
+// end: a frontier the next one superseded leaves a gap in the ids, and
+// nothing else is missed or repeated. It also checks that abandoned
 // stream handlers do not leak goroutines.
 func TestSessionSSEResume(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
@@ -559,10 +562,15 @@ func TestSessionSSEResume(t *testing.T) {
 		t.Fatal("resumed stream did not end cleanly")
 	}
 	all := append(append([]sseEvent(nil), first...), rest...)
-	for i, ev := range all {
-		if ev.id != uint64(i+1) {
-			t.Fatalf("event %d has id %d: missed or duplicated events across the resume", i, ev.id)
+	for i := 1; i < len(all); i++ {
+		if all[i].id <= all[i-1].id {
+			t.Fatalf("event %d has id %d after %d: duplicated events across the resume", i, all[i].id, all[i-1].id)
 		}
+	}
+	fresh, ended := readSSE(context.Background(), t, streamURL, 0, 0)
+	if !ended || !reflect.DeepEqual(all, fresh) {
+		t.Fatalf("the two reads hold %d events, a fresh read after the end %d (ended %v): missed events across the resume",
+			len(all), len(fresh), ended)
 	}
 	if all[len(all)-1].typ != "state" {
 		t.Errorf("stream ended with %q, want the terminal state event", all[len(all)-1].typ)

@@ -184,10 +184,12 @@ done
 
 # A live session's facts are kept once. The engine, replay.Live, keeps
 # the stream it emits (Live.Events) and reads a rank's ingested count and
-# last ingested time from the rank's log; serve keeps the SSE framing, the
-# resume point and the chunk protocol. A callback in LiveConfig, a type in
-# serve that holds stream events, or an event counter or an ingest time in
-# liveRank is a second copy of the stream or of the log creeping back.
+# last ingested time from the rank's log, and counts each rank's bytes;
+# serve keeps the SSE framing, the resume point and the chunk protocol. A
+# callback in LiveConfig, a type in serve that holds stream events, an
+# event counter or an ingest time in liveRank, or a byte or event counter
+# in serve's sessRank is a second copy of the stream or of the log creeping
+# back.
 echo "== one session record"
 structbody() { # file, type: the lines inside the struct's braces
 	awk -v t="$2" '$0 ~ "^type " t " struct [{]" { inb = 1; next } inb && /^}/ { inb = 0 } inb' "$1"
@@ -198,6 +200,10 @@ if structbody internal/replay/live.go LiveConfig | grep -n -E '^[[:space:]]*[A-Z
 fi
 if structbody internal/replay/live.go liveRank | grep -n -E '^[[:space:]]*([A-Za-z0-9_]+,[[:space:]]*)*[A-Za-z0-9_]*([Ee]vent|[Ii]ngest)[A-Za-z0-9_]*[[:space:],]'; then
 	echo "check: liveRank declares an event counter or an ingest time: read the rank log's published count and bounds" >&2
+	exit 1
+fi
+if structbody internal/serve/session.go sessRank | grep -n -E '^[[:space:]]*([A-Za-z0-9_]+,[[:space:]]*)*[A-Za-z0-9_]*([Bb]yte|[Ee]vent)[A-Za-z0-9_]*[[:space:],]'; then
+	echo "check: serve's sessRank declares a byte or event counter: the engine counts a rank's bytes and events (replay.Live.Rank)" >&2
 	exit 1
 fi
 for f in internal/serve/*.go; do
