@@ -693,6 +693,19 @@ func TestFinishedLiveDropsWindowState(t *testing.T) {
 	}
 }
 
+// TestDepositWindowCapPlusOne: one deposit may span maxDepositWindows
+// windows and not one more.
+func TestDepositWindowCapPlusOne(t *testing.T) {
+	for _, n := range []int{maxDepositWindows, maxDepositWindows + 1} {
+		s := newStreamSink(0, 1, []int{0}, []int{0}, nil)
+		// [0.5, n-0.5) touches windows 0 through n-1.
+		err := s.depositLocked(&lastRow{}, 0, metricID(pattern.LateSender), 0, 0.5, float64(n-1), 1)
+		if refused := err != nil; refused != (n > maxDepositWindows) {
+			t.Errorf("a deposit over %d windows: %v", n, err)
+		}
+	}
+}
+
 // TestLiveDepositWindowCap: a wait interval that would touch more than
 // maxDepositWindows windows is refused instead of costing a row per
 // window — a nanosecond window under ordinary wait states here — and

@@ -214,6 +214,8 @@ func TestParseErrors(t *testing.T) {
 		{"zero-ranks", `{"kernel": "halo1d", "ranks": 0}`, "ranks", 0},
 		{"one-rank", `{"kernel": "halo1d", "ranks": 1}`, "ranks", 0},
 		{"too-many-ranks", `{"kernel": "halo1d", "ranks": 100000}`, "ranks", 0},
+		{"ranks-cap-plus-one", `{"kernel": "halo1d", "ranks": 4097, "iterations": 6}`, "want 2..4096 ranks, got 4097", 0},
+		{"steps-cap-plus-one", `{"kernel": "amr", "ranks": 2381, "iterations": 21}`, "50001 rank-steps (limit 50000)", 0},
 		{"huge-ranks", `{"kernel": "halo1d", "ranks": 1e99}`, "ranks: expected an integer", 1},
 		{"nan-drift", "{\"kernel\": \"halo1d\", \"ranks\": 4,\n" + oneMetahost(",\n\"clock\": {\"max_drift_ppm\": NaN}") + "}", "invalid character 'N'", 3},
 		{"infinity", doc(`"work": {"base": Infinity}`), "invalid character 'I'", 1},
@@ -267,6 +269,17 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q: line %d, want %d", err, se.Line, c.wantLine)
 			}
 		})
+	}
+}
+
+// TestParseAtCaps: a document at the rank cap or at the rank-step cap is
+// admitted; TestParseErrors refuses one past either.
+func TestParseAtCaps(t *testing.T) {
+	t.Parallel()
+	for _, src := range []string{`{"kernel": "halo1d", "ranks": 4096, "iterations": 6}`, `{"kernel": "amr", "ranks": 2500, "iterations": 20}`} {
+		if _, err := Parse([]byte(src)); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -673,6 +674,29 @@ func TestRobustUploadBudget(t *testing.T) {
 	}
 	if v := s.m.rejected.With("bad_request").Value(); v != 0 {
 		t.Errorf("oversized uploads also counted as %g bad requests", v)
+	}
+}
+
+// TestUploadCapPlusOne: MaxUploadBytes is the last byte allowed, on a
+// body as it arrives (readBody) and on a bundle by what its directory
+// declares (decodeZip): one byte more is refused as too large.
+func TestUploadCapPlusOne(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, MaxUploadBytes: 1024})
+	for _, n := range []int{1024, 1025} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/zip", bytes.NewReader(bytes.Repeat([]byte("A"), n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeErr(t, resp)
+		if tooLarge := resp.StatusCode == http.StatusRequestEntityTooLarge; tooLarge != (n > 1024) {
+			t.Errorf("a %d-byte body under a 1024-byte limit: status %d", n, resp.StatusCode)
+		}
+		var bundle bytes.Buffer
+		newZipWith(t, &bundle, map[string][]byte{"mh0/epik_a/trace.0.mscp": bytes.Repeat([]byte("A"), n)})
+		var over *sizeError
+		if _, err := decodeZip(bundle.Bytes(), 1024); errors.As(err, &over) != (n > 1024) {
+			t.Errorf("a bundle inflating to %d bytes under a 1024-byte limit: %v", n, err)
+		}
 	}
 }
 

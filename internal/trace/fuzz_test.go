@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -164,10 +165,35 @@ func encodeV1Bytes(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
+// The decoders allocate by what an image holds, not by what it declares:
+// decoding n bytes allocates at most decodeBytesPerInputByte·n +
+// decodeFixedBytes. The factor covers the densest table, a v2 event (at
+// least minEventBytesV2 = 6 bytes in, a 40-byte Event out), with room to
+// spare; the constant covers the members one image may expand from a
+// few bytes of runs (maxMembers int32s, 4 MiB) and the decoder's own
+// buffers.
+const (
+	decodeBytesPerInputByte = 16
+	decodeFixedBytes        = 4*maxMembers + 64<<10
+)
+
+// decodeWithinBound decodes data and fails t when that allocated more
+// than the bound allows.
+func decodeWithinBound(t *testing.T, data []byte) (*Trace, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := DecodeBytes(data)
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(decodeBytesPerInputByte*len(data)+decodeFixedBytes); got > bound {
+		t.Errorf("%d input bytes allocated %d, over the bound %d", len(data), got, bound)
+	}
+	return tr, err
+}
+
 // FuzzDecode feeds arbitrary bytes to the slice decoder. Whatever the
-// input, Decode must return cleanly — no panics, no runaway
-// allocations from corrupt headers — and anything it accepts must
-// survive a re-encode/re-decode round trip.
+// input, Decode must return cleanly — no panics, no allocation beyond
+// its bound — and anything it accepts must survive a
+// re-encode/re-decode round trip.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range encodedSeeds(f) {
 		f.Add(seed)
@@ -176,8 +202,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("MSCP"))
 	f.Add([]byte("MSCP\x01"))
 	f.Add([]byte("not a trace"))
+	f.Add(withComms(f, 0, 1, 0, maxMembers, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeBytes(data)
+		tr, err := decodeWithinBound(t, data)
 		if err != nil {
 			return
 		}
@@ -204,18 +231,21 @@ func eventBitEqual(a, b Event) bool {
 }
 
 // FuzzDecodeV2 hammers the columnar block decoder: arbitrary bytes must
-// decode cleanly or fail cleanly; anything accepted must survive a v2
-// re-encode round trip; and on v2 images the block-at-a-time reader
-// must agree event for event with the one-shot decode.
+// decode cleanly or fail cleanly, within the allocation bound; anything
+// accepted must survive a v2 re-encode round trip; and on v2 images the
+// block-at-a-time reader must agree event for event with the one-shot
+// decode.
 func FuzzDecodeV2(f *testing.F) {
 	for _, seed := range encodedV2Seeds(f) {
 		f.Add(seed)
 	}
 	f.Add(runWorldImage(f))
 	f.Add(withComms(f, 0, 1, 0, 1<<40, 1))
+	f.Add(withComms(f, 0, 1, 0, maxMembers, 1)) // at the cap: 4 MiB of members from a few bytes
+	f.Add(withComms(f, 0, 2, 0, maxMembers/2, 1, 0, maxMembers/2, 1))
 	f.Add([]byte("MSCP\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeBytes(data)
+		tr, err := decodeWithinBound(t, data)
 		if err != nil {
 			return
 		}

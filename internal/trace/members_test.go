@@ -179,6 +179,13 @@ func TestDecodeRefusesMemberAmplification(t *testing.T) {
 	if _, err := DecodeBytesInterned(b, in); err == nil || !strings.Contains(err.Error(), "per analysis") {
 		t.Fatalf("second distinct communicator through one interner: %v", err)
 	}
+	// An image may expand maxMembers members and not one more.
+	if _, err := DecodeBytes(withComms(t, 0, 1, 0, maxMembers, 1)); err != nil {
+		t.Fatalf("run of maxMembers members: %v", err)
+	}
+	if _, err := DecodeBytes(withComms(t, 0, 1, 0, maxMembers+1, 1)); err == nil || !strings.Contains(err.Error(), "passes the limit") {
+		t.Fatalf("run of maxMembers+1 members: %v", err)
+	}
 	// A run leaving the int32 ranks is refused.
 	if _, err := DecodeBytes(withComms(t, 0, 1, 1<<31-2, 3, 1)); err == nil || !strings.Contains(err.Error(), "rank range") {
 		t.Fatalf("run past the int32 ranks: %v", err)
