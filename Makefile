@@ -2,7 +2,7 @@
 
 .PHONY: check build test race vet bench conformance fuzz soak scenarios
 
-check: ## gofmt + vet + build + race-enabled tests (the design rules of rules_test.go among them) + soak, bench smoke and allocation gates (tier-1 gate)
+check: ## gofmt + vet + build + race-enabled tests + the design rules of rules_test.go + soak, bench smoke and allocation gates (tier-1 gate)
 	./script/check.sh
 
 conformance: ## analytic-oracle suite over a wider seed sweep (the short tier runs inside `make check`)

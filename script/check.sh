@@ -47,7 +47,8 @@ run_named() {
 
 # The design rules (rules_test.go): one typed check per structural
 # invariant, each with the counterexamples it must reject. They read
-# source on one goroutine, so they skip under -race and run here.
+# source on one goroutine, so a build tag keeps them out of the -race
+# run above and they run here.
 echo "== design rules"
 run_named . TestDesignRules
 
