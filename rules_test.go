@@ -462,7 +462,7 @@ var rules = []rule{{
 	name: "one ledger fold", reason: "The severity ledger is read once, by analyzer.result, on one goroutine, into one profile and one phase accumulator. A second accumulator, a Merge, or a goroutine in build.go or what result reaches is a second reader of the ledger creeping back.",
 	check: each(within(0, 1, "profile accumulators", forbid(in("internal/replay"), `^use internal/profile\.NewAccumulator$`)),
 		within(0, 1, "phase accumulators", forbid(in("internal/replay"), `^use internal/phase\.NewAccumulator$`)),
-		forbid(in("internal/replay"), `^use .*\.Merge$`), forbid(in("internal/profile"), `^def \w+ (\S+\.)?Merge `),
+		forbid(in("internal/replay"), `^use .*\.Merge$`), forbid(in("internal/profile"), `^(def \w+ (\S+\.)?Merge |use .*\.Merge$)`),
 		forbid(in("internal/replay/build.go"), `^go `), forbid(reach(rp+"analyzer.result"), `^go `)),
 	fixtures: []fixture{
 		{"internal/replay/fixture.go", "", "package replay\n\nimport \"metascope/internal/profile\"\n\nfunc rankAccumulator() *profile.Accumulator { return profile.NewAccumulator(profile.Config{}) }\n"},
