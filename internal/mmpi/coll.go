@@ -63,6 +63,7 @@ type collSeqKey struct {
 
 type collState struct {
 	kind    collKind
+	comm    int
 	root    int
 	bytes   int
 	enters  []float64
@@ -88,7 +89,7 @@ func (c *Comm) collective(kind collKind, root, bytes int) *collState {
 	st, ok := w.colls[key]
 	if !ok {
 		st = &collState{
-			kind: kind, root: root, bytes: bytes,
+			kind: kind, comm: c.group.id, root: root, bytes: bytes,
 			enters: make([]float64, c.Size()),
 			procs:  make([]*Proc, c.Size()),
 			colors: make([]int, c.Size()),
@@ -116,9 +117,12 @@ func (c *Comm) collective(kind collKind, root, bytes int) *collState {
 			p.sp.ResumeAt(exits[i])
 		}
 	}
-	c.p.sp.Suspend(fmt.Sprintf("MPI_%v on comm %d", kind, c.group.id))
+	c.p.sp.Suspend(st)
 	return st
 }
+
+// String is a member's wait reason, rendered for a deadlock report.
+func (st *collState) String() string { return fmt.Sprintf("MPI_%v on comm %d", st.kind, st.comm) }
 
 // collExits computes per-rank exit times for a completed
 // fully-synchronizing collective (every process leaves after the
@@ -219,6 +223,7 @@ func (c *Comm) splitCollective(color, key int) *collState {
 	if !ok {
 		st = &collState{
 			kind: collSplit,
+			comm: c.group.id,
 			enters: func() []float64 {
 				e := make([]float64, c.Size())
 				for i := range e {

@@ -1,6 +1,7 @@
 package mmpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -737,15 +738,58 @@ func TestRingExchangeManyRounds(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetectedOnMissingSend pins the deadlock report, line by
+// line, for each way an mmpi process can wait forever: a receive whose
+// send never comes, a rendezvous send whose receive is never posted,
+// and a collective that one member never calls.
 func TestDeadlockDetectedOnMissingSend(t *testing.T) {
-	w, _ := newTestWorld(1, 2)
-	err := w.Run(func(p *Proc) {
-		if p.Rank() == 1 {
-			p.World().Recv(0, 99) // never sent
-		}
-	})
-	if err == nil {
-		t.Fatalf("orphan recv did not deadlock")
+	for _, tc := range []struct {
+		name string
+		n    int
+		sub  []int // members of communicator 1, if any
+		body func(p *Proc)
+		want []string
+	}{
+		{"recv", 2, nil, func(p *Proc) {
+			if p.Rank() == 1 {
+				p.World().Recv(0, 99) // never sent
+			}
+		}, []string{"rank1: mpi wait (recv)"}},
+		{"wait", 4, nil, func(p *Proc) {
+			c := p.World()
+			switch p.Rank() {
+			case 0:
+				c.Wait(c.Isend(2, 5, 1<<20)) // rendezvous: needs the receive
+			case 3:
+				c.Waitall([]*Request{c.Isend(1, 6, 8), c.Irecv(AnySource, 6)})
+			}
+		}, []string{"rank0: mpi wait (send)", "rank3: mpi wait (recv)"}},
+		{"collective", 4, nil, func(p *Proc) {
+			if p.Rank() == 3 {
+				return // never joins
+			}
+			p.World().Barrier()
+		}, []string{"rank0: MPI_Barrier on comm 0", "rank1: MPI_Barrier on comm 0", "rank2: MPI_Barrier on comm 0"}},
+		{"subcomm", 4, []int{1, 2, 3}, func(p *Proc) {
+			if c := p.Predef(1); c != nil && p.Rank() != 2 {
+				c.Allreduce(64)
+			}
+		}, []string{"rank1: MPI_Allreduce on comm 1", "rank3: MPI_Allreduce on comm 1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, _ := newTestWorld(1, tc.n)
+			if tc.sub != nil {
+				w.PredefComm(tc.sub)
+			}
+			err := w.Run(tc.body)
+			var dl *sim.DeadlockError
+			if !errors.As(err, &dl) {
+				t.Fatalf("err = %v, want a deadlock", err)
+			}
+			if !reflect.DeepEqual(dl.Waiting, tc.want) {
+				t.Fatalf("deadlock report %q, want %q", dl.Waiting, tc.want)
+			}
+		})
 	}
 }
 

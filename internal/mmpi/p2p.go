@@ -1,6 +1,10 @@
 package mmpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"metascope/internal/sim"
+)
 
 // fifoEps is the minimal spacing enforced between consecutive message
 // arrivals on the same (source, destination) pair. It models an
@@ -202,16 +206,19 @@ func (c *Comm) Wait(req *Request) Status {
 	if req.p != c.p {
 		panic("mmpi: Wait on a request owned by another process")
 	}
+	why := waitSend
+	if req.isRecv {
+		why = waitRecv
+	}
 	for !req.done {
 		req.waiting = true
-		kind := "send"
-		if req.isRecv {
-			kind = "recv"
-		}
-		c.p.sp.Suspend("mpi wait (" + kind + ")")
+		c.p.sp.Suspend(why)
 	}
 	return req.st
 }
+
+// The wait reasons of a blocked Wait, for deadlock reports.
+var waitSend, waitRecv fmt.Stringer = sim.Reason("mpi wait (send)"), sim.Reason("mpi wait (recv)")
 
 // Waitall waits for every request and returns their statuses in order.
 func (c *Comm) Waitall(reqs []*Request) []Status {

@@ -223,17 +223,27 @@ func (w *World) routeAsymmetry(a, b int, l topology.Link, class topology.LinkCla
 	return sign * d
 }
 
+// netStreams names each link class's random streams — latency, spike
+// and spike tail — once, not once per message.
+var netStreams = func() (names [topology.External + 1][3]string) {
+	for c := range names {
+		lat := "net:" + topology.LinkClass(c).String()
+		names[c] = [3]string{lat, lat + ":spike", lat + ":spiketail"}
+	}
+	return names
+}()
+
 // sampleLatency draws a one-way latency for a message from a to b. The
 // draw includes the route's fixed asymmetry and heavy-tailed
 // cross-traffic spikes on shared links.
 func (w *World) sampleLatency(a, b int) float64 {
 	l, class := w.link(a, b)
-	stream := "net:" + class.String()
-	lat := w.eng.Normal(stream, l.LatencyMean, l.LatencySD, l.LatencyMean/4)
+	names := &netStreams[class]
+	lat := w.eng.Normal(names[0], l.LatencyMean, l.LatencySD, l.LatencyMean/4)
 	lat += w.routeAsymmetry(a, b, l, class)
 	if !l.Dedicated && l.SpikeProb > 0 {
-		if w.eng.Uniform(stream+":spike", 0, 1) < l.SpikeProb {
-			lat += w.eng.Pareto(stream+":spiketail", l.SpikeScale, l.SpikeAlpha)
+		if w.eng.Uniform(names[1], 0, 1) < l.SpikeProb {
+			lat += w.eng.Pareto(names[2], l.SpikeScale, l.SpikeAlpha)
 		}
 	}
 	if lat < l.LatencyMean/8 {

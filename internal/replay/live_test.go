@@ -6,8 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -739,11 +739,11 @@ func TestLiveDepositWindowCap(t *testing.T) {
 			failed = append(failed, ev.State.Error)
 		}
 	}
-	// Whichever worker scores its first wait first: rank 1's Late Sender
-	// [1, 4) or the Late Receiver rank 0 detects for rank 2, [2, 6).
-	want := regexp.MustCompile(`^replay: rank [01]: wait interval \[[12], [46]\) spans [34]00000000\d stream windows of 1e-09 s \(limit 65536\)$`)
-	if err == nil || !want.MatchString(err.Error()) {
-		t.Fatalf("finalize: err = %v\nwant %v", err, want)
+	// Which worker scores an overflowing wait first is not fixed: the
+	// refusal must be one of the world's overflowing waits.
+	want := overflowingWaits(t, liveTraces(), cfg, 1e-9)
+	if err == nil || !slices.Contains(want, err.Error()) {
+		t.Fatalf("finalize: err = %v\nwant one of %q", err, want)
 	}
 	if st := l.Status(); st.State != "failed" {
 		t.Errorf("state %q, want failed", st.State)
@@ -757,4 +757,60 @@ func TestLiveDepositWindowCap(t *testing.T) {
 	if _, err := Analyze(liveTraces(), cfg); err != nil {
 		t.Errorf("post-mortem analysis of the same traces: %v", err)
 	}
+}
+
+// overflowingWaits returns the refusal each wait of traces would draw
+// at windows of width seconds: a post-mortem sweep scores every wait,
+// and each Late Sender wait and ledger sample its ranks log is then
+// deposited alone into a sink of those windows, as a live session's
+// folds deposit them.
+func overflowingWaits(t *testing.T, traces []*trace.Trace, cfg Config, width float64) []string {
+	t.Helper()
+	cfg = cfg.withDefaults(len(traces))
+	corr, err := BuildCorrections(traces, cfg.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := make([]*rankLog, len(traces))
+	for i, tr := range traces {
+		sizes, err := validateCounting(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = newPreloadedRankLog(tr.Events, sizes)
+	}
+	a, err := newAnalyzer(traces, logs, corr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.run()
+	s := newStreamSink(0, width, a.metahosts, a.mhCol, nil)
+	var refused []string
+	deposit := func(scorer int, m metricID, rank int32, start, dur, val float64) {
+		if err := s.depositLocked(&lastRow{}, scorer, m, rank, start, dur, val); err != nil {
+			refused = append(refused, err.Error())
+		}
+	}
+	for _, rr := range a.results {
+		if rr.err != nil {
+			t.Fatal(rr.err)
+		}
+		var prof, recv logPos
+		for run := rr.profLog.unread(&prof); run != nil; run = rr.profLog.unread(&prof) {
+			for _, p := range run {
+				deposit(rr.rank, p.metric, p.rank, p.start, p.dur, p.val)
+			}
+		}
+		for run := rr.recvLog.unread(&recv); run != nil; run = rr.recvLog.unread(&recv) {
+			for _, r := range run {
+				if r.lsWait > 0 {
+					deposit(rr.rank, metricID(pattern.LateSender), int32(rr.rank), r.recvEnter, r.lsWait, r.lsWait)
+				}
+			}
+		}
+	}
+	if len(refused) == 0 {
+		t.Fatal("no wait overflows the window cap")
+	}
+	return refused
 }

@@ -1,10 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation
 // engine with coroutine-style simulated processes.
 //
-// The engine drives a set of processes, each executing user code in its
-// own goroutine. At any moment at most one goroutine is active — either
-// the scheduler or exactly one process — with control handed over
-// through unbuffered channels. Process code therefore runs in a
+// The engine drives a set of processes, each executing user code as a
+// runtime coroutine (iter.Pull). At any moment at most one of them is
+// active — either the scheduler or exactly one process — and control
+// passes by a direct coroutine switch: the scheduler's next runs a
+// process until it yields. Process code therefore runs in a
 // deterministic order (event time, then event sequence number) and may
 // freely touch shared simulation state without locks.
 //
@@ -13,8 +14,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -48,31 +49,62 @@ func (s ProcState) String() string {
 	}
 }
 
-// event is a scheduled callback. Events with equal time fire in
-// scheduling order (seq), which keeps the simulation deterministic.
+// event is a scheduled callback, or the start or resumption of the
+// process p. Events with equal time fire in scheduling order (seq),
+// which keeps the simulation deterministic.
 type event struct {
 	t   float64
 	seq uint64
 	fn  func()
+	p   *Proc
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a fires before b.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events in firing order.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(&h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0], h[n] = h[n], event{}
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }
 
 // Engine is a discrete-event scheduler. Create one with NewEngine,
@@ -80,9 +112,8 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now     float64
 	seq     uint64
-	queue   eventHeap
+	queue   eventQueue
 	procs   []*Proc
-	yielded chan struct{} // signalled by the active process when it parks or finishes
 	err     error
 	stopped bool
 	rng     *rngSet
@@ -94,10 +125,7 @@ type Engine struct {
 // NewEngine returns an engine whose random streams derive from seed.
 // The same seed always produces the same simulation.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		yielded: make(chan struct{}),
-		rng:     newRNGSet(seed),
-	}
+	return &Engine{rng: newRNGSet(seed)}
 }
 
 // Now returns the current simulation time in seconds.
@@ -111,11 +139,18 @@ func (e *Engine) Err() error { return e.err }
 // Scheduling into the past is clamped to the current time, which keeps
 // caller arithmetic simple when rounding produces tiny negative deltas.
 func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		t = e.now
+	e.schedule(event{t: t, fn: fn})
+}
+
+// schedule queues ev behind every event already queued for its time,
+// clamped to the current time.
+func (e *Engine) schedule(ev event) {
+	if ev.t < e.now {
+		ev.t = e.now
 	}
 	e.seq++
-	heap.Push(&e.queue, event{t: t, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	e.queue.push(ev)
 }
 
 // After schedules fn to run d seconds from now.
@@ -141,15 +176,28 @@ func (e *Engine) Fail(err error) {
 }
 
 // Proc is a simulated process. All methods must be called from the
-// process's own goroutine unless documented otherwise.
+// process's own body unless documented otherwise.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	state  ProcState
-	reason string // what the process is waiting for, for diagnostics
-	resume chan struct{}
+	eng   *Engine
+	id    int
+	name  string
+	state ProcState
+	why   fmt.Stringer // what the process waits for, rendered only for a deadlock report
+	// next runs the body until it yields or finishes; yield, called in
+	// the body, hands control back to next's caller.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
+
+// Reason is a fixed Suspend reason.
+type Reason string
+
+// String returns the reason as given.
+func (r Reason) String() string { return string(r) }
+
+// sleeping is the reason of a sleeping process. It never reaches a
+// deadlock report: a sleeping process always has its wake-up queued.
+var sleeping fmt.Stringer = Reason("sleep")
 
 // ID returns the process's engine-unique id (spawn order, from 0).
 func (p *Proc) ID() int { return p.id }
@@ -170,52 +218,33 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // (or immediately, at the current time, if the engine is already
 // running). The body receives its own *Proc handle.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		state:  StateNew,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, id: len(e.procs), name: name, state: StateNew}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
+	// The coroutine's stop is never called: stopping a parked process
+	// would make its yield return and the body run on. A process still
+	// parked when the run ends stays parked.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				e.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 				e.stopped = true
 			}
 			p.state = StateDone
-			e.yielded <- struct{}{}
 		}()
 		body(p)
-	}()
-	e.At(e.now, func() { e.dispatch(p) })
+	})
+	e.schedule(event{t: e.now, p: p})
 	return p
 }
 
-// dispatch hands control to p until it parks or finishes. It must be
-// called from scheduler context (inside an event callback).
-func (e *Engine) dispatch(p *Proc) {
-	if p.state == StateDone {
-		panic(fmt.Sprintf("sim: dispatch of finished process %q", p.name))
-	}
-	if p.state == StateRunning {
-		panic(fmt.Sprintf("sim: dispatch of already running process %q", p.name))
-	}
-	p.state = StateRunning
-	p.reason = ""
-	p.resume <- struct{}{}
-	<-e.yielded
-}
-
 // Suspend parks the calling process until another event resumes it via
-// ResumeAt. The reason string appears in deadlock reports.
-func (p *Proc) Suspend(reason string) {
+// ResumeAt. why is rendered only if the process ends in a deadlock
+// report.
+func (p *Proc) Suspend(why fmt.Stringer) {
 	p.state = StateSuspended
-	p.reason = reason
-	p.eng.yielded <- struct{}{}
-	<-p.resume
+	p.why = why
+	p.yield(struct{}{})
 	p.state = StateRunning
 }
 
@@ -223,14 +252,7 @@ func (p *Proc) Suspend(reason string) {
 // be called from scheduler context or from another process. Resuming a
 // process that is not suspended by the time the resume fires is a
 // programming error and panics.
-func (p *Proc) ResumeAt(t float64) {
-	p.eng.At(t, func() {
-		if p.state != StateSuspended {
-			panic(fmt.Sprintf("sim: resume of non-suspended process %q (%v)", p.name, p.state))
-		}
-		p.eng.dispatch(p)
-	})
-}
+func (p *Proc) ResumeAt(t float64) { p.eng.schedule(event{t: t, p: p}) }
 
 // Sleep advances the process's simulation time by d seconds (computing,
 // in the simulated world). Negative d is treated as zero.
@@ -238,15 +260,14 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		d = 0
 	}
-	p.ResumeAt(p.eng.now + d)
-	p.Suspend(fmt.Sprintf("sleep until %g", p.eng.now+d))
+	p.SleepUntil(p.eng.now + d)
 }
 
 // SleepUntil advances the process's simulation time to absolute time t.
 // Times in the past are treated as "now".
 func (p *Proc) SleepUntil(t float64) {
 	p.ResumeAt(t)
-	p.Suspend(fmt.Sprintf("sleep until %g", t))
+	p.Suspend(sleeping)
 }
 
 // DeadlockError is returned by Run when the event queue drains while
@@ -284,13 +305,24 @@ func (e *Engine) RunUntil(horizon float64) error {
 			e.Fail(*cause)
 			break
 		}
-		ev := heap.Pop(&e.queue).(event)
-		if horizon >= 0 && ev.t > horizon {
+		if horizon >= 0 && e.queue[0].t > horizon {
 			e.now = horizon
 			return e.err
 		}
+		ev := e.queue.pop()
 		e.now = ev.t
-		ev.fn()
+		p := ev.p
+		if p == nil {
+			ev.fn()
+			continue
+		}
+		// Hand control to p until it parks or finishes: its start, or a
+		// resume, which only a suspended process may take.
+		if p.state != StateSuspended && p.state != StateNew {
+			panic(fmt.Sprintf("sim: resume of non-suspended process %q (%v)", p.name, p.state))
+		}
+		p.state, p.why = StateRunning, nil
+		p.next()
 	}
 	if e.err != nil {
 		return e.err
@@ -301,7 +333,11 @@ func (e *Engine) RunUntil(horizon float64) error {
 	var waiting []string
 	for _, p := range e.procs {
 		if p.state == StateSuspended || p.state == StateNew {
-			waiting = append(waiting, fmt.Sprintf("%s: %s", p.name, p.reason))
+			why := ""
+			if p.why != nil {
+				why = p.why.String()
+			}
+			waiting = append(waiting, p.name+": "+why)
 		}
 	}
 	if len(waiting) > 0 {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -55,7 +54,7 @@ func TestInterProcessResume(t *testing.T) {
 	var consumer *Proc
 	e.Spawn("consumer", func(p *Proc) {
 		consumer = p
-		p.Suspend("waiting for producer")
+		p.Suspend(Reason("waiting for producer"))
 		consumerWoke = p.Now()
 	})
 	e.Spawn("producer", func(p *Proc) {
@@ -73,7 +72,7 @@ func TestInterProcessResume(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("stuck", func(p *Proc) {
-		p.Suspend("message that never comes")
+		p.Suspend(Reason("message that never comes"))
 	})
 	err := e.Run()
 	var dl *DeadlockError
@@ -179,7 +178,7 @@ func TestYieldOrdersWithinInstant(t *testing.T) {
 		// Resumed at the current instant, a process runs after every event
 		// already scheduled for it.
 		p.ResumeAt(e.Now())
-		p.Suspend("yield")
+		p.Suspend(Reason("yield"))
 		order = append(order, "a-after-yield")
 	})
 	e.Spawn("b", func(p *Proc) {
@@ -231,16 +230,16 @@ func TestSchedulingIntoPastClamps(t *testing.T) {
 // insertion sequence.
 func TestEventHeapOrderProperty(t *testing.T) {
 	f := func(times []float64) bool {
-		var h eventHeap
+		var q eventQueue
 		for i, tm := range times {
 			if tm != tm { // NaN would poison any ordering
 				tm = 0
 			}
-			heap.Push(&h, event{t: tm, seq: uint64(i)})
+			q.push(event{t: tm, seq: uint64(i)})
 		}
 		var popped []event
-		for h.Len() > 0 {
-			popped = append(popped, heap.Pop(&h).(event))
+		for len(q) > 0 {
+			popped = append(popped, q.pop())
 		}
 		for i := 1; i < len(popped); i++ {
 			a, b := popped[i-1], popped[i]
@@ -396,4 +395,84 @@ func TestProcStateString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
 		}
 	}
+}
+
+// TestRunEndsWithProcessesParked: a run ended by Stop, by its horizon
+// or by an Interrupt is not a deadlock. It reports nothing about the
+// processes still suspended, and they stay parked: none runs on past
+// its Suspend.
+func TestRunEndsWithProcessesParked(t *testing.T) {
+	cause := errors.New("interrupted")
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine) error
+		want error
+	}{
+		{"stop", func(e *Engine) error { e.At(2, e.Stop); return e.Run() }, nil},
+		{"horizon", func(e *Engine) error { return e.RunUntil(2) }, nil},
+		{"interrupt", func(e *Engine) error { e.At(2, func() { e.Interrupt(cause) }); return e.Run() }, cause},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			resumed := 0
+			var waiter, sleeper *Proc
+			waiter = e.Spawn("waiter", func(p *Proc) {
+				p.Suspend(Reason("a resume that never comes"))
+				resumed++
+			})
+			sleeper = e.Spawn("sleeper", func(p *Proc) {
+				p.Sleep(5)
+				resumed++
+			})
+			if err := tc.run(e); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if resumed != 0 || waiter.State() != StateSuspended || sleeper.State() != StateSuspended {
+				t.Fatalf("after the run: %d resumed, waiter %v, sleeper %v; want both parked", resumed, waiter.State(), sleeper.State())
+			}
+			if !errors.Is(e.Err(), tc.want) {
+				t.Fatalf("Err() = %v, want %v", e.Err(), tc.want)
+			}
+		})
+	}
+}
+
+// BenchmarkEngine times the engine's two process switches: one Sleep
+// (resume queued, park, resume) and a Suspend/ResumeAt ping-pong
+// between two processes, one round trip per op.
+func BenchmarkEngine(b *testing.B) {
+	b.Run("sleep", func(b *testing.B) {
+		e := NewEngine(1)
+		e.Spawn("sleeper", func(p *Proc) {
+			for range b.N {
+				p.Sleep(1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("ping-pong", func(b *testing.B) {
+		e := NewEngine(1)
+		var ping, pong *Proc
+		ping = e.Spawn("ping", func(p *Proc) {
+			for range b.N {
+				pong.ResumeAt(p.Now() + 1)
+				p.Suspend(Reason("pong"))
+			}
+		})
+		pong = e.Spawn("pong", func(p *Proc) {
+			for range b.N {
+				p.Suspend(Reason("ping"))
+				ping.ResumeAt(p.Now() + 1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -95,6 +95,22 @@ if ! echo "$out" | grep 'BenchmarkV2BlockDecode' | grep -q '\b0 allocs/op'; then
 	exit 1
 fi
 
+# The simulator behind every generated archive switches processes on
+# each Sleep, message wait and collective, by coroutine: neither of the
+# engine's switches may allocate, and a process blocked in Recv or
+# Barrier hands over a wait reason that is formatted only for a deadlock
+# report — the cycles allocate exactly what the message and the
+# collective need. Gated like the v2 block decoder above.
+echo "== simulator engine zero-alloc gate"
+out=$(go test -run '^$' -bench 'BenchmarkEngine$' -benchmem -benchtime=10000x ./internal/sim)
+for case in sleep ping-pong; do
+	line=$(echo "$out" | grep "^BenchmarkEngine/$case-") || { echo "check: BenchmarkEngine/$case did not run" >&2; exit 1; }
+	echo "$line"
+	echo "$line" | grep -q '\b0 allocs/op' || { echo "check: the engine's $case switch allocates" >&2; exit 1; }
+done
+run_named ./internal/sim TestSleepCycleAllocatesNothing
+run_named ./internal/mmpi TestBlockingWaitsAllocateNoDiagnostics
+
 # The validating path a rank log pulls through — NextInto decodes and
 # validates a block in the same passes — must not allocate either when
 # the caller hands it a reused block.
@@ -147,5 +163,9 @@ echo "== epilogue allocation gates"
 run_named ./internal/cube TestWritesAllocateByTouch TestTreeQueryAllocsFlatInMetrics TestReadDoesNotAmplifyDeclarations FuzzCubeRead
 run_named ./internal/profile TestSnapshotAllocsFlatInSeries TestSnapshotSpendsAccumulator TestDiffAndByMetahostSizeRowsByValues FuzzProfileRead
 run_named ./internal/phase TestSnapshotAllocsFlatInPhases FuzzPhaseRead
+# The phase search allocates by its input, not by the candidates it
+# tries. It compares process-wide bytes, so it runs here, alone and
+# without the detector, not beside the -race run's other goroutines.
+run_named ./internal/phase TestDetectAllocsIndependentOfCandidates
 
 echo "check: all green"
