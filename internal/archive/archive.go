@@ -196,6 +196,10 @@ type memFile struct {
 
 func (f *memFile) Write(b []byte) (int, error) { return f.buf.Write(b) }
 
+// Grow makes room for n more bytes, so a writer that knows a file's
+// size allocates it once.
+func (f *memFile) Grow(n int) { f.buf.Grow(n) }
+
 func (f *memFile) Close() error { return f.fs.Store(f.p, f.buf.Bytes()) }
 
 // Create implements FS.

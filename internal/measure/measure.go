@@ -15,7 +15,6 @@ package measure
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -242,7 +241,7 @@ type M struct {
 	metahostName string
 	localMaster  int // rank of this metahost's elected local master
 
-	events   []trace.Event
+	trace    *trace.Writer // the local trace file, written as it is recorded
 	stack    []stackItem
 	sync     trace.SyncData
 	commDefs map[int][]int32
@@ -279,6 +278,7 @@ func newM(rt *Runtime, p *mmpi.Proc) *M {
 		rt:       rt,
 		p:        p,
 		clock:    rt.cfg.Clocks.ForLoc(p.Loc()),
+		trace:    trace.NewWriter(rt.cfg.TraceFormat),
 		commDefs: make(map[int][]int32),
 	}
 }
@@ -323,12 +323,12 @@ func (m *M) Compute(kernel string, work float64) { m.p.Compute(kernel, work) }
 // Elapse advances the process by a wall-clock duration (no event).
 func (m *M) Elapse(seconds float64) { m.p.Elapse(seconds) }
 
-// record appends an event unless tracing is disabled.
+// record writes an event to the trace unless tracing is disabled.
 func (m *M) record(ev trace.Event) {
 	if m.rt.cfg.DisableTracing {
 		return
 	}
-	m.events = append(m.events, ev)
+	m.trace.Append(ev)
 }
 
 // Enter records entry into a user code region (unless filtered).
@@ -453,7 +453,6 @@ func (m *M) finalize() error {
 		Sync:    m.sync,
 		Regions: m.rt.reg.snapshot(),
 		Comms:   comms,
-		Events:  m.events,
 	}
 	m.rt.phaseEnter("trace-write")
 	defer m.rt.phaseExit("trace-write")
@@ -461,27 +460,15 @@ func (m *M) finalize() error {
 	if err != nil {
 		return fmt.Errorf("measure: rank %d: creating trace file: %w", m.p.Rank(), err)
 	}
-	cw := &countingWriter{w: f}
-	if err := t.EncodeFormat(cw, m.rt.cfg.TraceFormat); err != nil {
+	size, err := m.trace.Finish(f, t)
+	if err != nil {
 		return fmt.Errorf("measure: rank %d: encoding trace: %w", m.p.Rank(), err)
 	}
 	reg := m.rt.obs.Reg
-	reg.Counter("metascope_measure_events_total", "trace events recorded").Add(float64(len(m.events)))
+	reg.Counter("metascope_measure_events_total", "trace events recorded").Add(float64(m.trace.Len()))
 	reg.Counter("metascope_measure_traces_written_total", "local trace files written").Inc()
-	reg.Counter("metascope_measure_trace_bytes_total", "encoded trace bytes written").Add(float64(cw.n))
+	reg.Counter("metascope_measure_trace_bytes_total", "encoded trace bytes written").Add(float64(size))
 	reg.Histogram("metascope_measure_trace_bytes", "encoded size of one local trace file",
-		obs.BytesBuckets).Observe(float64(cw.n))
+		obs.BytesBuckets).Observe(float64(size))
 	return f.Close()
-}
-
-// countingWriter counts the bytes a trace encode produces.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

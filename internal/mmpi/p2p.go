@@ -2,6 +2,7 @@ package mmpi
 
 import (
 	"fmt"
+	"slices"
 
 	"metascope/internal/sim"
 )
@@ -154,7 +155,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	pend := w.pend[rr.dstGlob]
 	for i, m := range pend {
 		if rr.matches(m) {
-			w.pend[rr.dstGlob] = append(pend[:i:i], pend[i+1:]...)
+			w.pend[rr.dstGlob] = slices.Delete(pend, i, i+1)
 			w.match(m, rr, c.p.Now())
 			return req
 		}
@@ -172,7 +173,7 @@ func (w *World) deliver(m *message) {
 	posted := w.posted[m.dstGlob]
 	for i, rr := range posted {
 		if rr.matches(m) {
-			w.posted[m.dstGlob] = append(posted[:i:i], posted[i+1:]...)
+			w.posted[m.dstGlob] = slices.Delete(posted, i, i+1)
 			w.match(m, rr, w.eng.Now())
 			return
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -279,65 +279,75 @@ func TestSubmitBodyReadOnce(t *testing.T) {
 	}
 }
 
-// TestIntakePhases: one upload leaves the three intake steps in the obs
-// phase tree, under the handler's own span, and they account for the
-// handler's wall time within 5 %; the "job accepted" line carries what
-// the intake measured.
-//
-// The job's analysis waits until the handler has recorded its span: the
-// handler enqueues the job before it answers, and on a machine with few
-// cores the analysis would otherwise take the CPU from the handler's
-// last microseconds, so the span would measure the scheduler rather than
-// the handler.
+// TestIntakePhases: an upload and a path submission each leave their
+// intake steps in the obs phase tree under the handler's own span, and
+// the steps tile the intake exactly: one clock reading ends a step and
+// begins the next, so their sum is the span from admission to the
+// digest that the "job accepted" line reports, which a scheduling gap
+// between steps cannot break. That line also carries what the intake
+// measured.
 func TestIntakePhases(t *testing.T) {
 	h := haloBundle(t)
-	rec := obs.NewRecorder()
-	logged := &logLines{}
-	rec.Log = obs.NewLogger(logged)
-	rec.Log.SetLevel(obs.LevelDebug)
-	s, ts := newTestServer(t, Options{Workers: 1, Obs: rec})
-	real := s.runJob
-	handled := make(chan struct{})
-	s.runJob = func(ctx context.Context, j *job) (*replay.Result, error) {
-		<-handled
-		return real(ctx, j)
+	root := t.TempDir()
+	if err := extractZipTree(filepath.Join(root, "run1"), h.zip); err != nil {
+		t.Fatal(err)
 	}
-	st, resp := submitZip(t, ts.URL, h.zip, "")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d", resp.StatusCode)
-	}
+	for _, c := range []struct {
+		query string
+		body  []byte
+		steps []string
+		want  string
+	}{
+		{"", h.zip, []string{"read-body", "decode-zip", "digest"},
+			fmt.Sprintf("body_bytes=%d inflated_bytes=%d files=%d", len(h.zip), h.inflated, h.files)},
+		{"?path=run1", nil, []string{"mount-path", "digest"}, "source=path"},
+	} {
+		rec := obs.NewRecorder()
+		logged := &logLines{}
+		rec.Log = obs.NewLogger(logged)
+		rec.Log.SetLevel(obs.LevelDebug)
+		_, ts := newTestServer(t, Options{Workers: 1, Obs: rec, Root: root})
+		st, resp := submitZip(t, ts.URL, c.body, c.query)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit%s: status %d", c.query, resp.StatusCode)
+		}
 
-	// The handler records its own span after it has answered.
-	var handler time.Duration
-	steps := map[string]time.Duration{}
-	for deadline := time.Now().Add(10 * time.Second); handler == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		for _, p := range rec.Phases.Breakdown() {
-			if p.Path == "serve-intake" {
-				handler = p.Total
-			} else if rest, ok := strings.CutPrefix(p.Path, "serve-intake/"); ok {
-				steps[rest] = p.Total
+		// The handler records its own span after it has answered.
+		var handler time.Duration
+		steps := map[string]time.Duration{}
+		for deadline := time.Now().Add(10 * time.Second); handler == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			for _, p := range rec.Phases.Breakdown() {
+				if p.Path == "serve-intake" {
+					handler = p.Total
+				} else if rest, ok := strings.CutPrefix(p.Path, "serve-intake/"); ok {
+					steps[rest] = p.Total
+				}
 			}
 		}
-	}
-	close(handled)
-	awaitJob(t, ts.URL, st.ID)
-	var sum time.Duration
-	for _, name := range []string{"read-body", "decode-zip", "digest"} {
-		if steps[name] <= 0 {
-			t.Errorf("phase serve-intake/%s missing after an upload (have %v)", name, steps)
+		awaitJob(t, ts.URL, st.ID)
+		var sum time.Duration
+		for _, name := range c.steps {
+			if steps[name] <= 0 {
+				t.Errorf("submit%s: phase serve-intake/%s missing (have %v)", c.query, name, steps)
+			}
+			sum += steps[name]
 		}
-		sum += steps[name]
-	}
-	if len(steps) != 3 {
-		t.Errorf("serve-intake has children %v, want exactly read-body, decode-zip, digest", steps)
-	}
-	if sum > handler || float64(sum) < 0.95*float64(handler) {
-		t.Errorf("the intake steps sum to %v of the handler's %v: want them to tile it within 5 %%", sum, handler)
-	}
+		if len(steps) != len(c.steps) {
+			t.Errorf("submit%s: serve-intake has children %v, want exactly %v", c.query, steps, c.steps)
+		}
 
-	want := fmt.Sprintf("body_bytes=%d inflated_bytes=%d files=%d", len(h.zip), h.inflated, h.files)
-	if lines := logged.matching("job accepted"); len(lines) != 1 || !strings.Contains(lines[0], want) || !strings.Contains(lines[0], "id="+st.ID) {
-		t.Errorf("acceptance logged as %q, want one line carrying %q", lines, want)
+		lines := logged.matching("job accepted")
+		if len(lines) != 1 || !strings.Contains(lines[0], c.want) || !strings.Contains(lines[0], "id="+st.ID) {
+			t.Fatalf("submit%s: acceptance logged as %q, want one line carrying %q", c.query, lines, c.want)
+		}
+		_, field, _ := strings.Cut(lines[0], " intake=")
+		intake, err := time.ParseDuration(strings.TrimSpace(field)) // the line's last field
+		if err != nil {
+			t.Fatalf("submit%s: no intake span in %q: %v", c.query, lines[0], err)
+		}
+		if sum != intake || sum > handler {
+			t.Errorf("submit%s: the steps sum to %v, want exactly the intake's %v, inside the handler's %v", c.query, sum, intake, handler)
+		}
 	}
 }
 

@@ -280,19 +280,25 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 // directory name for path submissions). An archive and scheme a kept
 // done job has analyzed complete at once, without a queue slot.
 //
-// The handler's wall time is the obs phase serve-intake, and the three
-// steps an upload pays before it is a job its children.
+// The handler's wall time is the obs phase serve-intake, and the steps
+// an admitted request pays before it is a job its children: read-body
+// and decode-zip for an upload, mount-path for a path, then digest. The
+// steps tile the span from admission to the digest: the clock is read
+// once at each boundary, and a step ends where the next begins.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.rec.Phases.Record(time.Since(start), "serve-intake") }()
-	step := func(name string, f func()) {
-		t0 := time.Now()
-		f()
-		s.rec.Phases.Record(time.Since(t0), "serve-intake", name)
-	}
 	scheme, ok := s.admit(w, r)
 	if !ok {
 		return
+	}
+	first := time.Now()
+	last := first
+	step := func(name string, f func()) {
+		f()
+		now := time.Now()
+		s.rec.Phases.Record(now.Sub(last), "serve-intake", name)
+		last = now
 	}
 	var (
 		u      *upload
@@ -304,7 +310,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if p := r.URL.Query().Get("path"); p != "" {
 		source = "path"
 		u = new(upload)
-		u.mounts, u.metahosts, u.dir, err = s.mountPath(p, r.URL.Query().Get("archive"))
+		step("mount-path", func() { u.mounts, u.metahosts, u.dir, err = s.mountPath(p, r.URL.Query().Get("archive")) })
 	} else {
 		// The buffer is the handler's own: decodeZip only inflates out of
 		// it, so it is garbage once the job exists.
@@ -331,7 +337,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.submit(w, r, scheme, j) {
 		s.rec.Log.Debug("job accepted", "id", j.id, "source", source, "digest", digest,
-			"body_bytes", len(body), "inflated_bytes", u.inflated, "files", u.files)
+			"body_bytes", len(body), "inflated_bytes", u.inflated, "files", u.files, "intake", last.Sub(first))
 	}
 }
 

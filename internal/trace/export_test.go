@@ -1,9 +1,10 @@
 package trace
 
-import (
-	"bufio"
-	"io"
-)
+import "io"
+
+func (t *Trace) encodeV2(w io.Writer, blockSize int) error {
+	return t.write(newWriter(FormatV2, blockSize), w)
+}
 
 // EncodeV2BlockSize exposes the v2 encoder's block-size knob to the
 // external tests, which drive consumers of the format (the live replay
@@ -16,9 +17,7 @@ func (t *Trace) EncodeV2BlockSize(w io.Writer, blockSize int) error {
 // every communicator's members listed one by one and no run flag: the
 // header of images written before member lists were run coded.
 func (t *Trace) EncodeExplicit(w io.Writer, f Format, bs int) error {
-	e := &encoder{w: bufio.NewWriter(w), explicitComms: true}
-	if f == FormatV1 {
-		return t.encodeV1(e)
-	}
-	return t.writeV2(e, bs)
+	tw := newWriter(f, bs)
+	tw.explicitComms = true
+	return t.write(tw, w)
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,51 +34,24 @@ const (
 // metascope trace file.
 var ErrBadMagic = errors.New("trace: bad magic (not a metascope trace file)")
 
+// encoder appends the header of a trace image to b (Writer.Finish).
 type encoder struct {
-	w   *bufio.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
+	b []byte
 	// explicitComms writes each member list member by member, as images
 	// written before run coding are; the tests write such images.
 	explicitComms bool
 	runs          runs // encodeComms' scratch
 }
 
-func (e *encoder) u64(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
+func (e *encoder) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-func (e *encoder) i64(v int64) {
-	e.u64(uint64((v << 1) ^ (v >> 63))) // zig-zag
-}
+func (e *encoder) i64(v int64) { e.b = appendZigzag(e.b, v) }
 
-func (e *encoder) f64(v float64) {
-	if e.err != nil {
-		return
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, e.err = e.w.Write(b[:])
-}
+func (e *encoder) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 
-func (e *encoder) str(s string) {
-	e.u64(uint64(len(s)))
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.WriteString(s)
-}
+func (e *encoder) str(s string) { e.b = append(binary.AppendUvarint(e.b, uint64(len(s))), s...) }
 
-func (e *encoder) byte(b byte) {
-	if e.err != nil {
-		return
-	}
-	e.err = e.w.WriteByte(b)
-}
+func (e *encoder) byte(b byte) { e.b = append(e.b, b) }
 
 // Interner deduplicates strings that repeat across decoded traces.
 // Every rank's trace replicates the same region table and metahost
@@ -265,11 +237,8 @@ func encodeMeasurement(e *encoder, m [3]float64) {
 // given version byte, location, sync block, region table, communicator
 // definitions — shared by the v1 row encoder and the v2 block encoder
 // (the header layout is byte-identical across versions).
-func (t *Trace) encodeHeader(e *encoder, version byte) error {
-	if _, err := e.w.Write(magic[:]); err != nil {
-		return err
-	}
-	e.byte(version)
+func (t *Trace) encodeHeader(e *encoder, version byte) {
+	e.b = append(append(e.b, magic[:]...), version)
 
 	// Location.
 	e.i64(int64(t.Loc.Rank))
@@ -310,44 +279,33 @@ func (t *Trace) encodeHeader(e *encoder, version byte) error {
 	}
 
 	e.encodeComms(t.Comms)
-	return e.err
 }
 
 // Encode writes the trace to w in the MSCP v1 binary format.
-func (t *Trace) Encode(w io.Writer) error { return t.encodeV1(&encoder{w: bufio.NewWriter(w)}) }
+func (t *Trace) Encode(w io.Writer) error { return t.write(NewWriter(FormatV1), w) }
 
-func (t *Trace) encodeV1(e *encoder) error {
-	if err := t.encodeHeader(e, formatVersion); err != nil {
-		return err
+// appendV1Row appends ev's v1 row to buf: a kind byte, the time stamp
+// and the fields meaningful for that kind.
+func appendV1Row(buf []byte, ev *Event) ([]byte, error) {
+	buf = append(buf, byte(ev.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Time))
+	switch ev.Kind {
+	case KindEnter, KindExit:
+		buf = binary.AppendUvarint(buf, uint64(ev.Region))
+	case KindSend, KindRecv:
+		buf = appendZigzag(buf, int64(ev.Comm))
+		buf = appendZigzag(buf, int64(ev.Peer))
+		buf = appendZigzag(buf, int64(ev.Tag))
+		buf = appendZigzag(buf, ev.Bytes)
+	case KindCollExit:
+		buf = appendZigzag(buf, int64(ev.Comm))
+		buf = append(buf, byte(ev.Coll))
+		buf = appendZigzag(buf, int64(ev.Root))
+		buf = appendZigzag(buf, ev.Bytes)
+	default:
+		return buf, fmt.Errorf("trace: cannot encode event of kind %d", ev.Kind)
 	}
-
-	// Events.
-	e.u64(uint64(len(t.Events)))
-	for i := range t.Events {
-		ev := &t.Events[i]
-		e.byte(byte(ev.Kind))
-		e.f64(ev.Time)
-		switch ev.Kind {
-		case KindEnter, KindExit:
-			e.u64(uint64(ev.Region))
-		case KindSend, KindRecv:
-			e.i64(int64(ev.Comm))
-			e.i64(int64(ev.Peer))
-			e.i64(int64(ev.Tag))
-			e.i64(ev.Bytes)
-		case KindCollExit:
-			e.i64(int64(ev.Comm))
-			e.byte(byte(ev.Coll))
-			e.i64(int64(ev.Root))
-			e.i64(ev.Bytes)
-		default:
-			return fmt.Errorf("trace: cannot encode event of kind %d", ev.Kind)
-		}
-	}
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
+	return buf, nil
 }
 
 // DecodeBytes decodes one trace from an in-memory MSCP image. It fails

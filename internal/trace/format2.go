@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // MSCP format v2: a columnar, delta-compressed block encoding of the
@@ -149,57 +149,11 @@ const (
 
 // EncodeV2 writes the trace to w in the MSCP v2 columnar block format
 // with the default block size.
-func (t *Trace) EncodeV2(w io.Writer) error { return t.encodeV2(w, defaultBlockSize) }
+func (t *Trace) EncodeV2(w io.Writer) error { return t.write(NewWriter(FormatV2), w) }
 
 // EncodeFormat writes the trace to w in the requested format;
 // FormatDefault resolves to v2.
-func (t *Trace) EncodeFormat(w io.Writer, f Format) error {
-	switch f {
-	case FormatV1:
-		return t.Encode(w)
-	case FormatDefault, FormatV2:
-		return t.EncodeV2(w)
-	default:
-		return fmt.Errorf("trace: cannot encode unknown format %d", uint8(f))
-	}
-}
-
-func (t *Trace) encodeV2(w io.Writer, blockSize int) error {
-	return t.writeV2(&encoder{w: bufio.NewWriter(w)}, blockSize)
-}
-
-func (t *Trace) writeV2(e *encoder, blockSize int) error {
-	if blockSize < 1 || blockSize > maxBlockSize {
-		return fmt.Errorf("trace: block size %d out of range [1, %d]", blockSize, maxBlockSize)
-	}
-	if err := t.encodeHeader(e, formatVersion2); err != nil {
-		return err
-	}
-	e.u64(uint64(len(t.Events)))
-	e.u64(uint64(blockSize))
-
-	var buf []byte
-	var cb v2ColBufs
-	for start := 0; start < len(t.Events); start += blockSize {
-		end := start + blockSize
-		if end > len(t.Events) {
-			end = len(t.Events)
-		}
-		var err error
-		buf, err = appendV2Block(buf[:0], &cb, t.Events[start:end])
-		if err != nil {
-			return err
-		}
-		e.u64(uint64(len(buf)))
-		if e.err == nil {
-			_, e.err = e.w.Write(buf)
-		}
-	}
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
-}
+func (t *Trace) EncodeFormat(w io.Writer, f Format) error { return t.write(NewWriter(f), w) }
 
 // v2ColBufs holds the encoder's per-column staging buffers, reused
 // across blocks. The varint columns must be staged because their byte
@@ -223,8 +177,9 @@ func appendZigzag(buf []byte, d int64) []byte {
 	return binary.AppendUvarint(buf, uint64((d<<1)^(d>>63)))
 }
 
-// appendV2Block appends one encoded block payload for evs to buf,
-// staging the varint columns in cb. Every delta chain starts from 0.
+// appendV2Block appends the framed block of evs to buf, its payload
+// length and then the payload, growing buf once; the varint columns are
+// staged in cb first. Every delta chain starts from 0.
 func appendV2Block(buf []byte, cb *v2ColBufs, evs []Event) ([]byte, error) {
 	cb.reset()
 	var tprev, rprev, cprev, pprev, gprev, bprev, oprev int64
@@ -265,8 +220,17 @@ func appendV2Block(buf []byte, cb *v2ColBufs, evs []Event) ([]byte, error) {
 		}
 	}
 
+	cols := [v2ColumnCount][]byte{cb.thi, cb.reg, cb.comm, cb.peer, cb.tag, cb.byt, cb.coll, cb.root}
+	plen := uvarintLen(uint64(len(evs))) + 5*len(evs)
+	for _, c := range cols {
+		plen += uvarintLen(uint64(len(c))) + len(c)
+	}
+	if n := uvarintLen(uint64(plen)) + plen; cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...) // make, unlike slices.Grow, clears only memory not known to be zero
+	}
+	buf = binary.AppendUvarint(buf, uint64(plen))
 	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	for _, c := range [v2ColumnCount][]byte{cb.thi, cb.reg, cb.comm, cb.peer, cb.tag, cb.byt, cb.coll, cb.root} {
+	for _, c := range cols {
 		buf = binary.AppendUvarint(buf, uint64(len(c)))
 	}
 	for i := range evs {
@@ -275,16 +239,14 @@ func appendV2Block(buf []byte, cb *v2ColBufs, evs []Event) ([]byte, error) {
 	for i := range evs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(math.Float64bits(evs[i].Time)))
 	}
-	buf = append(buf, cb.thi...)
-	buf = append(buf, cb.reg...)
-	buf = append(buf, cb.comm...)
-	buf = append(buf, cb.peer...)
-	buf = append(buf, cb.tag...)
-	buf = append(buf, cb.byt...)
-	buf = append(buf, cb.coll...)
-	buf = append(buf, cb.root...)
+	for _, c := range cols {
+		buf = append(buf, c...)
+	}
 	return buf, nil
 }
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // posInvalid poisons a column cursor on malformed input: it fails
 // every subsequent bounds guard (and stays poisoned through the slow

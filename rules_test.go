@@ -378,6 +378,16 @@ var rules = []rule{{
 		{"internal/replay/fixture.go", "", "package replay\n\nimport \"metascope/internal/trace\"\n\nfunc grow(n int) []trace.Event { return make([]trace.Event, 0, n) }\n"},
 	},
 }, {
+	name: "one trace writer", reason: "A rank's trace is written as it is recorded, by trace.Writer: a v2 block is encoded when it fills and a v1 row when it is appended, each by the one encoder of its format. A []trace.Event held or made in internal/measure is the whole trace kept as 40-byte events again; a second caller of appendV2Block or appendV1Row is a second event-writing loop.",
+	check: each(forbid(in("internal/measure"), `^(alloc|def \w+ \S+) \[\]internal/trace\.Event$`),
+		within(1, 1, "appendV2Block calls", forbid(in("internal/trace"), `^use internal/trace\.appendV2Block$`)),
+		within(1, 1, "appendV1Row calls", forbid(in("internal/trace"), `^use internal/trace\.appendV1Row$`)),
+		forbid(in("internal/trace"), `^use internal/trace\.(appendV2Block|appendV1Row)$`, "internal/trace.Writer.")),
+	fixtures: []fixture{
+		{"internal/measure/fixture.go", "", "package measure\n\nimport \"metascope/internal/trace\"\n\ntype recorder struct{ events []trace.Event }\n\nfunc (r *recorder) record(ev trace.Event) { r.events = append(r.events, ev) }\n"},
+		{"internal/trace/fixture.go", "", "package trace\n\nfunc encodeBlock(evs []Event) ([]byte, error) { return appendV2Block(nil, new(v2ColBufs), evs) }\n"},
+	},
+}, {
 	name: "one scheduler", reason: "A rank's replay is a stepper under one scheduler: a step that would block returns why and is re-queued by whoever unblocks it. A condition variable, an abort channel, pprof.Do or a second place that starts runners is a goroutine-per-rank mode creeping back; a live session's drain loop and the loader's decode fan-out are no rank's.",
 	check: each(forbid(in("internal/replay"), `^go `, rp+"analyzer.start", rp+"Live.startLocked", rp+"load"),
 		within(1, 1, "runner starts", forbid(in("internal/replay"), `^go .*\binternal/replay\.analyzer\.runner\b`)),

@@ -23,11 +23,13 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-# -shuffle=on randomizes test (and subtest-sibling) execution order so
+# -shuffle randomizes test (and subtest-sibling) execution order so
 # accidental inter-test dependencies surface in CI instead of in the
-# field; failures print the seed for reproduction.
-echo "== go test -race -shuffle=on ./..."
-go test -race -shuffle=on ./...
+# field. The seed is printed for every run, green or not;
+# go test -race -shuffle=<seed> ./... replays one.
+seed=$(date +%s%N)
+echo "== go test -race -shuffle=$seed ./..."
+go test -race -shuffle="$seed" ./...
 
 # Every step from here on runs something the full run above does not.
 # A step that re-runs one of its tests by name only adds wall time.
@@ -110,6 +112,9 @@ for case in sleep ping-pong; do
 done
 run_named ./internal/sim TestSleepCycleAllocatesNothing
 run_named ./internal/mmpi TestBlockingWaitsAllocateNoDiagnostics
+# A rank writes its trace as it records it: recording allocates about
+# the encoded image and one block of events, not 40 bytes per event.
+run_named ./internal/measure TestRecordingAllocatesEncodedBytes
 
 # The validating path a rank log pulls through — NextInto decodes and
 # validates a block in the same passes — must not allocate either when
