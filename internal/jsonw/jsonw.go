@@ -1,13 +1,12 @@
-// Package jsonw writes indented JSON by appending to one buffer, for the
-// artifacts whose size makes encoding/json's reflection, intermediate
-// compact form and second indent pass the bulk of a render: the
-// time-resolved profile and the phase profile. What it writes is, byte
-// for byte, what json.MarshalIndent(v, "", "  ") writes for the same
+// Package jsonw writes compact JSON by appending to one buffer, for the
+// artifacts whose size makes encoding/json's reflection the bulk of a
+// render: the time-resolved profile and the phase profile. What it
+// writes is, byte for byte, what json.Marshal(v) writes for the same
 // value — the artifacts' readers, goldens and digests do not know which
 // wrote them — so every rule here is encoding/json's:
 //
-//   - a container's members each start a line, indented two spaces per
-//     level; an empty container is "{}" or "[]" with nothing between;
+//   - no whitespace: members are separated by ',' alone and a key by ':'
+//     from its value; an empty container is "{}" or "[]";
 //   - a float64 prints in the shortest form that parses back to it, as
 //     digits ('f') unless its magnitude is below 1e-6 or at least 1e21,
 //     then with an exponent ('e') whose two-digit negative form loses its
@@ -17,7 +16,7 @@
 //     *json.UnsupportedValueError;
 //   - a string escapes '"' and '\\', writes \b \f \n \r \t short and every
 //     other control byte as \u00XX, escapes '<', '>' and '&' as \u00XX
-//     (MarshalIndent's HTML-safe default), U+2028 and U+2029 as \u2028
+//     (Marshal's HTML-safe default), U+2028 and U+2029 as \u2028
 //     and \u2029, and replaces each byte of invalid UTF-8 by \ufffd.
 //
 // Decoding stays with encoding/json: a reader meets files it did not
@@ -43,11 +42,10 @@ const flushAt = 32 << 10
 // of the destination is kept and returned by End; nothing is written
 // after it.
 type Writer struct {
-	w     io.Writer
-	buf   []byte
-	depth int
-	more  bool // the innermost open container has a member already
-	err   error
+	w    io.Writer
+	buf  []byte
+	more bool // the innermost open container has a member already
+	err  error
 }
 
 // New returns a Writer that writes to w.
@@ -73,7 +71,7 @@ func (w *Writer) flush() {
 	w.buf = w.buf[:0]
 }
 
-// sep starts the next member of the innermost container on its own line.
+// sep starts the next member of the innermost container.
 func (w *Writer) sep() {
 	if len(w.buf) >= flushAt {
 		w.flush()
@@ -82,43 +80,25 @@ func (w *Writer) sep() {
 		w.buf = append(w.buf, ',')
 	}
 	w.more = true
-	w.buf = append(w.buf, '\n')
-	for n := 2 * w.depth; n > 0; n -= len(indent) {
-		w.buf = append(w.buf, indent[:min(n, len(indent))]...)
-	}
 }
-
-// indent is eight levels of indentation, what one append writes.
-const indent = "                "
 
 // Key starts an object member named k, which must need no escaping.
 func (w *Writer) Key(k string) {
 	w.sep()
 	w.buf = append(w.buf, '"')
 	w.buf = append(w.buf, k...)
-	w.buf = append(w.buf, '"', ':', ' ')
+	w.buf = append(w.buf, '"', ':')
 }
 
 // Elem starts an array element.
 func (w *Writer) Elem() { w.sep() }
 
 // Open starts a container: c is '{' or '['.
-func (w *Writer) Open(c byte) {
-	w.buf = append(w.buf, c)
-	w.depth++
-	w.more = false
-}
+func (w *Writer) Open(c byte) { w.buf, w.more = append(w.buf, c), false }
 
-// Close ends the innermost container: c is '}' or ']'.
-func (w *Writer) Close(c byte) {
-	w.depth--
-	if w.more { // it had members: the bracket takes its own line, without a comma
-		w.more = false
-		w.sep()
-	}
-	w.more = true // the container just closed is a member of the one around it
-	w.buf = append(w.buf, c)
-}
+// Close ends the innermost container, c being '}' or ']', which is then a
+// member of the container around it.
+func (w *Writer) Close(c byte) { w.buf, w.more = append(w.buf, c), true }
 
 // Null writes null, the form of a nil slice.
 func (w *Writer) Null() { w.buf = append(w.buf, "null"...) }

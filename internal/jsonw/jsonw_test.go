@@ -49,7 +49,7 @@ func (d *doc) write(w *Writer) {
 	w.Close('}')
 }
 
-func TestWriterMatchesMarshalIndent(t *testing.T) {
+func TestWriterMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 3000; i++ {
 		var d doc
@@ -74,7 +74,7 @@ func TestWriterMatchesMarshalIndent(t *testing.T) {
 		for j := range d.Vals {
 			d.Vals[j] = draw()
 		}
-		want, err := json.MarshalIndent(&d, "", "  ")
+		want, err := json.Marshal(&d)
 		if err != nil {
 			var uv *json.UnsupportedValueError
 			if !errors.As(err, &uv) {
@@ -127,7 +127,7 @@ func TestWriterFlushesAndKeepsFirstError(t *testing.T) {
 	for i := range d.Vals {
 		d.Vals[i] = float64(i) / 3
 	}
-	want, err := json.MarshalIndent(&d, "", "  ")
+	want, err := json.Marshal(&d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestWriterFlushesAndKeepsFirstError(t *testing.T) {
 	w := New(&got)
 	d.write(w)
 	if err := w.End(); err != nil || !bytes.Equal(got.Bytes(), append(want, '\n')) {
-		t.Fatalf("large document differs from MarshalIndent (err %v, %d vs %d bytes)", err, got.Len(), len(want)+1)
+		t.Fatalf("large document differs from Marshal (err %v, %d vs %d bytes)", err, got.Len(), len(want)+1)
 	}
 	if len(want) < 4*flushAt {
 		t.Fatalf("document of %d bytes does not exercise the flush", len(want))
@@ -164,7 +164,7 @@ func formatted(f float64) string {
 
 // TestFloatIntegral: whichever path an integral value takes — the
 // integer one below 2^53 in magnitude, other than −0 — Float writes what
-// the float formatter and json.MarshalIndent write, on the edges of that
+// the float formatter and json.Marshal write, on the edges of that
 // range and on integral values drawn across it and beyond.
 func TestFloatIntegral(t *testing.T) {
 	const max53 = 1<<53 - 1
@@ -183,12 +183,12 @@ func TestFloatIntegral(t *testing.T) {
 		w := New(nil)
 		w.Float(f)
 		got := string(w.buf)
-		want, err := json.MarshalIndent(f, "", "  ")
+		want, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != formatted(f) || got != string(want) {
-			t.Fatalf("Float(%v) = %s; the formatter writes %s, MarshalIndent %s", f, got, formatted(f), want)
+			t.Fatalf("Float(%v) = %s; the formatter writes %s, Marshal %s", f, got, formatted(f), want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package jsonwtest draws the strings and numbers on which a JSON writer
 // can disagree with encoding/json, for the property tests that hold
 // internal/jsonw and the artifact writers built on it to
-// json.MarshalIndent's bytes.
+// json.Marshal's bytes.
 package jsonwtest
 
 import (

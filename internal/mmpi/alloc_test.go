@@ -19,9 +19,10 @@ func TestBlockingWaitsAllocateNoDiagnostics(t *testing.T) {
 		body func(p *Proc, measure func(f func()))
 		want float64
 	}{
-		// The receive's Request and recvReq; the send's Request, message
-		// and delivery event; both completions. The posted queue keeps its
-		// capacity when the receive is matched.
+		// The receive's Request and recvReq; the send's Request and
+		// message. The engine queues the message for its delivery and each
+		// Request for its completion, so no event allocates. The posted
+		// queue keeps its capacity when the receive is matched.
 		{"recv", 2, func(p *Proc, measure func(func())) {
 			c := p.World()
 			if p.Rank() == 0 {
@@ -33,7 +34,7 @@ func TestBlockingWaitsAllocateNoDiagnostics(t *testing.T) {
 			}
 			c.Recv(0, 3)
 			measure(func() { c.Recv(0, 3) })
-		}, 7},
+		}, 4},
 		// The same objects when the message arrives before its receive is
 		// posted: it waits in the pending queue, which keeps its capacity.
 		{"recv-after-arrival", 2, func(p *Proc, measure func(func())) {
@@ -51,7 +52,7 @@ func TestBlockingWaitsAllocateNoDiagnostics(t *testing.T) {
 				p.Elapse(1)
 				c.Recv(0, 3)
 			})
-		}, 7},
+		}, 4},
 		// The collective's state and its four per-member slices; the
 		// dissemination's entry copy and one row per round (two at 4).
 		{"barrier", 4, func(p *Proc, measure func(func())) {

@@ -60,6 +60,7 @@ type message struct {
 	availAt          float64
 	sendReq          *Request // rendezvous only: completed on match
 	data             interface{}
+	w                *World
 }
 
 func (rr *recvReq) matches(m *message) bool {
@@ -71,16 +72,23 @@ func (rr *recvReq) matches(m *message) bool {
 // completeAt schedules req to finish at absolute time at with the given
 // status, resuming a process blocked in Wait.
 func (w *World) completeAt(req *Request, at float64, st Status) {
-	w.eng.At(at, func() {
-		req.done = true
-		req.doneAt = at
-		req.st = st
-		if req.waiting {
-			req.waiting = false
-			req.p.sp.ResumeAt(at)
-		}
-	})
+	req.doneAt, req.st = at, st
+	w.eng.At(at, (*completion)(req))
 }
+
+// completion is the Event that completes a request.
+type completion Request
+
+func (c *completion) Fire() {
+	c.done = true
+	if c.waiting {
+		c.waiting = false
+		c.p.sp.ResumeAt(c.doneAt)
+	}
+}
+
+// Fire delivers the message at its arrival time.
+func (m *message) Fire() { m.w.deliver(m) }
 
 // Isend starts a non-blocking send of bytes to communicator rank dst
 // with the given tag. Messages up to the world's EagerLimit complete
@@ -115,7 +123,7 @@ func (c *Comm) IsendData(dst, tag, bytes int, data interface{}) *Request {
 	m := &message{
 		comm: c.group.id, srcComm: c.myRank, dstComm: dst,
 		srcGlob: sg, dstGlob: dg, tag: tag, bytes: bytes, seq: w.seqs[pk],
-		data: data,
+		data: data, w: w,
 	}
 	fifo := pairKey{src: sg, dst: dg} // FIFO across communicators: one transport per pair
 	if bytes <= w.EagerLimit {
@@ -126,7 +134,7 @@ func (c *Comm) IsendData(dst, tag, bytes int, data interface{}) *Request {
 		}
 		w.lastAt[fifo] = arrival
 		m.availAt = arrival
-		w.eng.At(arrival, func() { w.deliver(m) })
+		w.eng.At(arrival, m)
 		// The sender is done once the payload is injected locally.
 		w.completeAt(req, now+w.overhead(sg, dg)+xfer, Status{Source: dst, Tag: tag, Bytes: bytes})
 	} else {
@@ -137,7 +145,7 @@ func (c *Comm) IsendData(dst, tag, bytes int, data interface{}) *Request {
 		}
 		w.lastAt[fifo] = arrival
 		m.availAt = arrival
-		w.eng.At(arrival, func() { w.deliver(m) })
+		w.eng.At(arrival, m)
 		// Completion is scheduled by match() once the receive exists.
 	}
 	return req

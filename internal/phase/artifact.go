@@ -249,13 +249,12 @@ func (a *Accumulator) Snapshot(title string) *Profile {
 	return p
 }
 
-// WriteJSON writes the artifact as indented JSON. Row order is fixed
+// WriteJSON writes the artifact as compact JSON. Row order is fixed
 // by Snapshot and floats print canonically, so equal profiles serialize
-// byte-identically. The bytes are those json.MarshalIndent(p, "", "  ")
-// plus a newline would produce (the struct tags above are the contract
-// and Read decodes with encoding/json), appended field by field. A NaN
-// or infinite value is an *json.UnsupportedValueError, and nothing is
-// written.
+// byte-identically. The bytes are those json.Marshal(p) plus a newline
+// would produce (the struct tags above are the contract and Read decodes
+// with encoding/json), appended field by field. A NaN or infinite value
+// is an *json.UnsupportedValueError, and nothing is written.
 func (p *Profile) WriteJSON(w io.Writer) error {
 	for i := range p.Phases {
 		ph := &p.Phases[i]

@@ -120,15 +120,14 @@ func (p *Profile) ByMetahost(metric string) []MetahostRow {
 	return out
 }
 
-// WriteJSON writes the profile as indented JSON. Series order is fixed
+// WriteJSON writes the profile as compact JSON. Series order is fixed
 // by Snapshot and floats print canonically, so equal profiles serialize
-// byte-identically. The bytes are those json.MarshalIndent(p, "", "  ")
-// plus a newline would produce (the struct tags above are the contract
-// and Read decodes with encoding/json), appended field by field: at 64
-// buckets times a few hundred series the reflective encoder, its compact
-// intermediate and the indent pass cost more than the analysis' fold. A
-// NaN or infinite value is an *json.UnsupportedValueError, and nothing is
-// written.
+// byte-identically. The bytes are those json.Marshal(p) plus a newline
+// would produce (the struct tags above are the contract and Read decodes
+// with encoding/json), appended field by field: at 64 buckets times a
+// few hundred series the reflective encoder costs more than the
+// analysis' fold. A NaN or infinite value is an
+// *json.UnsupportedValueError, and nothing is written.
 func (p *Profile) WriteJSON(w io.Writer) error {
 	for _, f := range []float64{p.Origin, p.BucketWidth} {
 		if err := jsonw.Unsupported(f); err != nil {

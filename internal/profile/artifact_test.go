@@ -47,12 +47,12 @@ func drawProfile(rng *rand.Rand) *Profile {
 }
 
 // TestWriteJSONMatchesEncodingJSON holds the hand-written writer to its
-// definition: json.MarshalIndent of the same struct, plus a newline.
+// definition: json.Marshal of the same struct, plus a newline.
 func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 2500; i++ {
 		p := drawProfile(rng)
-		want, err := json.MarshalIndent(p, "", "  ")
+		want, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("draw %d: WriteJSON differs from json.MarshalIndent:\n got %s\nwant %s", i, got.Bytes(), want)
+			t.Fatalf("draw %d: WriteJSON differs from json.Marshal:\n got %s\nwant %s", i, got.Bytes(), want)
 		}
 		back, err := Read(bytes.NewReader(got.Bytes()))
 		if err != nil {
@@ -126,7 +126,7 @@ func TestWriteJSONRefusesNonFinite(t *testing.T) {
 		default:
 			p.Series[len(p.Series)-1].Values[rng.Intn(4)] = v
 		}
-		_, want := json.MarshalIndent(p, "", "  ")
+		_, want := json.Marshal(p)
 		var got bytes.Buffer
 		err := p.WriteJSON(&got)
 		var uv *json.UnsupportedValueError

@@ -62,7 +62,24 @@ type analysis struct {
 	err        string
 	failStatus int // HTTP status the result endpoint reports for a failure
 	finished   time.Time
-	result     *replay.Result
+	served     served
+}
+
+// served is what the store keeps of a done analysis, what its endpoints
+// read: the cube report, which carries the profile, and the counts,
+// copied out of its *replay.Result, whose phase profile, corrections and
+// communication volumes no endpoint reads.
+type served struct {
+	report                                     *cube.Report
+	messages, collectives, violations, repairs int
+}
+
+// servedOf copies what the store keeps out of res, if any.
+func servedOf(res *replay.Result) (out served) {
+	if res != nil {
+		out = served{res.Report, res.Messages, res.Collectives, res.Violations, res.Repairs}
+	}
+	return out
 }
 
 func (a *analysis) record() *analysis { return a }
@@ -92,14 +109,14 @@ func (s *Server) register(f feeder, prefix string, scheme vclock.Scheme, state S
 // stopped for, if any, into the state, the HTTP status the result
 // endpoint reports and the outcome label of the feeder's counter family,
 // closes done, drops what only a running analysis needs, and holds the
-// store to its bound. s.mu held.
-func (s *Server) settle(f feeder, res *replay.Result, err, cause error) {
+// store to its bound. A done analysis keeps out. s.mu held.
+func (s *Server) settle(f feeder, out served, err, cause error) {
 	a := f.record()
 	outcome := "done"
 	overBudget := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errJobTimeout)
 	switch {
 	case err == nil:
-		a.state, a.result = StateDone, res
+		a.state, a.served = StateDone, out
 	case errors.Is(cause, context.Canceled):
 		outcome = "cancelled"
 		if a.state == StateQueued {
@@ -206,7 +223,7 @@ func (s *Server) stop(f feeder, cause error) {
 	switch f := f.(type) {
 	case *job:
 		if f.state == StateQueued {
-			s.settle(f, nil, cause, cause)
+			s.settle(f, served{}, cause, cause)
 		}
 		f.cancel(cause)
 	case *session:
@@ -348,21 +365,21 @@ func (s *Server) evictedLocked(id string) bool {
 		(id == job || id == exp) && s.analyses[job] == nil && s.analyses[exp] == nil
 }
 
-// finished resolves an id to the result of a done analysis. Anything
-// else it answers itself and returns nil: 404 or 410 as lookup does, 409
-// for one not finished or cancelled, the classified status for a failed
-// one.
-func (s *Server) finished(w http.ResponseWriter, id string) *replay.Result {
+// finished resolves an id to what the store keeps of a done analysis.
+// Anything else it answers itself and returns false: 404 or 410 as
+// lookup does, 409 for one not finished or cancelled, the classified
+// status for a failed one.
+func (s *Server) finished(w http.ResponseWriter, id string) (served, bool) {
 	f := s.lookup(w, id)
 	if f == nil {
-		return nil
+		return served{}, false
 	}
 	s.mu.Lock()
 	a := *f.record()
 	s.mu.Unlock()
 	switch {
 	case a.state == StateDone:
-		return a.result
+		return a.served, true
 	case a.state == StateFailed:
 		s.fail(w, a.failStatus, "%s failed: %s", id, a.err)
 	case a.state == StateCancelled:
@@ -370,40 +387,40 @@ func (s *Server) finished(w http.ResponseWriter, id string) *replay.Result {
 	default:
 		s.fail(w, http.StatusConflict, "%s is %s; retry after it finishes", id, a.state)
 	}
-	return nil
+	return served{}, false
 }
 
 // handleResult serves a finished analysis's cube report as mscpcube
 // text (parse it with internal/cube.Read or render it with metascope print).
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if res := s.finished(w, r.PathValue("id")); res != nil {
+	if out, ok := s.finished(w, r.PathValue("id")); ok {
 		w.Header().Set("Content-Type", "text/x-mscpcube; charset=utf-8")
-		res.Report.Write(w)
+		out.report.Write(w)
 	}
 }
 
 // handleProfile serves a finished analysis's time-resolved wait-state
 // profile as JSON.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if res := s.finished(w, r.PathValue("id")); res != nil {
+	if out, ok := s.finished(w, r.PathValue("id")); ok {
 		w.Header().Set("Content-Type", "application/json")
-		res.Profile.WriteJSON(w)
+		out.report.Profile.WriteJSON(w)
 	}
 }
 
 // handleDiff serves the metascope diff-style comparison (cube algebra
 // difference b − a) of two finished analyses: GET /v1/diff?a=ID&b=ID.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	ra := s.finished(w, r.URL.Query().Get("a"))
-	if ra == nil {
+	a, ok := s.finished(w, r.URL.Query().Get("a"))
+	if !ok {
 		return
 	}
-	rb := s.finished(w, r.URL.Query().Get("b"))
-	if rb == nil {
+	b, ok := s.finished(w, r.URL.Query().Get("b"))
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/x-mscpcube; charset=utf-8")
-	cube.Diff(ra.Report, rb.Report).Write(w)
+	cube.Diff(a.report, b.report).Write(w)
 }
 
 // handleTrace serves one analysis's flight recording as Chrome trace

@@ -73,12 +73,8 @@ func (j *job) statusLocked(now time.Time) JobStatus {
 			st.RunSeconds = j.finished.Sub(j.started).Seconds()
 		}
 	}
-	if j.result != nil {
-		st.Messages = j.result.Messages
-		st.Collectives = j.result.Collectives
-		st.Violations = j.result.Violations
-		st.Repairs = j.result.Repairs
-	}
+	st.Messages, st.Collectives = j.served.messages, j.served.collectives
+	st.Violations, st.Repairs = j.served.violations, j.served.repairs
 	return st
 }
 
@@ -144,7 +140,7 @@ func (s *Server) analyze(ctx context.Context, j *job) (*replay.Result, error) {
 // the Retry-After estimator and the latency histogram.
 func (s *Server) finish(j *job, res *replay.Result, err error) {
 	s.mu.Lock()
-	s.settle(j, res, err, context.Cause(j.ctx))
+	s.settle(j, servedOf(res), err, context.Cause(j.ctx))
 	dur := j.finished.Sub(j.started).Seconds()
 	// A light exponential smoothing, so one outlier job does not dominate
 	// the queue-drain estimate.

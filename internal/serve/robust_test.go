@@ -837,6 +837,21 @@ func pairBundle(t testing.TB, traces []*trace.Trace, blobs [][]byte) []byte {
 	return newZipWith(t, new(bytes.Buffer), entries)
 }
 
+// awaitState blocks until l's stream carries a state event of the given
+// state.
+func awaitState(l *replay.Live, state string) {
+	for after := uint64(0); ; {
+		events, _, changed := l.Events(after)
+		for _, ev := range events {
+			if ev.State != nil && ev.State.State == state {
+				return
+			}
+			after = ev.Seq
+		}
+		<-changed
+	}
+}
+
 // deleteID issues DELETE on a job or session path.
 func deleteID(t testing.TB, url string) {
 	t.Helper()
@@ -941,9 +956,18 @@ func TestRobustEndings(t *testing.T) {
 			return id
 		}, StateCancelled, http.StatusConflict, "cancelled"},
 		{"cancelled while finalizing", "session", managed, Options{}, func(t *testing.T, s *Server, url string) string {
+			// Finalize is held open until the DELETE's abort is in the
+			// session's stream, so the session cannot finish first.
+			holding := make(chan struct{})
+			s.finalize = func(l *replay.Live, ctx context.Context) (*replay.Result, error) {
+				close(holding)
+				awaitState(l, "cancelled")
+				return l.Finalize(ctx)
+			}
 			id := open(t, url)
 			backlog(t, url, id)
 			finalize(t, url, id)
+			<-holding
 			deleteID(t, url+"/v1/sessions/"+id)
 			return id
 		}, StateCancelled, http.StatusConflict, "cancelled"},

@@ -133,9 +133,11 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// runJob executes one job's analysis; tests substitute it to make
-	// timing deterministic. The default is (*Server).analyze.
-	runJob func(ctx context.Context, j *job) (*replay.Result, error)
+	// runJob executes one job's analysis and finalize ends one session's;
+	// tests substitute them to make timing deterministic. The defaults are
+	// (*Server).analyze and (*replay.Live).Finalize.
+	runJob   func(ctx context.Context, j *job) (*replay.Result, error)
+	finalize func(l *replay.Live, ctx context.Context) (*replay.Result, error)
 }
 
 // New creates a server and starts its worker pool.
@@ -177,7 +179,7 @@ func New(opts Options) *Server {
 	// makes every emit below a no-op branch.
 	s.fw = s.rec.Flight.Writer(flight.ServeActor)
 	s.fn = newServeFlightNames(s.rec.Flight)
-	s.runJob = s.analyze
+	s.runJob, s.finalize = s.analyze, (*replay.Live).Finalize
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -393,7 +395,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, scheme vclock.Sc
 		status = http.StatusOK
 		j.cached = true
 		s.fw.Emit(flight.CacheHit, j.serial, s.fn.cache, 0, 0)
-		s.settle(j, kept.result, nil, nil)
+		s.settle(j, kept.served, nil, nil)
 	} else {
 		s.queue <- j
 		qlen := len(s.queue)

@@ -301,10 +301,10 @@ func TestServeCacheCollapsesResubmission(t *testing.T) {
 		t.Fatal("the resubmission's cube differs from the first job's")
 	}
 	s.mu.Lock()
-	shared := s.analyses[st1.ID].record().result == s.analyses[st2.ID].record().result
+	kept, again := s.analyses[st1.ID].record().served, s.analyses[st2.ID].record().served
 	s.mu.Unlock()
-	if !shared {
-		t.Fatal("the resubmission holds a result of its own, not the kept job's")
+	if kept.report == nil || again != kept {
+		t.Fatal("the resubmission holds a report and profile of its own, not the kept job's")
 	}
 
 	if hits := s.m.cacheHits.Value(); hits != 1 {

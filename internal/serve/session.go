@@ -437,14 +437,14 @@ func (s *Server) reapSession(sess *session) {
 			defer s.wg.Done()
 			ctx, cancel := s.budget(context.Background())
 			defer cancel()
-			res, err := sess.live.Finalize(ctx)
+			res, err := s.finalize(sess.live, ctx)
 			// A budget that ran out before Finalize returned is the timeout,
 			// also when the replay finished before the abort reached it.
 			if dl, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(dl) {
 				res, err = nil, errJobTimeout
 			}
 			s.mu.Lock()
-			s.settle(sess, res, err, sess.cause)
+			s.settle(sess, servedOf(res), err, sess.cause)
 			state, errMsg := sess.state, sess.err
 			s.mu.Unlock()
 			sess.live.EndStream()

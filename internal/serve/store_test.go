@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"metascope/internal/cube"
 	"metascope/internal/obs"
+	"metascope/internal/profile"
 	"metascope/internal/replay"
 )
 
@@ -109,7 +111,7 @@ func TestLRUIdenticalKeyCollapses(t *testing.T) {
 	var runs atomic.Int32
 	s.runJob = func(ctx context.Context, j *job) (*replay.Result, error) {
 		runs.Add(1)
-		return &replay.Result{}, nil
+		return &replay.Result{Report: &cube.Report{}}, nil
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -122,8 +124,8 @@ func TestLRUIdenticalKeyCollapses(t *testing.T) {
 	s.mu.Lock()
 	first := s.analyses[ids[0]].(*job)
 	for _, id := range ids[1:] {
-		if j := s.analyses[id].(*job); j.cacheKey != first.cacheKey || j.result != first.result {
-			t.Errorf("%s: key %q result %p, want %q and the first run's %p", id, j.cacheKey, j.result, first.cacheKey, first.result)
+		if j := s.analyses[id].(*job); j.cacheKey != first.cacheKey || j.served != first.served {
+			t.Errorf("%s: key %q report %p, want %q and the first run's %p", id, j.cacheKey, j.served.report, first.cacheKey, first.served.report)
 		}
 	}
 	newest := s.reusable(first.cacheKey)
@@ -198,10 +200,12 @@ func TestStoreHeapFlat(t *testing.T) {
 	const keep, resultBytes, slack = 4, 1 << 20, 2 << 20
 	bundles := oracleBundles(t)
 	s, ts := newTestServer(t, Options{Workers: 1, CacheEntries: keep})
-	// Every run allocates a result of known size; the ballast stands in
-	// for the cube, profile and phases of a real one.
+	// Every run allocates a result of known size; the ballast sits in the
+	// report's profile, which the store keeps for a done analysis, and
+	// stands in for the cube and profile of a real one.
 	s.runJob = func(ctx context.Context, j *job) (*replay.Result, error) {
-		return &replay.Result{ReplayBytes: make([]int64, resultBytes/8)}, nil
+		ballast := &profile.Profile{Series: []profile.Series{{Values: make([]float64, resultBytes/8)}}}
+		return &replay.Result{Report: &cube.Report{Profile: ballast}}, nil
 	}
 	// Four archives under three schemes cycle through twelve cache keys,
 	// more than the store keeps, so every submission runs.

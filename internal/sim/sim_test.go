@@ -33,13 +33,18 @@ func TestSingleProcessSleep(t *testing.T) {
 	}
 }
 
+// callback is an Event that calls a function.
+type callback func()
+
+func (f callback) Fire() { f() }
+
 func TestEventOrderingDeterministic(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.At(2, func() { order = append(order, "b") })
-	e.At(1, func() { order = append(order, "a") })
-	e.At(2, func() { order = append(order, "c") }) // same time: scheduling order
-	e.At(0.5, func() { order = append(order, "z") })
+	e.At(2, callback(func() { order = append(order, "b") }))
+	e.At(1, callback(func() { order = append(order, "a") }))
+	e.At(2, callback(func() { order = append(order, "c") })) // same time: scheduling order
+	e.At(0.5, callback(func() { order = append(order, "z") }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +220,9 @@ func TestManyProcessesAllComplete(t *testing.T) {
 func TestSchedulingIntoPastClamps(t *testing.T) {
 	e := NewEngine(1)
 	var at float64
-	e.At(5, func() {
-		e.At(1, func() { at = e.Now() }) // in the past: clamp to now
-	})
+	e.At(5, callback(func() {
+		e.At(1, callback(func() { at = e.Now() })) // in the past: clamp to now
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +413,9 @@ func TestRunEndsWithProcessesParked(t *testing.T) {
 		run  func(e *Engine) error
 		want error
 	}{
-		{"stop", func(e *Engine) error { e.At(2, e.Stop); return e.Run() }, nil},
+		{"stop", func(e *Engine) error { e.At(2, callback(e.Stop)); return e.Run() }, nil},
 		{"horizon", func(e *Engine) error { return e.RunUntil(2) }, nil},
-		{"interrupt", func(e *Engine) error { e.At(2, func() { e.Interrupt(cause) }); return e.Run() }, cause},
+		{"interrupt", func(e *Engine) error { e.At(2, callback(func() { e.Interrupt(cause) })); return e.Run() }, cause},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(1)

@@ -531,6 +531,12 @@ var rules = []rule{{
 		{"internal/serve/serve.go", "\tanalyses map[string]feeder\n", "\tanalyses map[string]feeder\n\tdone     map[string]*job\n"},
 	},
 }, {
+	name: "the store keeps what it serves", reason: "A finished analysis keeps what its endpoints read, the cube report, the profile and the counts, copied out of its *replay.Result by settle. A field of the service that holds a Result keeps its phase profile, corrections, communication matrix and replay volumes, which no endpoint reads, for as long as the store keeps the record.",
+	check: forbid(in("internal/serve"), `^def Var \S*\.\w+ [][*]*internal/replay\.Result$`),
+	fixtures: []fixture{
+		{"internal/serve/analysis.go", "\tserved     served\n", "\tserved     served\n\tresult     *replay.Result\n"},
+	},
+}, {
 	name: "one logger", reason: "Every log line goes through obs.Logger, log/slog's text handler without the time key (internal/obs/log.go), so go vet checks every call's key/value pairs; the standard log package in a program file is a second logger creeping back.",
 	check: each(forbid(in(""), `^import log$`), within(1, 1, "log/slog imports in obs/log.go", forbid(in("internal/obs/log.go"), `^import log/slog$`))),
 	fixtures: []fixture{

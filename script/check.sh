@@ -142,11 +142,12 @@ fi
 # bytes per event it is known to need (files borrowed, logs sized by one
 # counting pass, no span list, no reflective render), and the same
 # archive through the analysis service at most 1.25x that plus the data
-# itself, the bundle and its inflated files, once each. Run without
-# -race, like the two zero-alloc gates above: the budgets are about the
-# program's own bytes.
+# itself, the bundle and its inflated files, once each; and a finished
+# job retains at most 1.25x what its report and profile retain alone.
+# Run without -race, like the two zero-alloc gates above: the budgets are
+# about the program's own bytes.
 echo "== live ingest, lazy, eager and served analysis allocation budgets"
-run_named . TestLiveIngestAllocBudget TestLazyAllocPerEventBudget TestLazyShortRanksAllocBudget TestEagerAllocPerEventBudget TestServedAllocPerEventBudget
+run_named . TestLiveIngestAllocBudget TestLazyAllocPerEventBudget TestLazyShortRanksAllocBudget TestEagerAllocPerEventBudget TestServedAllocPerEventBudget TestSettledAnalysesKeepWhatTheyServe
 # A collective instance allocates nothing of its own: four times the
 # instances, on the world and on a sub-communicator, rooted and not,
 # allocate the same object count within a small constant.
