@@ -88,9 +88,6 @@ func traceVerb(fs *flag.FlagSet) verbFunc {
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
-			if err := tr.Validate(); err != nil {
-				rec.Log.Warn("trace validation", "path", path, "err", err)
-			}
 			span := rec.Phases.Start("render")
 			switch {
 			case *dump:

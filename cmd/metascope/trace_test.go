@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -102,5 +103,35 @@ func TestConvertRejectsGarbage(t *testing.T) {
 	}
 	if !bytes.Equal(got, junk) {
 		t.Error("failed convert modified the input file")
+	}
+}
+
+// TestTraceRefusesInvalidFile: metascope trace fails on a v2 file the
+// decoder refuses — here one whose time stamps run backwards — with the
+// decoder's message, and prints nothing for it.
+func TestTraceRefusesInvalidFile(t *testing.T) {
+	tr, err := trace.DecodeBytes(fixtureTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Events[3].Time = -1
+	var img bytes.Buffer
+	if err := tr.EncodeFormat(&img, trace.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	_, want := trace.DecodeBytes(img.Bytes())
+	if want == nil {
+		t.Fatal("the decoder accepts a time stamp before its predecessor")
+	}
+	path := filepath.Join(t.TempDir(), "trace.0.mscp")
+	if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, log bytes.Buffer
+	if _, err := dispatch(context.Background(), []string{"trace", path}, &out, &log); err == nil || err.Error() != path+": "+want.Error() {
+		t.Fatalf("err = %v, want %q", err, path+": "+want.Error())
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed a summary of a refused file:\n%s", out.String())
 	}
 }

@@ -141,7 +141,11 @@ func checkWorld(w diffWorld) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := ReferenceAnalyze(traces, w.Scheme, w.EagerLimit)
+	corr, err := referenceCorrections(traces, w.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := ReferenceAnalyze(traces, corr, w.EagerLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +223,7 @@ func analyzeLive(traces []*trace.Trace, cfg replay.Config, rng *rand.Rand) (*rep
 // drawWorld draws a world of at most maxRanks ranks: a shipped kernel
 // (halo1d, halo2d, masterworker, amr's barriers, straggler's allreduces)
 // or the rooted-collective one, on the conformance testbed or on custom
-// metahosts with jitter, drift and uneven speeds, with stragglers and
+// metahosts with jitter, drift, uneven speeds and route asymmetry, with stragglers and
 // cross-traffic, an eager limit on either side of the payload and any
 // scheme.
 func drawWorld(rng *rand.Rand, maxRanks int) diffWorld {
@@ -261,6 +265,9 @@ func drawWorld(rng *rand.Rand, maxRanks int) diffWorld {
 			})
 		}
 		sp.Topology.External = &scenario.LinkSpec{LatencyUS: 200 + 2000*rng.Float64(), JitterUS: 50 * rng.Float64(), BandwidthGbps: 0.5 + 5*rng.Float64()}
+		// Route asymmetry makes offset measurements inexact, so the
+		// two-offset schemes carry a sync error too.
+		sp.Topology.Asymmetry = rng.Intn(2) == 0
 	}
 	stragglers := rng.Intn(3)
 	if kernel == scenario.KernelStraggler {

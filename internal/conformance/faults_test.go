@@ -175,8 +175,8 @@ func TestFaultCorpus(t *testing.T) {
 // a NaN passes every order comparison while an infinity is in order
 // after anything — so a non-finite time stamp is refused by name, at the
 // event that carries it, with the same words whoever reads the trace: the
-// one-shot decode of a v1 file, the eager load of a v1 or a v2 file, the
-// lazy sweep, a live session's PUT.
+// one-shot decode of a v1 or a v2 file, BlockReader.Next, the eager load
+// of a v1 or a v2 file, the lazy sweep, a live session's PUT.
 func TestFaultNonFiniteTime(t *testing.T) {
 	t.Parallel()
 	for name, bad := range map[string]float64{"nan-time": math.NaN(), "inf-time": math.Inf(1)} {
@@ -222,6 +222,16 @@ func TestFaultNonFiniteTime(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			_, err = trace.DecodeBytes(blobs[0])
+			refused("decode v2", err)
+			br, err := trace.NewBlockReader(blobs[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for buf := make([]trace.Event, br.BlockSize()); err == nil; {
+				_, err = br.Next(buf)
+			}
+			refused("BlockReader.Next", err)
 			_, err = f.Analyze()
 			refused("eager v2", err)
 

@@ -89,12 +89,16 @@ type refFrame struct {
 }
 
 // ReferenceAnalyze runs the reference pattern search over a complete
-// world of preloaded traces, corrected under scheme, with messages above
-// eagerLimit bytes taken as rendezvous ones (eligible for Late
-// Receiver). It assumes the traces are valid and does not repair time
-// stamps.
-func ReferenceAnalyze(traces []*trace.Trace, scheme vclock.Scheme, eagerLimit int) (*Reference, error) {
+// world of preloaded traces, rank r's time stamps mapped by corr[r] — a
+// scheme's corrections (referenceCorrections) or the simulator's true
+// clocks — with messages above eagerLimit bytes taken as rendezvous ones
+// (eligible for Late Receiver). It assumes the traces are valid and does
+// not repair time stamps.
+func ReferenceAnalyze(traces []*trace.Trace, corr []vclock.LinearMap, eagerLimit int) (*Reference, error) {
 	n := len(traces)
+	if len(corr) != n {
+		return nil, fmt.Errorf("reference: %d corrections for %d traces", len(corr), n)
+	}
 	names := make([]map[trace.RegionID]string, n)
 	mh := make([]int, n)
 	comms := map[int32][]int32{}
@@ -103,10 +107,7 @@ func ReferenceAnalyze(traces []*trace.Trace, scheme vclock.Scheme, eagerLimit in
 		if t.Loc.Rank != r {
 			return nil, fmt.Errorf("reference: trace %d holds rank %d", r, t.Loc.Rank)
 		}
-		m, err := referenceCorrection(t, scheme)
-		if err != nil {
-			return nil, err
-		}
+		m := corr[r]
 		mh[r] = t.Loc.Metahost
 		names[r] = map[trace.RegionID]string{}
 		for _, reg := range t.Regions {
@@ -349,20 +350,26 @@ func wrongOrder(ls float64, m *refMessage, later []*refMessage) bool {
 	return false
 }
 
-// referenceCorrection derives rank t's time correction under scheme from
-// the measurements in its own trace.
-func referenceCorrection(t *trace.Trace, scheme vclock.Scheme) (vclock.LinearMap, error) {
-	if scheme == vclock.Hierarchical {
-		return vclock.HierarchicalCorrection(vclock.HierarchicalInput{
-			Rank:            t.Loc.Rank,
-			SlaveStart:      t.Sync.LocalStart,
-			SlaveEnd:        t.Sync.LocalEnd,
-			MasterStart:     t.Sync.MasterStart,
-			MasterEnd:       t.Sync.MasterEnd,
-			SharedNodeClock: t.Sync.SharedNodeClock,
-		}), nil
+// referenceCorrections derives each rank's time correction under scheme
+// from the measurements in its own trace.
+func referenceCorrections(traces []*trace.Trace, scheme vclock.Scheme) ([]vclock.LinearMap, error) {
+	out := make([]vclock.LinearMap, len(traces))
+	for r, t := range traces {
+		var err error
+		if scheme == vclock.Hierarchical {
+			out[r] = vclock.HierarchicalCorrection(vclock.HierarchicalInput{
+				Rank:            t.Loc.Rank,
+				SlaveStart:      t.Sync.LocalStart,
+				SlaveEnd:        t.Sync.LocalEnd,
+				MasterStart:     t.Sync.MasterStart,
+				MasterEnd:       t.Sync.MasterEnd,
+				SharedNodeClock: t.Sync.SharedNodeClock,
+			})
+		} else if out[r], err = vclock.FlatCorrection(scheme, t.Sync.FlatStart, t.Sync.FlatEnd); err != nil {
+			return nil, err
+		}
 	}
-	return vclock.FlatCorrection(scheme, t.Sync.FlatStart, t.Sync.FlatEnd)
+	return out, nil
 }
 
 // ReportCells reads a report's wait-state severities as cells: the

@@ -86,7 +86,7 @@ func ShiftEventTimes(traces []*trace.Trace, delta float64) []*trace.Trace {
 			ev.Time += delta
 			evs[j] = ev
 		}
-		nt.Events = evs
+		nt.Events, nt.Tally = evs, trace.Tally{} // new events: the analyzer checks them again
 		sy := t.Sync
 		for _, m := range []*vclock.Measurement{
 			&sy.FlatStart, &sy.FlatEnd,

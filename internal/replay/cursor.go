@@ -71,19 +71,19 @@ type rankLog struct {
 	haveTime            bool
 	firstTime, lastTime float64
 
-	// sizes is what the sweep of a preloaded log will append to the
-	// ledger logs, the size of their first pages; zero, no hint, for any
-	// other log.
-	sizes logCounts
+	// sizes is the preloaded trace's tally, what its sweep will append
+	// to the ledger logs and so the size of their first pages; zero, no
+	// hint, for any other log.
+	sizes trace.Tally
 }
 
 // newRankLog returns an open, empty log.
 func newRankLog() *rankLog { return &rankLog{} }
 
 // newPreloadedRankLog publishes an already complete event slice as one
-// block, without copying, and closes the log; sizes is what its sweep
-// will append to the ledger logs (validateCounting).
-func newPreloadedRankLog(events []trace.Event, sizes logCounts) *rankLog {
+// block, without copying, and closes the log; sizes is the events' tally
+// (trace.Trace.Checked).
+func newPreloadedRankLog(events []trace.Event, sizes trace.Tally) *rankLog {
 	lg := newRankLog()
 	lg.sizes = sizes
 	lg.stride = max(len(events), 1)
@@ -219,40 +219,6 @@ func (lg *rankLog) more(have int) (n int, closed, dry bool, err error) {
 	n, closed, err = lg.n, lg.closed, lg.err
 	lg.mu.Unlock()
 	return n, closed, dry, err
-}
-
-// logCounts is what the sweep of a log will append to the rank's three
-// ledger logs, as far as the events alone tell: one volume sample per
-// Send, one receive record per Recv, one op per Exit of a non-user
-// region.
-type logCounts struct{ sends, recvs, ops int }
-
-// validateCounting runs (*trace.Trace).Validate's checks over a
-// materialized trace and, in the same walk, counts what sizes the rank's
-// ledger logs. An Exit is counted by the kind of the region it names,
-// which the checks do not tie to its Enter: a trace whose exits lie gets
-// a first page of the wrong size, and nothing else.
-func validateCounting(t *trace.Trace) (logCounts, error) {
-	v := trace.NewStreamValidator(t)
-	regions := trace.NewRegionTable(t.Regions)
-	var c logCounts
-	for i := range t.Events {
-		ev := &t.Events[i]
-		if err := v.Event(ev); err != nil {
-			return c, err
-		}
-		switch ev.Kind {
-		case trace.KindSend:
-			c.sends++
-		case trace.KindRecv:
-			c.recvs++
-		case trace.KindExit:
-			if r := regions.Lookup(ev.Region); r != nil && r.Kind != trace.RegionUser {
-				c.ops++
-			}
-		}
-	}
-	return c, v.Close()
 }
 
 // published returns the number of events the log has made visible —

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -158,7 +159,7 @@ func TestRankLogBlockHandoff(t *testing.T) {
 				open := func() (*rankLog, func()) {
 					switch mode {
 					case "preloaded":
-						return newPreloadedRankLog(want, logCounts{}), nil
+						return newPreloadedRankLog(want, trace.Tally{}), nil
 					case "pulled":
 						return pulledLog(t, img), nil
 					}
@@ -362,7 +363,8 @@ func TestPulledRankLogRejectsCorruptImages(t *testing.T) {
 // ids writers number from zero, at the top of the id space, the same id
 // twice — and an Enter of an id it does not declare is refused at that
 // event with the one message, whichever reader meets it: Validate on the
-// decoded trace, the lazy pull and ChunkDecoder. A trace that enters only
+// trace built by hand, the one-shot decode of its v2 image,
+// BlockReader.Next, the lazy pull and ChunkDecoder. A trace that enters only
 // declared ids analyses the same preloaded and pulled, and a repeated id
 // names its last declaration's region, as it always did.
 func TestHostileRegionIDs(t *testing.T) {
@@ -404,6 +406,9 @@ func TestHostileRegionIDs(t *testing.T) {
 			}
 
 			check("Validate", tr.Validate())
+			_, err := trace.DecodeBytes(img)
+			check("decode v2", err)
+			check("BlockReader.Next", drainNext(img))
 			sc := newSweepCursor(pulledLog(t, img))
 			i := 0
 			for sc.at(i) {
@@ -414,8 +419,7 @@ func TestHostileRegionIDs(t *testing.T) {
 				t.Errorf("lazy pull published %d events before the refused block, want 2", i)
 			}
 			c := trace.NewChunkDecoder(nil)
-			_, err := c.Feed(img)
-			if err == nil {
+			if _, err = c.Feed(img); err == nil {
 				_, err = c.Finish()
 			}
 			check("ChunkDecoder", err)
@@ -435,6 +439,22 @@ func TestHostileRegionIDs(t *testing.T) {
 				t.Error("a repeated region id does not name its last declaration's region")
 			}
 		})
+	}
+}
+
+// drainNext reads a v2 image through BlockReader.Next to its end.
+func drainNext(img []byte) error {
+	r, err := trace.NewBlockReader(img, nil)
+	if err != nil {
+		return err
+	}
+	buf := make([]trace.Event, r.BlockSize())
+	for {
+		if _, err := r.Next(buf); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
 	}
 }
 
@@ -809,13 +829,13 @@ func TestTrailingBytesRefusedByEveryFeeder(t *testing.T) {
 	}
 }
 
-// TestLedgerLogsSizedByOneCount: the walk that validates a preloaded
-// trace counts what sizes the first page of the three ledger logs —
-// volume samples by Send, receive records by Recv, ops by Exit of a
-// non-user region, none for a user region's exit — so the receive and the
-// op log are one page, exactly full; and the counts are hints, never
-// answers: exits that name the wrong region change the page reserved and
-// not one byte of the result.
+// TestLedgerLogsSizedByOneCount: a preloaded trace's tally — its
+// decoder's, or the one walk Checked makes over a trace built by hand —
+// sizes the first page of the three ledger logs: volume samples by Send,
+// receive records by Recv, ops by Enter of a non-user region, none for a
+// user region. So the receive and the op log are one page, exactly full;
+// and the tally is a hint, never an answer: a tally whose enters lie
+// changes the page reserved and not one byte of the result.
 func TestLedgerLogsSizedByOneCount(t *testing.T) {
 	cfg := Config{Scheme: vclock.FlatSingle, Title: "hints", Obs: obs.NewRecorder()}.withDefaults(3)
 	sweep := func(traces []*trace.Trace) *analyzer {
@@ -826,7 +846,7 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 		}
 		logs := make([]*rankLog, len(traces))
 		for i, tr := range traces {
-			sizes, err := validateCounting(tr)
+			sizes, err := tr.Checked()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -839,62 +859,82 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 		a.run()
 		return a
 	}
-	traces := exchangeTraces(8)
-	for r, rr := range sweep(traces).results {
-		if rr.err != nil {
-			t.Fatal(rr.err)
-		}
-		tr := traces[r]
-		regions := trace.NewRegionTable(tr.Regions)
-		mpi := 0
-		for _, ev := range tr.Events {
-			if ev.Kind == trace.KindExit && regions.Lookup(ev.Region).Kind != trace.RegionUser {
-				mpi++
+	decoded := func(rounds int) []*trace.Trace {
+		t.Helper()
+		traces := exchangeTraces(rounds)
+		for i, tr := range traces {
+			var b bytes.Buffer
+			if err := tr.EncodeV2(&b); err != nil {
+				t.Fatal(err)
 			}
+			dec, err := trace.DecodeBytes(b.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if walked, _ := tr.Checked(); dec.Tally != walked {
+				t.Fatalf("rank %d: the decoder tallied %+v, the walk over the built trace %+v", i, dec.Tally, walked)
+			}
+			traces[i] = dec
 		}
-		if pages := rr.opLog.pages; len(pages) != 1 || len(pages[0]) != mpi || cap(pages[0]) != mpi {
-			t.Errorf("rank %d: op log in %d pages, %d bytes for %d ops; want one page of exactly %d (one per non-user exit)",
-				r, len(pages), rr.opLog.bytes(), rr.opLog.len(), mpi)
-		}
-		n := tr.CountKind(trace.KindRecv)
-		if pages := rr.recvLog.pages; n > 0 && (len(pages) != 1 || len(pages[0]) != n || cap(pages[0]) != n) {
-			t.Errorf("rank %d: receive log in %d pages, %d bytes for %d records; want one page of exactly %d",
-				r, len(pages), rr.recvLog.bytes(), rr.recvLog.len(), n)
-		}
-		if n == 0 && len(rr.recvLog.pages) != 0 {
-			t.Errorf("rank %d: %d receive pages for a rank that receives nothing", r, len(rr.recvLog.pages))
-		}
-		// Wait states add to the volume samples, so the sample log may
-		// outgrow its first page; that page is never below the count.
-		if n := tr.CountKind(trace.KindSend); rr.profLog.len() < n || (n > 0 && cap(rr.profLog.pages[0]) != n) {
-			t.Errorf("rank %d: sample log of %d records, first page of %d, for %d sends", r, rr.profLog.len(), cap(rr.profLog.pages[0]), n)
+		return traces
+	}
+	for from, traces := range map[string][]*trace.Trace{"built": exchangeTraces(8), "decoded": decoded(8)} {
+		for r, rr := range sweep(traces).results {
+			if rr.err != nil {
+				t.Fatal(rr.err)
+			}
+			tr := traces[r]
+			regions := trace.NewRegionTable(tr.Regions)
+			mpi := 0
+			for _, ev := range tr.Events {
+				if ev.Kind == trace.KindExit && regions.Lookup(ev.Region).Kind != trace.RegionUser {
+					mpi++
+				}
+			}
+			if pages := rr.opLog.pages; len(pages) != 1 || len(pages[0]) != mpi || cap(pages[0]) != mpi {
+				t.Errorf("%s rank %d: op log in %d pages, %d bytes for %d ops; want one page of exactly %d (one per non-user exit)",
+					from, r, len(pages), rr.opLog.bytes(), rr.opLog.len(), mpi)
+			}
+			n := tr.CountKind(trace.KindRecv)
+			if pages := rr.recvLog.pages; n > 0 && (len(pages) != 1 || len(pages[0]) != n || cap(pages[0]) != n) {
+				t.Errorf("%s rank %d: receive log in %d pages, %d bytes for %d records; want one page of exactly %d",
+					from, r, len(pages), rr.recvLog.bytes(), rr.recvLog.len(), n)
+			}
+			if n == 0 && len(rr.recvLog.pages) != 0 {
+				t.Errorf("%s rank %d: %d receive pages for a rank that receives nothing", from, r, len(rr.recvLog.pages))
+			}
+			// Wait states add to the volume samples, so the sample log may
+			// outgrow its first page; that page is never below the count.
+			if n := tr.CountKind(trace.KindSend); rr.profLog.len() < n || (n > 0 && cap(rr.profLog.pages[0]) != n) {
+				t.Errorf("%s rank %d: sample log of %d records, first page of %d, for %d sends", from, r, rr.profLog.len(), cap(rr.profLog.pages[0]), n)
+			}
 		}
 	}
 
-	// Every exit names the user region — no op page is reserved — then
-	// every exit names an MPI one — a page for one op too many is. The
-	// run is long enough for an unreserved log to reach full-size pages.
-	// Either way the analysis is the same, and each log holds at most one
-	// page beyond its records.
+	// The tally says no Enter opens an MPI region — no op page is
+	// reserved — then one more than the trace holds — a page for one op
+	// too many is. The run is long enough for an unreserved log to reach
+	// full-size pages. Either way the analysis is the same, and each log
+	// holds at most one page beyond its records.
 	const rounds = 400
 	want := outcomeOf(Analyze(exchangeTraces(rounds), cfg))
-	for _, region := range []trace.RegionID{0, 1} {
-		lying := exchangeTraces(rounds)
+	for _, lie := range []string{"none", "one too many"} {
+		lying := decoded(rounds)
 		for _, tr := range lying {
-			for i := range tr.Events {
-				if tr.Events[i].Kind == trace.KindExit {
-					tr.Events[i].Region = region
-				}
+			if lie == "none" {
+				tr.Tally.Calls = 0
+			} else {
+				tr.Tally.Calls++
 			}
 		}
 		got := outcomeOf(Analyze(lying, cfg))
 		if got.err != nil || !bytes.Equal(got.report, want.report) || !bytes.Equal(got.prof, want.prof) || !bytes.Equal(got.phases, want.phases) {
-			t.Errorf("exits naming region %d changed the analysis (err %v)", region, got.err)
+			t.Errorf("a tally of %s MPI enters changed the analysis (err %v)", lie, got.err)
 		}
 		for r, rr := range sweep(lying).results {
 			ops := rr.opLog.len()
-			if first := cap(rr.opLog.pages[0]); (region == 0) != (first == firstPageRecords) || (region == 1) != (first == ops+1) {
-				t.Errorf("exits naming region %d: rank %d's first op page holds %d for %d ops", region, r, first, ops)
+			if first := cap(rr.opLog.pages[0]); (lie == "none") != (first == firstPageRecords) || (lie != "none") != (first == ops+1) {
+				t.Errorf("a tally of %s MPI enters: rank %d's first op page holds %d for %d ops", lie, r, first, ops)
 			}
 			for name, held := range map[string][2]int{
 				"sample":  {rr.profLog.len(), rr.profLog.bytes() / 32},
@@ -902,10 +942,10 @@ func TestLedgerLogsSizedByOneCount(t *testing.T) {
 				"op":      {ops, rr.opLog.bytes() / 24},
 			} {
 				if held[1] > held[0]+maxPageRecords {
-					t.Errorf("exits naming region %d: rank %d's %s log holds %d records in pages for %d", region, r, name, held[0], held[1])
+					t.Errorf("a tally of %s MPI enters: rank %d's %s log holds %d records in pages for %d", lie, r, name, held[0], held[1])
 				}
 			}
-			if last := rr.opLog.pages[len(rr.opLog.pages)-1]; region == 0 && cap(last) != maxPageRecords {
+			if last := rr.opLog.pages[len(rr.opLog.pages)-1]; lie == "none" && cap(last) != maxPageRecords {
 				t.Errorf("rank %d's op log never reached a full-size page: %d ops", r, ops)
 			}
 		}

@@ -773,7 +773,7 @@ func overflowingWaits(t *testing.T, traces []*trace.Trace, cfg Config, width flo
 	}
 	logs := make([]*rankLog, len(traces))
 	for i, tr := range traces {
-		sizes, err := validateCounting(tr)
+		sizes, err := tr.Checked()
 		if err != nil {
 			t.Fatal(err)
 		}

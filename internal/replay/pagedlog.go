@@ -9,8 +9,8 @@ import "unsafe"
 // written so far at every growth step and, at Go's 1.25x schedule,
 // allocates about four times what the log ends up holding.
 //
-// reserve opens a first page of exactly the size the counting pass found
-// (validateCounting), so a preloaded rank's log is one page, exactly full.
+// reserve opens a first page of exactly the size the trace's tally gives
+// (trace.Tally), so a preloaded rank's log is one page, exactly full.
 // Without a reservation, and past one, pages start at firstPageRecords
 // and double up to maxPageRecords: a short rank pays for a short page,
 // and whatever the feeder the log allocates at most what it holds plus

@@ -131,7 +131,7 @@ func analyzeRingResult(tb testing.TB, mounts *archive.Mounts, dir string) ringRe
 	logs := make([]*rankLog, len(traces))
 	events := 0
 	for i, t := range traces {
-		sizes, err := validateCounting(t)
+		sizes, err := t.Checked()
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -503,20 +503,20 @@ func analyzeCtx(ctx context.Context, ar *LazyArchive, cfg Config) (*Result, erro
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("replay: no traces")
 	}
-	// One walk validates a preloaded trace and counts its ledger records;
-	// a pulled rank's trace holds no events, and its blocks are validated
-	// as they decode.
+	// A decoded trace comes checked and counted by its decoder, and one
+	// built by hand is checked and counted here; a pulled rank's blocks
+	// are checked as they decode.
 	logs := make([]*rankLog, len(traces))
 	for i, t := range traces {
-		sizes, err := validateCounting(t)
+		if i < len(ar.readers) && ar.readers[i] != nil {
+			logs[i] = newPulledRankLog(ar.readers[i])
+			continue
+		}
+		sizes, err := t.Checked()
 		if err != nil {
 			return nil, err
 		}
-		if i < len(ar.readers) && ar.readers[i] != nil {
-			logs[i] = newPulledRankLog(ar.readers[i])
-		} else {
-			logs[i] = newPreloadedRankLog(t.Events, sizes)
-		}
+		logs[i] = newPreloadedRankLog(t.Events, sizes)
 	}
 	cfg = cfg.withDefaults(len(traces))
 	rec := obs.OrDefault(cfg.Obs)

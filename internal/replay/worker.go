@@ -798,15 +798,15 @@ func (st *stepper) begin() {
 
 	// The three per-rank logs grow by one entry per Send event (the
 	// volume sample), per Recv event and per completed non-user region.
-	// A preloaded log was counted as it was validated, and the counts size
+	// A preloaded log was counted as it was checked, and the counts size
 	// each log's first page, so a short rank — 192 of them in a halo2d run
 	// — holds one exact page per log instead of a ladder of doubling ones.
 	// The counts are hints: a log that outgrows its first page continues
 	// in pages like any other.
 	c := a.logs[rank].sizes
-	rr.profLog.reserve(c.sends)
-	rr.recvLog.reserve(c.recvs)
-	rr.opLog.reserve(c.ops)
+	rr.profLog.reserve(c.Sends)
+	rr.recvLog.reserve(c.Recvs)
+	rr.opLog.reserve(c.Calls)
 
 	// Flight recording: one shard per rank. The whole sweep is one span;
 	// takes, puts, and gathers nest inside.
@@ -896,7 +896,7 @@ func (st *stepper) publish() {
 // sweep runs the events of one step. A blocked event has had none of its
 // side effects applied: it runs again from the top when the rank is
 // resumed. Every event the cursor admits has passed the stream validator
-// (Validate, for a preloaded trace): an Exit closes an open region, and a
+// (its decoder's or Checked's, for a preloaded trace): an Exit closes an open region, and a
 // Send, Recv or CollExit sits inside one, so the region stack is never
 // empty where the sweep reads its top.
 func (st *stepper) sweep() park {

@@ -166,9 +166,9 @@ func (c *ChunkDecoder) Feed(data []byte) ([]Event, error) {
 }
 
 // Finish is Close for a stream decoded through Feed, and returns the
-// completed trace. A stream that ends mid-header or short of its
-// declared event count is an error — the fault Validate reports on a
-// truncated file. (Unbalanced regions are refused by the Feed that
+// completed trace with its Tally. A stream that ends mid-header or short
+// of its declared event count is an error — the fault Validate reports
+// on a truncated file. (Unbalanced regions are refused by the Feed that
 // delivers the last declared event.)
 func (c *ChunkDecoder) Finish() (*Trace, error) {
 	if err := c.Close(); err != nil {
@@ -178,5 +178,6 @@ func (c *ChunkDecoder) Finish() (*Trace, error) {
 		return nil, c.fail(fmt.Errorf("trace %v: stream ended after %d of %d declared events: %w",
 			r.t.Loc, r.decoded, r.total, io.ErrUnexpectedEOF))
 	}
+	c.r.t.Tally = c.r.val.tally
 	return c.r.t, nil
 }

@@ -310,9 +310,9 @@ func appendV1Row(buf []byte, ev *Event) ([]byte, error) {
 
 // DecodeBytes decodes one trace from an in-memory MSCP image. It fails
 // with ErrBadMagic on foreign input and with a descriptive error on
-// truncation or corruption. A v1 image's events also pass the checks
-// (*Trace).Validate applies, with NextInto's messages and precedence; a
-// v2 image's are left to Validate (BlockReader.Next).
+// truncation or corruption. In either format the events also pass the
+// checks (*Trace).Validate applies, with NextInto's messages and
+// precedence, and the trace carries their Tally.
 func DecodeBytes(data []byte) (*Trace, error) { return DecodeBytesInterned(data, nil) }
 
 // DecodeBytesInterned is DecodeBytes with the trace's strings (region
@@ -351,7 +351,7 @@ func DecodeBytesInterned(data []byte, in *Interner) (*Trace, error) {
 	if err := trailing(d, t, len(t.Events)); err != nil {
 		return nil, err
 	}
-	if err := v.Close(); err != nil {
+	if t.Tally, err = v.Close(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -382,28 +382,27 @@ const (
 	maxEventCount  = 1 << 28
 )
 
-// decodeV2 is the one-shot decode of a v2 image: a BlockReader drained
-// into one slice. Bytes after the last block are refused, as NextInto
-// refuses them.
+// decodeV2 is the one-shot decode of a v2 image: the checked block step
+// drained into one slice, by a reader that lives on the stack.
 func decodeV2(data []byte, in *Interner) (*Trace, error) {
-	r, err := NewBlockReader(data, in)
-	if err != nil {
+	r := BlockReader{d: decoder{data: data, intern: in}}
+	if err := r.readHeader(); err != nil {
 		return nil, err
 	}
-	t := r.Trace()
-	if r.Total() > 0 {
-		t.Events = make([]Event, r.Total())
+	t := r.t
+	if r.total > 0 {
+		t.Events = make([]Event, r.total)
 	}
-	for idx := 0; idx < len(t.Events); {
-		n, err := r.Next(t.Events[idx:])
+	for {
+		blk, err := r.NextInto(func(n int) []Event { return t.Events[r.decoded : r.decoded+n] })
 		if err != nil {
 			return nil, err
 		}
-		idx += n
+		if blk == nil {
+			break
+		}
 	}
-	if err := r.trailing(); err != nil {
-		return nil, err
-	}
+	t.Tally = r.val.tally
 	return t, nil
 }
 

@@ -295,9 +295,9 @@ func decodeV2BlockSize(d *decoder) (int, error) {
 // corruption: a caller whose input may still be growing peeks at the
 // length prefix first (BlockReader.NextInto).
 //
-// It also runs v's checks on the block, unless v is nil. ok reports that
-// every event passed them, and then v has advanced past the block;
-// otherwise v is untouched and the caller replays the block through
+// It also runs v's checks and counts on the block. ok reports that every
+// event passed them, and then v has advanced past the block and tallied
+// it; otherwise v is untouched and the caller replays the block through
 // v.Event for the message, in its own order relative to its own framing
 // checks.
 //
@@ -308,7 +308,9 @@ func decodeV2BlockSize(d *decoder) (int, error) {
 // and zeroes the rest, pass 2 walks the region column, and pass 3, only
 // in a block with communication events, the communication columns. The
 // checks ride along on register state — finite, monotone time and the
-// nesting depth in pass 1, known regions in pass 2.
+// nesting depth in pass 1, known regions in pass 2 — and so do the
+// counts: non-user Enters at pass 2's region lookup, Sends and Recvs in
+// pass 3.
 func decodeV2Block(d *decoder, dst []Event, blockSize int, v *StreamValidator) (n int, ok bool, err error) {
 	plen := d.u64()
 	if d.err != nil {
@@ -362,29 +364,26 @@ func decodeV2Block(d *decoder, dst []Event, blockSize int, v *StreamValidator) (
 		pos += l
 	}
 
-	c := v2Check{last: math.Inf(-1), ok: true} // the first event has no predecessor
-	var regions *RegionTable
-	if v != nil {
-		if v.n > 0 {
-			c.last = v.lastTime
-		}
-		c.depth, regions = v.depth, &v.regions
+	c := v2Check{last: math.Inf(-1), depth: v.depth, ok: true, tally: v.tally} // the first event has no predecessor
+	if v.tally.Events > 0 {
+		c.last = v.lastTime
 	}
 	var used [v2ColumnCount]int
 	if used[0], err = decodeV2Stamps(dst, kinds, lo, cols[0], &c); err != nil {
 		return 0, false, err
 	}
-	used[1] = decodeV2Regions(dst, kinds, cols[1], regions, &c)
+	used[1] = decodeV2Regions(dst, kinds, cols[1], &v.regions, &c)
 	if c.comm {
-		decodeV2Comms(dst, kinds, &cols, &used)
+		decodeV2Comms(dst, kinds, &cols, &used, &c)
 	}
 	for j := range cols {
 		if used[j] != len(cols[j]) {
 			return 0, false, errors.New("trace: corrupt event block: columns do not match the kinds they serve")
 		}
 	}
-	if c.ok && v != nil {
-		v.lastTime, v.depth, v.n = c.last, c.depth, v.n+n
+	if c.ok {
+		c.tally.Events += n
+		v.lastTime, v.depth, v.tally = c.last, c.depth, c.tally
 	}
 	return n, c.ok, nil
 }
@@ -396,6 +395,7 @@ type v2Check struct {
 	depth int     // regions open
 	ok    bool    // every event so far passed
 	comm  bool    // the block holds communication events
+	tally Tally   // the validator's tally, Events not yet advanced
 }
 
 // zigzag maps a decoded uvarint back to the signed delta it encodes.
@@ -455,11 +455,11 @@ func decodeV2Stamps(dst []Event, kinds, lo, thi []byte, c *v2Check) (int, error)
 }
 
 // decodeV2Regions is pass 2: it writes the region of every Enter and
-// Exit and checks that an Enter names a region the header declares, in
-// regions unless that is nil. It returns how many bytes of the regions
-// column it read.
+// Exit, checks that an Enter names a region the header declares and
+// counts the Enters of regions that are not user code. It returns how
+// many bytes of the regions column it read.
 func decodeV2Regions(dst []Event, kinds, col []byte, regions *RegionTable, c *v2Check) int {
-	ok := c.ok
+	ok, calls := c.ok, c.tally.Calls
 	kinds = kinds[:len(dst)]
 	var reg, delta int64
 	var u uint64
@@ -478,27 +478,38 @@ func decodeV2Regions(dst []Event, kinds, col []byte, regions *RegionTable, c *v2
 		reg += delta
 		id := RegionID(uint32(reg))
 		dst[i].Region = id
-		if k == KindEnter && regions != nil && regions.Lookup(id) == nil {
-			ok = false
+		if k == KindEnter {
+			if r := regions.Lookup(id); r == nil {
+				ok = false
+			} else if r.Kind != RegionUser {
+				calls++
+			}
 		}
 	}
-	c.ok = ok
+	c.ok, c.tally.Calls = ok, calls
 	return pos
 }
 
 // decodeV2Comms is pass 3, for a block with communication events: it
 // writes their fields from the comms, peers, tags, bytes, colls and
-// roots columns and records in used how many bytes of each it read.
-func decodeV2Comms(dst []Event, kinds []byte, cols *[v2ColumnCount][]byte, used *[v2ColumnCount]int) {
+// roots columns, counts the Sends and Recvs and records in used how many
+// bytes of each column it read.
+func decodeV2Comms(dst []Event, kinds []byte, cols *[v2ColumnCount][]byte, used *[v2ColumnCount]int, c *v2Check) {
 	comm, peer, tag, byt, coll, root := cols[2], cols[3], cols[4], cols[5], cols[6], cols[7]
+	sends, recvs := c.tally.Sends, c.tally.Recvs
 	var cp, pp, gp, bp, lp, rp int
 	var cprev, pprev, gprev, bprev, oprev, delta int64
 	var u uint64
 	kinds = kinds[:len(dst)]
 	for i := range dst {
 		ev := &dst[i]
-		switch EventKind(kinds[i]) {
+		switch k := EventKind(kinds[i]); k {
 		case KindSend, KindRecv:
+			if k == KindSend {
+				sends++
+			} else {
+				recvs++
+			}
 			if cp < len(comm) && comm[cp] < 0x80 {
 				delta, cp = zigzag(uint64(comm[cp])), cp+1
 			} else {
@@ -560,24 +571,25 @@ func decodeV2Comms(dst []Event, kinds []byte, cols *[v2ColumnCount][]byte, used 
 		}
 	}
 	used[2], used[3], used[4], used[5], used[6], used[7] = cp, pp, gp, bp, lp, rp
+	c.tally.Sends, c.tally.Recvs = sends, recvs
 }
 
 // BlockReader decodes a v2 trace image block by block: the header is
-// decoded eagerly, then each call materializes one block of events.
-// Next decodes into a caller-owned buffer and performs no allocations —
-// the zero-alloc gates in script/check.sh depend on that. NextInto is
-// the block hand-over the replay's rank logs are fed by: it validates
-// what it decodes, and it asks the consumer for room only once a whole
-// plausible block is present, so it also serves an image that is still
-// growing (a live upload, see ChunkDecoder), where "not here yet" is not
-// corruption.
+// decoded eagerly, then each call materializes one block of events and
+// checks it. NextInto is the one block step — the one-shot decode, the
+// replay's rank logs and ChunkDecoder are fed by it: it asks the
+// consumer for room only once a whole plausible block is present, so it
+// also serves an image that is still growing (a live upload), where "not
+// here yet" is not corruption. Next is NextInto into a caller-owned
+// buffer. Neither allocates on a valid image — the zero-alloc gates in
+// script/check.sh depend on that.
 //
 // On an image that is still growing, d.streaming is set and d.data is
 // re-pointed as bytes arrive.
 type BlockReader struct {
 	d       decoder
 	t       *Trace
-	val     *StreamValidator // NextInto's checks, block to block; nil until it first runs
+	val     StreamValidator // NextInto's checks and tally, block to block
 	total   int
 	bs      int
 	start   int // byte offset of the first block, for Reset
@@ -620,6 +632,7 @@ func (r *BlockReader) readHeader() error {
 		return err
 	}
 	r.t, r.total, r.bs = t, int(ne), bs
+	r.val = NewStreamValidator(t)
 	r.start = r.d.pos
 	return nil
 }
@@ -632,9 +645,7 @@ func (r *BlockReader) Reset() {
 	r.d.pos = r.start
 	r.d.err = nil
 	r.decoded = 0
-	if r.val != nil {
-		r.val.depth, r.val.lastTime, r.val.n = 0, 0, 0
-	}
+	r.val.depth, r.val.lastTime, r.val.tally = 0, 0, Tally{}
 }
 
 // Trace returns the decoded header: location, sync data, region table,
@@ -651,27 +662,15 @@ func (r *BlockReader) Decoded() int { return r.decoded }
 // this length accommodates any block Next produces.
 func (r *BlockReader) BlockSize() int { return r.bs }
 
-// Next decodes the next block into dst and returns the number of
-// events written, or io.EOF once every declared event was decoded. It
-// does not validate the events: the one-shot v2 decode leaves that to
-// (*Trace).Validate.
+// Next is NextInto into dst on a complete image: it returns the number
+// of events it decoded and checked into dst, or io.EOF once every
+// declared event was. A block longer than dst is refused.
 func (r *BlockReader) Next(dst []Event) (int, error) {
-	if r.decoded >= r.total {
+	blk, err := r.NextInto(func(n int) []Event { return dst[:min(n, len(dst))] })
+	if err == nil && blk == nil {
 		return 0, io.EOF
 	}
-	n, _, err := decodeV2Block(&r.d, dst, r.bs, nil)
-	if err != nil {
-		return 0, err
-	}
-	if n > r.total-r.decoded {
-		return 0, r.overDeclared()
-	}
-	r.decoded += n
-	return n, nil
-}
-
-func (r *BlockReader) overDeclared() error {
-	return fmt.Errorf("trace %v: blocks hold more events than the declared count %d", r.t.Loc, r.total)
+	return len(blk), err
 }
 
 // trailing rejects bytes after the last declared event.
@@ -683,11 +682,11 @@ func (r *BlockReader) trailing() error { return trailing(&r.d, r.t, r.total) }
 // every declared event has been decoded or, on a growing image, that the
 // next block has not fully arrived.
 //
-// reserve(n) must return room for exactly n events. It is called at
-// most once, and only when the whole payload is present and its event
-// count n fits the block size, the events the stream still owes and the
-// payload's bytes — so what a consumer allocates is bounded by what was
-// actually uploaded, whatever the header declares.
+// reserve(n) must return room for n events; shorter room is refused. It
+// is called at most once, and only when the whole payload is present and
+// its event count n fits the block size, the events the stream still
+// owes and the payload's bytes — so what a consumer allocates is bounded
+// by what was actually uploaded, whatever the header declares.
 //
 // The events pass exactly the checks (*Trace).Validate applies, with
 // its messages, and the block that completes the declared count also
@@ -696,9 +695,6 @@ func (r *BlockReader) trailing() error { return trailing(&r.d, r.t, r.total) }
 // after the last declared event; its first invalid event; regions left
 // open. On a complete image a block cut short is an error too.
 func (r *BlockReader) NextInto(reserve func(n int) []Event) ([]Event, error) {
-	if r.val == nil {
-		r.val = NewStreamValidator(r.t)
-	}
 	if r.decoded == r.total {
 		return nil, r.trailing()
 	}
@@ -720,12 +716,12 @@ func (r *BlockReader) NextInto(reserve func(n int) []Event) ([]Event, error) {
 	default:
 		dst = reserve(int(n))
 	}
-	got, ok, err := decodeV2Block(&r.d, dst, r.bs, r.val)
+	got, ok, err := decodeV2Block(&r.d, dst, r.bs, &r.val)
 	if err != nil {
 		return nil, err
 	}
 	if uint64(got) > owed {
-		return nil, r.overDeclared()
+		return nil, fmt.Errorf("trace %v: blocks hold more events than the declared count %d", r.t.Loc, r.total)
 	}
 	blk := dst[:got]
 	r.decoded += got
@@ -741,7 +737,7 @@ func (r *BlockReader) NextInto(reserve func(n int) []Event) ([]Event, error) {
 		}
 	}
 	if last {
-		if err := r.val.Close(); err != nil {
+		if _, err := r.val.Close(); err != nil {
 			return nil, err
 		}
 	}

@@ -33,8 +33,27 @@ func (o ingestOutcome) String() string {
 	return fmt.Sprintf("%d events, err %q", len(o.events), o.err)
 }
 
+// rawNext decodes r's next block into buf without checking its events —
+// the validator it hands decodeV2Block is thrown away — or returns
+// io.EOF once every declared event was decoded: the decode half of the
+// reference below.
+func rawNext(r *BlockReader, buf []Event) (int, error) {
+	if r.decoded >= r.total {
+		return 0, io.EOF
+	}
+	n, _, err := decodeV2Block(&r.d, buf, r.bs, new(StreamValidator))
+	if err != nil {
+		return 0, err
+	}
+	if n > r.total-r.decoded {
+		return 0, fmt.Errorf("trace %v: blocks hold more events than the declared count %d", r.t.Loc, r.total)
+	}
+	r.decoded += n
+	return n, nil
+}
+
 // referenceIngest is the two-pass ingest that validating NextInto
-// replaces, kept as its specification: Next decodes a block; once the
+// replaces, kept as its specification: rawNext decodes a block; once the
 // declared count is reached the trailing-byte check runs; a
 // StreamValidator walks the block; and the block that completes the
 // count closes the regions. A block is handed over only once all of
@@ -51,7 +70,7 @@ func referenceIngest(data []byte) (out ingestOutcome) {
 	v := NewStreamValidator(r.Trace())
 	buf := make([]Event, r.BlockSize())
 	for {
-		n, err := r.Next(buf)
+		n, err := rawNext(r, buf)
 		if err == io.EOF {
 			break
 		}
@@ -70,7 +89,7 @@ func referenceIngest(data []byte) (out ingestOutcome) {
 			}
 		}
 		if last {
-			if err := v.Close(); err != nil {
+			if _, err := v.Close(); err != nil {
 				return fail(err)
 			}
 		}
@@ -144,7 +163,7 @@ func streamReference(data []byte, cuts []int) ingestOutcome {
 	if r, err := NewBlockReader(data, nil); err == nil {
 		buf := make([]Event, r.BlockSize())
 		for err == nil {
-			_, err = r.Next(buf)
+			_, err = rawNext(r, buf)
 		}
 		if err == io.EOF {
 			end = r.d.pos

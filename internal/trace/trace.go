@@ -246,6 +246,12 @@ type Trace struct {
 	Regions []Region
 	Comms   []CommDef
 	Events  []Event
+	// Tally is what the decoder that made Events counted while it
+	// checked them. A trace built by hand keeps the zero Tally, and so
+	// does any trace while Tally.Events differs from len(Events): then
+	// Checked walks the events itself. A caller that rewrites events in
+	// place clears Tally.
+	Tally Tally
 }
 
 // CommByID returns the communicator definition with the given id, or
@@ -331,14 +337,10 @@ func (t *RegionTable) search(id RegionID) *Region {
 
 // Validate checks structural well-formedness: monotone non-decreasing
 // time stamps, balanced Enter/Exit nesting, and region references that
-// resolve. The analyzer calls this before replay; a violation points
-// at a corrupted or truncated trace file.
+// resolve, whoever made the trace; a violation points at a corrupted or
+// truncated trace file. The analyzer takes a decoded trace's verdict
+// from its decoder (Checked).
 func (t *Trace) Validate() error {
-	v := NewStreamValidator(t)
-	for i := range t.Events {
-		if err := v.Event(&t.Events[i]); err != nil {
-			return err
-		}
-	}
-	return v.Close()
+	_, err := t.check()
+	return err
 }

@@ -15,6 +15,14 @@ import (
 	"metascope/internal/vclock"
 )
 
+// untallied is a decoded trace with its Tally left out, for comparing it
+// with the trace it was encoded from; TestDecodersTally holds the tally.
+func untallied(t *Trace) *Trace {
+	c := *t
+	c.Tally = Tally{}
+	return &c
+}
+
 // sampleTrace builds a small, structurally valid trace.
 func sampleTrace() *Trace {
 	return &Trace{
@@ -75,7 +83,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(orig, got) {
+	if !reflect.DeepEqual(orig, untallied(got)) {
 		t.Fatalf("round trip mismatch:\norig %+v\ngot  %+v", orig, got)
 	}
 }
@@ -180,7 +188,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(tr, got)
+		return reflect.DeepEqual(tr, untallied(got))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -380,5 +388,56 @@ func TestLargeTraceEncodeSize(t *testing.T) {
 	}
 	if len(got.Events) != 2*pairs {
 		t.Fatalf("decoded %d events", len(got.Events))
+	}
+}
+
+// TestDecodersTally: every decode that materializes events hands over
+// the tally of the events it checked — v1, v2 over several blocks,
+// ChunkDecoder — and it is what one walk of the validator counts over
+// the trace built by hand, which Checked returns without recording it:
+// Sends, Recvs and the Enters of non-user regions, on these balanced
+// traces the non-user Exits. A decoded trace's tally is taken as given
+// while it covers Events; once Events changed length it is walked.
+func TestDecodersTally(t *testing.T) {
+	for name, tr := range map[string]*Trace{"sample": sampleTrace(), "synth": synthTrace(3, 5000)} {
+		want := Tally{Events: len(tr.Events), Sends: tr.CountKind(KindSend), Recvs: tr.CountKind(KindRecv)}
+		regions, open := NewRegionTable(tr.Regions), []RegionID{}
+		for _, ev := range tr.Events {
+			switch ev.Kind {
+			case KindEnter:
+				open = append(open, ev.Region)
+			case KindExit:
+				if regions.Lookup(open[len(open)-1]).Kind != RegionUser {
+					want.Calls++
+				}
+				open = open[:len(open)-1]
+			}
+		}
+		if got, err := tr.Checked(); err != nil || got != want || tr.Tally != (Tally{}) {
+			t.Errorf("%s: Checked on the built trace = %+v, %v (recorded %+v), want %+v", name, got, err, tr.Tally, want)
+		}
+		v2 := encodeV2Bytes(t, tr, 64)
+		for format, img := range map[string][]byte{"v1": encodeV1Bytes(t, tr), "v2": v2} {
+			got, err := DecodeBytes(img)
+			if err != nil || got.Tally != want {
+				t.Fatalf("%s: %s decode tallied %+v (%v), want %+v", name, format, got.Tally, err, want)
+			}
+			got.Tally.Calls++ // a lie, so that a walk would show
+			if c, err := got.Checked(); err != nil || c != got.Tally {
+				t.Errorf("%s: Checked walked a %s trace its decoder tallied", name, format)
+			}
+			got.Events = got.Events[:len(got.Events)-1]
+			if _, err := got.Checked(); err == nil {
+				t.Errorf("%s: Checked took a %s tally as given for a trace one event shorter", name, format)
+			}
+		}
+		c := NewChunkDecoder(nil)
+		got, err := c.Feed(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := c.Finish(); err != nil || fin.Tally != want || len(got) != want.Events {
+			t.Errorf("%s: ChunkDecoder tallied %+v (%v), want %+v", name, fin.Tally, err, want)
+		}
 	}
 }

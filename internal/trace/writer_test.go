@@ -22,7 +22,7 @@ func decodeRaw(t *testing.T, img []byte) (evs []Event, blocks []int) {
 		}
 		buf := make([]Event, r.BlockSize())
 		for {
-			n, err := r.Next(buf)
+			n, err := rawNext(r, buf)
 			if err == io.EOF {
 				if err := r.trailing(); err != nil {
 					t.Fatal(err)

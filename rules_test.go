@@ -378,6 +378,44 @@ var rules = []rule{{
 		{"internal/replay/fixture.go", "", "package replay\n\nimport \"metascope/internal/trace\"\n\nfunc grow(n int) []trace.Event { return make([]trace.Event, 0, n) }\n"},
 	},
 }, {
+	name: "one verdict per trace", reason: "A trace is checked once, by the decoder that materializes its events, which counts what the analyzer sizes its ledgers by in the same pass; a trace no decoder made is checked and counted by trace.Trace.Checked. A StreamValidator made outside internal/trace is a second walk over checked events creeping back, and Validate keeps one product caller, BuildFlightTraces, which builds the analyzer's own trace.",
+	check: each(forbid(in(""), `^(use internal/trace\.NewStreamValidator|alloc \*?internal/trace\.StreamValidator)$`, "internal/trace"),
+		within(1, 1, "Validate callers", forbid(in(""), `^use internal/trace\.Trace\.Validate$`)),
+		forbid(in(""), `^use internal/trace\.Trace\.Validate$`, rp+"BuildFlightTraces")),
+	fixtures: []fixture{
+		{"internal/replay/fixture.go", "", `package replay
+
+import "metascope/internal/trace"
+
+type logCounts struct{ sends, recvs, ops int }
+
+func validateCounting(t *trace.Trace) (logCounts, error) {
+	v := trace.NewStreamValidator(t)
+	regions := trace.NewRegionTable(t.Regions)
+	var c logCounts
+	for i := range t.Events {
+		ev := &t.Events[i]
+		if err := v.Event(ev); err != nil {
+			return c, err
+		}
+		switch ev.Kind {
+		case trace.KindSend:
+			c.sends++
+		case trace.KindRecv:
+			c.recvs++
+		case trace.KindExit:
+			if r := regions.Lookup(ev.Region); r != nil && r.Kind != trace.RegionUser {
+				c.ops++
+			}
+		}
+	}
+	_, err := v.Close()
+	return c, err
+}
+`},
+		{"cmd/metascope/trace.go", "\t\t\tspan := rec.Phases.Start(\"render\")\n", "\t\t\tif err := tr.Validate(); err != nil {\n\t\t\t\trec.Log.Warn(\"trace validation\", \"path\", path, \"err\", err)\n\t\t\t}\n\t\t\tspan := rec.Phases.Start(\"render\")\n"},
+	},
+}, {
 	name: "one trace writer", reason: "A rank's trace is written as it is recorded, by trace.Writer: a v2 block is encoded when it fills and a v1 row when it is appended, each by the one encoder of its format. A []trace.Event held or made in internal/measure is the whole trace kept as 40-byte events again; a second caller of appendV2Block or appendV1Row is a second event-writing loop.",
 	check: each(forbid(in("internal/measure"), `^(alloc|def \w+ \S+) \[\]internal/trace\.Event$`),
 		within(1, 1, "appendV2Block calls", forbid(in("internal/trace"), `^use internal/trace\.appendV2Block$`)),

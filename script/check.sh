@@ -54,6 +54,14 @@ run_named() {
 echo "== design rules"
 run_named . TestDesignRules
 
+# Severities graded against the simulator's true time: six VIOLA runs,
+# each analyzed by the reference under three schemes and by the replay.
+# Its concurrency is the replay's, which the -race run covers; under the
+# detector it would add some 40 s to that run, so a build tag keeps it
+# out and it runs here.
+echo "== severities against true time"
+run_named ./internal/conformance TestSeveritiesAgainstTruth
+
 # A short soak of the analysis service: a couple of seconds of mixed
 # concurrent traffic (good archives, hostile uploads, cancellations)
 # with oracle-exact verification and a goroutine-leak check at the
