@@ -1,6 +1,14 @@
 package replay
 
-import "unsafe"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"metascope/internal/phase"
+)
 
 // pagedLog is an append-only log whose records never move: add writes a
 // record once, into the page it stays in, and a full page is never
@@ -16,6 +24,16 @@ import "unsafe"
 // and whatever the feeder the log allocates at most what it holds plus
 // one page.
 //
+// A finished analysis gives its ledger's pages back (release), and open
+// takes a page from its record type's shelf before it allocates one, so
+// analyses run back to back — the service's jobs, the bench's operations
+// — write into pages the last one faulted in, whatever archive it read.
+// A page of n records is exactly n either way: a shelved page of a larger
+// capacity is cut to n, and its tail stays unused until the collector
+// takes the page. Readers stop at a page's length, and the three record
+// types hold no pointers, so a stale record is never read and keeps
+// nothing alive.
+//
 // The page table starts in the log itself (one), so a one-page log
 // allocates nothing but its page; a pagedLog must therefore not be
 // copied once written to.
@@ -23,6 +41,8 @@ type pagedLog[T any] struct {
 	pages [][]T
 	one   [1][]T
 	next  int // records in the next page add opens; 0 stands for firstPageRecords
+	// reused is the bytes of the pages open took off a shelf.
+	reused int
 }
 
 const (
@@ -42,7 +62,86 @@ func (l *pagedLog[T]) open(records int) {
 	if l.pages == nil {
 		l.pages = l.one[:0]
 	}
-	l.pages = append(l.pages, make([]T, 0, records))
+	pg := shelfOf[T]().take(records)
+	l.reused += cap(pg) * int(unsafe.Sizeof(*new(T)))
+	if pg == nil {
+		pg = make([]T, 0, records)
+	}
+	l.pages = append(l.pages, pg)
+}
+
+// release puts the log's pages on its record type's shelf, replacing what
+// another ledger left there, and empties the log. Only a finished
+// analysis calls it (analyzer.finish), once its result is built: nothing
+// reads the ledger after that, and a failed analysis's pages go to the
+// collector with it.
+func (l *pagedLog[T]) release(ledger uint64) {
+	s := shelfOf[T]()
+	s.mu.Lock()
+	if s.ledger != ledger {
+		for c := range s.class {
+			s.class[c] = slices.Delete(s.class[c], 0, len(s.class[c]))
+		}
+		s.ledger = ledger
+	}
+	for _, pg := range l.pages {
+		c := bits.Len(uint(cap(pg)))
+		i, _ := slices.BinarySearchFunc(s.class[c], cap(pg), byCap)
+		s.class[c] = slices.Insert(s.class[c], i, pg[:0])
+	}
+	s.mu.Unlock()
+	l.pages = nil
+}
+
+// shelf holds the ledger pages of one record type that the last finished
+// analysis released, at most one ledger's: a dense table of capacity
+// classes (bits.Len of the capacity), each a stack descending by
+// capacity, equal capacities in the order released. take hands out the
+// smallest page of n's class that holds n records — the last of those
+// that do, the top when the class's pages are all one size — or the
+// smallest of the next class up, so an analysis of an archive already
+// analysed gets back pages of exactly its sizes, in whatever order its
+// ranks start. A page costs one lock and a binary search; a record costs
+// nothing. Not a sync.Pool: a collection empties a pool, and what an
+// analysis allocates would depend on when one ran.
+type shelf[T any] struct {
+	mu     sync.Mutex
+	ledger uint64 // the analysis whose pages the shelf holds
+	class  [bits.UintSize + 2][][]T
+}
+
+// shelves holds a shelf per ledger record type, and ledgers numbers the
+// finished analyses' releases.
+var (
+	shelves = [...]any{new(shelf[recvInfo]), new(shelf[profSample]), new(shelf[phase.Op])}
+	ledgers atomic.Uint64
+)
+
+// shelfOf returns T's shelf, nil for a type no ledger log holds.
+func shelfOf[T any]() *shelf[T] {
+	for _, s := range shelves {
+		if s, ok := s.(*shelf[T]); ok {
+			return s
+		}
+	}
+	return nil
+}
+
+// byCap orders a class's pages before n when they hold n records or more.
+func byCap[T any](pg []T, n int) int { return n - 1 - cap(pg) }
+
+// take returns a shelved page cut to capacity n, or nil.
+func (s *shelf[T]) take(n int) []T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := bits.Len(uint(n)); c <= bits.Len(uint(n))+1; c++ {
+		if i, _ := slices.BinarySearchFunc(s.class[c], n, byCap); i > 0 {
+			pg := s.class[c][i-1]
+			s.class[c] = slices.Delete(s.class[c], i-1, i)
+			return pg[:0:n]
+		}
+	}
+	return nil
 }
 
 // add appends one record.
@@ -94,10 +193,9 @@ func (l *pagedLog[T]) len() int {
 
 // bytes returns what the log's pages occupy, filled or not.
 func (l *pagedLog[T]) bytes() int {
-	var rec T
 	n := 0
 	for _, pg := range l.pages {
 		n += cap(pg)
 	}
-	return n * int(unsafe.Sizeof(rec))
+	return n * int(unsafe.Sizeof(*new(T)))
 }

@@ -574,6 +574,15 @@ func (a *analyzer) finish() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The result holds copies of what the ledger held, and a live session
+	// reads its window sink from here on, not the logs: the pages go on
+	// the shelf for the next analysis.
+	ledger := ledgers.Add(1)
+	for _, rr := range a.results {
+		rr.profLog.release(ledger)
+		rr.recvLog.release(ledger)
+		rr.opLog.release(ledger)
+	}
 
 	events := 0
 	for _, lg := range a.logs {

@@ -315,8 +315,10 @@ func TestEncodeFormatUnknown(t *testing.T) {
 }
 
 // BenchmarkV2BlockDecode is the allocation contract behind the
-// check.sh gate: after the first block warms the scratch, BlockReader
-// must not allocate per block. One iteration decodes one block.
+// check.sh gate: after the first block warms the scratch and the
+// validator, BlockReader must not allocate per block. One iteration
+// decodes and validates one block: Next is NextInto, the step a rank log
+// pulls through, into the caller's buffer.
 func BenchmarkV2BlockDecode(b *testing.B) {
 	tr := synthTrace(1, 100000)
 	var buf bytes.Buffer
@@ -347,41 +349,6 @@ func BenchmarkV2BlockDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = n
-	}
-}
-
-// BenchmarkV2BlockIngest is the allocation contract of the validating
-// path behind the second check.sh gate: NextInto decodes and validates
-// one block per iteration into a block the caller reuses, and must not
-// allocate either.
-func BenchmarkV2BlockIngest(b *testing.B) {
-	tr := synthTrace(1, 100000)
-	var buf bytes.Buffer
-	if err := tr.EncodeV2(&buf); err != nil {
-		b.Fatal(err)
-	}
-	r, err := NewBlockReader(buf.Bytes(), NewInterner())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]Event, r.BlockSize())
-	reserve := func(n int) []Event { return dst[:n] }
-	// Warm the validator outside the timed region.
-	if _, err := r.NextInto(reserve); err != nil {
-		b.Fatal(err)
-	}
-	r.Reset()
-	b.SetBytes(int64(defaultBlockSize * 16)) // approximate decoded bytes per block
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk, err := r.NextInto(reserve)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if blk == nil {
-			r.Reset()
-		}
 	}
 }
 
