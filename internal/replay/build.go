@@ -230,8 +230,8 @@ func (a *analyzer) postPassRank(rr *rankResult, minFuture []float64, deposit fun
 
 // logLedger reports, once per analysis and at debug level, what the
 // ledger holds at the end of the sweep: its records by log, the pages
-// they sit in, the bytes of those pages and how many of them were
-// another analysis's, taken off the shelf.
+// they sit in, the bytes of those pages' arrays, whole, and how many of
+// them were another analysis's, taken off the shelf.
 func (a *analyzer) logLedger() {
 	var samples, recvs, ops, pages, size, reused int
 	for _, rr := range a.results {
@@ -239,7 +239,7 @@ func (a *analyzer) logLedger() {
 		recvs += rr.recvLog.len()
 		ops += rr.opLog.len()
 		pages += len(rr.profLog.pages) + len(rr.recvLog.pages) + len(rr.opLog.pages)
-		size += rr.profLog.bytes() + rr.recvLog.bytes() + rr.opLog.bytes()
+		size += pageBytes(rr.profLog.whole) + pageBytes(rr.recvLog.whole) + pageBytes(rr.opLog.whole)
 		reused += rr.profLog.reused + rr.recvLog.reused + rr.opLog.reused
 	}
 	obs.OrDefault(a.cfg.Obs).Log.Debug("ledger folded", "samples", samples, "recvs", recvs, "ops", ops,

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"metascope/internal/phase"
@@ -24,23 +23,26 @@ import (
 // and whatever the feeder the log allocates at most what it holds plus
 // one page.
 //
-// A finished analysis gives its ledger's pages back (release), and open
+// A finished analysis gives its ledger's pages back (shelve), and open
 // takes a page from its record type's shelf before it allocates one, so
 // analyses run back to back — the service's jobs, the bench's operations
 // — write into pages the last one faulted in, whatever archive it read.
 // A page of n records is exactly n either way: a shelved page of a larger
-// capacity is cut to n, and its tail stays unused until the collector
-// takes the page. Readers stop at a page's length, and the three record
+// capacity is cut to n, and the log keeps it whole too (whole), so it goes
+// back to the shelf whole and a cut never hides part of an array behind
+// a smaller page. Readers stop at a page's length, and the three record
 // types hold no pointers, so a stale record is never read and keeps
 // nothing alive.
 //
-// The page table starts in the log itself (one), so a one-page log
-// allocates nothing but its page; a pagedLog must therefore not be
+// The page tables start in the log itself (one, wholeOne), so a one-page
+// log allocates nothing but its page; a pagedLog must therefore not be
 // copied once written to.
 type pagedLog[T any] struct {
-	pages [][]T
-	one   [1][]T
-	next  int // records in the next page add opens; 0 stands for firstPageRecords
+	pages    [][]T
+	one      [1][]T
+	whole    [][]T // pages[i] at the capacity its array was made with
+	wholeOne [1][]T
+	next     int // records in the next page add opens; 0 stands for firstPageRecords
 	// reused is the bytes of the pages open took off a shelf.
 	reused int
 }
@@ -60,37 +62,45 @@ func (l *pagedLog[T]) reserve(n int) {
 
 func (l *pagedLog[T]) open(records int) {
 	if l.pages == nil {
-		l.pages = l.one[:0]
+		l.pages, l.whole = l.one[:0], l.wholeOne[:0]
 	}
 	pg := shelfOf[T]().take(records)
 	l.reused += cap(pg) * int(unsafe.Sizeof(*new(T)))
 	if pg == nil {
 		pg = make([]T, 0, records)
 	}
-	l.pages = append(l.pages, pg)
+	l.pages = append(l.pages, pg[:0:records])
+	l.whole = append(l.whole, pg)
 }
 
-// release puts the log's pages on its record type's shelf, replacing what
-// another ledger left there, and empties the log. Only a finished
+// shelve puts the pages of one ledger log of every rank, the one log
+// picks, on its record type's shelf, whole, replacing what the last
+// finished analysis left there, and empties the logs. Only a finished
 // analysis calls it (analyzer.finish), once its result is built: nothing
 // reads the ledger after that, and a failed analysis's pages go to the
-// collector with it.
-func (l *pagedLog[T]) release(ledger uint64) {
+// collector with it. One lock per record type keeps a shelf one ledger's
+// pages.
+func shelve[T any](results []*rankResult, log func(*rankResult) *pagedLog[T]) {
 	s := shelfOf[T]()
 	s.mu.Lock()
-	if s.ledger != ledger {
-		for c := range s.class {
-			s.class[c] = slices.Delete(s.class[c], 0, len(s.class[c]))
+	defer s.mu.Unlock()
+	for c := range s.class {
+		s.class[c] = slices.Delete(s.class[c], 0, len(s.class[c]))
+	}
+	for _, rr := range results {
+		for _, pg := range log(rr).empty() {
+			c := bits.Len(uint(cap(pg)))
+			i, _ := slices.BinarySearchFunc(s.class[c], cap(pg), byCap)
+			s.class[c] = slices.Insert(s.class[c], i, pg[:0])
 		}
-		s.ledger = ledger
 	}
-	for _, pg := range l.pages {
-		c := bits.Len(uint(cap(pg)))
-		i, _ := slices.BinarySearchFunc(s.class[c], cap(pg), byCap)
-		s.class[c] = slices.Insert(s.class[c], i, pg[:0])
-	}
-	s.mu.Unlock()
-	l.pages = nil
+}
+
+// empty empties the log and returns its pages, whole.
+func (l *pagedLog[T]) empty() [][]T {
+	whole := l.whole
+	l.pages, l.whole = nil, nil
+	return whole
 }
 
 // shelf holds the ledger pages of one record type that the last finished
@@ -101,21 +111,17 @@ func (l *pagedLog[T]) release(ledger uint64) {
 // that do, the top when the class's pages are all one size — or the
 // smallest of the next class up, so an analysis of an archive already
 // analysed gets back pages of exactly its sizes, in whatever order its
-// ranks start. A page costs one lock and a binary search; a record costs
-// nothing. Not a sync.Pool: a collection empties a pool, and what an
-// analysis allocates would depend on when one ran.
+// ranks start, and a page serves a log of over a quarter its size. A
+// page costs one lock and a binary search; a record costs nothing. Not a
+// sync.Pool: a collection empties a pool, and what an analysis allocates
+// would depend on when one ran.
 type shelf[T any] struct {
-	mu     sync.Mutex
-	ledger uint64 // the analysis whose pages the shelf holds
-	class  [bits.UintSize + 2][][]T
+	mu    sync.Mutex
+	class [bits.UintSize + 2][][]T
 }
 
-// shelves holds a shelf per ledger record type, and ledgers numbers the
-// finished analyses' releases.
-var (
-	shelves = [...]any{new(shelf[recvInfo]), new(shelf[profSample]), new(shelf[phase.Op])}
-	ledgers atomic.Uint64
-)
+// shelves holds a shelf per ledger record type.
+var shelves = [...]any{new(shelf[recvInfo]), new(shelf[profSample]), new(shelf[phase.Op])}
 
 // shelfOf returns T's shelf, nil for a type no ledger log holds.
 func shelfOf[T any]() *shelf[T] {
@@ -130,7 +136,7 @@ func shelfOf[T any]() *shelf[T] {
 // byCap orders a class's pages before n when they hold n records or more.
 func byCap[T any](pg []T, n int) int { return n - 1 - cap(pg) }
 
-// take returns a shelved page cut to capacity n, or nil.
+// take returns a shelved page of capacity n or more, or nil.
 func (s *shelf[T]) take(n int) []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,7 +144,7 @@ func (s *shelf[T]) take(n int) []T {
 		if i, _ := slices.BinarySearchFunc(s.class[c], n, byCap); i > 0 {
 			pg := s.class[c][i-1]
 			s.class[c] = slices.Delete(s.class[c], i-1, i)
-			return pg[:0:n]
+			return pg
 		}
 	}
 	return nil
@@ -192,9 +198,12 @@ func (l *pagedLog[T]) len() int {
 }
 
 // bytes returns what the log's pages occupy, filled or not.
-func (l *pagedLog[T]) bytes() int {
+func (l *pagedLog[T]) bytes() int { return pageBytes(l.pages) }
+
+// pageBytes returns what pages occupy, filled or not.
+func pageBytes[T any](pages [][]T) int {
 	n := 0
-	for _, pg := range l.pages {
+	for _, pg := range pages {
 		n += cap(pg)
 	}
 	return n * int(unsafe.Sizeof(*new(T)))

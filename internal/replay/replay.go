@@ -577,12 +577,9 @@ func (a *analyzer) finish() (*Result, error) {
 	// The result holds copies of what the ledger held, and a live session
 	// reads its window sink from here on, not the logs: the pages go on
 	// the shelf for the next analysis.
-	ledger := ledgers.Add(1)
-	for _, rr := range a.results {
-		rr.profLog.release(ledger)
-		rr.recvLog.release(ledger)
-		rr.opLog.release(ledger)
-	}
+	shelve(a.results, func(rr *rankResult) *pagedLog[profSample] { return &rr.profLog })
+	shelve(a.results, func(rr *rankResult) *pagedLog[recvInfo] { return &rr.recvLog })
+	shelve(a.results, func(rr *rankResult) *pagedLog[phase.Op] { return &rr.opLog })
 
 	events := 0
 	for _, lg := range a.logs {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"regexp"
-	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -89,37 +88,34 @@ func analyzeLogged(t *testing.T, p shelfPath, images [][]byte) (out feedOutcome,
 }
 
 // emptyShelves drops every shelved page, as in a process that has
-// finished no analysis yet: a release of empty logs under a new number.
+// finished no analysis yet: a shelving of no ledger.
 func emptyShelves() {
-	n := ledgers.Add(1)
-	new(pagedLog[recvInfo]).release(n)
-	new(pagedLog[profSample]).release(n)
-	new(pagedLog[phase.Op]).release(n)
+	shelve[recvInfo](nil, nil)
+	shelve[profSample](nil, nil)
+	shelve[phase.Op](nil, nil)
 }
 
-// shelfState is what the three shelves hold: the number of the analysis
-// that filled each, and the address of every page and their bytes.
+// shelfState is what the three shelves hold: every page, by the address
+// of its array and its capacity, and their bytes.
 type shelfState struct {
-	ledgers [3]uint64
-	pages   []unsafe.Pointer
-	bytes   int
+	pages map[unsafe.Pointer]int
+	bytes int
 }
 
 func shelved() shelfState {
-	var st shelfState
-	shelvedOn(shelfOf[recvInfo](), &st, 0)
-	shelvedOn(shelfOf[profSample](), &st, 1)
-	shelvedOn(shelfOf[phase.Op](), &st, 2)
+	st := shelfState{pages: map[unsafe.Pointer]int{}}
+	shelvedOn(shelfOf[recvInfo](), &st)
+	shelvedOn(shelfOf[profSample](), &st)
+	shelvedOn(shelfOf[phase.Op](), &st)
 	return st
 }
 
-func shelvedOn[T any](s *shelf[T], st *shelfState, i int) {
+func shelvedOn[T any](s *shelf[T], st *shelfState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st.ledgers[i] = s.ledger
 	for _, class := range s.class {
 		for _, pg := range class {
-			st.pages = append(st.pages, unsafe.Pointer(unsafe.SliceData(pg)))
+			st.pages[unsafe.Pointer(unsafe.SliceData(pg))] = cap(pg)
 			st.bytes += cap(pg) * int(unsafe.Sizeof(*new(T)))
 		}
 	}
@@ -228,13 +224,51 @@ func TestFailedAnalysisShelvesNothing(t *testing.T) {
 	if _, err := l.Finalize(context.Background()); err == nil {
 		t.Fatal("a session without headers finalized")
 	}
-	after := shelved()
-	if after.ledgers != before.ledgers {
-		t.Errorf("the shelves were filled by analyses %v, before the failures by %v", after.ledgers, before.ledgers)
-	}
-	for _, pg := range after.pages {
-		if !slices.Contains(before.pages, pg) {
-			t.Errorf("a failed analysis shelved page %p", pg)
+	for pg, n := range shelved().pages {
+		if before.pages[pg] != n {
+			t.Errorf("a failed analysis shelved page %p of %d records", pg, n)
 		}
+	}
+}
+
+// TestShelfKeepsArraysWhole: analyses of ever shorter archives, each
+// cutting its pages from the last one's, leave the shelves holding one
+// ledger, each page at the capacity its array was made with — a page
+// cut for a shorter log goes back whole, never as the short page that
+// would keep the whole array alive — and no ledger holds more than four
+// times what a cold analysis of its archive holds. The log reports what
+// share of each ledger came off the shelf, the first on empty shelves.
+func TestShelfKeepsArraysWhole(t *testing.T) {
+	rounds := []int{96, 60, 40, 26, 17, 11, 7}
+	archives := make([][][]byte, len(rounds))
+	for i, n := range rounds {
+		archives[i] = encodeTraces(t, exchangeTraces(n))
+	}
+	for _, p := range shelfPaths {
+		t.Run(p.name, func(t *testing.T) {
+			cold, coldHeld := make([]feedOutcome, len(archives)), make([]int, len(archives))
+			for i, images := range archives {
+				emptyShelves()
+				cold[i], coldHeld[i], _ = analyzeLogged(t, p, images)
+			}
+			emptyShelves()
+			made := map[unsafe.Pointer]int{} // every array shelved so far, at its capacity when first shelved
+			for i, images := range archives {
+				out, held, reused := analyzeLogged(t, p, images)
+				t.Logf("%d rounds: %.0f%% of the ledger off the shelf", rounds[i], 100*float64(reused)/float64(held))
+				if held >= 4*coldHeld[i] {
+					t.Errorf("%d rounds: a ledger of %d bytes, %d cold", rounds[i], held, coldHeld[i])
+				}
+				if !bytes.Equal(out.report, cold[i].report) || !bytes.Equal(out.prof, cold[i].prof) || !bytes.Equal(out.phases, cold[i].phases) {
+					t.Errorf("%d rounds: the artifacts differ from a cold analysis's", rounds[i])
+				}
+				for pg, n := range shelved().pages {
+					if was, ok := made[pg]; ok && was != n {
+						t.Errorf("%d rounds: an array of %d records went back to the shelf as a page of %d", rounds[i], was, n)
+					}
+					made[pg] = n
+				}
+			}
+		})
 	}
 }

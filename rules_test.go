@@ -507,14 +507,14 @@ func validateCounting(t *trace.Trace) (logCounts, error) {
 		{"internal/replay/fixture.go", "", "package replay\n\nfunc (rr *rankResult) withPage(pg []recvInfo) int { p := append(rr.recvLog.pages, pg); return len(p) }\n"},
 	},
 }, {
-	name: "ledger pages are shelved, never pooled", reason: "A finished analysis gives its ledger's pages back in one place, pagedLog.release, which analyzer.finish calls once the result is built, and only pagedLog.open takes a page off a shelf. A sync.Pool empties at a collection, so what an analysis allocates would hang on when one ran; a second release site, or a shelf filled anywhere else, gives back pages that a reader may still hold.",
+	name: "ledger pages are shelved, never pooled", reason: "A finished analysis gives its ledger's pages back in one place, shelve, which analyzer.finish calls once the result is built, and only pagedLog.open takes a page off a shelf. A sync.Pool empties at a collection, so what an analysis allocates would hang on when one ran; a second shelving site, or a shelf filled anywhere else, gives back pages that a reader may still hold.",
 	check: each(forbid(in("internal/replay"), `^use sync\.Pool\b`),
-		forbid(in("internal/replay"), `^use internal/replay\.pagedLog\.release$`, rp+"analyzer.finish"),
+		forbid(in("internal/replay"), `^use internal/replay\.shelve$`, rp+"analyzer.finish"),
 		forbid(in("internal/replay"), `^use internal/replay\.shelf\.take$`, rp+"pagedLog.open"),
-		forbid(in("internal/replay"), `^use internal/replay\.shelf\.class$`, rp+"pagedLog.release", rp+"shelf.take")),
+		forbid(in("internal/replay"), `^use internal/replay\.shelf\.class$`, rp+"shelve", rp+"shelf.take")),
 	fixtures: []fixture{
 		{"internal/replay/pagedlog.go", "func (l *pagedLog[T]) open(records int) {\n", "var pagePool sync.Pool\n\nfunc (l *pagedLog[T]) open(records int) {\n\tif pg, ok := pagePool.Get().([]T); ok {\n\t\tl.pages = append(l.pages, pg[:0:records])\n\t\treturn\n\t}\n"},
-		{"internal/replay/live.go", "\tl.a = nil\n", "\tfor _, rr := range l.a.results {\n\t\trr.opLog.release(0)\n\t}\n\tl.a = nil\n"},
+		{"internal/replay/live.go", "\tl.a = nil\n", "\tshelve(l.a.results, func(rr *rankResult) *pagedLog[profSample] { return &rr.profLog })\n\tl.a = nil\n"},
 		{"internal/replay/fixture.go", "", "package replay\n\nfunc keepPage(pg []recvInfo) { s := shelfOf[recvInfo](); s.class[6] = append(s.class[6], pg) }\n"},
 		{"internal/replay/fixture.go", "", "package replay\n\nfunc (rr *rankResult) prefill() []profSample { return shelfOf[profSample]().take(32) }\n"},
 	},
